@@ -27,16 +27,22 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonOrdinary
-from .fermat import FermatCurve, SextacticPoint, sextactic_points, tangent_line
-from .hompoly import (HomPoly, ProjPoint, line_parametrization,
+from .errors import CertificationFailure, NonOrdinary
+from .fermat import (FermatCurve, inflection_points, sextactic_points,
+                     tangent_line)
+from .hompoly import (HomPoly, ProjPoint, cross, det3, line_parametrization,
                       parameter_of_point, pullback_to_line)
-from .tower import Q, FieldElement, TowerField, tower_field
+from .tower import (FieldElement, TowerField, cyclotomic_int_coeffs,
+                    tower_field)
 
 GRID_TOKENS = ("Bz", "Bx", "By", "Mx", "My", "Mz", "Nx", "Ny", "Nz",
                "Az", "Ax", "Ay")
 GROUP_TOKENS = {"A": ("Az", "Ax", "Ay"), "B": ("Bz", "Bx", "By"),
                 "M": ("Mx", "My", "Mz"), "N": ("Nx", "Ny", "Nz")}
+
+# highest degree collinear_sextactic accepts: its modular prefilter holds
+# n x n x n masks over the n = 3d^2 sextactic points
+COLLINEAR_MAX_DEGREE = 8
 
 
 @dataclass
@@ -182,13 +188,6 @@ def build(label: str, d: int) -> LineArrangement:
 # -- census ----------------------------------------------------------------
 
 
-def _line_crossing(L1: HomPoly, L2: HomPoly, field) -> ProjPoint:
-    a1, b1, c1 = (L1.coeff(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    a2, b2, c2 = (L2.coeff(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    coords = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
-    return ProjPoint(field, coords)
-
-
 def _curve_points_on_line(curve: FermatCurve, L: HomPoly, specials):
     """Exact intersection of the curve with a line, certified complete.
 
@@ -203,17 +202,9 @@ def _curve_points_on_line(curve: FermatCurve, L: HomPoly, specials):
     rest = pullback_to_line(curve.poly, v1, v2)
     mults = {}
     for p in pts:
-        s0, t0 = parameter_of_point(p, v1, v2)
-        m = 0
-        cur = rest
-        while cur.deg >= 1:
-            quo, rem = cur.divide_linear(t0, -s0)
-            if not rem.is_zero():
-                break
-            cur = quo
-            m += 1
+        m = rest.root_multiplicity(*parameter_of_point(p, v1, v2))
         if m == 0:
-            raise AssertionError("special point not on restriction")
+            raise CertificationFailure("special point not on restriction")
         mults[p] = m
     if sum(mults.values()) != curve.d:
         raise NonOrdinary(
@@ -224,16 +215,17 @@ def _curve_points_on_line(curve: FermatCurve, L: HomPoly, specials):
 def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
     """All singular points of the union, grouped with exact multiplicities."""
     field = arr.field
+    coeffs = [L.line_coeffs() for L in arr.lines]
     through = {}
     for i in range(len(arr.lines)):
         for k in range(i + 1, len(arr.lines)):
-            p = _line_crossing(arr.lines[i], arr.lines[k], field)
+            p = ProjPoint(field, cross(coeffs[i], coeffs[k]))
             through.setdefault(p, set()).update((i, k))
 
     curve_contact = {}
     if extra_curve is not None:
         specials = ([s.point for s in sextactic_points(extra_curve)]
-                    + list(_inflections(extra_curve)))
+                    + inflection_points(extra_curve))
         for i, L in enumerate(arr.lines):
             for p, m in _curve_points_on_line(extra_curve, L, specials).items():
                 curve_contact.setdefault(p, {})[i] = m
@@ -260,14 +252,10 @@ def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
 
     n_pairs = sum(e.n_lines * (e.n_lines - 1) // 2 for e in entries
                   if e.n_lines >= 2)
-    assert n_pairs == len(arr.lines) * (len(arr.lines) - 1) // 2, \
-        "pair conservation failed"
+    if n_pairs != len(arr.lines) * (len(arr.lines) - 1) // 2:
+        raise CertificationFailure("pair conservation failed",
+                                   witness=n_pairs)
     return entries
-
-
-def _inflections(curve: FermatCurve):
-    from .fermat import inflection_points
-    return inflection_points(curve)
 
 
 def _point_sort_key(p: ProjPoint):
@@ -451,8 +439,9 @@ def _find_modular_hom(field: TowerField, skip: int = 0):
                 break
         if r is None:
             continue
-        assert pow(r, d, p) == 2 % p
-        assert _eval_cyclo_mod(field, w, p) == 0
+        if pow(r, d, p) != 2 % p or _eval_cyclo_mod(field, w, p) != 0:
+            raise CertificationFailure(
+                f"(w, r) = ({w}, {r}) does not define a map K_{d} -> F_{p}")
         if found == skip:
             return p, w, r
         found += 1
@@ -488,7 +477,6 @@ def _prime_factors(n: int):
 
 
 def _eval_cyclo_mod(field: TowerField, w: int, p: int) -> int:
-    from .tower import cyclotomic_int_coeffs
     coeffs = cyclotomic_int_coeffs(2 * field.d)
     acc = 0
     for c in reversed(coeffs):
@@ -507,7 +495,7 @@ def _reduce_element_mod(a: FieldElement, p: int, w: int, r: int) -> int:
     return acc
 
 
-def collinear_sextactic(curve: FermatCurve, cap: int = 8):
+def collinear_sextactic(curve: FermatCurve, cap: int = COLLINEAR_MAX_DEGREE):
     """Every line through at least three sextactic points, found exactly.
 
     Brute force over all point triples with a two-prime modular pre-filter:
@@ -529,11 +517,11 @@ def collinear_sextactic(curve: FermatCurve, cap: int = 8):
         coords = np.array(
             [[_reduce_element_mod(c, p, w, r) for c in s.raw_coords]
              for s in pts], dtype=np.int64)
-        cross = np.empty((n, n, 3), dtype=np.int64)
+        joins = np.empty((n, n, 3), dtype=np.int64)
         for axis, (i1, i2) in enumerate(((1, 2), (2, 0), (0, 1))):
-            cross[:, :, axis] = (coords[:, None, i1] * coords[None, :, i2]
+            joins[:, :, axis] = (coords[:, None, i1] * coords[None, :, i2]
                                  - coords[:, None, i2] * coords[None, :, i1]) % p
-        dots = np.einsum("ijk,lk->ijl", cross % p, coords) % p
+        dots = np.einsum("ijk,lk->ijl", joins % p, coords) % p
         masks.append(dots == 0)
     both = masks[0] & masks[1]
 
@@ -545,27 +533,21 @@ def collinear_sextactic(curve: FermatCurve, cap: int = 8):
                 if k > j:
                     candidates.add((i, j, int(k)))
 
-    def exact_det(i, j, k):
-        a, b, c = pts[i].raw_coords, pts[j].raw_coords, pts[k].raw_coords
-        return (a[0] * (b[1] * c[2] - b[2] * c[1])
-                - a[1] * (b[0] * c[2] - b[2] * c[0])
-                + a[2] * (b[0] * c[1] - b[1] * c[0]))
-
     lines = {}
     for (i, j, k) in sorted(candidates):
-        if not exact_det(i, j, k).is_zero():
-            continue
         a, b = pts[i].raw_coords, pts[j].raw_coords
-        coefs = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                 a[0] * b[1] - a[1] * b[0])
-        L = HomPoly.line(field, *coefs).canonical_line()
+        if not det3((a, b, pts[k].raw_coords)).is_zero():
+            continue
+        L = HomPoly.line(field, *cross(a, b)).canonical_line()
         lines.setdefault(L.line_key(), L)
 
     out = []
     for key in sorted(lines):
         L = lines[key]
         members = [s for s in pts if L.evaluate(s.point).is_zero()]
-        assert len(members) >= 3
+        if len(members) < 3:
+            raise CertificationFailure(
+                f"confirmed line holds {len(members)} sextactic points")
         out.append(CollinearLine(L, members,
                                  tuple(s.cluster for s in members)))
     return out

@@ -16,25 +16,58 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .arrangements import (build, census, collinear_sextactic, freeness_test,
-                           koszul_triple, multiplicity_multiset,
-                           syzygy_candidates, tjurina_total, verify_syzygy)
-from .errors import CertificationFailure, FermatoscError, FewerPoints
+from .arrangements import (COLLINEAR_MAX_DEGREE, build, census,
+                           collinear_sextactic, freeness_test,
+                           grid_product_poly, koszul_triple,
+                           multiplicity_multiset, syzygy_candidates,
+                           tjurina_total, verify_syzygy)
+from .errors import FermatoscError, FewerPoints
 from .fermat import (FermatCurve, hyperosculating_conic, inflection_points,
                      osculating_conic_cayley, osculating_conic_closed,
                      sextactic_count_formula, sextactic_points, tangent_line,
                      two_hessian, two_hessian_factored)
-from .hompoly import int_mult, osculating_conic_series
+from .hompoly import HomPoly, hessian, int_mult, osculating_conic_series
 from .symmetry import (conic_common_points, fixed_line, generator_panel,
-                       group_elements, orbit, tangent_concurrency,
+                       orbit, tangent_concurrency,
                        verify_invariant_intersection)
+from .tower import field_element_from_json
 
 KINDS = ("sextactic", "inflection", "all")
+
+
+def paper_claims(d: int) -> dict:
+    """The paper's values at degree d that the reports are checked against."""
+    return {
+        "inflection_count": 3 * d,
+        "inflection_tangent_contact": d,
+        "sextactic_count": 3 * d * d,
+        "conic_contact": 6,
+        # common points of the d hyperosculating conics along a grid line,
+        # by grid group
+        "conic_common_points": {"B": 1 if d == 3 else 2, "M": 2, "N": 2},
+        # (free, exponents) per arrangement, in report order; "+F" adds the
+        # curve itself
+        "freeness": {
+            "B": (True, [d + 1, 2 * d - 2]),
+            "M": (False, None),
+            "N": (False, None),
+            "BzMxNy": (True, [d + 1, 2 * d - 2]),
+            "triangle+B": (True, [d + 1, 2 * d + 1]),
+            "triangle+BzMxNy": (True, [d + 1, 2 * d + 1]),
+            "M+triangle": (False, None),
+            "B+F": (False, None),
+            "BzMxNy+F": (True, [2 * d - 2, 2 * d + 1]),
+            "M+F": (False, None)},
+        # (lines, intra-cluster, mixed-cluster) through three or more
+        # sextactic points; every such line holds exactly d of them
+        "collinear": (81, 27, 54) if d == 3 else (9 * d, 9 * d, 0),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, degree=False)
     sp.add_argument("--min-degree", type=int, default=3)
     sp.add_argument("--max-degree", type=int, default=6)
-    sp.add_argument("--collinear-cap", type=int, default=8)
     return p
 
 
@@ -132,6 +164,7 @@ def _grid_lines(curve):
 
 def cmd_points(args):
     curve = FermatCurve(args.degree)
+    claims = paper_claims(args.degree)
     payload, failures = {}, []
     if args.kind in ("sextactic", "all"):
         pts = sextactic_points(curve)
@@ -139,7 +172,7 @@ def cmd_points(args):
                                 for s in pts]
         payload["sextactic_count"] = len(pts)
         payload["count_formula"] = sextactic_count_formula(curve)
-        if len(pts) != 3 * args.degree ** 2:
+        if len(pts) != claims["sextactic_count"]:
             failures.append({"check": "sextactic-count", "got": len(pts)})
         if payload["count_formula"] != len(pts):
             failures.append({"check": "count-formula",
@@ -149,7 +182,7 @@ def cmd_points(args):
         payload["inflection"] = [_inflection_payload(p, i, curve, args.precision)
                                  for i, p in enumerate(pts)]
         payload["inflection_count"] = len(pts)
-        if len(pts) != 3 * args.degree:
+        if len(pts) != claims["inflection_count"]:
             failures.append({"check": "inflection-count", "got": len(pts)})
     return payload, failures
 
@@ -199,7 +232,7 @@ def cmd_conic(args):
                 "series_vs_explicit_proportional"):
         if not payload[key]:
             failures.append({"check": key})
-    if mult != 6:
+    if mult != paper_claims(args.degree)["conic_contact"]:
         failures.append({"check": "contact-order", "got": mult})
     return payload, failures
 
@@ -207,7 +240,6 @@ def cmd_conic(args):
 def cmd_hessian2(args):
     curve = FermatCurve(args.degree)
     d = args.degree
-    from .hompoly import HomPoly, hessian
     H = hessian(curve.poly)
     expected = HomPoly.monomial(curve.field, (d - 2, d - 2, d - 2),
                                 d**3 * (d - 1)**3)
@@ -250,17 +282,21 @@ def cmd_census(args):
     return payload, []
 
 
+def _freeness(label, d, curve):
+    """Freeness verdict of an arrangement, joined with the curve if given."""
+    arr = build(label, d)
+    tau = tjurina_total(census(arr, curve))
+    degree_hat = len(arr.lines) + (d if curve is not None else 0)
+    return freeness_test(degree_hat, tau)
+
+
 def cmd_freeness(args):
     curve = FermatCurve(args.degree) if args.with_fermat else None
-    arr = build(args.arrangement, args.degree)
-    entries = census(arr, curve)
-    tau = tjurina_total(entries)
-    degree_hat = len(arr.lines) + (args.degree if args.with_fermat else 0)
-    verdict = freeness_test(degree_hat, tau)
+    verdict = _freeness(args.arrangement, args.degree, curve)
     payload = {"arrangement": args.arrangement,
                "with_fermat": bool(args.with_fermat),
-               "degree_hat": degree_hat,
-               "tjurina_total": tau,
+               "degree_hat": verdict.degree_hat,
+               "tjurina_total": verdict.tau,
                "verdict": verdict.to_json_dict(),
                "criterion": "integer exponent solution of the quadratic "
                             "necessary condition"}
@@ -275,24 +311,25 @@ def _syzygy_payload(d):
     for name, triple, P in syzygy_candidates(d):
         out.append({"candidate": name,
                     "is_syzygy": verify_syzygy(triple, P)})
-    from .arrangements import grid_product_poly
     P = grid_product_poly(d)
     out.append({"candidate": "koszul-xy",
                 "is_syzygy": verify_syzygy(koszul_triple(P, 0, 1), P)})
     return out
 
 
+def _collinear_counts(lines) -> dict:
+    intra = sum(1 for L in lines if not L.mixed)
+    return {"line_count": len(lines), "intra_cluster": intra,
+            "mixed_cluster": len(lines) - intra}
+
+
 def cmd_collinear(args):
     curve = FermatCurve(args.degree)
     lines = collinear_sextactic(curve)
-    payload = {
-        "line_count": len(lines),
-        "intra_cluster": sum(1 for L in lines if not L.mixed),
-        "mixed_cluster": sum(1 for L in lines if L.mixed),
-        "lines": [{"line": L.line.to_json_dict(),
-                   "points": [{"cluster": s.cluster, "j": s.j, "k": s.k}
-                              for s in L.points]} for L in lines],
-    }
+    payload = _collinear_counts(lines)
+    payload["lines"] = [{"line": L.line.to_json_dict(),
+                         "points": [{"cluster": s.cluster, "j": s.j, "k": s.k}
+                                    for s in L.points]} for L in lines]
     return payload, []
 
 
@@ -311,7 +348,7 @@ def _verify_line(curve, label, line):
     try:
         rep = conic_common_points(curve, line)
         entry["conic"] = rep.to_json_dict()
-        expected = 1 if (curve.d == 3 and label.startswith("B")) else 2
+        expected = paper_claims(curve.d)["conic_common_points"][label[0]]
         if rep.count != expected:
             failures.append({"check": "conic-common-count", "line": label,
                              "got": rep.count, "expected": expected})
@@ -325,8 +362,6 @@ def _verify_line(curve, label, line):
 def _verify_line_job(job):
     d, label, line_json = job
     curve = FermatCurve(d)
-    from .hompoly import HomPoly
-    from .tower import field_element_from_json
     terms = {tuple(t[:3]): field_element_from_json(t[3])
              for t in line_json["terms"]}
     line = HomPoly(curve.field, 1, terms)
@@ -343,9 +378,10 @@ def cmd_verify(args):
                 raise FewerPoints(f"line index out of range 0..{len(lines)-1}")
             lines = [lines[args.line_index]]
         results = []
-        if args.jobs > 1:
+        workers = min(args.jobs, os.cpu_count() or 1, len(lines))
+        if workers > 1:
             jobs = [(curve.d, label, L.to_json_dict()) for label, L in lines]
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for entry, fails in pool.map(_verify_line_job, jobs):
                     results.append(entry)
                     failures.extend(fails)
@@ -393,6 +429,7 @@ def cmd_all(args):
     rng = random.Random(args.seed)
     payload, failures = {"degrees": {}}, []
     for d in range(args.min_degree, args.max_degree + 1):
+        claims = paper_claims(d)
         section = {}
         ns = argparse.Namespace(degree=d, precision=args.precision,
                                 seed=args.seed, jobs=args.jobs)
@@ -412,7 +449,8 @@ def cmd_all(args):
         section["inflection"] = {"count": len(infl),
                                  "checked": len(sample),
                                  "tangent_contacts": sorted(set(mults))}
-        if len(infl) != 3 * d or set(mults) != {d}:
+        if (len(infl) != claims["inflection_count"]
+                or set(mults) != {claims["inflection_tangent_contact"]}):
             sec_fail.append({"check": "inflection-suite", "degree": d})
 
         pts = sextactic_points(curve)
@@ -432,39 +470,25 @@ def cmd_all(args):
                                 "sampled": len(idx),
                                 "conic_contacts": sorted(set(contacts)),
                                 "conic_pipelines_proportional": prop_ok}
-        if (len(pts) != 3 * d * d or set(contacts) != {6} or not prop_ok
+        if (len(pts) != claims["sextactic_count"]
+                or set(contacts) != {claims["conic_contact"]} or not prop_ok
                 or sextactic_count_formula(curve) != len(pts)):
             sec_fail.append({"check": "sextactic-suite", "degree": d})
 
         frees = {}
-        for label, with_f, dh_extra in (
-                ("B", False, 0), ("M", False, 0), ("N", False, 0),
-                ("BzMxNy", False, 0), ("triangle+B", False, 0),
-                ("triangle+BzMxNy", False, 0), ("M+triangle", False, 0),
-                ("B", True, d), ("BzMxNy", True, d), ("M", True, d)):
-            arr = build(label, d)
-            entries = census(arr, curve if with_f else None)
-            tau = tjurina_total(entries)
-            verdict = freeness_test(len(arr.lines) + dh_extra, tau)
-            key = label + ("+F" if with_f else "")
-            frees[key] = {"tau": tau, "free": verdict.free,
-                          "exponents": (list(verdict.exponents)
-                                        if verdict.exponents else None),
-                          "discriminant_sign": verdict.discriminant_sign}
-        section["freeness"] = frees
-        expected_free = {
-            "B": (True, [d + 1, 2 * d - 2]),
-            "BzMxNy": (True, [d + 1, 2 * d - 2]),
-            "triangle+B": (True, [d + 1, 2 * d + 1]),
-            "triangle+BzMxNy": (True, [d + 1, 2 * d + 1]),
-            "BzMxNy+F": (True, [2 * d - 2, 2 * d + 1]),
-            "B+F": (False, None), "M": (False, None), "N": (False, None),
-            "M+triangle": (False, None), "M+F": (False, None)}
-        for key, (free, exps) in expected_free.items():
-            got = frees[key]
+        for key, (free, exps) in claims["freeness"].items():
+            with_f = key.endswith("+F")
+            verdict = _freeness(key.removesuffix("+F"), d,
+                                curve if with_f else None)
+            got = {"tau": verdict.tau, "free": verdict.free,
+                   "exponents": (list(verdict.exponents)
+                                 if verdict.exponents else None),
+                   "discriminant_sign": verdict.discriminant_sign}
+            frees[key] = got
             if got["free"] != free or (free and got["exponents"] != exps):
                 sec_fail.append({"check": "freeness", "arrangement": key,
                                  "degree": d})
+        section["freeness"] = frees
 
         section["syzygies"] = _syzygy_payload(d)
         koszul_ok = [e for e in section["syzygies"]
@@ -472,19 +496,11 @@ def cmd_all(args):
         if not koszul_ok:
             sec_fail.append({"check": "koszul-syzygy", "degree": d})
 
-        if d <= args.collinear_cap:
+        if d <= COLLINEAR_MAX_DEGREE:
             lines = collinear_sextactic(curve)
-            section["collinear"] = {
-                "line_count": len(lines),
-                "intra_cluster": sum(1 for L in lines if not L.mixed),
-                "mixed_cluster": sum(1 for L in lines if L.mixed)}
-            if d == 3:
-                ok = (len(lines), section["collinear"]["intra_cluster"],
-                      section["collinear"]["mixed_cluster"]) == (81, 27, 54)
-            else:
-                ok = (len(lines) == 9 * d
-                      and all(len(L.points) == d for L in lines))
-            if not ok:
+            section["collinear"] = _collinear_counts(lines)
+            if (tuple(section["collinear"].values()) != claims["collinear"]
+                    or any(len(L.points) != d for L in lines)):
                 sec_fail.append({"check": "collinear", "degree": d})
 
         vargs = argparse.Namespace(degree=d, theorem="main", line_index=None,
@@ -593,6 +609,8 @@ def _fmt_complex(approx):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     handler = COMMANDS[args.command]
     try:
         payload, failures = handler(args)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import HessianVanishes, NotOnCurve
-from .hompoly import HomPoly, ProjPoint, hessian
-from .tower import FieldElement, TowerField, tower_field
+from .hompoly import HomPoly, ProjPoint, det3, hessian
+from .tower import TowerField, tower_field
 
 CLUSTERS = ("z", "y", "x")
 
@@ -111,9 +111,7 @@ def two_hessian(curve: FermatCurve) -> HomPoly:
             exps[var] = e
             row.append(HomPoly.monomial(field, tuple(exps), 1))
         rows.append(row)
-    return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+    return det3(rows)
 
 
 def two_hessian_factored(curve: FermatCurve) -> HomPoly:

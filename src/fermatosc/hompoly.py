@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import random
 
-from .errors import (GenericityFailure, NotOnCurve, ResultantZero,
-                     SingularPoint, TruncationExhausted)
-from .tower import Q, Q0, Q1, FieldElement, TowerField
+from .errors import (CertificationFailure, GenericityFailure, NotOnCurve,
+                     ResultantZero, SingularPoint, TruncationExhausted)
+from .tower import Q, Q0, FieldElement, TowerField
 
 VARS = ("x", "y", "z")
+LINEAR_EXPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 class HomPoly:
@@ -56,12 +57,9 @@ class HomPoly:
 
     @staticmethod
     def line(field, a, b, c) -> "HomPoly":
-        coefs = []
-        for v in (a, b, c):
-            coefs.append(v if isinstance(v, FieldElement)
-                         else field.from_rational(v))
-        return HomPoly(field, 1, {(1, 0, 0): coefs[0], (0, 1, 0): coefs[1],
-                                  (0, 0, 1): coefs[2]})
+        coefs = (v if isinstance(v, FieldElement) else field.from_rational(v)
+                 for v in (a, b, c))
+        return HomPoly(field, 1, dict(zip(LINEAR_EXPS, coefs)))
 
     @staticmethod
     def variables(field):
@@ -194,24 +192,20 @@ class HomPoly:
             return self.is_zero() and other.is_zero()
         if self.deg != other.deg:
             return False
-        exps = set(self.terms) | set(other.terms)
-        exps = sorted(exps)
-        a = [self.coeff(e) for e in exps]
-        b = [other.coeff(e) for e in exps]
-        for i in range(len(exps)):
-            for k in range(i + 1, len(exps)):
-                if not (a[i] * b[k] - a[k] * b[i]).is_zero():
-                    return False
-        return True
+        exps = sorted(set(self.terms) | set(other.terms))
+        return _rank_le_one([self.coeff(e) for e in exps],
+                            [other.coeff(e) for e in exps])
+
+    def line_coeffs(self) -> tuple:
+        """The coefficients (a, b, c) of a linear form a*x + b*y + c*z."""
+        return tuple(self.coeff(e) for e in LINEAR_EXPS)
 
     def canonical_line(self) -> "HomPoly":
         """Scale a linear form so its first nonzero coefficient is one."""
-        assert self.deg == 1 and not self.is_zero()
-        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            c = self.terms.get(e)
-            if c is not None:
-                return self.scale(self.field.invert(c))
-        raise AssertionError("unreachable")
+        if self.deg != 1 or self.is_zero():
+            raise ValueError("canonical_line needs a nonzero linear form")
+        pivot = next(c for c in self.line_coeffs() if not c.is_zero())
+        return self.scale(self.field.invert(pivot))
 
     def line_key(self):
         return tuple(sorted((e, v.coeffs)
@@ -296,13 +290,31 @@ def hessian(f: HomPoly) -> HomPoly:
     if f.deg < 2:
         return HomPoly.zero(f.field, 0)
     second = [[f.partial(i).partial(j) for j in range(3)] for i in range(3)]
-    return _det3(second)
+    return det3(second)
 
 
-def _det3(m):
+def det3(m):
+    """Determinant of a 3x3 matrix over any ring with * and -."""
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def cross(a, b) -> tuple:
+    """Cross product of two coordinate triples.
+
+    Of two points it gives the coefficients of the line through them; of the
+    coefficients of two lines it gives the point where they cross.
+    """
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _rank_le_one(a, b) -> bool:
+    """Whether two equally long coefficient sequences are proportional:
+    every 2x2 minor of the stacked pair vanishes."""
+    return all((a[i] * b[k] - a[k] * b[i]).is_zero()
+               for i in range(len(a)) for k in range(i + 1, len(a)))
 
 
 # -- binary forms ------------------------------------------------------------
@@ -338,14 +350,6 @@ class BinaryForm:
                     out[i + j] = out[i + j] + a * b
         return BinaryForm(self.field, out)
 
-    def scale(self, c):
-        return BinaryForm(self.field, [v * c for v in self.coeffs])
-
-    def __sub__(self, other):
-        assert self.deg == other.deg
-        return BinaryForm(self.field, [a - b for a, b
-                                       in zip(self.coeffs, other.coeffs)])
-
     def evaluate(self, s, t):
         acc = self.field.zero
         sp = [self.field.one]
@@ -363,46 +367,30 @@ class BinaryForm:
             return self.is_zero() and other.is_zero()
         if self.deg != other.deg:
             return False
-        n = self.deg + 1
-        for i in range(n):
-            for k in range(i + 1, n):
-                lhs = self.coeffs[i] * other.coeffs[k]
-                rhs = self.coeffs[k] * other.coeffs[i]
-                if not (lhs - rhs).is_zero():
-                    return False
-        return True
-
-    def divide_linear(self, alpha, beta):
-        """Divide by alpha*s + beta*t; returns (quotient, remainder scalar).
-
-        The remainder scalar is the coefficient of t^n (alpha != 0) or s^n
-        (alpha == 0); it vanishes iff the linear form divides exactly.
-        """
-        field = self.field
-        n = self.deg
-        b = list(self.coeffs)
-        if not alpha.is_zero():
-            ainv = field.invert(alpha)
-            q = [field.zero] * n
-            q[n - 1] = b[n] * ainv
-            for i in range(n - 1, 0, -1):
-                q[i - 1] = (b[i] - beta * q[i]) * ainv
-            rem = b[0] - beta * q[0]
-            return BinaryForm(field, q), rem
-        binv = field.invert(beta)
-        q = [b[i] * binv for i in range(n)]
-        return BinaryForm(field, q), b[n]
+        return _rank_le_one(self.coeffs, other.coeffs)
 
     def root_multiplicity(self, s0, t0) -> int:
-        """Vanishing order at the parameter point (s0 : t0)."""
-        # the linear form with zero (s0 : t0) is t0*s - s0*t
-        form = self
+        """Vanishing order at the parameter point (s0 : t0), at most deg."""
+        cur = list(self.coeffs)
+        if t0.is_zero():
+            # (1 : 0) is a root of order m iff t^m divides, that is iff the
+            # top m coefficients (those of s^n, ..., s^(n-m+1)) vanish
+            mult = 0
+            while mult < self.deg and cur[self.deg - mult].is_zero():
+                mult += 1
+            return mult
+        # in w = s/t the root is w0; divide by w - w0 (Horner) while exact
+        w0 = s0 * self.field.invert(t0)
         mult = 0
-        while form.deg >= 1:
-            quot, rem = form.divide_linear(t0, -s0)
-            if not rem.is_zero():
+        while len(cur) > 1:
+            acc = cur[-1]
+            quo = []
+            for c in cur[-2::-1]:
+                quo.append(acc)
+                acc = c + acc * w0
+            if not acc.is_zero():
                 break
-            form = quot
+            cur = quo[::-1]
             mult += 1
         return mult
 
@@ -438,9 +426,7 @@ def pullback_to_line(c: HomPoly, v1, v2) -> BinaryForm:
 def line_parametrization(L: HomPoly):
     """Deterministic kernel basis of a linear form, pivoting x < y < z."""
     field = L.field
-    a = L.coeff((1, 0, 0))
-    b = L.coeff((0, 1, 0))
-    c = L.coeff((0, 0, 1))
+    a, b, c = L.line_coeffs()
     zero, one = field.zero, field.one
     if not a.is_zero():
         ainv = field.invert(a)
@@ -600,8 +586,8 @@ def branch_series(f: HomPoly, p: ProjPoint, order: int) -> BranchSeries:
             sol[m] = -r * dinv
     bs = BranchSeries(p, chart, param, solved, n,
                       tuple(tuple(s) for s in ser))
-    res = bs.residual(f)
-    assert all(v.is_zero() for v in res), "branch lifting failed"
+    if not all(v.is_zero() for v in bs.residual(f)):
+        raise CertificationFailure("branch lifting failed")
     return bs
 
 
@@ -712,9 +698,7 @@ def _fiber_line_generic(f, g, p, center_coords) -> bool:
 
 
 def _mat3_inverse_rational(m):
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    det = det3(m)
     if det == 0:
         return None
     adj = [[Q0] * 3 for _ in range(3)]
@@ -804,19 +788,9 @@ def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint,
             raise ResultantZero("resultant vanishes identically")
         rpoly = _interpolate(nodes, vals, field)
 
-        qx, qy = q[0], q[1]
-        if qy.is_zero():
-            order = deg_r - _upoly_deg(rpoly)
-        else:
-            w0 = qx * field.invert(qy)
-            order = 0
-            cur = rpoly
-            while _upoly_deg(cur) >= 1:
-                quo, rem = _upoly_divmod_linear(cur, w0, field)
-                if not rem.is_zero():
-                    break
-                order += 1
-                cur = quo
+        # rpoly holds Res(x, y) of degree deg_r at y = 1; q[1] = 0 puts the
+        # image of p at the point at infinity (1 : 0)
+        order = BinaryForm(field, rpoly).root_multiplicity(q[0], q[1])
         record = {"seed": seed, "attempts": attempt + 1,
                   "matrix": [[f"{c.numerator}/{c.denominator}" for c in row]
                              for row in m]}
@@ -835,17 +809,6 @@ def _z_coefficients(h: HomPoly, w, field):
     for (a, b, c), coef in h.terms.items():
         out[c] = out[c] + coef * pw[a]
     return out
-
-
-def _upoly_divmod_linear(pcoeffs, w0, field):
-    """Divide by (w - w0); returns (quotient, remainder)."""
-    d = _upoly_deg(pcoeffs)
-    q = [field.zero] * d
-    acc = pcoeffs[d]
-    for i in range(d - 1, -1, -1):
-        q[i] = acc
-        acc = pcoeffs[i] + acc * w0
-    return q, acc
 
 
 # -- osculating conic from the branch alone ---------------------------------------

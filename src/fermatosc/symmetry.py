@@ -17,14 +17,15 @@ the restriction rather than solved for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 from typing import Optional
 
 from .errors import (CertificationFailure, FewerPoints, NoFixedLine)
-from .fermat import (FermatCurve, SextacticPoint, hyperosculating_conic,
+from .fermat import (FermatCurve, hyperosculating_conic,
                      osculating_conic_closed, sextactic_points, tangent_line)
-from .hompoly import (BinaryForm, HomPoly, ProjPoint, disc2,
+from .hompoly import (HomPoly, ProjPoint, cross, det3, disc2,
                       line_parametrization, restrict_to_line)
-from .tower import FieldElement, TowerField
+from .tower import FieldElement, TowerField, tower_field
 
 
 def _entry_nonzero(v) -> bool:
@@ -92,17 +93,6 @@ class Automorphism:
             inv[j][i] = self.field.invert(self.mat[i][j])
         return Automorphism(self.field, inv)
 
-    def power(self, e: int) -> "Automorphism":
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = identity(self.field)
-        while e:
-            if e & 1:
-                out = out.compose(base)
-            base = base.compose(base)
-            e >>= 1
-        return out
-
     # -- actions ---------------------------------------------------------------
 
     def apply_point(self, p: ProjPoint) -> ProjPoint:
@@ -113,10 +103,6 @@ class Automorphism:
     def pullback(self, f: HomPoly) -> HomPoly:
         """f composed with this map; vanishes on the preimage of V(f)."""
         return f.compose_matrix(self.mat)
-
-    def pushforward(self, f: HomPoly) -> HomPoly:
-        """Defining polynomial of the image of V(f)."""
-        return f.compose_matrix(self.inverse().mat)
 
     def is_identity(self) -> bool:
         return self == identity(self.field)
@@ -171,7 +157,6 @@ def group_elements(d_or_curve) -> list:
         field = d_or_curve.field
         d = d_or_curve.d
     else:
-        from .tower import tower_field
         d = d_or_curve
         field = tower_field(d)
     perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
@@ -319,7 +304,8 @@ def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyRe
         for j in range(i + 1, d):
             if tangents[i].proportional(tangents[j]):
                 raise CertificationFailure("coincident tangents in the family")
-    q = _crossing(tangents[0], tangents[1])
+    q = ProjPoint(curve.field, cross(tangents[0].line_coeffs(),
+                                     tangents[1].line_coeffs()))
     vals = [t.evaluate(q) for t in tangents]
     if not all(v.is_zero() for v in vals):
         raise CertificationFailure("tangents are not concurrent",
@@ -334,17 +320,8 @@ def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyRe
     return ConcurrencyReport("tangent", grid_line, pts, L, 1, [q], cert)
 
 
-def _crossing(L1: HomPoly, L2: HomPoly) -> ProjPoint:
-    field = L1.field
-    a1, b1, c1 = (L1.coeff(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    a2, b2, c2 = (L2.coeff(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    return ProjPoint(field, (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2,
-                             a1 * b2 - b1 * a2))
-
-
 def _coordinate_index(L: HomPoly) -> Optional[int]:
-    exps = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    nz = [i for i, e in enumerate(exps) if not L.coeff(e).is_zero()]
+    nz = [i for i, c in enumerate(L.line_coeffs()) if not c.is_zero()]
     return nz[0] if len(nz) == 1 else None
 
 
@@ -432,7 +409,8 @@ def _exclude_off_line(conics, var: int, field) -> dict:
     if chosen is None:
         raise CertificationFailure(
             "could not find two independent pencil cofactors")
-    q = _crossing(chosen[0], chosen[1])
+    q = ProjPoint(field, cross(chosen[0].line_coeffs(),
+                               chosen[1].line_coeffs()))
     if q.coords[var].is_zero():
         return {"candidate_on_fixed_line": True}
     values = [c.evaluate(q) for c in conics]
@@ -501,25 +479,12 @@ def pencil_degenerate(curve: FermatCurve, j: int, k1: int, k2: int):
 
     monos = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
     rows = [[c.coeff(e) for e in monos] for c in (o1, o2, member)]
-    minors_zero = True
-    witness = None
-    for a in range(6):
-        for b in range(a + 1, 6):
-            for c in range(b + 1, 6):
-                det = _det3_elems(rows, (a, b, c), field)
-                if not det.is_zero():
-                    minors_zero = False
-                    witness = (a, b, c, det)
-                    break
-            if not minors_zero:
-                break
-        if not minors_zero:
-            break
-    if not minors_zero:
-        raise CertificationFailure(
-            "z * ell is not in the pencil of the two conics",
-            witness={"minor": witness[:3],
-                     "value": witness[3].to_json_dict()})
+    for cols in combinations(range(6), 3):
+        det = det3([[r[k] for k in cols] for r in rows])
+        if not det.is_zero():
+            raise CertificationFailure(
+                "z * ell is not in the pencil of the two conics",
+                witness={"minor": cols, "value": det.to_json_dict()})
 
     residual = restrict_to_line(o1, ell)
     rdisc = disc2(residual)
@@ -529,11 +494,3 @@ def pencil_degenerate(curve: FermatCurve, j: int, k1: int, k2: int):
         "residual_points_distinct": not rdisc.is_zero(),
     }
     return ell, certificate
-
-
-def _det3_elems(rows, cols, field):
-    a, b, c = cols
-    m = [[rows[i][k] for k in (a, b, c)] for i in range(3)]
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))

@@ -27,7 +27,8 @@ from functools import lru_cache
 
 import mpmath
 
-from .errors import DegreeMismatch, ZeroDivisor, ZeroInput
+from .errors import (CertificationFailure, DegreeMismatch, ZeroDivisor,
+                     ZeroInput)
 
 try:
     from gmpy2 import mpq as Q
@@ -67,7 +68,8 @@ def _zpoly_exact_div(num, den):
         if c:
             for i, dc in enumerate(den):
                 num[k - dd + i] -= c * dc
-    assert all(v == 0 for v in num), "non-exact polynomial division"
+    if any(num):
+        raise CertificationFailure("non-exact polynomial division")
     return out
 
 
@@ -101,9 +103,6 @@ class ComplexBall:
         self.center = center
         self.radius = float(radius)
         self.prec = prec
-
-    def _ulp(self, magnitude):
-        return (float(magnitude) + 1e-300) * 2.0 ** (4 - self.prec)
 
     def __add__(self, other):
         if not isinstance(other, ComplexBall):
@@ -185,8 +184,8 @@ class TowerField:
 
         # u^e * (t-reduction constant), reduced, for the multiplication kernel
         if self._tred_vec is not None:
-            self._urows_t = [self._cmul_table(self._urows[e % self.n_u],
-                                              self._tred_vec)
+            self._urows_t = [self._cvec_mul(self._urows[e % self.n_u],
+                                            self._tred_vec)
                              for e in range(2 * self.phi - 1)]
         else:
             self._urows_t = None
@@ -224,16 +223,6 @@ class TowerField:
                 for i in range(self.phi):
                     vec[k - self.phi + i] -= c * self._phi_coeffs[i]
         return vec[: self.phi]
-
-    def _cmul_table(self, a_vec, b_vec):
-        """Product of two cyclotomic vectors, reduced (setup-time only)."""
-        conv = [Q0] * (2 * self.phi - 1)
-        for i, ai in enumerate(a_vec):
-            if ai:
-                for k, bk in enumerate(b_vec):
-                    if bk:
-                        conv[i + k] += ai * bk
-        return tuple(self._ureduce(conv))
 
     def _field_guard(self):
         """Probabilistically certify that the t-modulus defines a field.
@@ -346,10 +335,8 @@ class TowerField:
 
     # -- cyclotomic (level-1) field helpers ---------------------------------
 
-    def _cvec_is_zero(self, v):
-        return not any(v)
-
     def _cvec_mul(self, a, b):
+        """Product of two cyclotomic vectors, reduced."""
         conv = [Q0] * (2 * self.phi - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -360,7 +347,7 @@ class TowerField:
 
     def _cvec_inv(self, a):
         """Inverse in Q(u) via extended gcd against the cyclotomic polynomial."""
-        if self._cvec_is_zero(a):
+        if not any(a):
             raise ZeroInput("zero cyclotomic coefficient")
         r0 = list(self._phi_coeffs)
         r1 = list(a)
@@ -448,7 +435,7 @@ class TowerField:
 
         def deg(p):
             for k in range(len(p) - 1, -1, -1):
-                if not self._cvec_is_zero(p[k]):
+                if any(p[k]):
                     return k
             return -1
 

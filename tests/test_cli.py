@@ -129,6 +129,12 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--arrangement", "nonsense", "--degree", "4"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["points", "--degree", "3", "--jobs", "0"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["all", "--max-degree", "3", "--collinear-cap", "9"])
+    assert exc.value.code == 2
 
 
 def test_byte_stability(tmp_path):
@@ -174,6 +180,40 @@ def test_jobs_parallel_matches_serial(tmp_path):
                  "--jobs", "1", "--out", str(b)]) == 0
     ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
     assert ra["payload"] == rb["payload"]
+
+
+def test_jobs_clamped_to_cpus_and_lines(monkeypatch, tmp_path):
+    import fermatosc.cli as cli
+    pools = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size, starts
+        no process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--theorem", "main", "--degree", "3",
+                     "--jobs", "10000", "--out", str(out)]) == 0
+    assert pools == [4]
+    assert json.loads(out.read_text())["payload"]["line_count"] == 27
+    # a single line takes the serial path
+    assert cli.main(["verify", "--theorem", "main", "--degree", "3",
+                     "--line-index", "0", "--jobs", "10000",
+                     "--out", str(out)]) == 0
+    assert pools == [4]
 
 
 def test_failure_exit_code(monkeypatch, capsys):

@@ -210,6 +210,32 @@ def test_restriction_root_reproduces_common_point():
     assert bf.root_multiplicity(s0, t0) == 1
 
 
+def test_root_multiplicity_at_infinity_and_multiple_root():
+    fld = tower_field(5)
+    one, zero, u = fld.one, fld.zero, fld.u
+    s = BinaryForm(fld, [zero, one])
+    t = BinaryForm(fld, [one, zero])
+    lin = BinaryForm(fld, [-u, one])                     # s - u*t
+    bf = s * lin * lin * lin * t * t
+    assert bf.root_multiplicity(one, zero) == 2          # (1 : 0)
+    assert bf.root_multiplicity(u, zero) == 2
+    assert bf.root_multiplicity(u, one) == 3             # (u : 1)
+    assert bf.root_multiplicity(2 * u, 2 * one) == 3
+    assert bf.root_multiplicity(zero, one) == 1          # (0 : 1)
+    assert bf.root_multiplicity(one, one) == 0
+    assert (s * s).root_multiplicity(one, zero) == 0
+
+
+def test_canonical_line_rejects_non_lines():
+    fld = tower_field(3)
+    x, y, z = HomPoly.variables(fld)
+    assert (x.scale(fld.u) + z).canonical_line() == x + z.scale(fld.u_pow(-1))
+    with pytest.raises(ValueError):
+        (x * y).canonical_line()
+    with pytest.raises(ValueError):
+        HomPoly.zero(fld, 1).canonical_line()
+
+
 def test_disc2_examples():
     fld = tower_field(4)
     one = fld.one

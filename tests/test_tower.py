@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from fermatosc.errors import DegreeMismatch, ZeroInput
-from fermatosc.tower import (Q, arith, constants, cyclotomic_int_coeffs, embed,
+from fermatosc.errors import CertificationFailure, DegreeMismatch, ZeroInput
+from fermatosc.tower import (Q, _zpoly_exact_div, arith, constants,
+                             cyclotomic_int_coeffs, embed,
                              field_element_from_json, invert, is_zero,
                              tower_field)
 
@@ -214,3 +215,9 @@ def test_larger_degree_construction():
     assert is_zero(u**12 + 1)
     a = f.u + f.t
     assert (a * invert(a) - f.one).is_zero()
+
+
+def test_inexact_polynomial_division_fails_certification():
+    assert _zpoly_exact_div([-1, 0, 1], [-1, 1]) == [1, 1]
+    with pytest.raises(CertificationFailure):
+        _zpoly_exact_div([1, 0, 1], [1, 1])        # (x^2 + 1) / (x + 1)
