@@ -28,8 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificationFailure, NonOrdinary
-from .fermat import (FermatCurve, inflection_points, sextactic_points,
-                     tangent_line)
+from .fermat import FermatCurve, sextactic_points
 from .hompoly import (HomPoly, ProjPoint, cross, det3, line_parametrization,
                       parameter_of_point, pullback_to_line)
 from .tower import (FieldElement, TowerField, cyclotomic_int_coeffs,
@@ -188,16 +187,16 @@ def build(label: str, d: int) -> LineArrangement:
 # -- census ----------------------------------------------------------------
 
 
-def _curve_points_on_line(curve: FermatCurve, L: HomPoly, specials):
+def _curve_points_on_line(curve: FermatCurve, L: HomPoly):
     """Exact intersection of the curve with a line, certified complete.
 
-    Candidates come from the enumerated special points; the restriction of
-    the curve to the line must factor completely into the corresponding
-    parameter roots (with multiplicity), which certifies that no
-    intersection point was missed.
+    Candidates are the special points (sextactic and inflection) the
+    curve's incidence table finds on the line; the restriction of the curve
+    to the line must factor completely into the corresponding parameter
+    roots (with multiplicity), which certifies that no intersection point
+    was missed.
     """
-    field = curve.field
-    pts = [p for p in specials if L.evaluate(p).is_zero()]
+    pts = curve.incidence.specials_on_line(L)
     v1, v2 = line_parametrization(L)
     rest = pullback_to_line(curve.poly, v1, v2)
     mults = {}
@@ -224,10 +223,8 @@ def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
 
     curve_contact = {}
     if extra_curve is not None:
-        specials = ([s.point for s in sextactic_points(extra_curve)]
-                    + inflection_points(extra_curve))
         for i, L in enumerate(arr.lines):
-            for p, m in _curve_points_on_line(extra_curve, L, specials).items():
+            for p, m in _curve_points_on_line(extra_curve, L).items():
                 curve_contact.setdefault(p, {})[i] = m
                 through.setdefault(p, set()).add(i)
 
@@ -241,7 +238,7 @@ def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
             on_curve = extra_curve.poly.evaluate(p).is_zero()
             if on_curve:
                 mult += 1
-                tang = tangent_line(extra_curve, p)
+                tang = extra_curve.osculating(p, 1)
                 contacts = curve_contact.get(p, {})
                 for i in line_idx:
                     if arr.lines[i].proportional(tang) or contacts.get(i, 1) > 1:
@@ -533,21 +530,25 @@ def collinear_sextactic(curve: FermatCurve, cap: int = COLLINEAR_MAX_DEGREE):
                 if k > j:
                     candidates.add((i, j, int(k)))
 
+    # line key -> (line, indices of the points of its confirmed triples);
+    # the filter keeps every collinear triple, so a line through m >= 3
+    # sextactic points collects all m of them
     lines = {}
     for (i, j, k) in sorted(candidates):
         a, b = pts[i].raw_coords, pts[j].raw_coords
         if not det3((a, b, pts[k].raw_coords)).is_zero():
             continue
         L = HomPoly.line(field, *cross(a, b)).canonical_line()
-        lines.setdefault(L.line_key(), L)
+        lines.setdefault(L.line_key(), (L, set()))[1].update((i, j, k))
 
     out = []
     for key in sorted(lines):
-        L = lines[key]
-        members = [s for s in pts if L.evaluate(s.point).is_zero()]
-        if len(members) < 3:
-            raise CertificationFailure(
-                f"confirmed line holds {len(members)} sextactic points")
+        L, idx = lines[key]
+        members = [pts[i] for i in sorted(idx)]
+        for s in members:
+            if not L.evaluate(s.point).is_zero():
+                raise CertificationFailure(
+                    "collinear member off its line", witness=s.label())
         out.append(CollinearLine(L, members,
                                  tuple(s.cluster for s in members)))
     return out

@@ -33,12 +33,16 @@ from .fermat import (FermatCurve, hyperosculating_conic, inflection_points,
                      sextactic_count_formula, sextactic_points, tangent_line,
                      two_hessian, two_hessian_factored)
 from .hompoly import HomPoly, hessian, int_mult, osculating_conic_series
-from .symmetry import (conic_common_points, fixed_line, generator_panel,
-                       orbit, tangent_concurrency,
+from .symmetry import (conic_common_points, curve_orbit, fixed_line,
+                       generator_panel, tangent_concurrency,
                        verify_invariant_intersection)
 from .tower import field_element_from_json
 
 KINDS = ("sextactic", "inflection", "all")
+
+# highest degree `all` accepts: the highest any workload or test runs; the
+# suite's cost grows steeply with d
+ALL_MAX_DEGREE = 12
 
 
 def paper_claims(d: int) -> dict:
@@ -206,12 +210,10 @@ def cmd_tangents(args):
 
 def cmd_conic(args):
     curve = FermatCurve(args.degree)
-    match = [s for s in sextactic_points(curve)
-             if s.cluster == args.cluster and s.j == args.j % args.degree
-             and s.k == args.k % (2 * args.degree)]
-    if not match:
+    s = curve.incidence.by_index.get(
+        (args.cluster, args.j % args.degree, args.k % (2 * args.degree)))
+    if s is None:
         raise FewerPoints(f"no sextactic point ({args.cluster}, {args.j}, {args.k})")
-    s = match[0]
     O = hyperosculating_conic(curve, s)
     closed = osculating_conic_closed(curve, s.point)
     cayley = osculating_conic_cayley(curve, s.point)
@@ -238,8 +240,11 @@ def cmd_conic(args):
 
 
 def cmd_hessian2(args):
-    curve = FermatCurve(args.degree)
-    d = args.degree
+    return _hessian2(FermatCurve(args.degree))
+
+
+def _hessian2(curve):
+    d = curve.d
     H = hessian(curve.poly)
     expected = HomPoly.monomial(curve.field, (d - 2, d - 2, d - 2),
                                 d**3 * (d - 1)**3)
@@ -370,81 +375,85 @@ def _verify_line_job(job):
 
 def cmd_verify(args):
     curve = FermatCurve(args.degree)
-    payload, failures = {}, []
     if args.theorem == "main":
-        lines = _grid_lines(curve)
-        if args.line_index is not None:
-            if not (0 <= args.line_index < len(lines)):
-                raise FewerPoints(f"line index out of range 0..{len(lines)-1}")
-            lines = [lines[args.line_index]]
-        results = []
-        workers = min(args.jobs, os.cpu_count() or 1, len(lines))
-        if workers > 1:
-            jobs = [(curve.d, label, L.to_json_dict()) for label, L in lines]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for entry, fails in pool.map(_verify_line_job, jobs):
-                    results.append(entry)
-                    failures.extend(fails)
-        else:
-            for label, L in lines:
-                entry, fails = _verify_line(curve, label, L)
+        return _verify_main(curve, args.jobs, args.line_index)
+    degrees = (1, 2) if args.osc_degree is None else (args.osc_degree,)
+    return _verify_invariant(curve, degrees)
+
+
+def _verify_main(curve, jobs, line_index=None):
+    lines = _grid_lines(curve)
+    if line_index is not None:
+        if not (0 <= line_index < len(lines)):
+            raise FewerPoints(f"line index out of range 0..{len(lines)-1}")
+        lines = [lines[line_index]]
+    results, failures = [], []
+    workers = min(jobs, os.cpu_count() or 1, len(lines))
+    if workers > 1:
+        line_jobs = [(curve.d, label, L.to_json_dict()) for label, L in lines]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for entry, fails in pool.map(_verify_line_job, line_jobs):
                 results.append(entry)
                 failures.extend(fails)
-        payload["lines"] = results
-        payload["line_count"] = len(results)
     else:
-        degrees = (1, 2) if args.osc_degree is None else (args.osc_degree,)
-        checks = []
-        panel = [(name, g) for name, g in generator_panel(curve.field)
-                 if fixed_line(g) is not None]
-        specials = [("sextactic", s.point) for s in sextactic_points(curve)]
-        specials += [("inflection", p) for p in inflection_points(curve)]
-        for n in degrees:
-            for name, g in panel:
-                seen = set()
-                for kind, p in specials:
-                    if kind == "inflection" and n == 2:
-                        continue
-                    if p in seen:
-                        continue
-                    orb = orbit(p, g)
-                    seen.update(orb)
-                    ok = verify_invariant_intersection(curve, g, p, n)
-                    checks.append({"automorphism": name, "osc_degree": n,
-                                   "orbit_size": len(orb), "kind": kind,
-                                   "invariant": ok})
-                    if not ok:
-                        failures.append({"check": "invariant-intersection",
-                                         "automorphism": name,
-                                         "osc_degree": n, "kind": kind})
-        payload["checks"] = checks
-        payload["check_count"] = len(checks)
-        payload["all_invariant"] = all(c["invariant"] for c in checks)
+        for label, L in lines:
+            entry, fails = _verify_line(curve, label, L)
+            results.append(entry)
+            failures.extend(fails)
+    return {"lines": results, "line_count": len(results)}, failures
+
+
+def _verify_invariant(curve, degrees):
+    checks, failures = [], []
+    panel = [(name, g) for name, g in generator_panel(curve.field)
+             if fixed_line(g) is not None]
+    specials = [("sextactic", s.point) for s in sextactic_points(curve)]
+    specials += [("inflection", p) for p in inflection_points(curve)]
+    for n in degrees:
+        for name, g in panel:
+            seen = set()
+            for kind, p in specials:
+                if kind == "inflection" and n == 2:
+                    continue
+                if p in seen:
+                    continue
+                orb = curve_orbit(curve, p, g)
+                seen.update(orb)
+                ok = verify_invariant_intersection(curve, g, p, n)
+                checks.append({"automorphism": name, "osc_degree": n,
+                               "orbit_size": len(orb), "kind": kind,
+                               "invariant": ok})
+                if not ok:
+                    failures.append({"check": "invariant-intersection",
+                                     "automorphism": name,
+                                     "osc_degree": n, "kind": kind})
+    payload = {"checks": checks, "check_count": len(checks),
+               "all_invariant": all(c["invariant"] for c in checks)}
     return payload, failures
 
 
 def cmd_all(args):
-    if not (3 <= args.min_degree <= args.max_degree <= 64):
-        raise ValueError("need 3 <= min-degree <= max-degree <= 64")
+    if not (3 <= args.min_degree <= args.max_degree <= ALL_MAX_DEGREE):
+        raise ValueError(
+            f"need 3 <= min-degree <= max-degree <= {ALL_MAX_DEGREE}")
     rng = random.Random(args.seed)
     payload, failures = {"degrees": {}}, []
     for d in range(args.min_degree, args.max_degree + 1):
         claims = paper_claims(d)
         section = {}
-        ns = argparse.Namespace(degree=d, precision=args.precision,
-                                seed=args.seed, jobs=args.jobs)
         sec_fail = []
+        # one curve for every stage, so its tables are built once
+        curve = FermatCurve(d)
 
-        pay, fails = cmd_hessian2(ns)
+        pay, fails = _hessian2(curve)
         section["hessian"] = {k: v for k, v in pay.items()
                               if not isinstance(v, dict)}
         sec_fail += fails
 
-        curve = FermatCurve(d)
         infl = inflection_points(curve)
         sample = infl if d <= 6 else [infl[i] for i in
                                       rng.sample(range(len(infl)), 6)]
-        mults = [int_mult(curve.poly, tangent_line(curve, p), p)
+        mults = [int_mult(curve.poly, curve.osculating(p, 1), p)
                  for p in sample]
         section["inflection"] = {"count": len(infl),
                                  "checked": len(sample),
@@ -461,7 +470,7 @@ def cmd_all(args):
             s = pts[i]
             O = hyperosculating_conic(curve, s)
             contacts.append(int_mult(curve.poly, O, s.point))
-            closed = osculating_conic_closed(curve, s.point)
+            closed = curve.osculating(s.point, 2)
             cay = osculating_conic_cayley(curve, s.point)
             prop_ok = prop_ok and closed.proportional(O) \
                 and cay.proportional(closed)
@@ -503,20 +512,13 @@ def cmd_all(args):
                     or any(len(L.points) != d for L in lines)):
                 sec_fail.append({"check": "collinear", "degree": d})
 
-        vargs = argparse.Namespace(degree=d, theorem="main", line_index=None,
-                                   osc_degree=None, jobs=args.jobs,
-                                   precision=args.precision, seed=args.seed)
-        vpay, vfails = cmd_verify(vargs)
+        vpay, vfails = _verify_main(curve, args.jobs)
         section["concurrency"] = {
             "lines_verified": vpay["line_count"],
             "failures": len(vfails)}
         sec_fail += vfails
 
-        iargs = argparse.Namespace(degree=d, theorem="invariant-intersection",
-                                   line_index=None, osc_degree=None,
-                                   jobs=args.jobs, precision=args.precision,
-                                   seed=args.seed)
-        ipay, ifails = cmd_verify(iargs)
+        ipay, ifails = _verify_invariant(curve, (1, 2))
         section["invariant_intersection"] = {
             "checks": ipay["check_count"],
             "all_invariant": ipay["all_invariant"]}

@@ -20,23 +20,54 @@ O_{j,k} whose coefficients are explicit monomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import HessianVanishes, NotOnCurve
+from .errors import CertificationFailure, HessianVanishes, NotOnCurve
 from .hompoly import HomPoly, ProjPoint, det3, hessian
 from .tower import TowerField, tower_field
 
 CLUSTERS = ("z", "y", "x")
 
+# coordinate pairs (a, b) of the ratio tables, a < b
+COORD_PAIRS = ((0, 1), (0, 2), (1, 2))
+
 
 class FermatCurve:
-    """The plane curve x^d + y^d + z^d = 0 over K_d."""
+    """The plane curve x^d + y^d + z^d = 0 over K_d.
+
+    What depends on the curve alone (its special points and their line
+    incidences, tangents, osculating conics) is built on first use and kept
+    on this object, so it is dropped together with the curve.
+    """
 
     def __init__(self, d: int):
         self.d = d
         self.field = tower_field(d)
         x, y, z = HomPoly.variables(self.field)
         self.poly = x**d + y**d + z**d
+        self._incidence = None
+        self._osculating = {}
+
+    @property
+    def incidence(self) -> "IncidenceTable":
+        if self._incidence is None:
+            self._incidence = IncidenceTable(self)
+        return self._incidence
+
+    def osculating(self, p: ProjPoint, n: int) -> HomPoly:
+        """The tangent line (n = 1) or the closed-form osculating conic
+        (n = 2) at p, built once per point."""
+        key = (n, p)
+        out = self._osculating.get(key)
+        if out is None:
+            if n == 1:
+                out = tangent_line(self, p)
+            elif n == 2:
+                out = osculating_conic_closed(self, p)
+            else:
+                raise ValueError("osculating degree must be 1 or 2")
+            self._osculating[key] = out
+        return out
 
     @property
     def genus(self) -> int:
@@ -80,15 +111,18 @@ def tangent_line(curve: FermatCurve, p: ProjPoint) -> HomPoly:
 
 def inflection_points(curve: FermatCurve):
     """The 3d inflection points (0:1:u^k), (u^k:0:1), (1:u^k:0), k odd."""
-    field = curve.field
+    return _inflection_points(curve.field)
+
+
+def _inflection_points(field: TowerField):
     out = []
-    for k in range(1, 2 * curve.d, 2):
+    for k in range(1, 2 * field.d, 2):
         uk = field.u_pow(k)
         out.append(ProjPoint(field, [field.zero, field.one, uk]))
-    for k in range(1, 2 * curve.d, 2):
+    for k in range(1, 2 * field.d, 2):
         uk = field.u_pow(k)
         out.append(ProjPoint(field, [uk, field.zero, field.one]))
-    for k in range(1, 2 * curve.d, 2):
+    for k in range(1, 2 * field.d, 2):
         uk = field.u_pow(k)
         out.append(ProjPoint(field, [field.one, uk, field.zero]))
     return out
@@ -124,13 +158,17 @@ def two_hessian_factored(curve: FermatCurve) -> HomPoly:
 
 def sextactic_points(curve: FermatCurve):
     """All 3d^2 sextactic points, cluster by cluster."""
+    return list(curve.incidence.sextactic)
+
+
+def _build_sextactic_points(curve: FermatCurve):
     field = curve.field
+    ws = {k: field.monomial(-k, 1) for k in range(1, 2 * curve.d, 2)}
     out = []
     for cluster in CLUSTERS:
         for j in range(curve.d):
             zj = field.zeta_pow(j)
-            for k in range(1, 2 * curve.d, 2):
-                w = field.monomial(-k, 1)          # u^(-k) t
+            for k, w in ws.items():                # w = u^(-k) t
                 if cluster == "z":
                     raw = (zj, field.one, w)
                 elif cluster == "y":
@@ -140,6 +178,92 @@ def sextactic_points(curve: FermatCurve):
                 out.append(SextacticPoint(cluster, j, k,
                                           ProjPoint(field, raw), raw))
     return out
+
+
+class IncidenceTable:
+    """The special points of one curve, indexed for lookups by line.
+
+    `sextactic` is the order `sextactic_points` returns and `by_index` maps
+    (cluster, j, k) to the point.  `specials`, built on first use, holds the
+    sextactic points followed by the inflection points.  The ratio table,
+    built on the first lookup by line, maps (a, b, x_b / x_a), for each
+    coordinate pair a < b, to the specials with that coordinate ratio.
+
+    A line c_a x_a + c_b x_b = 0 with both coefficients nonzero contains a
+    point other than the vertex x_a = x_b = 0 exactly when x_a and x_b are
+    nonzero and x_b / x_a = -c_a / c_b.  No special point is a vertex (this
+    is checked when the ratio table is built), so the lookup of that ratio
+    returns every special point on the line: completeness comes from the
+    table.  Each point returned is certified on the line by one exact
+    evaluation.  Lines with one or three nonzero coefficients are scanned
+    point by point.
+
+    `orbits` and `sweeps` are memos that the symmetry stages fill: orbits
+    under an automorphism, and the scaling that sweeps a line's points.
+    """
+
+    def __init__(self, curve: FermatCurve):
+        self.sextactic = tuple(_build_sextactic_points(curve))
+        self.by_index = {(s.cluster, s.j, s.k): s for s in self.sextactic}
+        self._field = curve.field
+        self.orbits = {}
+        self.sweeps = {}
+
+    @cached_property
+    def specials(self) -> tuple:
+        return tuple(s.point for s in self.sextactic) + tuple(
+            _inflection_points(self._field))
+
+    @cached_property
+    def _ratios(self) -> dict:
+        # any representative of a point gives its ratios; the raw sextactic
+        # coordinates take few distinct values, so few inversions
+        reps = [s.raw_coords for s in self.sextactic] + [
+            p.coords for p in self.specials[len(self.sextactic):]]
+        inverses = {}
+        ratios = {}
+        for idx, coords in enumerate(reps):
+            if sum(c.is_zero() for c in coords) > 1:
+                raise CertificationFailure("special point at a vertex")
+            for a, b in COORD_PAIRS:
+                xa, xb = coords[a], coords[b]
+                if xa.is_zero() or xb.is_zero():
+                    continue
+                key = xa.nonzero_terms()
+                if key not in inverses:
+                    inverses[key] = xa.inverse()
+                ratio = xb * inverses[key]
+                ratios.setdefault((a, b, ratio.nonzero_terms()),
+                                  []).append(idx)
+        return ratios
+
+    def _on_line(self, line: HomPoly, stop: int) -> list:
+        """Ascending indices below `stop` of the specials on the line."""
+        coeffs = line.line_coeffs()
+        support = [i for i, c in enumerate(coeffs) if not c.is_zero()]
+        if len(support) != 2:
+            return [i for i in range(stop)
+                    if line.evaluate(self.specials[i]).is_zero()]
+        a, b = support
+        ratio = -coeffs[a] * coeffs[b].inverse()
+        out = [i for i in self._ratios.get((a, b, ratio.nonzero_terms()), ())
+               if i < stop]
+        for i in out:
+            if not line.evaluate(self.specials[i]).is_zero():
+                raise CertificationFailure(
+                    "ratio table point off its line",
+                    witness=self.specials[i].to_json())
+        return out
+
+    def sextactic_on_line(self, line: HomPoly) -> list:
+        """The sextactic points on a line, in `sextactic` order."""
+        return [self.sextactic[i]
+                for i in self._on_line(line, len(self.sextactic))]
+
+    def specials_on_line(self, line: HomPoly) -> list:
+        """The sextactic and inflection points on a line, in `specials` order."""
+        return [self.specials[i]
+                for i in self._on_line(line, len(self.specials))]
 
 
 def sextactic_count_formula(curve: FermatCurve) -> int:

@@ -12,6 +12,13 @@ restricted binary forms, exact zero tests of discriminants, and evaluation
 at explicitly constructed candidate points.  The two common points of a
 conic family have coordinates outside K_d, so they are certified through
 the restriction rather than solved for.
+
+The sextactic points of a grid line come from the curve's incidence table
+(`FermatCurve.incidence`): a lookup by coordinate ratio, complete by
+construction of the table, with each point certified on the line by one
+exact evaluation.  The scaling that sweeps a line, the orbits under an
+automorphism and the tangents and osculating conics at each point are
+built once per curve and kept on it.
 """
 
 from __future__ import annotations
@@ -21,8 +28,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import (CertificationFailure, FewerPoints, NoFixedLine)
-from .fermat import (FermatCurve, hyperosculating_conic,
-                     osculating_conic_closed, sextactic_points, tangent_line)
+from .fermat import FermatCurve, hyperosculating_conic
 from .hompoly import (HomPoly, ProjPoint, cross, det3, disc2,
                       line_parametrization, restrict_to_line)
 from .tower import FieldElement, TowerField, tower_field
@@ -224,6 +230,15 @@ def orbit(p: ProjPoint, g: Automorphism) -> list:
     return out
 
 
+def curve_orbit(curve: FermatCurve, p: ProjPoint, g: Automorphism) -> list:
+    """`orbit(p, g)`, built once per point and automorphism on the curve."""
+    orbits = curve.incidence.orbits
+    key = (g, p)
+    if key not in orbits:
+        orbits[key] = orbit(p, g)
+    return orbits[key]
+
+
 # -- invariant intersections -------------------------------------------------
 
 
@@ -236,13 +251,8 @@ def verify_invariant_intersection(curve: FermatCurve, g: Automorphism,
         raise NoFixedLine("automorphism has no pointwise-fixed line")
     if n not in (1, 2):
         raise ValueError("osculating degree must be 1 or 2")
-    restrictions = []
-    for q in orbit(p, g):
-        if n == 1:
-            gamma = tangent_line(curve, q)
-        else:
-            gamma = osculating_conic_closed(curve, q)
-        restrictions.append(restrict_to_line(gamma, L))
+    restrictions = [restrict_to_line(curve.osculating(q, n), L)
+                    for q in curve_orbit(curve, p, g)]
     first = restrictions[0]
     if first.is_zero():
         return all(r.is_zero() for r in restrictions)
@@ -277,19 +287,31 @@ class ConcurrencyReport:
 
 
 def points_on_line(curve: FermatCurve, line: HomPoly):
-    return [s for s in sextactic_points(curve)
-            if line.evaluate(s.point).is_zero()]
+    """The sextactic points on a line, through the curve's incidence table."""
+    return curve.incidence.sextactic_on_line(line)
 
 
-def orbit_automorphism_for_line(curve: FermatCurve, pts):
-    """The coordinate scaling whose orbit sweeps the d points on a grid line."""
-    field = curve.field
-    point_set = {s.point for s in pts}
-    for g in (rho(field), y_scaling(field), z_scaling(field)):
-        orb = orbit(pts[0].point, g)
-        if len(orb) == len(point_set) and set(orb) == point_set:
-            return g
-    raise CertificationFailure("no scaling automorphism sweeps the points")
+def orbit_automorphism_for_line(curve: FermatCurve, line: HomPoly, pts):
+    """The coordinate scaling whose orbit sweeps the points `pts` of a line.
+
+    Only the scaling of a coordinate missing from the line maps the line to
+    itself, so that scaling is the one candidate; its orbit through the
+    first point must be the point set.  Found once per line and curve.
+    """
+    key = line.line_key()
+    sweeps = curve.incidence.sweeps
+    if key not in sweeps:
+        zeros = [i for i, c in enumerate(line.line_coeffs()) if c.is_zero()]
+        point_set = {s.point for s in pts}
+        if len(zeros) == 1:
+            g = (rho, y_scaling, z_scaling)[zeros[0]](curve.field)
+            orb = curve_orbit(curve, pts[0].point, g)
+            if len(orb) == len(point_set) and set(orb) == point_set:
+                sweeps[key] = g
+        if key not in sweeps:
+            raise CertificationFailure(
+                "no scaling automorphism sweeps the points")
+    return sweeps[key]
 
 
 def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyReport:
@@ -299,7 +321,7 @@ def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyRe
     pts = points_on_line(curve, grid_line)
     if len(pts) != d:
         raise FewerPoints(f"{len(pts)} sextactic points on the line, need {d}")
-    tangents = [tangent_line(curve, s.point) for s in pts]
+    tangents = [curve.osculating(s.point, 1) for s in pts]
     for i in range(d):
         for j in range(i + 1, d):
             if tangents[i].proportional(tangents[j]):
@@ -310,7 +332,7 @@ def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyRe
     if not all(v.is_zero() for v in vals):
         raise CertificationFailure("tangents are not concurrent",
                                    witness=[v.to_json_dict() for v in vals])
-    g = orbit_automorphism_for_line(curve, pts)
+    g = orbit_automorphism_for_line(curve, grid_line, pts)
     L = fixed_line(g)
     cert = {
         "tangents_pairwise_distinct": True,
@@ -349,7 +371,7 @@ def conic_common_points(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyRe
     if len(pts) != d:
         raise FewerPoints(f"{len(pts)} sextactic points on the line, need {d}")
     conics = [hyperosculating_conic(curve, s) for s in pts]
-    g = orbit_automorphism_for_line(curve, pts)
+    g = orbit_automorphism_for_line(curve, grid_line, pts)
     L = fixed_line(g)
     var = _coordinate_index(L)
     if var is None:
@@ -463,10 +485,9 @@ def pencil_degenerate(curve: FermatCurve, j: int, k1: int, k2: int):
         raise ValueError("k indices must be odd")
     d = curve.d
     field = curve.field
-    pts = {s.k: s for s in sextactic_points(curve)
-           if s.cluster == "z" and s.j == j % d}
-    o1 = hyperosculating_conic(curve, pts[k1 % (2 * d)])
-    o2 = hyperosculating_conic(curve, pts[k2 % (2 * d)])
+    pts = curve.incidence.by_index
+    o1 = hyperosculating_conic(curve, pts["z", j % d, k1 % (2 * d)])
+    o2 = hyperosculating_conic(curve, pts["z", j % d, k2 % (2 * d)])
 
     tinv = field.t_inv
     zcoef = -(tinv * ((d + 1) * (2 * d - 3))

@@ -300,12 +300,20 @@ class TowerField:
 
     # -- arithmetic kernels --------------------------------------------------
 
-    def _add(self, a, b):
-        return tuple(tuple(ra[j] + rb[j] for j in range(self.deg_t))
-                     for ra, rb in zip(a, b))
-
-    def _neg(self, a):
-        return tuple(tuple(-c for c in row) for row in a)
+    def _add(self, a, terms):
+        """Normal-form coeffs a plus the terms (i, j, c); rows that no term
+        touches are shared with a."""
+        rows = list(a)
+        touched = {}
+        for i, j, c in terms:
+            row = touched.get(i)
+            if row is None:
+                row = touched[i] = list(a[i])
+            s = row[j]
+            row[j] = s + c if s else c
+        for i, row in touched.items():
+            rows[i] = tuple(row)
+        return tuple(rows)
 
     def _mul(self, anz, bnz):
         deg_t = self.deg_t
@@ -574,13 +582,22 @@ class FieldElement:
         if other is None:
             return NotImplemented
         self._check(other)
+        a, b = self, other
+        if len(a.nonzero_terms()) < len(b.nonzero_terms()):
+            a, b = b, a
+        if b.is_zero():
+            return a
         return FieldElement(self.field,
-                            self.field._add(self.coeffs, other.coeffs))
+                            self.field._add(a.coeffs, b.nonzero_terms()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._neg(self.coeffs))
+        if self.is_zero():
+            return self
+        return FieldElement(self.field, self.field._add(
+            self.field.zero.coeffs,
+            [(i, j, -c) for i, j, c in self.nonzero_terms()]))
 
     def __sub__(self, other):
         other = _coerce(self.field, other)

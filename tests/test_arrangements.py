@@ -203,6 +203,7 @@ def test_collinear_d3():
     assert sum(1 for L in lines if not L.mixed) == 27
     assert sum(1 for L in lines if L.mixed) == 54
     assert all(len(L.points) == 3 for L in lines)
+    assert_members_match_scan(C, lines)
 
 
 @pytest.mark.parametrize("d", (4, 5))
@@ -216,6 +217,16 @@ def test_collinear_matches_grids(d):
     for token in ("B", "M", "N"):
         grid_keys |= {L.line_key() for L in build(token, d).lines}
     assert {L.line.line_key() for L in lines} == grid_keys
+    assert_members_match_scan(C, lines)
+
+
+def assert_members_match_scan(C, lines):
+    # members come from the confirmed triples; a scan of every point on
+    # each line is the independent reference
+    pts = sextactic_points(C)
+    for L in lines:
+        assert L.points == [s for s in pts
+                            if L.line.evaluate(s.point).is_zero()]
 
 
 def test_collinear_cap():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fermatosc import cli
 from fermatosc.cli import main
 
 
@@ -122,7 +123,7 @@ def test_verify_main_full_d3(capsys):
         assert entry["conic"]["count"] == expected
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--degree", "4"])     # missing --arrangement
     assert exc.value.code == 2
@@ -134,6 +135,14 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["all", "--max-degree", "3", "--collinear-cap", "9"])
+    assert exc.value.code == 2
+
+    def no_suite(d):
+        raise RuntimeError(f"a suite started at d = {d}")
+
+    monkeypatch.setattr(cli, "FermatCurve", no_suite)
+    with pytest.raises(SystemExit) as exc:
+        main(["all", "--max-degree", "13"])
     assert exc.value.code == 2
 
 

@@ -1,7 +1,9 @@
 """Automorphism group, fixed lines, orbits, and the exact concurrency
 certificates for tangents and hyperosculating conics along grid lines."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -9,11 +11,12 @@ from fermatosc.arrangements import build
 from fermatosc.errors import CertificationFailure, FewerPoints, NoFixedLine
 from fermatosc.fermat import (FermatCurve, inflection_points,
                               sextactic_points, tangent_line)
-from fermatosc.hompoly import BinaryForm, HomPoly, ProjPoint, disc2, \
+from fermatosc.hompoly import BinaryForm, HomPoly, ProjPoint, cross, disc2, \
     restrict_to_line
 from fermatosc.symmetry import (Automorphism, conic_common_points, fixed_line,
                                 generator_panel, group_elements, identity,
-                                orbit, pencil_degenerate, phi, psi, rho,
+                                orbit, pencil_degenerate, phi, points_on_line,
+                                psi, rho,
                                 tangent_concurrency,
                                 verify_invariant_intersection, y_scaling,
                                 z_scaling)
@@ -279,3 +282,40 @@ def test_concurrency_point_on_fixed_line_all_grids():
             rep = tangent_concurrency(C, L)
             assert rep.count == 1
             assert rep.certificates["point_on_fixed_line"], token
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 6))
+def test_points_on_line_matches_scan(d):
+    # the incidence table against a brute-force scan of every point, in the
+    # same order: the grid, inflection-tangent and coordinate lines, plus
+    # seeded lines with three nonzero coefficients
+    C = FermatCurve(d)
+    fld = C.field
+    pts = sextactic_points(C)
+    specials = [s.point for s in pts] + inflection_points(C)
+    lines = build("A+B+M+N+triangle", d).lines
+    rng = random.Random(500 + d)
+    for _ in range(6):
+        s1, s2 = rng.sample(pts, 2)
+        lines.append(HomPoly.line(fld, *cross(s1.raw_coords, s2.raw_coords)))
+        lines.append(HomPoly.line(fld, *(rng.randint(1, 5) for _ in range(3))))
+    assert sum(len(L.terms) == 3 for L in lines) >= 6
+    for L in lines:
+        assert points_on_line(C, L) == [
+            s for s in pts if L.evaluate(s.point).is_zero()]
+        assert C.incidence.specials_on_line(L) == [
+            p for p in specials if L.evaluate(p).is_zero()]
+
+
+def test_curve_tables_die_with_the_curve():
+    C = FermatCurve(3)
+    L = build("Bz", 3).lines[0]
+    tangent_concurrency(C, L)
+    conic_common_points(C, L)
+    for n in (1, 2):
+        assert verify_invariant_intersection(C, rho(C.field),
+                                             sextactic_points(C)[0].point, n)
+    ref = weakref.ref(C)
+    del C
+    gc.collect()
+    assert ref() is None

@@ -217,6 +217,35 @@ def test_larger_degree_construction():
     assert (a * invert(a) - f.one).is_zero()
 
 
+@pytest.mark.parametrize("d", (3, 4, 5, 8))
+def test_sparse_addition_matches_dense_reference(d):
+    fld = tower_field(d)
+    rng = random.Random(400 + d)
+
+    def dense(a, b, sign):
+        return tuple(tuple(x + sign * y for x, y in zip(ra, rb))
+                     for ra, rb in zip(a.coeffs, b.coeffs))
+
+    elems = [fld.zero, fld.one]
+    for _ in range(12):
+        elems.append(fld.random_element(rng, max_terms=rng.choice((1, 3, 40))))
+    for _ in range(60):
+        a, b = rng.choice(elems), rng.choice(elems)
+        assert (a + b).coeffs == dense(a, b, 1)
+        assert (a - b).coeffs == dense(a, b, -1)
+        assert (-a).coeffs == dense(fld.zero, a, -1)
+    for a in elems:
+        assert a + fld.zero == a and fld.zero + a == a and a - fld.zero == a
+        for zero in (a - a, a + (-a), -a + a, fld.zero - a + a):
+            assert zero == fld.zero
+            assert hash(zero) == hash(fld.zero)
+            assert zero.is_zero()
+        b = rng.choice(elems)
+        partial = a + (b - a)          # cancels a coefficient by coefficient
+        assert partial == b and hash(partial) == hash(b)
+        assert partial.is_zero() == b.is_zero()
+
+
 def test_inexact_polynomial_division_fails_certification():
     assert _zpoly_exact_div([-1, 0, 1], [-1, 1]) == [1, 1]
     with pytest.raises(CertificationFailure):
