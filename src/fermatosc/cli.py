@@ -468,7 +468,7 @@ def cmd_all(args):
         prop_ok = True
         for i in idx:
             s = pts[i]
-            O = hyperosculating_conic(curve, s)
+            O = curve.hyperosculating(s)
             contacts.append(int_mult(curve.poly, O, s.point))
             closed = curve.osculating(s.point, 2)
             cay = osculating_conic_cayley(curve, s.point)

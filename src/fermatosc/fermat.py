@@ -47,6 +47,7 @@ class FermatCurve:
         self.poly = x**d + y**d + z**d
         self._incidence = None
         self._osculating = {}
+        self._hyperosculating = {}
 
     @property
     def incidence(self) -> "IncidenceTable":
@@ -67,6 +68,15 @@ class FermatCurve:
             else:
                 raise ValueError("osculating degree must be 1 or 2")
             self._osculating[key] = out
+        return out
+
+    def hyperosculating(self, s: "SextacticPoint") -> HomPoly:
+        """The hyperosculating conic at a sextactic point, built once per
+        point."""
+        key = (s.cluster, s.j, s.k)
+        out = self._hyperosculating.get(key)
+        if out is None:
+            out = self._hyperosculating[key] = hyperosculating_conic(self, s)
         return out
 
     @property

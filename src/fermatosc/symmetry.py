@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import (CertificationFailure, FewerPoints, NoFixedLine)
-from .fermat import FermatCurve, hyperosculating_conic
+from .fermat import FermatCurve
 from .hompoly import (HomPoly, ProjPoint, cross, det3, disc2,
                       line_parametrization, restrict_to_line)
 from .tower import FieldElement, TowerField, tower_field
@@ -370,7 +370,7 @@ def conic_common_points(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyRe
     pts = points_on_line(curve, grid_line)
     if len(pts) != d:
         raise FewerPoints(f"{len(pts)} sextactic points on the line, need {d}")
-    conics = [hyperosculating_conic(curve, s) for s in pts]
+    conics = [curve.hyperosculating(s) for s in pts]
     g = orbit_automorphism_for_line(curve, grid_line, pts)
     L = fixed_line(g)
     var = _coordinate_index(L)
@@ -486,8 +486,8 @@ def pencil_degenerate(curve: FermatCurve, j: int, k1: int, k2: int):
     d = curve.d
     field = curve.field
     pts = curve.incidence.by_index
-    o1 = hyperosculating_conic(curve, pts["z", j % d, k1 % (2 * d)])
-    o2 = hyperosculating_conic(curve, pts["z", j % d, k2 % (2 * d)])
+    o1 = curve.hyperosculating(pts["z", j % d, k1 % (2 * d)])
+    o2 = curve.hyperosculating(pts["z", j % d, k2 % (2 * d)])
 
     tinv = field.t_inv
     zcoef = -(tinv * ((d + 1) * (2 * d - 3))

@@ -15,6 +15,18 @@ sqrt(2) = u^(d/4) - u^(3d/4) and t^d - 2 would factor, leaving zero
 divisors.  The choice of root is pinned by the distinguished embedding
 eps(u) = exp(i*pi/d), eps(t) = 2^(1/d) real positive.
 
+Multiplication clears each operand's denominators and multiplies the
+integer numerators by a term loop: each term pair is added along one
+precomputed integer row, u^e for the product's u-degree e, times
+t^deg_t when the t-degrees wrap.
+
+Inversion depends on the t-support.  An element b(u) t^j needs only an
+inverse in Q(u).  Any other element is inverted through its norm to Q(u):
+K is a Kummer extension of Q(u), so the product of the element's deg_t
+conjugates under t -> zeta^k t lies in Q(u), and a t-part in it fails
+certification.  A norm of zero can only come from a reducible modulus;
+extended Euclid then raises `ZeroDivisor` with a factor of the modulus.
+
 Each field construction runs a probabilistic soundness guard: a batch of
 random elements is inverted, and any discovered zero divisor aborts with
 the offending factor of the modulus.
@@ -24,6 +36,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from math import gcd, lcm
 
 import mpmath
 
@@ -178,17 +191,22 @@ class TowerField:
                     vec[i] += s * row[i]
             self._tred_vec = tuple(vec)
             self._tred_scalar = None
+            self._tred_inv = tuple(c / 2 for c in vec)     # 1/sqrt(2)
         else:
             self._tred_vec = None
             self._tred_scalar = Q(2)
+            self._tred_inv = tuple(self._ureduce([Q1 / 2]))
 
-        # u^e * (t-reduction constant), reduced, for the multiplication kernel
-        if self._tred_vec is not None:
-            self._urows_t = [self._cvec_mul(self._urows[e % self.n_u],
-                                            self._tred_vec)
-                             for e in range(2 * self.phi - 1)]
-        else:
-            self._urows_t = None
+        # the automorphisms u -> u^m of Q(u) other than the identity
+        self._units = [m for m in range(2, self.n_u) if gcd(m, self.n_u) == 1]
+
+        # reduction rows for the integer kernel, as sparse pairs (i, c); the
+        # cyclotomic polynomial is monic, so they are integral: u^e, and
+        # u^e * t^deg_t for the products' u-degrees e
+        self._zrows = [_int_pairs(r) for r in self._urows]
+        tred = self._tred_vec or tuple(self._ureduce([self._tred_scalar]))
+        self._zrows_t = [_int_pairs(self._cvec_mul(self._urows[e], tred))
+                         for e in range(2 * self.phi - 1)]
 
         self.zero = self._from_coeffs(
             tuple(tuple(Q0 for _ in range(self.deg_t)) for _ in range(self.phi)))
@@ -196,10 +214,8 @@ class TowerField:
         self.u = self.monomial(1, 0)
         self.zeta = self.monomial(2, 0)        # zeta = u^2, primitive d-th root
         self.t = self.monomial(0, 1)
-        self.t_inv = None                      # filled below, needs invert
-        self._emb_cache = {}
-
         self.t_inv = self.invert(self.t)
+        self._emb_cache = {}
         if guard:
             self._field_guard()
 
@@ -316,30 +332,46 @@ class TowerField:
         return tuple(rows)
 
     def _mul(self, anz, bnz):
-        deg_t = self.deg_t
-        acc = [[Q0] * deg_t for _ in range(self.phi)]
-        urows = self._urows
-        urows_t = self._urows_t
-        tred = self._tred_scalar
-        n_u = self.n_u
-        for (i1, j1, c1) in anz:
-            for (i2, j2, c2) in bnz:
-                c = c1 * c2
+        """Normal-form product of two nonzero-term lists (i, j, c): clear
+        each operand's denominators and multiply the integer numerators
+        (`_imul`)."""
+        if not anz or not bnz:
+            return self.zero.coeffs
+        A, la = _int_terms(anz)
+        B, lb = _int_terms(bnz)
+        return self._from_int_terms(self._imul(A, B), la * lb)
+
+    def _imul(self, A, B):
+        """Reduced product of two nonempty integer term lists (i, j, n), as
+        the list of its nonzero terms: each term pair is added along one
+        integer row of the reduction table."""
+        deg_t, phi = self.deg_t, self.phi
+        zrows, zrows_t = self._zrows, self._zrows_t
+        acc = {}                               # i * deg_t + j -> coefficient
+        get = acc.get
+        for i1, j1, n1 in A:
+            for i2, j2, n2 in B:
+                v = n1 * n2
                 j = j1 + j2
                 e = i1 + i2
                 if j >= deg_t:
                     j -= deg_t
-                    if tred is not None:
-                        c *= tred
-                        row = urows[e % n_u]
-                    else:
-                        row = urows_t[e]
+                    row = zrows_t[e]
+                elif e < phi:
+                    k = e * deg_t + j
+                    acc[k] = get(k, 0) + v
+                    continue
                 else:
-                    row = urows[e % n_u]
-                for i, rc in enumerate(row):
-                    if rc:
-                        acc[i][j] += rc * c
-        return tuple(tuple(r) for r in acc)
+                    row = zrows[e]
+                for r, c in row:
+                    k = r * deg_t + j
+                    acc[k] = get(k, 0) + c * v
+        return [(*divmod(k, deg_t), v) for k, v in acc.items() if v]
+
+    def _from_int_terms(self, terms, den):
+        """The normal form of the integer terms (i, j, n) over den."""
+        return self._add(self.zero.coeffs,
+                         [(i, j, Q(n, den)) for i, j, n in terms])
 
     # -- cyclotomic (level-1) field helpers ---------------------------------
 
@@ -354,39 +386,35 @@ class TowerField:
         return tuple(self._ureduce(conv))
 
     def _cvec_inv(self, a):
-        """Inverse in Q(u) via extended gcd against the cyclotomic polynomial."""
-        if not any(a):
+        """Inverse in Q(u) by the norm to Q.
+
+        Q(u) is Galois over Q, with the automorphisms u -> u^m for m prime
+        to 2d.  The product P of the conjugates with m != 1 gives
+        a P = N(a), a nonzero rational; a u-part in it raises
+        `CertificationFailure`.
+        """
+        nz = [(i, c) for i, c in enumerate(a) if c]
+        if not nz:
             raise ZeroInput("zero cyclotomic coefficient")
-        r0 = list(self._phi_coeffs)
-        r1 = list(a)
-        s0, s1 = [Q0], [Q1]
-
-        def deg(p):
-            for k in range(len(p) - 1, -1, -1):
-                if p[k]:
-                    return k
-            return -1
-
-        while True:
-            d1 = deg(r1)
-            if d1 <= 0:
-                break
-            d0 = deg(r0)
-            while d0 >= d1:
-                c = r0[d0] / r1[d1]
-                sh = d0 - d1
-                for i in range(d1 + 1):
-                    r0[sh + i] -= c * r1[i]
-                s0 = s0 + [Q0] * (sh + len(s1) - len(s0))
-                for i in range(len(s1)):
-                    s0[sh + i] -= c * s1[i]
-                d0 = deg(r0)
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        c = r1[0]
-        if not c:
-            raise ZeroDivisor("cyclotomic gcd degenerate")
-        inv = [si / c for si in s1]
-        return tuple(self._ureduce(inv))
+        if len(nz) == 1:
+            # (c u^i)^-1 = c^-1 u^(2d - i)
+            i, c = nz[0]
+            c = Q1 / c
+            return tuple(r * c if r else Q0
+                         for r in self._urows[-i % self.n_u])
+        A, den = _int_terms([(i, 0, c) for i, c in nz])
+        P = None
+        for m in self._units:
+            conj = self._conjugate(A, m, 0)
+            P = conj if P is None else self._imul(P, conj)
+        N = self._imul(A, P)
+        if len(N) != 1 or N[0][0]:
+            raise CertificationFailure("norm to Q has a u-part")
+        norm = N[0][2]
+        out = [Q0] * self.phi
+        for i, _, n in P:
+            out[i] = Q(n * den, norm)
+        return tuple(out)
 
     # -- inversion (level 2) --------------------------------------------------
 
@@ -403,30 +431,77 @@ class TowerField:
         return tuple(tuple(r) for r in rows)
 
     def invert(self, a: "FieldElement") -> "FieldElement":
+        """The inverse of a nonzero element, exact.
+
+        * One power of t, a = b(u) t^j: a^-1 = (b c)^-1 t^(deg_t - j) for
+          j > 0, with c = t^deg_t the reduction constant, and b^-1 for
+          j = 0; the inverse in Q(u) comes from `_cvec_inv`.
+        * Otherwise by the norm (`_invert_norm`).
+        * A norm of zero means that a is a zero divisor, which is possible
+          only when the t-modulus is reducible; extended Euclid
+          (`_invert_general`) then raises `ZeroDivisor` with a factor.
+        """
         if a.field is not self:
             raise DegreeMismatch("element from a different field")
         nz = a.nonzero_terms()
         if not nz:
             raise ZeroInput("cannot invert zero")
-        if len(nz) == 1:
-            i, j, c = nz[0]
-            # monomial fast path: (c u^i t^j)^-1 = c^-1 u^-i t^-j
-            inv = self.monomial(-i, 0, Q1 / c)
-            if j:
-                if self.t_inv is None:
-                    # bootstrap for t itself: t^-1 = t^(deg_t-1) / t^deg_t
-                    red = self._tred_elem()
-                    high = self.monomial(0, self.deg_t - 1)
-                    return inv * high * self._invert_general(red)
-                out = inv
-                for _ in range(j):
-                    out = out * self.t_inv
-                return out
-            return inv
-        return self._invert_general(a)
+        j = nz[0][1]
+        if any(jj != j for _, jj, _ in nz):
+            return self._invert_norm(a)
+        b = [Q0] * self.phi
+        for i, _, c in nz:
+            b[i] = c
+        inv = self._cvec_inv(b)
+        if j:
+            inv = self._cvec_mul(inv, self._tred_inv)
+            j = self.deg_t - j
+        rows = [[Q0] * self.deg_t for _ in range(self.phi)]
+        for i, c in enumerate(inv):
+            rows[i][j] = c
+        return self._from_coeffs(tuple(tuple(r) for r in rows))
+
+    def _invert_norm(self, a: "FieldElement") -> "FieldElement":
+        """a^-1 = P / N by the norm N = a P to Q(u).
+
+        K is a Kummer extension of Q(u): sigma_k(t) = zeta^k t, with
+        zeta = u^(2d / deg_t) of order deg_t, fixes Q(u) and the t-modulus.
+        P is the product of the conjugates sigma_k(a), k = 1..deg_t-1, so
+        N is fixed by every sigma_k and has no t-part; a t-part raises
+        `CertificationFailure`.  The products run on integer numerators
+        through `_imul`: with a = A / den, a^-1 = den * P(A) / N(A).
+        """
+        A, den = _int_terms(a.nonzero_terms())
+        step = self.n_u // self.deg_t          # zeta = u^step
+        P = self._conjugate(A, 1, step)
+        for k in range(2, self.deg_t):
+            P = self._imul(P, self._conjugate(A, 1, k * step))
+            if not P:
+                break
+        N = self._imul(A, P) if P else []
+        if any(j for _, j, _ in N):
+            raise CertificationFailure("norm to Q(u) has a t-part")
+        if not N:
+            return self._invert_general(a)
+        nvec = [Q0] * self.phi
+        for i, _, n in N:
+            nvec[i] = Q(n)
+        V, vden = _int_terms([(i, 0, c * den)
+                              for i, c in enumerate(self._cvec_inv(nvec)) if c])
+        return self._from_coeffs(self._from_int_terms(self._imul(P, V), vden))
+
+    def _conjugate(self, A, m, s):
+        """The integer terms A under u^i t^j -> u^(m i + s j) t^j, reduced
+        by the integer rows `_zrows`."""
+        acc = {}
+        for i, j, n in A:
+            for r, c in self._zrows[(m * i + s * j) % self.n_u]:
+                acc[r, j] = acc.get((r, j), 0) + c * n
+        return [(r, j, v) for (r, j), v in acc.items() if v]
 
     def _invert_general(self, a: "FieldElement") -> "FieldElement":
-        """Extended Euclid in Q(u)[t] against the t-modulus."""
+        """Extended Euclid in Q(u)[t] against the t-modulus: the zero-divisor
+        path of `invert`, which reports a factor of a reducible modulus."""
         zero_vec = tuple([Q0] * self.phi)
         one_vec = tuple(self._ureduce([Q1]))
 
@@ -519,6 +594,20 @@ class TowerField:
 
     def __repr__(self):
         return f"TowerField(d={self.d}, dim={self.phi * self.deg_t})"
+
+
+def _int_pairs(row):
+    """The nonzero entries (i, c) of an integral rational vector, as ints."""
+    return tuple((i, int(c)) for i, c in enumerate(row) if c)
+
+
+def _int_terms(nz):
+    """Terms (i, j, c) as integer numerators over one common denominator:
+    (terms, den).  Both go through int(), whatever the rational type."""
+    dens = [int(c.denominator) for _, _, c in nz]
+    den = lcm(*dens)
+    return [(i, j, int(c.numerator) * (den // dn))
+            for (i, j, c), dn in zip(nz, dens)], den
 
 
 class FieldElement:

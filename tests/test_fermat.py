@@ -133,6 +133,9 @@ def test_conic_pipelines_at_sextactic_points(d):
         assert cayley.proportional(closed)
         assert series.proportional(O)
         assert O.evaluate(s.point).is_zero()
+        # the curve's memo builds the same conic, once per point
+        assert C.hyperosculating(s) == O
+        assert C.hyperosculating(s) is C.hyperosculating(s)
 
 
 def test_conic_formal_identity_off_curve():

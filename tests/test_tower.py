@@ -250,3 +250,143 @@ def test_inexact_polynomial_division_fails_certification():
     assert _zpoly_exact_div([-1, 0, 1], [-1, 1]) == [1, 1]
     with pytest.raises(CertificationFailure):
         _zpoly_exact_div([1, 0, 1], [1, 1])        # (x^2 + 1) / (x + 1)
+
+
+KERNEL_DEGREES = tuple(range(3, 13))            # 4 | d at d = 4, 8, 12
+BIG_PRIMES = (1, 3, 10**9 + 7, 2**61 - 1)
+
+
+def _kernel_elements(fld, rng):
+    """One-term through dense elements with numerators up to 10^30, both
+    signs, and large prime denominators."""
+    dim = fld.phi * fld.deg_t
+    out = []
+    for terms in (1, 2, 3, 7, dim // 2, 3 * dim):
+        for bound in (9, 10**30):
+            a = fld.random_element(rng, max_terms=terms, num_bound=bound,
+                                   den_choices=BIG_PRIMES)
+            if not a.is_zero():
+                out.append(a)
+    return out
+
+
+def _rational_product(fld, a, b):
+    """a * b term by term over the rationals, reduced by the tables."""
+    acc = [[Q(0)] * fld.deg_t for _ in range(fld.phi)]
+    for i1, j1, c1 in a.nonzero_terms():
+        for i2, j2, c2 in b.nonzero_terms():
+            c, e, j = c1 * c2, i1 + i2, j1 + j2
+            if j >= fld.deg_t:
+                j -= fld.deg_t
+                if fld._tred_scalar is None:
+                    row = fld._cvec_mul(fld._urows[e], fld._tred_vec)
+                else:
+                    c, row = c * fld._tred_scalar, fld._urows[e]
+            else:
+                row = fld._urows[e]
+            for i, rc in enumerate(row):
+                acc[i][j] += rc * c
+    return tuple(tuple(r) for r in acc)
+
+
+@pytest.mark.parametrize("d", KERNEL_DEGREES)
+def test_integer_product_matches_rational(d):
+    fld = tower_field(d)
+    rng = random.Random(600 + d)
+    elems = _kernel_elements(fld, rng)
+    elems += [-a for a in elems[::3]] + [fld.one, fld.t, fld.u]
+    checked = 0
+    for _ in range(60):
+        a, b = rng.choice(elems), rng.choice(elems)
+        if len(a.nonzero_terms()) * len(b.nonzero_terms()) < 2500:
+            assert (a * b).coeffs == _rational_product(fld, a, b)
+            checked += 1
+    assert checked >= 20
+    # a dense product, and one that cancels down to one
+    a = fld.random_element(rng, max_terms=3 * fld.phi * fld.deg_t,
+                           num_bound=10**30, den_choices=BIG_PRIMES)
+    assert (a * a).coeffs == _rational_product(fld, a, a)
+    assert a * invert(a) == fld.one
+
+
+def test_integer_product_cancels_to_zero():
+    from fermatosc.tower import TowerField
+    # in Q(u)[t] / (t^4 - 2) over the 8th cyclotomic field,
+    # (t^2 - sqrt(2)) (t^2 + sqrt(2)) = t^4 - 2 = 0
+    broken = TowerField(4, guard=False, _force_full_modulus=True)
+    sqrt2 = broken.u - broken.u**3
+    rng = random.Random(650)
+    for _ in range(5):
+        r1, r2 = (broken.random_element(rng, max_terms=40, num_bound=10**30,
+                                        den_choices=BIG_PRIMES)
+                  for _ in range(2))
+        a = (broken.t**2 - sqrt2) * r1
+        b = (broken.t**2 + sqrt2) * r2
+        assert (a * b).coeffs == _rational_product(broken, a, b)
+        assert (a * b).is_zero()
+
+
+@pytest.mark.parametrize("d", DEGREES)
+def test_norm_inverse_matches_euclid(d):
+    fld = tower_field(d)
+    rng = random.Random(700 + d)
+    elems = [fld.one + fld.u + fld.t]
+    # Euclid's coefficients grow fast: large numerators only on few terms
+    for terms, bound, dens in ((2, 10**30, BIG_PRIMES), (3, 10**30, BIG_PRIMES),
+                               (3, 9, (1, 2, 3)), (7, 9, (1, 2, 3)),
+                               (fld.phi * fld.deg_t // 2, 9, (1, 2, 3))):
+        for _ in range(3):
+            elems.append(fld.random_element(rng, max_terms=terms,
+                                            num_bound=bound, den_choices=dens))
+    elems = [a for a in elems
+             if len({j for _, j, _ in a.nonzero_terms()}) > 1]
+    assert len(elems) >= 6
+    for a in elems:
+        assert invert(a) == fld._invert_general(a)
+
+
+def _dense_element(fld, rng):
+    """Every one of the phi * deg_t coordinates nonzero."""
+    return fld._from_coeffs(tuple(
+        tuple(Q(rng.choice((-1, 1)) * rng.randint(1, 10**6),
+                rng.choice((1, 2, 3, 5, 7)))
+              for _ in range(fld.deg_t)) for _ in range(fld.phi)))
+
+
+@pytest.mark.parametrize("d", (9, 10, 11, 12))
+def test_norm_inverse_large_degrees(d):
+    fld = tower_field(d)
+    rng = random.Random(800 + d)
+    for terms in (2, 3, 12):
+        a = fld.random_element(rng, max_terms=terms)
+        if not a.is_zero():
+            assert a * invert(a) == fld.one
+    if d == 11:
+        # all 110 coordinates: minutes through Euclid
+        a = _dense_element(fld, rng)
+        assert len(a.nonzero_terms()) == 110
+        assert a * invert(a) == fld.one
+
+
+@pytest.mark.parametrize("d", KERNEL_DEGREES)
+def test_single_t_power_inverse(d):
+    fld = tower_field(d)
+    rng = random.Random(900 + d)
+    red = fld.t**fld.deg_t                      # the reduction constant
+    assert invert(fld.t) == fld.t**(fld.deg_t - 1) * invert(red)
+    assert invert(fld.t) == fld.t_inv
+    for j in range(fld.deg_t):
+        tj = fld.t**j
+        for terms in (1, 2, fld.phi):
+            b = fld.zero                        # b = b(u), no t
+            for _ in range(terms):
+                b = b + fld.monomial(rng.randrange(fld.phi), 0, Q(
+                    rng.randint(-10**30, 10**30), rng.choice(BIG_PRIMES)))
+            if b.is_zero():
+                continue
+            a = b * tj
+            assert {jj for _, jj, _ in a.nonzero_terms()} == {j}
+            inv = invert(a)
+            assert a * inv == fld.one
+            if d <= 10:
+                assert inv == fld._invert_general(a)
