@@ -21,11 +21,10 @@ as a pre-filter before exact confirmation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import CertificationFailure, NonOrdinary
 from .fermat import FermatCurve, sextactic_points
@@ -430,6 +429,8 @@ def _find_modular_hom(field: TowerField, skip: int = 0):
         else:
             target = 2 % p
             e = d
+        if pow(target, (p - 1) // math.gcd(e, p - 1), p) != 1:
+            continue                           # target has no e-th root
         for c in range(2, p):
             if pow(c, e, p) == target:
                 r = c
@@ -482,64 +483,72 @@ def _eval_cyclo_mod(field: TowerField, w: int, p: int) -> int:
 
 
 def _reduce_element_mod(a: FieldElement, p: int, w: int, r: int) -> int:
-    acc = 0
-    for (i, j, c) in a.nonzero_terms():
-        den = int(c.denominator) % p
-        if den == 0:
-            raise ZeroDivisionError("prime divides a denominator")
-        val = int(c.numerator) % p * pow(den, p - 2, p) % p
-        acc = (acc + val * pow(w, i, p) * pow(r, j, p)) % p
-    return acc
+    """The image of a under the ring map K_d -> F_p given by (w, r)."""
+    den = a.den % p
+    if den == 0:
+        raise ZeroDivisionError("prime divides a denominator")
+    acc = sum(n * pow(w, i, p) * pow(r, j, p) for i, j, n in a.terms)
+    return acc * pow(den, p - 2, p) % p
+
+
+def _reduced_line(a, b, p: int) -> tuple:
+    """The line through two points of P^2(F_p), scaled so that its first
+    nonzero entry is 1; points that coincide mod p fail certification."""
+    line = [(a[1] * b[2] - a[2] * b[1]) % p, (a[2] * b[0] - a[0] * b[2]) % p,
+            (a[0] * b[1] - a[1] * b[0]) % p]
+    pivot = next((c for c in line if c), 0)
+    if not pivot:
+        raise CertificationFailure(f"two sextactic points coincide mod {p}")
+    inv = pow(pivot, p - 2, p)
+    return tuple(c * inv % p for c in line)
 
 
 def collinear_sextactic(curve: FermatCurve, cap: int = COLLINEAR_MAX_DEGREE):
     """Every line through at least three sextactic points, found exactly.
 
-    Brute force over all point triples with a two-prime modular pre-filter:
-    a vanishing determinant over K_d vanishes modulo every prime, so the
-    filter never discards a true collinear triple, and each surviving
-    candidate is confirmed by an exact 3x3 determinant before grouping by
-    canonical line.
+    Each pair of points is hashed by its line reduced modulo two primes.
+    Points collinear over K_d stay collinear modulo every prime, so a line
+    through m >= 3 sextactic points puts all m of them in one group.  A
+    group of three or more is confirmed exactly: the line through its first
+    two points is evaluated at every member.  A group that also holds a
+    point collinear only modulo both primes is confirmed triple by triple
+    with exact 3x3 determinants, grouped by canonical line.
     """
     d = curve.d
     if d > cap:
-        raise ValueError(f"collinearity brute force capped at d <= {cap}")
+        raise ValueError(f"collinearity search capped at d <= {cap}")
     field = curve.field
     pts = sextactic_points(curve)
     n = len(pts)
 
-    mods = [_find_modular_hom(field, skip=0), _find_modular_hom(field, skip=1)]
-    masks = []
-    for (p, w, r) in mods:
-        coords = np.array(
-            [[_reduce_element_mod(c, p, w, r) for c in s.raw_coords]
-             for s in pts], dtype=np.int64)
-        joins = np.empty((n, n, 3), dtype=np.int64)
-        for axis, (i1, i2) in enumerate(((1, 2), (2, 0), (0, 1))):
-            joins[:, :, axis] = (coords[:, None, i1] * coords[None, :, i2]
-                                 - coords[:, None, i2] * coords[None, :, i1]) % p
-        dots = np.einsum("ijk,lk->ijl", joins % p, coords) % p
-        masks.append(dots == 0)
-    both = masks[0] & masks[1]
-
-    candidates = set()
+    reduced = []
+    for (p, w, r) in (_find_modular_hom(field, skip=0),
+                      _find_modular_hom(field, skip=1)):
+        reduced.append((p, [[_reduce_element_mod(c, p, w, r)
+                             for c in s.raw_coords] for s in pts]))
+    groups = {}
     for i in range(n):
         for j in range(i + 1, n):
-            ks = np.nonzero(both[i, j])[0]
-            for k in ks:
-                if k > j:
-                    candidates.add((i, j, int(k)))
+            key = tuple(_reduced_line(red[i], red[j], p) for p, red in reduced)
+            groups.setdefault(key, set()).update((i, j))
 
-    # line key -> (line, indices of the points of its confirmed triples);
-    # the filter keeps every collinear triple, so a line through m >= 3
-    # sextactic points collects all m of them
+    # line key -> (line, indices of the points on it)
     lines = {}
-    for (i, j, k) in sorted(candidates):
-        a, b = pts[i].raw_coords, pts[j].raw_coords
-        if not det3((a, b, pts[k].raw_coords)).is_zero():
+    for group in groups.values():
+        if len(group) < 3:
             continue
+        idx = sorted(group)
+        a, b = pts[idx[0]].raw_coords, pts[idx[1]].raw_coords
         L = HomPoly.line(field, *cross(a, b)).canonical_line()
-        lines.setdefault(L.line_key(), (L, set()))[1].update((i, j, k))
+        if all(L.evaluate(pts[k].raw_coords).is_zero() for k in idx[2:]):
+            lines.setdefault(L.line_key(), (L, set()))[1].update(idx)
+            continue
+        for i, j, k in itertools.combinations(idx, 3):
+            a, b = pts[i].raw_coords, pts[j].raw_coords
+            if not det3((a, b, pts[k].raw_coords)).is_zero():
+                continue
+            L = HomPoly.line(field, *cross(a, b)).canonical_line()
+            lines.setdefault(L.line_key(), (L, set()))[1].update((i, j, k))
 
     out = []
     for key in sorted(lines):

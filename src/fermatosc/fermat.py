@@ -239,12 +239,9 @@ class IncidenceTable:
                 xa, xb = coords[a], coords[b]
                 if xa.is_zero() or xb.is_zero():
                     continue
-                key = xa.nonzero_terms()
-                if key not in inverses:
-                    inverses[key] = xa.inverse()
-                ratio = xb * inverses[key]
-                ratios.setdefault((a, b, ratio.nonzero_terms()),
-                                  []).append(idx)
+                if xa not in inverses:
+                    inverses[xa] = xa.inverse()
+                ratios.setdefault((a, b, xb * inverses[xa]), []).append(idx)
         return ratios
 
     def _on_line(self, line: HomPoly, stop: int) -> list:
@@ -256,8 +253,7 @@ class IncidenceTable:
                     if line.evaluate(self.specials[i]).is_zero()]
         a, b = support
         ratio = -coeffs[a] * coeffs[b].inverse()
-        out = [i for i in self._ratios.get((a, b, ratio.nonzero_terms()), ())
-               if i < stop]
+        out = [i for i in self._ratios.get((a, b, ratio), ()) if i < stop]
         for i in out:
             if not line.evaluate(self.specials[i]).is_zero():
                 raise CertificationFailure(

@@ -259,8 +259,7 @@ class ProjPoint:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.d,) +
-                              tuple(c.coeffs for c in self.coords))
+            self._hash = hash(self.coords)
         return self._hash
 
     def to_json(self):
@@ -338,7 +337,7 @@ class BinaryForm:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.field.d,) + tuple(c.coeffs for c in self.coeffs))
+        return hash(self.coeffs)
 
     def __mul__(self, other):
         out = [self.field.zero] * (self.deg + other.deg + 1)

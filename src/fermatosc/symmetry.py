@@ -81,8 +81,7 @@ class Automorphism:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.d,)
-                              + tuple(c.coeffs for row in self.mat for c in row))
+            self._hash = hash(self.mat)
         return self._hash
 
     def compose(self, other: "Automorphism") -> "Automorphism":

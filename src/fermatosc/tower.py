@@ -2,8 +2,6 @@
 
 Here u is a primitive 2d-th root of unity (u^d = -1, reduced modulo the
 cyclotomic polynomial of order 2d) and t is the real positive d-th root of 2.
-Every element is kept in a normal form: a phi(2d) x deg_t array of exact
-rationals c[i][j] representing sum c[i][j] * u^i * t^j.
 
 The minimal polynomial of t over the cyclotomic part depends on d:
 
@@ -15,16 +13,24 @@ sqrt(2) = u^(d/4) - u^(3d/4) and t^d - 2 would factor, leaving zero
 divisors.  The choice of root is pinned by the distinguished embedding
 eps(u) = exp(i*pi/d), eps(t) = 2^(1/d) real positive.
 
-Multiplication clears each operand's denominators and multiplies the
-integer numerators by a term loop: each term pair is added along one
-precomputed integer row, u^e for the product's u-degree e, times
-t^deg_t when the t-degrees wrap.
+Every element is stored in one normal form, integer numerators over one
+denominator: `terms`, the nonzero triples (i, j, n) sorted by (i, j), and
+`den > 0` with gcd(den, n, ...) = 1, representing sum n u^i t^j / den,
+0 <= i < phi(2d), 0 <= j < deg_t.  Zero is ((), 1).  Equal values have
+equal normal forms, so equality and hashing compare (terms, den).  The
+per-coefficient rationals (`nonzero_terms`) and the dense phi(2d) x deg_t
+table (`coeffs`) are views built on demand.
 
-Inversion depends on the t-support.  An element b(u) t^j needs only an
-inverse in Q(u).  Any other element is inverted through its norm to Q(u):
-K is a Kummer extension of Q(u), so the product of the element's deg_t
+Multiplication multiplies the integer numerators by a term loop: each term
+pair is added along one precomputed integer row, u^e for the product's
+u-degree e, times t^deg_t when the t-degrees wrap.
+
+Inversion goes through norms.  An element b(u) t^j times t^(deg_t - j)
+lies in Q(u).  Any other element is inverted through its norm to Q(u): K
+is a Kummer extension of Q(u), so the product of the element's deg_t
 conjugates under t -> zeta^k t lies in Q(u), and a t-part in it fails
-certification.  A norm of zero can only come from a reducible modulus;
+certification.  Elements of Q(u) are inverted through their norm to Q in
+the same way.  A norm of zero can only come from a reducible modulus;
 extended Euclid then raises `ZeroDivisor` with a factor of the modulus.
 
 Each field construction runs a probabilistic soundness guard: a batch of
@@ -191,11 +197,9 @@ class TowerField:
                     vec[i] += s * row[i]
             self._tred_vec = tuple(vec)
             self._tred_scalar = None
-            self._tred_inv = tuple(c / 2 for c in vec)     # 1/sqrt(2)
         else:
             self._tred_vec = None
             self._tred_scalar = Q(2)
-            self._tred_inv = tuple(self._ureduce([Q1 / 2]))
 
         # the automorphisms u -> u^m of Q(u) other than the identity
         self._units = [m for m in range(2, self.n_u) if gcd(m, self.n_u) == 1]
@@ -208,8 +212,7 @@ class TowerField:
         self._zrows_t = [_int_pairs(self._cvec_mul(self._urows[e], tred))
                          for e in range(2 * self.phi - 1)]
 
-        self.zero = self._from_coeffs(
-            tuple(tuple(Q0 for _ in range(self.deg_t)) for _ in range(self.phi)))
+        self.zero = FieldElement(self, (), 1)
         self.one = self.from_rational(Q1)
         self.u = self.monomial(1, 0)
         self.zeta = self.monomial(2, 0)        # zeta = u^2, primitive d-th root
@@ -260,44 +263,49 @@ class TowerField:
 
     # -- element constructors ----------------------------------------------
 
+    def _make(self, terms, den) -> "FieldElement":
+        """The element sum n u^i t^j / den of integer terms (i, j, n) with
+        distinct (i, j), in normal form: zero terms dropped, the content
+        gcd(den, n, ...) divided out, den > 0, terms sorted by (i, j)."""
+        terms = [t for t in terms if t[2]]
+        if not terms:
+            return self.zero
+        if den != 1:
+            g = gcd(den, *[n for _, _, n in terms])
+            if den < 0:
+                g = -g
+            if g != 1:
+                terms = [(i, j, n // g) for i, j, n in terms]
+                den //= g
+        terms.sort()
+        return FieldElement(self, tuple(terms), den)
+
     def _from_coeffs(self, coeffs) -> "FieldElement":
-        return FieldElement(self, coeffs)
+        """The element with the dense table coeffs[i][j] of rationals."""
+        return self._make(*_int_terms([(i, j, c)
+                                       for i, row in enumerate(coeffs)
+                                       for j, c in enumerate(row) if c]))
 
     def from_rational(self, q) -> "FieldElement":
         q = Q(q)
-        rows = [[Q0] * self.deg_t for _ in range(self.phi)]
-        rows[0][0] = q
-        return self._from_coeffs(tuple(tuple(r) for r in rows))
+        return self._make([(0, 0, int(q.numerator))], int(q.denominator))
 
     def monomial(self, ue: int, te: int, coeff=Q1) -> "FieldElement":
         """coeff * u^ue * t^te, exponents arbitrary integers, reduced."""
         coeff = Q(coeff)
-        ue %= self.n_u
-        urow = list(self._urows[ue])
         # normalize the t exponent into [0, deg_t) by multiplying with the
         # reduction constant t^deg_t (or its inverse) as needed
         shift, te = divmod(te, self.deg_t)
-        elem_rows = [[Q0] * self.deg_t for _ in range(self.phi)]
-        for i, c in enumerate(urow):
-            if c:
-                elem_rows[i][te] = c * coeff
-        out = self._from_coeffs(tuple(tuple(r) for r in elem_rows))
-        if shift > 0:
-            for _ in range(shift):
-                out = out * self._tred_elem()
-        elif shift < 0:
-            inv = self.invert(self._tred_elem())
-            for _ in range(-shift):
-                out = out * inv
+        out = self._make([(i, te, c * int(coeff.numerator))
+                          for i, c in self._zrows[ue % self.n_u]],
+                         int(coeff.denominator))
+        if shift:
+            red = self._make([(i, 0, c) for i, c in self._zrows_t[0]], 1)
+            if shift < 0:
+                red = self.invert(red)
+            for _ in range(abs(shift)):
+                out = out * red
         return out
-
-    def _tred_elem(self) -> "FieldElement":
-        if self._tred_scalar is not None:
-            return self.from_rational(self._tred_scalar)
-        rows = [[Q0] * self.deg_t for _ in range(self.phi)]
-        for i, c in enumerate(self._tred_vec):
-            rows[i][0] = c
-        return self._from_coeffs(tuple(tuple(r) for r in rows))
 
     def u_pow(self, e: int) -> "FieldElement":
         return self.monomial(e, 0)
@@ -306,45 +314,19 @@ class TowerField:
         return self.monomial(2 * e, 0)
 
     def random_element(self, rng, max_terms=4, num_bound=9, den_choices=(1, 2, 3)):
-        rows = [[Q0] * self.deg_t for _ in range(self.phi)]
+        acc = {}
         for _ in range(rng.randint(1, max_terms)):
-            i = rng.randrange(self.phi)
-            j = rng.randrange(self.deg_t)
+            key = (rng.randrange(self.phi), rng.randrange(self.deg_t))
             num = rng.randint(-num_bound, num_bound)
-            rows[i][j] += Q(num, rng.choice(den_choices))
-        return self._from_coeffs(tuple(tuple(r) for r in rows))
+            acc[key] = acc.get(key, Q0) + Q(num, rng.choice(den_choices))
+        return self._make(*_int_terms([(*k, c) for k, c in acc.items()]))
 
-    # -- arithmetic kernels --------------------------------------------------
-
-    def _add(self, a, terms):
-        """Normal-form coeffs a plus the terms (i, j, c); rows that no term
-        touches are shared with a."""
-        rows = list(a)
-        touched = {}
-        for i, j, c in terms:
-            row = touched.get(i)
-            if row is None:
-                row = touched[i] = list(a[i])
-            s = row[j]
-            row[j] = s + c if s else c
-        for i, row in touched.items():
-            rows[i] = tuple(row)
-        return tuple(rows)
-
-    def _mul(self, anz, bnz):
-        """Normal-form product of two nonzero-term lists (i, j, c): clear
-        each operand's denominators and multiply the integer numerators
-        (`_imul`)."""
-        if not anz or not bnz:
-            return self.zero.coeffs
-        A, la = _int_terms(anz)
-        B, lb = _int_terms(bnz)
-        return self._from_int_terms(self._imul(A, B), la * lb)
+    # -- arithmetic kernel ---------------------------------------------------
 
     def _imul(self, A, B):
-        """Reduced product of two nonempty integer term lists (i, j, n), as
-        the list of its nonzero terms: each term pair is added along one
-        integer row of the reduction table."""
+        """Reduced product of two integer term lists (i, j, n), as the list
+        of its nonzero terms: each term pair is added along one integer row
+        of the reduction table."""
         deg_t, phi = self.deg_t, self.phi
         zrows, zrows_t = self._zrows, self._zrows_t
         acc = {}                               # i * deg_t + j -> coefficient
@@ -368,11 +350,6 @@ class TowerField:
                     acc[k] = get(k, 0) + c * v
         return [(*divmod(k, deg_t), v) for k, v in acc.items() if v]
 
-    def _from_int_terms(self, terms, den):
-        """The normal form of the integer terms (i, j, n) over den."""
-        return self._add(self.zero.coeffs,
-                         [(i, j, Q(n, den)) for i, j, n in terms])
-
     # -- cyclotomic (level-1) field helpers ---------------------------------
 
     def _cvec_mul(self, a, b):
@@ -386,23 +363,28 @@ class TowerField:
         return tuple(self._ureduce(conv))
 
     def _cvec_inv(self, a):
-        """Inverse in Q(u) by the norm to Q.
+        """Inverse of a rational vector of Q(u), by `_unorm`."""
+        A, den = _int_terms([(i, 0, c) for i, c in enumerate(a) if c])
+        if not A:
+            raise ZeroInput("zero cyclotomic coefficient")
+        P, norm = self._unorm(A)
+        out = [Q0] * self.phi
+        for i, _, n in P:
+            out[i] = Q(n * den, norm)
+        return tuple(out)
+
+    def _unorm(self, A):
+        """(P, N) with A^-1 = P / N, for nonzero integer terms A of Q(u).
 
         Q(u) is Galois over Q, with the automorphisms u -> u^m for m prime
-        to 2d.  The product P of the conjugates with m != 1 gives
-        a P = N(a), a nonzero rational; a u-part in it raises
+        to 2d.  P is the product of the conjugates with m != 1, so A P = N
+        is the norm of A, a nonzero integer; a u-part in it raises
         `CertificationFailure`.
         """
-        nz = [(i, c) for i, c in enumerate(a) if c]
-        if not nz:
-            raise ZeroInput("zero cyclotomic coefficient")
-        if len(nz) == 1:
-            # (c u^i)^-1 = c^-1 u^(2d - i)
-            i, c = nz[0]
-            c = Q1 / c
-            return tuple(r * c if r else Q0
-                         for r in self._urows[-i % self.n_u])
-        A, den = _int_terms([(i, 0, c) for i, c in nz])
+        if len(A) == 1:
+            # (n u^i)^-1 = u^(2d - i) / n
+            i, _, n = A[0]
+            return [(r, 0, c) for r, c in self._zrows[-i % self.n_u]], n
         P = None
         for m in self._units:
             conj = self._conjugate(A, m, 0)
@@ -410,11 +392,7 @@ class TowerField:
         N = self._imul(A, P)
         if len(N) != 1 or N[0][0]:
             raise CertificationFailure("norm to Q has a u-part")
-        norm = N[0][2]
-        out = [Q0] * self.phi
-        for i, _, n in P:
-            out[i] = Q(n * den, norm)
-        return tuple(out)
+        return P, N[0][2]
 
     # -- inversion (level 2) --------------------------------------------------
 
@@ -433,9 +411,9 @@ class TowerField:
     def invert(self, a: "FieldElement") -> "FieldElement":
         """The inverse of a nonzero element, exact.
 
-        * One power of t, a = b(u) t^j: a^-1 = (b c)^-1 t^(deg_t - j) for
-          j > 0, with c = t^deg_t the reduction constant, and b^-1 for
-          j = 0; the inverse in Q(u) comes from `_cvec_inv`.
+        * One power of t, a = A t^j / den with A in Q(u): B = A t^s with
+          s = -j mod deg_t lies in Q(u), and a^-1 = den t^s B^-1, with the
+          inverse in Q(u) from `_unorm`.
         * Otherwise by the norm (`_invert_norm`).
         * A norm of zero means that a is a zero divisor, which is possible
           only when the t-modulus is reducible; extended Euclid
@@ -443,23 +421,15 @@ class TowerField:
         """
         if a.field is not self:
             raise DegreeMismatch("element from a different field")
-        nz = a.nonzero_terms()
-        if not nz:
+        A = a.terms
+        if not A:
             raise ZeroInput("cannot invert zero")
-        j = nz[0][1]
-        if any(jj != j for _, jj, _ in nz):
+        j = A[0][1]
+        if any(jj != j for _, jj, _ in A):
             return self._invert_norm(a)
-        b = [Q0] * self.phi
-        for i, _, c in nz:
-            b[i] = c
-        inv = self._cvec_inv(b)
-        if j:
-            inv = self._cvec_mul(inv, self._tred_inv)
-            j = self.deg_t - j
-        rows = [[Q0] * self.deg_t for _ in range(self.phi)]
-        for i, c in enumerate(inv):
-            rows[i][j] = c
-        return self._from_coeffs(tuple(tuple(r) for r in rows))
+        s = -j % self.deg_t
+        P, norm = self._unorm(self._imul(A, [(0, s, 1)]) if s else A)
+        return self._make([(i, s, n * a.den) for i, _, n in P], norm)
 
     def _invert_norm(self, a: "FieldElement") -> "FieldElement":
         """a^-1 = P / N by the norm N = a P to Q(u).
@@ -468,10 +438,10 @@ class TowerField:
         zeta = u^(2d / deg_t) of order deg_t, fixes Q(u) and the t-modulus.
         P is the product of the conjugates sigma_k(a), k = 1..deg_t-1, so
         N is fixed by every sigma_k and has no t-part; a t-part raises
-        `CertificationFailure`.  The products run on integer numerators
-        through `_imul`: with a = A / den, a^-1 = den * P(A) / N(A).
+        `CertificationFailure`.  The products run on the integer numerators
+        A through `_imul`: with a = A / den, a^-1 = den * P(A) / N(A).
         """
-        A, den = _int_terms(a.nonzero_terms())
+        A = a.terms
         step = self.n_u // self.deg_t          # zeta = u^step
         P = self._conjugate(A, 1, step)
         for k in range(2, self.deg_t):
@@ -483,12 +453,9 @@ class TowerField:
             raise CertificationFailure("norm to Q(u) has a t-part")
         if not N:
             return self._invert_general(a)
-        nvec = [Q0] * self.phi
-        for i, _, n in N:
-            nvec[i] = Q(n)
-        V, vden = _int_terms([(i, 0, c * den)
-                              for i, c in enumerate(self._cvec_inv(nvec)) if c])
-        return self._from_coeffs(self._from_int_terms(self._imul(P, V), vden))
+        V, norm = self._unorm(N)
+        return self._make(self._imul(P, [(i, j, n * a.den) for i, j, n in V]),
+                          norm)
 
     def _conjugate(self, A, m, s):
         """The integer terms A under u^i t^j -> u^(m i + s j) t^j, reduced
@@ -611,46 +578,52 @@ def _int_terms(nz):
 
 
 class FieldElement:
-    """Immutable element of K_d in normal form."""
+    """Immutable element of K_d: sum n u^i t^j / den over `terms`.
 
-    __slots__ = ("field", "coeffs", "_nz", "_hash")
+    `terms` holds the nonzero integer triples (i, j, n) sorted by (i, j),
+    and `den > 0` with gcd(den, n, ...) = 1; zero is ((), 1).  Built by
+    `TowerField._make`, which brings raw integer terms to this form.
+    """
 
-    def __init__(self, field: TowerField, coeffs):
+    __slots__ = ("field", "terms", "den", "_hash")
+
+    def __init__(self, field: TowerField, terms: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
-        self._nz = None
+        self.terms = terms
+        self.den = den
         self._hash = None
+
+    # -- views ---------------------------------------------------------------
+
+    def nonzero_terms(self):
+        """The terms (i, j, c) with reduced rationals c, in (i, j) order."""
+        return tuple((i, j, Q(n, self.den)) for i, j, n in self.terms)
+
+    @property
+    def coeffs(self):
+        """The dense phi x deg_t table of rational coefficients."""
+        fld = self.field
+        rows = [[Q0] * fld.deg_t for _ in range(fld.phi)]
+        for i, j, c in self.nonzero_terms():
+            rows[i][j] = c
+        return tuple(tuple(r) for r in rows)
 
     # -- structure -----------------------------------------------------------
 
-    def nonzero_terms(self):
-        if self._nz is None:
-            self._nz = tuple((i, j, c)
-                             for i, row in enumerate(self.coeffs)
-                             for j, c in enumerate(row) if c)
-        return self._nz
-
     def is_zero(self) -> bool:
-        return not self.nonzero_terms()
-
-    def is_rational(self):
-        nz = self.nonzero_terms()
-        if not nz:
-            return Q0
-        if len(nz) == 1 and nz[0][0] == 0 and nz[0][1] == 0:
-            return nz[0][2]
-        return None
+        return not self.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.d, self.coeffs))
+            self._hash = hash((self.field.d, self.terms, self.den))
         return self._hash
 
     def __eq__(self, other):
         other = _coerce(self.field, other)
         if other is None:
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return (self.field is other.field and self.den == other.den
+                and self.terms == other.terms)
 
     def __ne__(self, other):
         out = self.__eq__(other)
@@ -671,22 +644,26 @@ class FieldElement:
         if other is None:
             return NotImplemented
         self._check(other)
-        a, b = self, other
-        if len(a.nonzero_terms()) < len(b.nonzero_terms()):
-            a, b = b, a
-        if b.is_zero():
-            return a
-        return FieldElement(self.field,
-                            self.field._add(a.coeffs, b.nonzero_terms()))
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        den = lcm(self.den, other.den)
+        acc = {}
+        for e in (self, other):
+            f = den // e.den
+            for i, j, n in e.terms:
+                acc[i, j] = acc.get((i, j), 0) + n * f
+        return self.field._make([(i, j, n) for (i, j), n in acc.items()], den)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero():
             return self
-        return FieldElement(self.field, self.field._add(
-            self.field.zero.coeffs,
-            [(i, j, -c) for i, j, c in self.nonzero_terms()]))
+        return FieldElement(self.field,
+                            tuple((i, j, -n) for i, j, n in self.terms),
+                            self.den)
 
     def __sub__(self, other):
         other = _coerce(self.field, other)
@@ -705,9 +682,10 @@ class FieldElement:
         if other is None:
             return NotImplemented
         self._check(other)
-        return FieldElement(
-            self.field,
-            self.field._mul(self.nonzero_terms(), other.nonzero_terms()))
+        if not self.terms or not other.terms:
+            return self.field.zero
+        return self.field._make(self.field._imul(self.terms, other.terms),
+                                self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -744,8 +722,7 @@ class FieldElement:
 
     def to_json_dict(self) -> dict:
         terms = [[i, j, f"{c.numerator}/{c.denominator}"]
-                 for (i, j, c) in sorted(self.nonzero_terms(),
-                                         key=lambda t: (t[0], t[1]))]
+                 for (i, j, c) in self.nonzero_terms()]
         return {"d": self.field.d, "terms": terms}
 
     def __repr__(self):
@@ -781,10 +758,11 @@ def tower_field(d: int) -> TowerField:
 
 def field_element_from_json(obj: dict) -> FieldElement:
     fld = tower_field(int(obj["d"]))
-    rows = [[Q0] * fld.deg_t for _ in range(fld.phi)]
+    acc = {}
     for i, j, s in obj["terms"]:
-        rows[int(i)][int(j)] += Q(s)
-    return FieldElement(fld, tuple(tuple(r) for r in rows))
+        key = (int(i), int(j))
+        acc[key] = acc.get(key, Q0) + Q(s)
+    return fld._make(*_int_terms([(*k, c) for k, c in acc.items()]))
 
 
 # -- spec-facing operation surface ------------------------------------------

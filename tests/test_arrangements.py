@@ -6,13 +6,15 @@ from collections import Counter
 
 import pytest
 
-from fermatosc.arrangements import (build, census, collinear_sextactic,
+from fermatosc import arrangements
+from fermatosc.arrangements import (_find_modular_hom, build, census,
+                                    collinear_sextactic,
                                     fermat_grid_product_poly, freeness_test,
                                     grid_component_poly, grid_product_poly,
                                     koszul_triple, multiplicity_multiset,
                                     syzygy_candidates, tjurina_total,
                                     verify_syzygy)
-from fermatosc.errors import NonOrdinary
+from fermatosc.errors import CertificationFailure, NonOrdinary
 from fermatosc.fermat import FermatCurve, sextactic_points
 from fermatosc.hompoly import HomPoly
 from fermatosc.tower import tower_field
@@ -232,3 +234,54 @@ def assert_members_match_scan(C, lines):
 def test_collinear_cap():
     with pytest.raises(ValueError):
         collinear_sextactic(FermatCurve(9), cap=8)
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_collinear_one_group_matches(d, monkeypatch):
+    # a constant reduced-line key puts every point in one group, so the
+    # search falls back to exact triples over all points
+    expected = [(L.line.line_key(), [s.label() for s in L.points])
+                for L in collinear_sextactic(FermatCurve(d))]
+    monkeypatch.setattr(arrangements, "_reduced_line", lambda a, b, p: (1,))
+    lines = collinear_sextactic(FermatCurve(d))
+    assert [(L.line.line_key(), [s.label() for s in L.points])
+            for L in lines] == expected
+
+
+def test_collinear_coincidence_mod_p_raises(monkeypatch):
+    # every point reduces to (1 : 1 : 1)
+    monkeypatch.setattr(arrangements, "_reduce_element_mod",
+                        lambda c, p, w, r: 1)
+    with pytest.raises(CertificationFailure, match="coincide"):
+        collinear_sextactic(FermatCurve(3))
+
+
+def _modular_hom_by_scan(field, skip):
+    """The plain search: scan every c < p for an e-th root of the target."""
+    d, n = field.d, 2 * field.d
+    found = 0
+    p = 50000 - (50000 % n) + 1
+    while True:
+        p += n
+        if any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+            continue
+        w = next(c for c in (pow(g, (p - 1) // n, p) for g in range(2, p))
+                 if all(pow(c, n // q, p) != 1 for q in range(2, n + 1)
+                        if n % q == 0 and all(q % s for s in range(2, q))))
+        if d % 4 == 0:
+            target, e = (pow(w, d // 4, p) - pow(w, 3 * d // 4, p)) % p, d // 2
+        else:
+            target, e = 2, d
+        r = next((c for c in range(2, p) if pow(c, e, p) == target), None)
+        if r is None:
+            continue
+        if found == skip:
+            return p, w, r
+        found += 1
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8))
+def test_modular_hom_matches_scan(d):
+    fld = tower_field(d)
+    for skip in (0, 1):
+        assert _find_modular_hom(fld, skip) == _modular_hom_by_scan(fld, skip)

@@ -2,6 +2,7 @@
 serialization and the certified complex embedding."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -390,3 +391,96 @@ def test_single_t_power_inverse(d):
             assert a * inv == fld.one
             if d <= 10:
                 assert inv == fld._invert_general(a)
+
+
+NORMAL_FORM_DEGREES = (3, 4, 5, 8, 12)
+
+
+def _assert_normal(a):
+    """Sorted nonzero integer terms over a positive denominator that
+    shares no factor with all numerators; zero is ((), 1)."""
+    assert isinstance(a.den, int) and a.den > 0
+    assert all(isinstance(n, int) and n for _, _, n in a.terms)
+    keys = [(i, j) for i, j, _ in a.terms]
+    assert keys == sorted(set(keys))
+    assert all(0 <= i < a.field.phi and 0 <= j < a.field.deg_t
+               for i, j in keys)
+    if a.terms:
+        assert gcd(a.den, *[n for _, _, n in a.terms]) == 1
+    else:
+        assert (a.terms, a.den) == ((), 1)
+
+
+def _assert_same(a, b):
+    assert a == b
+    assert (a.terms, a.den) == (b.terms, b.den)
+    assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
+def test_normal_form_invariants(d):
+    fld = tower_field(d)
+    rng = random.Random(1100 + d)
+    elems = [fld.zero, fld.one, fld.u, fld.t, fld.t_inv,
+             fld.from_rational(Q(-6, 4)), fld.from_rational(0),
+             fld.monomial(-1, 1), fld.monomial(3, -2, Q(10, 4)),
+             fld.monomial(1, 2 * fld.deg_t + 1, Q(-3, 9)),
+             fld.monomial(2, 0, 0)]
+    for terms in (1, 3, 12):
+        elems.append(fld.random_element(rng, max_terms=terms, num_bound=10**6,
+                                        den_choices=(1, 2, 6, 10**9 + 7)))
+    for a in elems:
+        _assert_normal(a)
+        _assert_normal(-a)
+        _assert_normal(field_element_from_json(a.to_json_dict()))
+        _assert_same(field_element_from_json(a.to_json_dict()), a)
+        if not a.is_zero():
+            _assert_normal(invert(a))
+    for _ in range(40):
+        a, b = rng.choice(elems), rng.choice(elems)
+        for c in (a + b, a - b, a * b):
+            _assert_normal(c)
+    assert fld.from_rational(Q(-6, 4)).terms == ((0, 0, -3),)
+    assert fld.from_rational(Q(-6, 4)).den == 2
+
+
+@pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
+def test_equal_values_have_equal_normal_forms(d):
+    fld = tower_field(d)
+    rng = random.Random(1200 + d)
+    for _ in range(15):
+        a, b = (fld.random_element(rng, max_terms=rng.choice((1, 3, 8)),
+                                   den_choices=(1, 2, 3, 4, 6))
+                for _ in range(2))
+        _assert_same(a + b - b, a)
+        _assert_same((a * 2) / 2, a)
+        _assert_same(a * Q(3, 7) * Q(7, 3), a)
+        if not b.is_zero():
+            _assert_same(a * b / b, a)
+        _assert_same(a - a, fld.zero)
+    _assert_same(fld.from_rational(Q(4, 2)), fld.one + fld.one)
+    _assert_same(fld.t**fld.deg_t * fld.t_inv, fld.t**(fld.deg_t - 1))
+
+
+@pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
+def test_reduction_mod_p_matches_per_coefficient(d):
+    from fermatosc.arrangements import _find_modular_hom, _reduce_element_mod
+    fld = tower_field(d)
+    p, w, r = _find_modular_hom(fld)
+    rng = random.Random(1300 + d)
+
+    def per_coefficient(a):
+        acc = 0
+        for i, j, c in a.nonzero_terms():
+            inv = pow(int(c.denominator), p - 2, p)
+            acc += int(c.numerator) * inv * pow(w, i, p) * pow(r, j, p)
+        return acc % p
+
+    for _ in range(20):
+        a = fld.random_element(rng, max_terms=8, num_bound=10**12,
+                               den_choices=(1, 2, 3, 10**9 + 7))
+        assert _reduce_element_mod(a, p, w, r) == per_coefficient(a)
+    assert _reduce_element_mod(fld.zero, p, w, r) == 0
+    bad = fld.u + fld.monomial(0, 1, Q(1, 3 * p))
+    with pytest.raises(ZeroDivisionError):
+        _reduce_element_mod(bad, p, w, r)
