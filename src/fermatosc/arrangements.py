@@ -38,11 +38,6 @@ GRID_TOKENS = ("Bz", "Bx", "By", "Mx", "My", "Mz", "Nx", "Ny", "Nz",
 GROUP_TOKENS = {"A": ("Az", "Ax", "Ay"), "B": ("Bz", "Bx", "By"),
                 "M": ("Mx", "My", "Mz"), "N": ("Nx", "Ny", "Nz")}
 
-# highest degree collinear_sextactic accepts: its modular prefilter holds
-# n x n x n masks over the n = 3d^2 sextactic points
-COLLINEAR_MAX_DEGREE = 8
-
-
 @dataclass
 class LineArrangement:
     label: str
@@ -503,7 +498,7 @@ def _reduced_line(a, b, p: int) -> tuple:
     return tuple(c * inv % p for c in line)
 
 
-def collinear_sextactic(curve: FermatCurve, cap: int = COLLINEAR_MAX_DEGREE):
+def collinear_sextactic(curve: FermatCurve):
     """Every line through at least three sextactic points, found exactly.
 
     Each pair of points is hashed by its line reduced modulo two primes.
@@ -514,9 +509,6 @@ def collinear_sextactic(curve: FermatCurve, cap: int = COLLINEAR_MAX_DEGREE):
     point collinear only modulo both primes is confirmed triple by triple
     with exact 3x3 determinants, grouped by canonical line.
     """
-    d = curve.d
-    if d > cap:
-        raise ValueError(f"collinearity search capped at d <= {cap}")
     field = curve.field
     pts = sextactic_points(curve)
     n = len(pts)

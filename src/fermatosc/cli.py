@@ -22,8 +22,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .arrangements import (COLLINEAR_MAX_DEGREE, build, census,
-                           collinear_sextactic, freeness_test,
+from .arrangements import (build, census, collinear_sextactic, freeness_test,
                            grid_product_poly, koszul_triple,
                            multiplicity_multiset, syzygy_candidates,
                            tjurina_total, verify_syzygy)
@@ -40,8 +39,8 @@ from .tower import field_element_from_json
 
 KINDS = ("sextactic", "inflection", "all")
 
-# highest degree `all` accepts: the highest any workload or test runs; the
-# suite's cost grows steeply with d
+# highest degree `all` and `collinear` accept: the highest any workload or
+# test runs; the suite's cost grows steeply with d
 ALL_MAX_DEGREE = 12
 
 
@@ -329,6 +328,9 @@ def _collinear_counts(lines) -> dict:
 
 
 def cmd_collinear(args):
+    # the search groups about C(3d^2, 2) point pairs by their line mod p
+    if args.degree > ALL_MAX_DEGREE:
+        raise ValueError(f"collinear needs degree <= {ALL_MAX_DEGREE}")
     curve = FermatCurve(args.degree)
     lines = collinear_sextactic(curve)
     payload = _collinear_counts(lines)
@@ -505,12 +507,11 @@ def cmd_all(args):
         if not koszul_ok:
             sec_fail.append({"check": "koszul-syzygy", "degree": d})
 
-        if d <= COLLINEAR_MAX_DEGREE:
-            lines = collinear_sextactic(curve)
-            section["collinear"] = _collinear_counts(lines)
-            if (tuple(section["collinear"].values()) != claims["collinear"]
-                    or any(len(L.points) != d for L in lines)):
-                sec_fail.append({"check": "collinear", "degree": d})
+        lines = collinear_sextactic(curve)
+        section["collinear"] = _collinear_counts(lines)
+        if (tuple(section["collinear"].values()) != claims["collinear"]
+                or any(len(L.points) != d for L in lines)):
+            sec_fail.append({"check": "collinear", "degree": d})
 
         vpay, vfails = _verify_main(curve, args.jobs)
         section["concurrency"] = {

@@ -1,8 +1,10 @@
 """Homogeneous polynomial algebra over K_d and exact local intersection data.
 
 Polynomials are sparse maps from exponent triples (a, b, c) with a+b+c = deg
-to nonzero field elements.  Intersection multiplicities at a smooth point are
-computed two independent ways:
+to nonzero field elements; every substitution into one (field elements,
+linear forms, binary forms, series) runs through `_substitute`.  The one
+dense univariate type is `BinaryForm`.  Intersection multiplicities at a
+smooth point are computed two independent ways:
 
 * `int_mult` lifts a truncated power-series branch of the first curve and
   reads off the valuation of the second polynomial along it;
@@ -16,11 +18,12 @@ binary quadratic.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .errors import (CertificationFailure, GenericityFailure, NotOnCurve,
                      ResultantZero, SingularPoint, TruncationExhausted)
-from .tower import Q, Q0, FieldElement, TowerField
+from .tower import Q, FieldElement, TowerField
 
 VARS = ("x", "y", "z")
 LINEAR_EXPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -158,33 +161,15 @@ class HomPoly:
     def evaluate(self, coords) -> FieldElement:
         if isinstance(coords, ProjPoint):
             coords = coords.coords
-        pows = []
-        for v in coords:
-            pv = [self.field.one]
-            for _ in range(self.deg):
-                pv.append(pv[-1] * v)
-            pows.append(pv)
-        acc = self.field.zero
-        for (a, b, c), coef in self.terms.items():
-            acc = acc + coef * pows[0][a] * pows[1][b] * pows[2][c]
-        return acc
+        return _substitute(self, coords, self.field.one, self.field.zero,
+                           operator.mul)
 
     def compose_matrix(self, mat) -> "HomPoly":
         """Substitute x_i -> sum_j mat[i][j] x_j (rows give the new forms)."""
         field = self.field
-        forms = []
-        for row in mat:
-            forms.append(HomPoly.line(field, row[0], row[1], row[2]))
-        pows = []
-        for f in forms:
-            pf = [HomPoly.monomial(field, (0, 0, 0), 1)]
-            for _ in range(self.deg):
-                pf.append(pf[-1] * f)
-            pows.append(pf)
-        acc = HomPoly.zero(field, self.deg)
-        for (a, b, c), coef in self.terms.items():
-            acc = acc + (pows[0][a] * pows[1][b] * pows[2][c]).scale(coef)
-        return acc
+        forms = [HomPoly.line(field, *row) for row in mat]
+        return _substitute(self, forms, HomPoly.monomial(field, (0, 0, 0), 1),
+                           HomPoly.zero(field, self.deg), operator.mul)
 
     def proportional(self, other) -> bool:
         """Projective equality: coefficient vectors have rank <= 1."""
@@ -273,6 +258,22 @@ class ProjPoint:
         return f"ProjPoint({self.coords[0]!r} : {self.coords[1]!r} : {self.coords[2]!r})"
 
 
+def _substitute(f: HomPoly, values, one, zero, mul):
+    """f(values) in the ring of the three values, with unit `one` and product
+    `mul`; the sum starts at `zero` and each term is scaled by its
+    coefficient with `*`.  The power tables are built once."""
+    pows = []
+    for v in values:
+        pv = [one]
+        for _ in range(f.deg):
+            pv.append(mul(pv[-1], v))
+        pows.append(pv)
+    acc = zero
+    for (a, b, c), coef in f.terms.items():
+        acc = acc + mul(mul(pows[0][a], pows[1][b]), pows[2][c]) * coef
+    return acc
+
+
 # -- spec-facing wrappers -----------------------------------------------------
 
 
@@ -320,7 +321,13 @@ def _rank_le_one(a, b) -> bool:
 
 
 class BinaryForm:
-    """Homogeneous form in two parameters s, t; coeffs[i] is the s^i t^(n-i) term."""
+    """Dense univariate polynomial over K_d: coeffs[i] is the coefficient of w^i.
+
+    The same object reads three ways: as the binary form
+    sum coeffs[i] s^i t^(deg-i), with w = s/t and nominal degree
+    deg = len(coeffs) - 1; as a polynomial in w; and as a series modulo
+    w^len(coeffs).
+    """
 
     __slots__ = ("field", "deg", "coeffs")
 
@@ -330,7 +337,19 @@ class BinaryForm:
         self.deg = len(self.coeffs) - 1
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return self.degree() < 0
+
+    def degree(self) -> int:
+        """The actual degree in w; -1 for the zero form."""
+        for k in range(self.deg, -1, -1):
+            if not self.coeffs[k].is_zero():
+                return k
+        return -1
+
+    def valuation(self):
+        """The order of vanishing at w = 0; None for the zero form."""
+        return next((i for i, c in enumerate(self.coeffs) if not c.is_zero()),
+                    None)
 
     def __eq__(self, other):
         return (isinstance(other, BinaryForm) and self.field is other.field
@@ -339,15 +358,78 @@ class BinaryForm:
     def __hash__(self):
         return hash(self.coeffs)
 
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            if not c.is_zero():
+                out[i] = out[i] + c
+        return BinaryForm(self.field, out)
+
     def __mul__(self, other):
-        out = [self.field.zero] * (self.deg + other.deg + 1)
-        for i, a in enumerate(self.coeffs):
+        if isinstance(other, FieldElement):
+            return BinaryForm(self.field, [c if c.is_zero() else c * other
+                                           for c in self.coeffs])
+        return self.mul(other, self.deg + other.deg + 1)
+
+    def mul(self, other, n) -> "BinaryForm":
+        """The product modulo w^n, as a form of length n."""
+        out = [self.field.zero] * n
+        for i, a in enumerate(self.coeffs[:n]):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.coeffs[:n - i]):
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return BinaryForm(self.field, out)
+
+    def rem(self, other) -> "BinaryForm":
+        """The remainder of division by `other` in w, trimmed to its degree."""
+        out = list(self.coeffs)
+        db = other.degree()
+        binv = self.field.invert(other.coeffs[db])
+        da = self.degree()
+        while da >= db:
+            c = out[da] * binv
+            for i, b in enumerate(other.coeffs[:db + 1]):
+                if not b.is_zero():
+                    out[da - db + i] = out[da - db + i] - b * c
+            while da >= 0 and out[da].is_zero():
+                da -= 1
+        return BinaryForm(self.field, out[:max(da + 1, 1)])
+
+    def gcd(self, other) -> "BinaryForm":
+        """A greatest common divisor in w, not normalized (Euclid)."""
+        a, b = self, other
+        if a.degree() < 0:
+            return b
+        if b.degree() < 0:
+            return a
+        while True:
+            r = a.rem(b)
+            if r.degree() < 0:
+                return b
+            a, b = b, r
+
+    @staticmethod
+    def interpolate(field, nodes, values) -> "BinaryForm":
+        """The form of nominal degree len(nodes) - 1 taking values[k] at the
+        rational node w = nodes[k]: Newton divided differences, expanded by
+        Horner."""
+        n = len(nodes)
+        coef = list(values)
+        for j in range(1, n):
+            for i in range(n - 1, j - 1, -1):
+                step = field.from_rational(1 / Q(nodes[i] - nodes[i - j]))
+                coef[i] = (coef[i] - coef[i - 1]) * step
+        out = BinaryForm(field, coef[-1:])
+        for j in range(n - 2, -1, -1):
+            factor = BinaryForm(field, (field.from_rational(-nodes[j]),
+                                        field.one))
+            out = out * factor + BinaryForm(field, (coef[j],))
+        return out
 
     def evaluate(self, s, t):
         acc = self.field.zero
@@ -399,27 +481,13 @@ class BinaryForm:
 
 
 def pullback_to_line(c: HomPoly, v1, v2) -> BinaryForm:
-    """Pull c back along (s, t) -> s*v1 + t*v2 for coordinate triples v1, v2."""
+    """Pull c back along (s, t) -> s*v1 + t*v2 for triples v1, v2 over K_d."""
     field = c.field
-    lin = []
-    for xv, yv in zip(v1, v2):
-        if not isinstance(xv, FieldElement):
-            xv = field.from_rational(xv)
-        if not isinstance(yv, FieldElement):
-            yv = field.from_rational(yv)
-        lin.append(BinaryForm(field, [yv, xv]))  # coeff of t, then s
-    pows = []
-    for bf in lin:
-        pl = [BinaryForm(field, [field.one])]
-        for _ in range(c.deg):
-            pl.append(pl[-1] * bf)
-        pows.append(pl)
-    acc = BinaryForm(field, [field.zero] * (c.deg + 1))
-    for (a, b, cc), coef in c.terms.items():
-        term = pows[0][a] * pows[1][b] * pows[2][cc]
-        acc = BinaryForm(field,
-                         [u + v * coef for u, v in zip(acc.coeffs, term.coeffs)])
-    return acc
+    # coefficient of t, then of s
+    lin = [BinaryForm(field, [yv, xv]) for xv, yv in zip(v1, v2)]
+    return _substitute(c, lin, BinaryForm(field, [field.one]),
+                       BinaryForm(field, [field.zero] * (c.deg + 1)),
+                       operator.mul)
 
 
 def line_parametrization(L: HomPoly):
@@ -473,45 +541,21 @@ def parameter_of_point(p: ProjPoint, v1, v2):
 # -- truncated power series along a branch --------------------------------------
 
 
-def _ser_mul(a, b, n):
-    field = a[0].field
-    out = [field.zero] * n
-    for i, ai in enumerate(a):
-        if i >= n or ai.is_zero():
-            continue
-        top = min(n - i, len(b))
-        for j in range(top):
-            bj = b[j]
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _ser_eval_poly(f: HomPoly, series, n):
-    """Evaluate f on a triple of truncated series, mod s^n."""
+def _ser_eval_poly(f: HomPoly, series, n) -> BinaryForm:
+    """Evaluate f on a triple of series forms, mod w^n."""
     field = f.field
-    pows = []
-    for s in series:
-        pl = [[field.one] + [field.zero] * (n - 1)]
-        for _ in range(f.deg):
-            pl.append(_ser_mul(pl[-1], s, n))
-        pows.append(pl)
-    acc = [field.zero] * n
-    for (a, b, c), coef in f.terms.items():
-        term = _ser_mul(pows[0][a], pows[1][b], n)
-        term = _ser_mul(term, pows[2][c], n)
-        for i in range(n):
-            if not term[i].is_zero():
-                acc[i] = acc[i] + coef * term[i]
-    return acc
+    return _substitute(f, series,
+                       BinaryForm(field, [field.one] + [field.zero] * (n - 1)),
+                       BinaryForm(field, [field.zero] * n),
+                       lambda a, b: a.mul(b, n))
 
 
 class BranchSeries:
     """Local parametrization of a curve branch at a smooth point.
 
-    `series` is a triple of truncated power series (one per coordinate) in the
-    local parameter; substituting them into the curve polynomial vanishes
-    modulo s^order.
+    `series` is a triple of series forms (one per coordinate) in the local
+    parameter w; substituting them into the curve polynomial vanishes modulo
+    w^order.
     """
 
     __slots__ = ("point", "chart", "param_var", "solved_var", "order", "series")
@@ -525,19 +569,14 @@ class BranchSeries:
         self.series = series
 
     def residual(self, f: HomPoly):
-        return _ser_eval_poly(f, self.series, self.order)
+        return _ser_eval_poly(f, self.series, self.order).coeffs
 
     def valuation_of(self, g: HomPoly):
-        """Valuation of g along the branch, or None if zero mod s^order."""
-        vals = _ser_eval_poly(g, self.series, self.order)
-        for i, v in enumerate(vals):
-            if not v.is_zero():
-                return i
-        return None
+        """Valuation of g along the branch, or None if zero mod w^order."""
+        return _ser_eval_poly(g, self.series, self.order).valuation()
 
     def tangent_direction(self):
-        field = self.point.field
-        return tuple(s[1] if len(s) > 1 else field.zero for s in self.series)
+        return tuple(s.coeffs[1] for s in self.series)
 
 
 def branch_series(f: HomPoly, p: ProjPoint, order: int) -> BranchSeries:
@@ -572,19 +611,19 @@ def branch_series(f: HomPoly, p: ProjPoint, order: int) -> BranchSeries:
 
     n = max(order, 2)
     ser = [None, None, None]
-    ser[chart] = [field.one] + [field.zero] * (n - 1)
-    ser[param] = [p.coords[param], field.one] + [field.zero] * (n - 2)
+    ser[chart] = BinaryForm(field, [field.one] + [field.zero] * (n - 1))
+    ser[param] = BinaryForm(field, [p.coords[param], field.one]
+                            + [field.zero] * (n - 2))
     sol = [p.coords[solved]] + [field.zero] * (n - 1)
-    ser[solved] = sol
 
     dinv = field.invert(grads[solved])
     for m in range(1, n):
-        vals = _ser_eval_poly(f, ser, m + 1)
-        r = vals[m]
+        ser[solved] = BinaryForm(field, sol)
+        r = _ser_eval_poly(f, ser, m + 1).coeffs[m]
         if not r.is_zero():
             sol[m] = -r * dinv
-    bs = BranchSeries(p, chart, param, solved, n,
-                      tuple(tuple(s) for s in ser))
+    ser[solved] = BinaryForm(field, sol)
+    bs = BranchSeries(p, chart, param, solved, n, tuple(ser))
     if not all(v.is_zero() for v in bs.residual(f)):
         raise CertificationFailure("branch lifting failed")
     return bs
@@ -620,121 +659,48 @@ def int_mult(f: HomPoly, g: HomPoly, p: ProjPoint) -> int:
 # -- resultants ------------------------------------------------------------------
 
 
-def _upoly_deg(p):
-    for k in range(len(p) - 1, -1, -1):
-        if not p[k].is_zero():
-            return k
-    return -1
-
-
-def _upoly_mod(a, b, field):
-    """Remainder of univariate coefficient lists over the field."""
-    a = list(a)
-    db = _upoly_deg(b)
-    binv = field.invert(b[db])
-    da = _upoly_deg(a)
-    while da >= db:
-        c = a[da] * binv
-        for i in range(db + 1):
-            t = b[i] * c
-            a[da - db + i] = a[da - db + i] - t
-        da = _upoly_deg(a)
-    return a[: max(da + 1, 1)] if da >= 0 else [field.zero]
-
-
-def univariate_resultant(a, b, field) -> FieldElement:
-    """Resultant of two univariate coefficient lists over K_d (Euclid)."""
-    da, db = _upoly_deg(a), _upoly_deg(b)
+def univariate_resultant(a: BinaryForm, b: BinaryForm) -> FieldElement:
+    """Resultant of two polynomials in w over K_d (Euclid)."""
+    field = a.field
+    da, db = a.degree(), b.degree()
     if da < 0 or db < 0:
         return field.zero
     res = field.one
     while True:
         if db == 0:
-            return res * b[0] ** da
-        r = _upoly_mod(a, b, field)
-        dr = _upoly_deg(r)
+            return res * b.coeffs[0] ** da
+        r = a.rem(b)
+        dr = r.degree()
         if dr < 0:
             return field.zero
-        sign = -1 if (da * db) % 2 else 1
-        res = res * b[db] ** (da - dr)
-        if sign < 0:
+        res = res * b.coeffs[db] ** (da - dr)
+        if da * db % 2:
             res = -res
         a, b, da, db = b, r, db, dr
-
-
-def _upoly_gcd(a, b, field):
-    da, db = _upoly_deg(a), _upoly_deg(b)
-    if da < 0:
-        return b
-    if db < 0:
-        return a
-    while True:
-        r = _upoly_mod(a, b, field)
-        dr = _upoly_deg(r)
-        if dr < 0:
-            return b
-        a, b = b, r[: dr + 1]
 
 
 def _fiber_line_generic(f, g, p, center_coords) -> bool:
     """True iff p is the only common zero of f and g on the line through
     the projection center and p."""
-    field = f.field
     rf = pullback_to_line(f, center_coords, p.coords)
     rg = pullback_to_line(g, center_coords, p.coords)
-    # p sits at parameter (0 : 1); both restrictions vanish there
-    uf = list(rf.coeffs)
-    ug = list(rg.coeffs)
-    # a common root at (1 : 0) (the center direction at infinity) fails too
-    if uf[rf.deg].is_zero() and ug[rg.deg].is_zero():
+    # p sits at parameter (0 : 1); both restrictions vanish there.  A common
+    # root at (1 : 0) (the center direction at infinity) fails too
+    if rf.coeffs[-1].is_zero() and rg.coeffs[-1].is_zero():
         return False
-    gcd = _upoly_gcd(uf, ug, field)
-    dg = _upoly_deg(gcd)
-    if dg < 0:
-        return False
+    gcd = rf.gcd(rg)
     # genericity: gcd must be a pure power of s (all lower coeffs zero)
-    return all(gcd[i].is_zero() for i in range(dg))
+    return gcd.degree() >= 0 and gcd.valuation() == gcd.degree()
 
 
 def _mat3_inverse_rational(m):
+    """Inverse of a rational 3x3 matrix, None if singular; the columns of
+    the adjugate are the cross products of the rows."""
     det = det3(m)
     if det == 0:
         return None
-    adj = [[Q0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != j]
-            c = [k for k in range(3) if k != i]
-            minor = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-            adj[i][j] = minor if (i + j) % 2 == 0 else -minor
-    return [[adj[i][j] / det for j in range(3)] for i in range(3)]
-
-
-def _interpolate(nodes, values, field):
-    """Newton interpolation; nodes are rationals, values are field elements."""
-    n = len(nodes)
-    coef = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            denom = Q(nodes[i] - nodes[i - j])
-            coef[i] = (coef[i] - coef[i - 1]) * field.from_rational(1 / denom)
-    # expand Newton form into monomial coefficients
-    poly = [field.zero] * n
-    acc = [field.one] + [field.zero] * (n - 1)
-    for j in range(n):
-        for i in range(n):
-            if not acc[i].is_zero():
-                poly[i] = poly[i] + coef[j] * acc[i]
-        if j < n - 1:
-            # acc *= (w - nodes[j])
-            node = field.from_rational(nodes[j])
-            new = [field.zero] * n
-            for i in range(n - 1):
-                if not acc[i].is_zero():
-                    new[i + 1] = new[i + 1] + acc[i]
-                    new[i] = new[i] - acc[i] * node
-            acc = new
-    return poly
+    adj = (cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1]))
+    return [[adj[j][i] / det for j in range(3)] for i in range(3)]
 
 
 def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint,
@@ -778,18 +744,16 @@ def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint,
 
         deg_r = f.deg * g.deg
         nodes = [Q(k) for k in range(deg_r + 1)]
-        vals = []
-        for w in nodes:
-            fa = _z_coefficients(fm, w, field)
-            ga = _z_coefficients(gm, w, field)
-            vals.append(univariate_resultant(fa, ga, field))
+        vals = [univariate_resultant(_z_coefficients(fm, w, field),
+                                     _z_coefficients(gm, w, field))
+                for w in nodes]
         if all(v.is_zero() for v in vals):
             raise ResultantZero("resultant vanishes identically")
-        rpoly = _interpolate(nodes, vals, field)
+        rpoly = BinaryForm.interpolate(field, nodes, vals)
 
         # rpoly holds Res(x, y) of degree deg_r at y = 1; q[1] = 0 puts the
         # image of p at the point at infinity (1 : 0)
-        order = BinaryForm(field, rpoly).root_multiplicity(q[0], q[1])
+        order = rpoly.root_multiplicity(q[0], q[1])
         record = {"seed": seed, "attempts": attempt + 1,
                   "matrix": [[f"{c.numerator}/{c.denominator}" for c in row]
                              for row in m]}
@@ -798,8 +762,8 @@ def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint,
         f"no generic coordinate change found ({last_fail})")
 
 
-def _z_coefficients(h: HomPoly, w, field):
-    """Coefficients of h(w, 1, z) as a univariate polynomial in z."""
+def _z_coefficients(h: HomPoly, w, field) -> BinaryForm:
+    """h(w, 1, z) as a polynomial in z."""
     out = [field.zero] * (h.deg + 1)
     wq = field.from_rational(w)
     pw = [field.one]
@@ -807,7 +771,7 @@ def _z_coefficients(h: HomPoly, w, field):
         pw.append(pw[-1] * wq)
     for (a, b, c), coef in h.terms.items():
         out[c] = out[c] + coef * pw[a]
-    return out
+    return BinaryForm(field, out)
 
 
 # -- osculating conic from the branch alone ---------------------------------------
@@ -826,7 +790,7 @@ def osculating_conic_series(f: HomPoly, p: ProjPoint):
     cols = []
     for e in monos:
         mono = HomPoly.monomial(field, e, 1)
-        cols.append(_ser_eval_poly(mono, bs.series, 5))
+        cols.append(_ser_eval_poly(mono, bs.series, 5).coeffs)
     rows = [[cols[c][r] for c in range(6)] for r in range(5)]
     null = _nullspace(rows, 6, field)
     if not null:

@@ -231,9 +231,11 @@ def assert_members_match_scan(C, lines):
                             if L.line.evaluate(s.point).is_zero()]
 
 
-def test_collinear_cap():
-    with pytest.raises(ValueError):
-        collinear_sextactic(FermatCurve(9), cap=8)
+def test_collinear_d9_uncapped():
+    lines = collinear_sextactic(FermatCurve(9))
+    assert len(lines) == 81
+    assert all(len(L.points) == 9 for L in lines)
+    assert all(not L.mixed for L in lines)
 
 
 @pytest.mark.parametrize("d", (3, 4))

@@ -144,6 +144,9 @@ def test_usage_error_exit_code(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["all", "--max-degree", "13"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["collinear", "--degree", "13"])
+    assert exc.value.code == 2
 
 
 def test_byte_stability(tmp_path):

@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from conftest import (rand_curve_through, rand_homogeneous, rand_line_through,
-                      rand_point)
+from conftest import (rand_curve_through, rand_field_element, rand_homogeneous,
+                      rand_line_through, rand_nonzero, rand_point)
 from fermatosc.errors import NotOnCurve, SingularPoint
-from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint, branch_series,
+from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint,
+                               _mat3_inverse_rational, branch_series, det3,
                                disc2, evaluate, hessian, int_mult,
                                osculating_conic_series, partial,
-                               restrict_to_line, resultant_order)
-from fermatosc.tower import tower_field
+                               pullback_to_line, restrict_to_line,
+                               resultant_order, univariate_resultant)
+from fermatosc.tower import Q, tower_field
 
 
 def fermat(d):
@@ -329,3 +331,143 @@ def test_restriction_of_explicit_conic_to_coordinate_lines():
                 fld.from_rational(8 * d * (d - 2)) * fld.u_pow(k) * fld.t_inv,
                 fld.from_rational(d * (d + 1))])
             assert r.proportional(disp), (d, j, k)
+
+
+# -- the dense univariate type ---------------------------------------------------
+
+
+def form_from_roots(fld, roots, lead):
+    """lead * prod (w - r) as a form in w."""
+    out = BinaryForm(fld, [lead])
+    for r in roots:
+        out = out * BinaryForm(fld, [-r, fld.one])
+    return out
+
+
+def rand_form(fld, rng, deg):
+    """A form of actual degree deg with small random coefficients."""
+    coeffs = [rand_field_element(fld, rng, max_terms=2, num_bound=5)
+              for _ in range(deg)]
+    return BinaryForm(fld, coeffs + [rand_nonzero(fld, rng, max_terms=2,
+                                                  num_bound=5)])
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_resultant_is_product_over_roots(d):
+    rng = random.Random(100 + d)
+    fld = tower_field(d)
+    for da, db in ((1, 3), (2, 1), (3, 2), (3, 3)):
+        roots = [rand_field_element(fld, rng, max_terms=2, num_bound=5)
+                 for _ in range(da)]
+        lead = rand_nonzero(fld, rng, max_terms=2, num_bound=5)
+        a = form_from_roots(fld, roots, lead)
+        b = rand_form(fld, rng, db)
+        expected = lead ** db
+        for r in roots:
+            expected = expected * b.evaluate(r, fld.one)
+        assert univariate_resultant(a, b) == expected
+        sign = -1 if da * db % 2 else 1
+        assert univariate_resultant(b, a) == expected * sign
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_gcd_of_coprime_forms_is_constant(d):
+    rng = random.Random(200 + d)
+    fld = tower_field(d)
+    const = BinaryForm(fld, [rand_nonzero(fld, rng)])
+    for _ in range(3):
+        a = rand_form(fld, rng, 3)
+        assert a.rem(const).is_zero()
+        roots = [fld.from_rational(k) + rand_nonzero(fld, rng, max_terms=2)
+                 for k in range(4)]
+        a = form_from_roots(fld, roots[:2], fld.one)
+        b = form_from_roots(fld, roots[2:], rand_nonzero(fld, rng))
+        assert a.gcd(b).degree() == 0 and b.gcd(a).degree() == 0
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_gcd_keeps_the_common_root(d):
+    rng = random.Random(300 + d)
+    fld = tower_field(d)
+    for _ in range(3):
+        alpha, beta, gamma = (rand_field_element(fld, rng, max_terms=2)
+                              + fld.from_rational(k) for k in range(3))
+        a = form_from_roots(fld, (alpha, alpha, beta), rand_nonzero(fld, rng))
+        b = form_from_roots(fld, (alpha, gamma), rand_nonzero(fld, rng))
+        assert a.gcd(b).proportional(form_from_roots(fld, (alpha,), fld.one))
+        zero = BinaryForm(fld, [fld.zero])
+        assert a.gcd(zero) == a and zero.gcd(b) == b
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_interpolate_reproduces_values(d):
+    rng = random.Random(400 + d)
+    fld = tower_field(d)
+    nodes = [Q(k, 2) - 1 for k in range(6)]
+    values = [rand_field_element(fld, rng) for _ in nodes]
+    form = BinaryForm.interpolate(fld, nodes, values)
+    assert form.deg == len(nodes) - 1
+    for w, v in zip(nodes, values):
+        assert form.evaluate(fld.from_rational(w), fld.one) == v
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_truncated_product_is_a_prefix(d):
+    rng = random.Random(500 + d)
+    fld = tower_field(d)
+    a = rand_form(fld, rng, 3)
+    b = BinaryForm(fld, [fld.zero] + list(rand_form(fld, rng, 2).coeffs))
+    full = a * b
+    assert full.coeffs == b.mul(a, len(full.coeffs)).coeffs
+    for n in range(1, len(full.coeffs) + 1):
+        assert a.mul(b, n).coeffs == full.coeffs[:n]
+    assert full.valuation() == a.valuation() + 1 and full.degree() == 6
+
+
+# -- the shared substitution loop ------------------------------------------------
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_compose_matrix_commutes_with_evaluate(d):
+    rng = random.Random(600 + d)
+    fld = tower_field(d)
+    for deg in (1, 2, 3):
+        f = rand_homogeneous(fld, rng, deg)
+        m = [[rand_field_element(fld, rng, max_terms=2) for _ in range(3)]
+             for _ in range(3)]
+        p = [rand_field_element(fld, rng) for _ in range(3)]
+        mp = [sum((m[i][j] * p[j] for j in range(3)), fld.zero)
+              for i in range(3)]
+        assert f.compose_matrix(m).evaluate(p) == f.evaluate(mp)
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_pullback_commutes_with_evaluate(d):
+    rng = random.Random(700 + d)
+    fld = tower_field(d)
+    for deg in (1, 2, 4):
+        f = rand_homogeneous(fld, rng, deg)
+        v1, v2 = ([rand_field_element(fld, rng) for _ in range(3)]
+                  for _ in range(2))
+        s, t = rand_field_element(fld, rng), rand_field_element(fld, rng)
+        bf = pullback_to_line(f, v1, v2)
+        assert bf.deg == deg
+        assert bf.evaluate(s, t) == f.evaluate(
+            [s * a + t * b for a, b in zip(v1, v2)])
+
+
+def test_mat3_inverse_rational():
+    rng = random.Random(800)
+    checked = 0
+    while checked < 10:
+        m = [[Q(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
+        inv = _mat3_inverse_rational(m)
+        if inv is None:
+            assert det3(m) == 0
+            continue
+        assert [[sum(inv[i][k] * m[k][j] for k in range(3)) for j in range(3)]
+                for i in range(3)] == [[int(i == j) for j in range(3)]
+                                       for i in range(3)]
+        checked += 1
+    singular = [[Q(1), Q(2), Q(3)], [Q(2), Q(4), Q(6)], [Q(0), Q(1), Q(5)]]
+    assert _mat3_inverse_rational(singular) is None
