@@ -30,7 +30,7 @@ from .errors import CertificationFailure, NonOrdinary
 from .fermat import FermatCurve, sextactic_points
 from .hompoly import (HomPoly, ProjPoint, cross, det3, line_parametrization,
                       parameter_of_point, pullback_to_line)
-from .tower import (FieldElement, TowerField, cyclotomic_int_coeffs,
+from .tower import (TowerField, _find_modular_hom, _reduce_element_mod,
                     tower_field)
 
 GRID_TOKENS = ("Bz", "Bx", "By", "Mx", "My", "Mz", "Nx", "Ny", "Nz",
@@ -389,101 +389,6 @@ class CollinearLine:
     @property
     def mixed(self) -> bool:
         return len(set(self.clusters)) > 1
-
-
-def _find_modular_hom(field: TowerField, skip: int = 0):
-    """A prime p with a ring map K_d -> F_p determined by (w, r).
-
-    w has exact order 2d (hence is a root of the cyclotomic polynomial) and
-    r^d = 2 with the extra square-root compatibility when 4 | d.  Returns
-    (p, w, r); `skip` selects later primes for independent filters.
-    """
-    d = field.d
-    n = 2 * d
-    found = 0
-    p = 50000 - (50000 % n) + 1
-    while True:
-        p += n
-        if not _is_prime(p):
-            continue
-        w = None
-        for c in range(2, p):
-            cand = pow(c, (p - 1) // n, p)
-            if cand == 1:
-                continue
-            ok = all(pow(cand, n // q, p) != 1 for q in _prime_factors(n))
-            if ok:
-                w = cand
-                break
-        if w is None:
-            continue
-        r = None
-        if d % 4 == 0:
-            target = (pow(w, d // 4, p) - pow(w, 3 * d // 4, p)) % p
-            e = d // 2
-        else:
-            target = 2 % p
-            e = d
-        if pow(target, (p - 1) // math.gcd(e, p - 1), p) != 1:
-            continue                           # target has no e-th root
-        for c in range(2, p):
-            if pow(c, e, p) == target:
-                r = c
-                break
-        if r is None:
-            continue
-        if pow(r, d, p) != 2 % p or _eval_cyclo_mod(field, w, p) != 0:
-            raise CertificationFailure(
-                f"(w, r) = ({w}, {r}) does not define a map K_{d} -> F_{p}")
-        if found == skip:
-            return p, w, r
-        found += 1
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-        if q * q > n:
-            break
-    i = 41
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
-def _prime_factors(n: int):
-    out = set()
-    m, p = n, 2
-    while p * p <= m:
-        while m % p == 0:
-            out.add(p)
-            m //= p
-        p += 1
-    if m > 1:
-        out.add(m)
-    return out
-
-
-def _eval_cyclo_mod(field: TowerField, w: int, p: int) -> int:
-    coeffs = cyclotomic_int_coeffs(2 * field.d)
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * w + c) % p
-    return acc
-
-
-def _reduce_element_mod(a: FieldElement, p: int, w: int, r: int) -> int:
-    """The image of a under the ring map K_d -> F_p given by (w, r)."""
-    den = a.den % p
-    if den == 0:
-        raise ZeroDivisionError("prime divides a denominator")
-    acc = sum(n * pow(w, i, p) * pow(r, j, p) for i, j, n in a.terms)
-    return acc * pow(den, p - 2, p) % p
 
 
 def _reduced_line(a, b, p: int) -> tuple:

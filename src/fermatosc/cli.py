@@ -43,6 +43,10 @@ KINDS = ("sextactic", "inflection", "all")
 # test runs; the suite's cost grows steeply with d
 ALL_MAX_DEGREE = 12
 
+# --precision range in bits: below 53 `embed` works at 53 anyway, and the
+# cost of an embedding grows with the precision without bound
+PRECISION_MIN, PRECISION_MAX = 53, 4096
+
 
 def paper_claims(d: int) -> dict:
     """The paper's values at degree d that the reports are checked against."""
@@ -90,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for any sampled checks")
         sp.add_argument("--precision", type=int, default=128,
-                        help="embedding precision for approx columns (bits)")
+                        help="embedding precision for approx columns (bits, "
+                             f"{PRECISION_MIN}..{PRECISION_MAX})")
         sp.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for per-line verification")
         sp.add_argument("--format", choices=("json", "table"), default="json")
@@ -143,14 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
 # -- payload helpers ----------------------------------------------------------
 
 
-def _point_payload(s, curve, precision):
+def _point_payload(s, precision):
     approx = s.point.approx(precision)
     return {"cluster": s.cluster, "j": s.j, "k": s.k,
             "coords": s.point.to_json(),
             "approx": [[v.real, v.imag] for v in approx]}
 
 
-def _inflection_payload(p, idx, curve, precision):
+def _inflection_payload(p, idx, precision):
     approx = p.approx(precision)
     return {"index": idx, "coords": p.to_json(),
             "approx": [[v.real, v.imag] for v in approx]}
@@ -171,7 +176,7 @@ def cmd_points(args):
     payload, failures = {}, []
     if args.kind in ("sextactic", "all"):
         pts = sextactic_points(curve)
-        payload["sextactic"] = [_point_payload(s, curve, args.precision)
+        payload["sextactic"] = [_point_payload(s, args.precision)
                                 for s in pts]
         payload["sextactic_count"] = len(pts)
         payload["count_formula"] = sextactic_count_formula(curve)
@@ -182,7 +187,7 @@ def cmd_points(args):
                              "got": payload["count_formula"]})
     if args.kind in ("inflection", "all"):
         pts = inflection_points(curve)
-        payload["inflection"] = [_inflection_payload(p, i, curve, args.precision)
+        payload["inflection"] = [_inflection_payload(p, i, args.precision)
                                  for i, p in enumerate(pts)]
         payload["inflection_count"] = len(pts)
         if len(pts) != claims["inflection_count"]:
@@ -219,7 +224,7 @@ def cmd_conic(args):
     series = osculating_conic_series(curve.poly, s.point)
     mult = int_mult(curve.poly, O, s.point)
     payload = {
-        "point": _point_payload(s, curve, args.precision),
+        "point": _point_payload(s, args.precision),
         "conic": O.to_json_dict(),
         "closed_form": closed.to_json_dict(),
         "closed_vs_explicit_proportional": closed.proportional(O),
@@ -261,7 +266,7 @@ def _hessian2(curve):
     return payload, failures
 
 
-def _census_payload(entries, precision):
+def _census_payload(entries):
     return {
         "points": [{"coords": e.point.to_json(),
                     "multiplicity": e.multiplicity,
@@ -280,7 +285,7 @@ def cmd_census(args):
     payload = {"arrangement": args.arrangement,
                "n_lines": len(arr.lines),
                "with_fermat": bool(args.with_fermat)}
-    payload.update(_census_payload(entries, args.precision))
+    payload.update(_census_payload(entries))
     payload["tjurina_total"] = (tjurina_total(entries)
                                 if all(e.ordinary for e in entries) else None)
     return payload, []
@@ -614,6 +619,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    if not PRECISION_MIN <= args.precision <= PRECISION_MAX:
+        parser.error(f"--precision must be in [{PRECISION_MIN}, "
+                     f"{PRECISION_MAX}]")
     handler = COMMANDS[args.command]
     try:
         payload, failures = handler(args)

@@ -582,9 +582,9 @@ class BranchSeries:
 def branch_series(f: HomPoly, p: ProjPoint, order: int) -> BranchSeries:
     """Iteratively lifted power-series branch of f at the smooth point p.
 
-    The affine chart is the coordinate of p that equals one; among the other
-    two coordinates the one whose partial derivative at p has the largest
-    embedded modulus is solved for (ties break x < y < z).
+    The affine chart is the first nonzero coordinate of p; of the other two,
+    the first in x < y < z order whose partial derivative at p is nonzero is
+    solved for.  The rule is exact, and contact orders do not depend on it.
     """
     field = f.field
     if not f.evaluate(p).is_zero():
@@ -601,12 +601,7 @@ def branch_series(f: HomPoly, p: ProjPoint, order: int) -> BranchSeries:
         # branch is transverse to the chart; Euler's relation rules this out
         # for the curves handled here
         raise SingularPoint("no usable partial in this chart")
-    if len(candidates) == 2:
-        m0 = field.embed(grads[candidates[0]], 64).abs_max()
-        m1 = field.embed(grads[candidates[1]], 64).abs_max()
-        solved = candidates[1] if m1 > m0 else candidates[0]
-    else:
-        solved = candidates[0]
+    solved = candidates[0]
     param = next(i for i in others if i != solved)
 
     n = max(order, 2)

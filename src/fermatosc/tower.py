@@ -33,16 +33,17 @@ certification.  Elements of Q(u) are inverted through their norm to Q in
 the same way.  A norm of zero can only come from a reducible modulus;
 extended Euclid then raises `ZeroDivisor` with a factor of the modulus.
 
-Each field construction runs a probabilistic soundness guard: a batch of
-random elements is inverted, and any discovered zero divisor aborts with
-the offending factor of the modulus.
+Each field construction is certified (`TowerField._certify`): the
+t-modulus is irreducible by Capelli's criterion at one prime p = 1
+(mod 2d), reached through the ring map u -> w of `split_primes`, and the
+witness (p, w, c mod p) is kept as `TowerField.certificate`.
 """
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, isqrt, lcm
 
 import mpmath
 
@@ -93,17 +94,26 @@ def _zpoly_exact_div(num, den):
 
 
 def _euler_phi(n: int) -> int:
-    out, m, p = 1, n, 2
+    out = n
+    for p in _prime_factors(n):
+        out = out // p * (p - 1)
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+def _prime_factors(n: int):
+    out = set()
+    m, p = n, 2
     while p * p <= m:
-        if m % p == 0:
-            out *= p - 1
+        while m % p == 0:
+            out.add(p)
             m //= p
-            while m % p == 0:
-                out *= p
-                m //= p
         p += 1
     if m > 1:
-        out *= m - 1
+        out.add(m)
     return out
 
 
@@ -152,9 +162,6 @@ class ComplexBall:
         r = self.radius + other.radius + (float(abs(c)) + 1e-300) * 2.0 ** (4 - prec)
         return ComplexBall(c, r, prec)
 
-    def abs_max(self) -> float:
-        return float(abs(self.center)) + self.radius
-
     def abs_min(self) -> float:
         return max(0.0, float(abs(self.center)) - self.radius)
 
@@ -168,9 +175,11 @@ class ComplexBall:
 class TowerField:
     """Arithmetic context for K_d; holds reduction tables and constants.
 
-    `_force_full_modulus` keeps t^d - 2 even when 4 | d; the quotient is
-    then not a field and inversions of actual zero divisors surface a
-    factor of the modulus.  Testing hook only.
+    `certificate` is the witness (p, w, c) of `_certify`, or None when the
+    field is built with `guard=False`.  `_force_full_modulus` keeps t^d - 2
+    even when 4 | d; the quotient is then not a field, certification
+    raises, and with `guard=False` inversions of actual zero divisors
+    surface a factor of the modulus.  Testing hook only.
     """
 
     def __init__(self, d: int, guard: bool = True,
@@ -211,6 +220,7 @@ class TowerField:
         tred = self._tred_vec or tuple(self._ureduce([self._tred_scalar]))
         self._zrows_t = [_int_pairs(self._cvec_mul(self._urows[e], tred))
                          for e in range(2 * self.phi - 1)]
+        self.certificate = self._certify() if guard else None
 
         self.zero = FieldElement(self, (), 1)
         self.one = self.from_rational(Q1)
@@ -219,8 +229,6 @@ class TowerField:
         self.t = self.monomial(0, 1)
         self.t_inv = self.invert(self.t)
         self._emb_cache = {}
-        if guard:
-            self._field_guard()
 
     # -- construction -----------------------------------------------------
 
@@ -243,23 +251,60 @@ class TowerField:
                     vec[k - self.phi + i] -= c * self._phi_coeffs[i]
         return vec[: self.phi]
 
-    def _field_guard(self):
-        """Probabilistically certify that the t-modulus defines a field.
+    def split_primes(self, start: int = 1):
+        """The primes p > start with p = 1 (mod 2d), ascending, each with w,
+        the first c^((p-1)/2d) (c = 2, 3, ...) of exact order 2d.
 
-        Inverts a batch of random elements; a ZeroDivisor would surface a
-        factor of the modulus immediately.  The batch shrinks for very large
-        d to keep construction desk-scale.
+        w is a root of Phi_2d mod p, which is checked, so u -> w is a ring
+        map Z[u] -> F_p, and t -> r extends it to K_d when r^deg_t is the
+        image of t^deg_t (`_t_power_mod`).
         """
-        dim = self.phi * self.deg_t
-        probes = 50 if dim <= 120 else (12 if dim <= 500 else 4)
-        rng = random.Random(0xF0 + self.d)
-        for _ in range(probes):
-            a = self.random_element(rng, max_terms=3)
-            if a.is_zero():
+        n = self.n_u
+        cofactors = [n // q for q in _prime_factors(n)]
+        phi_coeffs = cyclotomic_int_coeffs(n)
+        p = start - (start - 1) % n
+        while True:
+            p += n
+            if not _is_prime(p):
                 continue
-            b = self.invert(a)
-            if not (a * b - self.one).is_zero():
-                raise ZeroDivisor(f"inversion failed in K_{self.d}")
+            w = next(w for w in (pow(c, (p - 1) // n, p) for c in range(2, p))
+                     if all(pow(w, e, p) != 1 for e in cofactors))
+            acc = 0
+            for c in reversed(phi_coeffs):
+                acc = (acc * w + c) % p
+            if acc:
+                raise CertificationFailure(
+                    f"w = {w} is not a root of Phi_{n} mod {p}")
+            yield p, w
+
+    def _t_power_mod(self, p: int, w: int) -> int:
+        """The image of t^deg_t, an element of Z[u], in F_p under u -> w."""
+        return sum(c * pow(w, i, p) for i, c in self._zrows_t[0]) % p
+
+    def _certify(self):
+        """The witness (p, w, c) that the t-modulus t^m - c (m = deg_t) is
+        irreducible over Q(u), so that K_d is a field.
+
+        Phi_2d is irreducible over Q, and Z[u] is the ring of integers of
+        Q(u).  The modulus is monic over Z[u], so the roots of a monic factor
+        over Q(u) are integral and its coefficients lie in Z[u]: a
+        factorization reduces mod (p, u - w) to one of t^m - (c mod p) over
+        F_p, for each (p, w) of `split_primes`.  By Capelli's criterion
+        (Lidl-Niederreiter, Finite Fields, Thm 3.75) t^m - c is irreducible
+        over F_p when c is nonzero and no l-th power for any prime l | m;
+        since l | m | p - 1, that is c^((p-1)/l) != 1.  Its clause for 4 | m,
+        c not in -4 F_p^4, adds nothing: 4 | m forces p = 1 (mod 8), where
+        -4 = (1 + i)^4 is a fourth power.  The first of at most 64 split
+        primes that passes is the witness; none raises
+        `CertificationFailure`.
+        """
+        ells = _prime_factors(self.deg_t)
+        for p, w in islice(self.split_primes(), 64):
+            c = self._t_power_mod(p, w)
+            if c and all(pow(c, (p - 1) // l, p) != 1 for l in ells):
+                return p, w, c
+        raise CertificationFailure(
+            f"no split prime certifies the t-modulus of K_{self.d}")
 
     # -- element constructors ----------------------------------------------
 
@@ -563,6 +608,39 @@ class TowerField:
         return f"TowerField(d={self.d}, dim={self.phi * self.deg_t})"
 
 
+def _find_modular_hom(field: TowerField, skip: int = 0):
+    """A prime p > 50000 with a ring map K_d -> F_p determined by (w, r).
+
+    (p, w) runs over `field.split_primes(50000)`, and r is the first root of
+    r^deg_t = c, the image of t^deg_t; primes where c has no such root are
+    passed over.  Returns (p, w, r); `skip` selects later primes for
+    independent filters.
+    """
+    e = field.deg_t
+    found = 0
+    for p, w in field.split_primes(50000):
+        c = field._t_power_mod(p, w)
+        if pow(c, (p - 1) // e, p) != 1:
+            continue                           # c has no e-th root
+        r = next(r for r in range(2, p) if pow(r, e, p) == c)
+        if pow(r, field.d, p) != 2 % p:
+            raise CertificationFailure(
+                f"(w, r) = ({w}, {r}) does not define a map "
+                f"K_{field.d} -> F_{p}")
+        if found == skip:
+            return p, w, r
+        found += 1
+
+
+def _reduce_element_mod(a: "FieldElement", p: int, w: int, r: int) -> int:
+    """The image of a under the ring map K_d -> F_p given by (w, r)."""
+    den = a.den % p
+    if den == 0:
+        raise ZeroDivisionError("prime divides a denominator")
+    acc = sum(n * pow(w, i, p) * pow(r, j, p) for i, j, n in a.terms)
+    return acc * pow(den, p - 2, p) % p
+
+
 def _int_pairs(row):
     """The nonzero entries (i, c) of an integral rational vector, as ints."""
     return tuple((i, int(c)) for i, c in enumerate(row) if c)
@@ -752,7 +830,7 @@ def _coerce(field: TowerField, value):
 
 @lru_cache(maxsize=None)
 def tower_field(d: int) -> TowerField:
-    """Shared, guarded field context for a given degree."""
+    """Shared, certified field context for a given degree."""
     return TowerField(d)
 
 

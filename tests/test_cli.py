@@ -147,6 +147,10 @@ def test_usage_error_exit_code(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["collinear", "--degree", "13"])
     assert exc.value.code == 2
+    for bits in ("52", "4097"):
+        with pytest.raises(SystemExit) as exc:
+            main(["points", "--degree", "3", "--precision", bits])
+        assert exc.value.code == 2
 
 
 def test_byte_stability(tmp_path):

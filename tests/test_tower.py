@@ -7,8 +7,8 @@ from math import gcd
 import pytest
 
 from fermatosc.errors import CertificationFailure, DegreeMismatch, ZeroInput
-from fermatosc.tower import (Q, _zpoly_exact_div, arith, constants,
-                             cyclotomic_int_coeffs, embed,
+from fermatosc.tower import (D_MAX, D_MIN, Q, _zpoly_exact_div, arith,
+                             constants, cyclotomic_int_coeffs, embed,
                              field_element_from_json, invert, is_zero,
                              tower_field)
 
@@ -464,7 +464,7 @@ def test_equal_values_have_equal_normal_forms(d):
 
 @pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
 def test_reduction_mod_p_matches_per_coefficient(d):
-    from fermatosc.arrangements import _find_modular_hom, _reduce_element_mod
+    from fermatosc.tower import _find_modular_hom, _reduce_element_mod
     fld = tower_field(d)
     p, w, r = _find_modular_hom(fld)
     rng = random.Random(1300 + d)
@@ -484,3 +484,64 @@ def test_reduction_mod_p_matches_per_coefficient(d):
     bad = fld.u + fld.monomial(0, 1, Q(1, 3 * p))
     with pytest.raises(ZeroDivisionError):
         _reduce_element_mod(bad, p, w, r)
+
+
+# -- field certificate ---------------------------------------------------------
+
+
+def _primes_dividing(n):
+    return [q for q in range(2, n + 1)
+            if n % q == 0 and all(q % s for s in range(2, q))]
+
+
+def test_reducible_modulus_fails_certification():
+    from fermatosc.tower import TowerField
+    # t^4 - 2 over the 8th cyclotomic field has the factor t^2 - sqrt(2)
+    with pytest.raises(CertificationFailure):
+        TowerField(4, _force_full_modulus=True)
+    assert TowerField(4, guard=False).certificate is None
+
+
+@pytest.mark.parametrize("d", range(D_MIN, D_MAX + 1))
+def test_certificate_checks_independently(d):
+    fld = tower_field(d)
+    p, w, c = fld.certificate
+    n, m = 2 * d, fld.deg_t
+    assert p > 2 and all(p % q for q in range(2, int(p ** 0.5) + 1))
+    assert p % n == 1
+    # w has order exactly 2d and is a root of the cyclotomic polynomial
+    assert pow(w, n, p) == 1
+    assert all(pow(w, k, p) != 1 for k in range(1, n))
+    acc = 0
+    for a in reversed(cyclotomic_int_coeffs(n)):
+        acc = (acc * w + a) % p
+    assert acc == 0
+    # c is the image of t^m under u -> w, and c^(d/m) that of t^d = 2
+    tm = (fld.t ** m).nonzero_terms()
+    assert all(j == 0 for _, j, _ in tm)
+    image = sum(int(q.numerator) * pow(int(q.denominator), p - 2, p)
+                * pow(w, i, p) for i, _, q in tm) % p
+    assert c == image and pow(c, d // m, p) == 2
+    # Capelli: c is no l-th power mod p for any prime l | m
+    assert c != 0
+    for ell in _primes_dividing(m):
+        assert pow(c, (p - 1) // ell, p) != 1
+
+
+def test_smallest_certifying_primes():
+    assert [tower_field(d).certificate[0] for d in range(3, 25)] == [
+        7, 17, 11, 13, 29, 17, 19, 61, 23, 97, 53, 29, 61, 97, 103, 37, 191,
+        41, 211, 397, 47, 97]
+
+
+def test_construction_draws_no_random_number(monkeypatch):
+    from fermatosc import tower
+    from fermatosc.tower import TowerField
+
+    def no_random(*args, **kwargs):
+        raise AssertionError("field construction drew a random number")
+
+    monkeypatch.setattr(random, "Random", no_random)
+    assert not hasattr(tower, "random")
+    for d in (3, 4, 8, 11):
+        assert TowerField(d).certificate is not None
