@@ -251,7 +251,7 @@ class ProjPoint:
         return [c.to_json_dict() for c in self.coords]
 
     def approx(self, precision_bits=64):
-        return [complex(self.field.embed(c, precision_bits).center)
+        return [complex(self.field.embed(c, precision_bits))
                 for c in self.coords]
 
     def __repr__(self):

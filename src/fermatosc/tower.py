@@ -19,11 +19,13 @@ denominator: `terms`, the nonzero triples (i, j, n) sorted by (i, j), and
 0 <= i < phi(2d), 0 <= j < deg_t.  Zero is ((), 1).  Equal values have
 equal normal forms, so equality and hashing compare (terms, den).  The
 per-coefficient rationals (`nonzero_terms`) and the dense phi(2d) x deg_t
-table (`coeffs`) are views built on demand.
+table (`coeffs`) are views built on demand.  Q(u) has no representation
+of its own: its elements are the t-free elements of K_d.
 
 Multiplication multiplies the integer numerators by a term loop: each term
 pair is added along one precomputed integer row, u^e for the product's
-u-degree e, times t^deg_t when the t-degrees wrap.
+u-degree e, times t^deg_t when the t-degrees wrap.  The rows are built
+from the monic integer Phi_2d alone, so they are integral.
 
 Inversion goes through norms.  An element b(u) t^j times t^(deg_t - j)
 lies in Q(u).  Any other element is inverted through its norm to Q(u): K
@@ -31,7 +33,12 @@ is a Kummer extension of Q(u), so the product of the element's deg_t
 conjugates under t -> zeta^k t lies in Q(u), and a t-part in it fails
 certification.  Elements of Q(u) are inverted through their norm to Q in
 the same way.  A norm of zero can only come from a reducible modulus;
-extended Euclid then raises `ZeroDivisor` with a factor of the modulus.
+extended Euclid in Q(u)[t], on t-free elements, then raises `ZeroDivisor`
+with a factor of the modulus.
+
+`embed` evaluates the distinguished embedding in floating point for the
+display-only `approx` columns; it is not certified, and no computation
+reads it.
 
 Each field construction is certified (`TowerField._certify`): the
 t-modulus is irreducible by Capelli's criterion at one prime p = 1
@@ -117,59 +124,19 @@ def _prime_factors(n: int):
     return out
 
 
-class ComplexBall:
-    """A complex interval: center plus a conservative radius.
-
-    Arithmetic propagates the radius so the resulting ball always contains
-    the exact value, provided the operand balls do.  Centers are mpmath
-    complex numbers at the caller's working precision; radii are floats with
-    generous headroom for rounding of the centers themselves.
-    """
-
-    __slots__ = ("center", "radius", "prec")
-
-    def __init__(self, center, radius, prec):
-        self.center = center
-        self.radius = float(radius)
-        self.prec = prec
-
-    def __add__(self, other):
-        if not isinstance(other, ComplexBall):
-            other = ComplexBall(other, 0.0, self.prec)
-        prec = min(self.prec, other.prec)
-        with mpmath.mp.workprec(prec):
-            c = self.center + other.center
-        r = self.radius + other.radius + (float(abs(c)) + 1e-300) * 2.0 ** (4 - prec)
-        return ComplexBall(c, r, prec)
-
-    def __mul__(self, other):
-        if not isinstance(other, ComplexBall):
-            other = ComplexBall(other, 0.0, self.prec)
-        prec = min(self.prec, other.prec)
-        with mpmath.mp.workprec(prec):
-            c = self.center * other.center
-        m1, m2 = float(abs(self.center)), float(abs(other.center))
-        r = (m1 * other.radius + m2 * self.radius + self.radius * other.radius
-             + (float(abs(c)) + 1e-300) * 2.0 ** (4 - prec))
-        return ComplexBall(c, r, prec)
-
-    def __sub__(self, other):
-        if not isinstance(other, ComplexBall):
-            other = ComplexBall(other, 0.0, self.prec)
-        prec = min(self.prec, other.prec)
-        with mpmath.mp.workprec(prec):
-            c = self.center - other.center
-        r = self.radius + other.radius + (float(abs(c)) + 1e-300) * 2.0 ** (4 - prec)
-        return ComplexBall(c, r, prec)
-
-    def abs_min(self) -> float:
-        return max(0.0, float(abs(self.center)) - self.radius)
-
-    def contains_zero(self) -> bool:
-        return float(abs(self.center)) <= self.radius
-
-    def __repr__(self):
-        return f"ComplexBall({complex(self.center)!r}, r={self.radius:.3g})"
+def _power_rows(phi_coeffs, n: int):
+    """u^e for e < n as sparse integer pairs (i, c) over 1, u, u^2, ...,
+    where u is a root of the monic integer polynomial `phi_coeffs`
+    (ascending): each row is the previous one times u, reduced."""
+    vec = [1] + [0] * (len(phi_coeffs) - 2)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple((i, c) for i, c in enumerate(vec) if c))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:
+            vec = [v - top * c for v, c in zip(vec, phi_coeffs)]
+    return rows
 
 
 class TowerField:
@@ -191,35 +158,23 @@ class TowerField:
         self.phi = _euler_phi(2 * d)
         use_half = d % 4 == 0 and not _force_full_modulus
         self.deg_t = d // 2 if use_half else d
-        self._phi_coeffs = [Q(c) for c in cyclotomic_int_coeffs(2 * d)]
 
-        # reduction rows: u^e as a vector over the power basis, e in [0, 2d)
-        self._urows = self._build_urows()
-
-        # t^deg_t equals this value: the rational 2, or sqrt(2) in the
-        # cyclotomic part when 4 | d
-        if use_half:
-            vec = [Q0] * self.phi
-            for e, s in ((d // 4, Q1), (3 * d // 4, -Q1)):
-                row = self._urows[e]
-                for i in range(self.phi):
-                    vec[i] += s * row[i]
-            self._tred_vec = tuple(vec)
-            self._tred_scalar = None
-        else:
-            self._tred_vec = None
-            self._tred_scalar = Q(2)
+        # integer rows, as sparse pairs (i, c): u^e for e < 2d, reduced by
+        # the monic Phi_2d, and u^e * t^deg_t for the products' u-degrees e
+        self._zrows = _power_rows(cyclotomic_int_coeffs(self.n_u), self.n_u)
+        # t^deg_t is 2, or sqrt(2) = u^(d/4) - u^(3d/4) when 4 | d
+        tval = ((d // 4, 1), (3 * d // 4, -1)) if use_half else ((0, 2),)
+        self._zrows_t = []
+        for e in range(2 * self.phi - 1):
+            acc = {}
+            for k, s in tval:
+                for i, c in self._zrows[(e + k) % self.n_u]:
+                    acc[i] = acc.get(i, 0) + s * c
+            self._zrows_t.append(tuple(sorted((i, c) for i, c in acc.items()
+                                              if c)))
 
         # the automorphisms u -> u^m of Q(u) other than the identity
         self._units = [m for m in range(2, self.n_u) if gcd(m, self.n_u) == 1]
-
-        # reduction rows for the integer kernel, as sparse pairs (i, c); the
-        # cyclotomic polynomial is monic, so they are integral: u^e, and
-        # u^e * t^deg_t for the products' u-degrees e
-        self._zrows = [_int_pairs(r) for r in self._urows]
-        tred = self._tred_vec or tuple(self._ureduce([self._tred_scalar]))
-        self._zrows_t = [_int_pairs(self._cvec_mul(self._urows[e], tred))
-                         for e in range(2 * self.phi - 1)]
         self.certificate = self._certify() if guard else None
 
         self.zero = FieldElement(self, (), 1)
@@ -231,25 +186,6 @@ class TowerField:
         self._emb_cache = {}
 
     # -- construction -----------------------------------------------------
-
-    def _build_urows(self):
-        rows = []
-        for e in range(self.n_u):
-            vec = [Q0] * (e + 1)
-            vec[e] = Q1
-            rows.append(tuple(self._ureduce(vec)))
-        return rows
-
-    def _ureduce(self, vec):
-        """Reduce a u-polynomial (ascending list) modulo the cyclotomic."""
-        vec = list(vec) + [Q0] * max(0, self.phi - len(vec))
-        for k in range(len(vec) - 1, self.phi - 1, -1):
-            c = vec[k]
-            if c:
-                vec[k] = Q0
-                for i in range(self.phi):
-                    vec[k - self.phi + i] -= c * self._phi_coeffs[i]
-        return vec[: self.phi]
 
     def split_primes(self, start: int = 1):
         """The primes p > start with p = 1 (mod 2d), ascending, each with w,
@@ -325,12 +261,6 @@ class TowerField:
         terms.sort()
         return FieldElement(self, tuple(terms), den)
 
-    def _from_coeffs(self, coeffs) -> "FieldElement":
-        """The element with the dense table coeffs[i][j] of rationals."""
-        return self._make(*_int_terms([(i, j, c)
-                                       for i, row in enumerate(coeffs)
-                                       for j, c in enumerate(row) if c]))
-
     def from_rational(self, q) -> "FieldElement":
         q = Q(q)
         return self._make([(0, 0, int(q.numerator))], int(q.denominator))
@@ -395,28 +325,7 @@ class TowerField:
                     acc[k] = get(k, 0) + c * v
         return [(*divmod(k, deg_t), v) for k, v in acc.items() if v]
 
-    # -- cyclotomic (level-1) field helpers ---------------------------------
-
-    def _cvec_mul(self, a, b):
-        """Product of two cyclotomic vectors, reduced."""
-        conv = [Q0] * (2 * self.phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for k, bk in enumerate(b):
-                    if bk:
-                        conv[i + k] += ai * bk
-        return tuple(self._ureduce(conv))
-
-    def _cvec_inv(self, a):
-        """Inverse of a rational vector of Q(u), by `_unorm`."""
-        A, den = _int_terms([(i, 0, c) for i, c in enumerate(a) if c])
-        if not A:
-            raise ZeroInput("zero cyclotomic coefficient")
-        P, norm = self._unorm(A)
-        out = [Q0] * self.phi
-        for i, _, n in P:
-            out[i] = Q(n * den, norm)
-        return tuple(out)
+    # -- inversion ----------------------------------------------------------
 
     def _unorm(self, A):
         """(P, N) with A^-1 = P / N, for nonzero integer terms A of Q(u).
@@ -438,20 +347,6 @@ class TowerField:
         if len(N) != 1 or N[0][0]:
             raise CertificationFailure("norm to Q has a u-part")
         return P, N[0][2]
-
-    # -- inversion (level 2) --------------------------------------------------
-
-    def _as_tpoly(self, coeffs):
-        """View normal-form coeffs as a t-polynomial with cyclotomic vectors."""
-        return [tuple(coeffs[i][j] for i in range(self.phi))
-                for j in range(self.deg_t)]
-
-    def _from_tpoly(self, tpoly):
-        rows = [[Q0] * self.deg_t for _ in range(self.phi)]
-        for j, vec in enumerate(tpoly):
-            for i, c in enumerate(vec):
-                rows[i][j] = c
-        return tuple(tuple(r) for r in rows)
 
     def invert(self, a: "FieldElement") -> "FieldElement":
         """The inverse of a nonzero element, exact.
@@ -512,28 +407,27 @@ class TowerField:
         return [(r, j, v) for (r, j), v in acc.items() if v]
 
     def _invert_general(self, a: "FieldElement") -> "FieldElement":
-        """Extended Euclid in Q(u)[t] against the t-modulus: the zero-divisor
-        path of `invert`, which reports a factor of a reducible modulus."""
-        zero_vec = tuple([Q0] * self.phi)
-        one_vec = tuple(self._ureduce([Q1]))
+        """Extended Euclid in Q(u)[t] against the t-modulus t^deg_t - c: the
+        reference for `invert`, and its zero-divisor path, which reports a
+        factor of a reducible modulus.  The t-polynomials are lists of
+        t-free elements, inverted through `_unorm`."""
+        zero, one = self.zero, self.one
 
-        m = [zero_vec] * (self.deg_t + 1)
-        m = list(m)
-        if self._tred_scalar is not None:
-            m[0] = tuple(self._ureduce([-self._tred_scalar]))
-        else:
-            m[0] = tuple(-c for c in self._tred_vec)
-        m[self.deg_t] = one_vec
-
-        r0, r1 = m, self._as_tpoly(a.coeffs)
-        s0, s1 = [zero_vec], [one_vec]
+        def t_poly(p):
+            """sum p[j] t^j, for t-free elements p[j]."""
+            out = zero
+            for j, c in enumerate(p):
+                out = out + FieldElement(
+                    self, tuple((i, j, n) for i, _, n in c.terms), c.den)
+            return out
 
         def deg(p):
-            for k in range(len(p) - 1, -1, -1):
-                if any(p[k]):
-                    return k
-            return -1
+            return max((k for k, c in enumerate(p) if c), default=-1)
 
+        r0 = [-self.monomial(0, self.deg_t)] + [zero] * (self.deg_t - 1) + [one]
+        r1 = [self._make([(i, 0, n) for i, jj, n in a.terms if jj == j], a.den)
+              for j in range(self.deg_t)]
+        s0, s1 = [zero], [one]
         while True:
             d1 = deg(r1)
             if d1 <= 0:
@@ -542,34 +436,25 @@ class TowerField:
             if d0 < d1:
                 r0, r1, s0, s1 = r1, r0, s1, s0
                 continue
-            lead_inv = self._cvec_inv(r1[d1])
+            lead_inv = self.invert(r1[d1])
+            r0, s0 = list(r0), list(s0)
             while d0 >= d1:
-                c = self._cvec_mul(r0[d0], lead_inv)
+                c = r0[d0] * lead_inv
                 sh = d0 - d1
-                r0 = list(r0)
                 for i in range(d1 + 1):
-                    prod = self._cvec_mul(c, r1[i])
-                    r0[sh + i] = tuple(x - y for x, y in zip(r0[sh + i], prod))
-                if len(s0) < sh + len(s1):
-                    s0 = list(s0) + [zero_vec] * (sh + len(s1) - len(s0))
-                else:
-                    s0 = list(s0)
-                for i in range(len(s1)):
-                    prod = self._cvec_mul(c, s1[i])
-                    s0[sh + i] = tuple(x - y for x, y in zip(s0[sh + i], prod))
+                    r0[sh + i] = r0[sh + i] - c * r1[i]
+                s0 += [zero] * (sh + len(s1) - len(s0))
+                for i, b in enumerate(s1):
+                    s0[sh + i] = s0[sh + i] - c * b
                 d0 = deg(r0)
             r0, r1, s0, s1 = r1, r0, s1, s0
 
-        d1 = deg(r1)
-        if d1 < 0:
+        if deg(r1) < 0:
             # gcd is r0, a nonconstant common factor: the modulus is reducible
             raise ZeroDivisor("t-modulus has a nontrivial factor",
-                              factor=self._from_coeffs(self._from_tpoly(r0)))
-        lead_inv = self._cvec_inv(r1[0])
-        inv_tpoly = [self._cvec_mul(vec, lead_inv) for vec in s1]
-        inv_tpoly = inv_tpoly[: self.deg_t] + [zero_vec] * max(
-            0, self.deg_t - len(inv_tpoly))
-        return self._from_coeffs(self._from_tpoly(inv_tpoly))
+                              factor=t_poly(r0))
+        lead_inv = self.invert(r1[0])
+        return t_poly([c * lead_inv for c in s1[: self.deg_t]])
 
     # -- embedding -------------------------------------------------------------
 
@@ -577,31 +462,28 @@ class TowerField:
         tables = self._emb_cache.get(prec)
         if tables is None:
             with mpmath.mp.workprec(prec):
-                ub = ComplexBall(mpmath.exp(1j * mpmath.pi / self.d),
-                                 float(2.0 ** (4 - prec)), prec)
-                tb = ComplexBall(mpmath.mpf(2) ** (mpmath.mpf(1) / self.d),
-                                 float(2.0 ** (4 - prec)), prec)
-                upows = [ComplexBall(mpmath.mpc(1), 0.0, prec)]
+                ub = mpmath.exp(1j * mpmath.pi / self.d)
+                tb = mpmath.mpf(2) ** (mpmath.mpf(1) / self.d)
+                upows = [mpmath.mpc(1)]
                 for _ in range(self.phi - 1):
                     upows.append(upows[-1] * ub)
-                tpows = [ComplexBall(mpmath.mpc(1), 0.0, prec)]
+                tpows = [mpmath.mpc(1)]
                 for _ in range(self.deg_t - 1):
                     tpows.append(tpows[-1] * tb)
             tables = (upows, tpows)
             self._emb_cache[prec] = tables
         return tables
 
-    def embed(self, a: "FieldElement", precision_bits: int = 64) -> ComplexBall:
+    def embed(self, a: "FieldElement", precision_bits: int = 64) -> mpmath.mpc:
+        """eps(a) at max(53, precision_bits) bits, for display only: the
+        rounding is not bounded, and no certificate reads the value."""
         prec = max(53, precision_bits)
         upows, tpows = self._embed_tables(prec)
         with mpmath.mp.workprec(prec):
-            acc = ComplexBall(mpmath.mpc(0), 0.0, prec)
+            acc = mpmath.mpc(0)
             for (i, j, c) in a.nonzero_terms():
-                center = mpmath.mpf(int(c.numerator)) / int(c.denominator)
-                cball = ComplexBall(center,
-                                    abs(float(center)) * 2.0 ** (4 - prec),
-                                    prec)
-                acc = acc + upows[i] * tpows[j] * cball
+                acc += upows[i] * tpows[j] * (mpmath.mpf(int(c.numerator))
+                                              / int(c.denominator))
         return acc
 
     def __repr__(self):
@@ -639,11 +521,6 @@ def _reduce_element_mod(a: "FieldElement", p: int, w: int, r: int) -> int:
         raise ZeroDivisionError("prime divides a denominator")
     acc = sum(n * pow(w, i, p) * pow(r, j, p) for i, j, n in a.terms)
     return acc * pow(den, p - 2, p) % p
-
-
-def _int_pairs(row):
-    """The nonzero entries (i, c) of an integral rational vector, as ints."""
-    return tuple((i, int(c)) for i, c in enumerate(row) if c)
 
 
 def _int_terms(nz):
@@ -702,10 +579,6 @@ class FieldElement:
             return NotImplemented
         return (self.field is other.field and self.den == other.den
                 and self.terms == other.terms)
-
-    def __ne__(self, other):
-        out = self.__eq__(other)
-        return out if out is NotImplemented else not out
 
     def __bool__(self):
         return not self.is_zero()
@@ -839,6 +712,9 @@ def field_element_from_json(obj: dict) -> FieldElement:
     acc = {}
     for i, j, s in obj["terms"]:
         key = (int(i), int(j))
+        if not (0 <= key[0] < fld.phi and 0 <= key[1] < fld.deg_t):
+            raise ValueError(f"term exponents {key} outside the normal form "
+                             f"of K_{fld.d}")
         acc[key] = acc.get(key, Q0) + Q(s)
     return fld._make(*_int_terms([(*k, c) for k, c in acc.items()]))
 
@@ -853,8 +729,6 @@ def constants(d: int):
 
 
 def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    if a.field is not b.field:
-        raise DegreeMismatch("operands from different fields")
     if op == "add":
         return a + b
     if op == "sub":
@@ -872,5 +746,5 @@ def is_zero(a: FieldElement) -> bool:
     return a.is_zero()
 
 
-def embed(a: FieldElement, precision_bits: int = 64) -> ComplexBall:
+def embed(a: FieldElement, precision_bits: int = 64) -> mpmath.mpc:
     return a.field.embed(a, precision_bits)
