@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CertificationFailure, NonOrdinary
-from .fermat import FermatCurve, sextactic_points
+from .fermat import FermatCurve, rotate, sextactic_points
 from .hompoly import (HomPoly, ProjPoint, cross, det3, line_parametrization,
                       parameter_of_point, pullback_to_line)
 from .tower import (TowerField, _find_modular_hom, _reduce_element_mod,
@@ -88,37 +88,30 @@ class FreenessVerdict:
 
 
 def _grid_lines(token: str, field: TowerField, d: int):
-    """Linear factors of one binary-form grid component."""
-    zero, one = field.zero, field.one
+    """Linear factors of one binary-form grid component.
+
+    Each group has one representative line family, written for its first
+    token in `GROUP_TOKENS`; the next two tokens are its rotations by
+    (a, b, c) -> (c, a, b) of the coefficient triple:
+
+        B_z: x - zeta^j y       A_z: x - u^k y  (k odd)
+        M_x: z - u^(-k) t y     N_x: y - u^(-k) t z
+    """
+    group = token[0]
+    if group == "B":
+        params = [field.zeta_pow(j) for j in range(d)]
+    elif group == "A":
+        params = [field.u_pow(k) for k in range(1, 2 * d, 2)]
+    else:
+        params = [field.monomial(-k, 1) for k in range(1, 2 * d, 2)]
+    n = GROUP_TOKENS[group].index(token)
+    # positions of the coefficients 1 and -c in the representative
+    one_at, c_at = {"M": (2, 1), "N": (1, 2)}.get(group, (0, 1))
     out = []
-    if token[0] == "B":
-        # B_z: x - zeta^j y, B_x: y - zeta^j z, B_y: z - zeta^j x
-        order = {"z": (0, 1), "x": (1, 2), "y": (2, 0)}[token[1]]
-        for j in range(d):
-            coefs = [zero, zero, zero]
-            coefs[order[0]] = one
-            coefs[order[1]] = -field.zeta_pow(j)
-            out.append(HomPoly.line(field, *coefs))
-        return out
-    if token[0] == "A":
-        # A_z: x - u^k y (k odd), etc.
-        order = {"z": (0, 1), "x": (1, 2), "y": (2, 0)}[token[1]]
-        for k in range(1, 2 * d, 2):
-            coefs = [zero, zero, zero]
-            coefs[order[0]] = one
-            coefs[order[1]] = -field.u_pow(k)
-            out.append(HomPoly.line(field, *coefs))
-        return out
-    # M_x: z - u^(-k) t y, M_y: x - u^(-k) t z, M_z: y - u^(-k) t x
-    # N_x: y - u^(-k) t z, N_y: z - u^(-k) t x, N_z: x - u^(-k) t y
-    order = {("M", "x"): (2, 1), ("M", "y"): (0, 2), ("M", "z"): (1, 0),
-             ("N", "x"): (1, 2), ("N", "y"): (2, 0), ("N", "z"): (0, 1)}[
-                 (token[0], token[1])]
-    for k in range(1, 2 * d, 2):
-        coefs = [zero, zero, zero]
-        coefs[order[0]] = one
-        coefs[order[1]] = -field.monomial(-k, 1)
-        out.append(HomPoly.line(field, *coefs))
+    for c in params:
+        coefs = [field.zero] * 3
+        coefs[one_at], coefs[c_at] = field.one, -c
+        out.append(HomPoly.line(field, *rotate(coefs, -n)))
     return out
 
 

@@ -31,7 +31,7 @@ from .fermat import (FermatCurve, hyperosculating_conic, inflection_points,
                      osculating_conic_cayley, osculating_conic_closed,
                      sextactic_count_formula, sextactic_points, tangent_line,
                      two_hessian, two_hessian_factored)
-from .hompoly import HomPoly, hessian, int_mult, osculating_conic_series
+from .hompoly import HomPoly, int_mult, osculating_conic_series
 from .symmetry import (conic_common_points, curve_orbit, fixed_line,
                        generator_panel, tangent_concurrency,
                        verify_invariant_intersection)
@@ -249,7 +249,7 @@ def cmd_hessian2(args):
 
 def _hessian2(curve):
     d = curve.d
-    H = hessian(curve.poly)
+    H = curve.hessian
     expected = HomPoly.monomial(curve.field, (d - 2, d - 2, d - 2),
                                 d**3 * (d - 1)**3)
     H2 = two_hessian(curve)

@@ -8,19 +8,23 @@ organized in three clusters of d^2 points:
     cluster y: (1 : u^(-k) t : zeta^j)
     cluster x: (u^(-k) t : zeta^j : 1)
 
-for j mod d and k odd in (0, 2d), with zeta = u^2 and t = 2^(1/d).
+for j mod d and k odd in (0, 2d), with zeta = u^2 and t = 2^(1/d).  Each
+cluster is the cluster-z family rotated once more by (a, b, c) -> (b, c, a);
+the inflection points (0 : 1 : u^k) and their two rotations by
+(a, b, c) -> (c, a, b) are written down the same way.
 
 Osculating conics come from two independent pipelines: the evaluated
 covariant combination 9H^3(p) D2F_p - (6H^2(p) DH_p + W(p) DF_p) DF_p with
 W = -3*Omega*H + 4*Psi, and a six-term closed form in the coordinates of p.
 At a sextactic point the conic specializes to the hyperosculating conic
-O_{j,k} whose coefficients are explicit monomials.
+O_{j,k} whose coefficients are explicit monomials; the conics of clusters y
+and x are the cluster-z conic with its variables permuted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import CertificationFailure, HessianVanishes, NotOnCurve
 from .hompoly import HomPoly, ProjPoint, det3, hessian
@@ -30,6 +34,13 @@ CLUSTERS = ("z", "y", "x")
 
 # coordinate pairs (a, b) of the ratio tables, a < b
 COORD_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def rotate(v, n: int) -> tuple:
+    """The triple v rotated n times by (a, b, c) -> (b, c, a); a negative n
+    rotates by (a, b, c) -> (c, a, b)."""
+    n %= 3
+    return tuple(v[n:]) + tuple(v[:n])
 
 
 class FermatCurve:
@@ -79,6 +90,10 @@ class FermatCurve:
             out = self._hyperosculating[key] = hyperosculating_conic(self, s)
         return out
 
+    @cached_property
+    def hessian(self) -> HomPoly:
+        return hessian(self.poly)
+
     @property
     def genus(self) -> int:
         return (self.d - 1) * (self.d - 2) // 2
@@ -125,17 +140,9 @@ def inflection_points(curve: FermatCurve):
 
 
 def _inflection_points(field: TowerField):
-    out = []
-    for k in range(1, 2 * field.d, 2):
-        uk = field.u_pow(k)
-        out.append(ProjPoint(field, [field.zero, field.one, uk]))
-    for k in range(1, 2 * field.d, 2):
-        uk = field.u_pow(k)
-        out.append(ProjPoint(field, [uk, field.zero, field.one]))
-    for k in range(1, 2 * field.d, 2):
-        uk = field.u_pow(k)
-        out.append(ProjPoint(field, [field.one, uk, field.zero]))
-    return out
+    return [ProjPoint(field, rotate((field.zero, field.one, field.u_pow(k)),
+                                    -n))
+            for n in range(3) for k in range(1, 2 * field.d, 2)]
 
 
 def two_hessian(curve: FermatCurve) -> HomPoly:
@@ -175,16 +182,11 @@ def _build_sextactic_points(curve: FermatCurve):
     field = curve.field
     ws = {k: field.monomial(-k, 1) for k in range(1, 2 * curve.d, 2)}
     out = []
-    for cluster in CLUSTERS:
+    for n, cluster in enumerate(CLUSTERS):
         for j in range(curve.d):
             zj = field.zeta_pow(j)
             for k, w in ws.items():                # w = u^(-k) t
-                if cluster == "z":
-                    raw = (zj, field.one, w)
-                elif cluster == "y":
-                    raw = (field.one, w, zj)
-                else:
-                    raw = (w, zj, field.one)
+                raw = rotate((zj, field.one, w), n)
                 out.append(SextacticPoint(cluster, j, k,
                                           ProjPoint(field, raw), raw))
     return out
@@ -318,17 +320,11 @@ def _omega_psi_at(curve: FermatCurve, p: ProjPoint):
     return omega, psi
 
 
-@lru_cache(maxsize=None)
-def _hessian_poly(d: int) -> HomPoly:
-    curve = FermatCurve(d)
-    return hessian(curve.poly)
-
-
 def _cayley_conic_raw(curve: FermatCurve, p: ProjPoint) -> HomPoly:
     """Covariant-combination conic; valid wherever the Hessian is nonzero."""
     field = curve.field
     F = curve.poly
-    H = _hessian_poly(curve.d)
+    H = curve.hessian
     hp = H.evaluate(p)
     if hp.is_zero():
         raise HessianVanishes("Hessian vanishes at p")
@@ -342,29 +338,22 @@ def _cayley_conic_raw(curve: FermatCurve, p: ProjPoint) -> HomPoly:
 
 
 def _closed_conic_raw(curve: FermatCurve, p: ProjPoint) -> HomPoly:
-    """Six-term closed form of the osculating conic in the coordinates of p."""
+    """Six-term closed form of the osculating conic in the coordinates of p:
+    one square and one cross term, under the three rotations of the
+    coordinates."""
     field = curve.field
     d = curve.d
-    px, py, pz = p.coords
-    pxd, pyd, pzd = px**d, py**d, pz**d
     c2 = field.from_rational(2 - d)
-    terms = {}
-    terms[(2, 0, 0)] = px**(2 * d - 2) * (
-        (2 * d - 1) * pyd * pzd + c2 * (pyd + pzd) * pxd) * (d + 1)
-    terms[(0, 2, 0)] = py**(2 * d - 2) * (
-        (2 * d - 1) * pxd * pzd + c2 * (pxd + pzd) * pyd) * (d + 1)
-    terms[(0, 0, 2)] = pz**(2 * d - 2) * (
-        (2 * d - 1) * pxd * pyd + c2 * (pxd + pyd) * pzd) * (d + 1)
     a, b = 2 * (d + 1) * (d - 2), 4 * (2 * d - 1) * (d - 2)
-    terms[(1, 1, 0)] = -(a * px**(2 * d - 1) * py**(2 * d - 1)
-                         + b * (px**(d - 1) * py**(2 * d - 1)
-                                + px**(2 * d - 1) * py**(d - 1)) * pzd)
-    terms[(1, 0, 1)] = -(a * px**(2 * d - 1) * pz**(2 * d - 1)
-                         + b * (px**(d - 1) * pz**(2 * d - 1)
-                                + px**(2 * d - 1) * pz**(d - 1)) * pyd)
-    terms[(0, 1, 1)] = -(a * py**(2 * d - 1) * pz**(2 * d - 1)
-                         + b * (py**(d - 1) * pz**(2 * d - 1)
-                                + py**(2 * d - 1) * pz**(d - 1)) * pxd)
+    # (c^(d-1), c^d) for each coordinate c of p
+    pows = [(c ** (d - 1), c ** d) for c in p.coords]
+    terms = {}
+    for n in range(3):
+        (l0, h0), (l1, h1), (_, h2) = rotate(pows, n)
+        terms[rotate((2, 0, 0), -n)] = l0 * l0 * (
+            (2 * d - 1) * h1 * h2 + c2 * (h1 + h2) * h0) * (d + 1)
+        terms[rotate((1, 1, 0), -n)] = -(l0 * l1 * (
+            a * h0 * h1 + b * (h0 + h1) * h2))
     return HomPoly(field, 2, terms)
 
 
@@ -402,22 +391,12 @@ def _hyperosc_conic_cluster_z(field: TowerField, d: int, j: int, k: int) -> HomP
     return HomPoly(field, 2, terms)
 
 
-_CLUSTER_MATRICES = {
-    # substitution matrices carrying the cluster-z conic to the other clusters:
-    # the conic at g(p) is O_p composed with g^(-1)
-    "z": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    # cluster y point (1 : u^-k t : zeta^j) = g(cluster-z point) with
-    # g(x:y:z) = (y:z:x); g^(-1)(x:y:z) = (z:x:y)
-    "y": ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
-    # cluster x point (u^-k t : zeta^j : 1) with g(x:y:z) = (z:x:y)
-    "x": ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
-}
-
-
 def hyperosculating_conic(curve: FermatCurve, s: SextacticPoint) -> HomPoly:
-    """The explicit hyperosculating conic at a sextactic point."""
+    """The explicit hyperosculating conic at a sextactic point.
+
+    A point of cluster n (z, y, x = 0, 1, 2) is g^n(p) for the cluster-z
+    point p and g(a, b, c) = (b, c, a); its conic is O_p composed with g^-n,
+    x_i -> x_(i - n mod 3).
+    """
     base = _hyperosc_conic_cluster_z(curve.field, curve.d, s.j, s.k)
-    if s.cluster == "z":
-        return base
-    mat = _CLUSTER_MATRICES[s.cluster]
-    return base.compose_matrix(mat)
+    return base.permuted(rotate((0, 1, 2), -CLUSTERS.index(s.cluster)))

@@ -171,6 +171,22 @@ class HomPoly:
         return _substitute(self, forms, HomPoly.monomial(field, (0, 0, 0), 1),
                            HomPoly.zero(field, self.deg), operator.mul)
 
+    def permuted(self, perm, scale=None) -> "HomPoly":
+        """f(s0 x_perm[0], s1 x_perm[1], s2 x_perm[2]) with s = scale (all
+        one when omitted): each exponent triple is permuted and each
+        coefficient scaled, with no substitution."""
+        if scale is not None:
+            pows = [[s ** n for n in range(self.deg + 1)] for s in scale]
+        out = {}
+        for e, c in self.terms.items():
+            ne = [0, 0, 0]
+            for i in range(3):
+                ne[perm[i]] = e[i]
+            if scale is not None:
+                c = c * pows[0][e[0]] * pows[1][e[1]] * pows[2][e[2]]
+            out[tuple(ne)] = c
+        return HomPoly(self.field, self.deg, out)
+
     def proportional(self, other) -> bool:
         """Projective equality: coefficient vectors have rank <= 1."""
         if self.is_zero() or other.is_zero():

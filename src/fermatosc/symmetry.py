@@ -1,8 +1,10 @@
 """Automorphisms of the Fermat curve and exact concurrency certificates.
 
 The monomial automorphism group of order 6d^2 is generated by coordinate
-permutations and the scalings rho(x:y:z) = (zeta x : y : z).  Some elements
-fix a line pointwise (a two-dimensional eigenspace); osculating curves at
+permutations and the scalings rho(x:y:z) = (zeta x : y : z).  An element
+is a permutation with three scalars, (g.p)_i = scale[i] * p[perm[i]], and
+acts on points and polynomials by permuting indices.  Some elements fix a
+line pointwise (a two-dimensional eigenspace); osculating curves at
 points of one orbit then meet that line in the same points, which pins the
 common intersections of tangent lines and hyperosculating conics along the
 grid lines.
@@ -24,7 +26,7 @@ built once per curve and kept on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional
 
 from .errors import (CertificationFailure, FewerPoints, NoFixedLine)
@@ -34,118 +36,109 @@ from .hompoly import (HomPoly, ProjPoint, cross, det3, disc2,
 from .tower import FieldElement, TowerField, tower_field
 
 
-def _entry_nonzero(v) -> bool:
-    if isinstance(v, FieldElement):
-        return not v.is_zero()
-    return bool(v)
-
-
 class Automorphism:
-    """A monomial projective transformation, normalized so the nonzero
-    entry of the last row is one."""
+    """A monomial map (g.p)_i = scale[i] * p[perm[i]], normalized so that
+    scale[2] = 1.
 
-    __slots__ = ("field", "mat", "perm", "_hash")
+    Built from a monomial matrix, row i holding scale[i] in column perm[i];
+    a matrix of another shape raises ValueError.
+    """
+
+    __slots__ = ("field", "perm", "scale", "_hash")
 
     def __init__(self, field: TowerField, mat):
-        rows = []
         perm = []
-        for i in range(3):
-            nz = [j for j in range(3) if _entry_nonzero(mat[i][j])]
+        for row in mat:
+            nz = [j for j in range(3) if row[j]]
             if len(nz) != 1:
                 raise ValueError("matrix is not monomial")
             perm.append(nz[0])
         if sorted(perm) != [0, 1, 2]:
             raise ValueError("matrix is not monomial")
-        unit = mat[2][perm[2]]
-        if not isinstance(unit, FieldElement):
-            unit = field.from_rational(unit)
-        scale = field.invert(unit)
-        for i in range(3):
-            row = []
-            for j in range(3):
-                v = mat[i][j]
-                if not isinstance(v, FieldElement):
-                    v = field.from_rational(v)
-                row.append(v * scale)
-            rows.append(tuple(row))
+        self._set(field, perm, [mat[i][perm[i]] for i in range(3)])
+
+    def _set(self, field: TowerField, perm, scale):
+        scale = [v if isinstance(v, FieldElement) else field.from_rational(v)
+                 for v in scale]
+        unit = field.invert(scale[2])
         self.field = field
-        self.mat = tuple(rows)
         self.perm = tuple(perm)
+        self.scale = tuple(v * unit for v in scale)
         self._hash = None
 
     # -- group structure -----------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Automorphism) and self.field is other.field
-                and self.mat == other.mat)
+                and self.perm == other.perm and self.scale == other.scale)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.mat)
+            self._hash = hash((self.perm, self.scale))
         return self._hash
 
     def compose(self, other: "Automorphism") -> "Automorphism":
-        """Matrix product: (self . other)(p) = self(other(p))."""
-        a, b = self.mat, other.mat
-        prod = [[sum((a[i][k] * b[k][j] for k in range(3)), self.field.zero)
-                 for j in range(3)] for i in range(3)]
-        return Automorphism(self.field, prod)
+        """(self . other)(p) = self(other(p))."""
+        return _monomial(self.field, [other.perm[j] for j in self.perm],
+                         [s * other.scale[j]
+                          for s, j in zip(self.scale, self.perm)])
 
     def inverse(self) -> "Automorphism":
-        inv = [[self.field.zero] * 3 for _ in range(3)]
-        for i in range(3):
-            j = self.perm[i]
-            inv[j][i] = self.field.invert(self.mat[i][j])
-        return Automorphism(self.field, inv)
+        perm = [self.perm.index(j) for j in range(3)]
+        return _monomial(self.field, perm,
+                         [self.field.invert(self.scale[i]) for i in perm])
 
     # -- actions ---------------------------------------------------------------
 
     def apply_point(self, p: ProjPoint) -> ProjPoint:
-        coords = [sum((self.mat[i][j] * p.coords[j] for j in range(3)),
-                      self.field.zero) for i in range(3)]
-        return ProjPoint(self.field, coords)
+        return ProjPoint(self.field, [s * p.coords[j]
+                                      for s, j in zip(self.scale, self.perm)])
 
     def pullback(self, f: HomPoly) -> HomPoly:
         """f composed with this map; vanishes on the preimage of V(f)."""
-        return f.compose_matrix(self.mat)
+        return f.permuted(self.perm, self.scale)
 
     def is_identity(self) -> bool:
         return self == identity(self.field)
-
-    def to_json(self):
-        return [[c.to_json_dict() for c in row] for row in self.mat]
 
     def __repr__(self):
         return f"Automorphism(perm={self.perm})"
 
 
+def _monomial(field: TowerField, perm, scale) -> Automorphism:
+    """The automorphism with permutation `perm` and scalars `scale`."""
+    g = Automorphism.__new__(Automorphism)
+    g._set(field, perm, scale)
+    return g
+
+
 def identity(field: TowerField) -> Automorphism:
-    return Automorphism(field, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    return _monomial(field, (0, 1, 2), (1, 1, 1))
 
 
 def rho(field: TowerField) -> Automorphism:
     """(x : y : z) -> (zeta x : y : z); fixes V(x) pointwise."""
-    return Automorphism(field, ((field.zeta, 0, 0), (0, 1, 0), (0, 0, 1)))
+    return _monomial(field, (0, 1, 2), (field.zeta, 1, 1))
 
 
 def phi(field: TowerField) -> Automorphism:
     """Swap x and y; fixes V(x - y) pointwise."""
-    return Automorphism(field, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    return _monomial(field, (1, 0, 2), (1, 1, 1))
 
 
 def psi(field: TowerField) -> Automorphism:
     """Swap x and z; fixes V(x - z) pointwise."""
-    return Automorphism(field, ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+    return _monomial(field, (2, 1, 0), (1, 1, 1))
 
 
 def y_scaling(field: TowerField) -> Automorphism:
     """phi . rho . phi: (x : y : z) -> (x : zeta y : z)."""
-    return Automorphism(field, ((1, 0, 0), (0, field.zeta, 0), (0, 0, 1)))
+    return _monomial(field, (0, 1, 2), (1, field.zeta, 1))
 
 
 def z_scaling(field: TowerField) -> Automorphism:
     """psi . rho . psi: (x : y : z) -> (x : y : zeta z)."""
-    return Automorphism(field, ((1, 0, 0), (0, 1, 0), (0, 0, field.zeta)))
+    return _monomial(field, (0, 1, 2), (1, 1, field.zeta))
 
 
 def generator_panel(field: TowerField):
@@ -164,20 +157,12 @@ def group_elements(d_or_curve) -> list:
     else:
         d = d_or_curve
         field = tower_field(d)
-    perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
     out = []
-    seen = set()
-    for pr in perms:
+    for pr in permutations(range(3)):
         for a in range(d):
             for b in range(d):
                 diag = (field.zeta_pow(a), field.zeta_pow(b), field.one)
-                mat = [[field.zero] * 3 for _ in range(3)]
-                for i in range(3):
-                    mat[i][pr[i]] = diag[pr[i]]
-                g = Automorphism(field, mat)
-                if g not in seen:
-                    seen.add(g)
-                    out.append(g)
+                out.append(_monomial(field, pr, [diag[j] for j in pr]))
     return out
 
 
@@ -187,12 +172,9 @@ def fixed_line(g: Automorphism) -> Optional[HomPoly]:
     The identity fixes every line and returns None, since no single line is
     distinguished.
     """
-    field = g.field
-    perm = g.perm
+    field, perm, a = g.field, g.perm, g.scale
     if perm == (0, 1, 2):
-        a = [g.mat[i][i] for i in range(3)]
-        pairs = [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
-        for i, j, k in pairs:
+        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             if (a[i] - a[j]).is_zero() and not (a[i] - a[k]).is_zero():
                 exps = [0, 0, 0]
                 exps[k] = 1
@@ -202,9 +184,7 @@ def fixed_line(g: Automorphism) -> Optional[HomPoly]:
     if len(fixed) == 1:
         k = fixed[0]
         i, j = [v for v in range(3) if v != k]
-        b = g.mat[i][j]
-        c = g.mat[j][i]
-        e = g.mat[k][k]
+        b, c, e = a[i], a[j], a[k]
         if (e * e - b * c).is_zero():
             # eigenspace span{e_k, v} with v_i = b, v_j = e; its annihilator
             # is the pointwise-fixed line e*x_i - b*x_j

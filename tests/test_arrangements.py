@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 
 from fermatosc import arrangements
-from fermatosc.arrangements import (_find_modular_hom, build, census,
+from fermatosc.arrangements import (GRID_TOKENS, _find_modular_hom, build,
+                                    census,
                                     collinear_sextactic,
                                     fermat_grid_product_poly, freeness_test,
                                     grid_component_poly, grid_product_poly,
@@ -46,6 +47,16 @@ def test_build_products(d):
     F = x**d + y**d + z**d
     assert grid_component_poly("Mx", fld, d) == F - (x**d - y**d)
     assert grid_component_poly("Ny", fld, d) == F + (x**d - y**d)
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_grid_component_products(d):
+    # each component on its own: a swap of two components of one group
+    # (say Mx and My) leaves the group product unchanged
+    fld = tower_field(d)
+    for token in GRID_TOKENS:
+        assert build(token, d).product_poly() == \
+            grid_component_poly(token, fld, d), token
 
 
 def test_build_rejects_bad_labels():

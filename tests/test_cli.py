@@ -246,11 +246,18 @@ def test_failure_exit_code(monkeypatch, capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+    # the subprocess does not see the sys.path entry conftest.py adds
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-m", "fermatosc", "points", "--degree", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert out.returncode == 0
     rep = json.loads(out.stdout)
     assert rep["payload"]["sextactic_count"] == 27

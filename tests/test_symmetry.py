@@ -7,9 +7,11 @@ import weakref
 
 import pytest
 
+from conftest import rand_field_element, rand_nonzero
 from fermatosc.arrangements import build
 from fermatosc.errors import CertificationFailure, FewerPoints, NoFixedLine
-from fermatosc.fermat import (FermatCurve, inflection_points,
+from fermatosc.fermat import (FermatCurve, _hyperosc_conic_cluster_z,
+                              hyperosculating_conic, inflection_points,
                               sextactic_points, tangent_line)
 from fermatosc.hompoly import BinaryForm, HomPoly, ProjPoint, cross, disc2, \
     restrict_to_line
@@ -43,6 +45,46 @@ def test_group_closure_and_inverse():
         assert a.compose(b) in Gset
         assert a.inverse() in Gset
         assert a.compose(a.inverse()).is_identity()
+
+
+def _matrix(g):
+    """The monomial matrix of g: row i holds scale[i] in column perm[i]."""
+    m = [[g.field.zero] * 3 for _ in range(3)]
+    for i in range(3):
+        m[i][g.perm[i]] = g.scale[i]
+    return m
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_monomial_action_matches_matrix(d):
+    # F is symmetric, so its invariance cannot tell perm from perm^-1; a
+    # random cubic and a random point can
+    fld = tower_field(d)
+    rng = random.Random(40 + d)
+    f = HomPoly(fld, 3, {(a, b, 3 - a - b): rand_field_element(fld, rng)
+                         for a in range(4) for b in range(4 - a)})
+    p = ProjPoint(fld, [rand_nonzero(fld, rng) for _ in range(3)])
+    for g in group_elements(d):
+        m = _matrix(g)
+        assert Automorphism(fld, m) == g
+        assert g.pullback(f) == f.compose_matrix(m)
+        mp = [sum((m[i][j] * p.coords[j] for j in range(3)), fld.zero)
+              for i in range(3)]
+        assert g.apply_point(p) == ProjPoint(fld, mp)
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_cluster_conics_match_permutation_matrices(d):
+    # the conic at g(p) is O_p composed with g^-1, for g(x:y:z) = (y:z:x)
+    # (cluster y) and g(x:y:z) = (z:x:y) (cluster x)
+    C = FermatCurve(d)
+    mats = {"y": ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+            "x": ((0, 1, 0), (0, 0, 1), (1, 0, 0))}
+    for s in sextactic_points(C):
+        base = _hyperosc_conic_cluster_z(C.field, d, s.j, s.k)
+        if s.cluster != "z":
+            base = base.compose_matrix(mats[s.cluster])
+        assert hyperosculating_conic(C, s) == base, s.label()
 
 
 def test_fixed_line_examples():
