@@ -6,10 +6,12 @@ linear forms, binary forms, series) runs through `_substitute`.  The one
 dense univariate type is `BinaryForm`.  Intersection multiplicities at a
 smooth point are computed two independent ways:
 
-* `int_mult` lifts a truncated power-series branch of the first curve and
-  reads off the valuation of the second polynomial along it;
+* `int_mult` lifts a truncated power-series branch of the first curve by
+  Newton doubling, extending the same branch until the valuation of the
+  second polynomial along it is final;
 * `resultant_order` eliminates a variable after a recorded random rational
-  change of coordinates and reads off the vanishing order of the resultant.
+  change of coordinates and reads off the vanishing order of the resultant,
+  computed by a pseudo-remainder chain that inverts at most once.
 
 `restrict_to_line` pulls a curve back to a line along a deterministic
 parametrization and returns a binary form; `disc2` is the discriminant of a
@@ -277,16 +279,21 @@ class ProjPoint:
 def _substitute(f: HomPoly, values, one, zero, mul):
     """f(values) in the ring of the three values, with unit `one` and product
     `mul`; the sum starts at `zero` and each term is scaled by its
-    coefficient with `*`.  The power tables are built once."""
+    coefficient with `*`.  The power tables are built once, and a factor
+    x^0 is never multiplied in."""
     pows = []
     for v in values:
-        pv = [one]
-        for _ in range(f.deg):
+        pv = [one, v]
+        for _ in range(f.deg - 1):
             pv.append(mul(pv[-1], v))
         pows.append(pv)
     acc = zero
-    for (a, b, c), coef in f.terms.items():
-        acc = acc + mul(mul(pows[0][a], pows[1][b]), pows[2][c]) * coef
+    for exps, coef in f.terms.items():
+        term = None
+        for pv, e in zip(pows, exps):
+            if e:
+                term = pv[e] if term is None else mul(term, pv[e])
+        acc = acc + (one if term is None else term) * coef
     return acc
 
 
@@ -401,30 +408,49 @@ class BinaryForm:
                     out[i + j] = out[i + j] + a * b
         return BinaryForm(self.field, out)
 
-    def rem(self, other) -> "BinaryForm":
-        """The remainder of division by `other` in w, trimmed to its degree."""
+    def prem(self, other) -> tuple:
+        """The pseudo-remainder (r, e): r = lc^e * (self mod other), trimmed
+        to its degree, where lc is the leading coefficient of `other` and e
+        counts the elimination steps, at most deg self - deg other + 1.
+        No element is inverted."""
         out = list(self.coeffs)
         db = other.degree()
-        binv = self.field.invert(other.coeffs[db])
+        lc = other.coeffs[db]
+        low = [(i, b) for i, b in enumerate(other.coeffs[:db])
+               if not b.is_zero()]
         da = self.degree()
+        e = 0
         while da >= db:
-            c = out[da] * binv
-            for i, b in enumerate(other.coeffs[:db + 1]):
-                if not b.is_zero():
-                    out[da - db + i] = out[da - db + i] - b * c
+            c = out[da]
+            for i in range(da):
+                if not out[i].is_zero():
+                    out[i] = out[i] * lc
+            for i, b in low:
+                out[da - db + i] = out[da - db + i] - b * c
+            out[da] = self.field.zero
+            e += 1
+            da -= 1
             while da >= 0 and out[da].is_zero():
                 da -= 1
-        return BinaryForm(self.field, out[:max(da + 1, 1)])
+        return BinaryForm(self.field, out[:max(da + 1, 1)]), e
+
+    def rem(self, other) -> "BinaryForm":
+        """The remainder of division by `other` in w, trimmed to its degree."""
+        r, e = self.prem(other)
+        if not e:
+            return r
+        return r * self.field.invert(other.coeffs[other.degree()]) ** e
 
     def gcd(self, other) -> "BinaryForm":
-        """A greatest common divisor in w, not normalized (Euclid)."""
+        """A greatest common divisor in w, not normalized (pseudo-remainder
+        Euclid, no inversion)."""
         a, b = self, other
         if a.degree() < 0:
             return b
         if b.degree() < 0:
             return a
         while True:
-            r = a.rem(b)
+            r = a.prem(b)[0]
             if r.degree() < 0:
                 return b
             a, b = b, r
@@ -560,7 +586,7 @@ def parameter_of_point(p: ProjPoint, v1, v2):
 def _ser_eval_poly(f: HomPoly, series, n) -> BinaryForm:
     """Evaluate f on a triple of series forms, mod w^n."""
     field = f.field
-    return _substitute(f, series,
+    return _substitute(f, [BinaryForm(field, s.coeffs[:n]) for s in series],
                        BinaryForm(field, [field.one] + [field.zero] * (n - 1)),
                        BinaryForm(field, [field.zero] * n),
                        lambda a, b: a.mul(b, n))
@@ -571,18 +597,22 @@ class BranchSeries:
 
     `series` is a triple of series forms (one per coordinate) in the local
     parameter w; substituting them into the curve polynomial vanishes modulo
-    w^order.
+    w^order.  `extend` raises the order in place.
     """
 
-    __slots__ = ("point", "chart", "param_var", "solved_var", "order", "series")
+    __slots__ = ("point", "chart", "param_var", "solved_var", "order", "series",
+                 "_newton")
 
-    def __init__(self, point, chart, param_var, solved_var, order, series):
+    def __init__(self, point, chart, param_var, solved_var, order, series,
+                 newton):
         self.point = point
         self.chart = chart
         self.param_var = param_var
         self.solved_var = solved_var
         self.order = order
         self.series = series
+        # f, its partial in the solved coordinate, and 1 / that partial at p
+        self._newton = newton
 
     def residual(self, f: HomPoly):
         return _ser_eval_poly(f, self.series, self.order).coeffs
@@ -594,13 +624,47 @@ class BranchSeries:
     def tangent_direction(self):
         return tuple(s.coeffs[1] for s in self.series)
 
+    def extend(self, n: int) -> None:
+        """Raise the order to n in place by Newton steps, each at most
+        doubling it (Brent-Kung), and certify the result by its residual.
+
+        If f(x(w)) = 0 mod w^k, then f = w^k r mod w^2k, and subtracting
+        w^k r / (df/dx_solved) mod w^k from the solved coordinate makes f
+        vanish mod w^2k: one evaluation of f mod w^2k and one of the partial
+        mod w^k per step.
+        """
+        f, df, dinv = self._newton
+        zero = f.field.zero
+        k, sv = self.order, self.solved_var
+        while k < n:
+            m = min(2 * k, n)
+            ser = [BinaryForm(f.field, s.coeffs + (zero,) * (m - k))
+                   for s in self.series]
+            r = _ser_eval_poly(f, ser, m).coeffs[k:]
+            dv = _ser_eval_poly(df, ser, m - k).coeffs
+            # the correction c solves dv * c = -r mod w^(m - k)
+            c = []
+            for j, rj in enumerate(r):
+                acc = rj
+                for i in range(1, j + 1):
+                    if not dv[i].is_zero() and not c[j - i].is_zero():
+                        acc = acc + dv[i] * c[j - i]
+                c.append(zero if acc.is_zero() else -acc * dinv)
+            ser[sv] = BinaryForm(f.field, ser[sv].coeffs[:k] + tuple(c))
+            self.series = tuple(ser)
+            self.order = k = m
+        if not all(v.is_zero() for v in self.residual(f)):
+            raise CertificationFailure("branch lifting failed")
+
 
 def branch_series(f: HomPoly, p: ProjPoint, order: int) -> BranchSeries:
-    """Iteratively lifted power-series branch of f at the smooth point p.
+    """Power-series branch of f at the smooth point p, correct mod w^order
+    (at least w^2), lifted by Newton doubling.
 
     The affine chart is the first nonzero coordinate of p; of the other two,
     the first in x < y < z order whose partial derivative at p is nonzero is
-    solved for.  The rule is exact, and contact orders do not depend on it.
+    solved for, and the remaining one is p's coordinate plus w.  The rule is
+    exact, and contact orders do not depend on it.
     """
     field = f.field
     if not f.evaluate(p).is_zero():
@@ -620,74 +684,75 @@ def branch_series(f: HomPoly, p: ProjPoint, order: int) -> BranchSeries:
     solved = candidates[0]
     param = next(i for i in others if i != solved)
 
-    n = max(order, 2)
-    ser = [None, None, None]
-    ser[chart] = BinaryForm(field, [field.one] + [field.zero] * (n - 1))
-    ser[param] = BinaryForm(field, [p.coords[param], field.one]
-                            + [field.zero] * (n - 2))
-    sol = [p.coords[solved]] + [field.zero] * (n - 1)
-
+    # mod w^2 the branch is p plus w times the tangent direction
     dinv = field.invert(grads[solved])
-    for m in range(1, n):
-        ser[solved] = BinaryForm(field, sol)
-        r = _ser_eval_poly(f, ser, m + 1).coeffs[m]
-        if not r.is_zero():
-            sol[m] = -r * dinv
-    ser[solved] = BinaryForm(field, sol)
-    bs = BranchSeries(p, chart, param, solved, n, tuple(ser))
-    if not all(v.is_zero() for v in bs.residual(f)):
-        raise CertificationFailure("branch lifting failed")
+    ser = [[c, field.zero] for c in p.coords]
+    ser[param][1] = field.one
+    ser[solved][1] = -grads[param] * dinv
+    bs = BranchSeries(p, chart, param, solved, 2,
+                      tuple(BinaryForm(field, s) for s in ser),
+                      (f, f.partial(solved), dinv))
+    bs.extend(order)
     return bs
 
 
 def int_mult(f: HomPoly, g: HomPoly, p: ProjPoint) -> int:
     """Intersection multiplicity (f . g)_p via the branch series of f.
 
-    Returns 0 when g(p) != 0.  Truncation starts slightly above the expected
-    bound and doubles up to a cap derived from the product of the degrees.
+    Returns 0 when g(p) != 0.  The branch starts at order 2 and is extended
+    in place, doubling, until the valuation of g along it falls below the
+    order, which makes it final; at the cap 4 deg f deg g + 8 it raises
+    `TruncationExhausted`.
     """
     if not g.evaluate(p).is_zero():
         return 0
-    if g.deg == 1:
-        bound = f.deg + 1
-    elif g.deg == 2:
-        bound = 7
-    else:
-        bound = f.deg * g.deg
-    n = bound + 2
     cap = 4 * f.deg * g.deg + 8
+    bs = branch_series(f, p, 2)
     while True:
-        bs = branch_series(f, p, n)
         v = bs.valuation_of(g)
         if v is not None:
             return v
-        if n >= cap:
+        if bs.order >= cap:
             raise TruncationExhausted(
                 f"valuation of g exceeds cap {cap} along the branch")
-        n = min(2 * n, cap)
+        bs.extend(min(2 * bs.order, cap))
 
 
 # -- resultants ------------------------------------------------------------------
 
 
 def univariate_resultant(a: BinaryForm, b: BinaryForm) -> FieldElement:
-    """Resultant of two polynomials in w over K_d (Euclid)."""
+    """Resultant of two polynomials in w over K_d (pseudo-remainder chain).
+
+    With r = a mod b, Res(a, b) = (-1)^(da db) lc(b)^(da - dr) Res(b, r).
+    The chain carries the pseudo-remainder lc(b)^e r instead, so the powers
+    of each lc(b) go into a numerator and a denominator, and the
+    denominator is inverted once, at the end: never when b is linear, at
+    most once when it is quadratic.
+    """
     field = a.field
     da, db = a.degree(), b.degree()
     if da < 0 or db < 0:
         return field.zero
-    res = field.one
-    while True:
-        if db == 0:
-            return res * b.coeffs[0] ** da
-        r = a.rem(b)
+    num = den = field.one
+    while db > 0:
+        # when da < db, r = a and e = 0: the step is the swap
+        # Res(a, b) = (-1)^(da db) Res(b, a)
+        r, e = a.prem(b)
         dr = r.degree()
         if dr < 0:
             return field.zero
-        res = res * b.coeffs[db] ** (da - dr)
+        # Res(b, lc^e r) = lc^(e db) Res(b, r)
+        k = da - dr - e * db
+        if k > 0:
+            num = num * b.coeffs[db] ** k
+        elif k < 0:
+            den = den * b.coeffs[db] ** -k
         if da * db % 2:
-            res = -res
+            num = -num
         a, b, da, db = b, r, db, dr
+    num = num * b.coeffs[0] ** da
+    return num if den == field.one else num * field.invert(den)
 
 
 def _fiber_line_generic(f, g, p, center_coords) -> bool:

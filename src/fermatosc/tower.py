@@ -574,9 +574,10 @@ class FieldElement:
         return self._hash
 
     def __eq__(self, other):
-        other = _coerce(self.field, other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not FieldElement:
+            other = _coerce(self.field, other)
+            if other is None:
+                return NotImplemented
         return (self.field is other.field and self.den == other.den
                 and self.terms == other.terms)
 
@@ -591,9 +592,10 @@ class FieldElement:
                 f"mixed fields: d={self.field.d} vs d={other.field.d}")
 
     def __add__(self, other):
-        other = _coerce(self.field, other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not FieldElement:
+            other = _coerce(self.field, other)
+            if other is None:
+                return NotImplemented
         self._check(other)
         if not other.terms:
             return self
@@ -629,9 +631,10 @@ class FieldElement:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(self.field, other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not FieldElement:
+            other = _coerce(self.field, other)
+            if other is None:
+                return NotImplemented
         self._check(other)
         if not self.terms or not other.terms:
             return self.field.zero

@@ -7,14 +7,14 @@ import pytest
 
 from conftest import (rand_curve_through, rand_field_element, rand_homogeneous,
                       rand_line_through, rand_nonzero, rand_point)
-from fermatosc.errors import NotOnCurve, SingularPoint
+from fermatosc.errors import NotOnCurve, SingularPoint, TruncationExhausted
 from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint,
                                _mat3_inverse_rational, branch_series, det3,
                                disc2, evaluate, hessian, int_mult,
                                osculating_conic_series, partial,
                                pullback_to_line, restrict_to_line,
                                resultant_order, univariate_resultant)
-from fermatosc.tower import Q, tower_field
+from fermatosc.tower import Q, TowerField, tower_field
 
 
 def fermat(d):
@@ -109,7 +109,94 @@ def test_branch_series_hyperosculating_valuation():
     assert bs.valuation_of(O) == 6
 
 
-@pytest.mark.parametrize("d", (3, 4, 5))
+def series_eval(f, series, n):
+    """f on a triple of series forms mod w^n, one monomial at a time."""
+    fld = f.field
+    acc = BinaryForm(fld, [fld.zero] * n)
+    for exps, coef in f.terms.items():
+        term = BinaryForm(fld, [fld.one] + [fld.zero] * (n - 1))
+        for ser, e in zip(series, exps):
+            for _ in range(e):
+                term = term.mul(ser, n)
+        acc = acc + term * coef
+    return acc
+
+
+def reference_lift(f, p, order):
+    """The term-by-term lift: coefficient m of the solved coordinate from
+    coefficient m of f along the series mod w^(m+1).  Returns
+    (chart, param, solved, series)."""
+    fld = f.field
+    grads = [f.partial(i).evaluate(p) for i in range(3)]
+    chart = next(i for i, c in enumerate(p.coords) if not c.is_zero())
+    others = [i for i in range(3) if i != chart]
+    solved = next(i for i in others if not grads[i].is_zero())
+    param = next(i for i in others if i != solved)
+    ser = [None, None, None]
+    ser[chart] = BinaryForm(fld, [fld.one] + [fld.zero] * (order - 1))
+    ser[param] = BinaryForm(fld, [p.coords[param], fld.one]
+                            + [fld.zero] * (order - 2))
+    sol = [p.coords[solved]] + [fld.zero] * (order - 1)
+    dinv = fld.invert(grads[solved])
+    for m in range(1, order):
+        ser[solved] = BinaryForm(fld, sol)
+        sol[m] = -series_eval(f, ser, m + 1).coeffs[m] * dinv
+    ser[solved] = BinaryForm(fld, sol)
+    return chart, param, solved, ser
+
+
+def assert_lift_matches_reference(f, p, top=12):
+    chart, param, solved, ref = reference_lift(f, p, top)
+    for n in range(2, top + 1):
+        bs = branch_series(f, p, n)
+        assert (bs.chart, bs.param_var, bs.solved_var, bs.order) == \
+            (chart, param, solved, n)
+        assert [s.coeffs for s in bs.series] == \
+            [s.coeffs[:n] for s in ref], n
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 6))
+def test_branch_series_matches_term_by_term_lift(d):
+    from fermatosc.fermat import (FermatCurve, inflection_points,
+                                  sextactic_points)
+    C = FermatCurve(d)
+    rng = random.Random(900 + d)
+    pts = [s.point for s in sextactic_points(C)]
+    flexes = inflection_points(C)
+    for p in rng.sample(pts, 3) + [flexes[0], flexes[d], flexes[2 * d]]:
+        assert_lift_matches_reference(C.poly, p)
+
+
+def test_branch_series_matches_term_by_term_lift_second_candidate():
+    """A random smooth cubic whose partial in the first non-chart
+    coordinate vanishes at p, so the lift solves for the second one."""
+    rng = random.Random(31)
+    fld = tower_field(3)
+    x, y, z = HomPoly.variables(fld)
+    checked = 0
+    while checked < 3:
+        p = ProjPoint(fld, [fld.one, rand_field_element(fld, rng, 2),
+                            rand_field_element(fld, rng, 2)])
+        f = rand_curve_through(fld, rng, 3, p)
+        # h vanishes at p with dh/dy(p) = 1 and dh/dz(p) = 0
+        h = (y - x.scale(p.coords[1])) * x * x
+        f = f - h.scale(f.partial(1).evaluate(p))
+        if f.partial(2).evaluate(p).is_zero():
+            continue
+        assert f.evaluate(p).is_zero() and f.partial(1).evaluate(p).is_zero()
+        assert branch_series(f, p, 2).solved_var == 2
+        assert_lift_matches_reference(f, p)
+        checked += 1
+
+
+def test_int_mult_of_a_curve_with_itself_is_exhausted():
+    fld, F = fermat(3)
+    p = ProjPoint(fld, [fld.zero, fld.one, fld.u_pow(1)])
+    with pytest.raises(TruncationExhausted):
+        int_mult(F, F, p)
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 8, 9))
 def test_int_mult_inflection_tangent(d):
     fld, F = fermat(d)
     p = ProjPoint(fld, [fld.zero, fld.one, fld.u_pow(1)])
@@ -368,6 +455,73 @@ def test_resultant_is_product_over_roots(d):
         assert univariate_resultant(a, b) == expected
         sign = -1 if da * db % 2 else 1
         assert univariate_resultant(b, a) == expected * sign
+
+
+def sylvester_det(a, b):
+    """Res(a, b) as the determinant of the Sylvester matrix, by Gauss
+    elimination over K_d."""
+    fld = a.field
+    m, n = a.degree(), b.degree()
+    size = m + n
+    rows = []
+    for form, deg, copies in ((a, m, n), (b, n, m)):
+        top_first = list(form.coeffs[:deg + 1])[::-1]
+        for i in range(copies):
+            rows.append([fld.zero] * i + top_first
+                        + [fld.zero] * (size - deg - 1 - i))
+    det = fld.one
+    for c in range(size):
+        piv = next((r for r in range(c, size) if not rows[r][c].is_zero()),
+                   None)
+        if piv is None:
+            return fld.zero
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        inv = fld.invert(rows[c][c])
+        for r in range(c + 1, size):
+            if not rows[r][c].is_zero():
+                f = rows[r][c] * inv
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_resultant_is_sylvester_determinant(d):
+    rng = random.Random(150 + d)
+    fld = tower_field(d)
+    for da, db in ((3, 3), (4, 3), (5, 4), (3, 4), (0, 3), (3, 0)):
+        a, b = rand_form(fld, rng, da), rand_form(fld, rng, db)
+        assert univariate_resultant(a, b) == sylvester_det(a, b), (da, db)
+    # a common root
+    alpha = rand_nonzero(fld, rng, max_terms=2)
+    a = form_from_roots(fld, (alpha, fld.one), rand_nonzero(fld, rng))
+    b = form_from_roots(fld, (alpha, fld.zero, -fld.one), fld.one)
+    assert univariate_resultant(a, b).is_zero()
+    assert sylvester_det(a, b).is_zero()
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_resultant_inverts_at_most_once_against_a_quadratic(d, monkeypatch):
+    rng = random.Random(170 + d)
+    fld = tower_field(d)
+    calls = []
+    invert = TowerField.invert
+
+    def counting(self, a):
+        calls.append(a)
+        return invert(self, a)
+
+    for db, most in ((1, 0), (2, 1)):
+        a, b = rand_form(fld, rng, d), rand_form(fld, rng, db)
+        expected = sylvester_det(a, b)
+        monkeypatch.setattr(TowerField, "invert", counting)
+        calls.clear()
+        got = univariate_resultant(a, b)
+        monkeypatch.setattr(TowerField, "invert", invert)
+        assert len(calls) <= most, (db, len(calls))
+        assert got == expected
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
