@@ -179,16 +179,28 @@ def sextactic_points(curve: FermatCurve):
 
 
 def _build_sextactic_points(curve: FermatCurve):
+    """The points with their coordinates written down already scaled to a
+    first coordinate of one, so that no point costs an inversion."""
     field = curve.field
-    ws = {k: field.monomial(-k, 1) for k in range(1, 2 * curve.d, 2)}
+    one = field.one
+    ks = range(1, 2 * curve.d, 2)
+    ws = {k: field.monomial(-k, 1) for k in ks}                 # u^(-k) t
+    winvs = {k: field.u_pow(k) * field.t_inv for k in ks}
     out = []
     for n, cluster in enumerate(CLUSTERS):
         for j in range(curve.d):
-            zj = field.zeta_pow(j)
-            for k, w in ws.items():                # w = u^(-k) t
-                raw = rotate((zj, field.one, w), n)
+            zj, zinv = field.zeta_pow(j), field.zeta_pow(-j)
+            for k, w in ws.items():
+                raw = rotate((zj, one, w), n)
+                # (zj : 1 : w), (1 : w : zj) and (w : zj : 1), scaled
+                if n == 0:
+                    coords = (one, zinv, zinv * w)
+                elif n == 1:
+                    coords = raw
+                else:
+                    coords = (one, zj * winvs[k], winvs[k])
                 out.append(SextacticPoint(cluster, j, k,
-                                          ProjPoint(field, raw), raw))
+                                          ProjPoint(field, coords), raw))
     return out
 
 

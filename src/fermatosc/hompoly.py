@@ -9,11 +9,13 @@ smooth point are computed two independent ways:
 * `int_mult` lifts a truncated power-series branch of the first curve by
   Newton doubling, extending the same branch until the valuation of the
   second polynomial along it is final;
-* `resultant_order` eliminates a variable after a recorded random rational
-  change of coordinates and reads off the vanishing order of the resultant,
-  computed by a pseudo-remainder chain that inverts at most once.
+* `resultant_order` projects from a recorded random rational center and
+  reads the vanishing order of the resultant from its low-order
+  coefficients alone: a norm over a truncated power-series ring, taken as
+  a determinant that divides by nothing.
 
-`restrict_to_line` pulls a curve back to a line along a deterministic
+`univariate_resultant` is a pseudo-remainder chain that inverts at most
+once.  `restrict_to_line` pulls a curve back to a line along a deterministic
 parametrization and returns a binary form; `disc2` is the discriminant of a
 binary quadratic.
 """
@@ -25,7 +27,7 @@ import random
 
 from .errors import (CertificationFailure, GenericityFailure, NotOnCurve,
                      ResultantZero, SingularPoint, TruncationExhausted)
-from .tower import Q, FieldElement, TowerField
+from .tower import FieldElement, TowerField
 
 VARS = ("x", "y", "z")
 LINEAR_EXPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -250,9 +252,11 @@ class ProjPoint:
                 break
         if pivot is None:
             raise ValueError("all coordinates zero")
-        inv = field.invert(pivot)
+        if pivot != field.one:
+            inv = field.invert(pivot)
+            coords = [c * inv for c in coords]
         self.field = field
-        self.coords = tuple(c * inv for c in coords)
+        self.coords = tuple(coords)
         self._hash = None
 
     def __eq__(self, other):
@@ -391,6 +395,9 @@ class BinaryForm:
                 out[i] = out[i] + c
         return BinaryForm(self.field, out)
 
+    def __neg__(self):
+        return BinaryForm(self.field, [-c for c in self.coeffs])
+
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return BinaryForm(self.field, [c if c.is_zero() else c * other
@@ -454,24 +461,6 @@ class BinaryForm:
             if r.degree() < 0:
                 return b
             a, b = b, r
-
-    @staticmethod
-    def interpolate(field, nodes, values) -> "BinaryForm":
-        """The form of nominal degree len(nodes) - 1 taking values[k] at the
-        rational node w = nodes[k]: Newton divided differences, expanded by
-        Horner."""
-        n = len(nodes)
-        coef = list(values)
-        for j in range(1, n):
-            for i in range(n - 1, j - 1, -1):
-                step = field.from_rational(1 / Q(nodes[i] - nodes[i - j]))
-                coef[i] = (coef[i] - coef[i - 1]) * step
-        out = BinaryForm(field, coef[-1:])
-        for j in range(n - 2, -1, -1):
-            factor = BinaryForm(field, (field.from_rational(-nodes[j]),
-                                        field.one))
-            out = out * factor + BinaryForm(field, (coef[j],))
-        return out
 
     def evaluate(self, s, t):
         acc = self.field.zero
@@ -755,99 +744,110 @@ def univariate_resultant(a: BinaryForm, b: BinaryForm) -> FieldElement:
     return num if den == field.one else num * field.invert(den)
 
 
-def _fiber_line_generic(f, g, p, center_coords) -> bool:
-    """True iff p is the only common zero of f and g on the line through
-    the projection center and p."""
-    rf = pullback_to_line(f, center_coords, p.coords)
-    rg = pullback_to_line(g, center_coords, p.coords)
-    # p sits at parameter (0 : 1); both restrictions vanish there.  A common
-    # root at (1 : 0) (the center direction at infinity) fails too
-    if rf.coeffs[-1].is_zero() and rg.coeffs[-1].is_zero():
-        return False
-    gcd = rf.gcd(rg)
-    # genericity: gcd must be a pure power of s (all lower coeffs zero)
-    return gcd.degree() >= 0 and gcd.valuation() == gcd.degree()
+def _z_slices(h: HomPoly, n: int) -> list:
+    """h(s, 1, z) as a list, over the powers of z, of series in s mod s^n."""
+    field = h.field
+    out = [[field.zero] * n for _ in range(h.deg + 1)]
+    for (a, _, c), coef in h.terms.items():
+        if a < n:
+            out[c][a] = coef
+    return [BinaryForm(field, s) for s in out]
 
 
-def _mat3_inverse_rational(m):
-    """Inverse of a rational 3x3 matrix, None if singular; the columns of
-    the adjugate are the cross products of the rows."""
-    det = det3(m)
-    if det == 0:
-        return None
-    adj = (cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1]))
-    return [[adj[j][i] / det for j in range(3)] for i in range(3)]
+def _local_norm(a: HomPoly, b: HomPoly, n: int) -> BinaryForm:
+    """e Res_z(a, b) mod s^n for a(s, 1, z) and b(s, 1, z) whose z^deg b
+    coefficient beta is a constant, e = (-1)^(deg a deg b)
+    beta^(deg a (deg b - 1) + deg b (deg b - 1) / 2): the norm of a from
+    A[z]/(b) to A = K_d[s]/(s^n), as the cofactor determinant of the columns
+    beta^(deg a + j) (a z^j mod b).  No step divides: an inverse of beta
+    would spread large coefficients into every product.
+    """
+    neg = [-c for c in _z_slices(b, n)]
+    beta = -neg[-1].coeffs[0]
+
+    def times_z(r):                         # beta z r mod b
+        top = r[-1]
+        return [neg[0].mul(top, n)] + [r[i - 1] * beta + neg[i].mul(top, n)
+                                       for i in range(1, len(r))]
+
+    # beta^deg a (a mod b) by Horner: r <- beta z r + beta^k a_(deg a - k)
+    col = [BinaryForm(a.field, ())] * (len(neg) - 1)
+    scale = a.field.one
+    for c in reversed(_z_slices(a, n)):
+        col = times_z(col)
+        col[0] = col[0] + c * scale
+        scale = scale * beta
+    cols = [col]
+    while len(cols) < len(col):
+        cols.append(times_z(cols[-1]))
+    return _cofactor_det(cols, n)
+
+
+def _cofactor_det(cols, n: int) -> BinaryForm:
+    """Determinant mod s^n of a square matrix of series, given by columns,
+    expanded along the first row."""
+    if len(cols) == 1:
+        return cols[0][0]
+    acc = BinaryForm(cols[0][0].field, ())
+    for j, col in enumerate(cols):
+        minor = _cofactor_det([c[1:] for k, c in enumerate(cols) if k != j], n)
+        term = col[0].mul(minor, n)
+        acc = acc + (-term if j % 2 else term)
+    return acc
 
 
 def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint,
                     seed: int = 0, max_attempts: int = 24):
     """Vanishing order at p's image of Res_z(f, g) after a recorded random
-    rational coordinate change; agrees with int_mult when genericity holds.
+    rational projection; agrees with int_mult when genericity holds.
 
-    Returns (order, attempt_record) where the record carries the seed, the
-    accepted matrix and the attempt count.
+    The center c and direction v are columns 2 and 0 of a seeded random
+    integer matrix.  In the coordinates x = s v + y p + z c, p is
+    (0 : 1 : 0) and the fiber line through c and p is s = 0.  With c off
+    both curves and p the only common zero on that line, the order of
+    Res_z(f, g) at s = 0, y = 1 is (f . g)_p (Fulton, Algebraic Curves,
+    3.3).  `_local_norm` reads it modulo s^N, N doubling from 2 to
+    deg f deg g + 1; a resultant zero there is zero (`ResultantZero`).
+
+    Returns (order, record): the seed, the attempt count and the accepted
+    center and direction, as integer triples.
     """
     field = f.field
+    hi, lo = (g, f) if f.deg < g.deg else (f, g)
+    top = f.deg * g.deg + 1
     rng = random.Random(seed)
     last_fail = None
     for attempt in range(max_attempts):
-        m = [[Q(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
-        minv = _mat3_inverse_rational(m)
-        if minv is None:
-            continue
-        center = [field.from_rational(m[i][2]) for i in range(3)]
-        fc = f.evaluate(center)
-        gc = g.evaluate(center)
-        if fc.is_zero() or gc.is_zero():
+        m = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
+        v = [field.from_rational(row[0]) for row in m]
+        c = [field.from_rational(row[2]) for row in m]
+        if lo.evaluate(c).is_zero() or hi.evaluate(c).is_zero():
             last_fail = "center on a curve"
             continue
-        # center must differ from p projectively
-        try:
-            cpt = ProjPoint(field, center)
-        except ValueError:
+        if det3((v, p.coords, c)).is_zero():
+            last_fail = "center at p or direction on the fiber line"
             continue
-        if cpt == p:
-            last_fail = "center equals p"
-            continue
-        if not _fiber_line_generic(f, g, p, center):
+        rows = [(v[i], p.coords[i], c[i]) for i in range(3)]
+        a, b = hi.compose_matrix(rows), lo.compose_matrix(rows)
+        # the s^0 slices restrict the curves to the fiber line, p at z = 0;
+        # the center, at z = oo, is on neither
+        ra, rb = (BinaryForm(field, [s.coeffs[0] for s in _z_slices(h, 1)])
+                  for h in (a, b))
+        gcd = ra.gcd(rb)
+        if gcd.valuation() != gcd.degree():
             last_fail = "extra common zero on the fiber line"
             continue
-
-        fm = f.compose_matrix(m)
-        gm = g.compose_matrix(m)
-        q = [sum((field.from_rational(minv[i][j]) * p.coords[j]
-                  for j in range(3)), field.zero) for i in range(3)]
-
-        deg_r = f.deg * g.deg
-        nodes = [Q(k) for k in range(deg_r + 1)]
-        vals = [univariate_resultant(_z_coefficients(fm, w, field),
-                                     _z_coefficients(gm, w, field))
-                for w in nodes]
-        if all(v.is_zero() for v in vals):
-            raise ResultantZero("resultant vanishes identically")
-        rpoly = BinaryForm.interpolate(field, nodes, vals)
-
-        # rpoly holds Res(x, y) of degree deg_r at y = 1; q[1] = 0 puts the
-        # image of p at the point at infinity (1 : 0)
-        order = rpoly.root_multiplicity(q[0], q[1])
+        n = 2
+        while (order := _local_norm(a, b, n).valuation()) is None:
+            if n == top:
+                raise ResultantZero("resultant vanishes identically")
+            n = min(2 * n, top)
         record = {"seed": seed, "attempts": attempt + 1,
-                  "matrix": [[f"{c.numerator}/{c.denominator}" for c in row]
-                             for row in m]}
+                  "center": [row[2] for row in m],
+                  "direction": [row[0] for row in m]}
         return order, record
     raise GenericityFailure(
         f"no generic coordinate change found ({last_fail})")
-
-
-def _z_coefficients(h: HomPoly, w, field) -> BinaryForm:
-    """h(w, 1, z) as a polynomial in z."""
-    out = [field.zero] * (h.deg + 1)
-    wq = field.from_rational(w)
-    pw = [field.one]
-    for _ in range(h.deg):
-        pw.append(pw[-1] * wq)
-    for (a, b, c), coef in h.terms.items():
-        out[c] = out[c] + coef * pw[a]
-    return BinaryForm(field, out)
 
 
 # -- osculating conic from the branch alone ---------------------------------------

@@ -333,6 +333,32 @@ def test_criterion_12_oracle_equivalence():
             assert cases >= 50
 
 
+def test_oracle_equivalence_d6():
+    with criterion(12, "the two oracles agree at d=6"):
+        C = FermatCurve(6)
+        fld = C.field
+        rng = random.Random(1206)
+        pts = sextactic_points(C)
+        cases = []
+        while len(cases) < 16:
+            s = rng.choice(pts)
+            make = _random_conic_through if len(cases) % 2 else \
+                _random_line_through
+            g = make(fld, rng, s.point)
+            if g is not None:
+                cases.append((s, g, None))
+        cases += [(s, tangent_line(C, s.point), 2) for s in rng.sample(pts, 6)]
+        cases += [(s, hyperosculating_conic(C, s), 6)
+                  for s in rng.sample(pts, 6)]
+        for s, g, contact in cases:
+            m = int_mult(C.poly, g, s.point)
+            o, _ = resultant_order(C.poly, g, s.point,
+                                   seed=rng.randint(0, 10**6))
+            assert m == o, f"d=6 {s.label()}: {m} != {o}"
+            if contact is not None:
+                assert m == contact, f"d=6 {s.label()}: {m}"
+
+
 def _random_line_through(field, rng, p):
     a = field.from_rational(rng.randint(-5, 5))
     b = field.from_rational(rng.randint(-5, 5))

@@ -7,11 +7,11 @@ import pytest
 
 from conftest import (rand_curve_through, rand_field_element, rand_homogeneous,
                       rand_line_through, rand_nonzero, rand_point)
-from fermatosc.errors import NotOnCurve, SingularPoint, TruncationExhausted
-from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint,
-                               _mat3_inverse_rational, branch_series, det3,
-                               disc2, evaluate, hessian, int_mult,
-                               osculating_conic_series, partial,
+from fermatosc.errors import (GenericityFailure, NotOnCurve, ResultantZero,
+                              SingularPoint, TruncationExhausted)
+from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint, _local_norm,
+                               branch_series, disc2, evaluate, hessian,
+                               int_mult, osculating_conic_series, partial,
                                pullback_to_line, restrict_to_line,
                                resultant_order, univariate_resultant)
 from fermatosc.tower import Q, TowerField, tower_field
@@ -267,6 +267,46 @@ def test_oracles_agree_randomized():
         o, _ = resultant_order(f, g, p, seed=rng.randint(0, 10**6))
         assert m == o, (m, o)
         checked += 1
+
+
+def test_resultant_order_cofactor_path_and_swapped_degrees():
+    """Two cubics (a 3 x 3 determinant) and a line given first agree with
+    int_mult, at contacts from 1 to 4."""
+    from fermatosc.fermat import (FermatCurve, inflection_points,
+                                  sextactic_points, tangent_line)
+    C = FermatCurve(3)
+    F, fld = C.poly, C.field
+    rng = random.Random(1100)
+    pts = [s.point for s in rng.sample(sextactic_points(C), 3)]
+    contacts = set()
+    for p in pts + inflection_points(C)[::4]:
+        T = tangent_line(C, p)
+        # F + T Q meets F at p as T Q does: contact 3 or 4
+        for g in (rand_curve_through(fld, rng, 3, p),
+                  F + T * rand_curve_through(fld, rng, 2, p)):
+            m = int_mult(F, g, p)
+            assert resultant_order(F, g, p, seed=rng.randint(0, 10**6))[0] \
+                == m
+            contacts.add(m)
+        for L in (T, rand_line_through(fld, rng, p)):
+            m = int_mult(F, L, p)
+            assert resultant_order(L, F, p, seed=rng.randint(0, 10**6))[0] \
+                == m
+            contacts.add(m)
+    assert contacts == {1, 2, 3, 4}
+
+
+def test_resultant_order_refusals():
+    rng = random.Random(1300)
+    fld = tower_field(3)
+    p = rand_point(fld, rng)
+    L = rand_line_through(fld, rng, p)
+    A, B = rand_homogeneous(fld, rng, 2), rand_homogeneous(fld, rng, 1)
+    with pytest.raises(ResultantZero):
+        resultant_order(L * A, L * B, p)
+    f = rand_curve_through(fld, rng, 3, p)
+    with pytest.raises(GenericityFailure):
+        resultant_order(f, f, p)
 
 
 def test_restrict_to_line_examples():
@@ -554,18 +594,6 @@ def test_gcd_keeps_the_common_root(d):
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
-def test_interpolate_reproduces_values(d):
-    rng = random.Random(400 + d)
-    fld = tower_field(d)
-    nodes = [Q(k, 2) - 1 for k in range(6)]
-    values = [rand_field_element(fld, rng) for _ in nodes]
-    form = BinaryForm.interpolate(fld, nodes, values)
-    assert form.deg == len(nodes) - 1
-    for w, v in zip(nodes, values):
-        assert form.evaluate(fld.from_rational(w), fld.one) == v
-
-
-@pytest.mark.parametrize("d", (3, 4, 5))
 def test_truncated_product_is_a_prefix(d):
     rng = random.Random(500 + d)
     fld = tower_field(d)
@@ -610,18 +638,41 @@ def test_pullback_commutes_with_evaluate(d):
             [s * a + t * b for a, b in zip(v1, v2)])
 
 
-def test_mat3_inverse_rational():
-    rng = random.Random(800)
-    checked = 0
-    while checked < 10:
-        m = [[Q(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
-        inv = _mat3_inverse_rational(m)
-        if inv is None:
-            assert det3(m) == 0
-            continue
-        assert [[sum(inv[i][k] * m[k][j] for k in range(3)) for j in range(3)]
-                for i in range(3)] == [[int(i == j) for j in range(3)]
-                                       for i in range(3)]
-        checked += 1
-    singular = [[Q(1), Q(2), Q(3)], [Q(2), Q(4), Q(6)], [Q(0), Q(1), Q(5)]]
-    assert _mat3_inverse_rational(singular) is None
+# -- the local resultant ---------------------------------------------------------
+
+
+def z_form(h, s0):
+    """h(s0, 1, z) as a form in z, for a rational s0."""
+    fld = h.field
+    out = [fld.zero] * (h.deg + 1)
+    for (a, _, c), coef in h.terms.items():
+        out[c] = out[c] + coef * fld.from_rational(Q(s0) ** a)
+    return BinaryForm(fld, out)
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_local_resultant_matches_sylvester(d):
+    """At the full precision deg f deg g + 1 the local determinant is the
+    whole resultant in s, times the constant _local_norm documents."""
+    rng = random.Random(1000 + d)
+    fld = tower_field(d)
+    for df, dg in ((3, 2), (2, 3), (3, 3), (1, 3), (4, 1), (2, 2)):
+        p = ProjPoint(fld, [rand_nonzero(fld, rng, max_terms=1)
+                            for _ in range(3)])
+        f = rand_curve_through(fld, rng, df, p)
+        g = rand_curve_through(fld, rng, dg, p)
+        while True:
+            v, c = ([fld.from_rational(rng.randint(-5, 5)) for _ in range(3)]
+                    for _ in range(2))
+            if not (f.evaluate(c).is_zero() or g.evaluate(c).is_zero()):
+                break
+        rows = [(v[i], p.coords[i], c[i]) for i in range(3)]
+        a, b = f.compose_matrix(rows), g.compose_matrix(rows)
+        det = _local_norm(a, b, df * dg + 1)
+        scale = g.evaluate(c) ** (df * (dg - 1) + dg * (dg - 1) // 2)
+        if df * dg % 2:
+            scale = -scale
+        for s0 in (0, 1, -2, Q(1, 3)):
+            want = scale * sylvester_det(z_form(a, s0), z_form(b, s0))
+            assert det.evaluate(fld.from_rational(s0), fld.one) == want, \
+                (df, dg, s0)
