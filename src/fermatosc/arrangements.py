@@ -28,8 +28,8 @@ from typing import Optional
 
 from .errors import CertificationFailure, NonOrdinary
 from .fermat import FermatCurve, rotate, sextactic_points
-from .hompoly import (HomPoly, ProjPoint, cross, det3, line_parametrization,
-                      parameter_of_point, pullback_to_line)
+from .hompoly import (HomPoly, ProjPoint, cross, det3, parameter_of_point,
+                      restrict_to_line)
 from .tower import (TowerField, _find_modular_hom, _reduce_element_mod,
                     tower_field)
 
@@ -184,11 +184,10 @@ def _curve_points_on_line(curve: FermatCurve, L: HomPoly):
     was missed.
     """
     pts = curve.incidence.specials_on_line(L)
-    v1, v2 = line_parametrization(L)
-    rest = pullback_to_line(curve.poly, v1, v2)
+    rest = restrict_to_line(curve.poly, L)
     mults = {}
     for p in pts:
-        m = rest.root_multiplicity(*parameter_of_point(p, v1, v2))
+        m = rest.root_multiplicity(*parameter_of_point(p, L))
         if m == 0:
             raise CertificationFailure("special point not on restriction")
         mults[p] = m
@@ -199,7 +198,15 @@ def _curve_points_on_line(curve: FermatCurve, L: HomPoly):
 
 
 def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
-    """All singular points of the union, grouped with exact multiplicities."""
+    """All singular points of the union, grouped with exact multiplicities.
+
+    With a curve, every curve fact comes from the certified contacts of the
+    curve with each line, which hold every point where the curve meets the
+    arrangement: a point is on the curve exactly when it has a contact, and
+    an on-curve point is ordinary exactly when every line through it has
+    contact 1 there (the curve is smooth, so contact 2 or more means the
+    line is the tangent).
+    """
     field = arr.field
     coeffs = [L.line_coeffs() for L in arr.lines]
     through = {}
@@ -222,14 +229,15 @@ def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
         mult = n_lines
         ordinary = True
         if extra_curve is not None:
-            on_curve = extra_curve.poly.evaluate(p).is_zero()
+            on_curve = p in curve_contact
             if on_curve:
                 mult += 1
-                tang = extra_curve.osculating(p, 1)
-                contacts = curve_contact.get(p, {})
-                for i in line_idx:
-                    if arr.lines[i].proportional(tang) or contacts.get(i, 1) > 1:
-                        ordinary = False
+                contacts = curve_contact[p]
+                if not line_idx <= contacts.keys():
+                    raise CertificationFailure(
+                        "on-curve point without a contact on one of its lines",
+                        witness=p.to_json())
+                ordinary = all(contacts[i] == 1 for i in line_idx)
         if mult >= 2:
             entries.append(CensusEntry(p, mult, ordinary, n_lines, on_curve))
     entries.sort(key=lambda e: _point_sort_key(e.point))
@@ -387,8 +395,7 @@ class CollinearLine:
 def _reduced_line(a, b, p: int) -> tuple:
     """The line through two points of P^2(F_p), scaled so that its first
     nonzero entry is 1; points that coincide mod p fail certification."""
-    line = [(a[1] * b[2] - a[2] * b[1]) % p, (a[2] * b[0] - a[0] * b[2]) % p,
-            (a[0] * b[1] - a[1] * b[0]) % p]
+    line = [c % p for c in cross(a, b)]
     pivot = next((c for c in line if c), 0)
     if not pivot:
         raise CertificationFailure(f"two sextactic points coincide mod {p}")

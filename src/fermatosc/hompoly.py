@@ -14,10 +14,10 @@ smooth point are computed two independent ways:
   coefficients alone: a norm over a truncated power-series ring, taken as
   a determinant that divides by nothing.
 
-`univariate_resultant` is a pseudo-remainder chain that inverts at most
-once.  `restrict_to_line` pulls a curve back to a line along a deterministic
-parametrization and returns a binary form; `disc2` is the discriminant of a
-binary quadratic.
+`restrict_to_line` pulls a curve back to a line along a deterministic
+parametrization and returns a binary form, and `parameter_of_point` reads
+a point's parameter on that line off its coordinates; `disc2` is the
+discriminant of a binary quadratic.
 """
 
 from __future__ import annotations
@@ -441,13 +441,6 @@ class BinaryForm:
                 da -= 1
         return BinaryForm(self.field, out[:max(da + 1, 1)]), e
 
-    def rem(self, other) -> "BinaryForm":
-        """The remainder of division by `other` in w, trimmed to its degree."""
-        r, e = self.prem(other)
-        if not e:
-            return r
-        return r * self.field.invert(other.coeffs[other.degree()]) ** e
-
     def gcd(self, other) -> "BinaryForm":
         """A greatest common divisor in w, not normalized (pseudo-remainder
         Euclid, no inversion)."""
@@ -550,23 +543,14 @@ def disc2(q: BinaryForm) -> FieldElement:
     return b * b - 4 * a * cc
 
 
-def parameter_of_point(p: ProjPoint, v1, v2):
-    """Solve p = s*v1 + t*v2 projectively; returns (s, t) in K_d."""
-    field = p.field
-    # pick two coordinate slots where (v1, v2) has full rank
-    for i in range(3):
-        for j in range(i + 1, 3):
-            det = v1[i] * v2[j] - v1[j] * v2[i]
-            if not det.is_zero():
-                dinv = field.invert(det)
-                s = (p.coords[i] * v2[j] - p.coords[j] * v2[i]) * dinv
-                t = (v1[i] * p.coords[j] - v1[j] * p.coords[i]) * dinv
-                # consistency on the remaining coordinate
-                k = 3 - i - j
-                if not (s * v1[k] + t * v2[k] - p.coords[k]).is_zero():
-                    raise ValueError("point not on the parametrized line")
-                return s, t
-    raise ValueError("degenerate parametrization")
+def parameter_of_point(p: ProjPoint, L: HomPoly) -> tuple:
+    """The parameter (s, t) with p = s*v1 + t*v2 for the basis v1, v2 of
+    `line_parametrization(L)`: p's two coordinates other than L's pivot,
+    read off with no division once p is checked on L."""
+    if not L.evaluate(p).is_zero():
+        raise ValueError("point not on the parametrized line")
+    pivot = [c.is_zero() for c in L.line_coeffs()].index(False)
+    return tuple(c for i, c in enumerate(p.coords) if i != pivot)
 
 
 # -- truncated power series along a branch --------------------------------------
@@ -708,40 +692,6 @@ def int_mult(f: HomPoly, g: HomPoly, p: ProjPoint) -> int:
 
 
 # -- resultants ------------------------------------------------------------------
-
-
-def univariate_resultant(a: BinaryForm, b: BinaryForm) -> FieldElement:
-    """Resultant of two polynomials in w over K_d (pseudo-remainder chain).
-
-    With r = a mod b, Res(a, b) = (-1)^(da db) lc(b)^(da - dr) Res(b, r).
-    The chain carries the pseudo-remainder lc(b)^e r instead, so the powers
-    of each lc(b) go into a numerator and a denominator, and the
-    denominator is inverted once, at the end: never when b is linear, at
-    most once when it is quadratic.
-    """
-    field = a.field
-    da, db = a.degree(), b.degree()
-    if da < 0 or db < 0:
-        return field.zero
-    num = den = field.one
-    while db > 0:
-        # when da < db, r = a and e = 0: the step is the swap
-        # Res(a, b) = (-1)^(da db) Res(b, a)
-        r, e = a.prem(b)
-        dr = r.degree()
-        if dr < 0:
-            return field.zero
-        # Res(b, lc^e r) = lc^(e db) Res(b, r)
-        k = da - dr - e * db
-        if k > 0:
-            num = num * b.coeffs[db] ** k
-        elif k < 0:
-            den = den * b.coeffs[db] ** -k
-        if da * db % 2:
-            num = -num
-        a, b, da, db = b, r, db, dr
-    num = num * b.coeffs[0] ** da
-    return num if den == field.one else num * field.invert(den)
 
 
 def _z_slices(h: HomPoly, n: int) -> list:

@@ -48,6 +48,7 @@ witness (p, w, c mod p) is kept as `TowerField.certificate`.
 
 from __future__ import annotations
 
+from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm
@@ -56,11 +57,6 @@ import mpmath
 
 from .errors import (CertificationFailure, DegreeMismatch, ZeroDivisor,
                      ZeroInput)
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
 
 Q0 = Q(0)
 Q1 = Q(1)
@@ -263,7 +259,7 @@ class TowerField:
 
     def from_rational(self, q) -> "FieldElement":
         q = Q(q)
-        return self._make([(0, 0, int(q.numerator))], int(q.denominator))
+        return self._make([(0, 0, q.numerator)], q.denominator)
 
     def monomial(self, ue: int, te: int, coeff=Q1) -> "FieldElement":
         """coeff * u^ue * t^te, exponents arbitrary integers, reduced."""
@@ -271,9 +267,9 @@ class TowerField:
         # normalize the t exponent into [0, deg_t) by multiplying with the
         # reduction constant t^deg_t (or its inverse) as needed
         shift, te = divmod(te, self.deg_t)
-        out = self._make([(i, te, c * int(coeff.numerator))
+        out = self._make([(i, te, c * coeff.numerator)
                           for i, c in self._zrows[ue % self.n_u]],
-                         int(coeff.denominator))
+                         coeff.denominator)
         if shift:
             red = self._make([(i, 0, c) for i, c in self._zrows_t[0]], 1)
             if shift < 0:
@@ -482,8 +478,8 @@ class TowerField:
         with mpmath.mp.workprec(prec):
             acc = mpmath.mpc(0)
             for (i, j, c) in a.nonzero_terms():
-                acc += upows[i] * tpows[j] * (mpmath.mpf(int(c.numerator))
-                                              / int(c.denominator))
+                acc += upows[i] * tpows[j] * (mpmath.mpf(c.numerator)
+                                              / c.denominator)
         return acc
 
     def __repr__(self):
@@ -525,10 +521,10 @@ def _reduce_element_mod(a: "FieldElement", p: int, w: int, r: int) -> int:
 
 def _int_terms(nz):
     """Terms (i, j, c) as integer numerators over one common denominator:
-    (terms, den).  Both go through int(), whatever the rational type."""
-    dens = [int(c.denominator) for _, _, c in nz]
+    (terms, den)."""
+    dens = [c.denominator for _, _, c in nz]
     den = lcm(*dens)
-    return [(i, j, int(c.numerator) * (den // dn))
+    return [(i, j, c.numerator * (den // dn))
             for (i, j, c), dn in zip(nz, dens)], den
 
 

@@ -16,8 +16,8 @@ from fermatosc.arrangements import (GRID_TOKENS, _find_modular_hom, build,
                                     syzygy_candidates, tjurina_total,
                                     verify_syzygy)
 from fermatosc.errors import CertificationFailure, NonOrdinary
-from fermatosc.fermat import FermatCurve, sextactic_points
-from fermatosc.hompoly import HomPoly
+from fermatosc.fermat import FermatCurve, sextactic_points, tangent_line
+from fermatosc.hompoly import HomPoly, int_mult
 from fermatosc.tower import tower_field
 
 
@@ -135,6 +135,66 @@ def test_tjurina_rejects_non_ordinary():
     assert any(not e.ordinary for e in entries)
     with pytest.raises(NonOrdinary):
         tjurina_total(entries)
+
+
+CURVE_CENSUS_LABELS = ("B", "M", "N", "A", "triangle", "Bz", "BzMxNy",
+                       "triangle+B", "M+triangle", "triangle+BzMxNy", "A+B")
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 6))
+def test_census_curve_facts_match_evaluation_and_tangents(d):
+    """The census reads on-curve and ordinariness from the curve-line
+    contacts; evaluation of F and the tangent line agree with it."""
+    C = FermatCurve(d)
+    for label in CURVE_CENSUS_LABELS:
+        arr = build(label, d)
+        for e in census(arr, C):
+            p = e.point
+            assert e.on_curve == C.contains(p), (label, p)
+            assert e.multiplicity == e.n_lines + e.on_curve
+            if not e.on_curve:
+                assert e.ordinary, (label, p)
+                continue
+            T = tangent_line(C, p)
+            lines = [L for L in arr.lines if L.evaluate(p).is_zero()]
+            assert len(lines) == e.n_lines
+            touching = any(L.proportional(T) or int_mult(C.poly, L, p) > 1
+                           for L in lines)
+            assert e.ordinary == (not touching), (label, p)
+
+
+def test_census_builds_no_tangent_and_evaluates_no_curve(monkeypatch):
+    d = 4
+    C = FermatCurve(d)
+    arrs = [build(label, d) for label in ("A+B", "triangle+BzMxNy")]
+    degrees = set()
+    evaluate = HomPoly.evaluate
+
+    def recording(self, coords):
+        degrees.add(self.deg)
+        return evaluate(self, coords)
+
+    def no_osculating(self, p, n):
+        raise AssertionError("census built an osculating curve")
+
+    monkeypatch.setattr(HomPoly, "evaluate", recording)
+    monkeypatch.setattr(FermatCurve, "osculating", no_osculating)
+    for arr in arrs:
+        assert any(e.on_curve for e in census(arr, C))
+    assert d not in degrees
+
+
+def test_census_rejects_a_contacts_map_without_one_line(monkeypatch):
+    # x = 0 meets the curve at inflection points, which lie on A_x lines
+    d = 3
+    C = FermatCurve(d)
+    arr = build("triangle+A", d)
+    full = arrangements._curve_points_on_line
+    monkeypatch.setattr(
+        arrangements, "_curve_points_on_line",
+        lambda curve, L: {} if L is arr.lines[0] else full(curve, L))
+    with pytest.raises(CertificationFailure):
+        census(arr, C)
 
 
 @pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8))

@@ -192,15 +192,13 @@ def test_conic_rejected_at_inflection_and_off_curve():
 
 
 def test_inflection_tangent_meets_nowhere_else():
-    from fermatosc.hompoly import restrict_to_line, line_parametrization, \
-        parameter_of_point
+    from fermatosc.hompoly import restrict_to_line, parameter_of_point
     for d in (3, 4, 5):
         C = FermatCurve(d)
         p = inflection_points(C)[0]
         T = tangent_line(C, p)
         bf = restrict_to_line(C.poly, T)
-        v1, v2 = line_parametrization(T)
-        s0, t0 = parameter_of_point(p, v1, v2)
+        s0, t0 = parameter_of_point(p, T)
         assert bf.root_multiplicity(s0, t0) == d
 
 

@@ -11,9 +11,10 @@ from fermatosc.errors import (GenericityFailure, NotOnCurve, ResultantZero,
                               SingularPoint, TruncationExhausted)
 from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint, _local_norm,
                                branch_series, disc2, evaluate, hessian,
-                               int_mult, osculating_conic_series, partial,
-                               pullback_to_line, restrict_to_line,
-                               resultant_order, univariate_resultant)
+                               int_mult, line_parametrization,
+                               osculating_conic_series, parameter_of_point,
+                               partial, pullback_to_line, restrict_to_line,
+                               resultant_order)
 from fermatosc.tower import Q, TowerField, tower_field
 
 
@@ -327,16 +328,38 @@ def test_restrict_to_line_examples():
 
 def test_restriction_root_reproduces_common_point():
     fld, F = fermat(4)
-    from fermatosc.hompoly import line_parametrization
     L = HomPoly.line(fld, fld.one, -fld.one, fld.zero)   # x = y
     bf = restrict_to_line(F, L)
     # (1 : 1 : u^-1 t) lies on both; its parameter must be a root
     s = ProjPoint(fld, [fld.one, fld.one, fld.monomial(-1, 1)])
-    from fermatosc.hompoly import parameter_of_point
-    v1, v2 = line_parametrization(L)
-    s0, t0 = parameter_of_point(s, v1, v2)
+    s0, t0 = parameter_of_point(s, L)
     assert bf.evaluate(s0, t0).is_zero()
     assert bf.root_multiplicity(s0, t0) == 1
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_parameter_of_point_reads_coordinates_without_inverting(d, monkeypatch):
+    rng = random.Random(250 + d)
+    fld = tower_field(d)
+    zero = fld.zero
+    for pivot in range(3):
+        coefs = [zero] * pivot + [rand_nonzero(fld, rng, max_terms=2)
+                                  for _ in range(3 - pivot)]
+        L = HomPoly.line(fld, *coefs)
+        v1, v2 = line_parametrization(L)
+        for _ in range(3):
+            s, t = rand_nonzero(fld, rng), rand_field_element(fld, rng)
+            p = ProjPoint(fld, [s * a + t * b for a, b in zip(v1, v2)])
+            with monkeypatch.context() as m:
+                m.setattr(TowerField, "invert", None)
+                s0, t0 = parameter_of_point(p, L)
+            assert tuple(s0 * a + t0 * b for a, b in zip(v1, v2)) == p.coords
+        off = ProjPoint(fld, [fld.one if i == pivot else zero
+                              for i in range(3)])
+        with pytest.raises(ValueError):
+            parameter_of_point(off, L)
+    with pytest.raises(ValueError):
+        parameter_of_point(off, HomPoly.zero(fld, 1))
 
 
 def test_root_multiplicity_at_infinity_and_multiple_root():
@@ -492,9 +515,14 @@ def test_resultant_is_product_over_roots(d):
         expected = lead ** db
         for r in roots:
             expected = expected * b.evaluate(r, fld.one)
-        assert univariate_resultant(a, b) == expected
+        assert sylvester_det(a, b) == expected
         sign = -1 if da * db % 2 else 1
-        assert univariate_resultant(b, a) == expected * sign
+        assert sylvester_det(b, a) == expected * sign
+    # a common root
+    alpha = rand_nonzero(fld, rng, max_terms=2)
+    a = form_from_roots(fld, (alpha, fld.one), rand_nonzero(fld, rng))
+    b = form_from_roots(fld, (alpha, fld.zero, -fld.one), fld.one)
+    assert sylvester_det(a, b).is_zero()
 
 
 def sylvester_det(a, b):
@@ -528,50 +556,10 @@ def sylvester_det(a, b):
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
-def test_resultant_is_sylvester_determinant(d):
-    rng = random.Random(150 + d)
-    fld = tower_field(d)
-    for da, db in ((3, 3), (4, 3), (5, 4), (3, 4), (0, 3), (3, 0)):
-        a, b = rand_form(fld, rng, da), rand_form(fld, rng, db)
-        assert univariate_resultant(a, b) == sylvester_det(a, b), (da, db)
-    # a common root
-    alpha = rand_nonzero(fld, rng, max_terms=2)
-    a = form_from_roots(fld, (alpha, fld.one), rand_nonzero(fld, rng))
-    b = form_from_roots(fld, (alpha, fld.zero, -fld.one), fld.one)
-    assert univariate_resultant(a, b).is_zero()
-    assert sylvester_det(a, b).is_zero()
-
-
-@pytest.mark.parametrize("d", (3, 4, 5))
-def test_resultant_inverts_at_most_once_against_a_quadratic(d, monkeypatch):
-    rng = random.Random(170 + d)
-    fld = tower_field(d)
-    calls = []
-    invert = TowerField.invert
-
-    def counting(self, a):
-        calls.append(a)
-        return invert(self, a)
-
-    for db, most in ((1, 0), (2, 1)):
-        a, b = rand_form(fld, rng, d), rand_form(fld, rng, db)
-        expected = sylvester_det(a, b)
-        monkeypatch.setattr(TowerField, "invert", counting)
-        calls.clear()
-        got = univariate_resultant(a, b)
-        monkeypatch.setattr(TowerField, "invert", invert)
-        assert len(calls) <= most, (db, len(calls))
-        assert got == expected
-
-
-@pytest.mark.parametrize("d", (3, 4, 5))
 def test_gcd_of_coprime_forms_is_constant(d):
     rng = random.Random(200 + d)
     fld = tower_field(d)
-    const = BinaryForm(fld, [rand_nonzero(fld, rng)])
     for _ in range(3):
-        a = rand_form(fld, rng, 3)
-        assert a.rem(const).is_zero()
         roots = [fld.from_rational(k) + rand_nonzero(fld, rng, max_terms=2)
                  for k in range(4)]
         a = form_from_roots(fld, roots[:2], fld.one)
