@@ -240,7 +240,14 @@ def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
                 ordinary = all(contacts[i] == 1 for i in line_idx)
         if mult >= 2:
             entries.append(CensusEntry(p, mult, ordinary, n_lines, on_curve))
-    entries.sort(key=lambda e: _point_sort_key(e.point))
+    # report order: the dense view of each coordinate as a string, built
+    # once per distinct coordinate
+    coord_keys = {}
+    for e in entries:
+        for c in e.point.coords:
+            if c not in coord_keys:
+                coord_keys[c] = str(c.coeffs)
+    entries.sort(key=lambda e: tuple(coord_keys[c] for c in e.point.coords))
 
     n_pairs = sum(e.n_lines * (e.n_lines - 1) // 2 for e in entries
                   if e.n_lines >= 2)
@@ -248,10 +255,6 @@ def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
         raise CertificationFailure("pair conservation failed",
                                    witness=n_pairs)
     return entries
-
-
-def _point_sort_key(p: ProjPoint):
-    return tuple(str(coord.coeffs) for coord in p.coords)
 
 
 def multiplicity_multiset(entries):

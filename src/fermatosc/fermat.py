@@ -126,11 +126,14 @@ class SextacticPoint:
 
 
 def tangent_line(curve: FermatCurve, p: ProjPoint) -> HomPoly:
-    """p_x^(d-1) x + p_y^(d-1) y + p_z^(d-1) z."""
-    if not curve.contains(p):
+    """p_x^(d-1) x + p_y^(d-1) y + p_z^(d-1) z.
+
+    The same powers give F(p) = sum p_i^(d-1) p_i, the check that p is on
+    the curve."""
+    cs = [c ** (curve.d - 1) for c in p.coords]
+    if not sum((c * x for c, x in zip(cs, p.coords)),
+               curve.field.zero).is_zero():
         raise NotOnCurve("tangent line requested off the curve")
-    d = curve.d
-    cs = [c ** (d - 1) for c in p.coords]
     return HomPoly.line(curve.field, cs[0], cs[1], cs[2])
 
 

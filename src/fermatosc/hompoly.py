@@ -1,10 +1,11 @@
 """Homogeneous polynomial algebra over K_d and exact local intersection data.
 
 Polynomials are sparse maps from exponent triples (a, b, c) with a+b+c = deg
-to nonzero field elements; every substitution into one (field elements,
-linear forms, binary forms, series) runs through `_substitute`.  The one
-dense univariate type is `BinaryForm`.  Intersection multiplicities at a
-smooth point are computed two independent ways:
+to nonzero field elements; a substitution of field elements, linear forms,
+binary forms or series into one runs through `_substitute`, except the
+restriction to a line, which substitutes only the line's pivot coordinate.
+The one dense univariate type is `BinaryForm`.  Intersection multiplicities
+at a smooth point are computed two independent ways:
 
 * `int_mult` lifts a truncated power-series branch of the first curve by
   Newton doubling, extending the same branch until the valuation of the
@@ -15,7 +16,8 @@ smooth point are computed two independent ways:
   a determinant that divides by nothing.
 
 `restrict_to_line` pulls a curve back to a line along a deterministic
-parametrization and returns a binary form, and `parameter_of_point` reads
+parametrization and returns a binary form (`pullback_to_line` is the
+general pullback along any two points), and `parameter_of_point` reads
 a point's parameter on that line off its coordinates; `disc2` is the
 discriminant of a binary quadratic.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import operator
 import random
+from math import comb
 
 from .errors import (CertificationFailure, GenericityFailure, NotOnCurve,
                      ResultantZero, SingularPoint, TruncationExhausted)
@@ -339,9 +342,31 @@ def cross(a, b) -> tuple:
 
 def _rank_le_one(a, b) -> bool:
     """Whether two equally long coefficient sequences are proportional:
-    every 2x2 minor of the stacked pair vanishes."""
+    every 2x2 minor of the stacked pair vanishes.  With a[i] != 0 it is
+    enough that the minors against column i do, since b = (b[i] / a[i]) a
+    then follows."""
+    i = next((i for i, c in enumerate(a) if not c.is_zero()), None)
+    if i is None:
+        return True
     return all((a[i] * b[k] - a[k] * b[i]).is_zero()
-               for i in range(len(a)) for k in range(i + 1, len(a)))
+               for k in range(len(a)) if k != i)
+
+
+def _times(a: FieldElement, b: FieldElement) -> FieldElement:
+    """a * b, multiplying only when neither factor is zero or one."""
+    if a.is_zero() or b == b.field.one:
+        return a
+    if b.is_zero() or a == a.field.one:
+        return b
+    return a * b
+
+
+def _powers(v: FieldElement, n: int) -> list:
+    """[1, v, ..., v^n], by `_times`."""
+    out = [v.field.one]
+    for _ in range(n):
+        out.append(_times(out[-1], v))
+    return out
 
 
 # -- binary forms ------------------------------------------------------------
@@ -475,15 +500,31 @@ class BinaryForm:
         return _rank_le_one(self.coeffs, other.coeffs)
 
     def root_multiplicity(self, s0, t0) -> int:
-        """Vanishing order at the parameter point (s0 : t0), at most deg."""
+        """Vanishing order at the parameter point (s0 : t0), at most deg.
+
+        Orders 0 and 1 are read off the form and its s-derivative at
+        (s0 : t0), with no inversion; only a multiple root is deflated."""
         cur = list(self.coeffs)
+        n = self.deg
         if t0.is_zero():
             # (1 : 0) is a root of order m iff t^m divides, that is iff the
             # top m coefficients (those of s^n, ..., s^(n-m+1)) vanish
             mult = 0
-            while mult < self.deg and cur[self.deg - mult].is_zero():
+            while mult < n and cur[n - mult].is_zero():
                 mult += 1
             return mult
+        sp, tp = _powers(s0, n), _powers(t0, n)
+        value = derivative = self.field.zero
+        for i, c in enumerate(cur):
+            if not c.is_zero():
+                value = value + _times(c, _times(sp[i], tp[n - i]))
+                if i:
+                    derivative = derivative + _times(
+                        c * i, _times(sp[i - 1], tp[n - i]))
+        if not value.is_zero():
+            return 0
+        if not derivative.is_zero():
+            return 1
         # in w = s/t the root is w0; divide by w - w0 (Horner) while exact
         w0 = s0 * self.field.invert(t0)
         mult = 0
@@ -514,25 +555,60 @@ def pullback_to_line(c: HomPoly, v1, v2) -> BinaryForm:
                        operator.mul)
 
 
+def _pivot_ratios(L: HomPoly):
+    """(k, r): the pivot k of a linear form, the index of its first nonzero
+    coefficient in x < y < z order, and -c / (pivot coefficient) for each
+    coefficient c after it.  The pivot coefficient is inverted only when it
+    is not one and some c is nonzero."""
+    coeffs = L.line_coeffs()
+    k = next((k for k, c in enumerate(coeffs) if not c.is_zero()), None)
+    if k is None:
+        raise ValueError("zero linear form")
+    pivot, rest = coeffs[k], coeffs[k + 1:]
+    if not any(rest):
+        return k, rest
+    inv = pivot if pivot == L.field.one else L.field.invert(pivot)
+    return k, tuple(-_times(c, inv) for c in rest)
+
+
 def line_parametrization(L: HomPoly):
     """Deterministic kernel basis of a linear form, pivoting x < y < z."""
     field = L.field
-    a, b, c = L.line_coeffs()
     zero, one = field.zero, field.one
-    if not a.is_zero():
-        ainv = field.invert(a)
-        return ((-b * ainv, one, zero), (-c * ainv, zero, one))
-    if not b.is_zero():
-        binv = field.invert(b)
-        return ((one, zero, zero), (zero, -c * binv, one))
-    if not c.is_zero():
-        return ((one, zero, zero), (zero, one, zero))
-    raise ValueError("zero linear form")
+    k, r = _pivot_ratios(L)
+    if k == 0:
+        return ((r[0], one, zero), (r[1], zero, one))
+    if k == 1:
+        return ((one, zero, zero), (zero, r[0], one))
+    return ((one, zero, zero), (zero, one, zero))
 
 
 def restrict_to_line(c: HomPoly, L: HomPoly) -> BinaryForm:
-    v1, v2 = line_parametrization(L)
-    return pullback_to_line(c, v1, v2)
+    """c pulled back along `line_parametrization(L)`, the form that
+    `pullback_to_line` gives.  The parametrization maps the two coordinates
+    other than the pivot to s and t, in order, and the pivot to
+    alpha s + beta t (alpha = 0 for a y pivot, alpha = beta = 0 for a z
+    pivot), so only the pivot is substituted.  No factor equal to zero or
+    one is multiplied in."""
+    field = c.field
+    k, r = _pivot_ratios(L)
+    alpha, beta = (field.zero,) * (2 - len(r)) + tuple(r)
+    top = max((e[k] for e in c.terms), default=0)
+    ap, bp = _powers(alpha, top), _powers(beta, top)
+    rows = {}                               # (alpha s + beta t)^e, by s^i
+    out = [field.zero] * (c.deg + 1)
+    for exps, coef in c.terms.items():
+        e, es = exps[k], exps[1 if k == 0 else 0]
+        row = rows.get(e)
+        if row is None:
+            row = rows[e] = [_times(ap[i], bp[e - i]) for i in range(e + 1)]
+            for i, v in enumerate(row):
+                if not v.is_zero() and 0 < i < e:
+                    row[i] = v * comb(e, i)
+        for i, v in enumerate(row):
+            if not v.is_zero():
+                out[i + es] = out[i + es] + _times(coef, v)
+    return BinaryForm(field, out)
 
 
 def disc2(q: BinaryForm) -> FieldElement:

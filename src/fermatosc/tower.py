@@ -25,7 +25,12 @@ of its own: its elements are the t-free elements of K_d.
 Multiplication multiplies the integer numerators by a term loop: each term
 pair is added along one precomputed integer row, u^e for the product's
 u-degree e, times t^deg_t when the t-degrees wrap.  The rows are built
-from the monic integer Phi_2d alone, so they are integral.
+from the monic integer Phi_2d alone, so they are integral.  A factor with
+one term n u^i t^j, the common case for the paper's monomial points and
+lines, shifts the other factor's terms by (i, j) and scales their
+numerators when no exponent leaves the normal-form range: the shift keeps
+the terms sorted and nonzero, so only the content is divided out.  A
+product that wraps goes through the term loop.
 
 Inversion goes through norms.  An element b(u) t^j times t^(deg_t - j)
 lies in Q(u).  Any other element is inverted through its norm to Q(u): K
@@ -632,10 +637,26 @@ class FieldElement:
             if other is None:
                 return NotImplemented
         self._check(other)
+        fld = self.field
         if not self.terms or not other.terms:
-            return self.field.zero
-        return self.field._make(self.field._imul(self.terms, other.terms),
-                                self.den * other.den)
+            return fld.zero
+        den = self.den * other.den
+        A, B = ((other.terms, self.terms) if len(self.terms) == 1
+                else (self.terms, other.terms))
+        if len(B) == 1:
+            # a one-term factor shifts the other's terms, in (i, j) order and
+            # nonzero, unless a product term wraps and must be reduced
+            i1, j1, n1 = B[0]
+            if A[-1][0] + i1 < fld.phi and (
+                    not j1 or all(j + j1 < fld.deg_t for _, j, _ in A)):
+                terms = [(i + i1, j + j1, n * n1) for i, j, n in A]
+                if den != 1:
+                    g = gcd(den, *[n for _, _, n in terms])
+                    if g != 1:
+                        terms = [(i, j, n // g) for i, j, n in terms]
+                        den //= g
+                return FieldElement(fld, tuple(terms), den)
+        return fld._make(fld._imul(self.terms, other.terms), den)
 
     __rmul__ = __mul__
 

@@ -43,6 +43,20 @@ def test_tangent_line_examples():
         tangent_line(C, ProjPoint(fld, [fld.one, fld.one, fld.one]))
 
 
+@pytest.mark.parametrize("d", (3, 4, 5, 6, 8))
+def test_tangent_line_is_the_gradient_and_refuses_off_curve_points(d):
+    C = FermatCurve(d)
+    fld = C.field
+    on = [ProjPoint(fld, [fld.one, fld.u, fld.zero])]          # 1 + u^d = 0
+    on += [s.point for s in sextactic_points(C)[::d]]
+    for p in on:
+        assert tangent_line(C, p).scale(d) == HomPoly.line(fld,
+                                                           *C.gradient_at(p))
+    for coords in ([fld.one, fld.zeta, fld.zero], [fld.one, fld.t, fld.u]):
+        with pytest.raises(NotOnCurve):
+            tangent_line(C, ProjPoint(fld, coords))
+
+
 @pytest.mark.parametrize("d", (3, 4, 5, 6))
 def test_inflection_points_suite(d):
     C = FermatCurve(d)

@@ -10,12 +10,12 @@ from conftest import (rand_curve_through, rand_field_element, rand_homogeneous,
 from fermatosc.errors import (GenericityFailure, NotOnCurve, ResultantZero,
                               SingularPoint, TruncationExhausted)
 from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint, _local_norm,
-                               branch_series, disc2, evaluate, hessian,
-                               int_mult, line_parametrization,
+                               _rank_le_one, branch_series, disc2, evaluate,
+                               hessian, int_mult, line_parametrization,
                                osculating_conic_series, parameter_of_point,
                                partial, pullback_to_line, restrict_to_line,
                                resultant_order)
-from fermatosc.tower import Q, TowerField, tower_field
+from fermatosc.tower import FieldElement, Q, TowerField, tower_field
 
 
 def fermat(d):
@@ -362,6 +362,20 @@ def test_parameter_of_point_reads_coordinates_without_inverting(d, monkeypatch):
         parameter_of_point(off, HomPoly.zero(fld, 1))
 
 
+def test_root_multiplicity_of_a_simple_root_inverts_nothing(monkeypatch):
+    fld = tower_field(5)
+    one, zero = fld.one, fld.zero
+    w0 = fld.u * fld.t
+    lin = BinaryForm(fld, [-w0, one])                    # s - u t * t
+    bf = lin * BinaryForm(fld, [one, one, one]) * BinaryForm(fld, [zero, one])
+    scaled = (2 * w0, 2 * one)
+    monkeypatch.setattr(TowerField, "invert", None)
+    assert bf.root_multiplicity(w0, one) == 1
+    assert bf.root_multiplicity(*scaled) == 1
+    assert bf.root_multiplicity(zero, one) == 1          # (0 : 1)
+    assert bf.root_multiplicity(one, one) == 0
+
+
 def test_root_multiplicity_at_infinity_and_multiple_root():
     fld = tower_field(5)
     one, zero, u = fld.one, fld.zero, fld.u
@@ -624,6 +638,93 @@ def test_pullback_commutes_with_evaluate(d):
         assert bf.deg == deg
         assert bf.evaluate(s, t) == f.evaluate(
             [s * a + t * b for a, b in zip(v1, v2)])
+
+
+def _lines_of_each_pivot(fld, rng):
+    """The coordinate lines, x - y, x - z, y - z, and random lines pivoting
+    on x (with and without zero coefficients), on y and on z."""
+    zero, one = fld.zero, fld.one
+
+    def r():
+        return rand_nonzero(fld, rng, max_terms=2)
+    coefs = [(one, zero, zero), (zero, one, zero), (zero, zero, one),
+             (one, -one, zero), (one, zero, -one), (zero, one, -one),
+             (r(), r(), r()), (r(), zero, r()), (r(), r(), zero),
+             (zero, r(), r()), (zero, zero, r())]
+    return [HomPoly.line(fld, *c) for c in coefs]
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_restrict_to_line_matches_pullback(d):
+    rng = random.Random(1400 + d)
+    fld = tower_field(d)
+    curves = [rand_homogeneous(fld, rng, deg, n_terms=6)
+              for deg in (1, 2, 3, 4)]
+    curves.append(HomPoly(fld, 3, {e: rand_nonzero(fld, rng) for e in
+                                   ((3, 0, 0), (2, 1, 0), (1, 1, 1), (0, 2, 1),
+                                    (1, 0, 2), (0, 0, 3))}))
+    curves.append(fermat(d)[1])
+    for L in _lines_of_each_pivot(fld, rng):
+        v1, v2 = line_parametrization(L)
+        for c in curves:
+            assert restrict_to_line(c, L) == pullback_to_line(c, v1, v2)
+
+
+def test_restriction_to_coordinate_lines_multiplies_nothing(monkeypatch):
+    """A restriction to a coordinate line, x - y, x - z or y - z neither
+    multiplies nor inverts: its pivot coefficient is one, or scales
+    nothing."""
+    rng = random.Random(1450)
+    fld = tower_field(5)
+    zero, one = fld.zero, fld.one
+    curves = [fermat(5)[1], rand_homogeneous(fld, rng, 4, n_terms=8),
+              HomPoly(fld, 2, {e: rand_nonzero(fld, rng) for e in
+                               ((2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 2))})]
+    lines = [HomPoly.line(fld, *c) for c in
+             ((one, zero, zero), (zero, one, zero), (zero, zero, one),
+              (one, -one, zero), (one, zero, -one), (zero, one, -one),
+              (zero, zero, 2 * one))]
+    want = [[pullback_to_line(c, *line_parametrization(L)) for L in lines]
+            for c in curves]
+
+    def no_product(self, other):
+        raise AssertionError("field product in a restriction")
+    with monkeypatch.context() as m:
+        m.setattr(FieldElement, "__mul__", no_product)
+        m.setattr(FieldElement, "__rmul__", no_product)
+        m.setattr(TowerField, "invert", None)
+        got = [[restrict_to_line(c, L) for L in lines] for c in curves]
+    assert got == want
+
+
+def test_rank_le_one_matches_all_minors():
+    rng = random.Random(1460)
+    fld = tower_field(4)
+
+    def all_minors(a, b):
+        return all((a[i] * b[k] - a[k] * b[i]).is_zero()
+                   for i in range(len(a)) for k in range(i + 1, len(a)))
+
+    def draw(n):
+        return [fld.zero if rng.random() < 0.4
+                else rand_nonzero(fld, rng, max_terms=2) for _ in range(n)]
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        a = draw(n)
+        kind = rng.randrange(3)
+        if kind == 2:
+            b = draw(n)
+        else:
+            lam = draw(1)[0]
+            b = [c * lam for c in a]
+            if kind == 1:
+                b[rng.randrange(n)] = draw(1)[0]
+        want = all_minors(a, b)
+        assert _rank_le_one(a, b) == want
+        assert _rank_le_one(b, a) == want
+        seen.add((want, all(c.is_zero() for c in a)))
+    assert {(True, False), (False, False), (True, True)} <= seen
 
 
 # -- the local resultant ---------------------------------------------------------

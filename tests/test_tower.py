@@ -507,6 +507,39 @@ def test_equal_values_have_equal_normal_forms(d):
 
 
 @pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
+def test_monomial_product_matches_general_product(d, monkeypatch):
+    """A one-term factor on either side gives the normal form of the
+    general product; it skips the term loop unless a product term wraps
+    in u or in t."""
+    fld = tower_field(d)
+    rng = random.Random(1300 + d)
+    imul = fld._imul
+    calls = []
+    monkeypatch.setattr(fld, "_imul",
+                        lambda A, B: calls.append(1) or imul(A, B))
+    seen = set()
+    for _ in range(60):
+        mono = fld._make([(rng.randrange(fld.phi), rng.randrange(fld.deg_t),
+                           rng.choice((-6, -1, 1, 2, 3)))],
+                         rng.choice((1, 2, 4, 9)))
+        b = fld.random_element(rng, max_terms=rng.choice((1, 2, 5, 12)),
+                               den_choices=(1, 2, 3, 6))
+        if b.is_zero():
+            continue
+        i1, j1, _ = mono.terms[0]
+        wraps = {"u-wrap" for i, _, _ in b.terms if i + i1 >= fld.phi}
+        wraps |= {"t-wrap" for _, j, _ in b.terms if j + j1 >= fld.deg_t}
+        seen |= wraps or {"in range"}
+        ref = fld._make(imul(mono.terms, b.terms), mono.den * b.den)
+        for c in (mono * b, b * mono):
+            _assert_normal(c)
+            _assert_same(c, ref)
+        assert len(calls) == (2 if wraps else 0)
+        calls.clear()
+    assert seen == {"in range", "u-wrap", "t-wrap"}
+
+
+@pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
 def test_reduction_mod_p_matches_per_coefficient(d):
     from fermatosc.tower import _find_modular_hom, _reduce_element_mod
     fld = tower_field(d)
