@@ -14,24 +14,24 @@ host the cluster-z sextactic points with d points per line.
 The census lists all singular points of the union (optionally together with
 the curve itself), the freeness test solves the quadratic necessary
 condition r^2 - (dh-1) r + (dh-1)^2 = tau for an integer exponent
-r <= (dh-1)/2, and the collinearity search enumerates every line through
-three or more sextactic points exactly, using reductions modulo two primes
-as a pre-filter before exact confirmation.
+r <= (dh-1)/2, and the collinearity search finds every line through three
+or more sextactic points exactly: the monomial automorphism group acts
+transitively on the points, so the orbit of the lines through one point
+holds every such line.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CertificationFailure, NonOrdinary
 from .fermat import FermatCurve, rotate, sextactic_points
-from .hompoly import (HomPoly, ProjPoint, cross, det3, parameter_of_point,
+from .hompoly import (HomPoly, ProjPoint, cross, parameter_of_point,
                       restrict_to_line)
-from .tower import (TowerField, _find_modular_hom, _reduce_element_mod,
-                    tower_field)
+from .symmetry import phi, psi, rho
+from .tower import TowerField, tower_field
 
 GRID_TOKENS = ("Bz", "Bx", "By", "Mx", "My", "Mz", "Nx", "Ny", "Nz",
                "Az", "Ax", "Ay")
@@ -45,8 +45,7 @@ class LineArrangement:
     lines: list                       # degree-1 HomPoly, pairwise non-proportional
 
     def __post_init__(self):
-        keys = [L.line_key() for L in self.lines]
-        if len(set(keys)) != len(keys):
+        if len({L.canonical_line() for L in self.lines}) != len(self.lines):
             raise ValueError(f"duplicate lines in arrangement {self.label}")
 
     def __len__(self):
@@ -395,65 +394,68 @@ class CollinearLine:
         return len(set(self.clusters)) > 1
 
 
-def _reduced_line(a, b, p: int) -> tuple:
-    """The line through two points of P^2(F_p), scaled so that its first
-    nonzero entry is 1; points that coincide mod p fail certification."""
-    line = [c % p for c in cross(a, b)]
-    pivot = next((c for c in line if c), 0)
-    if not pivot:
-        raise CertificationFailure(f"two sextactic points coincide mod {p}")
-    inv = pow(pivot, p - 2, p)
-    return tuple(c * inv % p for c in line)
-
-
 def collinear_sextactic(curve: FermatCurve):
     """Every line through at least three sextactic points, found exactly.
 
-    Each pair of points is hashed by its line reduced modulo two primes.
-    Points collinear over K_d stay collinear modulo every prime, so a line
-    through m >= 3 sextactic points puts all m of them in one group.  A
-    group of three or more is confirmed exactly: the line through its first
-    two points is evaluated at every member.  A group that also holds a
-    point collinear only modulo both primes is confirmed triple by triple
-    with exact 3x3 determinants, grouped by canonical line.
+    The generators rho, phi and psi of the monomial group permute the
+    sextactic points: a breadth-first search from point 0 finds each image
+    by exact lookup and must reach every point, and the points must be
+    pairwise distinct.  The other points are grouped by their canonical
+    line through point 0; the lines holding two or more of them are closed
+    under the generators, where g carries a line L to L o g^-1 and its
+    members to their images under g.
+
+    The orbit is complete.  Let a line l hold three or more points, q one
+    of them.  Transitivity gives a g with q = g.p0, so g^-1 l passes through
+    p0 and holds three or more points: it is a line through p0, and l lies
+    in its orbit.  Every member is evaluated exactly on its line.
     """
     field = curve.field
     pts = sextactic_points(curve)
     n = len(pts)
+    index = {s.point: i for i, s in enumerate(pts)}
+    if len(index) != n:
+        raise CertificationFailure("two sextactic points coincide")
+    # each generator's inverse, and its permutation of the points by index
+    gens = [(g, g.inverse(), [None] * n)
+            for g in (rho(field), phi(field), psi(field))]
+    reached = [0]
+    seen = {0}
+    for i in reached:
+        for g, _, image in gens:
+            j = index.get(g.apply_point(pts[i].point))
+            if j is None:
+                raise CertificationFailure(
+                    "a generator maps a sextactic point off the set",
+                    witness=pts[i].label())
+            image[i] = j
+            if j not in seen:
+                seen.add(j)
+                reached.append(j)
+    if len(reached) != n:
+        raise CertificationFailure(
+            "the generators do not act transitively on the sextactic points",
+            witness=len(reached))
 
-    reduced = []
-    for (p, w, r) in (_find_modular_hom(field, skip=0),
-                      _find_modular_hom(field, skip=1)):
-        reduced.append((p, [[_reduce_element_mod(c, p, w, r)
-                             for c in s.raw_coords] for s in pts]))
-    groups = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = tuple(_reduced_line(red[i], red[j], p) for p, red in reduced)
-            groups.setdefault(key, set()).update((i, j))
-
-    # line key -> (line, indices of the points on it)
-    lines = {}
-    for group in groups.values():
-        if len(group) < 3:
-            continue
-        idx = sorted(group)
-        a, b = pts[idx[0]].raw_coords, pts[idx[1]].raw_coords
-        L = HomPoly.line(field, *cross(a, b)).canonical_line()
-        if all(L.evaluate(pts[k].raw_coords).is_zero() for k in idx[2:]):
-            lines.setdefault(L.line_key(), (L, set()))[1].update(idx)
-            continue
-        for i, j, k in itertools.combinations(idx, 3):
-            a, b = pts[i].raw_coords, pts[j].raw_coords
-            if not det3((a, b, pts[k].raw_coords)).is_zero():
-                continue
-            L = HomPoly.line(field, *cross(a, b)).canonical_line()
-            lines.setdefault(L.line_key(), (L, set()))[1].update((i, j, k))
+    p0 = pts[0].raw_coords
+    through = {}
+    for i in range(1, n):
+        L = HomPoly.line(field, *cross(p0, pts[i].raw_coords)).canonical_line()
+        through.setdefault(L, {0}).add(i)
+    # canonical line -> indices of the points on it
+    lines = {L: idx for L, idx in through.items() if len(idx) >= 3}
+    queue = list(lines)
+    for L in queue:
+        idx = lines[L]
+        for _, g_inv, image in gens:
+            M = g_inv.pullback(L).canonical_line()
+            if M not in lines:
+                queue.append(M)
+            lines.setdefault(M, set()).update({image[i] for i in idx})
 
     out = []
-    for key in sorted(lines):
-        L, idx = lines[key]
-        members = [pts[i] for i in sorted(idx)]
+    for L in sorted(lines, key=HomPoly.line_key):
+        members = [pts[i] for i in sorted(lines[L])]
         for s in members:
             if not L.evaluate(s.point).is_zero():
                 raise CertificationFailure(

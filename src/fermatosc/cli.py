@@ -35,7 +35,6 @@ from .hompoly import HomPoly, int_mult, osculating_conic_series
 from .symmetry import (conic_common_points, curve_orbit, fixed_line,
                        generator_panel, tangent_concurrency,
                        verify_invariant_intersection)
-from .tower import field_element_from_json
 
 KINDS = ("sextactic", "inflection", "all")
 
@@ -333,7 +332,6 @@ def _collinear_counts(lines) -> dict:
 
 
 def cmd_collinear(args):
-    # the search groups about C(3d^2, 2) point pairs by their line mod p
     if args.degree > ALL_MAX_DEGREE:
         raise ValueError(f"collinear needs degree <= {ALL_MAX_DEGREE}")
     curve = FermatCurve(args.degree)
@@ -371,13 +369,12 @@ def _verify_line(curve, label, line):
     return entry, failures
 
 
-def _verify_line_job(job):
-    d, label, line_json = job
+def _verify_lines_job(job):
+    """`_verify_line` on grid lines start..stop-1, on one curve per task."""
+    d, start, stop = job
     curve = FermatCurve(d)
-    terms = {tuple(t[:3]): field_element_from_json(t[3])
-             for t in line_json["terms"]}
-    line = HomPoly(curve.field, 1, terms)
-    return _verify_line(curve, label, line)
+    return [_verify_line(curve, label, L)
+            for label, L in _grid_lines(curve)[start:stop]]
 
 
 def cmd_verify(args):
@@ -394,19 +391,18 @@ def _verify_main(curve, jobs, line_index=None):
         if not (0 <= line_index < len(lines)):
             raise FewerPoints(f"line index out of range 0..{len(lines)-1}")
         lines = [lines[line_index]]
-    results, failures = [], []
     workers = min(jobs, os.cpu_count() or 1, len(lines))
     if workers > 1:
-        line_jobs = [(curve.d, label, L.to_json_dict()) for label, L in lines]
+        # more than one line: all of them, in contiguous ranges
+        cuts = [len(lines) * w // workers for w in range(workers + 1)]
+        tasks = [(curve.d, a, b) for a, b in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for entry, fails in pool.map(_verify_line_job, line_jobs):
-                results.append(entry)
-                failures.extend(fails)
+            done = [r for part in pool.map(_verify_lines_job, tasks)
+                    for r in part]
     else:
-        for label, L in lines:
-            entry, fails = _verify_line(curve, label, L)
-            results.append(entry)
-            failures.extend(fails)
+        done = [_verify_line(curve, label, L) for label, L in lines]
+    results = [entry for entry, _ in done]
+    failures = [f for _, fails in done for f in fails]
     return {"lines": results, "line_count": len(results)}, failures
 
 

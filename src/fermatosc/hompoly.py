@@ -209,10 +209,13 @@ class HomPoly:
         return tuple(self.coeff(e) for e in LINEAR_EXPS)
 
     def canonical_line(self) -> "HomPoly":
-        """Scale a linear form so its first nonzero coefficient is one."""
+        """Scale a linear form so its first nonzero coefficient is one; a
+        form whose pivot is one already is returned as it is."""
         if self.deg != 1 or self.is_zero():
             raise ValueError("canonical_line needs a nonzero linear form")
         pivot = next(c for c in self.line_coeffs() if not c.is_zero())
+        if pivot == self.field.one:
+            return self
         return self.scale(self.field.invert(pivot))
 
     def line_key(self):

@@ -277,20 +277,19 @@ def orbit_automorphism_for_line(curve: FermatCurve, line: HomPoly, pts):
     itself, so that scaling is the one candidate; its orbit through the
     first point must be the point set.  Found once per line and curve.
     """
-    key = line.line_key()
     sweeps = curve.incidence.sweeps
-    if key not in sweeps:
+    if line not in sweeps:
         zeros = [i for i, c in enumerate(line.line_coeffs()) if c.is_zero()]
         point_set = {s.point for s in pts}
         if len(zeros) == 1:
             g = (rho, y_scaling, z_scaling)[zeros[0]](curve.field)
             orb = curve_orbit(curve, pts[0].point, g)
             if len(orb) == len(point_set) and set(orb) == point_set:
-                sweeps[key] = g
-        if key not in sweeps:
+                sweeps[line] = g
+        if line not in sweeps:
             raise CertificationFailure(
                 "no scaling automorphism sweeps the points")
-    return sweeps[key]
+    return sweeps[line]
 
 
 def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyReport:
@@ -301,10 +300,8 @@ def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyRe
     if len(pts) != d:
         raise FewerPoints(f"{len(pts)} sextactic points on the line, need {d}")
     tangents = [curve.osculating(s.point, 1) for s in pts]
-    for i in range(d):
-        for j in range(i + 1, d):
-            if tangents[i].proportional(tangents[j]):
-                raise CertificationFailure("coincident tangents in the family")
+    if len({t.canonical_line() for t in tangents}) != d:
+        raise CertificationFailure("coincident tangents in the family")
     q = ProjPoint(curve.field, cross(tangents[0].line_coeffs(),
                                      tangents[1].line_coeffs()))
     vals = [t.evaluate(q) for t in tangents]

@@ -188,18 +188,17 @@ class TowerField:
 
     # -- construction -----------------------------------------------------
 
-    def split_primes(self, start: int = 1):
-        """The primes p > start with p = 1 (mod 2d), ascending, each with w,
-        the first c^((p-1)/2d) (c = 2, 3, ...) of exact order 2d.
+    def split_primes(self):
+        """The primes p = 1 (mod 2d), ascending, each with w, the first
+        c^((p-1)/2d) (c = 2, 3, ...) of exact order 2d.
 
         w is a root of Phi_2d mod p, which is checked, so u -> w is a ring
-        map Z[u] -> F_p, and t -> r extends it to K_d when r^deg_t is the
-        image of t^deg_t (`_t_power_mod`).
+        map Z[u] -> F_p.
         """
         n = self.n_u
         cofactors = [n // q for q in _prime_factors(n)]
         phi_coeffs = cyclotomic_int_coeffs(n)
-        p = start - (start - 1) % n
+        p = 1
         while True:
             p += n
             if not _is_prime(p):
@@ -489,39 +488,6 @@ class TowerField:
 
     def __repr__(self):
         return f"TowerField(d={self.d}, dim={self.phi * self.deg_t})"
-
-
-def _find_modular_hom(field: TowerField, skip: int = 0):
-    """A prime p > 50000 with a ring map K_d -> F_p determined by (w, r).
-
-    (p, w) runs over `field.split_primes(50000)`, and r is the first root of
-    r^deg_t = c, the image of t^deg_t; primes where c has no such root are
-    passed over.  Returns (p, w, r); `skip` selects later primes for
-    independent filters.
-    """
-    e = field.deg_t
-    found = 0
-    for p, w in field.split_primes(50000):
-        c = field._t_power_mod(p, w)
-        if pow(c, (p - 1) // e, p) != 1:
-            continue                           # c has no e-th root
-        r = next(r for r in range(2, p) if pow(r, e, p) == c)
-        if pow(r, field.d, p) != 2 % p:
-            raise CertificationFailure(
-                f"(w, r) = ({w}, {r}) does not define a map "
-                f"K_{field.d} -> F_{p}")
-        if found == skip:
-            return p, w, r
-        found += 1
-
-
-def _reduce_element_mod(a: "FieldElement", p: int, w: int, r: int) -> int:
-    """The image of a under the ring map K_d -> F_p given by (w, r)."""
-    den = a.den % p
-    if den == 0:
-        raise ZeroDivisionError("prime divides a denominator")
-    acc = sum(n * pow(w, i, p) * pow(r, j, p) for i, j, n in a.terms)
-    return acc * pow(den, p - 2, p) % p
 
 
 def _int_terms(nz):

@@ -3,12 +3,12 @@ freeness verdicts, syzygy checks and the collinearity search."""
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from fermatosc import arrangements
-from fermatosc.arrangements import (GRID_TOKENS, _find_modular_hom, build,
-                                    census,
+from fermatosc.arrangements import (GRID_TOKENS, build, census,
                                     collinear_sextactic,
                                     fermat_grid_product_poly, freeness_test,
                                     grid_component_poly, grid_product_poly,
@@ -17,7 +17,8 @@ from fermatosc.arrangements import (GRID_TOKENS, _find_modular_hom, build,
                                     verify_syzygy)
 from fermatosc.errors import CertificationFailure, NonOrdinary
 from fermatosc.fermat import FermatCurve, sextactic_points, tangent_line
-from fermatosc.hompoly import HomPoly, int_mult
+from fermatosc.hompoly import HomPoly, cross, det3, int_mult
+from fermatosc.symmetry import Automorphism, _monomial, identity
 from fermatosc.tower import tower_field
 
 
@@ -310,51 +311,53 @@ def test_collinear_d9_uncapped():
 
 
 @pytest.mark.parametrize("d", (3, 4))
-def test_collinear_one_group_matches(d, monkeypatch):
-    # a constant reduced-line key puts every point in one group, so the
-    # search falls back to exact triples over all points
-    expected = [(L.line.line_key(), [s.label() for s in L.points])
-                for L in collinear_sextactic(FermatCurve(d))]
-    monkeypatch.setattr(arrangements, "_reduced_line", lambda a, b, p: (1,))
-    lines = collinear_sextactic(FermatCurve(d))
-    assert [(L.line.line_key(), [s.label() for s in L.points])
-            for L in lines] == expected
+def test_collinear_matches_exhaustive_triples(d):
+    # reference: every triple with a vanishing determinant, grouped by its
+    # canonical line, in the report order
+    C = FermatCurve(d)
+    pts = sextactic_points(C)
+    ref = {}
+    for i, j, k in combinations(range(len(pts)), 3):
+        a, b = pts[i].raw_coords, pts[j].raw_coords
+        if det3((a, b, pts[k].raw_coords)).is_zero():
+            L = HomPoly.line(C.field, *cross(a, b)).canonical_line()
+            ref.setdefault(L, set()).update((i, j, k))
+    expected = [(L, [pts[i] for i in sorted(ref[L])])
+                for L in sorted(ref, key=HomPoly.line_key)]
+    assert [(L.line, L.points) for L in collinear_sextactic(C)] == expected
 
 
-def test_collinear_coincidence_mod_p_raises(monkeypatch):
-    # every point reduces to (1 : 1 : 1)
-    monkeypatch.setattr(arrangements, "_reduce_element_mod",
-                        lambda c, p, w, r: 1)
-    with pytest.raises(CertificationFailure, match="coincide"):
+def _off_set(field):
+    # (x : y : z) -> (2x : y : z) does not preserve the curve
+    return _monomial(field, (0, 1, 2), (2, 1, 1))
+
+
+def test_collinear_image_off_the_set_raises(monkeypatch):
+    monkeypatch.setattr(arrangements, "phi", _off_set)
+    with pytest.raises(CertificationFailure, match="off the set"):
         collinear_sextactic(FermatCurve(3))
 
 
-def _modular_hom_by_scan(field, skip):
-    """The plain search: scan every c < p for an e-th root of the target."""
-    d, n = field.d, 2 * field.d
-    found = 0
-    p = 50000 - (50000 % n) + 1
-    while True:
-        p += n
-        if any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            continue
-        w = next(c for c in (pow(g, (p - 1) // n, p) for g in range(2, p))
-                 if all(pow(c, n // q, p) != 1 for q in range(2, n + 1)
-                        if n % q == 0 and all(q % s for s in range(2, q))))
-        if d % 4 == 0:
-            target, e = (pow(w, d // 4, p) - pow(w, 3 * d // 4, p)) % p, d // 2
-        else:
-            target, e = 2, d
-        r = next((c for c in range(2, p) if pow(c, e, p) == target), None)
-        if r is None:
-            continue
-        if found == skip:
-            return p, w, r
-        found += 1
+def test_collinear_intransitive_generators_raise(monkeypatch):
+    # rho alone has orbits of d points
+    monkeypatch.setattr(arrangements, "phi", identity)
+    monkeypatch.setattr(arrangements, "psi", identity)
+    with pytest.raises(CertificationFailure, match="transitively"):
+        collinear_sextactic(FermatCurve(3))
 
 
-@pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8))
-def test_modular_hom_matches_scan(d):
-    fld = tower_field(d)
-    for skip in (0, 1):
-        assert _find_modular_hom(fld, skip) == _modular_hom_by_scan(fld, skip)
+def test_collinear_coinciding_points_raise(monkeypatch):
+    C = FermatCurve(3)
+    pts = sextactic_points(C)
+    monkeypatch.setattr(arrangements, "sextactic_points",
+                        lambda curve: pts[:1] + pts[:-1])
+    with pytest.raises(CertificationFailure, match="coincide"):
+        collinear_sextactic(C)
+
+
+def test_collinear_carried_member_off_its_line_raises(monkeypatch):
+    # a pullback that leaves every line in place carries members of the
+    # lines through point 0 onto those same lines
+    monkeypatch.setattr(Automorphism, "pullback", lambda g, f: f)
+    with pytest.raises(CertificationFailure, match="off its line"):
+        collinear_sextactic(FermatCurve(3))

@@ -402,6 +402,18 @@ def test_canonical_line_rejects_non_lines():
         HomPoly.zero(fld, 1).canonical_line()
 
 
+def test_canonical_line_keeps_a_unit_pivot(monkeypatch):
+    fld = tower_field(5)
+    x, y, _ = HomPoly.variables(fld)
+    L = x - y.scale(fld.zeta)
+
+    def no_invert(self, a):
+        raise AssertionError("canonical_line inverted a unit pivot")
+
+    monkeypatch.setattr(TowerField, "invert", no_invert)
+    assert L.canonical_line() is L
+
+
 def test_disc2_examples():
     fld = tower_field(4)
     one = fld.one

@@ -361,3 +361,16 @@ def test_curve_tables_die_with_the_curve():
     del C
     gc.collect()
     assert ref() is None
+
+
+def test_proportional_tangents_raise(monkeypatch):
+    # the last tangent replaced by a multiple of the first
+    C = FermatCurve(3)
+    line = build("B", 3).lines[0]
+    pts = points_on_line(C, line)
+    first = C.osculating(pts[0].point, 1)
+    real = FermatCurve.osculating
+    monkeypatch.setattr(C, "osculating", lambda p, n: (
+        first.scale(2) if p == pts[-1].point else real(C, p, n)))
+    with pytest.raises(CertificationFailure, match="coincident tangents"):
+        tangent_concurrency(C, line)

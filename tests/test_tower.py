@@ -539,30 +539,6 @@ def test_monomial_product_matches_general_product(d, monkeypatch):
     assert seen == {"in range", "u-wrap", "t-wrap"}
 
 
-@pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
-def test_reduction_mod_p_matches_per_coefficient(d):
-    from fermatosc.tower import _find_modular_hom, _reduce_element_mod
-    fld = tower_field(d)
-    p, w, r = _find_modular_hom(fld)
-    rng = random.Random(1300 + d)
-
-    def per_coefficient(a):
-        acc = 0
-        for i, j, c in a.nonzero_terms():
-            inv = pow(int(c.denominator), p - 2, p)
-            acc += int(c.numerator) * inv * pow(w, i, p) * pow(r, j, p)
-        return acc % p
-
-    for _ in range(20):
-        a = fld.random_element(rng, max_terms=8, num_bound=10**12,
-                               den_choices=(1, 2, 3, 10**9 + 7))
-        assert _reduce_element_mod(a, p, w, r) == per_coefficient(a)
-    assert _reduce_element_mod(fld.zero, p, w, r) == 0
-    bad = fld.u + fld.monomial(0, 1, Q(1, 3 * p))
-    with pytest.raises(ZeroDivisionError):
-        _reduce_element_mod(bad, p, w, r)
-
-
 # -- field certificate ---------------------------------------------------------
 
 
