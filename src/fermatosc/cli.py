@@ -35,6 +35,9 @@ from .hompoly import HomPoly, int_mult, osculating_conic_series
 from .symmetry import (conic_common_points, curve_orbit, fixed_line,
                        generator_panel, tangent_concurrency,
                        verify_invariant_intersection)
+# last: importing tower, and with it mpmath, before the modules above raised
+# the peak RSS of a run by 1.2 MB
+from . import tower
 
 KINDS = ("sextactic", "inflection", "all")
 
@@ -372,9 +375,10 @@ def _verify_line(curve, label, line):
 def _verify_lines_job(job):
     """`_verify_line` on grid lines start..stop-1, on one curve per task."""
     d, start, stop = job
-    curve = FermatCurve(d)
-    return [_verify_line(curve, label, L)
-            for label, L in _grid_lines(curve)[start:stop]]
+    with tower.memoized():
+        curve = FermatCurve(d)
+        return [_verify_line(curve, label, L)
+                for label, L in _grid_lines(curve)[start:stop]]
 
 
 def cmd_verify(args):
@@ -442,93 +446,100 @@ def cmd_all(args):
     rng = random.Random(args.seed)
     payload, failures = {"degrees": {}}, []
     for d in range(args.min_degree, args.max_degree + 1):
-        claims = paper_claims(d)
-        section = {}
-        sec_fail = []
-        # one curve for every stage, so its tables are built once
-        curve = FermatCurve(d)
-
-        pay, fails = _hessian2(curve)
-        section["hessian"] = {k: v for k, v in pay.items()
-                              if not isinstance(v, dict)}
-        sec_fail += fails
-
-        infl = inflection_points(curve)
-        sample = infl if d <= 6 else [infl[i] for i in
-                                      rng.sample(range(len(infl)), 6)]
-        mults = [int_mult(curve.poly, curve.osculating(p, 1), p)
-                 for p in sample]
-        section["inflection"] = {"count": len(infl),
-                                 "checked": len(sample),
-                                 "tangent_contacts": sorted(set(mults))}
-        if (len(infl) != claims["inflection_count"]
-                or set(mults) != {claims["inflection_tangent_contact"]}):
-            sec_fail.append({"check": "inflection-suite", "degree": d})
-
-        pts = sextactic_points(curve)
-        idx = rng.sample(range(len(pts)), min(6, len(pts)))
-        contacts = []
-        prop_ok = True
-        for i in idx:
-            s = pts[i]
-            O = curve.hyperosculating(s)
-            contacts.append(int_mult(curve.poly, O, s.point))
-            closed = curve.osculating(s.point, 2)
-            cay = osculating_conic_cayley(curve, s.point)
-            prop_ok = prop_ok and closed.proportional(O) \
-                and cay.proportional(closed)
-        section["sextactic"] = {"count": len(pts),
-                                "count_formula": sextactic_count_formula(curve),
-                                "sampled": len(idx),
-                                "conic_contacts": sorted(set(contacts)),
-                                "conic_pipelines_proportional": prop_ok}
-        if (len(pts) != claims["sextactic_count"]
-                or set(contacts) != {claims["conic_contact"]} or not prop_ok
-                or sextactic_count_formula(curve) != len(pts)):
-            sec_fail.append({"check": "sextactic-suite", "degree": d})
-
-        frees = {}
-        for key, (free, exps) in claims["freeness"].items():
-            with_f = key.endswith("+F")
-            verdict = _freeness(key.removesuffix("+F"), d,
-                                curve if with_f else None)
-            got = {"tau": verdict.tau, "free": verdict.free,
-                   "exponents": (list(verdict.exponents)
-                                 if verdict.exponents else None),
-                   "discriminant_sign": verdict.discriminant_sign}
-            frees[key] = got
-            if got["free"] != free or (free and got["exponents"] != exps):
-                sec_fail.append({"check": "freeness", "arrangement": key,
-                                 "degree": d})
-        section["freeness"] = frees
-
-        section["syzygies"] = _syzygy_payload(d)
-        koszul_ok = [e for e in section["syzygies"]
-                     if e["candidate"] == "koszul-xy"][0]["is_syzygy"]
-        if not koszul_ok:
-            sec_fail.append({"check": "koszul-syzygy", "degree": d})
-
-        lines = collinear_sextactic(curve)
-        section["collinear"] = _collinear_counts(lines)
-        if (tuple(section["collinear"].values()) != claims["collinear"]
-                or any(len(L.points) != d for L in lines)):
-            sec_fail.append({"check": "collinear", "degree": d})
-
-        vpay, vfails = _verify_main(curve, args.jobs)
-        section["concurrency"] = {
-            "lines_verified": vpay["line_count"],
-            "failures": len(vfails)}
-        sec_fail += vfails
-
-        ipay, ifails = _verify_invariant(curve, (1, 2))
-        section["invariant_intersection"] = {
-            "checks": ipay["check_count"],
-            "all_invariant": ipay["all_invariant"]}
-        sec_fail += ifails
-
+        # one memo per degree: the memory held is one degree's working set
+        with tower.memoized():
+            section, sec_fail = _all_degree(d, rng, args.jobs)
         payload["degrees"][str(d)] = section
         failures.extend(sec_fail)
     return payload, failures
+
+
+def _all_degree(d, rng, jobs):
+    """The suite at degree d: its report section and its failures."""
+    claims = paper_claims(d)
+    section = {}
+    sec_fail = []
+    # one curve for every stage, so its tables are built once
+    curve = FermatCurve(d)
+
+    pay, fails = _hessian2(curve)
+    section["hessian"] = {k: v for k, v in pay.items()
+                          if not isinstance(v, dict)}
+    sec_fail += fails
+
+    infl = inflection_points(curve)
+    sample = infl if d <= 6 else [infl[i] for i in
+                                  rng.sample(range(len(infl)), 6)]
+    mults = [int_mult(curve.poly, curve.osculating(p, 1), p)
+             for p in sample]
+    section["inflection"] = {"count": len(infl),
+                             "checked": len(sample),
+                             "tangent_contacts": sorted(set(mults))}
+    if (len(infl) != claims["inflection_count"]
+            or set(mults) != {claims["inflection_tangent_contact"]}):
+        sec_fail.append({"check": "inflection-suite", "degree": d})
+
+    pts = sextactic_points(curve)
+    idx = rng.sample(range(len(pts)), min(6, len(pts)))
+    contacts = []
+    prop_ok = True
+    for i in idx:
+        s = pts[i]
+        O = curve.hyperosculating(s)
+        contacts.append(int_mult(curve.poly, O, s.point))
+        closed = curve.osculating(s.point, 2)
+        cay = osculating_conic_cayley(curve, s.point)
+        prop_ok = prop_ok and closed.proportional(O) \
+            and cay.proportional(closed)
+    section["sextactic"] = {"count": len(pts),
+                            "count_formula": sextactic_count_formula(curve),
+                            "sampled": len(idx),
+                            "conic_contacts": sorted(set(contacts)),
+                            "conic_pipelines_proportional": prop_ok}
+    if (len(pts) != claims["sextactic_count"]
+            or set(contacts) != {claims["conic_contact"]} or not prop_ok
+            or sextactic_count_formula(curve) != len(pts)):
+        sec_fail.append({"check": "sextactic-suite", "degree": d})
+
+    frees = {}
+    for key, (free, exps) in claims["freeness"].items():
+        with_f = key.endswith("+F")
+        verdict = _freeness(key.removesuffix("+F"), d,
+                            curve if with_f else None)
+        got = {"tau": verdict.tau, "free": verdict.free,
+               "exponents": (list(verdict.exponents)
+                             if verdict.exponents else None),
+               "discriminant_sign": verdict.discriminant_sign}
+        frees[key] = got
+        if got["free"] != free or (free and got["exponents"] != exps):
+            sec_fail.append({"check": "freeness", "arrangement": key,
+                             "degree": d})
+    section["freeness"] = frees
+
+    section["syzygies"] = _syzygy_payload(d)
+    koszul_ok = [e for e in section["syzygies"]
+                 if e["candidate"] == "koszul-xy"][0]["is_syzygy"]
+    if not koszul_ok:
+        sec_fail.append({"check": "koszul-syzygy", "degree": d})
+
+    lines = collinear_sextactic(curve)
+    section["collinear"] = _collinear_counts(lines)
+    if (tuple(section["collinear"].values()) != claims["collinear"]
+            or any(len(L.points) != d for L in lines)):
+        sec_fail.append({"check": "collinear", "degree": d})
+
+    vpay, vfails = _verify_main(curve, jobs)
+    section["concurrency"] = {
+        "lines_verified": vpay["line_count"],
+        "failures": len(vfails)}
+    sec_fail += vfails
+
+    ipay, ifails = _verify_invariant(curve, (1, 2))
+    section["invariant_intersection"] = {
+        "checks": ipay["check_count"],
+        "all_invariant": ipay["all_invariant"]}
+    sec_fail += ifails
+    return section, sec_fail
 
 
 COMMANDS = {
@@ -620,7 +631,8 @@ def main(argv=None) -> int:
                      f"{PRECISION_MAX}]")
     handler = COMMANDS[args.command]
     try:
-        payload, failures = handler(args)
+        with tower.memoized():
+            payload, failures = handler(args)
     except (ValueError, FewerPoints) as exc:
         parser.exit(2, f"error: {exc}\n")
     except FermatoscError as exc:

@@ -30,7 +30,7 @@ from math import comb
 
 from .errors import (CertificationFailure, GenericityFailure, NotOnCurve,
                      ResultantZero, SingularPoint, TruncationExhausted)
-from .tower import FieldElement, TowerField
+from .tower import FieldElement, TowerField, power
 
 VARS = ("x", "y", "z")
 LINEAR_EXPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -143,14 +143,11 @@ class HomPoly:
                        {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, e: int):
-        out = HomPoly.monomial(self.field, (0, 0, 0), 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        if e < 0:
+            raise ValueError("negative power of a form")
+        if not e:
+            return HomPoly.monomial(self.field, (0, 0, 0), 1)
+        return power(self, e)
 
     # -- calculus and evaluation ------------------------------------------------
 

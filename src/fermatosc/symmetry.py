@@ -197,6 +197,9 @@ def fixed_line(g: Automorphism) -> Optional[HomPoly]:
 
 
 def orbit(p: ProjPoint, g: Automorphism) -> list:
+    """p, g.p, g^2.p, ... up to the return to p.  An element of the group
+    of the curve has order at most 6d^2; an orbit longer than that raises
+    `CertificationFailure` with the point and g's permutation."""
     out = [p]
     q = g.apply_point(p)
     guard = 0
@@ -205,7 +208,9 @@ def orbit(p: ProjPoint, g: Automorphism) -> list:
         q = g.apply_point(q)
         guard += 1
         if guard > 6 * g.field.d ** 2:
-            raise RuntimeError("orbit iteration did not close")
+            raise CertificationFailure(
+                "orbit iteration did not close",
+                witness={"point": p.to_json(), "perm": list(g.perm)})
     return out
 
 

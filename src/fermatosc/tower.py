@@ -49,10 +49,29 @@ Each field construction is certified (`TowerField._certify`): the
 t-modulus is irreducible by Capelli's criterion at one prime p = 1
 (mod 2d), reached through the ring map u -> w of `split_primes`, and the
 witness (p, w, c mod p) is kept as `TowerField.certificate`.
+
+`memoized()` opens a block, in the manner of `decimal.localcontext()`, in
+which products, sums (and so differences) and inverses are looked up by
+their operands before they are computed.  The paper's objects are orbits
+of the monomial automorphism group, so one command multiplies the same
+few root-of-unity coefficients again and again, and building a new
+element is the kernel's main cost.  The key is the operand elements
+themselves, equal normal forms compared by the cached hash; the pair is
+ordered by terms, so that a * b and b * a share one entry.  The checks
+that raise (mixed fields, inverting zero) come first, and a computation
+that raises stores nothing.  Each block starts empty and restores the
+enclosing one when it closes.  The CLI opens one around each command, one
+per degree in `all`, and one per `--jobs` worker task, so the memory held
+is one command's (one degree's) working set and is freed with it.
+Library calls outside a block run the kernel unchanged and hold nothing:
+a memo without an end would keep every element a long-lived caller ever
+made.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import islice
@@ -68,6 +87,21 @@ Q1 = Q(1)
 
 D_MIN = 3
 D_MAX = 64
+
+# the memo of the innermost open `memoized()` block, or None: the tables
+# (products, sums, inverses), keyed by operand pairs and by the element
+_MEMO = ContextVar("fermatosc_tower_memo", default=None)
+
+
+@contextmanager
+def memoized():
+    """A block in which `*`, `+` and `invert` reuse results already
+    computed in it; see the module docstring."""
+    token = _MEMO.set(({}, {}, {}))
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 @lru_cache(maxsize=None)
@@ -358,12 +392,23 @@ class TowerField:
         * A norm of zero means that a is a zero divisor, which is possible
           only when the t-modulus is reducible; extended Euclid
           (`_invert_general`) then raises `ZeroDivisor` with a factor.
+
+        In a `memoized()` block an inverse already computed is reused.
         """
         if a.field is not self:
             raise DegreeMismatch("element from a different field")
-        A = a.terms
-        if not A:
+        if not a.terms:
             raise ZeroInput("cannot invert zero")
+        memo = _MEMO.get()
+        if memo is None:
+            return self._invert(a)
+        out = memo[2].get(a)
+        if out is None:
+            out = memo[2][a] = self._invert(a)
+        return out
+
+    def _invert(self, a: "FieldElement") -> "FieldElement":
+        A = a.terms
         j = A[0][1]
         if any(jj != j for _, jj, _ in A):
             return self._invert_norm(a)
@@ -568,6 +613,16 @@ class FieldElement:
             return self
         if not self.terms:
             return other
+        memo = _MEMO.get()
+        if memo is None:
+            return self._add(other)
+        key = (self, other) if self.terms <= other.terms else (other, self)
+        out = memo[1].get(key)
+        if out is None:
+            out = memo[1][key] = self._add(other)
+        return out
+
+    def _add(self, other):
         den = lcm(self.den, other.den)
         acc = {}
         for e in (self, other):
@@ -603,9 +658,19 @@ class FieldElement:
             if other is None:
                 return NotImplemented
         self._check(other)
-        fld = self.field
         if not self.terms or not other.terms:
-            return fld.zero
+            return self.field.zero
+        memo = _MEMO.get()
+        if memo is None:
+            return self._mul(other)
+        key = (self, other) if self.terms <= other.terms else (other, self)
+        out = memo[0].get(key)
+        if out is None:
+            out = memo[0][key] = self._mul(other)
+        return out
+
+    def _mul(self, other):
+        fld = self.field
         den = self.den * other.den
         A, B = ((other.terms, self.terms) if len(self.terms) == 1
                 else (self.terms, other.terms))
@@ -643,14 +708,7 @@ class FieldElement:
             return NotImplemented
         if e < 0:
             return self.field.invert(self) ** (-e)
-        out = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e) if e else self.field.one
 
     def inverse(self) -> "FieldElement":
         return self.field.invert(self)
@@ -677,6 +735,17 @@ class FieldElement:
         if len(nz) > 8:
             bits.append("...")
         return "K[" + " + ".join(bits) + "]"
+
+
+def power(base, e: int):
+    """base^e for e >= 1 by square-and-multiply from the top bit of e:
+    bit_length - 1 squarings and popcount - 1 further products."""
+    out = base
+    for bit in bin(e)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * base
+    return out
 
 
 def _coerce(field: TowerField, value):

@@ -1,10 +1,11 @@
 """Command-line interface: report schema, exit codes, determinism."""
 
+import contextlib
 import json
 
 import pytest
 
-from fermatosc import cli
+from fermatosc import cli, tower
 from fermatosc.cli import main
 
 
@@ -185,6 +186,21 @@ def test_all_small_range(tmp_path):
     assert sec["sextactic"]["count"] == 27
     assert sec["freeness"]["B"]["free"]
     assert sec["invariant_intersection"]["all_invariant"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["all", "--min-degree", "3", "--max-degree", "5"],
+    ["verify", "--theorem", "main", "--degree", "5"],
+    ["census", "--arrangement", "triangle+BzMxNy", "--degree", "6",
+     "--with-fermat"],
+], ids=("all", "verify", "census"))
+def test_memo_leaves_reports_unchanged(argv, tmp_path, monkeypatch):
+    """The same bytes with the tower memo and without it."""
+    memo, plain = tmp_path / "memo.json", tmp_path / "plain.json"
+    assert main(argv + ["--out", str(memo)]) == 0
+    monkeypatch.setattr(tower, "memoized", contextlib.nullcontext)
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert memo.read_bytes() == plain.read_bytes()
 
 
 def test_jobs_parallel_matches_serial(tmp_path):

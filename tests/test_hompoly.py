@@ -24,6 +24,27 @@ def fermat(d):
     return f, x**d + y**d + z**d
 
 
+def test_pow_product_count(monkeypatch):
+    """Square-and-multiply from the top bit: bit_length - 1 squarings and
+    popcount - 1 further products, and the value of e repeated products."""
+    fld = tower_field(4)
+    x, y, z = HomPoly.variables(fld)
+    a = x + y.scale(fld.u) - z
+    refs = [HomPoly.monomial(fld, (0, 0, 0), 1)]
+    for _ in range(20):
+        refs.append(refs[-1] * a)
+    mul = HomPoly.__mul__
+    calls = []
+    monkeypatch.setattr(HomPoly, "__mul__",
+                        lambda p, q: calls.append(1) or mul(p, q))
+    for e in range(21):
+        calls.clear()
+        assert a**e == refs[e]
+        assert len(calls) == max(0, e.bit_length() - 1 + bin(e).count("1") - 1)
+    with pytest.raises(ValueError):
+        a**-1
+
+
 def test_partial_examples():
     fld, F = fermat(5)
     assert partial(F, "x") == HomPoly.monomial(fld, (4, 0, 0), 5)

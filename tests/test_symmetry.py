@@ -15,11 +15,10 @@ from fermatosc.fermat import (FermatCurve, _hyperosc_conic_cluster_z,
                               sextactic_points, tangent_line)
 from fermatosc.hompoly import BinaryForm, HomPoly, ProjPoint, cross, disc2, \
     restrict_to_line
-from fermatosc.symmetry import (Automorphism, conic_common_points, fixed_line,
-                                generator_panel, group_elements, identity,
-                                orbit, pencil_degenerate, phi, points_on_line,
-                                psi, rho,
-                                tangent_concurrency,
+from fermatosc.symmetry import (Automorphism, _monomial, conic_common_points,
+                                fixed_line, generator_panel, group_elements,
+                                identity, orbit, pencil_degenerate, phi,
+                                points_on_line, psi, rho, tangent_concurrency,
                                 verify_invariant_intersection, y_scaling,
                                 z_scaling)
 from fermatosc.tower import tower_field
@@ -129,6 +128,16 @@ def test_orbits():
     assert len(orbit(p, rho(fld))) == d
     fixed = ProjPoint(fld, [fld.zero, fld.one, fld.from_rational(3)])
     assert orbit(fixed, rho(fld)) == [fixed]
+
+
+def test_orbit_of_infinite_order_raises():
+    # (x : y : z) -> (2x : y : z) has infinite order
+    fld = tower_field(3)
+    g = _monomial(fld, (0, 1, 2), (2, 1, 1))
+    p = ProjPoint(fld, [fld.one, fld.one, fld.one])
+    with pytest.raises(CertificationFailure, match="did not close") as exc:
+        orbit(p, g)
+    assert exc.value.witness == {"point": p.to_json(), "perm": [0, 1, 2]}
 
 
 def test_invariant_intersection_tangent_example():

@@ -11,10 +11,12 @@ import mpmath
 import pytest
 
 from fermatosc.errors import CertificationFailure, DegreeMismatch, ZeroInput
-from fermatosc.tower import (D_MAX, D_MIN, Q, _int_terms, _zpoly_exact_div,
-                             arith, constants, cyclotomic_int_coeffs, embed,
+from fermatosc import tower
+from fermatosc.tower import (D_MAX, D_MIN, FieldElement, Q, _int_terms,
+                             _zpoly_exact_div, arith, constants,
+                             cyclotomic_int_coeffs, embed,
                              field_element_from_json, invert, is_zero,
-                             tower_field)
+                             memoized, tower_field)
 
 DEGREES = (3, 4, 5, 6, 7, 8)
 
@@ -189,6 +191,33 @@ def test_pow_negative_exponent():
     f = tower_field(5)
     a = f.u + f.t
     assert (a**-2 * a**2 - f.one).is_zero()
+    # the inverse's power, as a product of e inverses
+    for e in range(1, 8):
+        ref = f.one
+        for _ in range(e):
+            ref = ref * invert(a)
+        _assert_same(a**-e, ref)
+
+
+def test_pow_product_count(monkeypatch):
+    """Square-and-multiply from the top bit: bit_length - 1 squarings and
+    popcount - 1 further products, and the value of e repeated products."""
+    f = tower_field(5)
+    a = f.u + f.t
+    refs = [f.one]
+    for _ in range(20):
+        refs.append(refs[-1] * a)
+    mul = FieldElement.__mul__
+    calls = []
+    monkeypatch.setattr(FieldElement, "__mul__",
+                        lambda x, y: calls.append(1) or mul(x, y))
+    for e in range(1, 21):
+        calls.clear()
+        _assert_same(a**e, refs[e])
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
+    calls.clear()
+    _assert_same(a**0, f.one)
+    assert not calls
 
 
 def test_zero_divisor_reports_factor():
@@ -625,3 +654,94 @@ def test_approx_columns_pinned(d, bits, capsys):
     arrays = [s["approx"] for s in pay["sextactic"] + pay["inflection"]]
     digest = hashlib.sha256(json.dumps(arrays).encode()).hexdigest()
     assert digest == APPROX_DIGESTS[d, bits]
+
+
+# -- memoized blocks ------------------------------------------------------------
+
+
+def _memo_operands(fld, rng):
+    """Random elements and one-term factors, some of whose products wrap in
+    u (i1 + i2 >= phi) and some in t (j1 + j2 >= deg_t)."""
+    top_u = fld._make([(fld.phi - 1, 0, 3)], 2)
+    top_t = fld._make([(0, fld.deg_t - 1, -5)], 1)
+    elems = [fld.one, fld.u, fld.t, fld.t_inv, top_u, top_t,
+             fld.monomial(fld.phi - 2, fld.deg_t - 1, Q(7, 3))]
+    for terms in (1, 1, 2, 4, 9):
+        elems.append(fld.random_element(rng, max_terms=terms,
+                                        den_choices=(1, 2, 3, 6)))
+    return [a for a in elems if not a.is_zero()]
+
+
+@pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
+def test_memoized_results_match_plain_kernel(d):
+    fld = tower_field(d)
+    elems = _memo_operands(fld, random.Random(1500 + d))
+    pairs = [(a, b) for a in elems for b in elems]
+    ops = (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b)
+    plain = [[op(a, b) for op in ops] for a, b in pairs]
+    plain_inv = [invert(a) for a in elems]
+    with memoized():
+        for _ in range(2):                     # computed, then looked up
+            for (a, b), ref in zip(pairs, plain):
+                for op, r in zip(ops, ref):
+                    c = op(a, b)
+                    _assert_normal(c)
+                    _assert_same(c, r)
+            for a, r in zip(elems, plain_inv):
+                _assert_same(invert(a), r)
+        # a second lookup returns the stored element itself
+        a, b = elems[4], elems[-1]
+        assert a * b is b * a and a + b is b + a and invert(b) is invert(b)
+
+
+def test_memo_restored_after_blocks():
+    fld = tower_field(5)
+    assert tower._MEMO.get() is None
+    with memoized():
+        assert tower._MEMO.get() is not None
+        fld.u * fld.t
+    assert tower._MEMO.get() is None
+    with pytest.raises(ZeroInput):
+        with memoized():
+            invert(fld.zero)
+    assert tower._MEMO.get() is None
+
+
+def test_memo_restored_after_cli_main(tmp_path):
+    from fermatosc.cli import main
+    assert main(["hessian2", "--degree", "3",
+                 "--out", str(tmp_path / "h.json")]) == 0
+    assert tower._MEMO.get() is None
+
+
+def test_nested_memo_starts_empty():
+    fld = tower_field(4)
+    a, b = fld.u + fld.t, fld.t - 3
+    with memoized():
+        outer = tower._MEMO.get()
+        ab, s, inv = a * b, a + b, invert(a)
+        saved = [dict(t) for t in outer]
+        assert all(saved)
+        with memoized():
+            inner = tower._MEMO.get()
+            assert inner is not outer and inner == ({}, {}, {})
+            _assert_same(a * b, ab)
+            fld.zeta * a
+        assert tower._MEMO.get() is outer
+        assert [dict(t) for t in outer] == saved
+        assert a * b is ab and a + b is s and invert(a) is inv
+
+
+def test_memoized_errors_store_nothing():
+    f3, f4 = tower_field(3), tower_field(4)
+    with memoized():
+        memo = tower._MEMO.get()
+        with pytest.raises(DegreeMismatch):
+            f3.u * f4.u
+        with pytest.raises(DegreeMismatch):
+            f3.u + f4.u
+        with pytest.raises(DegreeMismatch):
+            f3.invert(f4.u)
+        with pytest.raises(ZeroInput):
+            invert(f3.zero)
+        assert memo == ({}, {}, {})
