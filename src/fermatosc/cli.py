@@ -9,7 +9,13 @@ Every subcommand assembles a Report object:
 The exit code is 0 iff no certificate failed; usage errors exit 2.  All
 numbers in payloads are exact (serialized field elements or integers)
 except fields named "approx", which are display-only complex evaluations
-at the reported precision.
+at the reported precision; only a command that prints them loads `mpmath`.
+
+A report is the text of `json.dumps(report, indent=2, default=str)`, byte
+for byte, but written by `indented_json`: CPython's `json` encodes in C
+only without an indent, and its pure-Python indenting encoder was the
+slowest step of the largest reports.  An unwritable `--out` is a usage
+error, raised before any work starts.
 """
 
 from __future__ import annotations
@@ -35,8 +41,6 @@ from .hompoly import HomPoly, int_mult, osculating_conic_series
 from .symmetry import (conic_common_points, curve_orbit, fixed_line,
                        generator_panel, tangent_concurrency,
                        verify_invariant_intersection)
-# last: importing tower, and with it mpmath, before the modules above raised
-# the peak RSS of a run by 1.2 MB
 from . import tower
 
 KINDS = ("sextactic", "inflection", "all")
@@ -558,6 +562,81 @@ COMMANDS = {
 # -- rendering -----------------------------------------------------------------
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INT_TEXT = int.__repr__
+_INF = float("inf")
+
+
+def indented_json(obj, pad: str = "") -> str:
+    """`json.dumps(obj, indent=2, default=str)`, byte for byte, with the
+    lines after the first indented by `pad`.
+
+    CPython's `json.dumps` runs its C encoder only when `indent` is None;
+    with an indent it yields every bracket, separator and scalar from a
+    pure-Python generator.  Here each container is one `str.join` of its
+    items, and an item that is an exact `str` or `int` is written in the
+    loop without a call.  The rules are `json`'s: the exact class is
+    tested first for speed, then `isinstance` in `json`'s order, so
+    subclasses (an `IntEnum`, a `str` subclass) are written as `json`
+    writes them, tuples as lists, and anything else as the string
+    `str(obj)`.  Strings go through `json`'s own C escaper.  Cycles are
+    not detected: reports have none.
+    """
+    cls = type(obj)
+    if cls is not dict and cls is not list and cls is not tuple:
+        if cls is str:
+            return _ESCAPE(obj)
+        if cls is int:
+            return _INT_TEXT(obj)
+        if isinstance(obj, str):
+            return _ESCAPE(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return _INT_TEXT(obj)
+        if isinstance(obj, float):
+            if obj != obj:
+                return "NaN"
+            if obj == _INF:
+                return "Infinity"
+            if obj == -_INF:
+                return "-Infinity"
+            return float.__repr__(obj)
+        if not isinstance(obj, (list, tuple, dict)):
+            return _ESCAPE(str(obj))
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        texts = [_ESCAPE(v) if type(v) is str
+                 else _INT_TEXT(v) if type(v) is int
+                 else indented_json(v, inner) for v in obj]
+        return ("[\n" + inner + (",\n" + inner).join(texts)
+                + "\n" + pad + "]")
+    if not obj:
+        return "{}"
+    texts = [(_ESCAPE(k) if type(k) is str else _key_text(k)) + ": "
+             + (_ESCAPE(v) if type(v) is str
+                else _INT_TEXT(v) if type(v) is int
+                else indented_json(v, inner)) for k, v in obj.items()]
+    return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "}"
+
+
+def _key_text(key) -> str:
+    """A dict key as `json` writes it: str, float, bool, None and int keys
+    become strings; any other key raises TypeError."""
+    if isinstance(key, str):
+        return _ESCAPE(key)
+    if isinstance(key, (float, int)) or key is None:
+        return '"' + indented_json(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
 def _render_table(report) -> str:
     lines = [f"fermatosc {report['command']} "
              f"(degree {report.get('degree', '-')}) "
@@ -609,7 +688,7 @@ def _render_table(report) -> str:
             for key, val in section.items():
                 lines.append(f"  {key}: {json.dumps(val, default=str)}")
     else:
-        lines.append(json.dumps(payload, indent=2, default=str))
+        lines.append(indented_json(payload))
     if report["failures"]:
         lines.append("failures:")
         for f in report["failures"]:
@@ -629,6 +708,12 @@ def main(argv=None) -> int:
     if not PRECISION_MIN <= args.precision <= PRECISION_MAX:
         parser.error(f"--precision must be in [{PRECISION_MIN}, "
                      f"{PRECISION_MAX}]")
+    # a report that cannot be written fails before the work, not after it
+    if args.out is not None and (
+            os.path.isdir(args.out)
+            or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        parser.error(f"--out {args.out}: not a file path in an existing "
+                     f"directory")
     handler = COMMANDS[args.command]
     try:
         with tower.memoized():
@@ -651,7 +736,7 @@ def main(argv=None) -> int:
     if args.format == "table":
         text = _render_table(report)
     else:
-        text = json.dumps(report, indent=2, default=str) + "\n"
+        text = indented_json(report) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

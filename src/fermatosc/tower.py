@@ -43,7 +43,8 @@ with a factor of the modulus.
 
 `embed` evaluates the distinguished embedding in floating point for the
 display-only `approx` columns; it is not certified, and no computation
-reads it.
+reads it.  It imports `mpmath` on first use, so a command that prints no
+`approx` column never loads it.
 
 Each field construction is certified (`TowerField._certify`): the
 t-modulus is irreducible by Capelli's criterion at one prime p = 1
@@ -76,8 +77,6 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm
-
-import mpmath
 
 from .errors import (CertificationFailure, DegreeMismatch, ZeroDivisor,
                      ZeroInput)
@@ -506,6 +505,7 @@ class TowerField:
     def _embed_tables(self, prec):
         tables = self._emb_cache.get(prec)
         if tables is None:
+            import mpmath
             with mpmath.mp.workprec(prec):
                 ub = mpmath.exp(1j * mpmath.pi / self.d)
                 tb = mpmath.mpf(2) ** (mpmath.mpf(1) / self.d)
@@ -522,6 +522,7 @@ class TowerField:
     def embed(self, a: "FieldElement", precision_bits: int = 64) -> mpmath.mpc:
         """eps(a) at max(53, precision_bits) bits, for display only: the
         rounding is not bounded, and no certificate reads the value."""
+        import mpmath
         prec = max(53, precision_bits)
         upows, tpows = self._embed_tables(prec)
         with mpmath.mp.workprec(prec):
@@ -716,8 +717,11 @@ class FieldElement:
     # -- io ---------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        terms = [[i, j, f"{c.numerator}/{c.denominator}"]
-                 for (i, j, c) in self.nonzero_terms()]
+        """{"d": d, "terms": [[i, j, "p/q"], ...]}, each coefficient n/den
+        reduced by one gcd."""
+        den = self.den
+        terms = [[i, j, f"{n // (g := gcd(n, den))}/{den // g}"]
+                 for i, j, n in self.terms]
         return {"d": self.field.d, "terms": terms}
 
     def __repr__(self):

@@ -1,12 +1,15 @@
 """Command-line interface: report schema, exit codes, determinism."""
 
 import contextlib
+import enum
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from fermatosc import cli, tower
-from fermatosc.cli import main
+from fermatosc.cli import indented_json, main
 
 
 def run_cli(argv, capsys):
@@ -277,3 +280,118 @@ def test_module_entry_point():
     assert out.returncode == 0
     rep = json.loads(out.stdout)
     assert rep["payload"]["sextactic_count"] == 27
+
+
+def test_unwritable_out_exits_before_work(tmp_path, monkeypatch):
+    def no_suite(d):
+        raise RuntimeError(f"a suite started at d = {d}")
+
+    monkeypatch.setattr(cli, "FermatCurve", no_suite)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["all", "--min-degree", "3", "--max-degree", "4",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+# -- the report writer ----------------------------------------------------------
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+class Label(str):
+    pass
+
+
+WRITER_SCALARS = [
+    "", "plain", 'quote " and \\ backslash', "tab\tnewline\nnul\x00bell\x07",
+    "\u00e9 \u2211 \U0001d53d \u2028", "lone \ud800 surrogate",
+    0, 1, -7, 10**40, -(10**25), True, False, None,
+    0.1, -2.5, 1e16, -1e-300, -0.0, 0.0, float("nan"), float("inf"),
+    float("-inf"), Level.HIGH, Label('sub"str\u00e9'), Fraction(-3, 4),
+]
+WRITER_KEYS = ["", "k", "\u00e9\n\"", Label("lbl"), 0, -3, 10**30, 2.5, -0.0,
+               1e16, float("nan"), float("inf"), True, False, None, Level.LOW]
+
+
+def _writer_value(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(WRITER_SCALARS)
+    items = [_writer_value(rng, depth - 1)
+             for _ in range(rng.choice((0, 0, 1, 2, 3, 5)))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return items
+    if kind == 1:
+        return tuple(items)
+    return {rng.choice(WRITER_KEYS): v for v in items}
+
+
+def test_indented_json_matches_json_dumps():
+    rng = random.Random(1600)
+    for _ in range(400):
+        value = _writer_value(rng, 6)
+        assert indented_json(value) == json.dumps(value, indent=2,
+                                                  default=str)
+
+
+def test_indented_json_rejects_other_keys():
+    for value in ({(1, 2): 0}, [{"a": {b"x": 1}}], {Fraction(1, 2): 0}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, default=str)
+        with pytest.raises(TypeError):
+            indented_json(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["points", "--degree", "3", "--kind", "all"],
+    ["tangents", "--degree", "4", "--kind", "all"],
+    ["conic", "--degree", "4", "--j", "1", "--k", "3"],
+    ["hessian2", "--degree", "3"],
+    ["census", "--arrangement", "B", "--degree", "4", "--with-fermat"],
+    ["freeness", "--arrangement", "BzMxNy", "--degree", "3"],
+    ["collinear", "--degree", "3"],
+    ["verify", "--theorem", "main", "--degree", "4"],
+    ["verify", "--theorem", "invariant-intersection", "--degree", "3"],
+    ["all", "--min-degree", "3", "--max-degree", "3"],
+], ids=lambda argv: argv[0])
+def test_reports_match_json_dumps(argv, monkeypatch, capsys):
+    """Every text the writer makes, whole report or nested value, equals
+    the standard library's at the same indent."""
+    writer, written = cli.indented_json, []
+
+    def checked(obj, pad=""):
+        text = writer(obj, pad)
+        ref = json.dumps(obj, indent=2, default=str).replace("\n", "\n" + pad)
+        assert text == ref
+        written.append(pad)
+        return text
+
+    monkeypatch.setattr(cli, "indented_json", checked)
+    for fmt in ("json", "table"):
+        written.clear()
+        assert main(argv + ["--format", fmt]) == 0
+        capsys.readouterr()
+        # tables with no layout of their own write the whole payload
+        if fmt == "json" or argv[0] in ("tangents", "conic", "hessian2"):
+            assert "" in written
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 12])
+def test_element_json_matches_fraction_form(d):
+    fld = tower.tower_field(d)
+    rng = random.Random(1610 + d)
+    elems = [fld.random_element(rng, max_terms=6, num_bound=60,
+                                den_choices=(1, 2, 3, 4, 6, 9, 35))
+             for _ in range(40)]
+    elems += [a * b for a, b in zip(elems, elems[1:])]
+    assert any(e.den > 1 for e in elems)
+    assert any(n < 0 for e in elems for _, _, n in e.terms)
+    for e in elems:
+        ref = [[i, j, f"{c.numerator}/{c.denominator}"]
+               for i, j, c in e.nonzero_terms()]
+        assert e.to_json_dict() == {"d": d, "terms": ref}

@@ -24,3 +24,12 @@ def test_cli_imports_without_numpy():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert out.stdout.strip() == "False"
+
+
+def test_cli_imports_without_mpmath():
+    # mpmath is loaded by the first embedding, for the approx columns only
+    code = "import sys, fermatosc.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "False"
