@@ -86,32 +86,29 @@ class FreenessVerdict:
                 "free": self.free}
 
 
-def _grid_lines(token: str, field: TowerField, d: int):
-    """Linear factors of one binary-form grid component.
+def grid_line(token: str, field: TowerField, d: int, i: int) -> HomPoly:
+    """Linear factor i (0 <= i < d) of one binary-form grid component.
 
     Each group has one representative line family, written for its first
     token in `GROUP_TOKENS`; the next two tokens are its rotations by
     (a, b, c) -> (c, a, b) of the coefficient triple:
 
-        B_z: x - zeta^j y       A_z: x - u^k y  (k odd)
+        B_z: x - zeta^i y       A_z: x - u^k y  (k = 2i + 1)
         M_x: z - u^(-k) t y     N_x: y - u^(-k) t z
     """
     group = token[0]
     if group == "B":
-        params = [field.zeta_pow(j) for j in range(d)]
+        c = field.zeta_pow(i)
     elif group == "A":
-        params = [field.u_pow(k) for k in range(1, 2 * d, 2)]
+        c = field.u_pow(2 * i + 1)
     else:
-        params = [field.monomial(-k, 1) for k in range(1, 2 * d, 2)]
+        c = field.monomial(-(2 * i + 1), 1)
     n = GROUP_TOKENS[group].index(token)
     # positions of the coefficients 1 and -c in the representative
     one_at, c_at = {"M": (2, 1), "N": (1, 2)}.get(group, (0, 1))
-    out = []
-    for c in params:
-        coefs = [field.zero] * 3
-        coefs[one_at], coefs[c_at] = field.one, -c
-        out.append(HomPoly.line(field, *rotate(coefs, -n)))
-    return out
+    coefs = [field.zero] * 3
+    coefs[one_at], coefs[c_at] = field.one, -c
+    return HomPoly.line(field, *rotate(coefs, -n))
 
 
 def grid_component_poly(token: str, field: TowerField, d: int) -> HomPoly:
@@ -166,7 +163,7 @@ def build(label: str, d: int) -> LineArrangement:
             for exps in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
                 lines.append(HomPoly.monomial(field, exps, 1))
         else:
-            lines.extend(_grid_lines(tok, field, d))
+            lines.extend(grid_line(tok, field, d, i) for i in range(d))
     return LineArrangement(label, field, lines)
 
 

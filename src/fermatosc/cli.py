@@ -21,6 +21,7 @@ error, raised before any work starts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -28,10 +29,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .arrangements import (build, census, collinear_sextactic, freeness_test,
-                           grid_product_poly, koszul_triple,
-                           multiplicity_multiset, syzygy_candidates,
-                           tjurina_total, verify_syzygy)
+from .arrangements import (GROUP_TOKENS, build, census, collinear_sextactic,
+                           freeness_test, grid_line, grid_product_poly,
+                           koszul_triple, multiplicity_multiset,
+                           syzygy_candidates, tjurina_total, verify_syzygy)
 from .errors import FermatoscError, FewerPoints
 from .fermat import (FermatCurve, hyperosculating_conic, inflection_points,
                      osculating_conic_cayley, osculating_conic_closed,
@@ -44,6 +45,9 @@ from .symmetry import (conic_common_points, curve_orbit, fixed_line,
 from . import tower
 
 KINDS = ("sextactic", "inflection", "all")
+
+# the grid groups `verify --theorem main` checks, in line-index order
+VERIFY_GROUPS = ("B", "M", "N")
 
 # highest degree `all` and `collinear` accept: the highest any workload or
 # test runs; the suite's cost grows steeply with d
@@ -168,12 +172,25 @@ def _inflection_payload(p, idx, precision):
 
 
 def _grid_lines(curve):
+    """The 9d grid lines of B+M+N with their labels, each group built as an
+    arrangement (which checks its lines are distinct)."""
     lines = []
-    for token in ("B", "M", "N"):
-        arr = build(token, curve.d)
+    for group in VERIFY_GROUPS:
+        arr = build(group, curve.d)
         for i, L in enumerate(arr.lines):
-            lines.append((f"{token}[{i}]", L))
+            lines.append((f"{group}[{i}]", L))
     return lines
+
+
+def _grid_line(curve, index):
+    """`_grid_lines(curve)[index]`, building that one line alone."""
+    d = curve.d
+    if not 0 <= index < 9 * d:
+        raise FewerPoints(f"line index out of range 0..{9 * d - 1}")
+    group, i = divmod(index, 3 * d)
+    token = GROUP_TOKENS[VERIFY_GROUPS[group]][i // d]
+    return (f"{VERIFY_GROUPS[group]}[{i}]",
+            grid_line(token, curve.field, d, i % d))
 
 
 def cmd_points(args):
@@ -220,8 +237,7 @@ def cmd_tangents(args):
 
 def cmd_conic(args):
     curve = FermatCurve(args.degree)
-    s = curve.incidence.by_index.get(
-        (args.cluster, args.j % args.degree, args.k % (2 * args.degree)))
+    s = curve.sextactic_point(args.cluster, args.j, args.k)
     if s is None:
         raise FewerPoints(f"no sextactic point ({args.cluster}, {args.j}, {args.k})")
     O = hyperosculating_conic(curve, s)
@@ -394,11 +410,10 @@ def cmd_verify(args):
 
 
 def _verify_main(curve, jobs, line_index=None):
-    lines = _grid_lines(curve)
-    if line_index is not None:
-        if not (0 <= line_index < len(lines)):
-            raise FewerPoints(f"line index out of range 0..{len(lines)-1}")
-        lines = [lines[line_index]]
+    if line_index is None:
+        lines = _grid_lines(curve)
+    else:
+        lines = [_grid_line(curve, line_index)]
     workers = min(jobs, os.cpu_count() or 1, len(lines))
     if workers > 1:
         # more than one line: all of them, in contiguous ranges
@@ -700,8 +715,17 @@ def _fmt_complex(approx):
     return " , ".join(f"{re:+.4f}{im:+.4f}i" for re, im in approx)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first call in a process.  Parsing
+    leaves the parser as it was, so calls share nothing through it; a caller
+    that runs `main` more than once (tests, the benchmark, library use)
+    builds it once, while a one-shot command gains nothing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")

@@ -10,8 +10,10 @@ organized in three clusters of d^2 points:
 
 for j mod d and k odd in (0, 2d), with zeta = u^2 and t = 2^(1/d).  Each
 cluster is the cluster-z family rotated once more by (a, b, c) -> (b, c, a);
-the inflection points (0 : 1 : u^k) and their two rotations by
-(a, b, c) -> (c, a, b) are written down the same way.
+`FermatCurve.sextactic_point` is the one place this formula is written, and
+the full point set, the `conic` query and the pencil certificates all build
+their points through it.  The inflection points (0 : 1 : u^k) and their two
+rotations by (a, b, c) -> (c, a, b) are written down the same way.
 
 Osculating conics come from two independent pipelines: the evaluated
 covariant combination 9H^3(p) D2F_p - (6H^2(p) DH_p + W(p) DF_p) DF_p with
@@ -54,9 +56,11 @@ class FermatCurve:
     def __init__(self, d: int):
         self.d = d
         self.field = tower_field(d)
-        x, y, z = HomPoly.variables(self.field)
-        self.poly = x**d + y**d + z**d
+        one = self.field.one
+        self.poly = HomPoly(self.field, d, {(d, 0, 0): one, (0, d, 0): one,
+                                            (0, 0, d): one})
         self._incidence = None
+        self._units = {}
         self._osculating = {}
         self._hyperosculating = {}
 
@@ -88,6 +92,40 @@ class FermatCurve:
         out = self._hyperosculating.get(key)
         if out is None:
             out = self._hyperosculating[key] = hyperosculating_conic(self, s)
+        return out
+
+    def sextactic_point(self, cluster: str, j: int, k: int):
+        """The sextactic point (cluster, j mod d, k mod 2d), or None for an
+        even k.  Its coordinates are written down already scaled to a first
+        coordinate of one, so building it inverts nothing."""
+        if k % 2 == 0:
+            return None
+        d, one = self.d, self.field.one
+        j, k = j % d, k % (2 * d)
+        n = CLUSTERS.index(cluster)
+        zj, w = self._unit(2 * j, 0), self._unit(-k, 1)      # zeta^j, u^(-k) t
+        raw = rotate((zj, one, w), n)
+        # (zj : 1 : w), (1 : w : zj) and (w : zj : 1), scaled
+        if n == 0:
+            zinv = self._unit(-2 * j, 0)
+            coords = (one, zinv, zinv * w)
+        elif n == 1:
+            coords = raw
+        else:
+            winv = self._unit(k, -1)
+            coords = (one, zj * winv, winv)
+        return SextacticPoint(cluster, j, k, ProjPoint(self.field, coords),
+                              raw)
+
+    def _unit(self, a: int, b: int):
+        """u^a t^b for b in (-1, 0, 1), built once per curve: the points of
+        one cluster share d values of each."""
+        out = self._units.get((a, b))
+        if out is None:
+            field = self.field
+            out = (field.u_pow(a) * field.t_inv if b < 0
+                   else field.monomial(a, b))
+            self._units[a, b] = out
         return out
 
     @cached_property
@@ -181,38 +219,12 @@ def sextactic_points(curve: FermatCurve):
     return list(curve.incidence.sextactic)
 
 
-def _build_sextactic_points(curve: FermatCurve):
-    """The points with their coordinates written down already scaled to a
-    first coordinate of one, so that no point costs an inversion."""
-    field = curve.field
-    one = field.one
-    ks = range(1, 2 * curve.d, 2)
-    ws = {k: field.monomial(-k, 1) for k in ks}                 # u^(-k) t
-    winvs = {k: field.u_pow(k) * field.t_inv for k in ks}
-    out = []
-    for n, cluster in enumerate(CLUSTERS):
-        for j in range(curve.d):
-            zj, zinv = field.zeta_pow(j), field.zeta_pow(-j)
-            for k, w in ws.items():
-                raw = rotate((zj, one, w), n)
-                # (zj : 1 : w), (1 : w : zj) and (w : zj : 1), scaled
-                if n == 0:
-                    coords = (one, zinv, zinv * w)
-                elif n == 1:
-                    coords = raw
-                else:
-                    coords = (one, zj * winvs[k], winvs[k])
-                out.append(SextacticPoint(cluster, j, k,
-                                          ProjPoint(field, coords), raw))
-    return out
-
-
 class IncidenceTable:
     """The special points of one curve, indexed for lookups by line.
 
-    `sextactic` is the order `sextactic_points` returns and `by_index` maps
-    (cluster, j, k) to the point.  `specials`, built on first use, holds the
-    sextactic points followed by the inflection points.  The ratio table,
+    `sextactic` is the order `sextactic_points` returns (one point alone is
+    `FermatCurve.sextactic_point`).  `specials`, built on first use, holds
+    the sextactic points followed by the inflection points.  The ratio table,
     built on the first lookup by line, maps (a, b, x_b / x_a), for each
     coordinate pair a < b, to the specials with that coordinate ratio.
 
@@ -230,8 +242,10 @@ class IncidenceTable:
     """
 
     def __init__(self, curve: FermatCurve):
-        self.sextactic = tuple(_build_sextactic_points(curve))
-        self.by_index = {(s.cluster, s.j, s.k): s for s in self.sextactic}
+        d = curve.d
+        self.sextactic = tuple(
+            curve.sextactic_point(cluster, j, k) for cluster in CLUSTERS
+            for j in range(d) for k in range(1, 2 * d, 2))
         self._field = curve.field
         self.orbits = {}
         self.sweeps = {}

@@ -39,7 +39,7 @@ LINEAR_EXPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 class HomPoly:
     """Homogeneous polynomial in x, y, z over K_d."""
 
-    __slots__ = ("field", "deg", "terms", "_hash")
+    __slots__ = ("field", "deg", "terms", "_hash", "_exps")
 
     def __init__(self, field: TowerField, deg: int, terms: dict):
         self.field = field
@@ -52,6 +52,7 @@ class HomPoly:
                 clean[exps] = c
         self.terms = clean
         self._hash = None
+        self._exps = None
 
     # -- constructors -------------------------------------------------------
 
@@ -99,6 +100,14 @@ class HomPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+
+    def exponents_used(self) -> tuple:
+        """For each variable, the ascending nonzero exponents it carries in
+        some term; built on first use."""
+        if self._exps is None:
+            cols = tuple(zip(*self.terms)) or ((), (), ())
+            self._exps = tuple(tuple(sorted(set(col) - {0})) for col in cols)
+        return self._exps
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -237,7 +246,11 @@ class HomPoly:
 
 
 class ProjPoint:
-    """Point of P^2 over K_d, stored with first nonzero coordinate scaled to 1."""
+    """Point of P^2 over K_d, stored with first nonzero coordinate scaled to 1.
+
+    A point whose pivot is one already is stored as given, and a point with
+    one nonzero coordinate is the unit vector: neither inverts anything.
+    """
 
     __slots__ = ("field", "coords", "_hash")
 
@@ -248,16 +261,17 @@ class ProjPoint:
         for i, c in enumerate(coords):
             if not isinstance(c, FieldElement):
                 coords[i] = field.from_rational(c)
-        pivot = None
-        for c in coords:
-            if not c.is_zero():
-                pivot = c
+        for k, pivot in enumerate(coords):
+            if not pivot.is_zero():
                 break
-        if pivot is None:
+        else:
             raise ValueError("all coordinates zero")
         if pivot != field.one:
-            inv = field.invert(pivot)
-            coords = [c * inv for c in coords]
+            if all(c.is_zero() for c in coords[k + 1:]):
+                coords[k] = field.one
+            else:
+                inv = field.invert(pivot)
+                coords = [c * inv for c in coords]
         self.field = field
         self.coords = tuple(coords)
         self._hash = None
@@ -286,13 +300,23 @@ class ProjPoint:
 def _substitute(f: HomPoly, values, one, zero, mul):
     """f(values) in the ring of the three values, with unit `one` and product
     `mul`; the sum starts at `zero` and each term is scaled by its
-    coefficient with `*`.  The power tables are built once, and a factor
-    x^0 is never multiplied in."""
+    coefficient with `*`.
+
+    Only the powers of each value that f's exponents use
+    (`HomPoly.exponents_used`) are built, once, walking the exponents in
+    ascending order: power e is one product from power e - 1 when that is
+    built, and otherwise a square of lower powers (`_power`).  A dense f
+    builds every power 1..deg as a plain power loop would; x^d + y^d + z^d
+    makes about log2 d products per value, not d - 1.  A factor x^0 is
+    never multiplied in."""
     pows = []
-    for v in values:
-        pv = [one, v]
-        for _ in range(f.deg - 1):
-            pv.append(mul(pv[-1], v))
+    for v, used in zip(values, f.exponents_used()):
+        pv = {1: v}
+        for e in used:
+            if e not in pv:
+                prev = pv.get(e - 1)
+                pv[e] = (mul(prev, v) if prev is not None
+                         else _power(pv, e, mul))
         pows.append(pv)
     acc = zero
     for exps, coef in f.terms.items():
@@ -302,6 +326,17 @@ def _substitute(f: HomPoly, values, one, zero, mul):
                 term = pv[e] if term is None else mul(term, pv[e])
         acc = acc + (one if term is None else term) * coef
     return acc
+
+
+def _power(pv: dict, e: int, mul):
+    """Power e of pv[1], from the table pv of powers built so far: the
+    square of power e // 2 (built first, and kept in pv, if need be), times
+    pv[1] when e is odd."""
+    half = pv.get(e // 2)
+    if half is None:
+        half = pv[e // 2] = _power(pv, e // 2, mul)
+    out = mul(half, half)
+    return mul(out, pv[1]) if e & 1 else out
 
 
 # -- spec-facing wrappers -----------------------------------------------------

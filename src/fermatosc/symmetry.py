@@ -466,9 +466,8 @@ def pencil_degenerate(curve: FermatCurve, j: int, k1: int, k2: int):
         raise ValueError("k indices must be odd")
     d = curve.d
     field = curve.field
-    pts = curve.incidence.by_index
-    o1 = curve.hyperosculating(pts["z", j % d, k1 % (2 * d)])
-    o2 = curve.hyperosculating(pts["z", j % d, k2 % (2 * d)])
+    o1 = curve.hyperosculating(curve.sextactic_point("z", j, k1))
+    o2 = curve.hyperosculating(curve.sextactic_point("z", j, k2))
 
     tinv = field.t_inv
     zcoef = -(tinv * ((d + 1) * (2 * d - 3))

@@ -109,6 +109,50 @@ def test_verify_main_single_line(capsys):
     assert entry["conic"]["count"] == 2
 
 
+def test_verify_line_index_matches_the_full_report(capsys):
+    """`--line-index i` builds line i alone; its entry is the full report's
+    entry i, label included, for every grid line at d = 4."""
+    code, full = run_json(["verify", "--theorem", "main", "--degree", "4"],
+                          capsys)
+    assert code == 0 and full["payload"]["line_count"] == 36
+    for i, entry in enumerate(full["payload"]["lines"]):
+        code, rep = run_json(["verify", "--theorem", "main", "--degree", "4",
+                              "--line-index", str(i)], capsys)
+        assert code == 0
+        assert rep["payload"]["lines"] == [entry]
+    for i in (-1, 36):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--theorem", "main", "--degree", "4",
+                  "--line-index", str(i)])
+        assert exc.value.code == 2
+        assert "line index out of range 0..35" in capsys.readouterr().err
+
+
+def test_main_calls_share_no_state(capsys):
+    """The parser is built once per process, and a second call sees only
+    its own arguments: no flag or value of the first survives."""
+    assert cli._parser() is cli._parser()
+    argv_a = ["census", "--degree", "4", "--arrangement", "B",
+              "--with-fermat", "--seed", "7", "--precision", "64"]
+    argv_b = ["census", "--degree", "4", "--arrangement", "B"]
+    fresh = cli.build_parser()
+    for argv in (argv_a, argv_b, argv_a):
+        assert cli._parser().parse_args(argv) == fresh.parse_args(argv)
+    code_a, rep_a = run_json(argv_a, capsys)
+    code_b, rep_b = run_json(argv_b, capsys)
+    assert code_a == code_b == 0
+    assert (rep_a["seed"], rep_a["precision_bits"]) == (7, 64)
+    assert (rep_b["seed"], rep_b["precision_bits"]) == (0, 128)
+    assert rep_a["payload"] != rep_b["payload"]
+    assert rep_b == run_json(argv_b, capsys)[1]
+    code, rep = run_json(["verify", "--theorem", "main", "--degree", "3",
+                          "--line-index", "2"], capsys)
+    assert rep["payload"]["line_count"] == 1
+    code, rep = run_json(["verify", "--theorem", "main", "--degree", "3"],
+                         capsys)
+    assert rep["payload"]["line_count"] == 27
+
+
 def test_verify_invariant(capsys):
     code, rep = run_json(["verify", "--theorem", "invariant-intersection",
                           "--degree", "3", "--osc-degree", "2"], capsys)

@@ -105,6 +105,30 @@ def test_sextactic_counts(d):
         assert C.is_smooth_at(s.point)
 
 
+@pytest.mark.parametrize("d", (3, 4, 5, 6, 12))
+def test_sextactic_point_matches_the_point_set(d):
+    """One point from the cluster formula is the point set's entry with the
+    same indices: the raw monomial coordinates rotated per cluster,
+    normalized by inversion, with j and k read modulo d and 2d.  An even k
+    is no point."""
+    C = FermatCurve(d)
+    fld = C.field
+    by_index = {(s.cluster, s.j, s.k): s for s in sextactic_points(C)}
+    assert len(by_index) == 3 * d * d
+    for n, cluster in enumerate("zyx"):
+        for j in range(d):
+            for k in range(1, 2 * d, 2):
+                s = C.sextactic_point(cluster, j, k)
+                assert s == by_index[cluster, j, k]
+                raw = (fld.zeta_pow(j), fld.one, fld.monomial(-k, 1))
+                raw = raw[n:] + raw[:n]
+                assert s.raw_coords == raw
+                assert s.point == ProjPoint(
+                    fld, [c * fld.invert(raw[0]) for c in raw])
+                assert C.sextactic_point(cluster, j + d, k - 2 * d) == s
+            assert C.sextactic_point(cluster, j, 2 * j) is None
+
+
 def test_sextactic_on_one_line_per_grid():
     from fermatosc.arrangements import build
     d = 4

@@ -1,6 +1,7 @@
 """Polynomial algebra, branch series, intersection multiplicities and the
 two independent multiplicity oracles."""
 
+import operator
 import random
 
 import pytest
@@ -10,8 +11,9 @@ from conftest import (rand_curve_through, rand_field_element, rand_homogeneous,
 from fermatosc.errors import (GenericityFailure, NotOnCurve, ResultantZero,
                               SingularPoint, TruncationExhausted)
 from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint, _local_norm,
-                               _rank_le_one, branch_series, disc2, evaluate,
-                               hessian, int_mult, line_parametrization,
+                               _rank_le_one, _substitute, branch_series,
+                               disc2, evaluate, hessian, int_mult,
+                               line_parametrization,
                                osculating_conic_series, parameter_of_point,
                                partial, pullback_to_line, restrict_to_line,
                                resultant_order)
@@ -435,6 +437,32 @@ def test_canonical_line_keeps_a_unit_pivot(monkeypatch):
     assert L.canonical_line() is L
 
 
+@pytest.mark.parametrize("d", (3, 4, 11))
+def test_single_nonzero_point_inverts_nothing(d, monkeypatch):
+    """A point with one nonzero coordinate is the unit vector, built with
+    no inversion, and equal to the point scaled by the inverse."""
+    rng = random.Random(1490 + d)
+    fld = tower_field(d)
+    cases = []
+    for i in range(3):
+        for c in (fld.one, fld.from_rational(-3), rand_nonzero(fld, rng),
+                  fld.u_pow(1) - fld.zeta_pow(2)):
+            coords = [fld.zero] * 3
+            coords[i] = c
+            want = [v * fld.invert(c) for v in coords]
+            cases.append((coords, want))
+
+    def no_inverse(self, a):
+        raise AssertionError("inversion of a single nonzero coordinate")
+    monkeypatch.setattr(TowerField, "invert", no_inverse)
+    for coords, want in cases:
+        p = ProjPoint(fld, coords)
+        assert p.coords == tuple(want)
+        q = ProjPoint(fld, want)
+        assert p == q and hash(p) == hash(q)
+        assert p.to_json() == [v.to_json_dict() for v in want]
+
+
 def test_disc2_examples():
     fld = tower_field(4)
     one = fld.one
@@ -671,6 +699,82 @@ def test_pullback_commutes_with_evaluate(d):
         assert bf.deg == deg
         assert bf.evaluate(s, t) == f.evaluate(
             [s * a + t * b for a, b in zip(v1, v2)])
+
+
+def _substitute_all_powers(f, values, one, zero, mul):
+    """The plain substitution loop: every power 1..deg of every value, and
+    each term a product from one."""
+    pows = []
+    for v in values:
+        pv = [one, v]
+        for _ in range(f.deg - 1):
+            pv.append(mul(pv[-1], v))
+        pows.append(pv)
+    acc = zero
+    for exps, coef in f.terms.items():
+        term = one
+        for pv, e in zip(pows, exps):
+            term = mul(term, pv[e])
+        acc = acc + term * coef
+    return acc
+
+
+def _series(fld, rng, n):
+    return BinaryForm(fld, [rand_field_element(fld, rng, max_terms=2)
+                            for _ in range(n)])
+
+
+def test_substitute_builds_only_the_powers_used():
+    """x^12 + y^12 + z^12 over series builds v^2 v, (v^3)^2 and (v^6)^2 of
+    each value v: four products per value where the plain loop makes
+    eleven, and the same sum."""
+    rng = random.Random(1470)
+    fld, F = fermat(12)
+    n = 4
+    values = [_series(fld, rng, n) for _ in range(3)]
+    calls = []
+
+    def mul(a, b):
+        calls.append(1)
+        return a.mul(b, n)
+    one = BinaryForm(fld, [fld.one] + [fld.zero] * (n - 1))
+    zero = BinaryForm(fld, [fld.zero] * n)
+    got = _substitute(F, values, one, zero, mul)
+    assert len(calls) == 3 * 4
+    assert got == _substitute_all_powers(F, values, one, zero,
+                                         lambda a, b: a.mul(b, n))
+    assert F.exponents_used() == ((12,), (12,), (12,))
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_substitute_matches_all_powers(d):
+    """Dense and sparse seeded polynomials, over field elements, series and
+    linear forms, give what the all-powers loop gives."""
+    rng = random.Random(1480 + d)
+    fld = tower_field(d)
+    x1 = HomPoly.monomial(fld, (0, 0, 0), 1)
+    curves = [rand_homogeneous(fld, rng, deg, n_terms=n)
+              for deg in (1, 2, 3, 5, 7) for n in (3, 12)]
+    curves += [fermat(d)[1], fermat(d)[1].partial(0),
+               HomPoly.monomial(fld, (0, 0, 0), 3)]
+    n = 5
+
+    def smul(a, b):
+        return a.mul(b, n)
+    for f in curves:
+        pts = [rand_field_element(fld, rng) for _ in range(3)]
+        assert _substitute(f, pts, fld.one, fld.zero, operator.mul) == \
+            _substitute_all_powers(f, pts, fld.one, fld.zero, operator.mul)
+        ser = [_series(fld, rng, n) for _ in range(3)]
+        sone = BinaryForm(fld, [fld.one] + [fld.zero] * (n - 1))
+        szero = BinaryForm(fld, [fld.zero] * n)
+        assert _substitute(f, ser, sone, szero, smul) == \
+            _substitute_all_powers(f, ser, sone, szero, smul)
+        forms = [HomPoly.line(fld, *(rand_field_element(fld, rng, max_terms=1)
+                                     for _ in range(3))) for _ in range(3)]
+        fzero = HomPoly.zero(fld, f.deg)
+        assert _substitute(f, forms, x1, fzero, operator.mul) == \
+            _substitute_all_powers(f, forms, x1, fzero, operator.mul)
 
 
 def _lines_of_each_pivot(fld, rng):
