@@ -34,9 +34,6 @@ from .tower import TowerField, tower_field
 
 CLUSTERS = ("z", "y", "x")
 
-# coordinate pairs (a, b) of the ratio tables, a < b
-COORD_PAIRS = ((0, 1), (0, 2), (1, 2))
-
 
 def rotate(v, n: int) -> tuple:
     """The triple v rotated n times by (a, b, c) -> (b, c, a); a negative n
@@ -61,6 +58,7 @@ class FermatCurve:
                                             (0, 0, d): one})
         self._incidence = None
         self._units = {}
+        self._powers = {}
         self._osculating = {}
         self._hyperosculating = {}
 
@@ -128,6 +126,15 @@ class FermatCurve:
             self._units[a, b] = out
         return out
 
+    def powers(self, c):
+        """(c^(d-1), c^d) for a coordinate value c, built once per curve:
+        the special points share few coordinate values."""
+        out = self._powers.get(c)
+        if out is None:
+            top = c ** (self.d - 1)
+            out = self._powers[c] = (top, top * c)
+        return out
+
     @cached_property
     def hessian(self) -> HomPoly:
         return hessian(self.poly)
@@ -166,13 +173,12 @@ class SextacticPoint:
 def tangent_line(curve: FermatCurve, p: ProjPoint) -> HomPoly:
     """p_x^(d-1) x + p_y^(d-1) y + p_z^(d-1) z.
 
-    The same powers give F(p) = sum p_i^(d-1) p_i, the check that p is on
-    the curve."""
-    cs = [c ** (curve.d - 1) for c in p.coords]
-    if not sum((c * x for c, x in zip(cs, p.coords)),
-               curve.field.zero).is_zero():
+    The powers come from the curve's table (`FermatCurve.powers`), which also
+    gives F(p) = sum p_i^d, the check that p is on the curve."""
+    (cx, fx), (cy, fy), (cz, fz) = [curve.powers(c) for c in p.coords]
+    if not (fx + fy + fz).is_zero():
         raise NotOnCurve("tangent line requested off the curve")
-    return HomPoly.line(curve.field, cs[0], cs[1], cs[2])
+    return HomPoly.line(curve.field, cx, cy, cz)
 
 
 def inflection_points(curve: FermatCurve):
@@ -224,18 +230,19 @@ class IncidenceTable:
 
     `sextactic` is the order `sextactic_points` returns (one point alone is
     `FermatCurve.sextactic_point`).  `specials`, built on first use, holds
-    the sextactic points followed by the inflection points.  The ratio table,
-    built on the first lookup by line, maps (a, b, x_b / x_a), for each
-    coordinate pair a < b, to the specials with that coordinate ratio.
+    the sextactic points followed by the inflection points.  The ratio table
+    of a coordinate pair a < b, built on the first lookup of a line in that
+    pair, maps x_b / x_a to the specials with that coordinate ratio.
 
     A line c_a x_a + c_b x_b = 0 with both coefficients nonzero contains a
     point other than the vertex x_a = x_b = 0 exactly when x_a and x_b are
     nonzero and x_b / x_a = -c_a / c_b.  No special point is a vertex (this
-    is checked when the ratio table is built), so the lookup of that ratio
-    returns every special point on the line: completeness comes from the
-    table.  Each point returned is certified on the line by one exact
-    evaluation.  Lines with one or three nonzero coefficients are scanned
-    point by point.
+    is checked over all of them before the first ratio table is built), and
+    each pair's table holds every special point with x_a and x_b nonzero,
+    so the lookup of that ratio returns every special point on the line:
+    completeness comes from the table.  Each point returned is certified on
+    the line by one exact evaluation.  Lines with one or three nonzero
+    coefficients are scanned point by point.
 
     `orbits` and `sweeps` are memos that the symmetry stages fill: orbits
     under an automorphism, and the scaling that sweeps a line's points.
@@ -247,6 +254,7 @@ class IncidenceTable:
             curve.sextactic_point(cluster, j, k) for cluster in CLUSTERS
             for j in range(d) for k in range(1, 2 * d, 2))
         self._field = curve.field
+        self._ratio_tables = {}
         self.orbits = {}
         self.sweeps = {}
 
@@ -256,23 +264,33 @@ class IncidenceTable:
             _inflection_points(self._field))
 
     @cached_property
-    def _ratios(self) -> dict:
+    def _reps(self) -> list:
+        """One representative per special point, in `specials` order, after
+        checking that no special point is a vertex."""
         # any representative of a point gives its ratios; the raw sextactic
         # coordinates take few distinct values, so few inversions
         reps = [s.raw_coords for s in self.sextactic] + [
             p.coords for p in self.specials[len(self.sextactic):]]
-        inverses = {}
-        ratios = {}
-        for idx, coords in enumerate(reps):
+        for coords in reps:
             if sum(c.is_zero() for c in coords) > 1:
                 raise CertificationFailure("special point at a vertex")
-            for a, b in COORD_PAIRS:
+        return reps
+
+    def _ratios(self, a: int, b: int) -> dict:
+        """The ratio table of the pair (a, b), built on its first lookup:
+        x_b / x_a -> the indices of the specials with both coordinates
+        nonzero and that ratio."""
+        ratios = self._ratio_tables.get((a, b))
+        if ratios is None:
+            ratios = self._ratio_tables[a, b] = {}
+            inverses = {}
+            for idx, coords in enumerate(self._reps):
                 xa, xb = coords[a], coords[b]
                 if xa.is_zero() or xb.is_zero():
                     continue
                 if xa not in inverses:
                     inverses[xa] = xa.inverse()
-                ratios.setdefault((a, b, xb * inverses[xa]), []).append(idx)
+                ratios.setdefault(xb * inverses[xa], []).append(idx)
         return ratios
 
     def _on_line(self, line: HomPoly, stop: int) -> list:
@@ -284,7 +302,7 @@ class IncidenceTable:
                     if line.evaluate(self.specials[i]).is_zero()]
         a, b = support
         ratio = -coeffs[a] * coeffs[b].inverse()
-        out = [i for i in self._ratios.get((a, b, ratio), ()) if i < stop]
+        out = [i for i in self._ratios(a, b).get(ratio, ()) if i < stop]
         for i in out:
             if not line.evaluate(self.specials[i]).is_zero():
                 raise CertificationFailure(

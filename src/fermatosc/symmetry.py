@@ -41,10 +41,11 @@ class Automorphism:
     scale[2] = 1.
 
     Built from a monomial matrix, row i holding scale[i] in column perm[i];
-    a matrix of another shape raises ValueError.
+    a matrix of another shape raises ValueError.  The slot `_fixed` is
+    unset until `fixed_line(self)` fills it.
     """
 
-    __slots__ = ("field", "perm", "scale", "_hash")
+    __slots__ = ("field", "perm", "scale", "_hash", "_fixed")
 
     def __init__(self, field: TowerField, mat):
         perm = []
@@ -167,11 +168,20 @@ def group_elements(d_or_curve) -> list:
 
 
 def fixed_line(g: Automorphism) -> Optional[HomPoly]:
-    """The line fixed pointwise by g (a 2-dimensional eigenspace), if any.
+    """The line fixed pointwise by g (a 2-dimensional eigenspace), if any,
+    computed once per automorphism.
 
     The identity fixes every line and returns None, since no single line is
     distinguished.
     """
+    try:
+        return g._fixed
+    except AttributeError:
+        g._fixed = _fixed_line(g)
+        return g._fixed
+
+
+def _fixed_line(g: Automorphism) -> Optional[HomPoly]:
     field, perm, a = g.field, g.perm, g.scale
     if perm == (0, 1, 2):
         for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):

@@ -52,21 +52,29 @@ t-modulus is irreducible by Capelli's criterion at one prime p = 1
 witness (p, w, c mod p) is kept as `TowerField.certificate`.
 
 `memoized()` opens a block, in the manner of `decimal.localcontext()`, in
-which products, sums (and so differences) and inverses are looked up by
-their operands before they are computed.  The paper's objects are orbits
-of the monomial automorphism group, so one command multiplies the same
-few root-of-unity coefficients again and again, and building a new
-element is the kernel's main cost.  The key is the operand elements
-themselves, equal normal forms compared by the cached hash; the pair is
-ordered by terms, so that a * b and b * a share one entry.  The checks
-that raise (mixed fields, inverting zero) come first, and a computation
-that raises stores nothing.  Each block starts empty and restores the
-enclosing one when it closes.  The CLI opens one around each command, one
-per degree in `all`, and one per `--jobs` worker task, so the memory held
-is one command's (one degree's) working set and is freed with it.
-Library calls outside a block run the kernel unchanged and hold nothing:
-a memo without an end would keep every element a long-lived caller ever
-made.
+which the kernel reuses what it has already built.  The paper's objects
+are orbits of the monomial automorphism group, so one command multiplies
+the same few root-of-unity coefficients again and again, and building a
+new element is the kernel's main cost.  Inside a block every element the
+kernel builds (`TowerField._make`, the one-term shift of a product, a
+negation) is interned: a table keyed by (field, terms, den) hands back the
+first element built with that value, so two equal elements built in one
+block are one object.  Products, sums, differences and inverses are then
+looked up by the `id()` of their operands, the pair ordered by id for `*`
+and `+` so that a * b and b * a share one entry; no element's hash or
+value comparison is computed.  Each entry holds its operands as well as
+its result, so no operand is freed, and its id cannot pass to another
+object, while the block is open.  Operands built outside the block (the
+field's constants, say) are keyed by id in the same way.  Equality and
+hashing stay by value; `==` tests identity first.  The checks that
+raise (mixed fields, inverting zero) come first, so a rejected call stores
+nothing.  Each block starts empty and restores the enclosing one when it
+closes, and nothing in its tables outlives it.  The CLI opens one around
+each command, one per degree in `all`, and one per `--jobs` worker task,
+so the memory held is one command's (one degree's) working set and is
+freed with it.  Library calls outside a block intern nothing, look
+nothing up and hold nothing: a memo without an end would keep every
+element a long-lived caller ever made.
 """
 
 from __future__ import annotations
@@ -88,15 +96,17 @@ D_MIN = 3
 D_MAX = 64
 
 # the memo of the innermost open `memoized()` block, or None: the tables
-# (products, sums, inverses), keyed by operand pairs and by the element
+# (interned elements by (field, terms, den); products, sums, differences by
+# operand ids; inverses by id), each entry holding its operands
 _MEMO = ContextVar("fermatosc_tower_memo", default=None)
 
 
 @contextmanager
 def memoized():
-    """A block in which `*`, `+` and `invert` reuse results already
-    computed in it; see the module docstring."""
-    token = _MEMO.set(({}, {}, {}))
+    """A block in which the kernel interns the elements it builds and `*`,
+    `+`, `-` and `invert` reuse results already computed in it; see the
+    module docstring."""
+    token = _MEMO.set(({}, {}, {}, {}, {}))
     try:
         yield
     finally:
@@ -292,7 +302,10 @@ class TowerField:
                 terms = [(i, j, n // g) for i, j, n in terms]
                 den //= g
         terms.sort()
-        return FieldElement(self, tuple(terms), den)
+        memo = _MEMO.get()
+        if memo is None:
+            return FieldElement(self, tuple(terms), den)
+        return _intern(memo, self, tuple(terms), den)
 
     def from_rational(self, q) -> "FieldElement":
         q = Q(q)
@@ -401,10 +414,12 @@ class TowerField:
         memo = _MEMO.get()
         if memo is None:
             return self._invert(a)
-        out = memo[2].get(a)
-        if out is None:
-            out = memo[2][a] = self._invert(a)
-        return out
+        hit = memo[4].get(id(a))
+        if hit is None:
+            out = self._invert(a)
+            memo[4][id(a)] = (a, out)
+            return out
+        return hit[1]
 
     def _invert(self, a: "FieldElement") -> "FieldElement":
         A = a.terms
@@ -550,10 +565,11 @@ class FieldElement:
 
     `terms` holds the nonzero integer triples (i, j, n) sorted by (i, j),
     and `den > 0` with gcd(den, n, ...) = 1; zero is ((), 1).  Built by
-    `TowerField._make`, which brings raw integer terms to this form.
+    `TowerField._make`, which brings raw integer terms to this form, and
+    interned inside a `memoized()` block (`_intern`).
     """
 
-    __slots__ = ("field", "terms", "den", "_hash")
+    __slots__ = ("field", "terms", "den", "_hash", "__weakref__")
 
     def __init__(self, field: TowerField, terms: tuple, den: int):
         self.field = field
@@ -587,6 +603,8 @@ class FieldElement:
         return self._hash
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not FieldElement:
             other = _coerce(self.field, other)
             if other is None:
@@ -616,18 +634,21 @@ class FieldElement:
             return other
         memo = _MEMO.get()
         if memo is None:
-            return self._add(other)
-        key = (self, other) if self.terms <= other.terms else (other, self)
-        out = memo[1].get(key)
-        if out is None:
-            out = memo[1][key] = self._add(other)
-        return out
+            return self._add(other, 1)
+        a, b = id(self), id(other)
+        key = (a, b) if a <= b else (b, a)
+        hit = memo[2].get(key)
+        if hit is None:
+            out = self._add(other, 1)
+            memo[2][key] = (self, other, out)
+            return out
+        return hit[2]
 
-    def _add(self, other):
+    def _add(self, other, sign):
+        """self + sign * other, for sign in (1, -1)."""
         den = lcm(self.den, other.den)
         acc = {}
-        for e in (self, other):
-            f = den // e.den
+        for e, f in ((self, den // self.den), (other, sign * den // other.den)):
             for i, j, n in e.terms:
                 acc[i, j] = acc.get((i, j), 0) + n * f
         return self.field._make([(i, j, n) for (i, j), n in acc.items()], den)
@@ -637,21 +658,38 @@ class FieldElement:
     def __neg__(self):
         if self.is_zero():
             return self
-        return FieldElement(self.field,
-                            tuple((i, j, -n) for i, j, n in self.terms),
-                            self.den)
+        terms = tuple((i, j, -n) for i, j, n in self.terms)
+        memo = _MEMO.get()
+        if memo is None:
+            return FieldElement(self.field, terms, self.den)
+        return _intern(memo, self.field, terms, self.den)
 
     def __sub__(self, other):
-        other = _coerce(self.field, other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not FieldElement:
+            other = _coerce(self.field, other)
+            if other is None:
+                return NotImplemented
+        self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        memo = _MEMO.get()
+        if memo is None:
+            return self._add(other, -1)
+        key = (id(self), id(other))
+        hit = memo[3].get(key)
+        if hit is None:
+            out = self._add(other, -1)
+            memo[3][key] = (self, other, out)
+            return out
+        return hit[2]
 
     def __rsub__(self, other):
         other = _coerce(self.field, other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         if other.__class__ is not FieldElement:
@@ -664,11 +702,14 @@ class FieldElement:
         memo = _MEMO.get()
         if memo is None:
             return self._mul(other)
-        key = (self, other) if self.terms <= other.terms else (other, self)
-        out = memo[0].get(key)
-        if out is None:
-            out = memo[0][key] = self._mul(other)
-        return out
+        a, b = id(self), id(other)
+        key = (a, b) if a <= b else (b, a)
+        hit = memo[1].get(key)
+        if hit is None:
+            out = self._mul(other)
+            memo[1][key] = (self, other, out)
+            return out
+        return hit[2]
 
     def _mul(self, other):
         fld = self.field
@@ -687,7 +728,10 @@ class FieldElement:
                     if g != 1:
                         terms = [(i, j, n // g) for i, j, n in terms]
                         den //= g
-                return FieldElement(fld, tuple(terms), den)
+                memo = _MEMO.get()
+                if memo is None:
+                    return FieldElement(fld, tuple(terms), den)
+                return _intern(memo, fld, tuple(terms), den)
         return fld._make(fld._imul(self.terms, other.terms), den)
 
     __rmul__ = __mul__
@@ -739,6 +783,17 @@ class FieldElement:
         if len(nz) > 8:
             bits.append("...")
         return "K[" + " + ".join(bits) + "]"
+
+
+def _intern(memo, field: TowerField, terms: tuple, den: int) -> FieldElement:
+    """The element (terms, den) of `field` that the block of `memo` built
+    first.  Callers read `_MEMO` themselves, so that outside a block the
+    kernel builds its `FieldElement` without this call."""
+    key = (field, terms, den)
+    out = memo[0].get(key)
+    if out is None:
+        out = memo[0][key] = FieldElement(field, terms, den)
+    return out
 
 
 def power(base, e: int):

@@ -57,6 +57,21 @@ def test_tangent_line_is_the_gradient_and_refuses_off_curve_points(d):
             tangent_line(C, ProjPoint(fld, coords))
 
 
+@pytest.mark.parametrize("d", (4, 5, 12))
+def test_tangent_powers_once_per_coordinate_value(d):
+    C = FermatCurve(d)
+    fld = C.field
+    specials = C.incidence.specials
+    for p in specials:
+        assert tangent_line(C, p) == HomPoly.line(
+            fld, *[c ** (d - 1) for c in p.coords])
+    assert set(C._powers) == {c for p in specials for c in p.coords}
+    # a point off the curve still raises once the table is filled
+    x, y, z = specials[0].coords
+    with pytest.raises(NotOnCurve):
+        tangent_line(C, ProjPoint(fld, [x, y, z + z]))
+
+
 @pytest.mark.parametrize("d", (3, 4, 5, 6))
 def test_inflection_points_suite(d):
     C = FermatCurve(d)

@@ -15,6 +15,7 @@ from fermatosc.fermat import (FermatCurve, _hyperosc_conic_cluster_z,
                               sextactic_points, tangent_line)
 from fermatosc.hompoly import BinaryForm, HomPoly, ProjPoint, cross, disc2, \
     restrict_to_line
+from fermatosc import symmetry
 from fermatosc.symmetry import (Automorphism, _monomial, conic_common_points,
                                 fixed_line, generator_panel, group_elements,
                                 identity, orbit, pencil_degenerate, phi,
@@ -96,6 +97,19 @@ def test_fixed_line_examples():
     assert fixed_line(z_scaling(fld)) == z
     assert fixed_line(rho(fld).compose(phi(fld))) is None
     assert fixed_line(identity(fld)) is None
+
+
+def test_fixed_line_once_per_automorphism(monkeypatch):
+    fld = tower_field(5)
+    real, calls = symmetry._fixed_line, []
+    monkeypatch.setattr(symmetry, "_fixed_line",
+                        lambda g: calls.append(g) or real(g))
+    gens = [g for _, g in generator_panel(fld)] + [rho(fld).compose(phi(fld))]
+    for g in gens:
+        first = fixed_line(g)
+        assert fixed_line(g) is first
+    assert fixed_line(gens[-1]) is None
+    assert calls == gens
 
 
 def test_fixed_line_transposition_condition():
@@ -356,6 +370,27 @@ def test_points_on_line_matches_scan(d):
             s for s in pts if L.evaluate(s.point).is_zero()]
         assert C.incidence.specials_on_line(L) == [
             p for p in specials if L.evaluate(p).is_zero()]
+
+
+def test_ratio_table_per_coordinate_pair():
+    C = FermatCurve(6)
+    inc = C.incidence
+    inc.specials_on_line(build("Bz", 6).lines[0])
+    (a, b), = inc._ratio_tables
+    # the one table built covers every special with x_a and x_b nonzero
+    assert sorted(i for idx in inc._ratios(a, b).values() for i in idx) == [
+        i for i, p in enumerate(inc.specials)
+        if not (p.coords[a].is_zero() or p.coords[b].is_zero())]
+
+
+def test_ratio_lookup_checks_every_special_for_a_vertex():
+    C = FermatCurve(4)
+    fld = C.field
+    inc = C.incidence
+    vertex = ProjPoint(fld, [fld.zero, fld.zero, fld.one])
+    inc.specials = inc.specials[:-1] + (vertex,)
+    with pytest.raises(CertificationFailure, match="vertex"):
+        inc.specials_on_line(build("Bz", 4).lines[0])
 
 
 def test_curve_tables_die_with_the_curve():

@@ -1,9 +1,11 @@
 """Exact tower-field arithmetic: defining relations, normal forms, inversion,
 serialization, the integer reduction rows and the display embedding."""
 
+import gc
 import hashlib
 import json
 import random
+import weakref
 from functools import lru_cache
 from math import gcd
 
@@ -719,17 +721,18 @@ def test_nested_memo_starts_empty():
     a, b = fld.u + fld.t, fld.t - 3
     with memoized():
         outer = tower._MEMO.get()
-        ab, s, inv = a * b, a + b, invert(a)
+        ab, s, diff, inv = a * b, a + b, a - b, invert(a)
         saved = [dict(t) for t in outer]
-        assert all(saved)
+        assert len(saved) == 5 and all(saved)
         with memoized():
             inner = tower._MEMO.get()
-            assert inner is not outer and inner == ({}, {}, {})
+            assert inner is not outer and inner == ({}, {}, {}, {}, {})
             _assert_same(a * b, ab)
             fld.zeta * a
         assert tower._MEMO.get() is outer
         assert [dict(t) for t in outer] == saved
-        assert a * b is ab and a + b is s and invert(a) is inv
+        assert a * b is ab and a + b is s and a - b is diff
+        assert invert(a) is inv
 
 
 def test_memoized_errors_store_nothing():
@@ -741,7 +744,54 @@ def test_memoized_errors_store_nothing():
         with pytest.raises(DegreeMismatch):
             f3.u + f4.u
         with pytest.raises(DegreeMismatch):
+            f3.u - f4.u
+        with pytest.raises(DegreeMismatch):
             f3.invert(f4.u)
         with pytest.raises(ZeroInput):
             invert(f3.zero)
-        assert memo == ({}, {}, {})
+        assert memo == ({}, {}, {}, {}, {})
+
+
+@pytest.mark.parametrize("d", (5, 8))
+def test_memo_survives_id_reuse(d):
+    """Operands built outside the intern table and dropped right after use
+    free their ids for the next operands; an entry that kept only its
+    result would then answer for a different value."""
+    fld = tower_field(d)
+    rng = random.Random(1800 + d)
+    pool = [a for a in (fld.random_element(rng, max_terms=3,
+                                           den_choices=(1, 2, 5))
+                        for _ in range(16)) if not a.is_zero()]
+    n = len(pool)
+    plain = {(i, k): (pool[i] * pool[k], pool[i] + pool[k],
+                      pool[i] - pool[k]) for i in range(n) for k in range(n)}
+    plain_inv = [invert(a) for a in pool]
+    ops = (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b)
+    with memoized():
+        for _ in range(2000):
+            i, k = rng.randrange(n), rng.randrange(n)
+            a = FieldElement(fld, pool[i].terms, pool[i].den)
+            b = FieldElement(fld, pool[k].terms, pool[k].den)
+            for op, ref in zip(ops, plain[i, k]):
+                _assert_same(op(a, b), ref)
+            _assert_same(invert(a), plain_inv[i])
+            del a, b
+
+
+def test_memo_interns_equal_elements():
+    fld = tower_field(6)
+    with memoized():
+        a = fld.u * fld.u                      # the one-term shift
+        b = fld.monomial(2, 0)                 # `_make`
+        c = -(-a)                              # negation
+        assert a is b is c
+        s = (fld.u + fld.t) * fld.t_inv - fld.from_rational(3)
+        assert s is -(3 - fld.u * fld.t_inv - 1)
+        # equal to, and hashing as, the element built outside the block
+        assert a == fld.zeta and hash(a) == hash(fld.zeta)
+        assert a is not fld.zeta
+        ref = weakref.ref(fld.u * fld.t + 7)
+        assert ref() is not None
+    del a, b, c, s
+    gc.collect()
+    assert ref() is None
