@@ -10,6 +10,7 @@ The exit code is 0 iff no certificate failed; usage errors exit 2.  All
 numbers in payloads are exact (serialized field elements or integers)
 except fields named "approx", which are display-only complex evaluations
 at the reported precision; only a command that prints them loads `mpmath`.
+Every command runs in one process, and none loads `multiprocessing`.
 
 A report is the text of `json.dumps(report, indent=2, default=str)`, byte
 for byte, but written by `indented_json`: CPython's `json` encodes in C
@@ -26,7 +27,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .arrangements import (GROUP_TOKENS, build, census, collinear_sextactic,
@@ -106,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--precision", type=int, default=128,
                         help="embedding precision for approx columns (bits, "
                              f"{PRECISION_MIN}..{PRECISION_MAX})")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for per-line verification")
         sp.add_argument("--format", choices=("json", "table"), default="json")
 
     sp = sub.add_parser("points", help="list special points")
@@ -392,38 +390,20 @@ def _verify_line(curve, label, line):
     return entry, failures
 
 
-def _verify_lines_job(job):
-    """`_verify_line` on grid lines start..stop-1, on one curve per task."""
-    d, start, stop = job
-    with tower.memoized():
-        curve = FermatCurve(d)
-        return [_verify_line(curve, label, L)
-                for label, L in _grid_lines(curve)[start:stop]]
-
-
 def cmd_verify(args):
     curve = FermatCurve(args.degree)
     if args.theorem == "main":
-        return _verify_main(curve, args.jobs, args.line_index)
+        return _verify_main(curve, args.line_index)
     degrees = (1, 2) if args.osc_degree is None else (args.osc_degree,)
     return _verify_invariant(curve, degrees)
 
 
-def _verify_main(curve, jobs, line_index=None):
+def _verify_main(curve, line_index=None):
     if line_index is None:
         lines = _grid_lines(curve)
     else:
         lines = [_grid_line(curve, line_index)]
-    workers = min(jobs, os.cpu_count() or 1, len(lines))
-    if workers > 1:
-        # more than one line: all of them, in contiguous ranges
-        cuts = [len(lines) * w // workers for w in range(workers + 1)]
-        tasks = [(curve.d, a, b) for a, b in zip(cuts, cuts[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = [r for part in pool.map(_verify_lines_job, tasks)
-                    for r in part]
-    else:
-        done = [_verify_line(curve, label, L) for label, L in lines]
+    done = [_verify_line(curve, label, L) for label, L in lines]
     results = [entry for entry, _ in done]
     failures = [f for _, fails in done for f in fails]
     return {"lines": results, "line_count": len(results)}, failures
@@ -467,13 +447,13 @@ def cmd_all(args):
     for d in range(args.min_degree, args.max_degree + 1):
         # one memo per degree: the memory held is one degree's working set
         with tower.memoized():
-            section, sec_fail = _all_degree(d, rng, args.jobs)
+            section, sec_fail = _all_degree(d, rng)
         payload["degrees"][str(d)] = section
         failures.extend(sec_fail)
     return payload, failures
 
 
-def _all_degree(d, rng, jobs):
+def _all_degree(d, rng):
     """The suite at degree d: its report section and its failures."""
     claims = paper_claims(d)
     section = {}
@@ -547,7 +527,7 @@ def _all_degree(d, rng, jobs):
             or any(len(L.points) != d for L in lines)):
         sec_fail.append({"check": "collinear", "degree": d})
 
-    vpay, vfails = _verify_main(curve, jobs)
+    vpay, vfails = _verify_main(curve)
     section["concurrency"] = {
         "lines_verified": vpay["line_count"],
         "failures": len(vfails)}
@@ -727,11 +707,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     if not PRECISION_MIN <= args.precision <= PRECISION_MAX:
         parser.error(f"--precision must be in [{PRECISION_MIN}, "
                      f"{PRECISION_MAX}]")
+    # each theorem reads one of verify's two selectors; the other is an error
+    if args.command == "verify":
+        flag, value = (("--osc-degree", args.osc_degree)
+                       if args.theorem == "main"
+                       else ("--line-index", args.line_index))
+        if value is not None:
+            parser.error(f"{flag} does not apply to --theorem {args.theorem}")
     # a report that cannot be written fails before the work, not after it
     if args.out is not None and (
             os.path.isdir(args.out)

@@ -70,11 +70,11 @@ hashing stay by value; `==` tests identity first.  The checks that
 raise (mixed fields, inverting zero) come first, so a rejected call stores
 nothing.  Each block starts empty and restores the enclosing one when it
 closes, and nothing in its tables outlives it.  The CLI opens one around
-each command, one per degree in `all`, and one per `--jobs` worker task,
-so the memory held is one command's (one degree's) working set and is
-freed with it.  Library calls outside a block intern nothing, look
-nothing up and hold nothing: a memo without an end would keep every
-element a long-lived caller ever made.
+each command and one per degree in `all`, so the memory held is one
+command's (one degree's) working set and is freed with it.  Library
+calls outside a block intern nothing, look nothing up and hold nothing:
+a memo without an end would keep every element a long-lived caller ever
+made.
 """
 
 from __future__ import annotations

@@ -178,6 +178,7 @@ def test_usage_error_exit_code(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--arrangement", "nonsense", "--degree", "4"])
     assert exc.value.code == 2
+    # every command runs in one process: there is no --jobs flag
     with pytest.raises(SystemExit) as exc:
         main(["points", "--degree", "3", "--jobs", "0"])
     assert exc.value.code == 2
@@ -250,51 +251,6 @@ def test_memo_leaves_reports_unchanged(argv, tmp_path, monkeypatch):
     assert memo.read_bytes() == plain.read_bytes()
 
 
-def test_jobs_parallel_matches_serial(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert main(["verify", "--theorem", "main", "--degree", "3",
-                 "--jobs", "2", "--out", str(a)]) == 0
-    assert main(["verify", "--theorem", "main", "--degree", "3",
-                 "--jobs", "1", "--out", str(b)]) == 0
-    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-    assert ra["payload"] == rb["payload"]
-
-
-def test_jobs_clamped_to_cpus_and_lines(monkeypatch, tmp_path):
-    import fermatosc.cli as cli
-    pools = []
-
-    class SerialPool:
-        """Stands in for the process pool: records its size, starts
-        no process."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    out = tmp_path / "r.json"
-    assert cli.main(["verify", "--theorem", "main", "--degree", "3",
-                     "--jobs", "10000", "--out", str(out)]) == 0
-    assert pools == [4]
-    assert json.loads(out.read_text())["payload"]["line_count"] == 27
-    # a single line takes the serial path
-    assert cli.main(["verify", "--theorem", "main", "--degree", "3",
-                     "--line-index", "0", "--jobs", "10000",
-                     "--out", str(out)]) == 0
-    assert pools == [4]
-
-
 def test_failure_exit_code(monkeypatch, capsys):
     import fermatosc.cli as cli
 
@@ -337,6 +293,24 @@ def test_unwritable_out_exits_before_work(tmp_path, monkeypatch):
                   "--out", str(out)])
         assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_rejects_options_its_theorem_ignores(monkeypatch, capsys):
+    def no_curve(d):
+        raise RuntimeError(f"a curve was built at d = {d}")
+
+    monkeypatch.setattr(cli, "FermatCurve", no_curve)
+    for argv, flag in (
+            (["--theorem", "invariant-intersection", "--degree", "3",
+              "--line-index", "99999"], "--line-index"),
+            (["--theorem", "invariant-intersection", "--degree", "3",
+              "--line-index", "0"], "--line-index"),
+            (["--theorem", "main", "--degree", "3", "--osc-degree", "2"],
+             "--osc-degree")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"] + argv)
+        assert exc.value.code == 2
+        assert f"{flag} does not apply" in capsys.readouterr().err
 
 
 # -- the report writer ----------------------------------------------------------

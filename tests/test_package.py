@@ -33,3 +33,14 @@ def test_cli_imports_without_mpmath():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert out.stdout.strip() == "False"
+
+
+def test_cli_imports_without_multiprocessing():
+    # every command runs in one process
+    code = ("import sys, fermatosc.cli; "
+            "print('multiprocessing' in sys.modules, "
+            "'concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "False False"
