@@ -434,11 +434,11 @@ def collinear_sextactic(curve: FermatCurve):
             "the generators do not act transitively on the sextactic points",
             witness=len(reached))
 
-    p0 = pts[0].raw_coords
+    p0 = pts[0].point.coords
     through = {}
     for i in range(1, n):
-        L = HomPoly.line(field, *cross(p0, pts[i].raw_coords)).canonical_line()
-        through.setdefault(L, {0}).add(i)
+        L = HomPoly.line(field, *cross(p0, pts[i].point.coords))
+        through.setdefault(L.canonical_line(), {0}).add(i)
     # canonical line -> indices of the points on it
     lines = {L: idx for L, idx in through.items() if len(idx) >= 3}
     queue = list(lines)

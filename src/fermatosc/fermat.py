@@ -102,18 +102,16 @@ class FermatCurve:
         j, k = j % d, k % (2 * d)
         n = CLUSTERS.index(cluster)
         zj, w = self._unit(2 * j, 0), self._unit(-k, 1)      # zeta^j, u^(-k) t
-        raw = rotate((zj, one, w), n)
         # (zj : 1 : w), (1 : w : zj) and (w : zj : 1), scaled
         if n == 0:
             zinv = self._unit(-2 * j, 0)
             coords = (one, zinv, zinv * w)
         elif n == 1:
-            coords = raw
+            coords = (one, w, zj)
         else:
             winv = self._unit(k, -1)
             coords = (one, zj * winv, winv)
-        return SextacticPoint(cluster, j, k, ProjPoint(self.field, coords),
-                              raw)
+        return SextacticPoint(cluster, j, k, ProjPoint(self.field, coords))
 
     def _unit(self, a: int, b: int):
         """u^a t^b for b in (-1, 0, 1), built once per curve: the points of
@@ -164,7 +162,6 @@ class SextacticPoint:
     j: int                  # index mod d
     k: int                  # odd index in (0, 2d)
     point: ProjPoint
-    raw_coords: tuple       # monomial coordinates before canonicalization
 
     def label(self) -> str:
         return f"s^{self.cluster}_{self.j},{self.k}"
@@ -244,8 +241,8 @@ class IncidenceTable:
     the line by one exact evaluation.  Lines with one or three nonzero
     coefficients are scanned point by point.
 
-    `orbits` and `sweeps` are memos that the symmetry stages fill: orbits
-    under an automorphism, and the scaling that sweeps a line's points.
+    `orbits` is the memo that the symmetry stages fill: the orbit of a
+    point under an automorphism.
     """
 
     def __init__(self, curve: FermatCurve):
@@ -256,7 +253,6 @@ class IncidenceTable:
         self._field = curve.field
         self._ratio_tables = {}
         self.orbits = {}
-        self.sweeps = {}
 
     @cached_property
     def specials(self) -> tuple:
@@ -264,17 +260,12 @@ class IncidenceTable:
             _inflection_points(self._field))
 
     @cached_property
-    def _reps(self) -> list:
-        """One representative per special point, in `specials` order, after
-        checking that no special point is a vertex."""
-        # any representative of a point gives its ratios; the raw sextactic
-        # coordinates take few distinct values, so few inversions
-        reps = [s.raw_coords for s in self.sextactic] + [
-            p.coords for p in self.specials[len(self.sextactic):]]
-        for coords in reps:
-            if sum(c.is_zero() for c in coords) > 1:
+    def _checked_specials(self) -> tuple:
+        """`specials`, after checking that no special point is a vertex."""
+        for p in self.specials:
+            if sum(c.is_zero() for c in p.coords) > 1:
                 raise CertificationFailure("special point at a vertex")
-        return reps
+        return self.specials
 
     def _ratios(self, a: int, b: int) -> dict:
         """The ratio table of the pair (a, b), built on its first lookup:
@@ -282,15 +273,17 @@ class IncidenceTable:
         nonzero and that ratio."""
         ratios = self._ratio_tables.get((a, b))
         if ratios is None:
-            ratios = self._ratio_tables[a, b] = {}
-            inverses = {}
-            for idx, coords in enumerate(self._reps):
-                xa, xb = coords[a], coords[b]
+            # the coordinates are monomials taking few distinct values, so
+            # the ratios cost few inversions, each of one term
+            ratios, inverses = {}, {}
+            for idx, p in enumerate(self._checked_specials):
+                xa, xb = p.coords[a], p.coords[b]
                 if xa.is_zero() or xb.is_zero():
                     continue
                 if xa not in inverses:
                     inverses[xa] = xa.inverse()
                 ratios.setdefault(xb * inverses[xa], []).append(idx)
+            self._ratio_tables[a, b] = ratios
         return ratios
 
     def _on_line(self, line: HomPoly, stop: int) -> list:
@@ -392,8 +385,7 @@ def _closed_conic_raw(curve: FermatCurve, p: ProjPoint) -> HomPoly:
     d = curve.d
     c2 = field.from_rational(2 - d)
     a, b = 2 * (d + 1) * (d - 2), 4 * (2 * d - 1) * (d - 2)
-    # (c^(d-1), c^d) for each coordinate c of p
-    pows = [(c ** (d - 1), c ** d) for c in p.coords]
+    pows = [curve.powers(c) for c in p.coords]
     terms = {}
     for n in range(3):
         (l0, h0), (l1, h1), (_, h2) = rotate(pows, n)

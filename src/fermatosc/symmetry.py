@@ -18,9 +18,9 @@ the restriction rather than solved for.
 The sextactic points of a grid line come from the curve's incidence table
 (`FermatCurve.incidence`): a lookup by coordinate ratio, complete by
 construction of the table, with each point certified on the line by one
-exact evaluation.  The scaling that sweeps a line, the orbits under an
-automorphism and the tangents and osculating conics at each point are
-built once per curve and kept on it.
+exact evaluation.  The orbits under an automorphism and the tangents and
+osculating conics at each point are built once per curve and kept on it;
+the scaling whose orbit is a line's point set is read off that kept orbit.
 """
 
 from __future__ import annotations
@@ -40,25 +40,14 @@ class Automorphism:
     """A monomial map (g.p)_i = scale[i] * p[perm[i]], normalized so that
     scale[2] = 1.
 
-    Built from a monomial matrix, row i holding scale[i] in column perm[i];
-    a matrix of another shape raises ValueError.  The slot `_fixed` is
-    unset until `fixed_line(self)` fills it.
+    Built from the permutation and the three scalars, which may be field
+    elements or rationals.  The slot `_fixed` is unset until
+    `fixed_line(self)` fills it.
     """
 
     __slots__ = ("field", "perm", "scale", "_hash", "_fixed")
 
-    def __init__(self, field: TowerField, mat):
-        perm = []
-        for row in mat:
-            nz = [j for j in range(3) if row[j]]
-            if len(nz) != 1:
-                raise ValueError("matrix is not monomial")
-            perm.append(nz[0])
-        if sorted(perm) != [0, 1, 2]:
-            raise ValueError("matrix is not monomial")
-        self._set(field, perm, [mat[i][perm[i]] for i in range(3)])
-
-    def _set(self, field: TowerField, perm, scale):
+    def __init__(self, field: TowerField, perm, scale):
         scale = [v if isinstance(v, FieldElement) else field.from_rational(v)
                  for v in scale]
         unit = field.invert(scale[2])
@@ -80,14 +69,14 @@ class Automorphism:
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """(self . other)(p) = self(other(p))."""
-        return _monomial(self.field, [other.perm[j] for j in self.perm],
-                         [s * other.scale[j]
-                          for s, j in zip(self.scale, self.perm)])
+        return Automorphism(self.field, [other.perm[j] for j in self.perm],
+                            [s * other.scale[j]
+                             for s, j in zip(self.scale, self.perm)])
 
     def inverse(self) -> "Automorphism":
         perm = [self.perm.index(j) for j in range(3)]
-        return _monomial(self.field, perm,
-                         [self.field.invert(self.scale[i]) for i in perm])
+        return Automorphism(self.field, perm,
+                            [self.field.invert(self.scale[i]) for i in perm])
 
     # -- actions ---------------------------------------------------------------
 
@@ -106,40 +95,33 @@ class Automorphism:
         return f"Automorphism(perm={self.perm})"
 
 
-def _monomial(field: TowerField, perm, scale) -> Automorphism:
-    """The automorphism with permutation `perm` and scalars `scale`."""
-    g = Automorphism.__new__(Automorphism)
-    g._set(field, perm, scale)
-    return g
-
-
 def identity(field: TowerField) -> Automorphism:
-    return _monomial(field, (0, 1, 2), (1, 1, 1))
+    return Automorphism(field, (0, 1, 2), (1, 1, 1))
 
 
 def rho(field: TowerField) -> Automorphism:
     """(x : y : z) -> (zeta x : y : z); fixes V(x) pointwise."""
-    return _monomial(field, (0, 1, 2), (field.zeta, 1, 1))
+    return Automorphism(field, (0, 1, 2), (field.zeta, 1, 1))
 
 
 def phi(field: TowerField) -> Automorphism:
     """Swap x and y; fixes V(x - y) pointwise."""
-    return _monomial(field, (1, 0, 2), (1, 1, 1))
+    return Automorphism(field, (1, 0, 2), (1, 1, 1))
 
 
 def psi(field: TowerField) -> Automorphism:
     """Swap x and z; fixes V(x - z) pointwise."""
-    return _monomial(field, (2, 1, 0), (1, 1, 1))
+    return Automorphism(field, (2, 1, 0), (1, 1, 1))
 
 
 def y_scaling(field: TowerField) -> Automorphism:
     """phi . rho . phi: (x : y : z) -> (x : zeta y : z)."""
-    return _monomial(field, (0, 1, 2), (1, field.zeta, 1))
+    return Automorphism(field, (0, 1, 2), (1, field.zeta, 1))
 
 
 def z_scaling(field: TowerField) -> Automorphism:
     """psi . rho . psi: (x : y : z) -> (x : y : zeta z)."""
-    return _monomial(field, (0, 1, 2), (1, 1, field.zeta))
+    return Automorphism(field, (0, 1, 2), (1, 1, field.zeta))
 
 
 def generator_panel(field: TowerField):
@@ -163,7 +145,7 @@ def group_elements(d_or_curve) -> list:
         for a in range(d):
             for b in range(d):
                 diag = (field.zeta_pow(a), field.zeta_pow(b), field.one)
-                out.append(_monomial(field, pr, [diag[j] for j in pr]))
+                out.append(Automorphism(field, pr, [diag[j] for j in pr]))
     return out
 
 
@@ -243,8 +225,6 @@ def verify_invariant_intersection(curve: FermatCurve, g: Automorphism,
     L = fixed_line(g)
     if L is None:
         raise NoFixedLine("automorphism has no pointwise-fixed line")
-    if n not in (1, 2):
-        raise ValueError("osculating degree must be 1 or 2")
     restrictions = [restrict_to_line(curve.osculating(q, n), L)
                     for q in curve_orbit(curve, p, g)]
     first = restrictions[0]
@@ -266,7 +246,7 @@ class ConcurrencyReport:
     common_points: list            # exact coordinates when they live in K_d
     certificates: dict = dc_field(default_factory=dict)
 
-    def to_json_dict(self, precision_bits: int = 64):
+    def to_json_dict(self):
         return {
             "kind": self.kind,
             "line": self.line.to_json_dict(),
@@ -286,25 +266,21 @@ def points_on_line(curve: FermatCurve, line: HomPoly):
 
 
 def orbit_automorphism_for_line(curve: FermatCurve, line: HomPoly, pts):
-    """The coordinate scaling whose orbit sweeps the points `pts` of a line.
+    """The coordinate scaling whose orbit is the point set `pts` of a line.
 
     Only the scaling of a coordinate missing from the line maps the line to
     itself, so that scaling is the one candidate; its orbit through the
-    first point must be the point set.  Found once per line and curve.
+    first point, kept on the curve by `curve_orbit`, must be the point set.
     """
-    sweeps = curve.incidence.sweeps
-    if line not in sweeps:
-        zeros = [i for i, c in enumerate(line.line_coeffs()) if c.is_zero()]
+    zeros = [i for i, c in enumerate(line.line_coeffs()) if c.is_zero()]
+    if len(zeros) == 1:
+        g = (rho, y_scaling, z_scaling)[zeros[0]](curve.field)
+        orb = curve_orbit(curve, pts[0].point, g)
         point_set = {s.point for s in pts}
-        if len(zeros) == 1:
-            g = (rho, y_scaling, z_scaling)[zeros[0]](curve.field)
-            orb = curve_orbit(curve, pts[0].point, g)
-            if len(orb) == len(point_set) and set(orb) == point_set:
-                sweeps[line] = g
-        if line not in sweeps:
-            raise CertificationFailure(
-                "no scaling automorphism sweeps the points")
-    return sweeps[line]
+        if len(orb) == len(point_set) and set(orb) == point_set:
+            return g
+    raise CertificationFailure(
+        "no scaling automorphism has the line's points as one orbit")
 
 
 def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyReport:
@@ -336,17 +312,6 @@ def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyRe
 def _coordinate_index(L: HomPoly) -> Optional[int]:
     nz = [i for i, c in enumerate(L.line_coeffs()) if not c.is_zero()]
     return nz[0] if len(nz) == 1 else None
-
-
-def _divide_coordinate(f: HomPoly, var: int) -> HomPoly:
-    out = {}
-    for e, c in f.terms.items():
-        if e[var] == 0:
-            raise ValueError("polynomial not divisible by the coordinate")
-        ne = list(e)
-        ne[var] -= 1
-        out[tuple(ne)] = c
-    return HomPoly(f.field, f.deg - 1, out)
 
 
 def conic_common_points(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyReport:
@@ -453,13 +418,17 @@ def _pencil_cofactor(c1: HomPoly, c2: HomPoly, var: int, field):
     combo = c1.scale(lam) + c2.scale(mu)
     if combo.is_zero():
         return None
+    quotient = {}
     for e, c in combo.terms.items():
         if e[var] == 0:
             # pencil member is not divisible by the coordinate: restrictions
             # of the two conics were not proportional after scaling
             raise CertificationFailure(
                 "pencil member not divisible by the fixed-line coordinate")
-    return _divide_coordinate(combo, var)
+        ne = list(e)
+        ne[var] -= 1
+        quotient[tuple(ne)] = c
+    return HomPoly(field, combo.deg - 1, quotient)
 
 
 def pencil_degenerate(curve: FermatCurve, j: int, k1: int, k2: int):

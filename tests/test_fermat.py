@@ -137,7 +137,6 @@ def test_sextactic_point_matches_the_point_set(d):
                 assert s == by_index[cluster, j, k]
                 raw = (fld.zeta_pow(j), fld.one, fld.monomial(-k, 1))
                 raw = raw[n:] + raw[:n]
-                assert s.raw_coords == raw
                 assert s.point == ProjPoint(
                     fld, [c * fld.invert(raw[0]) for c in raw])
                 assert C.sextactic_point(cluster, j + d, k - 2 * d) == s

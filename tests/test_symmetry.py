@@ -16,10 +16,11 @@ from fermatosc.fermat import (FermatCurve, _hyperosc_conic_cluster_z,
 from fermatosc.hompoly import BinaryForm, HomPoly, ProjPoint, cross, disc2, \
     restrict_to_line
 from fermatosc import symmetry
-from fermatosc.symmetry import (Automorphism, _monomial, conic_common_points,
+from fermatosc.symmetry import (Automorphism, conic_common_points,
                                 fixed_line, generator_panel, group_elements,
-                                identity, orbit, pencil_degenerate, phi,
-                                points_on_line, psi, rho, tangent_concurrency,
+                                identity, orbit, orbit_automorphism_for_line,
+                                pencil_degenerate, phi, points_on_line, psi,
+                                rho, tangent_concurrency,
                                 verify_invariant_intersection, y_scaling,
                                 z_scaling)
 from fermatosc.tower import tower_field
@@ -66,7 +67,6 @@ def test_monomial_action_matches_matrix(d):
     p = ProjPoint(fld, [rand_nonzero(fld, rng) for _ in range(3)])
     for g in group_elements(d):
         m = _matrix(g)
-        assert Automorphism(fld, m) == g
         assert g.pullback(f) == f.compose_matrix(m)
         mp = [sum((m[i][j] * p.coords[j] for j in range(3)), fld.zero)
               for i in range(3)]
@@ -115,11 +115,10 @@ def test_fixed_line_once_per_automorphism(monkeypatch):
 def test_fixed_line_transposition_condition():
     fld = tower_field(4)
     # swap x, y composed with a scaling that breaks the eigenvalue match
-    g = Automorphism(fld, ((0, fld.zeta, 0), (1, 0, 0), (0, 0, 1)))
+    g = Automorphism(fld, (1, 0, 2), (fld.zeta, 1, 1))
     assert fixed_line(g) is None
     # and one that preserves it: entries b, c with bc = 1
-    g = Automorphism(fld, ((0, fld.zeta, 0), (fld.zeta_pow(-1), 0, 0),
-                           (0, 0, 1)))
+    g = Automorphism(fld, (1, 0, 2), (fld.zeta, fld.zeta_pow(-1), 1))
     L = fixed_line(g)
     assert L is not None
     p = ProjPoint(fld, [fld.one, fld.zeta_pow(1), fld.from_rational(2)])
@@ -147,7 +146,7 @@ def test_orbits():
 def test_orbit_of_infinite_order_raises():
     # (x : y : z) -> (2x : y : z) has infinite order
     fld = tower_field(3)
-    g = _monomial(fld, (0, 1, 2), (2, 1, 1))
+    g = Automorphism(fld, (0, 1, 2), (2, 1, 1))
     p = ProjPoint(fld, [fld.one, fld.one, fld.one])
     with pytest.raises(CertificationFailure, match="did not close") as exc:
         orbit(p, g)
@@ -190,6 +189,16 @@ def test_invariant_intersection_requires_fixed_line():
     s = sextactic_points(C)[0]
     with pytest.raises(NoFixedLine):
         verify_invariant_intersection(C, g, s.point, 1)
+
+
+def test_osculating_degree_three_raises():
+    # the range n in (1, 2) is checked once, by FermatCurve.osculating
+    C = FermatCurve(4)
+    p = sextactic_points(C)[0].point
+    with pytest.raises(ValueError, match="must be 1 or 2"):
+        C.osculating(p, 3)
+    with pytest.raises(ValueError, match="must be 1 or 2"):
+        verify_invariant_intersection(C, rho(C.field), p, 3)
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
@@ -249,6 +258,26 @@ def test_tangent_concurrency_rejects_non_grid_line():
     x, y, z = HomPoly.variables(fld)
     with pytest.raises(FewerPoints):
         tangent_concurrency(C, x + y + z)
+
+
+def test_no_scaling_sweeps_a_line_with_three_coefficients():
+    C = FermatCurve(4)
+    s1, s2 = sextactic_points(C)[0], sextactic_points(C)[-1]
+    L = HomPoly.line(C.field, *cross(s1.point.coords, s2.point.coords))
+    assert len(L.terms) == 3
+    pts = points_on_line(C, L)
+    assert s1 in pts and s2 in pts
+    with pytest.raises(CertificationFailure, match="one orbit"):
+        orbit_automorphism_for_line(C, L, pts)
+
+
+def test_no_scaling_sweeps_a_grid_line_missing_a_point():
+    C = FermatCurve(4)
+    L = build("Bz", 4).lines[1]
+    pts = points_on_line(C, L)
+    assert orbit_automorphism_for_line(C, L, pts) == z_scaling(C.field)
+    with pytest.raises(CertificationFailure, match="one orbit"):
+        orbit_automorphism_for_line(C, L, pts[:-1])
 
 
 def test_b_line_common_point_on_curve_iff_odd():
@@ -362,7 +391,8 @@ def test_points_on_line_matches_scan(d):
     rng = random.Random(500 + d)
     for _ in range(6):
         s1, s2 = rng.sample(pts, 2)
-        lines.append(HomPoly.line(fld, *cross(s1.raw_coords, s2.raw_coords)))
+        lines.append(HomPoly.line(fld, *cross(s1.point.coords,
+                                              s2.point.coords)))
         lines.append(HomPoly.line(fld, *(rng.randint(1, 5) for _ in range(3))))
     assert sum(len(L.terms) == 3 for L in lines) >= 6
     for L in lines:
@@ -391,6 +421,19 @@ def test_ratio_lookup_checks_every_special_for_a_vertex():
     inc.specials = inc.specials[:-1] + (vertex,)
     with pytest.raises(CertificationFailure, match="vertex"):
         inc.specials_on_line(build("Bz", 4).lines[0])
+
+
+def test_failed_vertex_check_keeps_no_ratio_table():
+    C = FermatCurve(4)
+    fld = C.field
+    inc = C.incidence
+    inc.specials = inc.specials[:-1] + (
+        ProjPoint(fld, [fld.zero, fld.zero, fld.one]),)
+    line = build("Bz", 4).lines[0]
+    for _ in range(2):
+        with pytest.raises(CertificationFailure, match="vertex"):
+            inc.specials_on_line(line)
+    assert inc._ratio_tables == {}
 
 
 def test_curve_tables_die_with_the_curve():
