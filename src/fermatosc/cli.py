@@ -32,7 +32,8 @@ from . import __version__
 from .arrangements import (GROUP_TOKENS, build, census, collinear_sextactic,
                            freeness_test, grid_line, grid_product_poly,
                            koszul_triple, multiplicity_multiset,
-                           syzygy_candidates, tjurina_total, verify_syzygy)
+                           parse_label, syzygy_candidates, tjurina_total,
+                           verify_syzygy)
 from .errors import FermatoscError, FewerPoints
 from .fermat import (FermatCurve, hyperosculating_conic, inflection_points,
                      osculating_conic_cayley, osculating_conic_closed,
@@ -329,8 +330,7 @@ def cmd_freeness(args):
                "verdict": verdict.to_json_dict(),
                "criterion": "integer exponent solution of the quadratic "
                             "necessary condition"}
-    if sorted(args.arrangement.replace("+", "")) in (
-            sorted("BzMxNy"),):
+    if sorted(parse_label(args.arrangement)) == ["Bz", "Mx", "Ny"]:
         payload["syzygy_checks"] = _syzygy_payload(args.degree)
     return payload, []
 

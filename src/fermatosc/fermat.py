@@ -11,9 +11,10 @@ organized in three clusters of d^2 points:
 for j mod d and k odd in (0, 2d), with zeta = u^2 and t = 2^(1/d).  Each
 cluster is the cluster-z family rotated once more by (a, b, c) -> (b, c, a);
 `FermatCurve.sextactic_point` is the one place this formula is written, and
-the full point set, the `conic` query and the pencil certificates all build
-their points through it.  The inflection points (0 : 1 : u^k) and their two
-rotations by (a, b, c) -> (c, a, b) are written down the same way.
+the full point set and the `conic` query build their points through it.  The
+inflection points (0 : 1 : u^k) and their two rotations by
+(a, b, c) -> (c, a, b) are written down the same way, once per curve in its
+incidence table.
 
 Osculating conics come from two independent pipelines: the evaluated
 covariant combination 9H^3(p) D2F_p - (6H^2(p) DH_p + W(p) DF_p) DF_p with
@@ -25,6 +26,7 @@ and x are the cluster-z conic with its variables permuted.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -144,12 +146,6 @@ class FermatCurve:
     def contains(self, p: ProjPoint) -> bool:
         return self.poly.evaluate(p).is_zero()
 
-    def gradient_at(self, p: ProjPoint):
-        return tuple(self.poly.partial(i).evaluate(p) for i in range(3))
-
-    def is_smooth_at(self, p: ProjPoint) -> bool:
-        return not all(g.is_zero() for g in self.gradient_at(p))
-
     def __repr__(self):
         return f"FermatCurve(d={self.d})"
 
@@ -180,13 +176,7 @@ def tangent_line(curve: FermatCurve, p: ProjPoint) -> HomPoly:
 
 def inflection_points(curve: FermatCurve):
     """The 3d inflection points (0:1:u^k), (u^k:0:1), (1:u^k:0), k odd."""
-    return _inflection_points(curve.field)
-
-
-def _inflection_points(field: TowerField):
-    return [ProjPoint(field, rotate((field.zero, field.one, field.u_pow(k)),
-                                    -n))
-            for n in range(3) for k in range(1, 2 * field.d, 2)]
+    return list(curve.incidence.inflection)
 
 
 def two_hessian(curve: FermatCurve) -> HomPoly:
@@ -226,8 +216,11 @@ class IncidenceTable:
     """The special points of one curve, indexed for lookups by line.
 
     `sextactic` is the order `sextactic_points` returns (one point alone is
-    `FermatCurve.sextactic_point`).  `specials`, built on first use, holds
-    the sextactic points followed by the inflection points.  The ratio table
+    `FermatCurve.sextactic_point`), and `inflection` the order
+    `inflection_points` returns.  They and `specials` (the sextactic points
+    followed by the inflection points) are each built on first use, so a
+    query of one kind builds no point of the other.  The table refers to
+    its curve weakly, since the curve holds the table.  The ratio table
     of a coordinate pair a < b, built on the first lookup of a line in that
     pair, maps x_b / x_a to the specials with that coordinate ratio.
 
@@ -246,18 +239,29 @@ class IncidenceTable:
     """
 
     def __init__(self, curve: FermatCurve):
-        d = curve.d
-        self.sextactic = tuple(
-            curve.sextactic_point(cluster, j, k) for cluster in CLUSTERS
-            for j in range(d) for k in range(1, 2 * d, 2))
+        self._curve = weakref.ref(curve)
         self._field = curve.field
         self._ratio_tables = {}
         self.orbits = {}
 
     @cached_property
+    def sextactic(self) -> tuple:
+        curve, d = self._curve(), self._field.d
+        return tuple(
+            curve.sextactic_point(cluster, j, k) for cluster in CLUSTERS
+            for j in range(d) for k in range(1, 2 * d, 2))
+
+    @cached_property
+    def inflection(self) -> tuple:
+        field = self._field
+        return tuple(
+            ProjPoint(field, rotate((field.zero, field.one, field.u_pow(k)),
+                                    -n))
+            for n in range(3) for k in range(1, 2 * field.d, 2))
+
+    @cached_property
     def specials(self) -> tuple:
-        return tuple(s.point for s in self.sextactic) + tuple(
-            _inflection_points(self._field))
+        return tuple(s.point for s in self.sextactic) + self.inflection
 
     @cached_property
     def _checked_specials(self) -> tuple:

@@ -339,17 +339,6 @@ def _power(pv: dict, e: int, mul):
     return mul(out, pv[1]) if e & 1 else out
 
 
-# -- spec-facing wrappers -----------------------------------------------------
-
-
-def partial(f: HomPoly, var) -> HomPoly:
-    return f.partial(var)
-
-
-def evaluate(f: HomPoly, p) -> FieldElement:
-    return f.evaluate(p)
-
-
 def hessian(f: HomPoly) -> HomPoly:
     """Determinant of the 3x3 matrix of second partials."""
     if f.deg < 2:
@@ -704,9 +693,6 @@ class BranchSeries:
     def valuation_of(self, g: HomPoly):
         """Valuation of g along the branch, or None if zero mod w^order."""
         return _ser_eval_poly(g, self.series, self.order).valuation()
-
-    def tangent_direction(self):
-        return tuple(s.coeffs[1] for s in self.series)
 
     def extend(self, n: int) -> None:
         """Raise the order to n in place by Newton steps, each at most

@@ -26,12 +26,12 @@ the scaling whose orbit is a line's point set is read off that kept orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Optional
 
 from .errors import (CertificationFailure, FewerPoints, NoFixedLine)
 from .fermat import FermatCurve
-from .hompoly import (HomPoly, ProjPoint, cross, det3, disc2,
+from .hompoly import (HomPoly, ProjPoint, cross, disc2,
                       line_parametrization, restrict_to_line)
 from .tower import FieldElement, TowerField, tower_field
 
@@ -87,9 +87,6 @@ class Automorphism:
     def pullback(self, f: HomPoly) -> HomPoly:
         """f composed with this map; vanishes on the preimage of V(f)."""
         return f.permuted(self.perm, self.scale)
-
-    def is_identity(self) -> bool:
-        return self == identity(self.field)
 
     def __repr__(self):
         return f"Automorphism(perm={self.perm})"
@@ -429,48 +426,3 @@ def _pencil_cofactor(c1: HomPoly, c2: HomPoly, var: int, field):
         ne[var] -= 1
         quotient[tuple(ne)] = c
     return HomPoly(field, combo.deg - 1, quotient)
-
-
-def pencil_degenerate(curve: FermatCurve, j: int, k1: int, k2: int):
-    """The degenerate member z * ell of the pencil of O_{j,k1}, O_{j,k2}.
-
-    Builds ell = 2d(d-2)(zeta^-j x + y) - 2^(-1/d)(d+1)(2d-3)(u^k1 + u^k2) z,
-    certifies that z * ell lies in the span of the two conics (all 3x3
-    minors of the stacked coefficient matrix vanish) and that the two
-    residual intersection points on V(ell) are distinct.
-    """
-    if k1 == k2:
-        raise ValueError("need two distinct k values")
-    if k1 % 2 == 0 or k2 % 2 == 0:
-        raise ValueError("k indices must be odd")
-    d = curve.d
-    field = curve.field
-    o1 = curve.hyperosculating(curve.sextactic_point("z", j, k1))
-    o2 = curve.hyperosculating(curve.sextactic_point("z", j, k2))
-
-    tinv = field.t_inv
-    zcoef = -(tinv * ((d + 1) * (2 * d - 3))
-              * (field.u_pow(k1) + field.u_pow(k2)))
-    ell = HomPoly.line(field,
-                       field.zeta_pow(-j) * (2 * d * (d - 2)),
-                       field.from_rational(2 * d * (d - 2)),
-                       zcoef)
-    member = HomPoly.monomial(field, (0, 0, 1), 1) * ell
-
-    monos = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
-    rows = [[c.coeff(e) for e in monos] for c in (o1, o2, member)]
-    for cols in combinations(range(6), 3):
-        det = det3([[r[k] for k in cols] for r in rows])
-        if not det.is_zero():
-            raise CertificationFailure(
-                "z * ell is not in the pencil of the two conics",
-                witness={"minor": cols, "value": det.to_json_dict()})
-
-    residual = restrict_to_line(o1, ell)
-    rdisc = disc2(residual)
-    certificate = {
-        "member_in_pencil": True,
-        "residual_disc2": rdisc.to_json_dict(),
-        "residual_points_distinct": not rdisc.is_zero(),
-    }
-    return ell, certificate

@@ -831,34 +831,3 @@ def field_element_from_json(obj: dict) -> FieldElement:
                              f"of K_{fld.d}")
         acc[key] = acc.get(key, Q0) + Q(s)
     return fld._make(*_int_terms([(*k, c) for k, c in acc.items()]))
-
-
-# -- spec-facing operation surface ------------------------------------------
-
-
-def constants(d: int):
-    """Generators (u, zeta, t) of K_d in normal form; zeta = u^2."""
-    fld = tower_field(d)
-    return fld.u, fld.zeta, fld.t
-
-
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def invert(a: FieldElement) -> FieldElement:
-    return a.field.invert(a)
-
-
-def is_zero(a: FieldElement) -> bool:
-    return a.is_zero()
-
-
-def embed(a: FieldElement, precision_bits: int = 64) -> mpmath.mpc:
-    return a.field.embed(a, precision_bits)

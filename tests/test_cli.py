@@ -91,6 +91,18 @@ def test_freeness_reports(capsys):
     assert v["discriminant_sign"] == "negative"
 
 
+@pytest.mark.parametrize("label, checked", [
+    ("BzMxNy", True), ("NyBzMx", True), ("Bz+Mx+Ny", True),
+    ("ByMzNx", False)])
+def test_freeness_syzygy_checks_only_of_bz_mx_ny(label, checked, capsys):
+    # the checks are of (x^d - y^d)(z^d + 2y^d)(z^d + 2x^d), the product of
+    # Bz, Mx and Ny; the rotation ByMzNx has another polynomial
+    code, rep = run_json(["freeness", "--arrangement", label,
+                          "--degree", "3"], capsys)
+    assert code == 0
+    assert ("syzygy_checks" in rep["payload"]) == checked
+
+
 def test_collinear_d3(capsys):
     code, rep = run_json(["collinear", "--degree", "3"], capsys)
     assert code == 0

@@ -12,10 +12,9 @@ from fermatosc.errors import (GenericityFailure, NotOnCurve, ResultantZero,
                               SingularPoint, TruncationExhausted)
 from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint, _local_norm,
                                _rank_le_one, _substitute, branch_series,
-                               disc2, evaluate, hessian, int_mult,
-                               line_parametrization,
+                               disc2, hessian, int_mult, line_parametrization,
                                osculating_conic_series, parameter_of_point,
-                               partial, pullback_to_line, restrict_to_line,
+                               pullback_to_line, restrict_to_line,
                                resultant_order)
 from fermatosc.tower import FieldElement, Q, TowerField, tower_field
 
@@ -49,11 +48,11 @@ def test_pow_product_count(monkeypatch):
 
 def test_partial_examples():
     fld, F = fermat(5)
-    assert partial(F, "x") == HomPoly.monomial(fld, (4, 0, 0), 5)
+    assert F.partial("x") == HomPoly.monomial(fld, (4, 0, 0), 5)
     c = HomPoly.monomial(fld, (2, 0, 0), 7)
-    assert partial(c, "z").is_zero()
+    assert c.partial("z").is_zero()
     x, y, z = HomPoly.variables(fld)
-    euler = x * partial(F, 0) + y * partial(F, 1) + z * partial(F, 2)
+    euler = x * F.partial(0) + y * F.partial(1) + z * F.partial(2)
     assert euler == F.scale(5)
 
 
@@ -67,7 +66,7 @@ def test_euler_relation_randomized():
             f = rand_homogeneous(fld, rng, deg)
             if f.is_zero():
                 continue
-            lhs = x * partial(f, 0) + y * partial(f, 1) + z * partial(f, 2)
+            lhs = x * f.partial(0) + y * f.partial(1) + z * f.partial(2)
             assert lhs == f.scale(deg)
 
 
@@ -75,12 +74,12 @@ def test_evaluate_examples():
     fld, F = fermat(6)
     for k in (1, 3, 11):
         p = ProjPoint(fld, [fld.zero, fld.one, fld.u_pow(k)])
-        assert evaluate(F, p).is_zero()
+        assert F.evaluate(p).is_zero()
     s = ProjPoint(fld, [fld.one, fld.one, fld.monomial(-1, 1)])
-    assert evaluate(F, s).is_zero()
+    assert F.evaluate(s).is_zero()
     fld3, F3 = fermat(3)
     p = ProjPoint(fld3, [fld3.one, fld3.one, fld3.one])
-    assert evaluate(F3, p) == fld3.from_rational(3)
+    assert F3.evaluate(p) == fld3.from_rational(3)
 
 
 @pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8))
@@ -104,11 +103,9 @@ def test_branch_series_residual_and_tangent():
     p = ProjPoint(fld, [fld.zero, fld.one, fld.u_pow(1)])
     bs = branch_series(F, p, 8)
     assert all(v.is_zero() for v in bs.residual(F))
+    # the tangent line vanishes on the branch's point and first-order term
     T = HomPoly.line(fld, fld.zero, fld.one, -fld.u_pow(-1))
-    v = bs.tangent_direction()
-    exps = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    val = sum((T.coeff(e) * v[i] for i, e in enumerate(exps)), fld.zero)
-    assert val.is_zero()
+    assert bs.valuation_of(T) >= 2
 
 
 def test_branch_series_errors():

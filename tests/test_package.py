@@ -18,6 +18,57 @@ def test_no_assert_statements():
     assert found == []
 
 
+# public names that no code in src refers to, each kept for its reason
+KEPT_UNREFERENCED = {
+    # the arrangement polynomials, for certified freeness (ROADMAP item 2)
+    "LineArrangement.product_poly",
+    "grid_component_poly",
+    # the group and its product, for proof by symmetry (ROADMAP item 3)
+    "group_elements",
+    "Automorphism.compose",
+    # reads a certificate back, for the `check` command (ROADMAP item 4)
+    "field_element_from_json",
+    # tests compare restrict_to_line against it; bench/tracer.py names it
+    "pullback_to_line",
+    # the second multiplicity oracle; the benchmark calls it
+    "resultant_order",
+    # a test monkeypatches it in
+    "identity",
+    # it generates test data
+    "TowerField.random_element",
+}
+
+
+def test_every_public_name_is_referenced_in_src():
+    # a top-level name is referenced by name, import or module attribute
+    # (`tower.memoized`); a method by any attribute of its name
+    paths = sorted(PACKAGE.glob("*.py"))
+    modules = {path.stem for path in paths}
+    trees = [ast.parse(path.read_text()) for path in paths]
+    names, attrs = set(), set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                names.add(node.attr)
+    unreferenced = []
+    for node in (n for tree in trees for n in tree.body):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") and node.name not in names:
+            unreferenced.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            unreferenced += [f"{node.name}.{m.name}" for m in node.body
+                             if isinstance(m, ast.FunctionDef)
+                             and not m.name.startswith("_")
+                             and m.name not in attrs]
+    assert sorted(unreferenced) == sorted(KEPT_UNREFERENCED)
+
+
 def test_cli_imports_without_numpy():
     code = "import sys, fermatosc.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], check=True,

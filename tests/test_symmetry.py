@@ -4,6 +4,7 @@ certificates for tangents and hyperosculating conics along grid lines."""
 import gc
 import random
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -19,8 +20,8 @@ from fermatosc import symmetry
 from fermatosc.symmetry import (Automorphism, conic_common_points,
                                 fixed_line, generator_panel, group_elements,
                                 identity, orbit, orbit_automorphism_for_line,
-                                pencil_degenerate, phi, points_on_line, psi,
-                                rho, tangent_concurrency,
+                                phi, points_on_line, psi, rho,
+                                tangent_concurrency,
                                 verify_invariant_intersection, y_scaling,
                                 z_scaling)
 from fermatosc.tower import tower_field
@@ -45,7 +46,7 @@ def test_group_closure_and_inverse():
         a, b = rng.choice(G), rng.choice(G)
         assert a.compose(b) in Gset
         assert a.inverse() in Gset
-        assert a.compose(a.inverse()).is_identity()
+        assert a.compose(a.inverse()) == identity(a.field)
 
 
 def _matrix(g):
@@ -343,29 +344,25 @@ def _conic_at(C, cluster, j, k):
     return hyperosculating_conic(C, s)
 
 
-def test_pencil_degenerate():
-    d = 4
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_pencil_cofactor_is_the_papers_line(d):
+    """The pencil of O_{j,k1} and O_{j,k2} holds z * ell with
+    ell = 2d(d-2)(zeta^-j x + y) - t^-1 (d+1)(2d-3)(u^k1 + u^k2) z, and ell
+    meets O_{j,k1} in two distinct points."""
     C = FermatCurve(d)
     fld = C.field
-    ell, cert = pencil_degenerate(C, 0, 1, 3)
-    assert cert["member_in_pencil"]
-    assert cert["residual_points_distinct"]
-    expected_z = -(fld.t_inv * ((d + 1) * (2 * d - 3))
-                   * (fld.u_pow(1) + fld.u_pow(3)))
-    assert ell.coeff((0, 0, 1)) == expected_z
-    with pytest.raises(ValueError):
-        pencil_degenerate(C, 0, 1, 1)
-    with pytest.raises(ValueError):
-        pencil_degenerate(C, 0, 2, 4)
-
-
-@pytest.mark.parametrize("d", (3, 5))
-def test_pencil_degenerate_all_pairs_sample(d):
-    C = FermatCurve(d)
-    ks = [2 * i + 1 for i in range(d)]
-    for k2 in ks[1:]:
-        ell, cert = pencil_degenerate(C, 1, ks[0], k2)
-        assert cert["member_in_pencil"] and cert["residual_points_distinct"]
+    ks = range(1, 2 * d, 2)
+    for j in (0, 1):
+        conics = {k: C.hyperosculating(C.sextactic_point("z", j, k))
+                  for k in ks}
+        for k1, k2 in combinations(ks, 2):
+            ell = symmetry._pencil_cofactor(conics[k1], conics[k2], 2, fld)
+            zcoef = -(fld.t_inv * ((d + 1) * (2 * d - 3))
+                      * (fld.u_pow(k1) + fld.u_pow(k2)))
+            paper = HomPoly.line(fld, fld.zeta_pow(-j) * (2 * d * (d - 2)),
+                                 2 * d * (d - 2), zcoef)
+            assert ell.proportional(paper), (j, k1, k2)
+            assert not disc2(restrict_to_line(conics[k1], ell)).is_zero()
 
 
 def test_concurrency_point_on_fixed_line_all_grids():

@@ -15,67 +15,62 @@ import pytest
 from fermatosc.errors import CertificationFailure, DegreeMismatch, ZeroInput
 from fermatosc import tower
 from fermatosc.tower import (D_MAX, D_MIN, FieldElement, Q, _int_terms,
-                             _zpoly_exact_div, arith, constants,
-                             cyclotomic_int_coeffs, embed,
-                             field_element_from_json, invert, is_zero,
-                             memoized, tower_field)
+                             _zpoly_exact_div, cyclotomic_int_coeffs,
+                             field_element_from_json, memoized, tower_field)
 
 DEGREES = (3, 4, 5, 6, 7, 8)
 
 
 @pytest.mark.parametrize("d", DEGREES)
 def test_defining_relations(d):
-    u, zeta, t = constants(d)
-    assert is_zero(u**d + 1)
-    assert is_zero(zeta**d - 1)
-    assert not is_zero(zeta - 1)
-    assert is_zero(t**d - 2)
-    assert is_zero(zeta - u * u)
+    f = tower_field(d)
+    u, zeta, t = f.u, f.zeta, f.t
+    assert (u**d + 1).is_zero()
+    assert (zeta**d - 1).is_zero()
+    assert not (zeta - 1).is_zero()
+    assert (t**d - 2).is_zero()
+    assert (zeta - u * u).is_zero()
 
 
 def test_rejects_small_degree():
     with pytest.raises(ValueError):
-        constants(2)
+        tower_field(2)
     with pytest.raises(ValueError):
-        constants(65)
+        tower_field(65)
 
 
 def test_arith_examples():
-    u6, _, t6 = constants(6)
-    assert arith(u6, u6**11, "mul") == tower_field(6).one
+    f6 = tower_field(6)
+    assert f6.u * f6.u**11 == f6.one
 
-    _, _, t3 = constants(3)
+    t3 = tower_field(3).t
     assert t3 * t3**2 == tower_field(3).from_rational(2)
 
-    u4, _, t4 = constants(4)
-    sq = arith(u4 - u4**3, u4 - u4**3, "mul")
-    assert sq == tower_field(4).from_rational(2)
-    assert abs(complex(embed(u4 - u4**3, 128)) - 2**0.5) <= 1e-14
+    f4 = tower_field(4)
+    r = f4.u - f4.u**3
+    assert r * r == f4.from_rational(2)
+    assert abs(complex(f4.embed(r, 128)) - 2**0.5) <= 1e-14
 
 
 def test_arith_degree_mismatch():
-    u3, _, _ = constants(3)
-    u4, _, _ = constants(4)
     with pytest.raises(DegreeMismatch):
-        arith(u3, u4, "add")
-    with pytest.raises(ValueError):
-        arith(u3, u3, "pow")
+        tower_field(3).u + tower_field(4).u
 
 
 @pytest.mark.parametrize("d", DEGREES)
 def test_invert_examples(d):
     f = tower_field(d)
-    u, _, t = constants(d)
-    assert invert(t) == t**(d - 1) / 2
-    assert invert(u) == -(u**(d - 1))
-    e = invert(f.one + u)
+    u, t = f.u, f.t
+    assert t.inverse() == t**(d - 1) / 2
+    assert u.inverse() == -(u**(d - 1))
+    e = (f.one + u).inverse()
     assert (f.one + u) * e == f.one
 
 
 def test_invert_zero_rejected():
     f = tower_field(3)
     with pytest.raises(ZeroInput):
-        invert(f.zero)
+        f.zero.inverse()
 
 
 @pytest.mark.parametrize("d", DEGREES)
@@ -86,23 +81,23 @@ def test_is_zero_cyclotomic_relation(d):
     for e, c in enumerate(coeffs):
         if c:
             acc = acc + f.monomial(e, 0, c)
-    assert is_zero(acc)
-    assert not is_zero(f.u + f.t)
+    assert acc.is_zero()
+    assert not (f.u + f.t).is_zero()
 
 
 def test_is_zero_d4_sqrt2_branch():
     f = tower_field(4)
-    u, _, t = constants(4)
+    u, t = f.u, f.t
     assert f.deg_t == 2
-    assert is_zero(t * t - (u - u**3))
-    assert abs(complex(embed(t * t, 128)) - 2**0.5) <= 1e-14
+    assert (t * t - (u - u**3)).is_zero()
+    assert abs(complex(f.embed(t * t, 128)) - 2**0.5) <= 1e-14
 
 
 def test_deg_t_branches():
     assert tower_field(8).deg_t == 4
     assert tower_field(6).deg_t == 6
     f8 = tower_field(8)
-    assert is_zero(f8.t**4 - (f8.u_pow(2) - f8.u_pow(6)))
+    assert (f8.t**4 - (f8.u_pow(2) - f8.u_pow(6))).is_zero()
 
 
 @pytest.mark.parametrize("d", DEGREES)
@@ -125,7 +120,7 @@ def test_inversion_bulk(d):
         a = f.random_element(rng, max_terms=3)
         if a.is_zero():
             continue
-        assert (a * invert(a) - f.one).is_zero()
+        assert (a * a.inverse() - f.one).is_zero()
         done += 1
 
 
@@ -137,9 +132,9 @@ def test_embedding_homomorphism_bulk():
         for _ in range(40):
             a = f.random_element(rng, max_terms=3)
             b = f.random_element(rng, max_terms=3)
-            lhs = embed(a * b, 96)
+            lhs = f.embed(a * b, 96)
             with mpmath.workprec(96):
-                rhs = embed(a, 96) * embed(b, 96)
+                rhs = f.embed(a, 96) * f.embed(b, 96)
                 assert abs(lhs - rhs) <= 2**-80 * abs(lhs)
             total += 1
     assert total >= 200
@@ -154,14 +149,14 @@ def test_zero_embeds_into_zero_ball(d):
         a = f.random_element(rng)
         samples.append(a - a)
     for a in samples:
-        assert is_zero(a)
-        assert abs(embed(a, 256)) < 2**-200
+        assert a.is_zero()
+        assert abs(f.embed(a, 256)) < 2**-200
 
 
 def test_embed_sextactic_coordinate_modulus():
     f = tower_field(5)
     w = f.monomial(-1, 1)            # u^(-1) t, the third coordinate slot
-    assert abs(abs(complex(embed(w, 128))) - 2 ** 0.2) < 1e-12
+    assert abs(abs(complex(f.embed(w, 128))) - 2 ** 0.2) < 1e-12
 
 
 @pytest.mark.parametrize("d", (3, 4, 5, 8))
@@ -182,11 +177,11 @@ def test_serialization_roundtrip(d):
 
 
 def test_embedding_positions():
-    u, _, t = constants(4)
     import cmath
-    assert abs(complex(embed(u, 128)) - cmath.exp(1j * cmath.pi / 4)) < 1e-14
-    _, _, t3 = constants(3)
-    assert abs(complex(embed(t3, 128)) - 2 ** (1 / 3)) < 1e-15
+    f4, f3 = tower_field(4), tower_field(3)
+    assert abs(complex(f4.embed(f4.u, 128))
+               - cmath.exp(1j * cmath.pi / 4)) < 1e-14
+    assert abs(complex(f3.embed(f3.t, 128)) - 2 ** (1 / 3)) < 1e-15
 
 
 def test_pow_negative_exponent():
@@ -197,7 +192,7 @@ def test_pow_negative_exponent():
     for e in range(1, 8):
         ref = f.one
         for _ in range(e):
-            ref = ref * invert(a)
+            ref = ref * a.inverse()
         _assert_same(a**-e, ref)
 
 
@@ -243,11 +238,11 @@ def test_zero_divisor_reports_factor():
 def test_larger_degree_construction():
     f = tower_field(12)
     assert f.deg_t == 6 and f.phi == 8
-    u, zeta, t = constants(12)
-    assert is_zero(t**12 - 2)
-    assert is_zero(u**12 + 1)
+    u, t = f.u, f.t
+    assert (t**12 - 2).is_zero()
+    assert (u**12 + 1).is_zero()
     a = f.u + f.t
-    assert (a * invert(a) - f.one).is_zero()
+    assert (a * a.inverse() - f.one).is_zero()
 
 
 @pytest.mark.parametrize("d", (3, 4, 5, 8))
@@ -382,7 +377,7 @@ def test_integer_product_matches_rational(d):
     a = fld.random_element(rng, max_terms=3 * fld.phi * fld.deg_t,
                            num_bound=10**30, den_choices=BIG_PRIMES)
     assert (a * a).coeffs == _rational_product(fld, a, a)
-    assert a * invert(a) == fld.one
+    assert a * a.inverse() == fld.one
 
 
 def test_integer_product_cancels_to_zero():
@@ -418,7 +413,7 @@ def test_norm_inverse_matches_euclid(d):
              if len({j for _, j, _ in a.nonzero_terms()}) > 1]
     assert len(elems) >= 6
     for a in elems:
-        assert invert(a) == fld._invert_general(a)
+        assert a.inverse() == fld._invert_general(a)
 
 
 def _dense_element(fld, rng):
@@ -436,12 +431,12 @@ def test_norm_inverse_large_degrees(d):
     for terms in (2, 3, 12):
         a = fld.random_element(rng, max_terms=terms)
         if not a.is_zero():
-            assert a * invert(a) == fld.one
+            assert a * a.inverse() == fld.one
     if d == 11:
         # all 110 coordinates: minutes through Euclid
         a = _dense_element(fld, rng)
         assert len(a.nonzero_terms()) == 110
-        assert a * invert(a) == fld.one
+        assert a * a.inverse() == fld.one
 
 
 @pytest.mark.parametrize("d", KERNEL_DEGREES)
@@ -449,8 +444,8 @@ def test_single_t_power_inverse(d):
     fld = tower_field(d)
     rng = random.Random(900 + d)
     red = fld.t**fld.deg_t                      # the reduction constant
-    assert invert(fld.t) == fld.t**(fld.deg_t - 1) * invert(red)
-    assert invert(fld.t) == fld.t_inv
+    assert fld.t.inverse() == fld.t**(fld.deg_t - 1) * red.inverse()
+    assert fld.t.inverse() == fld.t_inv
     for j in range(fld.deg_t):
         tj = fld.t**j
         for terms in (1, 2, fld.phi):
@@ -462,7 +457,7 @@ def test_single_t_power_inverse(d):
                 continue
             a = b * tj
             assert {jj for _, jj, _ in a.nonzero_terms()} == {j}
-            inv = invert(a)
+            inv = a.inverse()
             assert a * inv == fld.one
             if d <= 10:
                 assert inv == fld._invert_general(a)
@@ -510,7 +505,7 @@ def test_normal_form_invariants(d):
         _assert_normal(field_element_from_json(a.to_json_dict()))
         _assert_same(field_element_from_json(a.to_json_dict()), a)
         if not a.is_zero():
-            _assert_normal(invert(a))
+            _assert_normal(a.inverse())
     for _ in range(40):
         a, b = rng.choice(elems), rng.choice(elems)
         for c in (a + b, a - b, a * b):
@@ -681,7 +676,7 @@ def test_memoized_results_match_plain_kernel(d):
     pairs = [(a, b) for a in elems for b in elems]
     ops = (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b)
     plain = [[op(a, b) for op in ops] for a, b in pairs]
-    plain_inv = [invert(a) for a in elems]
+    plain_inv = [a.inverse() for a in elems]
     with memoized():
         for _ in range(2):                     # computed, then looked up
             for (a, b), ref in zip(pairs, plain):
@@ -690,10 +685,10 @@ def test_memoized_results_match_plain_kernel(d):
                     _assert_normal(c)
                     _assert_same(c, r)
             for a, r in zip(elems, plain_inv):
-                _assert_same(invert(a), r)
+                _assert_same(a.inverse(), r)
         # a second lookup returns the stored element itself
         a, b = elems[4], elems[-1]
-        assert a * b is b * a and a + b is b + a and invert(b) is invert(b)
+        assert a * b is b * a and a + b is b + a and b.inverse() is b.inverse()
 
 
 def test_memo_restored_after_blocks():
@@ -705,7 +700,7 @@ def test_memo_restored_after_blocks():
     assert tower._MEMO.get() is None
     with pytest.raises(ZeroInput):
         with memoized():
-            invert(fld.zero)
+            fld.zero.inverse()
     assert tower._MEMO.get() is None
 
 
@@ -721,7 +716,7 @@ def test_nested_memo_starts_empty():
     a, b = fld.u + fld.t, fld.t - 3
     with memoized():
         outer = tower._MEMO.get()
-        ab, s, diff, inv = a * b, a + b, a - b, invert(a)
+        ab, s, diff, inv = a * b, a + b, a - b, a.inverse()
         saved = [dict(t) for t in outer]
         assert len(saved) == 5 and all(saved)
         with memoized():
@@ -732,7 +727,7 @@ def test_nested_memo_starts_empty():
         assert tower._MEMO.get() is outer
         assert [dict(t) for t in outer] == saved
         assert a * b is ab and a + b is s and a - b is diff
-        assert invert(a) is inv
+        assert a.inverse() is inv
 
 
 def test_memoized_errors_store_nothing():
@@ -748,7 +743,7 @@ def test_memoized_errors_store_nothing():
         with pytest.raises(DegreeMismatch):
             f3.invert(f4.u)
         with pytest.raises(ZeroInput):
-            invert(f3.zero)
+            f3.zero.inverse()
         assert memo == ({}, {}, {}, {}, {})
 
 
@@ -765,7 +760,7 @@ def test_memo_survives_id_reuse(d):
     n = len(pool)
     plain = {(i, k): (pool[i] * pool[k], pool[i] + pool[k],
                       pool[i] - pool[k]) for i in range(n) for k in range(n)}
-    plain_inv = [invert(a) for a in pool]
+    plain_inv = [a.inverse() for a in pool]
     ops = (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b)
     with memoized():
         for _ in range(2000):
@@ -774,7 +769,7 @@ def test_memo_survives_id_reuse(d):
             b = FieldElement(fld, pool[k].terms, pool[k].den)
             for op, ref in zip(ops, plain[i, k]):
                 _assert_same(op(a, b), ref)
-            _assert_same(invert(a), plain_inv[i])
+            _assert_same(a.inverse(), plain_inv[i])
             del a, b
 
 
