@@ -188,7 +188,7 @@ def _curve_points_on_line(curve: FermatCurve, L: HomPoly):
             raise CertificationFailure("special point not on restriction")
         mults[p] = m
     if sum(mults.values()) != curve.d:
-        raise NonOrdinary(
+        raise CertificationFailure(
             "curve-line intersections not exhausted by special points")
     return mults
 

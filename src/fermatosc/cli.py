@@ -6,6 +6,11 @@ Every subcommand assembles a Report object:
      "precision_bits": ..., "status": "ok"|"failed",
      "failures": [...], "payload": {...}}
 
+An option is defined only on the commands that read it: `--seed` on `all`,
+`--precision` on `points` and `conic`.  A header key whose option the
+command lacks is null, as "degree" is for `all`; e.g. `census` reports
+"seed": null, "precision_bits": null.
+
 The exit code is 0 iff no certificate failed; usage errors exit 2.  All
 numbers in payloads are exact (serialized field elements or integers)
 except fields named "approx", which are display-only complex evaluations
@@ -34,7 +39,7 @@ from .arrangements import (GROUP_TOKENS, build, census, collinear_sextactic,
                            koszul_triple, multiplicity_multiset,
                            parse_label, syzygy_candidates, tjurina_total,
                            verify_syzygy)
-from .errors import FermatoscError, FewerPoints
+from .errors import CertificationFailure, FermatoscError, NonOrdinary
 from .fermat import (FermatCurve, hyperosculating_conic, inflection_points,
                      osculating_conic_cayley, osculating_conic_closed,
                      sextactic_count_formula, sextactic_points, tangent_line,
@@ -102,15 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--degree", type=int, required=True,
                             help="curve degree d >= 3")
         sp.add_argument("--out", help="write the JSON report to this path")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for any sampled checks")
+        sp.add_argument("--format", choices=("json", "table"), default="json")
+
+    # only the commands that print approx columns take --precision
+    def precision(sp):
         sp.add_argument("--precision", type=int, default=128,
                         help="embedding precision for approx columns (bits, "
                              f"{PRECISION_MIN}..{PRECISION_MAX})")
-        sp.add_argument("--format", choices=("json", "table"), default="json")
 
     sp = sub.add_parser("points", help="list special points")
     common(sp)
+    precision(sp)
     sp.add_argument("--kind", choices=KINDS, default="sextactic")
 
     sp = sub.add_parser("tangents", help="tangent lines at special points")
@@ -119,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("conic", help="osculating conic data at one sextactic point")
     common(sp)
+    precision(sp)
     sp.add_argument("--cluster", choices=("z", "y", "x"), default="z")
     sp.add_argument("--j", type=int, default=0)
     sp.add_argument("--k", type=int, default=1)
@@ -151,6 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, degree=False)
     sp.add_argument("--min-degree", type=int, default=3)
     sp.add_argument("--max-degree", type=int, default=6)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for the sampled inflection and sextactic "
+                         "checks")
     return p
 
 
@@ -171,21 +182,18 @@ def _inflection_payload(p, idx, precision):
 
 
 def _grid_lines(curve):
-    """The 9d grid lines of B+M+N with their labels, each group built as an
-    arrangement (which checks its lines are distinct)."""
-    lines = []
-    for group in VERIFY_GROUPS:
-        arr = build(group, curve.d)
-        for i, L in enumerate(arr.lines):
-            lines.append((f"{group}[{i}]", L))
+    """The 9d grid lines of B+M+N with their labels, certified distinct."""
+    lines = [_grid_line(curve, i) for i in range(9 * curve.d)]
+    if len({L.canonical_line() for _, L in lines}) != len(lines):
+        raise CertificationFailure("two grid lines of B+M+N coincide")
     return lines
 
 
 def _grid_line(curve, index):
-    """`_grid_lines(curve)[index]`, building that one line alone."""
+    """Grid line `index` of B+M+N, in group order, with its label."""
     d = curve.d
     if not 0 <= index < 9 * d:
-        raise FewerPoints(f"line index out of range 0..{9 * d - 1}")
+        raise ValueError(f"line index out of range 0..{9 * d - 1}")
     group, i = divmod(index, 3 * d)
     token = GROUP_TOKENS[VERIFY_GROUPS[group]][i // d]
     return (f"{VERIFY_GROUPS[group]}[{i}]",
@@ -238,7 +246,7 @@ def cmd_conic(args):
     curve = FermatCurve(args.degree)
     s = curve.sextactic_point(args.cluster, args.j, args.k)
     if s is None:
-        raise FewerPoints(f"no sextactic point ({args.cluster}, {args.j}, {args.k})")
+        raise ValueError(f"no sextactic point ({args.cluster}, {args.j}, {args.k})")
     O = hyperosculating_conic(curve, s)
     closed = osculating_conic_closed(curve, s.point)
     cayley = osculating_conic_cayley(curve, s.point)
@@ -322,7 +330,13 @@ def _freeness(label, d, curve):
 
 def cmd_freeness(args):
     curve = FermatCurve(args.degree) if args.with_fermat else None
-    verdict = _freeness(args.arrangement, args.degree, curve)
+    try:
+        verdict = _freeness(args.arrangement, args.degree, curve)
+    except NonOrdinary as exc:
+        # a usage error, not a failed certificate: the criterion needs
+        # ordinary points, and `census` reports the arrangement as it is
+        raise ValueError(f"{exc}: the freeness criterion needs ordinary "
+                         f"points (see census)") from exc
     payload = {"arrangement": args.arrangement,
                "with_fermat": bool(args.with_fermat),
                "degree_hat": verdict.degree_hat,
@@ -632,9 +646,9 @@ def _key_text(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _render_table(report) -> str:
-    lines = [f"fermatosc {report['command']} "
-             f"(degree {report.get('degree', '-')}) "
+def _render_table(report, scope: str) -> str:
+    """The report as plain text; `scope` names its degree or degrees."""
+    lines = [f"fermatosc {report['command']} ({scope}) "
              f"status={report['status']}"]
     payload = report["payload"]
 
@@ -646,10 +660,17 @@ def _render_table(report) -> str:
         out += [fmt.format(*(str(c) for c in row)) for row in rows]
         return out
 
-    if "sextactic" in payload and isinstance(payload["sextactic"], list):
-        rows = [(s["cluster"], s["j"], s["k"],
-                 _fmt_complex(s["approx"])) for s in payload["sextactic"]]
-        lines += table(("cluster", "j", "k", "approx"), rows)
+    if "sextactic" in payload or "inflection" in payload:
+        if "sextactic" in payload:
+            lines.append(f"sextactic points: {payload['sextactic_count']}")
+            rows = [(s["cluster"], s["j"], s["k"], _fmt_complex(s["approx"]))
+                    for s in payload["sextactic"]]
+            lines += table(("cluster", "j", "k", "approx"), rows)
+        if "inflection" in payload:
+            lines.append(f"inflection points: {payload['inflection_count']}")
+            rows = [(p["index"], _fmt_complex(p["approx"]))
+                    for p in payload["inflection"]]
+            lines += table(("index", "approx"), rows)
     elif "multiplicity_multiset" in payload:
         rows = sorted(payload["multiplicity_multiset"].items(),
                       key=lambda kv: int(kv[0]))
@@ -707,7 +728,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if not PRECISION_MIN <= args.precision <= PRECISION_MAX:
+    bits = getattr(args, "precision", None)
+    if bits is not None and not PRECISION_MIN <= bits <= PRECISION_MAX:
         parser.error(f"--precision must be in [{PRECISION_MIN}, "
                      f"{PRECISION_MAX}]")
     # each theorem reads one of verify's two selectors; the other is an error
@@ -727,7 +749,7 @@ def main(argv=None) -> int:
     try:
         with tower.memoized():
             payload, failures = handler(args)
-    except (ValueError, FewerPoints) as exc:
+    except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
     except FermatoscError as exc:
         payload = {"error": str(exc)}
@@ -736,14 +758,17 @@ def main(argv=None) -> int:
         "schema": 1,
         "command": args.command,
         "degree": getattr(args, "degree", None),
-        "seed": args.seed,
-        "precision_bits": args.precision,
+        # null where the command does not take the option
+        "seed": getattr(args, "seed", None),
+        "precision_bits": bits,
         "status": "ok" if not failures else "failed",
         "failures": failures,
         "payload": payload,
     }
     if args.format == "table":
-        text = _render_table(report)
+        text = _render_table(report, (
+            f"degrees {args.min_degree}..{args.max_degree}"
+            if args.command == "all" else f"degree {args.degree}"))
     else:
         text = indented_json(report) + "\n"
     if args.out:

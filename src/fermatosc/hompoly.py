@@ -843,8 +843,11 @@ def _cofactor_det(cols, n: int) -> BinaryForm:
     return acc
 
 
-def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint,
-                    seed: int = 0, max_attempts: int = 24):
+# random coordinate changes `resultant_order` tries before it gives up
+RESULTANT_ATTEMPTS = 24
+
+
+def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint, seed: int = 0):
     """Vanishing order at p's image of Res_z(f, g) after a recorded random
     rational projection; agrees with int_mult when genericity holds.
 
@@ -864,7 +867,7 @@ def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint,
     top = f.deg * g.deg + 1
     rng = random.Random(seed)
     last_fail = None
-    for attempt in range(max_attempts):
+    for attempt in range(RESULTANT_ATTEMPTS):
         m = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
         v = [field.from_rational(row[0]) for row in m]
         c = [field.from_rational(row[2]) for row in m]

@@ -16,7 +16,8 @@ from fermatosc.arrangements import (GRID_TOKENS, build, census,
                                     syzygy_candidates, tjurina_total,
                                     verify_syzygy)
 from fermatosc.errors import CertificationFailure, NonOrdinary
-from fermatosc.fermat import FermatCurve, sextactic_points, tangent_line
+from fermatosc.fermat import (FermatCurve, IncidenceTable, sextactic_points,
+                              tangent_line)
 from fermatosc.hompoly import HomPoly, cross, det3, int_mult
 from fermatosc.symmetry import Automorphism, identity
 from fermatosc.tower import tower_field
@@ -195,6 +196,20 @@ def test_census_rejects_a_contacts_map_without_one_line(monkeypatch):
         arrangements, "_curve_points_on_line",
         lambda curve, L: {} if L is arr.lines[0] else full(curve, L))
     with pytest.raises(CertificationFailure):
+        census(arr, C)
+
+
+def test_census_rejects_an_incomplete_curve_line_intersection(monkeypatch):
+    """Special points that do not exhaust a line's intersection with the
+    curve are a failed completeness certificate, not a non-ordinary point."""
+    d = 3
+    C = FermatCurve(d)
+    arr = build("triangle", d)
+    assert census(arr, C)
+    full = IncidenceTable.specials_on_line
+    monkeypatch.setattr(IncidenceTable, "specials_on_line",
+                        lambda self, line: full(self, line)[:-1])
+    with pytest.raises(CertificationFailure, match="not exhausted"):
         census(arr, C)
 
 

@@ -1,15 +1,19 @@
 """Command-line interface: report schema, exit codes, determinism."""
 
+import argparse
 import contextlib
 import enum
+import inspect
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from fermatosc import cli, tower
 from fermatosc.cli import indented_json, main
+from fermatosc.hompoly import resultant_order
 
 
 def run_cli(argv, capsys):
@@ -144,17 +148,20 @@ def test_main_calls_share_no_state(capsys):
     """The parser is built once per process, and a second call sees only
     its own arguments: no flag or value of the first survives."""
     assert cli._parser() is cli._parser()
-    argv_a = ["census", "--degree", "4", "--arrangement", "B",
-              "--with-fermat", "--seed", "7", "--precision", "64"]
-    argv_b = ["census", "--degree", "4", "--arrangement", "B"]
+    argv_a = ["points", "--degree", "4", "--kind", "all", "--precision", "64"]
+    argv_b = ["points", "--degree", "4"]
+    argv_c = ["all", "--max-degree", "3", "--seed", "7"]
     fresh = cli.build_parser()
-    for argv in (argv_a, argv_b, argv_a):
+    for argv in (argv_a, argv_b, argv_c, argv_a, argv_b):
         assert cli._parser().parse_args(argv) == fresh.parse_args(argv)
     code_a, rep_a = run_json(argv_a, capsys)
     code_b, rep_b = run_json(argv_b, capsys)
-    assert code_a == code_b == 0
-    assert (rep_a["seed"], rep_a["precision_bits"]) == (7, 64)
-    assert (rep_b["seed"], rep_b["precision_bits"]) == (0, 128)
+    code_c, rep_c = run_json(argv_c, capsys)
+    assert code_a == code_b == code_c == 0
+    assert (rep_a["seed"], rep_a["precision_bits"]) == (None, 64)
+    assert (rep_b["seed"], rep_b["precision_bits"]) == (None, 128)
+    assert (rep_c["degree"], rep_c["seed"], rep_c["precision_bits"]) \
+        == (None, 7, None)
     assert rep_a["payload"] != rep_b["payload"]
     assert rep_b == run_json(argv_b, capsys)[1]
     code, rep = run_json(["verify", "--theorem", "main", "--degree", "3",
@@ -197,6 +204,12 @@ def test_usage_error_exit_code(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["all", "--max-degree", "3", "--collinear-cap", "9"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # sextactic points have odd k
+    with pytest.raises(SystemExit) as exc:
+        main(["conic", "--degree", "4", "--k", "2"])
+    assert exc.value.code == 2
+    assert "no sextactic point (z, 0, 2)" in capsys.readouterr().err
 
     def no_suite(d):
         raise RuntimeError(f"a suite started at d = {d}")
@@ -218,9 +231,9 @@ def test_byte_stability(tmp_path):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
     assert main(["verify", "--theorem", "main", "--degree", "3",
-                 "--seed", "7", "--out", str(p1)]) == 0
+                 "--out", str(p1)]) == 0
     assert main(["verify", "--theorem", "main", "--degree", "3",
-                 "--seed", "7", "--out", str(p2)]) == 0
+                 "--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -233,6 +246,21 @@ def test_table_format(capsys):
                         capsys)
     assert code == 0
     assert "cluster" in out
+    # --kind all lists both kinds, --kind inflection a table of its own
+    for argv, n_sextactic, n_inflection in (
+            (["--degree", "3", "--kind", "all"], 27, 9),
+            (["--degree", "4", "--kind", "inflection"], 0, 12)):
+        code, out = run_cli(["points", "--format", "table"] + argv, capsys)
+        assert code == 0 and "{" not in out
+        lines = out.splitlines()
+        assert len([x for x in lines
+                    if re.match(r"[xyz] +\d+ +\d+ +[+-]", x)]) == n_sextactic
+        assert [x.split()[0] for x in lines if re.match(r"\d+ +[+-]", x)] \
+            == [str(i) for i in range(n_inflection)]
+    code, out = run_cli(["all", "--min-degree", "3", "--max-degree", "3",
+                         "--format", "table"], capsys)
+    assert code == 0
+    assert out.startswith("fermatosc all (degrees 3..3) status=ok\n")
 
 
 def test_all_small_range(tmp_path):
@@ -323,6 +351,66 @@ def test_verify_rejects_options_its_theorem_ignores(monkeypatch, capsys):
             main(["verify"] + argv)
         assert exc.value.code == 2
         assert f"{flag} does not apply" in capsys.readouterr().err
+
+
+def test_each_option_only_on_the_commands_that_read_it(monkeypatch, capsys):
+    """`--seed` is defined on `all` only and `--precision` on `points` and
+    `conic` only; any other command exits 2 on either before a curve is
+    built, and `resultant_order` takes no attempt budget."""
+    commands = next(a.choices for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert len(commands) == 9
+    takes = {name: {opt for a in sp._actions for opt in a.option_strings}
+             for name, sp in commands.items()}
+    assert {n for n, opts in takes.items() if "--seed" in opts} == {"all"}
+    assert {n for n, opts in takes.items() if "--precision" in opts} \
+        == {"points", "conic"}
+    assert all({"--degree", "--out", "--format"} <= opts
+               for n, opts in takes.items() if n != "all")
+
+    def no_curve(d):
+        raise RuntimeError(f"a curve was built at d = {d}")
+
+    monkeypatch.setattr(cli, "FermatCurve", no_curve)
+    required = {"census": ["--arrangement", "B"],
+                "freeness": ["--arrangement", "B"],
+                "verify": ["--theorem", "main"]}
+    for name in commands:
+        base = [name] + (["--max-degree", "3"] if name == "all"
+                         else ["--degree", "3"]) + required.get(name, [])
+        for flag in ("--seed", "--precision"):
+            if flag in takes[name]:
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main(base + [flag, "64"])
+            assert exc.value.code == 2, (name, flag)
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert "max_attempts" not in inspect.signature(resultant_order).parameters
+
+
+def test_freeness_of_a_non_ordinary_arrangement_is_a_usage_error(capsys):
+    """A+F has tangential contacts, which the quadratic criterion cannot
+    judge: exit 2, as for any usage error; its census still runs."""
+    argv = ["--arrangement", "A", "--with-fermat", "--degree", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(["freeness"] + argv)
+    assert exc.value.code == 2
+    assert "non-ordinary point" in capsys.readouterr().err
+    code, rep = run_json(["census"] + argv, capsys)
+    assert code == 0 and rep["payload"]["tjurina_total"] is None
+
+
+def test_coinciding_grid_lines_fail_the_verification(monkeypatch, capsys):
+    """Two equal grid lines are a failed certificate (exit 1), not a usage
+    error."""
+    full = cli.grid_line
+    monkeypatch.setattr(cli, "grid_line",
+                        lambda token, field, d, i: full(token, field, d, 0))
+    code, rep = run_json(["verify", "--theorem", "main", "--degree", "3"],
+                         capsys)
+    assert code == 1 and rep["status"] == "failed"
+    assert rep["failures"] == [{"check": "fatal", "detail":
+                                "two grid lines of B+M+N coincide"}]
 
 
 # -- the report writer ----------------------------------------------------------
