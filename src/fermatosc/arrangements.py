@@ -173,13 +173,13 @@ def build(label: str, d: int) -> LineArrangement:
 def _curve_points_on_line(curve: FermatCurve, L: HomPoly):
     """Exact intersection of the curve with a line, certified complete.
 
-    Candidates are the special points (sextactic and inflection) the
-    curve's incidence table finds on the line; the restriction of the curve
-    to the line must factor completely into the corresponding parameter
-    roots (with multiplicity), which certifies that no intersection point
-    was missed.
+    Candidates are the special points (sextactic and inflection) that
+    `FermatCurve.specials_on_line` finds on the line; the restriction of the
+    curve to the line must factor completely into the corresponding
+    parameter roots (with multiplicity), which certifies that no
+    intersection point was missed.
     """
-    pts = curve.incidence.specials_on_line(L)
+    pts = curve.specials_on_line(L)
     rest = restrict_to_line(curve.poly, L)
     mults = {}
     for p in pts:

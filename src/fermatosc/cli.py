@@ -45,9 +45,8 @@ from .fermat import (FermatCurve, hyperosculating_conic, inflection_points,
                      sextactic_count_formula, sextactic_points, tangent_line,
                      two_hessian, two_hessian_factored)
 from .hompoly import HomPoly, int_mult, osculating_conic_series
-from .symmetry import (conic_common_points, curve_orbit, fixed_line,
-                       generator_panel, tangent_concurrency,
-                       verify_invariant_intersection)
+from .symmetry import (conic_common_points, curve_orbit, generator_panel,
+                       tangent_concurrency, verify_invariant_intersection)
 from . import tower
 
 KINDS = ("sextactic", "inflection", "all")
@@ -160,8 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--min-degree", type=int, default=3)
     sp.add_argument("--max-degree", type=int, default=6)
     sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the sampled inflection and sextactic "
-                         "checks")
+                    help="seed for the sampled sextactic checks")
     return p
 
 
@@ -360,22 +358,29 @@ def _syzygy_payload(d):
     return out
 
 
-def _collinear_counts(lines) -> dict:
+def _collinear(curve):
+    """The lines through three or more sextactic points: their counts, the
+    failures of the check against the paper's counts, and the lines."""
+    d = curve.d
+    lines = collinear_sextactic(curve)
     intra = sum(1 for L in lines if not L.mixed)
-    return {"line_count": len(lines), "intra_cluster": intra,
-            "mixed_cluster": len(lines) - intra}
+    counts = {"line_count": len(lines), "intra_cluster": intra,
+              "mixed_cluster": len(lines) - intra}
+    failures = []
+    if (tuple(counts.values()) != paper_claims(d)["collinear"]
+            or any(len(L.points) != d for L in lines)):
+        failures.append({"check": "collinear", "degree": d})
+    return counts, failures, lines
 
 
 def cmd_collinear(args):
     if args.degree > ALL_MAX_DEGREE:
         raise ValueError(f"collinear needs degree <= {ALL_MAX_DEGREE}")
-    curve = FermatCurve(args.degree)
-    lines = collinear_sextactic(curve)
-    payload = _collinear_counts(lines)
+    payload, failures, lines = _collinear(FermatCurve(args.degree))
     payload["lines"] = [{"line": L.line.to_json_dict(),
                          "points": [{"cluster": s.cluster, "j": s.j, "k": s.k}
                                     for s in L.points]} for L in lines]
-    return payload, []
+    return payload, failures
 
 
 def _verify_line(curve, label, line):
@@ -425,8 +430,7 @@ def _verify_main(curve, line_index=None):
 
 def _verify_invariant(curve, degrees):
     checks, failures = [], []
-    panel = [(name, g) for name, g in generator_panel(curve.field)
-             if fixed_line(g) is not None]
+    panel = generator_panel(curve.field)
     specials = [("sextactic", s.point) for s in sextactic_points(curve)]
     specials += [("inflection", p) for p in inflection_points(curve)]
     for n in degrees:
@@ -481,12 +485,9 @@ def _all_degree(d, rng):
     sec_fail += fails
 
     infl = inflection_points(curve)
-    sample = infl if d <= 6 else [infl[i] for i in
-                                  rng.sample(range(len(infl)), 6)]
-    mults = [int_mult(curve.poly, curve.osculating(p, 1), p)
-             for p in sample]
+    mults = [int_mult(curve.poly, curve.osculating(p, 1), p) for p in infl]
     section["inflection"] = {"count": len(infl),
-                             "checked": len(sample),
+                             "checked": len(infl),
                              "tangent_contacts": sorted(set(mults))}
     if (len(infl) != claims["inflection_count"]
             or set(mults) != {claims["inflection_tangent_contact"]}):
@@ -535,11 +536,8 @@ def _all_degree(d, rng):
     if not koszul_ok:
         sec_fail.append({"check": "koszul-syzygy", "degree": d})
 
-    lines = collinear_sextactic(curve)
-    section["collinear"] = _collinear_counts(lines)
-    if (tuple(section["collinear"].values()) != claims["collinear"]
-            or any(len(L.points) != d for L in lines)):
-        sec_fail.append({"check": "collinear", "degree": d})
+    section["collinear"], fails, _ = _collinear(curve)
+    sec_fail += fails
 
     vpay, vfails = _verify_main(curve)
     section["concurrency"] = {

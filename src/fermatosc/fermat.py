@@ -13,8 +13,10 @@ cluster is the cluster-z family rotated once more by (a, b, c) -> (b, c, a);
 `FermatCurve.sextactic_point` is the one place this formula is written, and
 the full point set and the `conic` query build their points through it.  The
 inflection points (0 : 1 : u^k) and their two rotations by
-(a, b, c) -> (c, a, b) are written down the same way, once per curve in its
-incidence table.
+(a, b, c) -> (c, a, b) are written down the same way, once per curve.  The
+curve is the one incidence table of its degree: it keeps both point sets,
+finds the special points on a line by a coordinate-ratio lookup, and holds
+the orbits of its points under automorphisms.
 
 Osculating conics come from two independent pipelines: the evaluated
 covariant combination 9H^3(p) D2F_p - (6H^2(p) DH_p + W(p) DF_p) DF_p with
@@ -26,7 +28,6 @@ and x are the cluster-z conic with its variables permuted.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +51,16 @@ class FermatCurve:
     What depends on the curve alone (its special points and their line
     incidences, tangents, osculating conics) is built on first use and kept
     on this object, so it is dropped together with the curve.
+
+    `sextactic` is the order `sextactic_points` returns (one point alone is
+    `sextactic_point`), and `inflection` the order `inflection_points`
+    returns.  They and `specials` (the sextactic points followed by the
+    inflection points) are each built on first use, so a query of one kind
+    builds no point of the other.  The ratio table of a coordinate pair
+    a < b, built on the first lookup of a line in that pair, maps
+    x_b / x_a to the specials with that coordinate ratio.  `orbits` is the
+    memo that `symmetry.curve_orbit` fills: the orbit of a point under an
+    automorphism.
     """
 
     def __init__(self, d: int):
@@ -58,17 +69,96 @@ class FermatCurve:
         one = self.field.one
         self.poly = HomPoly(self.field, d, {(d, 0, 0): one, (0, d, 0): one,
                                             (0, 0, d): one})
-        self._incidence = None
         self._units = {}
         self._powers = {}
         self._osculating = {}
         self._hyperosculating = {}
+        self._ratio_tables = {}
+        self.orbits = {}
 
-    @property
-    def incidence(self) -> "IncidenceTable":
-        if self._incidence is None:
-            self._incidence = IncidenceTable(self)
-        return self._incidence
+    @cached_property
+    def sextactic(self) -> tuple:
+        d = self.d
+        return tuple(
+            self.sextactic_point(cluster, j, k) for cluster in CLUSTERS
+            for j in range(d) for k in range(1, 2 * d, 2))
+
+    @cached_property
+    def inflection(self) -> tuple:
+        field = self.field
+        return tuple(
+            ProjPoint(field, rotate((field.zero, field.one, field.u_pow(k)),
+                                    -n))
+            for n in range(3) for k in range(1, 2 * self.d, 2))
+
+    @cached_property
+    def specials(self) -> tuple:
+        return tuple(s.point for s in self.sextactic) + self.inflection
+
+    @cached_property
+    def _checked_specials(self) -> tuple:
+        """`specials`, after checking that no special point is a vertex."""
+        for p in self.specials:
+            if sum(c.is_zero() for c in p.coords) > 1:
+                raise CertificationFailure("special point at a vertex")
+        return self.specials
+
+    def _ratios(self, a: int, b: int) -> dict:
+        """The ratio table of the pair (a, b), built on its first lookup:
+        x_b / x_a -> the indices of the specials with both coordinates
+        nonzero and that ratio."""
+        ratios = self._ratio_tables.get((a, b))
+        if ratios is None:
+            # the coordinates are monomials taking few distinct values, so
+            # the ratios cost few inversions, each of one term
+            ratios, inverses = {}, {}
+            for idx, p in enumerate(self._checked_specials):
+                xa, xb = p.coords[a], p.coords[b]
+                if xa.is_zero() or xb.is_zero():
+                    continue
+                if xa not in inverses:
+                    inverses[xa] = xa.inverse()
+                ratios.setdefault(xb * inverses[xa], []).append(idx)
+            self._ratio_tables[a, b] = ratios
+        return ratios
+
+    def _on_line(self, line: HomPoly, stop: int) -> list:
+        """Ascending indices below `stop` of the specials on the line.
+
+        A line c_a x_a + c_b x_b = 0 with both coefficients nonzero contains
+        a point other than the vertex x_a = x_b = 0 exactly when x_a and x_b
+        are nonzero and x_b / x_a = -c_a / c_b.  No special point is a
+        vertex (`_checked_specials`), and the ratio table of the pair holds
+        every special point with x_a and x_b nonzero, so the lookup of that
+        ratio returns every special point on the line: completeness comes
+        from the table.  Each point returned is certified on the line by
+        one exact evaluation.  Lines with one or three nonzero coefficients
+        are scanned point by point.
+        """
+        coeffs = line.line_coeffs()
+        support = [i for i, c in enumerate(coeffs) if not c.is_zero()]
+        if len(support) != 2:
+            return [i for i in range(stop)
+                    if line.evaluate(self.specials[i]).is_zero()]
+        a, b = support
+        ratio = -coeffs[a] * coeffs[b].inverse()
+        out = [i for i in self._ratios(a, b).get(ratio, ()) if i < stop]
+        for i in out:
+            if not line.evaluate(self.specials[i]).is_zero():
+                raise CertificationFailure(
+                    "ratio table point off its line",
+                    witness=self.specials[i].to_json())
+        return out
+
+    def sextactic_on_line(self, line: HomPoly) -> list:
+        """The sextactic points on a line, in `sextactic` order."""
+        return [self.sextactic[i]
+                for i in self._on_line(line, len(self.sextactic))]
+
+    def specials_on_line(self, line: HomPoly) -> list:
+        """The sextactic and inflection points on a line, in `specials` order."""
+        return [self.specials[i]
+                for i in self._on_line(line, len(self.specials))]
 
     def osculating(self, p: ProjPoint, n: int) -> HomPoly:
         """The tangent line (n = 1) or the closed-form osculating conic
@@ -176,7 +266,7 @@ def tangent_line(curve: FermatCurve, p: ProjPoint) -> HomPoly:
 
 def inflection_points(curve: FermatCurve):
     """The 3d inflection points (0:1:u^k), (u^k:0:1), (1:u^k:0), k odd."""
-    return list(curve.incidence.inflection)
+    return list(curve.inflection)
 
 
 def two_hessian(curve: FermatCurve) -> HomPoly:
@@ -209,113 +299,7 @@ def two_hessian_factored(curve: FermatCurve) -> HomPoly:
 
 def sextactic_points(curve: FermatCurve):
     """All 3d^2 sextactic points, cluster by cluster."""
-    return list(curve.incidence.sextactic)
-
-
-class IncidenceTable:
-    """The special points of one curve, indexed for lookups by line.
-
-    `sextactic` is the order `sextactic_points` returns (one point alone is
-    `FermatCurve.sextactic_point`), and `inflection` the order
-    `inflection_points` returns.  They and `specials` (the sextactic points
-    followed by the inflection points) are each built on first use, so a
-    query of one kind builds no point of the other.  The table refers to
-    its curve weakly, since the curve holds the table.  The ratio table
-    of a coordinate pair a < b, built on the first lookup of a line in that
-    pair, maps x_b / x_a to the specials with that coordinate ratio.
-
-    A line c_a x_a + c_b x_b = 0 with both coefficients nonzero contains a
-    point other than the vertex x_a = x_b = 0 exactly when x_a and x_b are
-    nonzero and x_b / x_a = -c_a / c_b.  No special point is a vertex (this
-    is checked over all of them before the first ratio table is built), and
-    each pair's table holds every special point with x_a and x_b nonzero,
-    so the lookup of that ratio returns every special point on the line:
-    completeness comes from the table.  Each point returned is certified on
-    the line by one exact evaluation.  Lines with one or three nonzero
-    coefficients are scanned point by point.
-
-    `orbits` is the memo that the symmetry stages fill: the orbit of a
-    point under an automorphism.
-    """
-
-    def __init__(self, curve: FermatCurve):
-        self._curve = weakref.ref(curve)
-        self._field = curve.field
-        self._ratio_tables = {}
-        self.orbits = {}
-
-    @cached_property
-    def sextactic(self) -> tuple:
-        curve, d = self._curve(), self._field.d
-        return tuple(
-            curve.sextactic_point(cluster, j, k) for cluster in CLUSTERS
-            for j in range(d) for k in range(1, 2 * d, 2))
-
-    @cached_property
-    def inflection(self) -> tuple:
-        field = self._field
-        return tuple(
-            ProjPoint(field, rotate((field.zero, field.one, field.u_pow(k)),
-                                    -n))
-            for n in range(3) for k in range(1, 2 * field.d, 2))
-
-    @cached_property
-    def specials(self) -> tuple:
-        return tuple(s.point for s in self.sextactic) + self.inflection
-
-    @cached_property
-    def _checked_specials(self) -> tuple:
-        """`specials`, after checking that no special point is a vertex."""
-        for p in self.specials:
-            if sum(c.is_zero() for c in p.coords) > 1:
-                raise CertificationFailure("special point at a vertex")
-        return self.specials
-
-    def _ratios(self, a: int, b: int) -> dict:
-        """The ratio table of the pair (a, b), built on its first lookup:
-        x_b / x_a -> the indices of the specials with both coordinates
-        nonzero and that ratio."""
-        ratios = self._ratio_tables.get((a, b))
-        if ratios is None:
-            # the coordinates are monomials taking few distinct values, so
-            # the ratios cost few inversions, each of one term
-            ratios, inverses = {}, {}
-            for idx, p in enumerate(self._checked_specials):
-                xa, xb = p.coords[a], p.coords[b]
-                if xa.is_zero() or xb.is_zero():
-                    continue
-                if xa not in inverses:
-                    inverses[xa] = xa.inverse()
-                ratios.setdefault(xb * inverses[xa], []).append(idx)
-            self._ratio_tables[a, b] = ratios
-        return ratios
-
-    def _on_line(self, line: HomPoly, stop: int) -> list:
-        """Ascending indices below `stop` of the specials on the line."""
-        coeffs = line.line_coeffs()
-        support = [i for i, c in enumerate(coeffs) if not c.is_zero()]
-        if len(support) != 2:
-            return [i for i in range(stop)
-                    if line.evaluate(self.specials[i]).is_zero()]
-        a, b = support
-        ratio = -coeffs[a] * coeffs[b].inverse()
-        out = [i for i in self._ratios(a, b).get(ratio, ()) if i < stop]
-        for i in out:
-            if not line.evaluate(self.specials[i]).is_zero():
-                raise CertificationFailure(
-                    "ratio table point off its line",
-                    witness=self.specials[i].to_json())
-        return out
-
-    def sextactic_on_line(self, line: HomPoly) -> list:
-        """The sextactic points on a line, in `sextactic` order."""
-        return [self.sextactic[i]
-                for i in self._on_line(line, len(self.sextactic))]
-
-    def specials_on_line(self, line: HomPoly) -> list:
-        """The sextactic and inflection points on a line, in `specials` order."""
-        return [self.specials[i]
-                for i in self._on_line(line, len(self.specials))]
+    return list(curve.sextactic)
 
 
 def sextactic_count_formula(curve: FermatCurve) -> int:

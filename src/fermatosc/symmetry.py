@@ -15,12 +15,14 @@ at explicitly constructed candidate points.  The two common points of a
 conic family have coordinates outside K_d, so they are certified through
 the restriction rather than solved for.
 
-The sextactic points of a grid line come from the curve's incidence table
-(`FermatCurve.incidence`): a lookup by coordinate ratio, complete by
-construction of the table, with each point certified on the line by one
-exact evaluation.  The orbits under an automorphism and the tangents and
-osculating conics at each point are built once per curve and kept on it;
-the scaling whose orbit is a line's point set is read off that kept orbit.
+The sextactic points of a grid line come from the curve's incidence lookup
+(`FermatCurve.sextactic_on_line`): a lookup by coordinate ratio, complete
+by construction of the ratio table, with each point certified on the line
+by one exact evaluation.  The orbits under an automorphism and the tangents
+and osculating conics at each point are built once per curve and kept on
+it; the scaling whose orbit is a line's point set is read off that kept
+orbit.  `_line_family` gives both certificates a grid line's d points and
+the line that scaling fixes.
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ def orbit(p: ProjPoint, g: Automorphism) -> list:
 
 def curve_orbit(curve: FermatCurve, p: ProjPoint, g: Automorphism) -> list:
     """`orbit(p, g)`, built once per point and automorphism on the curve."""
-    orbits = curve.incidence.orbits
+    orbits = curve.orbits
     key = (g, p)
     if key not in orbits:
         orbits[key] = orbit(p, g)
@@ -258,8 +260,8 @@ class ConcurrencyReport:
 
 
 def points_on_line(curve: FermatCurve, line: HomPoly):
-    """The sextactic points on a line, through the curve's incidence table."""
-    return curve.incidence.sextactic_on_line(line)
+    """The sextactic points on a line, through the curve's ratio lookup."""
+    return curve.sextactic_on_line(line)
 
 
 def orbit_automorphism_for_line(curve: FermatCurve, line: HomPoly, pts):
@@ -280,13 +282,23 @@ def orbit_automorphism_for_line(curve: FermatCurve, line: HomPoly, pts):
         "no scaling automorphism has the line's points as one orbit")
 
 
-def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyReport:
-    """Certify that the d tangents at the d sextactic points of a grid line
-    meet in exactly one point, a d-fold point of their union."""
+def _line_family(curve: FermatCurve, grid_line: HomPoly):
+    """The d sextactic points of a grid line and the line fixed pointwise by
+    the scaling whose orbit they are; fewer than d points raise
+    `FewerPoints`."""
     d = curve.d
     pts = points_on_line(curve, grid_line)
     if len(pts) != d:
         raise FewerPoints(f"{len(pts)} sextactic points on the line, need {d}")
+    g = orbit_automorphism_for_line(curve, grid_line, pts)
+    return pts, fixed_line(g)
+
+
+def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyReport:
+    """Certify that the d tangents at the d sextactic points of a grid line
+    meet in exactly one point, a d-fold point of their union."""
+    d = curve.d
+    pts, L = _line_family(curve, grid_line)
     tangents = [curve.osculating(s.point, 1) for s in pts]
     if len({t.canonical_line() for t in tangents}) != d:
         raise CertificationFailure("coincident tangents in the family")
@@ -296,8 +308,6 @@ def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyRe
     if not all(v.is_zero() for v in vals):
         raise CertificationFailure("tangents are not concurrent",
                                    witness=[v.to_json_dict() for v in vals])
-    g = orbit_automorphism_for_line(curve, grid_line, pts)
-    L = fixed_line(g)
     cert = {
         "tangents_pairwise_distinct": True,
         "all_tangents_vanish_at_point": True,
@@ -318,14 +328,9 @@ def conic_common_points(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyRe
     zero.  Off-line candidates are excluded through degenerate pencil
     members divided by the fixed-line coordinate.
     """
-    d = curve.d
     field = curve.field
-    pts = points_on_line(curve, grid_line)
-    if len(pts) != d:
-        raise FewerPoints(f"{len(pts)} sextactic points on the line, need {d}")
+    pts, L = _line_family(curve, grid_line)
     conics = [curve.hyperosculating(s) for s in pts]
-    g = orbit_automorphism_for_line(curve, grid_line, pts)
-    L = fixed_line(g)
     var = _coordinate_index(L)
     if var is None:
         raise CertificationFailure("fixed line is not a coordinate line")

@@ -16,8 +16,7 @@ from fermatosc.arrangements import (GRID_TOKENS, build, census,
                                     syzygy_candidates, tjurina_total,
                                     verify_syzygy)
 from fermatosc.errors import CertificationFailure, NonOrdinary
-from fermatosc.fermat import (FermatCurve, IncidenceTable, sextactic_points,
-                              tangent_line)
+from fermatosc.fermat import FermatCurve, sextactic_points, tangent_line
 from fermatosc.hompoly import HomPoly, cross, det3, int_mult
 from fermatosc.symmetry import Automorphism, identity
 from fermatosc.tower import tower_field
@@ -206,8 +205,8 @@ def test_census_rejects_an_incomplete_curve_line_intersection(monkeypatch):
     C = FermatCurve(d)
     arr = build("triangle", d)
     assert census(arr, C)
-    full = IncidenceTable.specials_on_line
-    monkeypatch.setattr(IncidenceTable, "specials_on_line",
+    full = FermatCurve.specials_on_line
+    monkeypatch.setattr(FermatCurve, "specials_on_line",
                         lambda self, line: full(self, line)[:-1])
     with pytest.raises(CertificationFailure, match="not exhausted"):
         census(arr, C)

@@ -14,6 +14,7 @@ import pytest
 from fermatosc import cli, tower
 from fermatosc.cli import indented_json, main
 from fermatosc.hompoly import resultant_order
+from fermatosc.symmetry import identity
 
 
 def run_cli(argv, capsys):
@@ -115,6 +116,18 @@ def test_collinear_d3(capsys):
         == (81, 27, 54)
 
 
+def test_collinear_checks_the_papers_counts(monkeypatch, capsys):
+    """`collinear` fails, as `all` does, when the lines found miss the
+    paper's counts: here one line of the 36 at d = 4 is dropped."""
+    found = cli.collinear_sextactic
+    monkeypatch.setattr(cli, "collinear_sextactic",
+                        lambda curve: found(curve)[1:])
+    code, rep = run_json(["collinear", "--degree", "4"], capsys)
+    assert code == 1 and rep["status"] == "failed"
+    assert rep["failures"] == [{"check": "collinear", "degree": 4}]
+    assert rep["payload"]["line_count"] == 35
+
+
 def test_verify_main_single_line(capsys):
     code, rep = run_json(["verify", "--theorem", "main", "--degree", "4",
                           "--line-index", "0"], capsys)
@@ -177,6 +190,18 @@ def test_verify_invariant(capsys):
                           "--degree", "3", "--osc-degree", "2"], capsys)
     assert code == 0
     assert rep["payload"]["all_invariant"]
+
+
+def test_panel_member_without_a_fixed_line_fails(monkeypatch, capsys):
+    """A panel automorphism with no pointwise-fixed line fails the run
+    instead of dropping its checks."""
+    panel = cli.generator_panel
+    monkeypatch.setattr(cli, "generator_panel", lambda field: (
+        panel(field) + (("id", identity(field)),)))
+    code, rep = run_json(["verify", "--theorem", "invariant-intersection",
+                          "--degree", "3", "--osc-degree", "1"], capsys)
+    assert code == 1 and rep["status"] == "failed"
+    assert [f["check"] for f in rep["failures"]] == ["fatal"]
 
 
 def test_verify_main_full_d3(capsys):
@@ -274,6 +299,16 @@ def test_all_small_range(tmp_path):
     assert sec["sextactic"]["count"] == 27
     assert sec["freeness"]["B"]["free"]
     assert sec["invariant_intersection"]["all_invariant"]
+
+
+def test_all_checks_every_inflection_point(tmp_path):
+    """The tangent contact is checked at all 3d inflection points, above
+    d = 6 too; `--seed` draws only the sextactic sample."""
+    out = tmp_path / "all.json"
+    assert main(["all", "--min-degree", "7", "--max-degree", "7",
+                 "--out", str(out)]) == 0
+    infl = json.loads(out.read_text())["payload"]["degrees"]["7"]["inflection"]
+    assert infl == {"count": 21, "checked": 21, "tangent_contacts": [7]}
 
 
 @pytest.mark.parametrize("argv", [

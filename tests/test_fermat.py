@@ -62,7 +62,7 @@ def test_tangent_line_is_the_gradient_and_refuses_off_curve_points(d):
 def test_tangent_powers_once_per_coordinate_value(d):
     C = FermatCurve(d)
     fld = C.field
-    specials = C.incidence.specials
+    specials = C.specials
     for p in specials:
         assert tangent_line(C, p) == HomPoly.line(
             fld, *[c ** (d - 1) for c in p.coords])

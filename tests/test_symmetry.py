@@ -377,7 +377,7 @@ def test_concurrency_point_on_fixed_line_all_grids():
 
 @pytest.mark.parametrize("d", (3, 4, 5, 6))
 def test_points_on_line_matches_scan(d):
-    # the incidence table against a brute-force scan of every point, in the
+    # the ratio lookup against a brute-force scan of every point, in the
     # same order: the grid, inflection-tangent and coordinate lines, plus
     # seeded lines with three nonzero coefficients
     C = FermatCurve(d)
@@ -395,42 +395,39 @@ def test_points_on_line_matches_scan(d):
     for L in lines:
         assert points_on_line(C, L) == [
             s for s in pts if L.evaluate(s.point).is_zero()]
-        assert C.incidence.specials_on_line(L) == [
+        assert C.specials_on_line(L) == [
             p for p in specials if L.evaluate(p).is_zero()]
 
 
 def test_ratio_table_per_coordinate_pair():
     C = FermatCurve(6)
-    inc = C.incidence
-    inc.specials_on_line(build("Bz", 6).lines[0])
-    (a, b), = inc._ratio_tables
+    C.specials_on_line(build("Bz", 6).lines[0])
+    (a, b), = C._ratio_tables
     # the one table built covers every special with x_a and x_b nonzero
-    assert sorted(i for idx in inc._ratios(a, b).values() for i in idx) == [
-        i for i, p in enumerate(inc.specials)
+    assert sorted(i for idx in C._ratios(a, b).values() for i in idx) == [
+        i for i, p in enumerate(C.specials)
         if not (p.coords[a].is_zero() or p.coords[b].is_zero())]
 
 
 def test_ratio_lookup_checks_every_special_for_a_vertex():
     C = FermatCurve(4)
     fld = C.field
-    inc = C.incidence
     vertex = ProjPoint(fld, [fld.zero, fld.zero, fld.one])
-    inc.specials = inc.specials[:-1] + (vertex,)
+    C.specials = C.specials[:-1] + (vertex,)
     with pytest.raises(CertificationFailure, match="vertex"):
-        inc.specials_on_line(build("Bz", 4).lines[0])
+        C.specials_on_line(build("Bz", 4).lines[0])
 
 
 def test_failed_vertex_check_keeps_no_ratio_table():
     C = FermatCurve(4)
     fld = C.field
-    inc = C.incidence
-    inc.specials = inc.specials[:-1] + (
+    C.specials = C.specials[:-1] + (
         ProjPoint(fld, [fld.zero, fld.zero, fld.one]),)
     line = build("Bz", 4).lines[0]
     for _ in range(2):
         with pytest.raises(CertificationFailure, match="vertex"):
-            inc.specials_on_line(line)
-    assert inc._ratio_tables == {}
+            C.specials_on_line(line)
+    assert C._ratio_tables == {}
 
 
 def test_curve_tables_die_with_the_curve():
