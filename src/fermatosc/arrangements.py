@@ -9,7 +9,11 @@ The arrangements attached to the Fermat curve of degree d:
 
 Subscripts name the variable missing from the defining binary form, so
 B_z = V(x^d - y^d), M_x = V(z^d + 2y^d), N_y = V(z^d + 2x^d); those three
-host the cluster-z sextactic points with d points per line.
+host the cluster-z sextactic points with d points per line.  Each group is
+written once, by its first component in `GROUP_TOKENS` (A_z, B_z, M_x, N_x):
+the other two components are its rotations (a, b, c) -> (c, a, b) of the
+coefficients, of the binary form in `grid_component_poly` and of each
+linear factor in `grid_line`.
 
 The census lists all singular points of the union (optionally together with
 the curve itself), the freeness test solves the quadratic necessary
@@ -28,15 +32,18 @@ from typing import Optional
 
 from .errors import CertificationFailure, NonOrdinary
 from .fermat import FermatCurve, rotate, sextactic_points
-from .hompoly import (HomPoly, ProjPoint, cross, parameter_of_point,
-                      restrict_to_line)
+from .hompoly import (LINEAR_EXPS, HomPoly, ProjPoint, cross,
+                      parameter_of_point, restrict_to_line)
 from .symmetry import phi, psi, rho
 from .tower import TowerField, tower_field
 
-GRID_TOKENS = ("Bz", "Bx", "By", "Mx", "My", "Mz", "Nx", "Ny", "Nz",
-               "Az", "Ax", "Ay")
-GROUP_TOKENS = {"A": ("Az", "Ax", "Ay"), "B": ("Bz", "Bx", "By"),
-                "M": ("Mx", "My", "Mz"), "N": ("Nx", "Ny", "Nz")}
+GROUP_TOKENS = {"B": ("Bz", "Bx", "By"), "M": ("Mx", "My", "Mz"),
+                "N": ("Nx", "Ny", "Nz"), "A": ("Az", "Ax", "Ay")}
+GRID_TOKENS = tuple(tok for toks in GROUP_TOKENS.values() for tok in toks)
+# the (x^d, y^d, z^d) coefficients of each group's first component
+GROUP_FORMS = {"B": (1, -1, 0), "M": (0, 2, 1), "N": (0, 1, 2),
+               "A": (1, 1, 0)}
+
 
 @dataclass
 class LineArrangement:
@@ -47,9 +54,6 @@ class LineArrangement:
     def __post_init__(self):
         if len({L.canonical_line() for L in self.lines}) != len(self.lines):
             raise ValueError(f"duplicate lines in arrangement {self.label}")
-
-    def __len__(self):
-        return len(self.lines)
 
     def product_poly(self) -> HomPoly:
         out = HomPoly.monomial(self.field, (0, 0, 0), 1)
@@ -112,18 +116,12 @@ def grid_line(token: str, field: TowerField, d: int, i: int) -> HomPoly:
 
 
 def grid_component_poly(token: str, field: TowerField, d: int) -> HomPoly:
-    """The defining binary form of a grid component, e.g. Mx -> z^d + 2y^d."""
-    x, y, z = HomPoly.variables(field)
-    v = {"x": x, "y": y, "z": z}
-    forms = {"Bz": v["x"]**d - v["y"]**d, "Bx": v["y"]**d - v["z"]**d,
-             "By": v["z"]**d - v["x"]**d,
-             "Az": v["x"]**d + v["y"]**d, "Ax": v["y"]**d + v["z"]**d,
-             "Ay": v["z"]**d + v["x"]**d,
-             "Mx": v["z"]**d + 2 * v["y"]**d, "My": v["x"]**d + 2 * v["z"]**d,
-             "Mz": v["y"]**d + 2 * v["x"]**d,
-             "Nx": v["y"]**d + 2 * v["z"]**d, "Ny": v["z"]**d + 2 * v["x"]**d,
-             "Nz": v["x"]**d + 2 * v["y"]**d}
-    return forms[token]
+    """The defining binary form of a grid component, e.g. Mx -> z^d + 2y^d:
+    its group's `GROUP_FORMS` entry, rotated as `grid_line` rotates."""
+    n = GROUP_TOKENS[token[0]].index(token)
+    coefs = rotate(GROUP_FORMS[token[0]], -n)
+    return HomPoly(field, d, {(d * a, d * b, d * c): field.from_rational(v)
+                              for (a, b, c), v in zip(LINEAR_EXPS, coefs)})
 
 
 def parse_label(label: str):
@@ -318,10 +316,11 @@ def koszul_triple(P: HomPoly, i: int, j: int):
 
 
 def grid_product_poly(d: int) -> HomPoly:
-    """(x^d - y^d)(z^d + 2y^d)(z^d + 2x^d)."""
+    """(x^d - y^d)(z^d + 2y^d)(z^d + 2x^d), the product of Bz, Mx and Ny."""
     field = tower_field(d)
-    x, y, z = HomPoly.variables(field)
-    return (x**d - y**d) * (z**d + 2 * y**d) * (z**d + 2 * x**d)
+    bz, mx, ny = (grid_component_poly(tok, field, d)
+                  for tok in ("Bz", "Mx", "Ny"))
+    return bz * mx * ny
 
 
 def fermat_grid_product_poly(d: int) -> HomPoly:

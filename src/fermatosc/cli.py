@@ -34,11 +34,10 @@ import random
 import sys
 
 from . import __version__
-from .arrangements import (GROUP_TOKENS, build, census, collinear_sextactic,
-                           freeness_test, grid_line, grid_product_poly,
-                           koszul_triple, multiplicity_multiset,
-                           parse_label, syzygy_candidates, tjurina_total,
-                           verify_syzygy)
+from .arrangements import (build, census, collinear_sextactic, freeness_test,
+                           grid_line, grid_product_poly, koszul_triple,
+                           multiplicity_multiset, parse_label,
+                           syzygy_candidates, tjurina_total, verify_syzygy)
 from .errors import CertificationFailure, FermatoscError, NonOrdinary
 from .fermat import (FermatCurve, hyperosculating_conic, inflection_points,
                      osculating_conic_cayley, osculating_conic_closed,
@@ -50,9 +49,6 @@ from .symmetry import (conic_common_points, curve_orbit, generator_panel,
 from . import tower
 
 KINDS = ("sextactic", "inflection", "all")
-
-# the grid groups `verify --theorem main` checks, in line-index order
-VERIFY_GROUPS = ("B", "M", "N")
 
 # highest degree `all` and `collinear` accept: the highest any workload or
 # test runs; the suite's cost grows steeply with d
@@ -192,10 +188,9 @@ def _grid_line(curve, index):
     d = curve.d
     if not 0 <= index < 9 * d:
         raise ValueError(f"line index out of range 0..{9 * d - 1}")
-    group, i = divmod(index, 3 * d)
-    token = GROUP_TOKENS[VERIFY_GROUPS[group]][i // d]
-    return (f"{VERIFY_GROUPS[group]}[{i}]",
-            grid_line(token, curve.field, d, i % d))
+    token = parse_label("BMN")[index // d]
+    return (f"{token[0]}[{index % (3 * d)}]",
+            grid_line(token, curve.field, d, index % d))
 
 
 def cmd_points(args):
@@ -319,17 +314,29 @@ def cmd_census(args):
 
 
 def _freeness(label, d, curve):
-    """Freeness verdict of an arrangement, joined with the curve if given."""
+    """Freeness verdict of an arrangement, joined with the curve if given,
+    and the failures of its check against the paper's claim on the same
+    lines (with the curve or without, as here), in any label order.  An
+    arrangement the paper states nothing about is not checked."""
     arr = build(label, d)
     tau = tjurina_total(census(arr, curve))
     degree_hat = len(arr.lines) + (d if curve is not None else 0)
-    return freeness_test(degree_hat, tau)
+    verdict = freeness_test(degree_hat, tau)
+    tokens = sorted(parse_label(label))
+    for key, (free, exps) in paper_claims(d)["freeness"].items():
+        if (key.endswith("+F") == (curve is not None)
+                and sorted(parse_label(key.removesuffix("+F"))) == tokens):
+            ok = verdict.free == free and (
+                not free or list(verdict.exponents) == exps)
+            return verdict, [] if ok else [
+                {"check": "freeness", "arrangement": key, "degree": d}]
+    return verdict, []
 
 
 def cmd_freeness(args):
     curve = FermatCurve(args.degree) if args.with_fermat else None
     try:
-        verdict = _freeness(args.arrangement, args.degree, curve)
+        verdict, failures = _freeness(args.arrangement, args.degree, curve)
     except NonOrdinary as exc:
         # a usage error, not a failed certificate: the criterion needs
         # ordinary points, and `census` reports the arrangement as it is
@@ -343,19 +350,22 @@ def cmd_freeness(args):
                "criterion": "integer exponent solution of the quadratic "
                             "necessary condition"}
     if sorted(parse_label(args.arrangement)) == ["Bz", "Mx", "Ny"]:
-        payload["syzygy_checks"] = _syzygy_payload(args.degree)
-    return payload, []
+        payload["syzygy_checks"], fails = _syzygy_payload(args.degree)
+        failures += fails
+    return payload, failures
 
 
 def _syzygy_payload(d):
+    """The documented candidate syzygies of the grid product and its Koszul
+    relation, and the failure of the Koszul relation, which must hold."""
     out = []
     for name, triple, P in syzygy_candidates(d):
         out.append({"candidate": name,
                     "is_syzygy": verify_syzygy(triple, P)})
     P = grid_product_poly(d)
-    out.append({"candidate": "koszul-xy",
-                "is_syzygy": verify_syzygy(koszul_triple(P, 0, 1), P)})
-    return out
+    koszul = verify_syzygy(koszul_triple(P, 0, 1), P)
+    out.append({"candidate": "koszul-xy", "is_syzygy": koszul})
+    return out, [] if koszul else [{"check": "koszul-syzygy", "degree": d}]
 
 
 def _collinear(curve):
@@ -516,25 +526,19 @@ def _all_degree(d, rng):
         sec_fail.append({"check": "sextactic-suite", "degree": d})
 
     frees = {}
-    for key, (free, exps) in claims["freeness"].items():
+    for key in claims["freeness"]:
         with_f = key.endswith("+F")
-        verdict = _freeness(key.removesuffix("+F"), d,
-                            curve if with_f else None)
-        got = {"tau": verdict.tau, "free": verdict.free,
-               "exponents": (list(verdict.exponents)
-                             if verdict.exponents else None),
-               "discriminant_sign": verdict.discriminant_sign}
-        frees[key] = got
-        if got["free"] != free or (free and got["exponents"] != exps):
-            sec_fail.append({"check": "freeness", "arrangement": key,
-                             "degree": d})
+        verdict, fails = _freeness(key.removesuffix("+F"), d,
+                                   curve if with_f else None)
+        frees[key] = {"tau": verdict.tau, "free": verdict.free,
+                      "exponents": (list(verdict.exponents)
+                                    if verdict.exponents else None),
+                      "discriminant_sign": verdict.discriminant_sign}
+        sec_fail += fails
     section["freeness"] = frees
 
-    section["syzygies"] = _syzygy_payload(d)
-    koszul_ok = [e for e in section["syzygies"]
-                 if e["candidate"] == "koszul-xy"][0]["is_syzygy"]
-    if not koszul_ok:
-        sec_fail.append({"check": "koszul-syzygy", "degree": d})
+    section["syzygies"], fails = _syzygy_payload(d)
+    sec_fail += fails
 
     section["collinear"], fails, _ = _collinear(curve)
     sec_fail += fails

@@ -18,7 +18,9 @@ at a smooth point are computed two independent ways:
 `restrict_to_line` pulls a curve back to a line along a deterministic
 parametrization and returns a binary form (`pullback_to_line` is the
 general pullback along any two points), and `parameter_of_point` reads
-a point's parameter on that line off its coordinates; `disc2` is the
+a point's parameter on that line off its coordinates.  The contact order
+there, `BinaryForm.root_multiplicity`, is the number of successive
+derivatives of the form that vanish at that parameter; `disc2` is the
 discriminant of a binary quadratic.
 """
 
@@ -506,11 +508,7 @@ class BinaryForm:
 
     def evaluate(self, s, t):
         acc = self.field.zero
-        sp = [self.field.one]
-        tp = [self.field.one]
-        for _ in range(self.deg):
-            sp.append(sp[-1] * s)
-            tp.append(tp[-1] * t)
+        sp, tp = _powers(s, self.deg), _powers(t, self.deg)
         for i, c in enumerate(self.coeffs):
             if not c.is_zero():
                 acc = acc + c * sp[i] * tp[self.deg - i]
@@ -524,49 +522,24 @@ class BinaryForm:
         return _rank_le_one(self.coeffs, other.coeffs)
 
     def root_multiplicity(self, s0, t0) -> int:
-        """Vanishing order at the parameter point (s0 : t0), at most deg.
-
-        Orders 0 and 1 are read off the form and its s-derivative at
-        (s0 : t0), with no inversion; only a multiple root is deflated."""
-        cur = list(self.coeffs)
-        n = self.deg
+        """Vanishing order at (s0 : t0), at most deg: the number of successive
+        s-derivatives vanishing there, as F = t^n P(s/t) gives d^k F/ds^k =
+        t^(n-k) P^(k)(s/t).  Derivative k over k! is the sum of comb(i, k) c_i
+        s0^(i-k) t0^(n-i), inverting nothing; (1 : 0) is read as (0 : 1) on
+        the reversed form."""
+        n, coeffs = self.deg, self.coeffs
         if t0.is_zero():
-            # (1 : 0) is a root of order m iff t^m divides, that is iff the
-            # top m coefficients (those of s^n, ..., s^(n-m+1)) vanish
-            mult = 0
-            while mult < n and cur[n - mult].is_zero():
-                mult += 1
-            return mult
+            coeffs, s0, t0 = coeffs[::-1], self.field.zero, self.field.one
         sp, tp = _powers(s0, n), _powers(t0, n)
-        value = derivative = self.field.zero
-        for i, c in enumerate(cur):
-            if not c.is_zero():
-                value = value + _times(c, _times(sp[i], tp[n - i]))
-                if i:
-                    derivative = derivative + _times(
-                        c * i, _times(sp[i - 1], tp[n - i]))
-        if not value.is_zero():
-            return 0
-        if not derivative.is_zero():
-            return 1
-        # in w = s/t the root is w0; divide by w - w0 (Horner) while exact
-        w0 = s0 * self.field.invert(t0)
-        mult = 0
-        while len(cur) > 1:
-            acc = cur[-1]
-            quo = []
-            for c in cur[-2::-1]:
-                quo.append(acc)
-                acc = c + acc * w0
-            if not acc.is_zero():
-                break
-            cur = quo[::-1]
-            mult += 1
-        return mult
-
-    def to_json_dict(self):
-        return {"deg": self.deg,
-                "coeffs": [c.to_json_dict() for c in self.coeffs]}
+        for k in range(n + 1):
+            value = self.field.zero
+            for i in range(k, n + 1):
+                if not coeffs[i].is_zero() and not sp[i - k].is_zero():
+                    c = coeffs[i] * comb(i, k) if 0 < k < i else coeffs[i]
+                    value = value + _times(c, _times(sp[i - k], tp[n - i]))
+            if not value.is_zero():
+                return k
+        return n
 
 
 def pullback_to_line(c: HomPoly, v1, v2) -> BinaryForm:

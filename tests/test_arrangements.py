@@ -42,9 +42,9 @@ def test_build_products(d):
     assert build("A", d).product_poly() == \
         (x**d + y**d) * (y**d + z**d) * (z**d + x**d)
     for label in ("A", "B", "M", "N"):
-        assert len(build(label, d)) == 3 * d
-    assert len(build("triangle", d)) == 3
-    assert len(build("BzMxNy", d)) == 3 * d
+        assert len(build(label, d).lines) == 3 * d
+    assert len(build("triangle", d).lines) == 3
+    assert len(build("BzMxNy", d).lines) == 3 * d
     F = x**d + y**d + z**d
     assert grid_component_poly("Mx", fld, d) == F - (x**d - y**d)
     assert grid_component_poly("Ny", fld, d) == F + (x**d - y**d)

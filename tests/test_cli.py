@@ -108,6 +108,48 @@ def test_freeness_syzygy_checks_only_of_bz_mx_ny(label, checked, capsys):
     assert ("syzygy_checks" in rep["payload"]) == checked
 
 
+@pytest.mark.parametrize("label, extra, claim", [
+    ("NyBzMx", [], "BzMxNy"), ("Bz+Mx+Ny", [], "BzMxNy"),
+    ("B+triangle", [], "triangle+B"),
+    ("BzMxNy", ["--with-fermat"], "BzMxNy+F"), ("A", [], None),
+    ("Bz", [], None)])
+def test_freeness_checks_the_papers_verdict(label, extra, claim, monkeypatch,
+                                             capsys):
+    """`freeness` fails, as `all` does, when its verdict misses the paper's
+    claim on the same lines, in any label order; here every verdict is
+    flipped.  A label the paper states nothing about is not checked."""
+    verdict_of = cli.freeness_test
+
+    def flipped(degree_hat, tau):
+        verdict = verdict_of(degree_hat, tau)
+        verdict.free = not verdict.free
+        return verdict
+
+    monkeypatch.setattr(cli, "freeness_test", flipped)
+    code, rep = run_json(["freeness", "--arrangement", label,
+                          "--degree", "4"] + extra, capsys)
+    want = [] if claim is None else [
+        {"check": "freeness", "arrangement": claim, "degree": 4}]
+    assert (code, rep["failures"]) == (1 if want else 0, want)
+
+
+def test_freeness_checks_the_koszul_relation(monkeypatch, capsys):
+    """A Koszul triple that is no relation fails `freeness` of BzMxNy."""
+    triple_of = cli.koszul_triple
+
+    def unsigned(P, i, j):
+        a, b, c = triple_of(P, i, j)
+        return a, -b, c
+
+    monkeypatch.setattr(cli, "koszul_triple", unsigned)
+    code, rep = run_json(["freeness", "--arrangement", "BzMxNy",
+                          "--degree", "3"], capsys)
+    assert code == 1 and rep["status"] == "failed"
+    assert rep["failures"] == [{"check": "koszul-syzygy", "degree": 3}]
+    assert rep["payload"]["syzygy_checks"][-1] == {"candidate": "koszul-xy",
+                                                   "is_syzygy": False}
+
+
 def test_collinear_d3(capsys):
     code, rep = run_json(["collinear", "--degree", "3"], capsys)
     assert code == 0

@@ -396,13 +396,14 @@ def test_root_multiplicity_of_a_simple_root_inverts_nothing(monkeypatch):
     assert bf.root_multiplicity(one, one) == 0
 
 
-def test_root_multiplicity_at_infinity_and_multiple_root():
+def test_root_multiplicity_at_infinity_and_multiple_root(monkeypatch):
     fld = tower_field(5)
     one, zero, u = fld.one, fld.zero, fld.u
     s = BinaryForm(fld, [zero, one])
     t = BinaryForm(fld, [one, zero])
     lin = BinaryForm(fld, [-u, one])                     # s - u*t
     bf = s * lin * lin * lin * t * t
+    monkeypatch.setattr(TowerField, "invert", None)
     assert bf.root_multiplicity(one, zero) == 2          # (1 : 0)
     assert bf.root_multiplicity(u, zero) == 2
     assert bf.root_multiplicity(u, one) == 3             # (u : 1)
@@ -410,6 +411,37 @@ def test_root_multiplicity_at_infinity_and_multiple_root():
     assert bf.root_multiplicity(zero, one) == 1          # (0 : 1)
     assert bf.root_multiplicity(one, one) == 0
     assert (s * s).root_multiplicity(one, zero) == 0
+
+
+@pytest.mark.parametrize("d", (3, 4, 8))
+def test_root_multiplicity_of_a_planted_root(d, monkeypatch):
+    """(t0 s - s0 t)^m g has order m at (s0 : t0) when g does not vanish
+    there: at (1 : 0), at (0 : 1) and at a point whose two coordinates are
+    not monomials, for m = 0..4.  The zero form has order its degree."""
+    rng = random.Random(3190 + d)
+    fld = tower_field(d)
+    one, zero = fld.one, fld.zero
+
+    def dense():
+        c = zero
+        while len(c.terms) < 2:
+            c = rand_field_element(fld, rng)
+        return c
+
+    for s0, t0 in ((one, zero), (zero, one), (dense(), dense())):
+        lin = BinaryForm(fld, [-s0, t0])
+        g = BinaryForm(fld, [zero])
+        while g.evaluate(s0, t0).is_zero():
+            g = BinaryForm(fld, [rand_field_element(fld, rng)
+                                 for _ in range(3)])
+        bf = g
+        for m in range(5):
+            with monkeypatch.context() as patch:
+                patch.setattr(TowerField, "invert", None)
+                assert bf.root_multiplicity(s0, t0) == m
+                assert BinaryForm(fld, [zero] * (m + 1)).root_multiplicity(
+                    s0, t0) == m
+            bf = bf * lin
 
 
 def test_canonical_line_rejects_non_lines():

@@ -22,7 +22,6 @@ def test_no_assert_statements():
 KEPT_UNREFERENCED = {
     # the arrangement polynomials, for certified freeness (ROADMAP item 2)
     "LineArrangement.product_poly",
-    "grid_component_poly",
     # the group and its product, for proof by symmetry (ROADMAP item 3)
     "group_elements",
     "Automorphism.compose",
