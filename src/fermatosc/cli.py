@@ -1,4 +1,4 @@
-"""Command-line front end: exact reports as JSON, optional plain tables.
+"""Command-line front end: exact reports as JSON.
 
 Every subcommand assembles a Report object:
 
@@ -102,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--degree", type=int, required=True,
                             help="curve degree d >= 3")
         sp.add_argument("--out", help="write the JSON report to this path")
-        sp.add_argument("--format", choices=("json", "table"), default="json")
 
     # only the commands that print approx columns take --precision
     def precision(sp):
@@ -648,76 +647,6 @@ def _key_text(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _render_table(report, scope: str) -> str:
-    """The report as plain text; `scope` names its degree or degrees."""
-    lines = [f"fermatosc {report['command']} ({scope}) "
-             f"status={report['status']}"]
-    payload = report["payload"]
-
-    def table(headers, rows):
-        widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows
-                  else len(str(h)) for i, h in enumerate(headers)]
-        fmt = "  ".join("{:<%d}" % w for w in widths)
-        out = [fmt.format(*headers), fmt.format(*("-" * w for w in widths))]
-        out += [fmt.format(*(str(c) for c in row)) for row in rows]
-        return out
-
-    if "sextactic" in payload or "inflection" in payload:
-        if "sextactic" in payload:
-            lines.append(f"sextactic points: {payload['sextactic_count']}")
-            rows = [(s["cluster"], s["j"], s["k"], _fmt_complex(s["approx"]))
-                    for s in payload["sextactic"]]
-            lines += table(("cluster", "j", "k", "approx"), rows)
-        if "inflection" in payload:
-            lines.append(f"inflection points: {payload['inflection_count']}")
-            rows = [(p["index"], _fmt_complex(p["approx"]))
-                    for p in payload["inflection"]]
-            lines += table(("index", "approx"), rows)
-    elif "multiplicity_multiset" in payload:
-        rows = sorted(payload["multiplicity_multiset"].items(),
-                      key=lambda kv: int(kv[0]))
-        lines += table(("multiplicity", "points"), rows)
-        if payload.get("tjurina_total") is not None:
-            lines.append(f"tjurina total: {payload['tjurina_total']}")
-    elif "verdict" in payload:
-        v = payload["verdict"]
-        lines.append(f"degree_hat={payload['degree_hat']} "
-                     f"tau={payload['tjurina_total']} free={v['free']} "
-                     f"exponents={v['exponents']} "
-                     f"discriminant={v['discriminant_sign']}")
-        for c in payload.get("syzygy_checks", []):
-            lines.append(f"syzygy candidate {c['candidate']}: "
-                         f"{'passes' if c['is_syzygy'] else 'fails'}")
-    elif "lines" in payload and report["command"] == "collinear":
-        lines.append(f"lines: {payload['line_count']} "
-                     f"(intra {payload['intra_cluster']}, "
-                     f"mixed {payload['mixed_cluster']})")
-    elif "lines" in payload:
-        rows = []
-        for entry in payload["lines"]:
-            t = entry.get("tangent", {})
-            c = entry.get("conic", {})
-            rows.append((entry["line_label"],
-                         t.get("count", "err"), c.get("count", "err")))
-        lines += table(("line", "tangent pts", "conic pts"), rows)
-    elif "degrees" in payload:
-        for dstr, section in payload["degrees"].items():
-            lines.append(f"degree {dstr}:")
-            for key, val in section.items():
-                lines.append(f"  {key}: {json.dumps(val, default=str)}")
-    else:
-        lines.append(indented_json(payload))
-    if report["failures"]:
-        lines.append("failures:")
-        for f in report["failures"]:
-            lines.append("  " + json.dumps(f, default=str))
-    return "\n".join(lines) + "\n"
-
-
-def _fmt_complex(approx):
-    return " , ".join(f"{re:+.4f}{im:+.4f}i" for re, im in approx)
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """`build_parser()`, built on the first call in a process.  Parsing
@@ -742,11 +671,14 @@ def main(argv=None) -> int:
         if value is not None:
             parser.error(f"{flag} does not apply to --theorem {args.theorem}")
     # a report that cannot be written fails before the work, not after it
-    if args.out is not None and (
-            os.path.isdir(args.out)
-            or not os.path.isdir(os.path.dirname(args.out) or ".")):
-        parser.error(f"--out {args.out}: not a file path in an existing "
-                     f"directory")
+    if args.out is not None:
+        folder = os.path.dirname(args.out) or "."
+        if (os.path.isdir(args.out) or not os.path.isdir(folder)
+                or not os.access(folder, os.W_OK | os.X_OK)
+                or (os.path.exists(args.out)
+                    and not os.access(args.out, os.W_OK))):
+            parser.error(f"--out {args.out}: not a writable file path in an "
+                         f"existing directory")
     handler = COMMANDS[args.command]
     try:
         with tower.memoized():
@@ -767,12 +699,7 @@ def main(argv=None) -> int:
         "failures": failures,
         "payload": payload,
     }
-    if args.format == "table":
-        text = _render_table(report, (
-            f"degrees {args.min_degree}..{args.max_degree}"
-            if args.command == "all" else f"degree {args.degree}"))
-    else:
-        text = indented_json(report) + "\n"
+    text = indented_json(report) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

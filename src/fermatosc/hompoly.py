@@ -506,14 +506,6 @@ class BinaryForm:
                 return b
             a, b = b, r
 
-    def evaluate(self, s, t):
-        acc = self.field.zero
-        sp, tp = _powers(s, self.deg), _powers(t, self.deg)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                acc = acc + c * sp[i] * tp[self.deg - i]
-        return acc
-
     def proportional(self, other) -> bool:
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()

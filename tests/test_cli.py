@@ -6,7 +6,6 @@ import enum
 import inspect
 import json
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -304,32 +303,6 @@ def test_byte_stability(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_table_format(capsys):
-    code, out = run_cli(["freeness", "--arrangement", "B", "--degree", "3",
-                         "--format", "table"], capsys)
-    assert code == 0
-    assert "free=True" in out
-    code, out = run_cli(["points", "--degree", "3", "--format", "table"],
-                        capsys)
-    assert code == 0
-    assert "cluster" in out
-    # --kind all lists both kinds, --kind inflection a table of its own
-    for argv, n_sextactic, n_inflection in (
-            (["--degree", "3", "--kind", "all"], 27, 9),
-            (["--degree", "4", "--kind", "inflection"], 0, 12)):
-        code, out = run_cli(["points", "--format", "table"] + argv, capsys)
-        assert code == 0 and "{" not in out
-        lines = out.splitlines()
-        assert len([x for x in lines
-                    if re.match(r"[xyz] +\d+ +\d+ +[+-]", x)]) == n_sextactic
-        assert [x.split()[0] for x in lines if re.match(r"\d+ +[+-]", x)] \
-            == [str(i) for i in range(n_inflection)]
-    code, out = run_cli(["all", "--min-degree", "3", "--max-degree", "3",
-                         "--format", "table"], capsys)
-    assert code == 0
-    assert out.startswith("fermatosc all (degrees 3..3) status=ok\n")
-
-
 def test_all_small_range(tmp_path):
     out = tmp_path / "all.json"
     assert main(["all", "--min-degree", "3", "--max-degree", "3",
@@ -404,12 +377,24 @@ def test_unwritable_out_exits_before_work(tmp_path, monkeypatch):
         raise RuntimeError(f"a suite started at d = {d}")
 
     monkeypatch.setattr(cli, "FermatCurve", no_suite)
+    argv = ["all", "--min-degree", "3", "--max-degree", "4", "--out"]
     for out in (tmp_path / "missing" / "x.json", tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(["all", "--min-degree", "3", "--max-degree", "4",
-                  "--out", str(out)])
+            main(argv + [str(out)])
         assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+    # a directory, or an existing file, that the process may not write
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    for denied, out in ((tmp_path, tmp_path / "x.json"), (kept, kept)):
+        monkeypatch.setattr(cli.os, "access",
+                            lambda path, mode, denied=str(denied):
+                            path != denied)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(out)])
+        assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == [kept]
+    assert kept.read_text() == "kept\n"
 
 
 def test_verify_rejects_options_its_theorem_ignores(monkeypatch, capsys):
@@ -433,7 +418,8 @@ def test_verify_rejects_options_its_theorem_ignores(monkeypatch, capsys):
 def test_each_option_only_on_the_commands_that_read_it(monkeypatch, capsys):
     """`--seed` is defined on `all` only and `--precision` on `points` and
     `conic` only; any other command exits 2 on either before a curve is
-    built, and `resultant_order` takes no attempt budget."""
+    built, as every command does on the deleted `--format`, and
+    `resultant_order` takes no attempt budget."""
     commands = next(a.choices for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
     assert len(commands) == 9
@@ -442,7 +428,7 @@ def test_each_option_only_on_the_commands_that_read_it(monkeypatch, capsys):
     assert {n for n, opts in takes.items() if "--seed" in opts} == {"all"}
     assert {n for n, opts in takes.items() if "--precision" in opts} \
         == {"points", "conic"}
-    assert all({"--degree", "--out", "--format"} <= opts
+    assert all({"--degree", "--out"} <= opts
                for n, opts in takes.items() if n != "all")
 
     def no_curve(d):
@@ -455,7 +441,7 @@ def test_each_option_only_on_the_commands_that_read_it(monkeypatch, capsys):
     for name in commands:
         base = [name] + (["--max-degree", "3"] if name == "all"
                          else ["--degree", "3"]) + required.get(name, [])
-        for flag in ("--seed", "--precision"):
+        for flag in ("--seed", "--precision", "--format"):
             if flag in takes[name]:
                 continue
             with pytest.raises(SystemExit) as exc:
@@ -567,13 +553,9 @@ def test_reports_match_json_dumps(argv, monkeypatch, capsys):
         return text
 
     monkeypatch.setattr(cli, "indented_json", checked)
-    for fmt in ("json", "table"):
-        written.clear()
-        assert main(argv + ["--format", fmt]) == 0
-        capsys.readouterr()
-        # tables with no layout of their own write the whole payload
-        if fmt == "json" or argv[0] in ("tangents", "conic", "hessian2"):
-            assert "" in written
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert "" in written
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 8, 12])
