@@ -6,22 +6,24 @@ Every subcommand assembles a Report object:
      "precision_bits": ..., "status": "ok"|"failed",
      "failures": [...], "payload": {...}}
 
-An option is defined only on the commands that read it: `--seed` on `all`,
-`--precision` on `points` and `conic`.  A header key whose option the
-command lacks is null, as "degree" is for `all`; e.g. `census` reports
-"seed": null, "precision_bits": null.
+An option is defined only on the commands that read it: `--seed` on `all`.
+A header key that does not apply to the command is null, as "degree" is
+for `all`; e.g. `census` reports "seed": null, "precision_bits": null.
 
 The exit code is 0 iff no certificate failed; usage errors exit 2.  All
 numbers in payloads are exact (serialized field elements or integers)
 except fields named "approx", which are display-only complex evaluations
-at the reported precision; only a command that prints them loads `mpmath`.
-Every command runs in one process, and none loads `multiprocessing`.
+of `points` and `conic`; only those commands load `mpmath`.  Their
+embedding runs at a fixed 128 bits, the "precision_bits" of their
+reports.  Every command runs in one process, and none loads
+`multiprocessing`.
 
-A report is the text of `json.dumps(report, indent=2, default=str)`, byte
-for byte, but written by `indented_json`: CPython's `json` encodes in C
-only without an indent, and its pure-Python indenting encoder was the
-slowest step of the largest reports.  An unwritable `--out` is a usage
-error, raised before any work starts.
+A report holds dicts with str keys, lists, str, int, finite float, bool
+and None, and nothing else.  `indented_json` writes exactly these types,
+as `json.dumps(report, indent=2)` writes them, and raises on any other:
+CPython's `json` encodes in C only without an indent, and its pure-Python
+indenting encoder was the slowest step of the largest reports.  An
+unwritable `--out` is a usage error, raised before any work starts.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -54,9 +57,9 @@ KINDS = ("sextactic", "inflection", "all")
 # test runs; the suite's cost grows steeply with d
 ALL_MAX_DEGREE = 12
 
-# --precision range in bits: below 53 `embed` works at 53 anyway, and the
-# cost of an embedding grows with the precision without bound
-PRECISION_MIN, PRECISION_MAX = 53, 4096
+# bits of the display embedding behind the approx columns: the columns are
+# doubles, so more bits change only the rounding noise of exact zeros
+APPROX_BITS = 128
 
 
 def paper_claims(d: int) -> dict:
@@ -103,15 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="curve degree d >= 3")
         sp.add_argument("--out", help="write the JSON report to this path")
 
-    # only the commands that print approx columns take --precision
-    def precision(sp):
-        sp.add_argument("--precision", type=int, default=128,
-                        help="embedding precision for approx columns (bits, "
-                             f"{PRECISION_MIN}..{PRECISION_MAX})")
-
     sp = sub.add_parser("points", help="list special points")
     common(sp)
-    precision(sp)
     sp.add_argument("--kind", choices=KINDS, default="sextactic")
 
     sp = sub.add_parser("tangents", help="tangent lines at special points")
@@ -120,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("conic", help="osculating conic data at one sextactic point")
     common(sp)
-    precision(sp)
     sp.add_argument("--cluster", choices=("z", "y", "x"), default="z")
     sp.add_argument("--j", type=int, default=0)
     sp.add_argument("--k", type=int, default=1)
@@ -161,15 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
 # -- payload helpers ----------------------------------------------------------
 
 
-def _point_payload(s, precision):
-    approx = s.point.approx(precision)
+def _point_payload(s):
+    approx = s.point.approx(APPROX_BITS)
     return {"cluster": s.cluster, "j": s.j, "k": s.k,
             "coords": s.point.to_json(),
             "approx": [[v.real, v.imag] for v in approx]}
 
 
-def _inflection_payload(p, idx, precision):
-    approx = p.approx(precision)
+def _inflection_payload(p, idx):
+    approx = p.approx(APPROX_BITS)
     return {"index": idx, "coords": p.to_json(),
             "approx": [[v.real, v.imag] for v in approx]}
 
@@ -198,8 +193,7 @@ def cmd_points(args):
     payload, failures = {}, []
     if args.kind in ("sextactic", "all"):
         pts = sextactic_points(curve)
-        payload["sextactic"] = [_point_payload(s, args.precision)
-                                for s in pts]
+        payload["sextactic"] = [_point_payload(s) for s in pts]
         payload["sextactic_count"] = len(pts)
         payload["count_formula"] = sextactic_count_formula(curve)
         if len(pts) != claims["sextactic_count"]:
@@ -209,7 +203,7 @@ def cmd_points(args):
                              "got": payload["count_formula"]})
     if args.kind in ("inflection", "all"):
         pts = inflection_points(curve)
-        payload["inflection"] = [_inflection_payload(p, i, args.precision)
+        payload["inflection"] = [_inflection_payload(p, i)
                                  for i, p in enumerate(pts)]
         payload["inflection_count"] = len(pts)
         if len(pts) != claims["inflection_count"]:
@@ -245,7 +239,7 @@ def cmd_conic(args):
     series = osculating_conic_series(curve.poly, s.point)
     mult = int_mult(curve.poly, O, s.point)
     payload = {
-        "point": _point_payload(s, args.precision),
+        "point": _point_payload(s),
         "conic": O.to_json_dict(),
         "closed_form": closed.to_json_dict(),
         "closed_vs_explicit_proportional": closed.proportional(O),
@@ -574,52 +568,33 @@ COMMANDS = {
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 _INT_TEXT = int.__repr__
-_INF = float("inf")
 
 
 def indented_json(obj, pad: str = "") -> str:
-    """`json.dumps(obj, indent=2, default=str)`, byte for byte, with the
-    lines after the first indented by `pad`.
+    """`json.dumps(obj, indent=2)` of a report value, with the lines after
+    the first indented by `pad`.
 
-    CPython's `json.dumps` runs its C encoder only when `indent` is None;
-    with an indent it yields every bracket, separator and scalar from a
-    pure-Python generator.  Here each container is one `str.join` of its
-    items, and an item that is an exact `str` or `int` is written in the
-    loop without a call.  The rules are `json`'s: the exact class is
-    tested first for speed, then `isinstance` in `json`'s order, so
-    subclasses (an `IntEnum`, a `str` subclass) are written as `json`
-    writes them, tuples as lists, and anything else as the string
-    `str(obj)`.  Strings go through `json`'s own C escaper.  Cycles are
-    not detected: reports have none.
+    A report value is a dict with str keys, a list, a str, an int, a
+    finite float, a bool or None.  Any other value raises TypeError (the
+    escaper raises it for a non-str key), and a NaN or an infinity raises
+    ValueError.  CPython's `json.dumps` runs its C encoder only when
+    `indent` is None; with an indent it yields every bracket, separator and
+    scalar from a pure-Python generator.  Here each container is one
+    `str.join` of its items, an item that is an exact `str` or `int` is
+    written in the loop without a call, and strings go through `json`'s
+    own C escaper.  Cycles are not detected: reports have none.
     """
     cls = type(obj)
-    if cls is not dict and cls is not list and cls is not tuple:
-        if cls is str:
-            return _ESCAPE(obj)
-        if cls is int:
-            return _INT_TEXT(obj)
-        if isinstance(obj, str):
-            return _ESCAPE(obj)
-        if obj is None:
-            return "null"
-        if obj is True:
-            return "true"
-        if obj is False:
-            return "false"
-        if isinstance(obj, int):
-            return _INT_TEXT(obj)
-        if isinstance(obj, float):
-            if obj != obj:
-                return "NaN"
-            if obj == _INF:
-                return "Infinity"
-            if obj == -_INF:
-                return "-Infinity"
-            return float.__repr__(obj)
-        if not isinstance(obj, (list, tuple, dict)):
-            return _ESCAPE(str(obj))
     inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
+    if cls is dict:
+        if not obj:
+            return "{}"
+        texts = [_ESCAPE(k) + ": "
+                 + (_ESCAPE(v) if type(v) is str
+                    else _INT_TEXT(v) if type(v) is int
+                    else indented_json(v, inner)) for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "}"
+    if cls is list:
         if not obj:
             return "[]"
         texts = [_ESCAPE(v) if type(v) is str
@@ -627,24 +602,21 @@ def indented_json(obj, pad: str = "") -> str:
                  else indented_json(v, inner) for v in obj]
         return ("[\n" + inner + (",\n" + inner).join(texts)
                 + "\n" + pad + "]")
-    if not obj:
-        return "{}"
-    texts = [(_ESCAPE(k) if type(k) is str else _key_text(k)) + ": "
-             + (_ESCAPE(v) if type(v) is str
-                else _INT_TEXT(v) if type(v) is int
-                else indented_json(v, inner)) for k, v in obj.items()]
-    return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "}"
-
-
-def _key_text(key) -> str:
-    """A dict key as `json` writes it: str, float, bool, None and int keys
-    become strings; any other key raises TypeError."""
-    if isinstance(key, str):
-        return _ESCAPE(key)
-    if isinstance(key, (float, int)) or key is None:
-        return '"' + indented_json(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if cls is float:
+        if not math.isfinite(obj):
+            raise ValueError(f"a report holds no non-finite float: {obj}")
+        return float.__repr__(obj)
+    if cls is str:
+        return _ESCAPE(obj)
+    if cls is int:
+        return _INT_TEXT(obj)
+    raise TypeError(f"a report holds no {cls.__name__}")
 
 
 @functools.cache
@@ -659,10 +631,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    bits = getattr(args, "precision", None)
-    if bits is not None and not PRECISION_MIN <= bits <= PRECISION_MAX:
-        parser.error(f"--precision must be in [{PRECISION_MIN}, "
-                     f"{PRECISION_MAX}]")
     # each theorem reads one of verify's two selectors; the other is an error
     if args.command == "verify":
         flag, value = (("--osc-degree", args.osc_degree)
@@ -694,7 +662,9 @@ def main(argv=None) -> int:
         "degree": getattr(args, "degree", None),
         # null where the command does not take the option
         "seed": getattr(args, "seed", None),
-        "precision_bits": bits,
+        # null where the command prints no approx columns
+        "precision_bits": (APPROX_BITS if args.command in ("points", "conic")
+                           else None),
         "status": "ok" if not failures else "failed",
         "failures": failures,
         "payload": payload,

@@ -114,10 +114,6 @@ class HomPoly:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        if self.is_zero() and self.deg != other.deg:
-            return other
-        if other.is_zero() and self.deg != other.deg:
-            return self
         if self.deg != other.deg:
             raise ValueError("degree mismatch in sum")
         out = dict(self.terms)
@@ -291,7 +287,7 @@ class ProjPoint:
     def to_json(self):
         return [c.to_json_dict() for c in self.coords]
 
-    def approx(self, precision_bits=64):
+    def approx(self, precision_bits):
         return [complex(self.field.embed(c, precision_bits))
                 for c in self.coords]
 
@@ -432,9 +428,6 @@ class BinaryForm:
     def __eq__(self, other):
         return (isinstance(other, BinaryForm) and self.field is other.field
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -873,7 +866,7 @@ def osculating_conic_series(f: HomPoly, p: ProjPoint):
 
     Formula-free: sets up the five linear conditions that the first five
     series coefficients of the conic's pullback vanish and solves exactly.
-    Returns (conic, contact_order_lower_bound_checked).
+    A system with no nonzero solution is a failed certificate.
     """
     field = f.field
     bs = branch_series(f, p, 8)
@@ -885,7 +878,7 @@ def osculating_conic_series(f: HomPoly, p: ProjPoint):
     rows = [[cols[c][r] for c in range(6)] for r in range(5)]
     null = _nullspace(rows, 6, field)
     if not null:
-        raise ValueError("no conic with the required contact")
+        raise CertificationFailure("no conic with the required contact")
     vec = null[0]
     conic = HomPoly(field, 2, {e: v for e, v in zip(monos, vec)
                                if not v.is_zero()})

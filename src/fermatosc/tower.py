@@ -534,13 +534,12 @@ class TowerField:
             self._emb_cache[prec] = tables
         return tables
 
-    def embed(self, a: "FieldElement", precision_bits: int = 64) -> mpmath.mpc:
-        """eps(a) at max(53, precision_bits) bits, for display only: the
-        rounding is not bounded, and no certificate reads the value."""
+    def embed(self, a: "FieldElement", precision_bits: int) -> mpmath.mpc:
+        """eps(a) at `precision_bits` bits, for display only: the rounding
+        is not bounded, and no certificate reads the value."""
         import mpmath
-        prec = max(53, precision_bits)
-        upows, tpows = self._embed_tables(prec)
-        with mpmath.mp.workprec(prec):
+        upows, tpows = self._embed_tables(precision_bits)
+        with mpmath.mp.workprec(precision_bits):
             acc = mpmath.mpc(0)
             for (i, j, c) in a.nonzero_terms():
                 acc += upows[i] * tpows[j] * (mpmath.mpf(c.numerator)
@@ -741,12 +740,6 @@ class FieldElement:
         if other is None:
             return NotImplemented
         return self * self.field.invert(other)
-
-    def __rtruediv__(self, other):
-        other = _coerce(self.field, other)
-        if other is None:
-            return NotImplemented
-        return other * self.field.invert(self)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from fermatosc import cli, tower
+from fermatosc import cli, hompoly, tower
 from fermatosc.cli import indented_json, main
-from fermatosc.hompoly import resultant_order
+from fermatosc.hompoly import HomPoly, resultant_order
 from fermatosc.symmetry import identity
 
 
@@ -57,6 +57,68 @@ def test_conic_report(capsys):
     assert pay["covariant_vs_closed_proportional"]
     assert pay["series_vs_explicit_proportional"]
     assert pay["conic"]["deg"] == 2
+
+
+def _drop_first(found):
+    return lambda curve: found(curve)[1:]
+
+
+def _wrong_xy(make):
+    """`make` with the xy coefficient of its conic raised by one."""
+    def wrong(*args):
+        conic = make(*args)
+        return conic + HomPoly.monomial(conic.field, (1, 1, 0), 1)
+    return wrong
+
+
+CONIC_D3 = ["conic", "--degree", "3"]
+
+
+# (record, argv, name in cli, its planted fault, the failures expected)
+PLANTED_FAULTS = [
+    ("sextactic-count", ["points", "--degree", "3"], "sextactic_points",
+     _drop_first, [{"check": "sextactic-count", "got": 26},
+                   {"check": "count-formula", "got": 27}]),
+    ("count-formula", ["points", "--degree", "3"], "sextactic_count_formula",
+     lambda count: lambda curve: count(curve) + 1,
+     [{"check": "count-formula", "got": 28}]),
+    ("inflection-count", ["points", "--degree", "3", "--kind", "inflection"],
+     "inflection_points", _drop_first,
+     [{"check": "inflection-count", "got": 8}]),
+    ("contact-order", CONIC_D3, "int_mult",
+     lambda mult: lambda *args: mult(*args) + 1,
+     [{"check": "contact-order", "got": 7}]),
+    ("closed_vs_explicit_proportional", CONIC_D3, "osculating_conic_closed",
+     _wrong_xy, [{"check": "closed_vs_explicit_proportional"},
+                 {"check": "covariant_vs_closed_proportional"}]),
+    ("covariant_vs_closed_proportional", CONIC_D3, "osculating_conic_cayley",
+     _wrong_xy, [{"check": "covariant_vs_closed_proportional"}]),
+    ("series_vs_explicit_proportional", CONIC_D3, "osculating_conic_series",
+     _wrong_xy, [{"check": "series_vs_explicit_proportional"}]),
+]
+
+
+@pytest.mark.parametrize("record, argv, name, plant, want", PLANTED_FAULTS,
+                         ids=[row[0] for row in PLANTED_FAULTS])
+def test_points_and_conic_records_fire(record, argv, name, plant, want,
+                                       monkeypatch, capsys):
+    """Each record of `points` and `conic` fires on a planted fault in its
+    input at d = 3: a dropped point, a count formula off by one, a contact
+    order off by one, a conic with one wrong coefficient."""
+    monkeypatch.setattr(cli, name, plant(getattr(cli, name)))
+    code, rep = run_json(argv, capsys)
+    assert (code, rep["status"], rep["failures"]) == (1, "failed", want)
+    assert record in [f["check"] for f in want]
+
+
+def test_failed_series_oracle_is_a_failed_certificate(monkeypatch, capsys):
+    """A branch series whose five conditions admit no conic fails `conic`
+    (exit 1, a fatal record), not as a usage error."""
+    monkeypatch.setattr(hompoly, "_nullspace", lambda rows, ncols, field: [])
+    code, rep = run_json(CONIC_D3, capsys)
+    assert (code, rep["status"]) == (1, "failed")
+    assert rep["failures"] == [{"check": "fatal", "detail":
+                                "no conic with the required contact"}]
 
 
 def test_hessian2(capsys):
@@ -202,7 +264,7 @@ def test_main_calls_share_no_state(capsys):
     """The parser is built once per process, and a second call sees only
     its own arguments: no flag or value of the first survives."""
     assert cli._parser() is cli._parser()
-    argv_a = ["points", "--degree", "4", "--kind", "all", "--precision", "64"]
+    argv_a = ["points", "--degree", "4", "--kind", "all"]
     argv_b = ["points", "--degree", "4"]
     argv_c = ["all", "--max-degree", "3", "--seed", "7"]
     fresh = cli.build_parser()
@@ -212,7 +274,7 @@ def test_main_calls_share_no_state(capsys):
     code_b, rep_b = run_json(argv_b, capsys)
     code_c, rep_c = run_json(argv_c, capsys)
     assert code_a == code_b == code_c == 0
-    assert (rep_a["seed"], rep_a["precision_bits"]) == (None, 64)
+    assert (rep_a["seed"], rep_a["precision_bits"]) == (None, 128)
     assert (rep_b["seed"], rep_b["precision_bits"]) == (None, 128)
     assert (rep_c["degree"], rep_c["seed"], rep_c["precision_bits"]) \
         == (None, 7, None)
@@ -287,10 +349,6 @@ def test_usage_error_exit_code(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["collinear", "--degree", "13"])
     assert exc.value.code == 2
-    for bits in ("52", "4097"):
-        with pytest.raises(SystemExit) as exc:
-            main(["points", "--degree", "3", "--precision", bits])
-        assert exc.value.code == 2
 
 
 def test_byte_stability(tmp_path):
@@ -416,18 +474,17 @@ def test_verify_rejects_options_its_theorem_ignores(monkeypatch, capsys):
 
 
 def test_each_option_only_on_the_commands_that_read_it(monkeypatch, capsys):
-    """`--seed` is defined on `all` only and `--precision` on `points` and
-    `conic` only; any other command exits 2 on either before a curve is
-    built, as every command does on the deleted `--format`, and
-    `resultant_order` takes no attempt budget."""
+    """`--seed` is defined on `all` only, and no command defines
+    `--precision`: any other command exits 2 on `--seed` before a curve is
+    built, as every command does on the deleted `--precision` and
+    `--format`, and `resultant_order` takes no attempt budget."""
     commands = next(a.choices for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
     assert len(commands) == 9
     takes = {name: {opt for a in sp._actions for opt in a.option_strings}
              for name, sp in commands.items()}
     assert {n for n, opts in takes.items() if "--seed" in opts} == {"all"}
-    assert {n for n, opts in takes.items() if "--precision" in opts} \
-        == {"points", "conic"}
+    assert not any("--precision" in opts for opts in takes.values())
     assert all({"--degree", "--out"} <= opts
                for n, opts in takes.items() if n != "all")
 
@@ -492,11 +549,9 @@ WRITER_SCALARS = [
     "", "plain", 'quote " and \\ backslash', "tab\tnewline\nnul\x00bell\x07",
     "\u00e9 \u2211 \U0001d53d \u2028", "lone \ud800 surrogate",
     0, 1, -7, 10**40, -(10**25), True, False, None,
-    0.1, -2.5, 1e16, -1e-300, -0.0, 0.0, float("nan"), float("inf"),
-    float("-inf"), Level.HIGH, Label('sub"str\u00e9'), Fraction(-3, 4),
+    0.1, -2.5, 1e16, -1e-300, -0.0, 0.0,
 ]
-WRITER_KEYS = ["", "k", "\u00e9\n\"", Label("lbl"), 0, -3, 10**30, 2.5, -0.0,
-               1e16, float("nan"), float("inf"), True, False, None, Level.LOW]
+WRITER_KEYS = ["", "k", "\u00e9\n\"", "lone \udfff", "\u2028"]
 
 
 def _writer_value(rng, depth):
@@ -504,27 +559,31 @@ def _writer_value(rng, depth):
         return rng.choice(WRITER_SCALARS)
     items = [_writer_value(rng, depth - 1)
              for _ in range(rng.choice((0, 0, 1, 2, 3, 5)))]
-    kind = rng.randrange(3)
-    if kind == 0:
+    if rng.random() < 0.5:
         return items
-    if kind == 1:
-        return tuple(items)
     return {rng.choice(WRITER_KEYS): v for v in items}
 
 
 def test_indented_json_matches_json_dumps():
+    """On the types a report holds, the writer is `json.dumps`."""
     rng = random.Random(1600)
     for _ in range(400):
         value = _writer_value(rng, 6)
         assert indented_json(value) == json.dumps(value, indent=2,
-                                                  default=str)
+                                                  allow_nan=False)
 
 
 def test_indented_json_rejects_other_keys():
-    for value in ({(1, 2): 0}, [{"a": {b"x": 1}}], {Fraction(1, 2): 0}):
+    """A key that is no str, and a tuple, an IntEnum, a str subclass or a
+    Fraction anywhere, raise TypeError; a NaN or an infinity anywhere
+    raises ValueError."""
+    for value in ({(1, 2): 0}, [{"a": {b"x": 1}}], {Fraction(1, 2): 0},
+                  {3: 0}, {None: 0}, (1, 2), [{"k": (1,)}], Level.HIGH,
+                  [Level.LOW], {"k": Label('sub"str')}, Fraction(-3, 4)):
         with pytest.raises(TypeError):
-            json.dumps(value, indent=2, default=str)
-        with pytest.raises(TypeError):
+            indented_json(value)
+    for value in (float("nan"), [float("inf")], {"k": float("-inf")}):
+        with pytest.raises(ValueError):
             indented_json(value)
 
 
@@ -547,7 +606,8 @@ def test_reports_match_json_dumps(argv, monkeypatch, capsys):
 
     def checked(obj, pad=""):
         text = writer(obj, pad)
-        ref = json.dumps(obj, indent=2, default=str).replace("\n", "\n" + pad)
+        ref = json.dumps(obj, indent=2, allow_nan=False).replace("\n",
+                                                               "\n" + pad)
         assert text == ref
         written.append(pad)
         return text

@@ -22,10 +22,10 @@ def test_no_assert_statements():
 KEPT_UNREFERENCED = {
     # the arrangement polynomials, for certified freeness (ROADMAP item 2)
     "LineArrangement.product_poly",
-    # the group and its product, for proof by symmetry (ROADMAP item 3)
+    # the group and its product, for proof by symmetry (ROADMAP item 4)
     "group_elements",
     "Automorphism.compose",
-    # reads a certificate back, for the `check` command (ROADMAP item 4)
+    # reads a certificate back, for the `check` command (ROADMAP item 5)
     "field_element_from_json",
     # tests compare restrict_to_line against it; bench/tracer.py names it
     "pullback_to_line",

@@ -635,19 +635,20 @@ def test_json_rejects_exponents_outside_normal_form():
 
 
 # SHA-256 of the JSON list of every "approx" array (sextactic, then
-# inflection) of `points --degree d --kind all --precision bits`
+# inflection) of `points --degree d --kind all`, embedded at `bits` bits
 APPROX_DIGESTS = {
-    (4, 300): "44fabea2888270bfca8cd4213292985de5a31cbe3f682e8bf76a7bd9fff4d56e",
-    (7, 64): "fb5bf5f5d56db63780dec59c365c836c29a7cadcb14545175226f5e738dd6912",
+    (4, 128): "cc487f0f74936d0ae2c8dae445aafb3e4b7d4a34b4086d78b0f0e4271a83a7f5",
+    (7, 128): "fb5bf5f5d56db63780dec59c365c836c29a7cadcb14545175226f5e738dd6912",
 }
 
 
 @pytest.mark.parametrize("d, bits", sorted(APPROX_DIGESTS))
 def test_approx_columns_pinned(d, bits, capsys):
     from fermatosc.cli import main
-    assert main(["points", "--degree", str(d), "--kind", "all",
-                 "--precision", str(bits)]) == 0
-    pay = json.loads(capsys.readouterr().out)["payload"]
+    assert main(["points", "--degree", str(d), "--kind", "all"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["precision_bits"] == bits
+    pay = rep["payload"]
     arrays = [s["approx"] for s in pay["sextactic"] + pay["inflection"]]
     digest = hashlib.sha256(json.dumps(arrays).encode()).hexdigest()
     assert digest == APPROX_DIGESTS[d, bits]
