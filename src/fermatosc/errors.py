@@ -1,64 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A refusal of the input, or a limit reached, is a `FermatoscError`.  A failed
+exact check is a `CertificationFailure` that carries its witness.
+"""
 
 
 class FermatoscError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class DegreeMismatch(FermatoscError):
-    """Operands belong to tower fields with different degree parameters."""
-
-
-class ZeroInput(FermatoscError):
-    """Inversion of the zero element was requested."""
-
-
-class ZeroDivisor(FermatoscError):
-    """A nonzero, non-invertible element was found.
-
-    Carries the discovered factor of the modulus, which certifies that the
-    quotient ring is not a field.
-    """
-
-    def __init__(self, message, factor=None):
-        super().__init__(message)
-        self.factor = factor
-
-
-class NotOnCurve(FermatoscError):
-    """The point does not lie on the curve."""
-
-
-class SingularPoint(FermatoscError):
-    """The gradient vanishes at the point, so no smooth branch exists."""
-
-
-class TruncationExhausted(FermatoscError):
-    """A series valuation exceeded the escalation cap."""
-
-
-class GenericityFailure(FermatoscError):
-    """A random coordinate change failed a genericity requirement; retry."""
-
-
-class ResultantZero(FermatoscError):
-    """The resultant vanishes identically (shared component)."""
-
-
-class HessianVanishes(FermatoscError):
-    """The Hessian vanishes at the point, so the conic formula degenerates."""
-
-
-class NonOrdinary(FermatoscError):
-    """A census entry is not an ordinary singularity."""
-
-
-class NoFixedLine(FermatoscError):
-    """The automorphism fixes no line pointwise."""
-
-
-class FewerPoints(FermatoscError):
-    """A grid line was expected but the line carries too few special points."""
+    """The engine refuses its input or reaches a limit."""
 
 
 class CertificationFailure(FermatoscError):
@@ -67,3 +15,7 @@ class CertificationFailure(FermatoscError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class NonOrdinary(FermatoscError):
+    """A census entry is not an ordinary singularity."""

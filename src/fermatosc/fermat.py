@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CertificationFailure, HessianVanishes, NotOnCurve
+from .errors import CertificationFailure, FermatoscError
 from .hompoly import HomPoly, ProjPoint, det3, hessian
 from .tower import TowerField, tower_field
 
@@ -260,7 +260,7 @@ def tangent_line(curve: FermatCurve, p: ProjPoint) -> HomPoly:
     gives F(p) = sum p_i^d, the check that p is on the curve."""
     (cx, fx), (cy, fy), (cz, fz) = [curve.powers(c) for c in p.coords]
     if not (fx + fy + fz).is_zero():
-        raise NotOnCurve("tangent line requested off the curve")
+        raise FermatoscError("tangent line requested off the curve")
     return HomPoly.line(curve.field, cx, cy, cz)
 
 
@@ -355,7 +355,7 @@ def _cayley_conic_raw(curve: FermatCurve, p: ProjPoint) -> HomPoly:
     H = curve.hessian
     hp = H.evaluate(p)
     if hp.is_zero():
-        raise HessianVanishes("Hessian vanishes at p")
+        raise FermatoscError("Hessian vanishes at p")
     h2, h3 = hp * hp, hp * hp * hp
     df = _polar_form(F, p, 1)
     d2f = _polar_form(F, p, 2)
@@ -386,9 +386,9 @@ def _closed_conic_raw(curve: FermatCurve, p: ProjPoint) -> HomPoly:
 
 def _require_conic_point(curve: FermatCurve, p: ProjPoint):
     if not curve.contains(p):
-        raise NotOnCurve("conic requested off the curve")
+        raise FermatoscError("conic requested off the curve")
     if (p.coords[0] * p.coords[1] * p.coords[2]).is_zero():
-        raise HessianVanishes(
+        raise FermatoscError(
             "point lies on xyz = 0; the conic formula degenerates there")
 
 

@@ -30,8 +30,7 @@ import operator
 import random
 from math import comb
 
-from .errors import (CertificationFailure, GenericityFailure, NotOnCurve,
-                     ResultantZero, SingularPoint, TruncationExhausted)
+from .errors import CertificationFailure, FermatoscError
 from .tower import FieldElement, TowerField, power
 
 VARS = ("x", "y", "z")
@@ -374,20 +373,11 @@ def _rank_le_one(a, b) -> bool:
                for k in range(len(a)) if k != i)
 
 
-def _times(a: FieldElement, b: FieldElement) -> FieldElement:
-    """a * b, multiplying only when neither factor is zero or one."""
-    if a.is_zero() or b == b.field.one:
-        return a
-    if b.is_zero() or a == a.field.one:
-        return b
-    return a * b
-
-
 def _powers(v: FieldElement, n: int) -> list:
-    """[1, v, ..., v^n], by `_times`."""
+    """[1, v, ..., v^n]."""
     out = [v.field.one]
     for _ in range(n):
-        out.append(_times(out[-1], v))
+        out.append(out[-1] * v)
     return out
 
 
@@ -521,7 +511,7 @@ class BinaryForm:
             for i in range(k, n + 1):
                 if not coeffs[i].is_zero() and not sp[i - k].is_zero():
                     c = coeffs[i] * comb(i, k) if 0 < k < i else coeffs[i]
-                    value = value + _times(c, _times(sp[i - k], tp[n - i]))
+                    value = value + c * (sp[i - k] * tp[n - i])
             if not value.is_zero():
                 return k
         return n
@@ -550,7 +540,7 @@ def _pivot_ratios(L: HomPoly):
     if not any(rest):
         return k, rest
     inv = pivot if pivot == L.field.one else L.field.invert(pivot)
-    return k, tuple(-_times(c, inv) for c in rest)
+    return k, tuple(-(c * inv) for c in rest)
 
 
 def line_parametrization(L: HomPoly):
@@ -570,8 +560,7 @@ def restrict_to_line(c: HomPoly, L: HomPoly) -> BinaryForm:
     `pullback_to_line` gives.  The parametrization maps the two coordinates
     other than the pivot to s and t, in order, and the pivot to
     alpha s + beta t (alpha = 0 for a y pivot, alpha = beta = 0 for a z
-    pivot), so only the pivot is substituted.  No factor equal to zero or
-    one is multiplied in."""
+    pivot), so only the pivot is substituted."""
     field = c.field
     k, r = _pivot_ratios(L)
     alpha, beta = (field.zero,) * (2 - len(r)) + tuple(r)
@@ -583,13 +572,13 @@ def restrict_to_line(c: HomPoly, L: HomPoly) -> BinaryForm:
         e, es = exps[k], exps[1 if k == 0 else 0]
         row = rows.get(e)
         if row is None:
-            row = rows[e] = [_times(ap[i], bp[e - i]) for i in range(e + 1)]
+            row = rows[e] = [ap[i] * bp[e - i] for i in range(e + 1)]
             for i, v in enumerate(row):
                 if not v.is_zero() and 0 < i < e:
                     row[i] = v * comb(e, i)
         for i, v in enumerate(row):
             if not v.is_zero():
-                out[i + es] = out[i + es] + _times(coef, v)
+                out[i + es] = out[i + es] + coef * v
     return BinaryForm(field, out)
 
 
@@ -696,10 +685,10 @@ def branch_series(f: HomPoly, p: ProjPoint, order: int) -> BranchSeries:
     """
     field = f.field
     if not f.evaluate(p).is_zero():
-        raise NotOnCurve("f(p) != 0")
+        raise FermatoscError("f(p) != 0")
     grads = [f.partial(i).evaluate(p) for i in range(3)]
     if all(g.is_zero() for g in grads):
-        raise SingularPoint("gradient vanishes at p")
+        raise FermatoscError("gradient vanishes at p")
 
     chart = next(i for i, c in enumerate(p.coords) if not c.is_zero())
     others = [i for i in range(3) if i != chart]
@@ -708,7 +697,7 @@ def branch_series(f: HomPoly, p: ProjPoint, order: int) -> BranchSeries:
         # gradient concentrated on the chart coordinate: p is smooth but the
         # branch is transverse to the chart; Euler's relation rules this out
         # for the curves handled here
-        raise SingularPoint("no usable partial in this chart")
+        raise FermatoscError("no usable partial in this chart")
     solved = candidates[0]
     param = next(i for i in others if i != solved)
 
@@ -730,7 +719,7 @@ def int_mult(f: HomPoly, g: HomPoly, p: ProjPoint) -> int:
     Returns 0 when g(p) != 0.  The branch starts at order 2 and is extended
     in place, doubling, until the valuation of g along it falls below the
     order, which makes it final; at the cap 4 deg f deg g + 8 it raises
-    `TruncationExhausted`.
+    `FermatoscError`.
     """
     if not g.evaluate(p).is_zero():
         return 0
@@ -741,7 +730,7 @@ def int_mult(f: HomPoly, g: HomPoly, p: ProjPoint) -> int:
         if v is not None:
             return v
         if bs.order >= cap:
-            raise TruncationExhausted(
+            raise FermatoscError(
                 f"valuation of g exceeds cap {cap} along the branch")
         bs.extend(min(2 * bs.order, cap))
 
@@ -815,7 +804,7 @@ def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint, seed: int = 0):
     both curves and p the only common zero on that line, the order of
     Res_z(f, g) at s = 0, y = 1 is (f . g)_p (Fulton, Algebraic Curves,
     3.3).  `_local_norm` reads it modulo s^N, N doubling from 2 to
-    deg f deg g + 1; a resultant zero there is zero (`ResultantZero`).
+    deg f deg g + 1; a resultant zero there is zero (`FermatoscError`).
 
     Returns (order, record): the seed, the attempt count and the accepted
     center and direction, as integer triples.
@@ -848,13 +837,13 @@ def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint, seed: int = 0):
         n = 2
         while (order := _local_norm(a, b, n).valuation()) is None:
             if n == top:
-                raise ResultantZero("resultant vanishes identically")
+                raise FermatoscError("resultant vanishes identically")
             n = min(2 * n, top)
         record = {"seed": seed, "attempts": attempt + 1,
                   "center": [row[2] for row in m],
                   "direction": [row[0] for row in m]}
         return order, record
-    raise GenericityFailure(
+    raise FermatoscError(
         f"no generic coordinate change found ({last_fail})")
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import permutations
 from typing import Optional
 
-from .errors import (CertificationFailure, FewerPoints, NoFixedLine)
+from .errors import CertificationFailure, FermatoscError
 from .fermat import FermatCurve
 from .hompoly import (HomPoly, ProjPoint, cross, disc2,
                       line_parametrization, restrict_to_line)
@@ -223,7 +223,7 @@ def verify_invariant_intersection(curve: FermatCurve, g: Automorphism,
     fixed line of g in one shared point set (with multiplicities)."""
     L = fixed_line(g)
     if L is None:
-        raise NoFixedLine("automorphism has no pointwise-fixed line")
+        raise FermatoscError("automorphism has no pointwise-fixed line")
     restrictions = [restrict_to_line(curve.osculating(q, n), L)
                     for q in curve_orbit(curve, p, g)]
     first = restrictions[0]
@@ -285,11 +285,12 @@ def orbit_automorphism_for_line(curve: FermatCurve, line: HomPoly, pts):
 def _line_family(curve: FermatCurve, grid_line: HomPoly):
     """The d sextactic points of a grid line and the line fixed pointwise by
     the scaling whose orbit they are; fewer than d points raise
-    `FewerPoints`."""
+    `CertificationFailure` with the points found as its witness."""
     d = curve.d
     pts = points_on_line(curve, grid_line)
     if len(pts) != d:
-        raise FewerPoints(f"{len(pts)} sextactic points on the line, need {d}")
+        raise CertificationFailure(
+            f"{len(pts)} sextactic points on the line, need {d}", witness=pts)
     g = orbit_automorphism_for_line(curve, grid_line, pts)
     return pts, fixed_line(g)
 

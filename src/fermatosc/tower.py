@@ -38,8 +38,8 @@ is a Kummer extension of Q(u), so the product of the element's deg_t
 conjugates under t -> zeta^k t lies in Q(u), and a t-part in it fails
 certification.  Elements of Q(u) are inverted through their norm to Q in
 the same way.  A norm of zero can only come from a reducible modulus;
-extended Euclid in Q(u)[t], on t-free elements, then raises `ZeroDivisor`
-with a factor of the modulus.
+extended Euclid in Q(u)[t], on t-free elements, then raises
+`CertificationFailure` with a factor of the modulus as its witness.
 
 `embed` evaluates the distinguished embedding in floating point for the
 display-only `approx` columns; it is not certified, and no computation
@@ -86,8 +86,7 @@ from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm
 
-from .errors import (CertificationFailure, DegreeMismatch, ZeroDivisor,
-                     ZeroInput)
+from .errors import CertificationFailure, FermatoscError
 
 Q0 = Q(0)
 Q1 = Q(1)
@@ -144,13 +143,6 @@ def _zpoly_exact_div(num, den):
     return out
 
 
-def _euler_phi(n: int) -> int:
-    out = n
-    for p in _prime_factors(n):
-        out = out // p * (p - 1)
-    return out
-
-
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
 
@@ -199,7 +191,7 @@ class TowerField:
             raise ValueError(f"degree d must be in [{D_MIN}, {D_MAX}], got {d}")
         self.d = d
         self.n_u = 2 * d                       # u has order 2d
-        self.phi = _euler_phi(2 * d)
+        self.phi = len(cyclotomic_int_coeffs(self.n_u)) - 1
         use_half = d % 4 == 0 and not _force_full_modulus
         self.deg_t = d // 2 if use_half else d
 
@@ -403,14 +395,15 @@ class TowerField:
         * Otherwise by the norm (`_invert_norm`).
         * A norm of zero means that a is a zero divisor, which is possible
           only when the t-modulus is reducible; extended Euclid
-          (`_invert_general`) then raises `ZeroDivisor` with a factor.
+          (`_invert_general`) then raises `CertificationFailure` with a
+          factor as its witness.
 
         In a `memoized()` block an inverse already computed is reused.
         """
         if a.field is not self:
-            raise DegreeMismatch("element from a different field")
+            raise FermatoscError("element from a different field")
         if not a.terms:
-            raise ZeroInput("cannot invert zero")
+            raise FermatoscError("cannot invert zero")
         memo = _MEMO.get()
         if memo is None:
             return self._invert(a)
@@ -510,8 +503,8 @@ class TowerField:
 
         if deg(r1) < 0:
             # gcd is r0, a nonconstant common factor: the modulus is reducible
-            raise ZeroDivisor("t-modulus has a nontrivial factor",
-                              factor=t_poly(r0))
+            raise CertificationFailure("t-modulus has a nontrivial factor",
+                                       witness=t_poly(r0))
         lead_inv = self.invert(r1[0])
         return t_poly([c * lead_inv for c in s1[: self.deg_t]])
 
@@ -618,7 +611,7 @@ class FieldElement:
 
     def _check(self, other):
         if other.field is not self.field:
-            raise DegreeMismatch(
+            raise FermatoscError(
                 f"mixed fields: d={self.field.d} vs d={other.field.d}")
 
     def __add__(self, other):

@@ -5,11 +5,13 @@ import contextlib
 import enum
 import inspect
 import json
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+import fermatosc
 from fermatosc import cli, hompoly, tower
 from fermatosc.cli import indented_json, main
 from fermatosc.hompoly import HomPoly, resultant_order
@@ -60,7 +62,7 @@ def test_conic_report(capsys):
 
 
 def _drop_first(found):
-    return lambda curve: found(curve)[1:]
+    return lambda *args: found(*args)[1:]
 
 
 def _wrong_xy(make):
@@ -106,6 +108,75 @@ def test_points_and_conic_records_fire(record, argv, name, plant, want,
     input at d = 3: a dropped point, a count formula off by one, a contact
     order off by one, a conic with one wrong coefficient."""
     monkeypatch.setattr(cli, name, plant(getattr(cli, name)))
+    code, rep = run_json(argv, capsys)
+    assert (code, rep["status"], rep["failures"]) == (1, "failed", want)
+    assert record in [f["check"] for f in want]
+
+
+def _next_coordinate_line(fixed):
+    """`fixed` with the coefficients of its line rotated, which turns a
+    coordinate line into another one."""
+    def wrong(g):
+        c = fixed(g).line_coeffs()
+        return HomPoly.line(g.field, c[2], c[0], c[1])
+    return wrong
+
+
+def _wrong_first_tangent(osculating):
+    """`FermatCurve.osculating` with the x coefficient of the tangent at the
+    first sextactic point raised by one."""
+    def wrong(curve, p, n):
+        out = osculating(curve, p, n)
+        if n == 1 and p == curve.sextactic[0].point:
+            out = out + HomPoly.monomial(out.field, (1, 0, 0), 1)
+        return out
+    return wrong
+
+
+def _verify_line(index):
+    return ["verify", "--theorem", "main", "--degree", "3",
+            "--line-index", str(index)]
+
+
+# (record, argv, dotted name under fermatosc, its planted fault, the
+# failures expected); line 0 is B[0] and line 9 is M[0]
+VERIFY_PLANTED_FAULTS = [
+    ("tangent-concurrency", _verify_line(0),
+     "fermat.FermatCurve.sextactic_on_line", _drop_first,
+     [{"check": "tangent-concurrency", "line": "B[0]",
+       "detail": "2 sextactic points on the line, need 3"},
+      {"check": "conic-common-points", "line": "B[0]",
+       "detail": "2 sextactic points on the line, need 3"}]),
+    ("tangent-certificates", _verify_line(0), "symmetry.fixed_line",
+     _next_coordinate_line,
+     [{"check": "tangent-certificates", "line": "B[0]"},
+      {"check": "conic-common-points", "line": "B[0]",
+       "detail": "restrictions to the fixed line disagree"}]),
+    ("conic-common-count", _verify_line(9), "symmetry.disc2",
+     lambda disc2: lambda q: q.field.zero,
+     [{"check": "conic-common-count", "line": "M[0]",
+       "got": 1, "expected": 2}]),
+    ("invariant-intersection",
+     ["verify", "--theorem", "invariant-intersection", "--degree", "3",
+      "--osc-degree", "1"],
+     "fermat.FermatCurve.osculating", _wrong_first_tangent,
+     [{"check": "invariant-intersection", "automorphism": name,
+       "osc_degree": 1, "kind": "sextactic"}
+      for name in ("psi", "phi.rho.phi", "psi.rho.psi")]),
+]
+
+
+@pytest.mark.parametrize("record, argv, name, plant, want",
+                         VERIFY_PLANTED_FAULTS,
+                         ids=[row[0] for row in VERIFY_PLANTED_FAULTS])
+def test_verify_records_fire(record, argv, name, plant, want, monkeypatch,
+                             capsys):
+    """Each record of `verify` fires on a planted fault at d = 3: a point
+    dropped from a grid line (which both `FermatoscError` catches record), a
+    wrong fixed line, a restricted discriminant forced to zero, one wrong
+    tangent coefficient."""
+    original = operator.attrgetter(name)(fermatosc)
+    monkeypatch.setattr(f"fermatosc.{name}", plant(original))
     code, rep = run_json(argv, capsys)
     assert (code, rep["status"], rep["failures"]) == (1, "failed", want)
     assert record in [f["check"] for f in want]

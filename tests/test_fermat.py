@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fermatosc.errors import HessianVanishes, NotOnCurve
+from fermatosc.errors import FermatoscError
 from fermatosc.fermat import (FermatCurve, hyperosculating_conic,
                               inflection_points, osculating_conic_cayley,
                               osculating_conic_closed, sextactic_count_formula,
@@ -40,7 +40,7 @@ def test_tangent_line_examples():
     T = tangent_line(C, s)
     assert T.proportional(HomPoly.line(fld, w**(C.d - 1), fld.one, fld.one))
     assert int_mult(C.poly, T, s) >= 2
-    with pytest.raises(NotOnCurve):
+    with pytest.raises(FermatoscError, match="off the curve"):
         tangent_line(C, ProjPoint(fld, [fld.one, fld.one, fld.one]))
 
 
@@ -54,7 +54,7 @@ def test_tangent_line_is_the_gradient_and_refuses_off_curve_points(d):
         grad = [C.poly.partial(i).evaluate(p) for i in range(3)]
         assert tangent_line(C, p).scale(d) == HomPoly.line(fld, *grad)
     for coords in ([fld.one, fld.zeta, fld.zero], [fld.one, fld.t, fld.u]):
-        with pytest.raises(NotOnCurve):
+        with pytest.raises(FermatoscError, match="off the curve"):
             tangent_line(C, ProjPoint(fld, coords))
 
 
@@ -69,7 +69,7 @@ def test_tangent_powers_once_per_coordinate_value(d):
     assert set(C._powers) == {c for p in specials for c in p.coords}
     # a point off the curve still raises once the table is filled
     x, y, z = specials[0].coords
-    with pytest.raises(NotOnCurve):
+    with pytest.raises(FermatoscError, match="off the curve"):
         tangent_line(C, ProjPoint(fld, [x, y, z + z]))
 
 
@@ -238,9 +238,9 @@ def test_conic_rejected_at_inflection_and_off_curve():
     C = FermatCurve(4)
     fld = C.field
     p = inflection_points(C)[0]
-    with pytest.raises(HessianVanishes):
+    with pytest.raises(FermatoscError, match="formula degenerates"):
         osculating_conic_closed(C, p)
-    with pytest.raises(NotOnCurve):
+    with pytest.raises(FermatoscError, match="off the curve"):
         osculating_conic_closed(C, ProjPoint(fld, [fld.one, fld.one, fld.one]))
 
 
@@ -267,7 +267,6 @@ def test_sextactic_set_closed_under_generators():
 
 def test_generic_contact_exactly_five_on_rational_curve():
     from conftest import rand_curve_through, rand_point
-    from fermatosc.errors import TruncationExhausted
     rng = random.Random(31)
     fld = tower_field(3)
     found = 0
@@ -277,8 +276,10 @@ def test_generic_contact_exactly_five_on_rational_curve():
         try:
             conic = osculating_conic_series(f, p)
             m = int_mult(f, conic, p)
-        except (ValueError, TruncationExhausted):
+        except FermatoscError as exc:
             # reducible draw: the conic can be a component through p
+            if "no conic" not in str(exc) and "exceeds cap" not in str(exc):
+                raise
             continue
         if m == 5:
             found += 1

@@ -18,6 +18,23 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_two_failure_types():
+    # a refusal is a FermatoscError and a failed check a CertificationFailure;
+    # NonOrdinary is the one subclass that code catches
+    kept = {"FermatoscError", "CertificationFailure", "NonOrdinary"}
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    assert {node.name for node in errors.body
+            if isinstance(node, ast.ClassDef)} == kept
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = getattr(node.exc, "func", node.exc)
+                raised.add(exc.id if isinstance(exc, ast.Name)
+                           else f"{path.name}:{node.lineno}")
+    assert raised <= kept | {"ValueError", "TypeError"}
+
+
 # public names that no code in src refers to, each kept for its reason
 KEPT_UNREFERENCED = {
     # the arrangement polynomials, for certified freeness (ROADMAP item 2)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import rand_field_element, rand_nonzero
 from fermatosc.arrangements import build
-from fermatosc.errors import CertificationFailure, FewerPoints, NoFixedLine
+from fermatosc.errors import CertificationFailure, FermatoscError
 from fermatosc.fermat import (FermatCurve, _hyperosc_conic_cluster_z,
                               hyperosculating_conic, inflection_points,
                               sextactic_points, tangent_line)
@@ -188,7 +188,7 @@ def test_invariant_intersection_requires_fixed_line():
     fld = C.field
     g = rho(fld).compose(phi(fld))
     s = sextactic_points(C)[0]
-    with pytest.raises(NoFixedLine):
+    with pytest.raises(FermatoscError, match="no pointwise-fixed line"):
         verify_invariant_intersection(C, g, s.point, 1)
 
 
@@ -257,8 +257,10 @@ def test_tangent_concurrency_rejects_non_grid_line():
     C = FermatCurve(d)
     fld = C.field
     x, y, z = HomPoly.variables(fld)
-    with pytest.raises(FewerPoints):
+    with pytest.raises(CertificationFailure,
+                       match="sextactic points on the line, need 4") as exc:
         tangent_concurrency(C, x + y + z)
+    assert len(exc.value.witness) < d
 
 
 def test_no_scaling_sweeps_a_line_with_three_coefficients():
