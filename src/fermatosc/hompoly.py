@@ -31,7 +31,7 @@ import random
 from math import comb
 
 from .errors import CertificationFailure, FermatoscError
-from .tower import FieldElement, TowerField, power
+from .tower import FieldElement, TowerField, in_block, power
 
 VARS = ("x", "y", "z")
 LINEAR_EXPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -713,14 +713,15 @@ def branch_series(f: HomPoly, p: ProjPoint, order: int) -> BranchSeries:
     return bs
 
 
+@in_block
 def int_mult(f: HomPoly, g: HomPoly, p: ProjPoint) -> int:
     """Intersection multiplicity (f . g)_p via the branch series of f.
 
     Returns 0 when g(p) != 0.  The branch starts at order 2 and is extended
     in place, doubling, until the valuation of g along it falls below the
     order, which makes it final; at the cap 4 deg f deg g + 8 it raises
-    `FermatoscError`.
-    """
+    `FermatoscError`.  A memo block (`in_block`) keeps each doubling from
+    redoing the lower orders' products."""
     if not g.evaluate(p).is_zero():
         return 0
     cap = 4 * f.deg * g.deg + 8
@@ -794,6 +795,7 @@ def _cofactor_det(cols, n: int) -> BinaryForm:
 RESULTANT_ATTEMPTS = 24
 
 
+@in_block
 def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint, seed: int = 0):
     """Vanishing order at p's image of Res_z(f, g) after a recorded random
     rational projection; agrees with int_mult when genericity holds.
@@ -807,8 +809,8 @@ def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint, seed: int = 0):
     deg f deg g + 1; a resultant zero there is zero (`FermatoscError`).
 
     Returns (order, record): the seed, the attempt count and the accepted
-    center and direction, as integer triples.
-    """
+    center and direction, as integer triples.  A memo block (`in_block`)
+    keeps each doubling of N from redoing the last one's products."""
     field = f.field
     hi, lo = (g, f) if f.deg < g.deg else (f, g)
     top = f.deg * g.deg + 1

@@ -30,7 +30,8 @@ one term n u^i t^j, the common case for the paper's monomial points and
 lines, shifts the other factor's terms by (i, j) and scales their
 numerators when no exponent leaves the normal-form range: the shift keeps
 the terms sorted and nonzero, so only the content is divided out.  A
-product that wraps goes through the term loop.
+product that wraps goes through the term loop.  A factor equal to one
+(terms ((0, 0, 1),) over 1, tested by value) returns the other factor.
 
 Inversion goes through norms.  An element b(u) t^j times t^(deg_t - j)
 lies in Q(u).  Any other element is inverted through its norm to Q(u): K
@@ -70,11 +71,13 @@ hashing stay by value; `==` tests identity first.  The checks that
 raise (mixed fields, inverting zero) come first, so a rejected call stores
 nothing.  Each block starts empty and restores the enclosing one when it
 closes, and nothing in its tables outlives it.  The CLI opens one around
-each command and one per degree in `all`, so the memory held is one
-command's (one degree's) working set and is freed with it.  Library
-calls outside a block intern nothing, look nothing up and hold nothing:
-a memo without an end would keep every element a long-lived caller ever
-made.
+each command and one per degree in `all`; the two multiplicity oracles,
+wrapped by `in_block`, join the caller's open block or else open one for
+the call, whose doubling loops redo their low-order products.  So the
+memory held is one command's (one degree's, one oracle call's) working
+set and is freed with it.  Other library calls outside a block intern
+nothing, look nothing up and hold nothing: a memo without an end would
+keep every element a long-lived caller ever made.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import islice
 from math import gcd, isqrt, lcm
 
@@ -90,6 +93,7 @@ from .errors import CertificationFailure, FermatoscError
 
 Q0 = Q(0)
 Q1 = Q(1)
+_ONE = ((0, 0, 1),)                           # the terms of 1, over den 1
 
 D_MIN = 3
 D_MAX = 64
@@ -103,13 +107,25 @@ _MEMO = ContextVar("fermatosc_tower_memo", default=None)
 @contextmanager
 def memoized():
     """A block in which the kernel interns the elements it builds and `*`,
-    `+`, `-` and `invert` reuse results already computed in it; see the
-    module docstring."""
+    `+`, `-` and `invert` reuse results already computed in it.  The CLI
+    and `in_block` open blocks; see the module docstring."""
     token = _MEMO.set(({}, {}, {}, {}, {}))
     try:
         yield
     finally:
         _MEMO.reset(token)
+
+
+def in_block(fn):
+    """`fn` in the caller's open block, or else in a `memoized()` of its own
+    (looked up at call time) that closes when `fn` returns or raises."""
+    @wraps(fn)
+    def call(*args, **kwargs):
+        if _MEMO.get() is not None:
+            return fn(*args, **kwargs)
+        with memoized():
+            return fn(*args, **kwargs)
+    return call
 
 
 @lru_cache(maxsize=None)
@@ -609,17 +625,17 @@ class FieldElement:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _check(self, other):
-        if other.field is not self.field:
-            raise FermatoscError(
-                f"mixed fields: d={self.field.d} vs d={other.field.d}")
+    def _mixed(self, other):
+        raise FermatoscError(
+            f"mixed fields: d={self.field.d} vs d={other.field.d}")
 
     def __add__(self, other):
         if other.__class__ is not FieldElement:
             other = _coerce(self.field, other)
             if other is None:
                 return NotImplemented
-        self._check(other)
+        if other.field is not self.field:
+            self._mixed(other)
         if not other.terms:
             return self
         if not self.terms:
@@ -661,7 +677,8 @@ class FieldElement:
             other = _coerce(self.field, other)
             if other is None:
                 return NotImplemented
-        self._check(other)
+        if other.field is not self.field:
+            self._mixed(other)
         if not other.terms:
             return self
         if not self.terms:
@@ -688,9 +705,14 @@ class FieldElement:
             other = _coerce(self.field, other)
             if other is None:
                 return NotImplemented
-        self._check(other)
+        if other.field is not self.field:
+            self._mixed(other)
         if not self.terms or not other.terms:
             return self.field.zero
+        if self.den == 1 and self.terms == _ONE:
+            return other
+        if other.den == 1 and other.terms == _ONE:
+            return self
         memo = _MEMO.get()
         if memo is None:
             return self._mul(other)

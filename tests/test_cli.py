@@ -462,11 +462,25 @@ def test_all_checks_every_inflection_point(tmp_path):
      "--with-fermat"],
 ], ids=("all", "verify", "census"))
 def test_memo_leaves_reports_unchanged(argv, tmp_path, monkeypatch):
-    """The same bytes with the tower memo and without it."""
+    """The same bytes with the tower memo and without it.  Patching
+    `tower.memoized` turns off every block, the oracles' own included: each
+    branch lift records the block it runs in."""
+    lift, blocks = hompoly.branch_series, []
+
+    def traced_lift(*args):
+        blocks.append(tower._MEMO.get())
+        return lift(*args)
+
+    monkeypatch.setattr(hompoly, "branch_series", traced_lift)
     memo, plain = tmp_path / "memo.json", tmp_path / "plain.json"
     assert main(argv + ["--out", str(memo)]) == 0
+    assert all(m is not None for m in blocks)
+    lifts = len(blocks)
+    assert lifts or argv[0] != "all"
+    blocks.clear()
     monkeypatch.setattr(tower, "memoized", contextlib.nullcontext)
     assert main(argv + ["--out", str(plain)]) == 0
+    assert len(blocks) == lifts and all(m is None for m in blocks)
     assert memo.read_bytes() == plain.read_bytes()
 
 

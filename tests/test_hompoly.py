@@ -1,6 +1,7 @@
 """Polynomial algebra, branch series, intersection multiplicities and the
 two independent multiplicity oracles."""
 
+import contextlib
 import operator
 import random
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import (rand_curve_through, rand_field_element, rand_homogeneous,
                       rand_line_through, rand_nonzero, rand_point)
+from fermatosc import hompoly, tower
 from fermatosc.errors import FermatoscError
 from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint, _local_norm,
                                _rank_le_one, _substitute, branch_series,
@@ -930,3 +932,86 @@ def test_local_resultant_matches_sylvester(d):
             want = scale * sylvester_det(z_form(a, s0), z_form(b, s0))
             assert form_at(det, fld.from_rational(s0), fld.one) == want, \
                 (df, dg, s0)
+
+
+# -- the oracles' memo blocks ----------------------------------------------------
+
+
+def _record_blocks(monkeypatch):
+    """The memo open at each branch lift and each local norm, in call
+    order."""
+    seen = []
+    for name in ("branch_series", "_local_norm"):
+        def traced(*args, _fn=getattr(hompoly, name)):
+            seen.append(tower._MEMO.get())
+            return _fn(*args)
+        monkeypatch.setattr(hompoly, name, traced)
+    return seen
+
+
+def test_oracles_open_and_close_their_own_block(monkeypatch):
+    seen = _record_blocks(monkeypatch)
+    fld, F = fermat(3)
+    p = ProjPoint(fld, [fld.zero, fld.one, fld.u_pow(1)])
+    T = HomPoly.line(fld, fld.zero, fld.one, -fld.u_pow(-1))
+    assert int_mult(F, T, p) == 3
+    assert resultant_order(F, T, p, seed=11)[0] == 3
+    assert seen and all(m is not None for m in seen)
+    assert tower._MEMO.get() is None
+    # one block per call, closed on return
+    assert seen[0] is not seen[-1]
+    off = ProjPoint(fld, [fld.one, fld.one, fld.one])
+    x, y, _ = HomPoly.variables(fld)
+    for call, match in ((lambda: int_mult(F, x - y, off), r"f\(p\) != 0"),
+                        (lambda: int_mult(F, F, p), "exceeds cap"),
+                        (lambda: resultant_order(F, F, p), "no generic")):
+        with pytest.raises(FermatoscError, match=match):
+            call()
+        assert tower._MEMO.get() is None
+
+
+def test_oracles_join_an_open_block(monkeypatch):
+    seen = _record_blocks(monkeypatch)
+    fld, F = fermat(4)
+    p = ProjPoint(fld, [fld.zero, fld.one, fld.u_pow(1)])
+    T = HomPoly.line(fld, fld.zero, fld.one, -fld.u_pow(-1))
+    with tower.memoized():
+        outer = tower._MEMO.get()
+        products = len(outer[1])
+        assert int_mult(F, T, p) == 4
+        grown = len(outer[1])
+        assert grown > products
+        assert resultant_order(F, T, p, seed=3)[0] == 4
+        assert len(outer[1]) > grown
+        assert tower._MEMO.get() is outer
+    assert seen and all(m is outer for m in seen)
+
+
+def _oracle_cases(d, rng):
+    """Random lines and conics through sextactic points, and the tangents
+    and hyperosculating conics there."""
+    from fermatosc.fermat import (FermatCurve, hyperosculating_conic,
+                                  sextactic_points, tangent_line)
+    C = FermatCurve(d)
+    for s in rng.sample(sextactic_points(C), 2):
+        p = s.point
+        for g in (rand_line_through(C.field, rng, p),
+                  rand_curve_through(C.field, rng, 2, p),
+                  tangent_line(C, p), hyperosculating_conic(C, s)):
+            yield C.poly, g, p, rng.randint(0, 10**6)
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_oracles_match_with_blocks_off(d, monkeypatch):
+    """`int_mult` and the whole (order, record) of `resultant_order` are the
+    same with the oracles' blocks and with every block turned off."""
+    cases = list(_oracle_cases(d, random.Random(2000 + d)))
+    on = [(int_mult(f, g, p), resultant_order(f, g, p, seed=s))
+          for f, g, p, s in cases]
+    monkeypatch.setattr(tower, "memoized", contextlib.nullcontext)
+    seen = _record_blocks(monkeypatch)
+    off = [(int_mult(f, g, p), resultant_order(f, g, p, seed=s))
+           for f, g, p, s in cases]
+    assert seen and all(m is None for m in seen)
+    assert on == off
+    assert {m for m, _ in on} >= {1, 2, 6}

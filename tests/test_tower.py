@@ -1,6 +1,7 @@
 """Exact tower-field arithmetic: defining relations, normal forms, inversion,
 serialization, the integer reduction rows and the display embedding."""
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -791,3 +792,42 @@ def test_memo_interns_equal_elements():
     del a, b, c, s
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
+def test_product_by_one_is_the_other_factor(d):
+    """A factor equal to one, the field's `one` or a one built inside a
+    block, gives the plain kernel's product by returning the other factor,
+    and a block's tables stay as they were."""
+    fld = tower_field(d)
+    elems = _memo_operands(fld, random.Random(1900 + d))
+    plain = [(x._mul(fld.one), fld.one._mul(x)) for x in elems]
+    for x, (right, left) in zip(elems, plain):
+        _assert_same(x * fld.one, right)
+        _assert_same(fld.one * x, left)
+        assert x * fld.one is x and fld.one * x is x
+    _assert_same(fld.one * fld.one, fld.one._mul(fld.one))
+    with memoized():
+        one = fld.from_rational(1)
+        assert one is not fld.one
+        memo = tower._MEMO.get()
+        tables = [dict(t) for t in memo]
+        for o in (fld.one, one):
+            for x, (right, left) in zip(elems, plain):
+                _assert_same(x * o, right)
+                _assert_same(o * x, left)
+            _assert_same(o * o, fld.one)
+            _assert_same(o * fld.one, fld.one)
+        assert [dict(t) for t in memo] == tables
+
+
+def test_product_by_another_fields_one_raises():
+    f3, f4 = tower_field(3), tower_field(4)
+    for block in (False, True):
+        with memoized() if block else contextlib.nullcontext():
+            for a, b in ((f4.one, f3.u), (f3.u, f4.one), (f4.one, f3.one),
+                         (f4.from_rational(1), f3.from_rational(1))):
+                with pytest.raises(FermatoscError, match="mixed fields"):
+                    a * b
+            if block:
+                assert tower._MEMO.get()[1] == {}
