@@ -1,9 +1,10 @@
 """Homogeneous polynomial algebra over K_d and exact local intersection data.
 
 Polynomials are sparse maps from exponent triples (a, b, c) with a+b+c = deg
-to nonzero field elements; a substitution of field elements, linear forms,
-binary forms or series into one runs through `_substitute`, except the
-restriction to a line, which substitutes only the line's pivot coordinate.
+to nonzero field elements; a substitution of field elements, binary forms
+or series into one runs through `_substitute`, except the restriction to a
+line, which substitutes only the line's pivot coordinate, and the change
+of coordinates of the local resultant, expanded term by term.
 The one dense univariate type is `BinaryForm`.  Intersection multiplicities
 at a smooth point are computed two independent ways:
 
@@ -12,8 +13,12 @@ at a smooth point are computed two independent ways:
   second polynomial along it is final;
 * `resultant_order` projects from a recorded random rational center and
   reads the vanishing order of the resultant from its low-order
-  coefficients alone: a norm over a truncated power-series ring, taken as
-  a determinant that divides by nothing.
+  coefficients alone.  The curves' slices in the new coordinates are
+  expanded from their terms by the multinomial formula, with the integer
+  center and direction as Python ints, and the resultant is a norm over a
+  power-series ring, a determinant that divides by nothing, whose
+  coefficients are computed online, each once, from s^0 up to the first
+  nonzero one.
 
 `restrict_to_line` pulls a curve back to a line along a deterministic
 parametrization and returns a binary form (`pullback_to_line` is the
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import operator
 import random
+from itertools import combinations
 from math import comb
 
 from .errors import CertificationFailure, FermatoscError
@@ -173,13 +179,6 @@ class HomPoly:
             coords = coords.coords
         return _substitute(self, coords, self.field.one, self.field.zero,
                            operator.mul)
-
-    def compose_matrix(self, mat) -> "HomPoly":
-        """Substitute x_i -> sum_j mat[i][j] x_j (rows give the new forms)."""
-        field = self.field
-        forms = [HomPoly.line(field, *row) for row in mat]
-        return _substitute(self, forms, HomPoly.monomial(field, (0, 0, 0), 1),
-                           HomPoly.zero(field, self.deg), operator.mul)
 
     def permuted(self, perm, scale=None) -> "HomPoly":
         """f(s0 x_perm[0], s1 x_perm[1], s2 x_perm[2]) with s = scale (all
@@ -739,56 +738,98 @@ def int_mult(f: HomPoly, g: HomPoly, p: ProjPoint) -> int:
 # -- resultants ------------------------------------------------------------------
 
 
-def _z_slices(h: HomPoly, n: int) -> list:
-    """h(s, 1, z) as a list, over the powers of z, of series in s mod s^n."""
-    field = h.field
-    out = [[field.zero] * n for _ in range(h.deg + 1)]
-    for (a, _, c), coef in h.terms.items():
-        if a < n:
-            out[c][a] = coef
-    return [BinaryForm(field, s) for s in out]
+def _multinomial_slices(f: HomPoly, v, p, c) -> list:
+    """f(v s + p + c z), the curve at y = 1 in the coordinates
+    x = s v + y p + z c, for integer triples v and c and a triple p over
+    K_d: a list over the powers of z of coefficient lists in s, the z^k
+    slice of length deg f - k + 1.
+
+    Each power (v_i s + p_i + c_i z)^e that f's exponents use is expanded
+    once by the multinomial formula, the term s^a p_i^b z^k scaled by the
+    int e! / (a! b! k!) v_i^a c_i^k; each term of f multiplies the
+    expansions of its coordinates' powers."""
+    zero = f.field.zero
+    out = [[zero] * (f.deg - k + 1) for k in range(f.deg + 1)]
+    expansions = []
+    for vi, pi, ci, used in zip(v, p, c, f.exponents_used()):
+        pows = _powers(pi, used[-1]) if used else ()
+        table = {}
+        expansions.append(table)
+        for e in used:
+            terms = table[e] = {}
+            for a in range(e + 1):
+                for k in range(e - a + 1):
+                    n = comb(e, a) * comb(e - a, k) * vi ** a * ci ** k
+                    if n and not pows[e - a - k].is_zero():
+                        terms[a, k] = pows[e - a - k] * n
+    for exps, coef in f.terms.items():
+        acc = {(0, 0): coef}
+        for table, e in zip(expansions, exps):
+            if e:
+                prod = {}
+                for (a1, k1), x in acc.items():
+                    for (a2, k2), y in table[e].items():
+                        key, xy = (a1 + a2, k1 + k2), x * y
+                        prod[key] = prod[key] + xy if key in prod else xy
+                acc = prod
+        for (a, k), x in acc.items():
+            out[k][a] = out[k][a] + x
+    return out
 
 
-def _local_norm(a: HomPoly, b: HomPoly, n: int) -> BinaryForm:
-    """e Res_z(a, b) mod s^n for a(s, 1, z) and b(s, 1, z) whose z^deg b
-    coefficient beta is a constant, e = (-1)^(deg a deg b)
-    beta^(deg a (deg b - 1) + deg b (deg b - 1) / 2): the norm of a from
-    A[z]/(b) to A = K_d[s]/(s^n), as the cofactor determinant of the columns
-    beta^(deg a + j) (a z^j mod b).  No step divides: an inverse of beta
-    would spread large coefficients into every product.
-    """
-    neg = [-c for c in _z_slices(b, n)]
-    beta = -neg[-1].coeffs[0]
+def _online_norm(a: list, b: list, top: int):
+    """The coefficients of s^0, ..., s^(top - 1) of e Res_z(a, b), one at a
+    time, for z-slices a and b (`_multinomial_slices`) whose z^deg b slice
+    is a constant beta, e = (-1)^(deg a deg b)
+    beta^(deg a (deg b - 1) + deg b (deg b - 1) / 2).
 
-    def times_z(r):                         # beta z r mod b
-        top = r[-1]
-        return [neg[0].mul(top, n)] + [r[i - 1] * beta + neg[i].mul(top, n)
-                                       for i in range(1, len(r))]
-
-    # beta^deg a (a mod b) by Horner: r <- beta z r + beta^k a_(deg a - k)
-    col = [BinaryForm(a.field, ())] * (len(neg) - 1)
-    scale = a.field.one
-    for c in reversed(_z_slices(a, n)):
-        col = times_z(col)
-        col[0] = col[0] + c * scale
-        scale = scale * beta
-    cols = [col]
-    while len(cols) < len(col):
-        cols.append(times_z(cols[-1]))
-    return _cofactor_det(cols, n)
-
-
-def _cofactor_det(cols, n: int) -> BinaryForm:
-    """Determinant mod s^n of a square matrix of series, given by columns,
-    expanded along the first row."""
-    if len(cols) == 1:
-        return cols[0][0]
-    acc = BinaryForm(cols[0][0].field, ())
-    for j, col in enumerate(cols):
-        minor = _cofactor_det([c[1:] for k, c in enumerate(cols) if k != j], n)
-        term = col[0].mul(minor, n)
-        acc = acc + (-term if j % 2 else term)
-    return acc
+    The resultant is the norm of a from A[z]/(b) to A = K_d[[s]], the
+    determinant of the columns beta^(deg a + j) (a z^j mod b), j < deg b.
+    Those are the last deg b vectors of the chain X_0 = 0,
+    X_t = beta z X_(t-1) mod b + beta^(t-1) a_(deg a + 1 - t) e_0, Horner's
+    rule in z (the last term only while t <= deg a + 1), and the
+    determinant is the cofactor expansion along the first rows.  Coefficient
+    k of each chain entry, and then of each minor, reads coefficients k and
+    below of what it is built from, so each is computed once, in step k
+    (online series arithmetic), and a caller that stops at the first nonzero
+    coefficient computes none above it.  No step divides: an inverse of
+    beta would spread large coefficients into every product."""
+    zero = b[0][0].field.zero
+    da, db = len(a) - 1, len(b) - 1
+    beta = b[-1][0]
+    neg = [[-x for x in sl] for sl in b[:-1]]
+    scales = _powers(beta, da)
+    # X_0 .. X_(deg a + deg b), each a list over z^i of coefficient lists
+    chain = [[[zero] * top] * db] + [[[] for _ in range(db)]
+                                     for _ in range(da + db)]
+    cols = chain[da + 1:]
+    # minors over column sets S, on the last len(S) rows
+    minors = {(j,): cols[j][-1] for j in range(db)}
+    bigger = [S for m in range(2, db + 1) for S in combinations(range(db), m)]
+    for S in bigger:
+        minors[S] = []
+    for k in range(top):
+        for t in range(1, da + db + 1):
+            prev, x = chain[t - 1], chain[t]
+            for i in range(db):
+                acc = prev[i - 1][k] * beta if i else zero
+                for l, y in enumerate(neg[i][:k + 1]):
+                    if not y.is_zero():
+                        acc = acc + y * prev[-1][k - l]
+                if not i and k < t <= da + 1:       # a's z^(deg a + 1 - t)
+                    acc = acc + a[da + 1 - t][k] * scales[t - 1]
+                x[i].append(acc)
+        for S in bigger:
+            row = db - len(S)
+            acc = zero
+            for idx, j in enumerate(S):
+                col, sub = cols[j][row], minors[S[:idx] + S[idx + 1:]]
+                for l in range(k + 1):
+                    if not col[l].is_zero() and not sub[k - l].is_zero():
+                        term = col[l] * sub[k - l]
+                        acc = acc - term if idx % 2 else acc + term
+            minors[S].append(acc)
+        yield minors[tuple(range(db))][k]
 
 
 # random coordinate changes `resultant_order` tries before it gives up
@@ -801,16 +842,19 @@ def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint, seed: int = 0):
     rational projection; agrees with int_mult when genericity holds.
 
     The center c and direction v are columns 2 and 0 of a seeded random
-    integer matrix.  In the coordinates x = s v + y p + z c, p is
-    (0 : 1 : 0) and the fiber line through c and p is s = 0.  With c off
-    both curves and p the only common zero on that line, the order of
+    integer matrix, kept as ints.  In the coordinates x = s v + y p + z c,
+    p is (0 : 1 : 0) and the fiber line through c and p is s = 0.  With c
+    off both curves and p the only common zero on that line, the order of
     Res_z(f, g) at s = 0, y = 1 is (f . g)_p (Fulton, Algebraic Curves,
-    3.3).  `_local_norm` reads it modulo s^N, N doubling from 2 to
-    deg f deg g + 1; a resultant zero there is zero (`FermatoscError`).
+    3.3).  The curves' z-slices come straight from their terms
+    (`_multinomial_slices`), and `_online_norm` computes the resultant's
+    coefficients from s^0 up, each once, stopping at the first nonzero
+    one.  A resultant with no nonzero coefficient below
+    s^(deg f deg g + 1) is zero (`FermatoscError`).
 
     Returns (order, record): the seed, the attempt count and the accepted
     center and direction, as integer triples.  A memo block (`in_block`)
-    keeps each doubling of N from redoing the last one's products."""
+    answers the products that repeat within the call."""
     field = f.field
     hi, lo = (g, f) if f.deg < g.deg else (f, g)
     top = f.deg * g.deg + 1
@@ -818,32 +862,27 @@ def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint, seed: int = 0):
     last_fail = None
     for attempt in range(RESULTANT_ATTEMPTS):
         m = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-        v = [field.from_rational(row[0]) for row in m]
-        c = [field.from_rational(row[2]) for row in m]
+        v, c = [row[0] for row in m], [row[2] for row in m]
         if lo.evaluate(c).is_zero() or hi.evaluate(c).is_zero():
             last_fail = "center on a curve"
             continue
         if det3((v, p.coords, c)).is_zero():
             last_fail = "center at p or direction on the fiber line"
             continue
-        rows = [(v[i], p.coords[i], c[i]) for i in range(3)]
-        a, b = hi.compose_matrix(rows), lo.compose_matrix(rows)
-        # the s^0 slices restrict the curves to the fiber line, p at z = 0;
-        # the center, at z = oo, is on neither
-        ra, rb = (BinaryForm(field, [s.coeffs[0] for s in _z_slices(h, 1)])
-                  for h in (a, b))
+        a, b = (_multinomial_slices(h, v, p.coords, c) for h in (hi, lo))
+        # the s^0 coefficients restrict the curves to the fiber line, p at
+        # z = 0; the center, at z = oo, is on neither
+        ra, rb = (BinaryForm(field, [sl[0] for sl in h]) for h in (a, b))
         gcd = ra.gcd(rb)
         if gcd.valuation() != gcd.degree():
             last_fail = "extra common zero on the fiber line"
             continue
-        n = 2
-        while (order := _local_norm(a, b, n).valuation()) is None:
-            if n == top:
-                raise FermatoscError("resultant vanishes identically")
-            n = min(2 * n, top)
+        order = next((k for k, x in enumerate(_online_norm(a, b, top))
+                      if not x.is_zero()), None)
+        if order is None:
+            raise FermatoscError("resultant vanishes identically")
         record = {"seed": seed, "attempts": attempt + 1,
-                  "center": [row[2] for row in m],
-                  "direction": [row[0] for row in m]}
+                  "center": c, "direction": v}
         return order, record
     raise FermatoscError(
         f"no generic coordinate change found ({last_fail})")

@@ -31,7 +31,10 @@ lines, shifts the other factor's terms by (i, j) and scales their
 numerators when no exponent leaves the normal-form range: the shift keeps
 the terms sorted and nonzero, so only the content is divided out.  A
 product that wraps goes through the term loop.  A factor equal to one
-(terms ((0, 0, 1),) over 1, tested by value) returns the other factor.
+(terms ((0, 0, 1),) over 1, tested by value) returns the other factor, or
+inside a block the block's interned copy of it.  A Python int k scales the
+numerators by k / g and the denominator by 1 / g, g = gcd(k, den), which
+keeps the normal form: no Fraction and no element for k is built.
 
 Inversion goes through norms.  An element b(u) t^j times t^(deg_t - j)
 lies in Q(u).  Any other element is inverted through its norm to Q(u): K
@@ -53,31 +56,36 @@ t-modulus is irreducible by Capelli's criterion at one prime p = 1
 witness (p, w, c mod p) is kept as `TowerField.certificate`.
 
 `memoized()` opens a block, in the manner of `decimal.localcontext()`, in
-which the kernel reuses what it has already built.  The paper's objects
-are orbits of the monomial automorphism group, so one command multiplies
-the same few root-of-unity coefficients again and again, and building a
-new element is the kernel's main cost.  Inside a block every element the
-kernel builds (`TowerField._make`, the one-term shift of a product, a
-negation) is interned: a table keyed by (field, terms, den) hands back the
-first element built with that value, so two equal elements built in one
-block are one object.  Products, sums, differences and inverses are then
-looked up by the `id()` of their operands, the pair ordered by id for `*`
-and `+` so that a * b and b * a share one entry; no element's hash or
-value comparison is computed.  Each entry holds its operands as well as
-its result, so no operand is freed, and its id cannot pass to another
-object, while the block is open.  Operands built outside the block (the
-field's constants, say) are keyed by id in the same way.  Equality and
-hashing stay by value; `==` tests identity first.  The checks that
-raise (mixed fields, inverting zero) come first, so a rejected call stores
-nothing.  Each block starts empty and restores the enclosing one when it
-closes, and nothing in its tables outlives it.  The CLI opens one around
-each command and one per degree in `all`; the two multiplicity oracles,
-wrapped by `in_block`, join the caller's open block or else open one for
-the call, whose doubling loops redo their low-order products.  So the
-memory held is one command's (one degree's, one oracle call's) working
-set and is freed with it.  Other library calls outside a block intern
-nothing, look nothing up and hold nothing: a memo without an end would
-keep every element a long-lived caller ever made.
+which the kernel reuses what it has already built.  The paper's objects are
+orbits of the monomial automorphism group, so one command multiplies the
+same few root-of-unity coefficients again and again, and building a new
+element is the kernel's main cost.  Inside a block every element the kernel
+builds (`TowerField._make`, the one-term shift of a product, an int scale,
+a negation) is interned: a table keyed by (field, terms, den) hands back
+the first element built with that value, so two equal elements built in one
+block are one object.  A product by one enters its other factor in that
+table when no equal element is there, so an element built outside the block
+and multiplied by one inside it is the object that equal values built later
+in the block resolve to.  Each element in the table carries the block's
+token, so a factor already there is returned with no lookup.  Products,
+sums, differences and inverses are then looked up by the `id()` of their
+operands, the pair ordered by id for `*` and `+` so that a * b and b * a
+share one entry; no element's hash or value comparison is computed.  Each
+entry holds its operands as well as its result, so no operand is freed, and
+its id cannot pass to another object, while the block is open.  Operands
+built outside the block (the field's constants, say) are keyed by id in the
+same way.  Equality and hashing stay by value; `==` tests identity first.
+The checks that raise (mixed fields, inverting zero) come first, so a
+rejected call stores nothing.  Each block starts empty and restores the
+enclosing one when it closes, and nothing in its tables outlives it.  The
+CLI opens one around each command and one per degree in `all`; the two
+multiplicity oracles, wrapped by `in_block`, join the caller's open block
+or else open one for the call, whose repeated products (the same
+root-of-unity coefficients, and in `int_mult` each doubling's lower orders)
+it answers.  So the memory held is one command's (one degree's, one oracle
+call's) working set and is freed with it.  Other library calls outside a
+block intern nothing, look nothing up and hold nothing: a memo without an
+end would keep every element a long-lived caller ever made.
 """
 
 from __future__ import annotations
@@ -100,7 +108,8 @@ D_MAX = 64
 
 # the memo of the innermost open `memoized()` block, or None: the tables
 # (interned elements by (field, terms, den); products, sums, differences by
-# operand ids; inverses by id), each entry holding its operands
+# operand ids; inverses by id), each entry holding its operands, and the
+# block's token, which every element in the intern table carries
 _MEMO = ContextVar("fermatosc_tower_memo", default=None)
 
 
@@ -109,7 +118,7 @@ def memoized():
     """A block in which the kernel interns the elements it builds and `*`,
     `+`, `-` and `invert` reuse results already computed in it.  The CLI
     and `in_block` open blocks; see the module docstring."""
-    token = _MEMO.set(({}, {}, {}, {}, {}))
+    token = _MEMO.set(({}, {}, {}, {}, {}, object()))
     try:
         yield
     finally:
@@ -574,16 +583,18 @@ class FieldElement:
     `terms` holds the nonzero integer triples (i, j, n) sorted by (i, j),
     and `den > 0` with gcd(den, n, ...) = 1; zero is ((), 1).  Built by
     `TowerField._make`, which brings raw integer terms to this form, and
-    interned inside a `memoized()` block (`_intern`).
+    interned inside a `memoized()` block (`_intern`); `_block` is the token
+    of the last block whose intern table took it.
     """
 
-    __slots__ = ("field", "terms", "den", "_hash", "__weakref__")
+    __slots__ = ("field", "terms", "den", "_hash", "_block", "__weakref__")
 
     def __init__(self, field: TowerField, terms: tuple, den: int):
         self.field = field
         self.terms = terms
         self.den = den
         self._hash = None
+        self._block = None
 
     # -- views ---------------------------------------------------------------
 
@@ -702,6 +713,8 @@ class FieldElement:
 
     def __mul__(self, other):
         if other.__class__ is not FieldElement:
+            if other.__class__ is int:
+                return self._scale(other)
             other = _coerce(self.field, other)
             if other is None:
                 return NotImplemented
@@ -710,9 +723,9 @@ class FieldElement:
         if not self.terms or not other.terms:
             return self.field.zero
         if self.den == 1 and self.terms == _ONE:
-            return other
+            return _adopt(other)
         if other.den == 1 and other.terms == _ONE:
-            return self
+            return _adopt(self)
         memo = _MEMO.get()
         if memo is None:
             return self._mul(other)
@@ -749,6 +762,25 @@ class FieldElement:
         return fld._make(fld._imul(self.terms, other.terms), den)
 
     __rmul__ = __mul__
+
+    def _scale(self, k: int) -> "FieldElement":
+        """self * k for a Python int k: the numerators times k / g over
+        den / g, g = gcd(k, den), which is again in normal form, with no
+        Fraction and no element for k built."""
+        if not k or not self.terms:
+            return self.field.zero
+        if k == 1:
+            return _adopt(self)
+        den = self.den
+        g = gcd(k, den)
+        if g != 1:
+            k //= g
+            den //= g
+        terms = tuple((i, j, n * k) for i, j, n in self.terms)
+        memo = _MEMO.get()
+        if memo is None:
+            return FieldElement(self.field, terms, den)
+        return _intern(memo, self.field, terms, den)
 
     def __truediv__(self, other):
         other = _coerce(self.field, other)
@@ -801,6 +833,20 @@ def _intern(memo, field: TowerField, terms: tuple, den: int) -> FieldElement:
     out = memo[0].get(key)
     if out is None:
         out = memo[0][key] = FieldElement(field, terms, den)
+        out._block = memo[5]
+    return out
+
+
+def _adopt(x: FieldElement) -> FieldElement:
+    """x, or inside a block the element equal to x that the block interned
+    first, which is x itself when there was none.  An element that carries
+    the block's token is in its intern table already, so only one built
+    elsewhere is looked up."""
+    memo = _MEMO.get()
+    if memo is None or x._block is memo[5]:
+        return x
+    out = memo[0].setdefault((x.field, x.terms, x.den), x)
+    out._block = memo[5]
     return out
 
 

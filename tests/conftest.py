@@ -4,8 +4,31 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fermatosc.hompoly import HomPoly, ProjPoint  # noqa: E402
+import operator  # noqa: E402
+
+from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint,  # noqa: E402
+                               _substitute)
 from fermatosc.tower import Q, tower_field  # noqa: E402
+
+
+def compose_matrix(f, mat):
+    """f with x_i -> sum_j mat[i][j] x_j (rows give the new forms), as a
+    substitution of linear forms: the reference for the engine's direct
+    coordinate changes."""
+    field = f.field
+    forms = [HomPoly.line(field, *row) for row in mat]
+    return _substitute(f, forms, HomPoly.monomial(field, (0, 0, 0), 1),
+                       HomPoly.zero(field, f.deg), operator.mul)
+
+
+def z_slices(h, n):
+    """h(s, 1, z) as a list, over the powers of z, of series in s mod s^n."""
+    field = h.field
+    out = [[field.zero] * n for _ in range(h.deg + 1)]
+    for (a, _, c), coef in h.terms.items():
+        if a < n:
+            out[c][a] = coef
+    return [BinaryForm(field, s) for s in out]
 
 
 def rand_field_element(field, rng, max_terms=3, num_bound=9):

@@ -7,11 +7,13 @@ import random
 
 import pytest
 
-from conftest import (rand_curve_through, rand_field_element, rand_homogeneous,
-                      rand_line_through, rand_nonzero, rand_point)
+from conftest import (compose_matrix, rand_curve_through, rand_field_element,
+                      rand_homogeneous, rand_line_through, rand_nonzero,
+                      rand_point, z_slices)
 from fermatosc import hompoly, tower
 from fermatosc.errors import FermatoscError
-from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint, _local_norm,
+from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint,
+                               _multinomial_slices, _online_norm,
                                _rank_le_one, _substitute, branch_series,
                                disc2, hessian, int_mult, line_parametrization,
                                osculating_conic_series, parameter_of_point,
@@ -565,7 +567,7 @@ def test_proportionality_and_compose():
     f = x * x - y * z
     assert f.proportional(f.scale(fld.u_pow(3)))
     assert not f.proportional(x * x + y * z)
-    g = f.compose_matrix(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    g = compose_matrix(f, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     assert g == y * y - x * z
 
 
@@ -719,7 +721,7 @@ def test_compose_matrix_commutes_with_evaluate(d):
         p = [rand_field_element(fld, rng) for _ in range(3)]
         mp = [sum((m[i][j] * p[j] for j in range(3)), fld.zero)
               for i in range(3)]
-        assert f.compose_matrix(m).evaluate(p) == f.evaluate(mp)
+        assert compose_matrix(f, m).evaluate(p) == f.evaluate(mp)
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
@@ -908,8 +910,8 @@ def z_form(h, s0):
 
 @pytest.mark.parametrize("d", (3, 4, 5))
 def test_local_resultant_matches_sylvester(d):
-    """At the full precision deg f deg g + 1 the local determinant is the
-    whole resultant in s, times the constant _local_norm documents."""
+    """At the full precision deg f deg g + 1 the online determinant is the
+    whole resultant in s, times the constant _online_norm documents."""
     rng = random.Random(1000 + d)
     fld = tower_field(d)
     for df, dg in ((3, 2), (2, 3), (3, 3), (1, 3), (4, 1), (2, 2)):
@@ -918,30 +920,53 @@ def test_local_resultant_matches_sylvester(d):
         f = rand_curve_through(fld, rng, df, p)
         g = rand_curve_through(fld, rng, dg, p)
         while True:
-            v, c = ([fld.from_rational(rng.randint(-5, 5)) for _ in range(3)]
-                    for _ in range(2))
+            v, c = ([rng.randint(-5, 5) for _ in range(3)] for _ in range(2))
             if not (f.evaluate(c).is_zero() or g.evaluate(c).is_zero()):
                 break
+        a, b = (_multinomial_slices(h, v, p.coords, c) for h in (f, g))
+        det = BinaryForm(fld, _online_norm(a, b, df * dg + 1))
+        assert det.deg == df * dg
         rows = [(v[i], p.coords[i], c[i]) for i in range(3)]
-        a, b = f.compose_matrix(rows), g.compose_matrix(rows)
-        det = _local_norm(a, b, df * dg + 1)
+        za, zb = compose_matrix(f, rows), compose_matrix(g, rows)
         scale = g.evaluate(c) ** (df * (dg - 1) + dg * (dg - 1) // 2)
         if df * dg % 2:
             scale = -scale
         for s0 in (0, 1, -2, Q(1, 3)):
-            want = scale * sylvester_det(z_form(a, s0), z_form(b, s0))
+            want = scale * sylvester_det(z_form(za, s0), z_form(zb, s0))
             assert form_at(det, fld.from_rational(s0), fld.one) == want, \
                 (df, dg, s0)
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_multinomial_slices_match_composition(d):
+    """The z-slices expanded from f's terms are those of the composed form
+    f(v x + p y + c z) at y = 1, for random f, points p over K_d, integer
+    v and c (zero entries included) and truncations n."""
+    rng = random.Random(1100 + d)
+    fld = tower_field(d)
+    for deg in (1, 2, 3, d):
+        for _ in range(3):
+            f = rand_homogeneous(fld, rng, deg, n_terms=rng.randint(1, 6))
+            p = [rand_field_element(fld, rng, max_terms=2) for _ in range(3)]
+            v, c = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(2))
+            rows = [(v[i], p[i], c[i]) for i in range(3)]
+            n = rng.randint(1, deg + 2)
+            want = [s.coeffs for s in z_slices(compose_matrix(f, rows), n)]
+            got = _multinomial_slices(f, v, p, c)
+            assert len(got) == deg + 1
+            for k, sl in enumerate(got):
+                assert len(sl) == deg - k + 1
+                assert tuple((sl + [fld.zero] * n)[:n]) == want[k], (deg, k)
 
 
 # -- the oracles' memo blocks ----------------------------------------------------
 
 
 def _record_blocks(monkeypatch):
-    """The memo open at each branch lift and each local norm, in call
+    """The memo open at each branch lift and each online norm, in call
     order."""
     seen = []
-    for name in ("branch_series", "_local_norm"):
+    for name in ("branch_series", "_online_norm"):
         def traced(*args, _fn=getattr(hompoly, name)):
             seen.append(tower._MEMO.get())
             return _fn(*args)

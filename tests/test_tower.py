@@ -719,15 +719,16 @@ def test_nested_memo_starts_empty():
     with memoized():
         outer = tower._MEMO.get()
         ab, s, diff, inv = a * b, a + b, a - b, a.inverse()
-        saved = [dict(t) for t in outer]
-        assert len(saved) == 5 and all(saved)
+        saved = [dict(t) for t in outer[:5]]
+        assert len(outer) == 6 and all(saved)
         with memoized():
             inner = tower._MEMO.get()
-            assert inner is not outer and inner == ({}, {}, {}, {}, {})
+            assert inner is not outer and inner[:5] == ({}, {}, {}, {}, {})
+            assert inner[5] is not outer[5]
             _assert_same(a * b, ab)
             fld.zeta * a
         assert tower._MEMO.get() is outer
-        assert [dict(t) for t in outer] == saved
+        assert [dict(t) for t in outer[:5]] == saved
         assert a * b is ab and a + b is s and a - b is diff
         assert a.inverse() is inv
 
@@ -746,7 +747,7 @@ def test_memoized_errors_store_nothing():
             f3.invert(f4.u)
         with pytest.raises(FermatoscError, match="cannot invert zero"):
             f3.zero.inverse()
-        assert memo == ({}, {}, {}, {}, {})
+        assert memo[:5] == ({}, {}, {}, {}, {})
 
 
 @pytest.mark.parametrize("d", (5, 8))
@@ -797,8 +798,10 @@ def test_memo_interns_equal_elements():
 @pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
 def test_product_by_one_is_the_other_factor(d):
     """A factor equal to one, the field's `one` or a one built inside a
-    block, gives the plain kernel's product by returning the other factor,
-    and a block's tables stay as they were."""
+    block, gives the plain kernel's product by returning the other factor;
+    inside a block it is the block's interned copy, which an equal value
+    built later in the block resolves to, and the product, sum, difference
+    and inverse tables stay as they were."""
     fld = tower_field(d)
     elems = _memo_operands(fld, random.Random(1900 + d))
     plain = [(x._mul(fld.one), fld.one._mul(x)) for x in elems]
@@ -811,14 +814,68 @@ def test_product_by_one_is_the_other_factor(d):
         one = fld.from_rational(1)
         assert one is not fld.one
         memo = tower._MEMO.get()
-        tables = [dict(t) for t in memo]
+        tables = [dict(t) for t in memo[1:5]]
         for o in (fld.one, one):
             for x, (right, left) in zip(elems, plain):
                 _assert_same(x * o, right)
                 _assert_same(o * x, left)
+                assert x * o is o * x
             _assert_same(o * o, fld.one)
             _assert_same(o * fld.one, fld.one)
-        assert [dict(t) for t in memo] == tables
+        assert [dict(t) for t in memo[1:5]] == tables
+        for x in elems:
+            adopted = x * one
+            assert adopted is (one if x == one else x)
+            assert fld._make(list(x.terms), x.den) is adopted
+            assert fld.one * x is adopted and x * 1 is adopted
+
+
+def test_product_by_one_adopts_into_the_innermost_block():
+    """A factor that another block interned or adopted, open or closed, is
+    looked up in the innermost open block's table."""
+    fld = tower_field(5)
+    x = fld.u + fld.t
+
+    def twin():
+        return fld._make(list(x.terms), x.den)
+
+    with memoized():
+        assert x * fld.one is x and twin() is x
+        with memoized():
+            inner = twin()
+            assert inner is not x and x * fld.one is inner
+            assert fld.one * inner is inner
+        assert fld.one * x is x and twin() is x
+    with memoized():
+        later = twin()
+        assert later is not x and x * fld.one is later
+
+
+@pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
+def test_int_scalar_matches_rational_product(d, monkeypatch):
+    """x * k and k * x for a Python int k have the normal form of
+    x * from_rational(k), outside a block and inside one (where they are
+    the interned element), and build no rational element for k."""
+    fld = tower_field(d)
+    elems = _memo_operands(fld, random.Random(2100 + d)) + [fld.zero]
+    cases = [(x, k) for x in elems
+             for k in (0, 1, -1, 2, -2, 3 * x.den, -6 * x.den, 2**70)]
+    want = [x * fld.from_rational(k) for x, k in cases]
+    for block in (False, True):
+        with memoized() if block else contextlib.nullcontext():
+            with monkeypatch.context() as m:
+                def refuse(self, q):
+                    raise AssertionError("int product built a rational")
+                m.setattr(tower.TowerField, "from_rational", refuse)
+                got = [(x * k, k * x) for x, k in cases]
+            for (x, k), w, (right, left) in zip(cases, want, got):
+                _assert_same(right, w)
+                _assert_same(left, w)
+                assert right.den > 0 and gcd(right.den, *[
+                    n for _, _, n in right.terms]) == 1
+                if block:
+                    assert right is left
+                    assert fld._make(list(w.terms), w.den) is right
 
 
 def test_product_by_another_fields_one_raises():
