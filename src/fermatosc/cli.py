@@ -387,48 +387,56 @@ def cmd_collinear(args):
 
 
 def _verify_line(curve, label, line):
+    """The tangent and conic reports of a grid line, each a
+    `ConcurrencyReport` or the message of the `FermatoscError` it raised,
+    and the line's failures.  Only `verify` renders the reports."""
     failures = []
-    entry = {"line_label": label, "line": line.to_json_dict()}
     try:
-        rep = tangent_concurrency(curve, line)
-        entry["tangent"] = rep.to_json_dict()
-        if not all(rep.certificates.values()):
+        tangent = tangent_concurrency(curve, line)
+        if not all(tangent.certificates.values()):
             failures.append({"check": "tangent-certificates", "line": label})
     except FermatoscError as exc:
-        entry["tangent"] = {"error": str(exc)}
+        tangent = str(exc)
         failures.append({"check": "tangent-concurrency", "line": label,
-                         "detail": str(exc)})
+                         "detail": tangent})
     try:
-        rep = conic_common_points(curve, line)
-        entry["conic"] = rep.to_json_dict()
+        conic = conic_common_points(curve, line)
         expected = paper_claims(curve.d)["conic_common_points"][label[0]]
-        if rep.count != expected:
+        if conic.count != expected:
             failures.append({"check": "conic-common-count", "line": label,
-                             "got": rep.count, "expected": expected})
+                             "got": conic.count, "expected": expected})
     except FermatoscError as exc:
-        entry["conic"] = {"error": str(exc)}
+        conic = str(exc)
         failures.append({"check": "conic-common-points", "line": label,
-                         "detail": str(exc)})
-    return entry, failures
+                         "detail": conic})
+    return (tangent, conic), failures
 
 
 def cmd_verify(args):
     curve = FermatCurve(args.degree)
     if args.theorem == "main":
-        return _verify_main(curve, args.line_index)
+        done, failures = _verify_main(curve, args.line_index)
+        results = []
+        for label, line, reports, _ in done:
+            entry = {"line_label": label, "line": line.to_json_dict()}
+            for key, rep in zip(("tangent", "conic"), reports):
+                entry[key] = ({"error": rep} if isinstance(rep, str)
+                              else rep.to_json_dict())
+            results.append(entry)
+        return {"lines": results, "line_count": len(results)}, failures
     degrees = (1, 2) if args.osc_degree is None else (args.osc_degree,)
     return _verify_invariant(curve, degrees)
 
 
 def _verify_main(curve, line_index=None):
+    """(label, line, reports, failures) for every grid line, or for line
+    `line_index` alone, and all their failures."""
     if line_index is None:
         lines = _grid_lines(curve)
     else:
         lines = [_grid_line(curve, line_index)]
-    done = [_verify_line(curve, label, L) for label, L in lines]
-    results = [entry for entry, _ in done]
-    failures = [f for _, fails in done for f in fails]
-    return {"lines": results, "line_count": len(results)}, failures
+    done = [(label, L, *_verify_line(curve, label, L)) for label, L in lines]
+    return done, [f for *_, fails in done for f in fails]
 
 
 def _verify_invariant(curve, degrees):
@@ -536,9 +544,9 @@ def _all_degree(d, rng):
     section["collinear"], fails, _ = _collinear(curve)
     sec_fail += fails
 
-    vpay, vfails = _verify_main(curve)
+    done, vfails = _verify_main(curve)
     section["concurrency"] = {
-        "lines_verified": vpay["line_count"],
+        "lines_verified": len(done),
         "failures": len(vfails)}
     sec_fail += vfails
 

@@ -58,9 +58,11 @@ class FermatCurve:
     inflection points) are each built on first use, so a query of one kind
     builds no point of the other.  The ratio table of a coordinate pair
     a < b, built on the first lookup of a line in that pair, maps
-    x_b / x_a to the specials with that coordinate ratio.  `orbits` is the
-    memo that `symmetry.curve_orbit` fills: the orbit of a point under an
-    automorphism.
+    x_b / x_a to the specials with that coordinate ratio.  `orbits`,
+    `scalings` and `line_families` are the memos that `symmetry` fills: the
+    orbit of a point under an automorphism (`curve_orbit`), the scaling of
+    each coordinate, and the sextactic points and fixed line of each grid
+    line (`_line_family`).
     """
 
     def __init__(self, d: int):
@@ -75,6 +77,8 @@ class FermatCurve:
         self._hyperosculating = {}
         self._ratio_tables = {}
         self.orbits = {}
+        self.scalings = {}
+        self.line_families = {}
 
     @cached_property
     def sextactic(self) -> tuple:

@@ -23,7 +23,11 @@ at a smooth point are computed two independent ways:
 `restrict_to_line` pulls a curve back to a line along a deterministic
 parametrization and returns a binary form (`pullback_to_line` is the
 general pullback along any two points), and `parameter_of_point` reads
-a point's parameter on that line off its coordinates.  The contact order
+a point's parameter on that line off its coordinates.  Both, and
+`line_parametrization`, read the line's chart (`LineChart`), kept on the
+line object as `exponents_used` is: its pivot, its two ratios and the
+expansion of each power of the pivot coordinate, built once however many
+curves are restricted to the line.  The contact order
 there, `BinaryForm.root_multiplicity`, is the number of successive
 derivatives of the form that vanish at that parameter; `disc2` is the
 discriminant of a binary quadratic.
@@ -46,7 +50,7 @@ LINEAR_EXPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 class HomPoly:
     """Homogeneous polynomial in x, y, z over K_d."""
 
-    __slots__ = ("field", "deg", "terms", "_hash", "_exps")
+    __slots__ = ("field", "deg", "terms", "_hash", "_exps", "_chart")
 
     def __init__(self, field: TowerField, deg: int, terms: dict):
         self.field = field
@@ -60,6 +64,7 @@ class HomPoly:
         self.terms = clean
         self._hash = None
         self._exps = None
+        self._chart = None
 
     # -- constructors -------------------------------------------------------
 
@@ -115,6 +120,12 @@ class HomPoly:
             cols = tuple(zip(*self.terms)) or ((), (), ())
             self._exps = tuple(tuple(sorted(set(col) - {0})) for col in cols)
         return self._exps
+
+    def line_chart(self) -> "LineChart":
+        """The chart of this linear form (`LineChart`), built on first use."""
+        if self._chart is None:
+            self._chart = LineChart(self)
+        return self._chart
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -373,10 +384,13 @@ def _rank_le_one(a, b) -> bool:
 
 
 def _powers(v: FieldElement, n: int) -> list:
-    """[1, v, ..., v^n]."""
-    out = [v.field.one]
-    for _ in range(n):
-        out.append(out[-1] * v)
+    """[1, v, ..., v^n]; a v equal to zero or one is each of its powers
+    above the first, with no product."""
+    one = v.field.one
+    out = [one, v][:n + 1]
+    same = v.is_zero() or v == one
+    for _ in range(n - 1):
+        out.append(v if same else out[-1] * v)
     return out
 
 
@@ -526,58 +540,81 @@ def pullback_to_line(c: HomPoly, v1, v2) -> BinaryForm:
                        operator.mul)
 
 
-def _pivot_ratios(L: HomPoly):
-    """(k, r): the pivot k of a linear form, the index of its first nonzero
-    coefficient in x < y < z order, and -c / (pivot coefficient) for each
-    coefficient c after it.  The pivot coefficient is inverted only when it
-    is not one and some c is nonzero."""
-    coeffs = L.line_coeffs()
-    k = next((k for k, c in enumerate(coeffs) if not c.is_zero()), None)
-    if k is None:
-        raise ValueError("zero linear form")
-    pivot, rest = coeffs[k], coeffs[k + 1:]
-    if not any(rest):
-        return k, rest
-    inv = pivot if pivot == L.field.one else L.field.invert(pivot)
-    return k, tuple(-(c * inv) for c in rest)
+class LineChart:
+    """A line's parametrization in the form that `restrict_to_line`,
+    `line_parametrization` and `parameter_of_point` read, built once per
+    line object (`HomPoly.line_chart`).
+
+    `pivot` is the index k of the form's first nonzero coefficient in
+    x < y < z order, and `ratios` = (alpha, beta) are -c / (pivot
+    coefficient) for the coefficients c after it, padded with zeros in
+    front; the pivot coefficient is inverted only when it is not one and
+    some c is nonzero.  The two other coordinates map to s and t, in order,
+    and the pivot to alpha s + beta t.  `row(e)`, built on first use and
+    kept, holds the nonzero entries (i, comb(e, i) alpha^i beta^(e - i)) of
+    (alpha s + beta t)^e.  An entry equal to one is the field's `one`, and
+    none is a product by zero or one, so the rows of a coordinate line or a
+    difference of two coordinates cost no product."""
+
+    __slots__ = ("pivot", "ratios", "_rows")
+
+    def __init__(self, L: HomPoly):
+        field = L.field
+        coeffs = L.line_coeffs()
+        k = next((k for k, c in enumerate(coeffs) if not c.is_zero()), None)
+        if k is None:
+            raise ValueError("zero linear form")
+        pivot, rest = coeffs[k], coeffs[k + 1:]
+        if any(rest) and pivot != field.one:
+            inv = field.invert(pivot)
+            rest = [c * inv for c in rest]
+        self.pivot = k
+        self.ratios = (field.zero,) * (2 - len(rest)) + tuple(-c for c in rest)
+        self._rows = {}
+
+    def row(self, e: int) -> list:
+        row = self._rows.get(e)
+        if row is None:
+            ap, bp = (_powers(r, e) for r in self.ratios)
+            one, row = ap[0], []
+            for i in range(e + 1):
+                a, b = ap[i], bp[e - i]
+                if a.is_zero() or b.is_zero():
+                    continue
+                v = b if a == one else a if b == one else a * b
+                if 0 < i < e:
+                    v = v * comb(e, i)
+                row.append((i, one if v == one else v))
+            self._rows[e] = row
+        return row
 
 
 def line_parametrization(L: HomPoly):
     """Deterministic kernel basis of a linear form, pivoting x < y < z."""
     field = L.field
     zero, one = field.zero, field.one
-    k, r = _pivot_ratios(L)
-    if k == 0:
-        return ((r[0], one, zero), (r[1], zero, one))
-    if k == 1:
-        return ((one, zero, zero), (zero, r[0], one))
+    chart = L.line_chart()
+    alpha, beta = chart.ratios
+    if chart.pivot == 0:
+        return ((alpha, one, zero), (beta, zero, one))
+    if chart.pivot == 1:
+        return ((one, zero, zero), (zero, beta, one))
     return ((one, zero, zero), (zero, one, zero))
 
 
 def restrict_to_line(c: HomPoly, L: HomPoly) -> BinaryForm:
     """c pulled back along `line_parametrization(L)`, the form that
-    `pullback_to_line` gives.  The parametrization maps the two coordinates
-    other than the pivot to s and t, in order, and the pivot to
-    alpha s + beta t (alpha = 0 for a y pivot, alpha = beta = 0 for a z
-    pivot), so only the pivot is substituted."""
+    `pullback_to_line` gives: each term of c adds the row of L's chart
+    (`LineChart`) for its pivot exponent, shifted by its exponent of s, and
+    an entry that is one adds the coefficient with no product."""
     field = c.field
-    k, r = _pivot_ratios(L)
-    alpha, beta = (field.zero,) * (2 - len(r)) + tuple(r)
-    top = max((e[k] for e in c.terms), default=0)
-    ap, bp = _powers(alpha, top), _powers(beta, top)
-    rows = {}                               # (alpha s + beta t)^e, by s^i
+    chart = L.line_chart()
+    k, one = chart.pivot, field.one
     out = [field.zero] * (c.deg + 1)
     for exps, coef in c.terms.items():
-        e, es = exps[k], exps[1 if k == 0 else 0]
-        row = rows.get(e)
-        if row is None:
-            row = rows[e] = [ap[i] * bp[e - i] for i in range(e + 1)]
-            for i, v in enumerate(row):
-                if not v.is_zero() and 0 < i < e:
-                    row[i] = v * comb(e, i)
-        for i, v in enumerate(row):
-            if not v.is_zero():
-                out[i + es] = out[i + es] + coef * v
+        es = exps[1 if k == 0 else 0]
+        for i, v in chart.row(exps[k]):
+            out[i + es] = out[i + es] + (coef if v is one else coef * v)
     return BinaryForm(field, out)
 
 
@@ -595,7 +632,7 @@ def parameter_of_point(p: ProjPoint, L: HomPoly) -> tuple:
     read off with no division once p is checked on L."""
     if not L.evaluate(p).is_zero():
         raise ValueError("point not on the parametrized line")
-    pivot = [c.is_zero() for c in L.line_coeffs()].index(False)
+    pivot = L.line_chart().pivot
     return tuple(c for i, c in enumerate(p.coords) if i != pivot)
 
 

@@ -18,11 +18,13 @@ the restriction rather than solved for.
 The sextactic points of a grid line come from the curve's incidence lookup
 (`FermatCurve.sextactic_on_line`): a lookup by coordinate ratio, complete
 by construction of the ratio table, with each point certified on the line
-by one exact evaluation.  The orbits under an automorphism and the tangents
-and osculating conics at each point are built once per curve and kept on
-it; the scaling whose orbit is a line's point set is read off that kept
-orbit.  `_line_family` gives both certificates a grid line's d points and
-the line that scaling fixes.
+by one exact evaluation.  The orbits under an automorphism, the tangents
+and osculating conics at each point, the three coordinate scalings and the
+family of each grid line are built once per curve and kept on it.
+`_line_family` gives both certificates of a grid line its d points and the
+line fixed by the scaling whose orbit they are, so the 9d grid lines share
+three fixed lines, each restricted through one chart
+(`HomPoly.line_chart`).
 """
 
 from __future__ import annotations
@@ -270,10 +272,15 @@ def orbit_automorphism_for_line(curve: FermatCurve, line: HomPoly, pts):
     Only the scaling of a coordinate missing from the line maps the line to
     itself, so that scaling is the one candidate; its orbit through the
     first point, kept on the curve by `curve_orbit`, must be the point set.
+    The scaling is built once per curve (`FermatCurve.scalings`), and so
+    are its fixed line and that line's chart.
     """
     zeros = [i for i, c in enumerate(line.line_coeffs()) if c.is_zero()]
     if len(zeros) == 1:
-        g = (rho, y_scaling, z_scaling)[zeros[0]](curve.field)
+        i = zeros[0]
+        if i not in curve.scalings:
+            curve.scalings[i] = (rho, y_scaling, z_scaling)[i](curve.field)
+        g = curve.scalings[i]
         orb = curve_orbit(curve, pts[0].point, g)
         point_set = {s.point for s in pts}
         if len(orb) == len(point_set) and set(orb) == point_set:
@@ -284,15 +291,21 @@ def orbit_automorphism_for_line(curve: FermatCurve, line: HomPoly, pts):
 
 def _line_family(curve: FermatCurve, grid_line: HomPoly):
     """The d sextactic points of a grid line and the line fixed pointwise by
-    the scaling whose orbit they are; fewer than d points raise
-    `CertificationFailure` with the points found as its witness."""
-    d = curve.d
-    pts = points_on_line(curve, grid_line)
-    if len(pts) != d:
-        raise CertificationFailure(
-            f"{len(pts)} sextactic points on the line, need {d}", witness=pts)
-    g = orbit_automorphism_for_line(curve, grid_line, pts)
-    return pts, fixed_line(g)
+    the scaling whose orbit they are, built once per line and kept on the
+    curve (`FermatCurve.line_families`); fewer than d points raise
+    `CertificationFailure` with the points found as its witness, and keep
+    nothing."""
+    family = curve.line_families.get(grid_line)
+    if family is None:
+        d = curve.d
+        pts = points_on_line(curve, grid_line)
+        if len(pts) != d:
+            raise CertificationFailure(
+                f"{len(pts)} sextactic points on the line, need {d}",
+                witness=pts)
+        g = orbit_automorphism_for_line(curve, grid_line, pts)
+        family = curve.line_families[grid_line] = (pts, fixed_line(g))
+    return family
 
 
 def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyReport:

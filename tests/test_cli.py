@@ -15,7 +15,7 @@ import fermatosc
 from fermatosc import cli, hompoly, tower
 from fermatosc.cli import indented_json, main
 from fermatosc.hompoly import HomPoly, resultant_order
-from fermatosc.symmetry import identity
+from fermatosc.symmetry import ConcurrencyReport, identity
 
 
 def run_cli(argv, capsys):
@@ -180,6 +180,66 @@ def test_verify_records_fire(record, argv, name, plant, want, monkeypatch,
     code, rep = run_json(argv, capsys)
     assert (code, rep["status"], rep["failures"]) == (1, "failed", want)
     assert record in [f["check"] for f in want]
+
+
+def _plus_x_power(make):
+    """`make` with its polynomial's x^deg coefficient raised by one."""
+    def wrong(*args):
+        poly = make(*args)
+        return poly + HomPoly.monomial(poly.field, (poly.deg, 0, 0), 1)
+    return wrong
+
+
+ALL_D3 = ["all", "--min-degree", "3", "--max-degree", "3"]
+
+# (record, argv, dotted name under fermatosc, its planted fault, the
+# failures expected): the records of `hessian2` and of `all`'s opening
+# stages
+SUITE_PLANTED_FAULTS = [
+    ("hessian_matches_closed_form", ["hessian2", "--degree", "3"],
+     "fermat.hessian", _plus_x_power,
+     [{"check": "hessian_matches_closed_form"}]),
+    ("two_hessian_matches_factored_form", ["hessian2", "--degree", "3"],
+     "cli.two_hessian", _plus_x_power,
+     [{"check": "two_hessian_matches_factored_form"}]),
+    ("inflection-suite", ALL_D3, "cli.inflection_points", _drop_first,
+     [{"check": "inflection-suite", "degree": 3}]),
+    ("sextactic-suite", ALL_D3, "cli.sextactic_count_formula",
+     lambda count: lambda curve: count(curve) + 1,
+     [{"check": "sextactic-suite", "degree": 3}]),
+]
+
+
+@pytest.mark.parametrize("record, argv, name, plant, want",
+                         SUITE_PLANTED_FAULTS,
+                         ids=[row[0] for row in SUITE_PLANTED_FAULTS])
+def test_hessian2_and_suite_records_fire(record, argv, name, plant, want,
+                                         monkeypatch, capsys):
+    """Each record of `hessian2` and of `all`'s inflection and sextactic
+    stages fires on a planted fault at d = 3: a Hessian or a 2-Hessian with
+    one wrong coefficient, an inflection point dropped, a count formula off
+    by one."""
+    original = operator.attrgetter(name)(fermatosc)
+    monkeypatch.setattr(f"fermatosc.{name}", plant(original))
+    code, rep = run_json(argv, capsys)
+    assert (code, rep["status"], rep["failures"]) == (1, "failed", want)
+    assert record in [f["check"] for f in want]
+
+
+def test_all_fails_when_a_line_check_fails(monkeypatch, capsys):
+    """`all` counts the failed line checks that `verify` reports, under the
+    `tangent-concurrency` plant of `VERIFY_PLANTED_FAULTS`, and exits 1."""
+    _, _, name, plant, _ = VERIFY_PLANTED_FAULTS[0]
+    monkeypatch.setattr(f"fermatosc.{name}",
+                        plant(operator.attrgetter(name)(fermatosc)))
+    code, rep = run_json(["verify", "--theorem", "main", "--degree", "3"],
+                         capsys)
+    assert code == 1 and rep["failures"]
+    code, suite = run_json(ALL_D3, capsys)
+    assert (code, suite["status"]) == (1, "failed")
+    concurrency = suite["payload"]["degrees"]["3"]["concurrency"]
+    assert concurrency == {"lines_verified": 27,
+                           "failures": len(rep["failures"])}
 
 
 def test_failed_series_oracle_is_a_failed_certificate(monkeypatch, capsys):
@@ -443,6 +503,20 @@ def test_all_small_range(tmp_path):
     assert sec["sextactic"]["count"] == 27
     assert sec["freeness"]["B"]["free"]
     assert sec["invariant_intersection"]["all_invariant"]
+
+
+def test_all_renders_no_line_report(tmp_path, monkeypatch):
+    """`all` reports only counts of the per-line certificates, so it writes
+    the same bytes when a concurrency report cannot be rendered."""
+    plain, patched = tmp_path / "plain.json", tmp_path / "patched.json"
+    argv = ["all", "--max-degree", "3", "--out"]
+    assert main(argv + [str(plain)]) == 0
+
+    def no_render(self):
+        raise AssertionError("a per-line report rendered")
+    monkeypatch.setattr(ConcurrencyReport, "to_json_dict", no_render)
+    assert main(argv + [str(patched)]) == 0
+    assert plain.read_bytes() == patched.read_bytes()
 
 
 def test_all_checks_every_inflection_point(tmp_path):

@@ -847,23 +847,55 @@ def test_restrict_to_line_matches_pullback(d):
 
 def test_restriction_to_coordinate_lines_inverts_nothing(monkeypatch):
     """A restriction to a coordinate line, x - y, x - z or y - z inverts
-    nothing: its pivot coefficient is one, or scales nothing."""
+    nothing and multiplies nothing, its chart included: the pivot
+    coefficient is one, or scales nothing, and each row entry is one."""
     rng = random.Random(1450)
     fld = tower_field(5)
     zero, one = fld.zero, fld.one
     curves = [fermat(5)[1], rand_homogeneous(fld, rng, 4, n_terms=8),
               HomPoly(fld, 2, {e: rand_nonzero(fld, rng) for e in
                                ((2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 2))})]
-    lines = [HomPoly.line(fld, *c) for c in
-             ((one, zero, zero), (zero, one, zero), (zero, zero, one),
-              (one, -one, zero), (one, zero, -one), (zero, one, -one),
-              (zero, zero, 2 * one))]
-    want = [[pullback_to_line(c, *line_parametrization(L)) for L in lines]
-            for c in curves]
+    coefs = ((one, zero, zero), (zero, one, zero), (zero, zero, one),
+             (one, -one, zero), (one, zero, -one), (zero, one, -one),
+             (zero, zero, 2 * one))
+    want = [[pullback_to_line(c, *line_parametrization(HomPoly.line(fld, *v)))
+             for v in coefs] for c in curves]
+    lines = [HomPoly.line(fld, *v) for v in coefs]
+
+    def no_product(*args):
+        raise AssertionError("a product in a coordinate-line restriction")
     with monkeypatch.context() as m:
         m.setattr(TowerField, "invert", None)
+        m.setattr(tower.FieldElement, "__mul__", no_product)
+        m.setattr(tower.FieldElement, "__rmul__", no_product)
         got = [[restrict_to_line(c, L) for L in lines] for c in curves]
     assert got == want
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_line_chart_is_kept_across_polynomials_and_blocks(d):
+    """One line object restricts curves of degree 1 to 4 through one chart,
+    built in a first memo block and read again in a second: each
+    restriction is the pullback along `line_parametrization`, computed
+    outside any block on a copy of the line."""
+    rng = random.Random(1470 + d)
+    fld = tower_field(d)
+    curves = [rand_homogeneous(fld, rng, deg, n_terms=6)
+              for deg in (1, 2, 3, 4)] + [fermat(d)[1]]
+    for L in _lines_of_each_pivot(fld, rng):
+        copy = HomPoly(fld, 1, dict(L.terms))
+        want = [pullback_to_line(c, *line_parametrization(copy))
+                for c in curves]
+        with tower.memoized():
+            assert L._chart is None
+            first = [restrict_to_line(c, L) for c in curves[:2]]
+            chart = L._chart
+            assert chart is not None and L.line_chart() is chart
+        with tower.memoized():
+            again = [restrict_to_line(c, L) for c in curves]
+            assert line_parametrization(L) == line_parametrization(copy)
+        assert L._chart is chart
+        assert first == want[:2] and again == want
 
 
 def test_rank_le_one_matches_all_minors():

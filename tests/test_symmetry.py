@@ -432,6 +432,26 @@ def test_failed_vertex_check_keeps_no_ratio_table():
     assert C._ratio_tables == {}
 
 
+def test_both_certificates_share_one_line_family(monkeypatch):
+    """The tangent and conic certificates of a grid line look its points up
+    once, and the 9d grid lines share the three fixed lines of the curve's
+    coordinate scalings."""
+    C = FermatCurve(4)
+    calls = []
+
+    def counted(curve, line):
+        calls.append(line)
+        return points_on_line(curve, line)
+    monkeypatch.setattr(symmetry, "points_on_line", counted)
+    lines = [L for token in ("B", "M", "N") for L in build(token, 4).lines]
+    reports = [(tangent_concurrency(C, L), conic_common_points(C, L))
+               for L in lines]
+    assert calls == lines
+    fixed = {id(rep.fixed_line) for pair in reports for rep in pair}
+    assert len(fixed) == 3
+    assert all(t.points is c.points for t, c in reports)
+
+
 def test_curve_tables_die_with_the_curve():
     C = FermatCurve(3)
     L = build("Bz", 3).lines[0]
