@@ -47,8 +47,9 @@ from .fermat import (FermatCurve, hyperosculating_conic, inflection_points,
                      sextactic_count_formula, sextactic_points, tangent_line,
                      two_hessian, two_hessian_factored)
 from .hompoly import HomPoly, int_mult, osculating_conic_series
-from .symmetry import (conic_common_points, curve_orbit, generator_panel,
-                       tangent_concurrency, verify_invariant_intersection)
+from .symmetry import (conic_common_points, contact_certificate, curve_orbit,
+                       generator_panel, tangent_concurrency,
+                       verify_invariant_intersection)
 from . import tower
 
 KINDS = ("sextactic", "inflection", "all")
@@ -149,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--min-degree", type=int, default=3)
     sp.add_argument("--max-degree", type=int, default=6)
     sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the sampled sextactic checks")
+                    help="seed for the sampled check that the conic "
+                         "pipelines agree")
     return p
 
 
@@ -441,7 +443,7 @@ def _verify_main(curve, line_index=None):
 
 def _verify_invariant(curve, degrees):
     checks, failures = [], []
-    panel = generator_panel(curve.field)
+    panel = generator_panel(curve)
     specials = [("sextactic", s.point) for s in sextactic_points(curve)]
     specials += [("inflection", p) for p in inflection_points(curve)]
     for n in degrees:
@@ -495,10 +497,12 @@ def _all_degree(d, rng):
                           if not isinstance(v, dict)}
     sec_fail += fails
 
+    # the contact at every special point, carried by symmetry
+    contacts = contact_certificate(curve)
     infl = inflection_points(curve)
-    mults = [int_mult(curve.poly, curve.osculating(p, 1), p) for p in infl]
+    mults = contacts.tangent
     section["inflection"] = {"count": len(infl),
-                             "checked": len(infl),
+                             "checked": len(mults),
                              "tangent_contacts": sorted(set(mults))}
     if (len(infl) != claims["inflection_count"]
             or set(mults) != {claims["inflection_tangent_contact"]}):
@@ -506,12 +510,10 @@ def _all_degree(d, rng):
 
     pts = sextactic_points(curve)
     idx = rng.sample(range(len(pts)), min(6, len(pts)))
-    contacts = []
     prop_ok = True
     for i in idx:
         s = pts[i]
         O = curve.hyperosculating(s)
-        contacts.append(int_mult(curve.poly, O, s.point))
         closed = curve.osculating(s.point, 2)
         cay = osculating_conic_cayley(curve, s.point)
         prop_ok = prop_ok and closed.proportional(O) \
@@ -519,10 +521,11 @@ def _all_degree(d, rng):
     section["sextactic"] = {"count": len(pts),
                             "count_formula": sextactic_count_formula(curve),
                             "sampled": len(idx),
-                            "conic_contacts": sorted(set(contacts)),
+                            "conic_contacts": sorted(set(contacts.conic)),
                             "conic_pipelines_proportional": prop_ok}
     if (len(pts) != claims["sextactic_count"]
-            or set(contacts) != {claims["conic_contact"]} or not prop_ok
+            or set(contacts.conic) != {claims["conic_contact"]}
+            or not prop_ok
             or sextactic_count_formula(curve) != len(pts)):
         sec_fail.append({"check": "sextactic-suite", "degree": d})
 

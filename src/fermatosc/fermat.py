@@ -23,7 +23,12 @@ covariant combination 9H^3(p) D2F_p - (6H^2(p) DH_p + W(p) DF_p) DF_p with
 W = -3*Omega*H + 4*Psi, and a six-term closed form in the coordinates of p.
 At a sextactic point the conic specializes to the hyperosculating conic
 O_{j,k} whose coefficients are explicit monomials; the conics of clusters y
-and x are the cluster-z conic with its variables permuted.
+and x are the cluster-z conic with its variables permuted.  The contact of
+O_{j,k} with the curve, 6, and of the tangent at each inflection point, d,
+are certified at every point by symmetry (`symmetry.contact_certificate`),
+which also proves O_{j,k} the osculating conic wherever it carries the
+contact; the closed form then serves the `conic` query and the sampled
+agreement check of the pipelines.
 """
 
 from __future__ import annotations
@@ -59,10 +64,11 @@ class FermatCurve:
     builds no point of the other.  The ratio table of a coordinate pair
     a < b, built on the first lookup of a line in that pair, maps
     x_b / x_a to the specials with that coordinate ratio.  `orbits`,
-    `scalings` and `line_families` are the memos that `symmetry` fills: the
-    orbit of a point under an automorphism (`curve_orbit`), the scaling of
-    each coordinate, and the sextactic points and fixed line of each grid
-    line (`_line_family`).
+    `scalings`, `line_families` and `contacts` are the memos that
+    `symmetry` fills: the orbit of a point under an automorphism
+    (`curve_orbit`), the scaling of each coordinate (`coordinate_scaling`),
+    the sextactic points and fixed line of each grid line (`_line_family`),
+    and the contact at every special point (`contact_certificate`).
     """
 
     def __init__(self, d: int):
@@ -79,6 +85,7 @@ class FermatCurve:
         self.orbits = {}
         self.scalings = {}
         self.line_families = {}
+        self.contacts = None
 
     @cached_property
     def sextactic(self) -> tuple:

@@ -24,18 +24,29 @@ family of each grid line are built once per curve and kept on it.
 `_line_family` gives both certificates of a grid line its d points and the
 line fixed by the scaling whose orbit they are, so the 9d grid lines share
 three fixed lines, each restricted through one chart
-(`HomPoly.line_chart`).
+(`HomPoly.line_chart`).  The invariant-intersection panel takes its three
+scalings from the curve too (`coordinate_scaling`).
+
+Intersection multiplicity is invariant under the automorphisms, so the
+contact at every special point comes from one `int_mult` per point set
+(`ContactCertificate`): each other point gets it through an element read
+off its indices, checked exactly to map point 0 to it and its osculating
+curve to point 0's, or, when a check fails, from `int_mult` at the point.
+Where the contact is carried, the hyperosculating conic is the osculating
+conic, and the invariant-intersection check reads it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import permutations
 from typing import Optional
 
 from .errors import CertificationFailure, FermatoscError
-from .fermat import FermatCurve
-from .hompoly import (HomPoly, ProjPoint, cross, disc2,
+from .fermat import CLUSTERS, FermatCurve, rotate
+from .hompoly import (HomPoly, ProjPoint, cross, disc2, int_mult,
                       line_parametrization, restrict_to_line)
 from .tower import FieldElement, TowerField, tower_field
 
@@ -45,8 +56,9 @@ class Automorphism:
     scale[2] = 1.
 
     Built from the permutation and the three scalars, which may be field
-    elements or rationals.  The slot `_fixed` is unset until
-    `fixed_line(self)` fills it.
+    elements or rationals; scalars whose last entry is one already are kept
+    as given, so building them inverts nothing.  The slot `_fixed` is unset
+    until `fixed_line(self)` fills it.
     """
 
     __slots__ = ("field", "perm", "scale", "_hash", "_fixed")
@@ -54,10 +66,12 @@ class Automorphism:
     def __init__(self, field: TowerField, perm, scale):
         scale = [v if isinstance(v, FieldElement) else field.from_rational(v)
                  for v in scale]
-        unit = field.invert(scale[2])
+        if scale[2] != field.one:
+            unit = field.invert(scale[2])
+            scale = [v * unit for v in scale]
         self.field = field
         self.perm = tuple(perm)
-        self.scale = tuple(v * unit for v in scale)
+        self.scale = tuple(scale)
         self._hash = None
 
     # -- group structure -----------------------------------------------------
@@ -87,6 +101,16 @@ class Automorphism:
     def apply_point(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(self.field, [s * p.coords[j]
                                       for s, j in zip(self.scale, self.perm)])
+
+    def maps(self, p: ProjPoint, q: ProjPoint) -> bool:
+        """Whether g.p = q, exactly, without normalizing g.p: q is stored
+        with its pivot coordinate one, so g.p = q when the image's pivot
+        coordinate is nonzero and times q is the image."""
+        image = [s * p.coords[j] for s, j in zip(self.scale, self.perm)]
+        k = next(i for i, c in enumerate(q.coords) if not c.is_zero())
+        lam = image[k]
+        return not lam.is_zero() and all(
+            v == lam * c for v, c in zip(image, q.coords))
 
     def pullback(self, f: HomPoly) -> HomPoly:
         """f composed with this map; vanishes on the preimage of V(f)."""
@@ -125,12 +149,26 @@ def z_scaling(field: TowerField) -> Automorphism:
     return Automorphism(field, (0, 1, 2), (1, 1, field.zeta))
 
 
-def generator_panel(field: TowerField):
+def coordinate_scaling(curve: FermatCurve, i: int) -> Automorphism:
+    """The scaling of coordinate i by zeta (`rho`, `y_scaling`,
+    `z_scaling`), built once per curve and kept on it
+    (`FermatCurve.scalings`), so its fixed line, that line's chart and its
+    orbits are built once per curve too."""
+    g = curve.scalings.get(i)
+    if g is None:
+        g = curve.scalings[i] = (rho, y_scaling, z_scaling)[i](curve.field)
+    return g
+
+
+def generator_panel(curve: FermatCurve):
     """The generator automorphisms with pointwise-fixed lines, plus the two
-    conjugate scalings used for the other coordinate lines."""
-    return (("rho", rho(field)), ("phi", phi(field)), ("psi", psi(field)),
-            ("phi.rho.phi", y_scaling(field)),
-            ("psi.rho.psi", z_scaling(field)))
+    conjugate scalings used for the other coordinate lines; the three
+    scalings are the curve's own (`coordinate_scaling`)."""
+    field = curve.field
+    return (("rho", coordinate_scaling(curve, 0)), ("phi", phi(field)),
+            ("psi", psi(field)),
+            ("phi.rho.phi", coordinate_scaling(curve, 1)),
+            ("psi.rho.psi", coordinate_scaling(curve, 2)))
 
 
 def group_elements(d_or_curve) -> list:
@@ -216,6 +254,124 @@ def curve_orbit(curve: FermatCurve, p: ProjPoint, g: Automorphism) -> list:
     return orbits[key]
 
 
+# -- contacts by symmetry ----------------------------------------------------
+
+
+def _orbit_element(field: TowerField, n: int, exps) -> Automorphism:
+    """p -> rotate(diag(zeta^e0, zeta^e1, zeta^e2) p, n), written down with
+    scale[2] = 1, so building it inverts nothing."""
+    e = rotate(exps, n)
+    return Automorphism(field, rotate((0, 1, 2), n),
+                        (field.zeta_pow(e[0] - e[2]),
+                         field.zeta_pow(e[1] - e[2]), field.one))
+
+
+class ContactCertificate:
+    """The contact with the curve of the hyperosculating conic at every
+    sextactic point and of the tangent at every inflection point, from one
+    `int_mult` per point set, at its point 0.
+
+    Intersection multiplicity is invariant under a projective change of
+    coordinates (Fulton, Algebraic Curves, 3.3).  A monomial map g whose
+    scalars are powers of zeta keeps F = x^d + y^d + z^d once zeta^d = 1,
+    checked once per curve.  So when g.p0 = q and the osculating curve at q
+    composed with g is proportional to the one at p0, both checked exactly,
+    the contact at q is the contact at p0.  g is read off q's indices
+    (`_orbit_element`): cluster n, j and k for the sextactic point
+    rotate((zeta^j : 1 : u^-k t), n), and n and k for the inflection point
+    (0 : 1 : u^k) rotated n times by (a, b, c) -> (c, a, b).  A point that
+    fails a check gets its contact from `int_mult` directly, so the
+    certificate reports what direct checks at every point would.
+
+    `conic` and `tangent` are the contacts in `sextactic` and `inflection`
+    order, and `osculating_conics` maps each sextactic point carried from
+    point 0 to its hyperosculating conic when that conic is the osculating
+    conic there.  Each is built on first use and kept, with the
+    certificate, on the curve (`contact_certificate`).  The certificate
+    refers to its curve weakly, so the two make no reference cycle and the
+    curve's tables are freed as soon as its last user drops it.
+    """
+
+    def __init__(self, curve: FermatCurve):
+        field, d, one = curve.field, curve.d, curve.field.one
+        self._curve = weakref.ref(curve)
+        self._invariant = (field.zeta ** d == one and curve.poly.terms == {
+            (d, 0, 0): one, (0, d, 0): one, (0, 0, d): one})
+
+    def _carried(self, points, osc, element) -> list:
+        """(contact of osc(i) at point i, whether it was carried from
+        point 0) for each point i."""
+        F = self._curve().poly
+        p0, base = points[0], osc(0)
+        contact = int_mult(F, base, p0)
+        out = []
+        for i, q in enumerate(points):
+            g = element(i)
+            if (self._invariant and g.maps(p0, q)
+                    and base.proportional(g.pullback(osc(i)))):
+                out.append((contact, True))
+            else:
+                out.append((int_mult(F, osc(i), q), False))
+        return out
+
+    @cached_property
+    def _conics(self) -> list:
+        curve = self._curve()
+        pts = curve.sextactic
+        return self._carried(
+            [s.point for s in pts], lambda i: curve.hyperosculating(pts[i]),
+            lambda i: _orbit_element(
+                curve.field, CLUSTERS.index(pts[i].cluster),
+                (pts[i].j, 0, (1 - pts[i].k) // 2)))
+
+    @cached_property
+    def conic(self) -> tuple:
+        return tuple(contact for contact, _ in self._conics)
+
+    @cached_property
+    def tangent(self) -> tuple:
+        curve = self._curve()
+        pts, d = curve.inflection, curve.d
+        return tuple(contact for contact, _ in self._carried(
+            pts, lambda i: curve.osculating(pts[i], 1),
+            lambda i: _orbit_element(curve.field, -(i // d),
+                                     (0, 0, i % d))))
+
+    @cached_property
+    def osculating_conics(self) -> dict:
+        """Point -> hyperosculating conic, at the sextactic points carried
+        from point 0 when point 0 is no flex (the Hessian is nonzero there)
+        and its contact is at least 5.  The osculating conic at a point
+        that is no flex is the one conic of contact at least 5 there, and
+        an automorphism of the curve maps flexes to flexes."""
+        curve = self._curve()
+        pts = curve.sextactic
+        if (self._conics[0][0] < 5
+                or curve.hessian.evaluate(pts[0].point).is_zero()):
+            return {}
+        return {s.point: curve.hyperosculating(s)
+                for s, (_, carried) in zip(pts, self._conics) if carried}
+
+
+def contact_certificate(curve: FermatCurve) -> ContactCertificate:
+    """The curve's `ContactCertificate`, made on first use and kept on the
+    curve (`FermatCurve.contacts`)."""
+    if curve.contacts is None:
+        curve.contacts = ContactCertificate(curve)
+    return curve.contacts
+
+
+def _osculating(curve: FermatCurve, p: ProjPoint, n: int) -> HomPoly:
+    """The tangent (n = 1) or the osculating conic (n = 2) at p: the
+    hyperosculating conic where the contact certificate proves it the
+    osculating conic, and otherwise `FermatCurve.osculating`'s."""
+    if n == 2:
+        conic = contact_certificate(curve).osculating_conics.get(p)
+        if conic is not None:
+            return conic
+    return curve.osculating(p, n)
+
+
 # -- invariant intersections -------------------------------------------------
 
 
@@ -226,7 +382,7 @@ def verify_invariant_intersection(curve: FermatCurve, g: Automorphism,
     L = fixed_line(g)
     if L is None:
         raise FermatoscError("automorphism has no pointwise-fixed line")
-    restrictions = [restrict_to_line(curve.osculating(q, n), L)
+    restrictions = [restrict_to_line(_osculating(curve, q, n), L)
                     for q in curve_orbit(curve, p, g)]
     first = restrictions[0]
     if first.is_zero():
@@ -272,15 +428,11 @@ def orbit_automorphism_for_line(curve: FermatCurve, line: HomPoly, pts):
     Only the scaling of a coordinate missing from the line maps the line to
     itself, so that scaling is the one candidate; its orbit through the
     first point, kept on the curve by `curve_orbit`, must be the point set.
-    The scaling is built once per curve (`FermatCurve.scalings`), and so
-    are its fixed line and that line's chart.
+    The scaling is the curve's own (`coordinate_scaling`).
     """
     zeros = [i for i, c in enumerate(line.line_coeffs()) if c.is_zero()]
     if len(zeros) == 1:
-        i = zeros[0]
-        if i not in curve.scalings:
-            curve.scalings[i] = (rho, y_scaling, z_scaling)[i](curve.field)
-        g = curve.scalings[i]
+        g = coordinate_scaling(curve, zeros[0])
         orb = curve_orbit(curve, pts[0].point, g)
         point_set = {s.point for s in pts}
         if len(orb) == len(point_set) and set(orb) == point_set:

@@ -275,7 +275,7 @@ def test_criterion_11_invariant_intersections():
     with criterion(11, "orbit-invariant osculating intersections, d=3..6"):
         for d in range(3, 7):
             C = FermatCurve(d)
-            panel = [(name, g) for name, g in generator_panel(C.field)
+            panel = [(name, g) for name, g in generator_panel(C)
                      if fixed_line(g) is not None]
             assert len(panel) == 5
             specials = [("sextactic", s.point) for s in sextactic_points(C)]

@@ -1,6 +1,7 @@
 """Command-line interface: report schema, exit codes, determinism."""
 
 import argparse
+import ast
 import contextlib
 import enum
 import inspect
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import fermatosc
-from fermatosc import cli, hompoly, tower
+from fermatosc import cli, hompoly, symmetry, tower
 from fermatosc.cli import indented_json, main
 from fermatosc.hompoly import HomPoly, resultant_order
 from fermatosc.symmetry import ConcurrencyReport, identity
@@ -122,15 +123,17 @@ def _next_coordinate_line(fixed):
     return wrong
 
 
-def _wrong_first_tangent(osculating):
-    """`FermatCurve.osculating` with the x coefficient of the tangent at the
-    first sextactic point raised by one."""
-    def wrong(curve, p, n):
-        out = osculating(curve, p, n)
-        if n == 1 and p == curve.sextactic[0].point:
-            out = out + HomPoly.monomial(out.field, (1, 0, 0), 1)
-        return out
-    return wrong
+def _wrong_tangent(at):
+    """A plant of `FermatCurve.osculating`: the x coefficient of the tangent
+    at the point `at(curve)` raised by one."""
+    def plant(osculating):
+        def wrong(curve, p, n):
+            out = osculating(curve, p, n)
+            if n == 1 and p == at(curve):
+                out = out + HomPoly.monomial(out.field, (1, 0, 0), 1)
+            return out
+        return wrong
+    return plant
 
 
 def _verify_line(index):
@@ -159,7 +162,8 @@ VERIFY_PLANTED_FAULTS = [
     ("invariant-intersection",
      ["verify", "--theorem", "invariant-intersection", "--degree", "3",
       "--osc-degree", "1"],
-     "fermat.FermatCurve.osculating", _wrong_first_tangent,
+     "fermat.FermatCurve.osculating",
+     _wrong_tangent(lambda curve: curve.sextactic[0].point),
      [{"check": "invariant-intersection", "automorphism": name,
        "osc_degree": 1, "kind": "sextactic"}
       for name in ("psi", "phi.rho.phi", "psi.rho.psi")]),
@@ -224,6 +228,154 @@ def test_hessian2_and_suite_records_fire(record, argv, name, plant, want,
     code, rep = run_json(argv, capsys)
     assert (code, rep["status"], rep["failures"]) == (1, "failed", want)
     assert record in [f["check"] for f in want]
+
+
+def _wrong_last_conic(hyperosculating):
+    """`FermatCurve.hyperosculating` with the xy coefficient of the conic at
+    the last sextactic point raised by one."""
+    def wrong(curve, s):
+        out = hyperosculating(curve, s)
+        if s == curve.sextactic[-1]:
+            out = out + HomPoly.monomial(out.field, (1, 1, 0), 1)
+        return out
+    return wrong
+
+
+ALL_D4 = ["all", "--min-degree", "4", "--max-degree", "4"]
+
+# (id, argv, dotted name under fermatosc, its planted fault, the failures
+# expected): a wrong osculating curve at the last point of its set, outside
+# the seeded sample of `all`, which the contact certificate checks directly
+CONTACT_PLANTED_FAULTS = [
+    ("last-sextactic-conic", ALL_D4, "fermat.FermatCurve.hyperosculating",
+     _wrong_last_conic,
+     [{"check": "sextactic-suite", "degree": 4},
+      {"check": "conic-common-points", "line": "N[10]",
+       "detail": "restrictions to the fixed line disagree"}]),
+    ("last-inflection-tangent", ALL_D4, "fermat.FermatCurve.osculating",
+     _wrong_tangent(lambda curve: curve.inflection[-1]),
+     [{"check": "inflection-suite", "degree": 4},
+      {"check": "invariant-intersection", "automorphism": "psi",
+       "osc_degree": 1, "kind": "inflection"}]),
+]
+
+
+@pytest.mark.parametrize("argv, name, plant, want",
+                         [row[1:] for row in CONTACT_PLANTED_FAULTS],
+                         ids=[row[0] for row in CONTACT_PLANTED_FAULTS])
+def test_contacts_are_checked_at_every_point(argv, name, plant, want,
+                                             monkeypatch, capsys):
+    """`all` fails on a wrong hyperosculating conic at the last sextactic
+    point and on a wrong tangent at the last inflection point, at d = 4
+    with seed 0, whose pipeline sample leaves the last sextactic point out:
+    the contact at every special point is certified."""
+    original = operator.attrgetter(name)(fermatosc)
+    monkeypatch.setattr(f"fermatosc.{name}", plant(original))
+    code, rep = run_json(argv, capsys)
+    assert (code, rep["status"], rep["failures"]) == (1, "failed", want)
+
+
+def test_a_wrong_group_element_changes_no_contact(monkeypatch, tmp_path):
+    """With the identity for every carrying element, no contact is carried:
+    `int_mult` runs once at every special point, and `all` writes the same
+    bytes.  Unpatched it runs once per point set."""
+    argv = ["all", "--min-degree", "3", "--max-degree", "4", "--out"]
+    mult, points = symmetry.int_mult, []
+    monkeypatch.setattr(symmetry, "int_mult",
+                        lambda f, g, p: points.append(p) or mult(f, g, p))
+    plain, patched = tmp_path / "plain.json", tmp_path / "patched.json"
+    assert main(argv + [str(plain)]) == 0
+    assert len(points) == 4
+    points.clear()
+    monkeypatch.setattr(symmetry, "_orbit_element",
+                        lambda field, n, exps: identity(field))
+    assert main(argv + [str(patched)]) == 0
+    assert plain.read_bytes() == patched.read_bytes()
+    assert len(points) == len(set(points)) == (27 + 9) + (48 + 12)
+
+
+def _flipped_verdict(verdict_of):
+    """`freeness_test` with its verdict flipped."""
+    def flipped(degree_hat, tau):
+        verdict = verdict_of(degree_hat, tau)
+        verdict.free = not verdict.free
+        return verdict
+    return flipped
+
+
+def _unsigned_koszul(triple_of):
+    """`koszul_triple` with its middle entry negated."""
+    def unsigned(P, i, j):
+        a, b, c = triple_of(P, i, j)
+        return a, -b, c
+    return unsigned
+
+
+def _one_grid_line(grid_line):
+    """`grid_line` returning line 0 of its group for every index."""
+    return lambda token, field, d, i: grid_line(token, field, d, 0)
+
+
+# (record, argv, dotted name under fermatosc, its planted fault, the
+# failures expected): the records of `collinear`, `freeness` and the
+# `fatal` record of any command
+QUERY_PLANTED_FAULTS = [
+    ("collinear", ["collinear", "--degree", "4"], "cli.collinear_sextactic",
+     _drop_first, [{"check": "collinear", "degree": 4}]),
+    ("freeness", ["freeness", "--arrangement", "B", "--degree", "4"],
+     "cli.freeness_test", _flipped_verdict,
+     [{"check": "freeness", "arrangement": "B", "degree": 4}]),
+    ("koszul-syzygy", ["freeness", "--arrangement", "BzMxNy", "--degree", "3"],
+     "cli.koszul_triple", _unsigned_koszul,
+     [{"check": "koszul-syzygy", "degree": 3}]),
+    ("fatal", ["verify", "--theorem", "main", "--degree", "3"],
+     "cli.grid_line", _one_grid_line,
+     [{"check": "fatal", "detail": "two grid lines of B+M+N coincide"}]),
+]
+
+
+@pytest.mark.parametrize("record, argv, name, plant, want",
+                         QUERY_PLANTED_FAULTS,
+                         ids=[row[0] for row in QUERY_PLANTED_FAULTS])
+def test_collinear_freeness_and_fatal_records_fire(record, argv, name, plant,
+                                                   want, monkeypatch, capsys):
+    """Each record of `collinear` and `freeness`, and the `fatal` record,
+    fires on a planted fault: a line dropped from the collinear lines, a
+    flipped freeness verdict, a Koszul triple with a wrong sign, two grid
+    lines made equal (a failed certificate, exit 1, not a usage error)."""
+    original = operator.attrgetter(name)(fermatosc)
+    monkeypatch.setattr(f"fermatosc.{name}", plant(original))
+    code, rep = run_json(argv, capsys)
+    assert (code, rep["status"], rep["failures"]) == (1, "failed", want)
+    assert record in [f["check"] for f in want]
+
+
+def test_every_failure_record_has_a_planted_fault():
+    """The record kinds `cli.py` writes, as `{"check": ...}` literals or
+    through a loop over a tuple of names, are exactly the records that the
+    planted-fault tables' rows fire: a new record cannot land without a
+    row."""
+    tree = ast.parse(inspect.getsource(cli))
+    loops = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.For, ast.comprehension))
+                and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, ast.Tuple)):
+            loops.setdefault(node.target.id, set()).update(
+                e.value for e in node.iter.elts
+                if isinstance(e, ast.Constant))
+    kinds = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and key.value == "check":
+                    kinds |= ({value.value} if isinstance(value, ast.Constant)
+                              else loops[value.id])
+    tables = (PLANTED_FAULTS, VERIFY_PLANTED_FAULTS, SUITE_PLANTED_FAULTS,
+              CONTACT_PLANTED_FAULTS, QUERY_PLANTED_FAULTS)
+    assert len(kinds) == 20
+    assert kinds == {f["check"] for table in tables for row in table
+                     for f in row[-1]}
 
 
 def test_all_fails_when_a_line_check_fails(monkeypatch, capsys):
@@ -310,14 +462,8 @@ def test_freeness_checks_the_papers_verdict(label, extra, claim, monkeypatch,
     """`freeness` fails, as `all` does, when its verdict misses the paper's
     claim on the same lines, in any label order; here every verdict is
     flipped.  A label the paper states nothing about is not checked."""
-    verdict_of = cli.freeness_test
-
-    def flipped(degree_hat, tau):
-        verdict = verdict_of(degree_hat, tau)
-        verdict.free = not verdict.free
-        return verdict
-
-    monkeypatch.setattr(cli, "freeness_test", flipped)
+    monkeypatch.setattr(cli, "freeness_test",
+                        _flipped_verdict(cli.freeness_test))
     code, rep = run_json(["freeness", "--arrangement", label,
                           "--degree", "4"] + extra, capsys)
     want = [] if claim is None else [
@@ -327,13 +473,8 @@ def test_freeness_checks_the_papers_verdict(label, extra, claim, monkeypatch,
 
 def test_freeness_checks_the_koszul_relation(monkeypatch, capsys):
     """A Koszul triple that is no relation fails `freeness` of BzMxNy."""
-    triple_of = cli.koszul_triple
-
-    def unsigned(P, i, j):
-        a, b, c = triple_of(P, i, j)
-        return a, -b, c
-
-    monkeypatch.setattr(cli, "koszul_triple", unsigned)
+    monkeypatch.setattr(cli, "koszul_triple",
+                        _unsigned_koszul(cli.koszul_triple))
     code, rep = run_json(["freeness", "--arrangement", "BzMxNy",
                           "--degree", "3"], capsys)
     assert code == 1 and rep["status"] == "failed"
@@ -353,9 +494,8 @@ def test_collinear_d3(capsys):
 def test_collinear_checks_the_papers_counts(monkeypatch, capsys):
     """`collinear` fails, as `all` does, when the lines found miss the
     paper's counts: here one line of the 36 at d = 4 is dropped."""
-    found = cli.collinear_sextactic
     monkeypatch.setattr(cli, "collinear_sextactic",
-                        lambda curve: found(curve)[1:])
+                        _drop_first(cli.collinear_sextactic))
     code, rep = run_json(["collinear", "--degree", "4"], capsys)
     assert code == 1 and rep["status"] == "failed"
     assert rep["failures"] == [{"check": "collinear", "degree": 4}]
@@ -430,8 +570,8 @@ def test_panel_member_without_a_fixed_line_fails(monkeypatch, capsys):
     """A panel automorphism with no pointwise-fixed line fails the run
     instead of dropping its checks."""
     panel = cli.generator_panel
-    monkeypatch.setattr(cli, "generator_panel", lambda field: (
-        panel(field) + (("id", identity(field)),)))
+    monkeypatch.setattr(cli, "generator_panel", lambda curve: (
+        panel(curve) + (("id", identity(curve.field)),)))
     code, rep = run_json(["verify", "--theorem", "invariant-intersection",
                           "--degree", "3", "--osc-degree", "1"], capsys)
     assert code == 1 and rep["status"] == "failed"
@@ -520,13 +660,17 @@ def test_all_renders_no_line_report(tmp_path, monkeypatch):
 
 
 def test_all_checks_every_inflection_point(tmp_path):
-    """The tangent contact is checked at all 3d inflection points, above
-    d = 6 too; `--seed` draws only the sextactic sample."""
+    """The tangent contact is certified at all 3d inflection points and the
+    conic contact at all 3d^2 sextactic points, above d = 6 too; `--seed`
+    draws only the sample of the conic pipeline check."""
     out = tmp_path / "all.json"
     assert main(["all", "--min-degree", "7", "--max-degree", "7",
                  "--out", str(out)]) == 0
-    infl = json.loads(out.read_text())["payload"]["degrees"]["7"]["inflection"]
-    assert infl == {"count": 21, "checked": 21, "tangent_contacts": [7]}
+    section = json.loads(out.read_text())["payload"]["degrees"]["7"]
+    assert section["inflection"] == {"count": 21, "checked": 21,
+                                     "tangent_contacts": [7]}
+    assert (section["sextactic"]["sampled"],
+            section["sextactic"]["conic_contacts"]) == (6, [6])
 
 
 @pytest.mark.parametrize("argv", [
@@ -677,19 +821,6 @@ def test_freeness_of_a_non_ordinary_arrangement_is_a_usage_error(capsys):
     assert "non-ordinary point" in capsys.readouterr().err
     code, rep = run_json(["census"] + argv, capsys)
     assert code == 0 and rep["payload"]["tjurina_total"] is None
-
-
-def test_coinciding_grid_lines_fail_the_verification(monkeypatch, capsys):
-    """Two equal grid lines are a failed certificate (exit 1), not a usage
-    error."""
-    full = cli.grid_line
-    monkeypatch.setattr(cli, "grid_line",
-                        lambda token, field, d, i: full(token, field, d, 0))
-    code, rep = run_json(["verify", "--theorem", "main", "--degree", "3"],
-                         capsys)
-    assert code == 1 and rep["status"] == "failed"
-    assert rep["failures"] == [{"check": "fatal", "detail":
-                                "two grid lines of B+M+N coincide"}]
 
 
 # -- the report writer ----------------------------------------------------------

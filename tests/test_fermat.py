@@ -260,7 +260,7 @@ def test_sextactic_set_closed_under_generators():
     d = 4
     C = FermatCurve(d)
     point_set = {s.point for s in sextactic_points(C)}
-    for name, g in generator_panel(C.field):
+    for name, g in generator_panel(C):
         for p in list(point_set)[:10]:
             assert g.apply_point(p) in point_set, name
 

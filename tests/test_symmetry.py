@@ -16,7 +16,7 @@ from fermatosc.fermat import (FermatCurve, _hyperosc_conic_cluster_z,
                               sextactic_points, tangent_line)
 from fermatosc.hompoly import BinaryForm, HomPoly, ProjPoint, cross, disc2, \
     restrict_to_line
-from fermatosc import symmetry
+from fermatosc import fermat, symmetry
 from fermatosc.symmetry import (Automorphism, conic_common_points,
                                 fixed_line, generator_panel, group_elements,
                                 identity, orbit, orbit_automorphism_for_line,
@@ -105,7 +105,8 @@ def test_fixed_line_once_per_automorphism(monkeypatch):
     real, calls = symmetry._fixed_line, []
     monkeypatch.setattr(symmetry, "_fixed_line",
                         lambda g: calls.append(g) or real(g))
-    gens = [g for _, g in generator_panel(fld)] + [rho(fld).compose(phi(fld))]
+    gens = [g for _, g in generator_panel(FermatCurve(5))]
+    gens.append(rho(fld).compose(phi(fld)))
     for g in gens:
         first = fixed_line(g)
         assert fixed_line(g) is first
@@ -207,7 +208,7 @@ def test_invariant_suite_generators(d):
     C = FermatCurve(d)
     rng = random.Random(d)
     pts = rng.sample(sextactic_points(C), 4)
-    for name, g in generator_panel(C.field):
+    for name, g in generator_panel(C):
         for s in pts:
             assert verify_invariant_intersection(C, g, s.point, 1), name
             assert verify_invariant_intersection(C, g, s.point, 2), name
@@ -477,3 +478,80 @@ def test_proportional_tangents_raise(monkeypatch):
         first.scale(2) if p == pts[-1].point else real(C, p, n)))
     with pytest.raises(CertificationFailure, match="coincident tangents"):
         tangent_concurrency(C, line)
+
+
+def test_panel_shares_the_curve_scalings():
+    """The panel's three scalings are the curve's, the ones whose orbits
+    are the grid lines' point sets, so the invariant stage reads the grid
+    families' fixed lines and charts again rather than new ones."""
+    C = FermatCurve(4)
+    panel = dict(generator_panel(C))
+    assert generator_panel(C)[0][1] is panel["rho"]
+    lines = [L for token in ("B", "M", "N") for L in build(token, 4).lines]
+    fixed = {id(conic_common_points(C, L).fixed_line) for L in lines}
+    assert fixed == {id(fixed_line(panel[name]))
+                     for name in ("rho", "phi.rho.phi", "psi.rho.psi")}
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_contact_certificate_carries_every_point(d, monkeypatch):
+    """One `int_mult` per point set: every sextactic contact is 6 and every
+    inflection contact d, each carried from point 0, and the hyperosculating
+    conic is the osculating conic at every sextactic point."""
+    C = FermatCurve(d)
+    mult, calls = symmetry.int_mult, []
+    monkeypatch.setattr(symmetry, "int_mult",
+                        lambda f, g, p: calls.append(p) or mult(f, g, p))
+    cert = symmetry.contact_certificate(C)
+    assert cert is symmetry.contact_certificate(C) is C.contacts
+    assert cert.conic == (6,) * (3 * d * d)
+    assert cert.tangent == (d,) * (3 * d)
+    assert calls == [C.sextactic[0].point, C.inflection[0]]
+    assert all(carried for _, carried in cert._conics)
+    assert cert.osculating_conics == {s.point: C.hyperosculating(s)
+                                      for s in C.sextactic}
+    # the certificate makes no reference cycle with its curve: the curve is
+    # freed when its last reference goes, with no collection
+    ref = weakref.ref(C)
+    del C
+    assert ref() is None
+
+
+def test_orbit_elements_map_point_zero_and_invert_nothing(monkeypatch):
+    """The element read off a special point's indices maps point 0 of its
+    set to it, `maps` agrees with `apply_point`, and neither inverts."""
+    C = FermatCurve(4)
+    fld = C.field
+    pts, infl = C.sextactic, C.inflection
+    checks = [(pts[0].point, s.point, (fermat.CLUSTERS.index(s.cluster),
+                                        (s.j, 0, (1 - s.k) // 2)))
+              for s in pts]
+    checks += [(infl[0], p, (-(i // 4), (0, 0, i % 4)))
+               for i, p in enumerate(infl)]
+    wrong = pts[1].point
+    images = []
+
+    def no_inverse(field, a):
+        raise AssertionError("an element was inverted")
+    monkeypatch.setattr(type(fld), "invert", no_inverse)
+    for p0, q, (n, exps) in checks:
+        g = symmetry._orbit_element(fld, n, exps)
+        assert g.scale[2] is fld.one
+        assert g.maps(p0, q) and (q == wrong or not g.maps(p0, wrong))
+        images.append((g, p0, q))
+    monkeypatch.undo()
+    assert all(g.apply_point(p0) == q for g, p0, q in images)
+
+
+def test_invariant_conics_need_no_closed_form(monkeypatch):
+    """At sextactic points the invariant-intersection check reads the
+    hyperosculating conics, which the contact certificate proves
+    osculating, and builds no closed-form conic."""
+    C = FermatCurve(4)
+
+    def no_closed(curve, p):
+        raise AssertionError("a closed-form conic was built")
+    monkeypatch.setattr(fermat, "osculating_conic_closed", no_closed)
+    for _, g in generator_panel(C):
+        for s in C.sextactic[::5]:
+            assert verify_invariant_intersection(C, g, s.point, 2)
