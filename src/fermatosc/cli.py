@@ -47,7 +47,7 @@ from .fermat import (FermatCurve, hyperosculating_conic, inflection_points,
                      sextactic_count_formula, sextactic_points, tangent_line,
                      two_hessian, two_hessian_factored)
 from .hompoly import HomPoly, int_mult, osculating_conic_series
-from .symmetry import (conic_common_points, contact_certificate, curve_orbit,
+from .symmetry import (conic_common_points, contacts, curve_orbit,
                        generator_panel, tangent_concurrency,
                        verify_invariant_intersection)
 from . import tower
@@ -498,9 +498,9 @@ def _all_degree(d, rng):
     sec_fail += fails
 
     # the contact at every special point, carried by symmetry
-    contacts = contact_certificate(curve)
+    certified = contacts(curve)
     infl = inflection_points(curve)
-    mults = contacts.tangent
+    mults = certified.tangent
     section["inflection"] = {"count": len(infl),
                              "checked": len(mults),
                              "tangent_contacts": sorted(set(mults))}
@@ -521,10 +521,10 @@ def _all_degree(d, rng):
     section["sextactic"] = {"count": len(pts),
                             "count_formula": sextactic_count_formula(curve),
                             "sampled": len(idx),
-                            "conic_contacts": sorted(set(contacts.conic)),
+                            "conic_contacts": sorted(set(certified.conic)),
                             "conic_pipelines_proportional": prop_ok}
     if (len(pts) != claims["sextactic_count"]
-            or set(contacts.conic) != {claims["conic_contact"]}
+            or set(certified.conic) != {claims["conic_contact"]}
             or not prop_ok
             or sextactic_count_formula(curve) != len(pts)):
         sec_fail.append({"check": "sextactic-suite", "degree": d})

@@ -25,9 +25,9 @@ At a sextactic point the conic specializes to the hyperosculating conic
 O_{j,k} whose coefficients are explicit monomials; the conics of clusters y
 and x are the cluster-z conic with its variables permuted.  The contact of
 O_{j,k} with the curve, 6, and of the tangent at each inflection point, d,
-are certified at every point by symmetry (`symmetry.contact_certificate`),
-which also proves O_{j,k} the osculating conic wherever it carries the
-contact; the closed form then serves the `conic` query and the sampled
+are certified at every point by symmetry (`symmetry.contacts`), which
+also proves O_{j,k} the osculating conic wherever it carries the contact;
+the closed form then serves the `conic` query and the sampled
 agreement check of the pipelines.
 """
 
@@ -68,7 +68,7 @@ class FermatCurve:
     `symmetry` fills: the orbit of a point under an automorphism
     (`curve_orbit`), the scaling of each coordinate (`coordinate_scaling`),
     the sextactic points and fixed line of each grid line (`_line_family`),
-    and the contact at every special point (`contact_certificate`).
+    and the contact at every special point (`contacts`).
     """
 
     def __init__(self, d: int):

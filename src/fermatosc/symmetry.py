@@ -29,20 +29,19 @@ scalings from the curve too (`coordinate_scaling`).
 
 Intersection multiplicity is invariant under the automorphisms, so the
 contact at every special point comes from one `int_mult` per point set
-(`ContactCertificate`): each other point gets it through an element read
-off its indices, checked exactly to map point 0 to it and its osculating
-curve to point 0's, or, when a check fails, from `int_mult` at the point.
+(`contacts`): each other point gets it through an element read off its
+indices, checked exactly to map point 0 to it and its osculating curve to
+point 0's, or, when a check fails, from `int_mult` at the point.
 Where the contact is carried, the hyperosculating conic is the osculating
-conic, and the invariant-intersection check reads it.
+conic, and the invariant-intersection check reads it once the contacts are
+on the curve.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from itertools import permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CertificationFailure, FermatoscError
 from .fermat import CLUSTERS, FermatCurve, rotate
@@ -266,10 +265,39 @@ def _orbit_element(field: TowerField, n: int, exps) -> Automorphism:
                          field.zeta_pow(e[1] - e[2]), field.one))
 
 
-class ContactCertificate:
+class Contacts(NamedTuple):
+    """The contacts at the special points (`contacts`): `conic` and
+    `tangent` in `sextactic` and `inflection` order, and `osculating`, the
+    hyperosculating conic of each sextactic point where it is proved the
+    osculating conic."""
+    conic: tuple
+    tangent: tuple
+    osculating: dict
+
+
+def _carried(curve: FermatCurve, invariant: bool, points, osc,
+             element) -> list:
+    """(contact of osc(i) at point i, whether it was carried from point 0)
+    for each point i."""
+    F = curve.poly
+    p0, base = points[0], osc(0)
+    contact = int_mult(F, base, p0)
+    out = []
+    for i, q in enumerate(points):
+        g = element(i)
+        if (invariant and g.maps(p0, q)
+                and base.proportional(g.pullback(osc(i)))):
+            out.append((contact, True))
+        else:
+            out.append((int_mult(F, osc(i), q), False))
+    return out
+
+
+def contacts(curve: FermatCurve) -> Contacts:
     """The contact with the curve of the hyperosculating conic at every
     sextactic point and of the tangent at every inflection point, from one
-    `int_mult` per point set, at its point 0.
+    `int_mult` per point set, at its point 0; built on first use and kept
+    on the curve (`FermatCurve.contacts`).
 
     Intersection multiplicity is invariant under a projective change of
     coordinates (Fulton, Algebraic Curves, 3.3).  A monomial map g whose
@@ -280,93 +308,49 @@ class ContactCertificate:
     (`_orbit_element`): cluster n, j and k for the sextactic point
     rotate((zeta^j : 1 : u^-k t), n), and n and k for the inflection point
     (0 : 1 : u^k) rotated n times by (a, b, c) -> (c, a, b).  A point that
-    fails a check gets its contact from `int_mult` directly, so the
-    certificate reports what direct checks at every point would.
+    fails a check gets its contact from `int_mult` directly, so the result
+    is what direct checks at every point would give.
 
-    `conic` and `tangent` are the contacts in `sextactic` and `inflection`
-    order, and `osculating_conics` maps each sextactic point carried from
-    point 0 to its hyperosculating conic when that conic is the osculating
-    conic there.  Each is built on first use and kept, with the
-    certificate, on the curve (`contact_certificate`).  The certificate
-    refers to its curve weakly, so the two make no reference cycle and the
-    curve's tables are freed as soon as its last user drops it.
+    The hyperosculating conic is the osculating conic at each sextactic
+    point carried from point 0 when point 0 is no flex (the Hessian is
+    nonzero there) and its contact is at least 5: the osculating conic at a
+    point that is no flex is the one conic of contact at least 5 there, and
+    an automorphism of the curve maps flexes to flexes.
     """
-
-    def __init__(self, curve: FermatCurve):
-        field, d, one = curve.field, curve.d, curve.field.one
-        self._curve = weakref.ref(curve)
-        self._invariant = (field.zeta ** d == one and curve.poly.terms == {
-            (d, 0, 0): one, (0, d, 0): one, (0, 0, d): one})
-
-    def _carried(self, points, osc, element) -> list:
-        """(contact of osc(i) at point i, whether it was carried from
-        point 0) for each point i."""
-        F = self._curve().poly
-        p0, base = points[0], osc(0)
-        contact = int_mult(F, base, p0)
-        out = []
-        for i, q in enumerate(points):
-            g = element(i)
-            if (self._invariant and g.maps(p0, q)
-                    and base.proportional(g.pullback(osc(i)))):
-                out.append((contact, True))
-            else:
-                out.append((int_mult(F, osc(i), q), False))
-        return out
-
-    @cached_property
-    def _conics(self) -> list:
-        curve = self._curve()
-        pts = curve.sextactic
-        return self._carried(
-            [s.point for s in pts], lambda i: curve.hyperosculating(pts[i]),
-            lambda i: _orbit_element(
-                curve.field, CLUSTERS.index(pts[i].cluster),
-                (pts[i].j, 0, (1 - pts[i].k) // 2)))
-
-    @cached_property
-    def conic(self) -> tuple:
-        return tuple(contact for contact, _ in self._conics)
-
-    @cached_property
-    def tangent(self) -> tuple:
-        curve = self._curve()
-        pts, d = curve.inflection, curve.d
-        return tuple(contact for contact, _ in self._carried(
-            pts, lambda i: curve.osculating(pts[i], 1),
-            lambda i: _orbit_element(curve.field, -(i // d),
-                                     (0, 0, i % d))))
-
-    @cached_property
-    def osculating_conics(self) -> dict:
-        """Point -> hyperosculating conic, at the sextactic points carried
-        from point 0 when point 0 is no flex (the Hessian is nonzero there)
-        and its contact is at least 5.  The osculating conic at a point
-        that is no flex is the one conic of contact at least 5 there, and
-        an automorphism of the curve maps flexes to flexes."""
-        curve = self._curve()
-        pts = curve.sextactic
-        if (self._conics[0][0] < 5
-                or curve.hessian.evaluate(pts[0].point).is_zero()):
-            return {}
-        return {s.point: curve.hyperosculating(s)
-                for s, (_, carried) in zip(pts, self._conics) if carried}
-
-
-def contact_certificate(curve: FermatCurve) -> ContactCertificate:
-    """The curve's `ContactCertificate`, made on first use and kept on the
-    curve (`FermatCurve.contacts`)."""
     if curve.contacts is None:
-        curve.contacts = ContactCertificate(curve)
+        field, d, one = curve.field, curve.d, curve.field.one
+        invariant = (field.zeta ** d == one and curve.poly.terms == {
+            (d, 0, 0): one, (0, d, 0): one, (0, 0, d): one})
+        pts, infl = curve.sextactic, curve.inflection
+        conics = _carried(
+            curve, invariant, [s.point for s in pts],
+            lambda i: curve.hyperosculating(pts[i]),
+            lambda i: _orbit_element(
+                field, CLUSTERS.index(pts[i].cluster),
+                (pts[i].j, 0, (1 - pts[i].k) // 2)))
+        tangents = _carried(
+            curve, invariant, infl, lambda i: curve.osculating(infl[i], 1),
+            lambda i: _orbit_element(field, -(i // d), (0, 0, i % d)))
+        osculating = {}
+        if (conics[0][0] >= 5
+                and not curve.hessian.evaluate(pts[0].point).is_zero()):
+            osculating = {s.point: curve.hyperosculating(s)
+                          for s, (_, carried) in zip(pts, conics) if carried}
+        curve.contacts = Contacts(tuple(c for c, _ in conics),
+                                  tuple(c for c, _ in tangents), osculating)
     return curve.contacts
 
 
 def _osculating(curve: FermatCurve, p: ProjPoint, n: int) -> HomPoly:
     """The tangent (n = 1) or the osculating conic (n = 2) at p: the
-    hyperosculating conic where the contact certificate proves it the
-    osculating conic, and otherwise `FermatCurve.osculating`'s."""
-    if n == 2:
-        conic = contact_certificate(curve).osculating_conics.get(p)
+    hyperosculating conic where the curve's contacts prove it the
+    osculating conic, and otherwise `FermatCurve.osculating`'s.
+
+    Only contacts already on the curve are read: `all` builds them for its
+    contact checks, while a query that needs no contact builds none, since
+    at d = 24 and 32 they cost more than the closed forms they replace."""
+    if n == 2 and curve.contacts is not None:
+        conic = curve.contacts.osculating.get(p)
         if conic is not None:
             return conic
     return curve.osculating(p, n)

@@ -245,7 +245,7 @@ ALL_D4 = ["all", "--min-degree", "4", "--max-degree", "4"]
 
 # (id, argv, dotted name under fermatosc, its planted fault, the failures
 # expected): a wrong osculating curve at the last point of its set, outside
-# the seeded sample of `all`, which the contact certificate checks directly
+# the seeded sample of `all`, which `symmetry.contacts` checks directly
 CONTACT_PLANTED_FAULTS = [
     ("last-sextactic-conic", ALL_D4, "fermat.FermatCurve.hyperosculating",
      _wrong_last_conic,

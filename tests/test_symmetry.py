@@ -494,7 +494,7 @@ def test_panel_shares_the_curve_scalings():
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
-def test_contact_certificate_carries_every_point(d, monkeypatch):
+def test_contacts_carry_every_point(d, monkeypatch):
     """One `int_mult` per point set: every sextactic contact is 6 and every
     inflection contact d, each carried from point 0, and the hyperosculating
     conic is the osculating conic at every sextactic point."""
@@ -502,19 +502,25 @@ def test_contact_certificate_carries_every_point(d, monkeypatch):
     mult, calls = symmetry.int_mult, []
     monkeypatch.setattr(symmetry, "int_mult",
                         lambda f, g, p: calls.append(p) or mult(f, g, p))
-    cert = symmetry.contact_certificate(C)
-    assert cert is symmetry.contact_certificate(C) is C.contacts
-    assert cert.conic == (6,) * (3 * d * d)
-    assert cert.tangent == (d,) * (3 * d)
+    found = symmetry.contacts(C)
+    assert found is symmetry.contacts(C) is C.contacts
+    assert found.conic == (6,) * (3 * d * d)
+    assert found.tangent == (d,) * (3 * d)
     assert calls == [C.sextactic[0].point, C.inflection[0]]
-    assert all(carried for _, carried in cert._conics)
-    assert cert.osculating_conics == {s.point: C.hyperosculating(s)
-                                      for s in C.sextactic}
-    # the certificate makes no reference cycle with its curve: the curve is
+    assert found.osculating == {s.point: C.hyperosculating(s)
+                                for s in C.sextactic}
+    # the contacts make no reference cycle with their curve: the curve is
     # freed when its last reference goes, with no collection
     ref = weakref.ref(C)
     del C
     assert ref() is None
+
+
+def test_contacts_of_a_curve_nothing_else_holds():
+    """The contacts outlive a curve that only the call referred to."""
+    found = symmetry.contacts(FermatCurve(4))
+    assert found.conic == (6,) * 48 and found.tangent == (4,) * 12
+    assert len(found.osculating) == 48
 
 
 def test_orbit_elements_map_point_zero_and_invert_nothing(monkeypatch):
@@ -544,10 +550,11 @@ def test_orbit_elements_map_point_zero_and_invert_nothing(monkeypatch):
 
 
 def test_invariant_conics_need_no_closed_form(monkeypatch):
-    """At sextactic points the invariant-intersection check reads the
-    hyperosculating conics, which the contact certificate proves
+    """Once the contacts are on the curve, the invariant-intersection check
+    reads at sextactic points the hyperosculating conics they prove
     osculating, and builds no closed-form conic."""
     C = FermatCurve(4)
+    symmetry.contacts(C)
 
     def no_closed(curve, p):
         raise AssertionError("a closed-form conic was built")
@@ -555,3 +562,17 @@ def test_invariant_conics_need_no_closed_form(monkeypatch):
     for _, g in generator_panel(C):
         for s in C.sextactic[::5]:
             assert verify_invariant_intersection(C, g, s.point, 2)
+
+
+def test_invariant_check_alone_builds_no_contacts(monkeypatch):
+    """Without contacts on the curve, the invariant-intersection check reads
+    the closed-form conics and builds no contact."""
+    C = FermatCurve(4)
+
+    def no_contacts(curve):
+        raise AssertionError("the contacts were built")
+    monkeypatch.setattr(symmetry, "contacts", no_contacts)
+    for _, g in generator_panel(C):
+        assert verify_invariant_intersection(C, g, C.sextactic[0].point, 2)
+    assert C.contacts is None
+    assert (2, C.sextactic[0].point) in C._osculating
