@@ -268,27 +268,25 @@ def tjurina_total(entries) -> int:
 
 
 def freeness_test(degree_hat: int, tau: int) -> FreenessVerdict:
-    """Integer-exponent solution of r^2 - (dh-1) r + (dh-1)^2 = tau."""
+    """An admissible integer root r of r^2 - (D-1) r + (D-1)^2 - tau = 0,
+    D = degree_hat, tau the census total of (m-1)^2: the Milnor number mu,
+    an upper bound for the Tjurina number.  A free curve has Tjurina
+    number (D-1)^2 - r (D-1-r) >= 3 (D-1)^2 / 4 (du Plessis-Wall), so a
+    negative discriminant 4 mu - 3 (D-1)^2 proves "not free".  Every other
+    verdict, "free" above all, is only this quadratic necessary condition
+    (ROADMAP item 2), not a proof."""
     dm1 = degree_hat - 1
     const = dm1 * dm1 - tau
     disc = dm1 * dm1 - 4 * const
-    if disc < 0:
-        sign = "negative"
-    elif disc == 0:
-        sign = "zero"
-    else:
-        sign = "positive"
+    sign = "negative" if disc < 0 else "zero" if disc == 0 else "positive"
     exponents = None
-    free = False
     if disc >= 0:
         s = math.isqrt(disc)
-        if s * s == disc and (dm1 - s) % 2 == 0:
-            r = (dm1 - s) // 2
-            if 0 <= r <= dm1 - r:
-                exponents = (r, dm1 - r)
-                free = True
+        r = (dm1 - s) // 2
+        if s * s == disc and (dm1 - s) % 2 == 0 and 0 <= r <= dm1 - r:
+            exponents = (r, dm1 - r)
     return FreenessVerdict(degree_hat, tau, (1, -dm1, const), disc, sign,
-                           exponents, free)
+                           exponents, exponents is not None)
 
 
 # -- syzygies -----------------------------------------------------------------

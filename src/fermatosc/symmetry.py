@@ -119,10 +119,6 @@ class Automorphism:
         return f"Automorphism(perm={self.perm})"
 
 
-def identity(field: TowerField) -> Automorphism:
-    return Automorphism(field, (0, 1, 2), (1, 1, 1))
-
-
 def rho(field: TowerField) -> Automorphism:
     """(x : y : z) -> (zeta x : y : z); fixes V(x) pointwise."""
     return Automorphism(field, (0, 1, 2), (field.zeta, 1, 1))

@@ -41,9 +41,9 @@ lies in Q(u).  Any other element is inverted through its norm to Q(u): K
 is a Kummer extension of Q(u), so the product of the element's deg_t
 conjugates under t -> zeta^k t lies in Q(u), and a t-part in it fails
 certification.  Elements of Q(u) are inverted through their norm to Q in
-the same way.  A norm of zero can only come from a reducible modulus;
-extended Euclid in Q(u)[t], on t-free elements, then raises
-`CertificationFailure` with a factor of the modulus as its witness.
+the same way.  The field is certified when it is built (below), so a
+nonzero element has a nonzero norm; a zero norm raises
+`CertificationFailure` with the element as its witness.
 
 `embed` evaluates the distinguished embedding in floating point for the
 display-only `approx` columns; it is not certified, and no computation
@@ -203,28 +203,21 @@ def _power_rows(phi_coeffs, n: int):
 class TowerField:
     """Arithmetic context for K_d; holds reduction tables and constants.
 
-    `certificate` is the witness (p, w, c) of `_certify`, or None when the
-    field is built with `guard=False`.  `_force_full_modulus` keeps t^d - 2
-    even when 4 | d; the quotient is then not a field, certification
-    raises, and with `guard=False` inversions of actual zero divisors
-    surface a factor of the modulus.  Testing hook only.
+    `certificate` is the witness (p, w, c) of `_certify` that the
+    t-modulus is irreducible, so that K_d is a field.
     """
 
-    def __init__(self, d: int, guard: bool = True,
-                 _force_full_modulus: bool = False):
+    def __init__(self, d: int):
         if not (D_MIN <= d <= D_MAX):
             raise ValueError(f"degree d must be in [{D_MIN}, {D_MAX}], got {d}")
         self.d = d
         self.n_u = 2 * d                       # u has order 2d
         self.phi = len(cyclotomic_int_coeffs(self.n_u)) - 1
-        use_half = d % 4 == 0 and not _force_full_modulus
-        self.deg_t = d // 2 if use_half else d
+        self.deg_t, tval = self._t_modulus()
 
         # integer rows, as sparse pairs (i, c): u^e for e < 2d, reduced by
         # the monic Phi_2d, and u^e * t^deg_t for the products' u-degrees e
         self._zrows = _power_rows(cyclotomic_int_coeffs(self.n_u), self.n_u)
-        # t^deg_t is 2, or sqrt(2) = u^(d/4) - u^(3d/4) when 4 | d
-        tval = ((d // 4, 1), (3 * d // 4, -1)) if use_half else ((0, 2),)
         self._zrows_t = []
         for e in range(2 * self.phi - 1):
             acc = {}
@@ -236,7 +229,7 @@ class TowerField:
 
         # the automorphisms u -> u^m of Q(u) other than the identity
         self._units = [m for m in range(2, self.n_u) if gcd(m, self.n_u) == 1]
-        self.certificate = self._certify() if guard else None
+        self.certificate = self._certify()
 
         self.zero = FieldElement(self, (), 1)
         self.one = self.from_rational(Q1)
@@ -247,6 +240,15 @@ class TowerField:
         self._emb_cache = {}
 
     # -- construction -----------------------------------------------------
+
+    def _t_modulus(self):
+        """(deg_t, tval) for the t-modulus t^deg_t - c, with c = sum s u^k
+        over the pairs (k, s) of tval: 2, or sqrt(2) = u^(d/4) - u^(3d/4)
+        when 4 | d."""
+        d = self.d
+        if d % 4:
+            return d, ((0, 2),)
+        return d // 2, ((d // 4, 1), (3 * d // 4, -1))
 
     def split_primes(self):
         """The primes p = 1 (mod 2d), ascending, each with w, the first
@@ -351,14 +353,6 @@ class TowerField:
     def zeta_pow(self, e: int) -> "FieldElement":
         return self.monomial(2 * e, 0)
 
-    def random_element(self, rng, max_terms=4, num_bound=9, den_choices=(1, 2, 3)):
-        acc = {}
-        for _ in range(rng.randint(1, max_terms)):
-            key = (rng.randrange(self.phi), rng.randrange(self.deg_t))
-            num = rng.randint(-num_bound, num_bound)
-            acc[key] = acc.get(key, Q0) + Q(num, rng.choice(den_choices))
-        return self._make(*_int_terms([(*k, c) for k, c in acc.items()]))
-
     # -- arithmetic kernel ---------------------------------------------------
 
     def _imul(self, A, B):
@@ -417,11 +411,9 @@ class TowerField:
         * One power of t, a = A t^j / den with A in Q(u): B = A t^s with
           s = -j mod deg_t lies in Q(u), and a^-1 = den t^s B^-1, with the
           inverse in Q(u) from `_unorm`.
-        * Otherwise by the norm (`_invert_norm`).
-        * A norm of zero means that a is a zero divisor, which is possible
-          only when the t-modulus is reducible; extended Euclid
-          (`_invert_general`) then raises `CertificationFailure` with a
-          factor as its witness.
+        * Otherwise by the norm (`_invert_norm`).  The field is certified,
+          so the norm of a nonzero element is nonzero; a zero norm raises
+          `CertificationFailure` with a as its witness.
 
         In a `memoized()` block an inverse already computed is reused.
         """
@@ -454,22 +446,22 @@ class TowerField:
         K is a Kummer extension of Q(u): sigma_k(t) = zeta^k t, with
         zeta = u^(2d / deg_t) of order deg_t, fixes Q(u) and the t-modulus.
         P is the product of the conjugates sigma_k(a), k = 1..deg_t-1, so
-        N is fixed by every sigma_k and has no t-part; a t-part raises
-        `CertificationFailure`.  The products run on the integer numerators
-        A through `_imul`: with a = A / den, a^-1 = den * P(A) / N(A).
+        N is fixed by every sigma_k and has no t-part; a t-part or a zero N
+        raises `CertificationFailure`.  The products run on the integer
+        numerators A through `_imul`: with a = A / den, a^-1 = den * P(A) /
+        N(A).
         """
         A = a.terms
         step = self.n_u // self.deg_t          # zeta = u^step
         P = self._conjugate(A, 1, step)
         for k in range(2, self.deg_t):
             P = self._imul(P, self._conjugate(A, 1, k * step))
-            if not P:
-                break
-        N = self._imul(A, P) if P else []
+        N = self._imul(A, P)
+        if not N:
+            raise CertificationFailure("zero norm of a nonzero element",
+                                       witness=a)
         if any(j for _, j, _ in N):
             raise CertificationFailure("norm to Q(u) has a t-part")
-        if not N:
-            return self._invert_general(a)
         V, norm = self._unorm(N)
         return self._make(self._imul(P, [(i, j, n * a.den) for i, j, n in V]),
                           norm)
@@ -482,56 +474,6 @@ class TowerField:
             for r, c in self._zrows[(m * i + s * j) % self.n_u]:
                 acc[r, j] = acc.get((r, j), 0) + c * n
         return [(r, j, v) for (r, j), v in acc.items() if v]
-
-    def _invert_general(self, a: "FieldElement") -> "FieldElement":
-        """Extended Euclid in Q(u)[t] against the t-modulus t^deg_t - c: the
-        reference for `invert`, and its zero-divisor path, which reports a
-        factor of a reducible modulus.  The t-polynomials are lists of
-        t-free elements, inverted through `_unorm`."""
-        zero, one = self.zero, self.one
-
-        def t_poly(p):
-            """sum p[j] t^j, for t-free elements p[j]."""
-            out = zero
-            for j, c in enumerate(p):
-                out = out + FieldElement(
-                    self, tuple((i, j, n) for i, _, n in c.terms), c.den)
-            return out
-
-        def deg(p):
-            return max((k for k, c in enumerate(p) if c), default=-1)
-
-        r0 = [-self.monomial(0, self.deg_t)] + [zero] * (self.deg_t - 1) + [one]
-        r1 = [self._make([(i, 0, n) for i, jj, n in a.terms if jj == j], a.den)
-              for j in range(self.deg_t)]
-        s0, s1 = [zero], [one]
-        while True:
-            d1 = deg(r1)
-            if d1 <= 0:
-                break
-            d0 = deg(r0)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            lead_inv = self.invert(r1[d1])
-            r0, s0 = list(r0), list(s0)
-            while d0 >= d1:
-                c = r0[d0] * lead_inv
-                sh = d0 - d1
-                for i in range(d1 + 1):
-                    r0[sh + i] = r0[sh + i] - c * r1[i]
-                s0 += [zero] * (sh + len(s1) - len(s0))
-                for i, b in enumerate(s1):
-                    s0[sh + i] = s0[sh + i] - c * b
-                d0 = deg(r0)
-            r0, r1, s0, s1 = r1, r0, s1, s0
-
-        if deg(r1) < 0:
-            # gcd is r0, a nonconstant common factor: the modulus is reducible
-            raise CertificationFailure("t-modulus has a nontrivial factor",
-                                       witness=t_poly(r0))
-        lead_inv = self.invert(r1[0])
-        return t_poly([c * lead_inv for c in s1[: self.deg_t]])
 
     # -- embedding -------------------------------------------------------------
 

@@ -8,7 +8,8 @@ import operator  # noqa: E402
 
 from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint,  # noqa: E402
                                _substitute)
-from fermatosc.tower import Q, tower_field  # noqa: E402
+from fermatosc.symmetry import Automorphism  # noqa: E402
+from fermatosc.tower import Q, _int_terms, tower_field  # noqa: E402
 
 
 def compose_matrix(f, mat):
@@ -31,13 +32,28 @@ def z_slices(h, n):
     return [BinaryForm(field, s) for s in out]
 
 
-def rand_field_element(field, rng, max_terms=3, num_bound=9):
-    return field.random_element(rng, max_terms=max_terms, num_bound=num_bound)
+def random_element(field, rng, max_terms=3, num_bound=9,
+                   den_choices=(1, 2, 3)):
+    """Up to max_terms terms c u^i t^j of `field` at random positions, each
+    c a numerator in [-num_bound, num_bound] over one of den_choices; two
+    terms drawn at one position add."""
+    acc = {}
+    for _ in range(rng.randint(1, max_terms)):
+        key = (rng.randrange(field.phi), rng.randrange(field.deg_t))
+        num = rng.randint(-num_bound, num_bound)
+        acc[key] = acc.get(key, Q(0)) + Q(num, rng.choice(den_choices))
+    return field._make(*_int_terms([(*k, c) for k, c in acc.items()]))
+
+
+def identity(field):
+    """The identity of the automorphism group, for monkeypatching a
+    generator away."""
+    return Automorphism(field, (0, 1, 2), (1, 1, 1))
 
 
 def rand_nonzero(field, rng, **kw):
     while True:
-        a = rand_field_element(field, rng, **kw)
+        a = random_element(field, rng, **kw)
         if not a.is_zero():
             return a
 

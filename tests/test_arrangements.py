@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import identity
 from fermatosc import arrangements
 from fermatosc.arrangements import (GRID_TOKENS, build, census,
                                     collinear_sextactic,
@@ -18,7 +19,7 @@ from fermatosc.arrangements import (GRID_TOKENS, build, census,
 from fermatosc.errors import CertificationFailure, NonOrdinary
 from fermatosc.fermat import FermatCurve, sextactic_points, tangent_line
 from fermatosc.hompoly import HomPoly, cross, det3, int_mult
-from fermatosc.symmetry import Automorphism, identity
+from fermatosc.symmetry import Automorphism
 from fermatosc.tower import tower_field
 
 

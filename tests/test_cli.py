@@ -13,10 +13,11 @@ from fractions import Fraction
 import pytest
 
 import fermatosc
+from conftest import identity, random_element
 from fermatosc import cli, hompoly, symmetry, tower
 from fermatosc.cli import indented_json, main
 from fermatosc.hompoly import HomPoly, resultant_order
-from fermatosc.symmetry import ConcurrencyReport, identity
+from fermatosc.symmetry import ConcurrencyReport
 
 
 def run_cli(argv, capsys):
@@ -912,8 +913,8 @@ def test_reports_match_json_dumps(argv, monkeypatch, capsys):
 def test_element_json_matches_fraction_form(d):
     fld = tower.tower_field(d)
     rng = random.Random(1610 + d)
-    elems = [fld.random_element(rng, max_terms=6, num_bound=60,
-                                den_choices=(1, 2, 3, 4, 6, 9, 35))
+    elems = [random_element(fld, rng, max_terms=6, num_bound=60,
+                            den_choices=(1, 2, 3, 4, 6, 9, 35))
              for _ in range(40)]
     elems += [a * b for a, b in zip(elems, elems[1:])]
     assert any(e.den > 1 for e in elems)

@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from conftest import (compose_matrix, rand_curve_through, rand_field_element,
-                      rand_homogeneous, rand_line_through, rand_nonzero,
-                      rand_point, z_slices)
+from conftest import (compose_matrix, rand_curve_through, rand_homogeneous,
+                      rand_line_through, rand_nonzero, rand_point,
+                      random_element, z_slices)
 from fermatosc import hompoly, tower
 from fermatosc.errors import FermatoscError
 from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint,
@@ -205,8 +205,8 @@ def test_branch_series_matches_term_by_term_lift_second_candidate():
     x, y, z = HomPoly.variables(fld)
     checked = 0
     while checked < 3:
-        p = ProjPoint(fld, [fld.one, rand_field_element(fld, rng, 2),
-                            rand_field_element(fld, rng, 2)])
+        p = ProjPoint(fld, [fld.one, random_element(fld, rng, 2),
+                            random_element(fld, rng, 2)])
         f = rand_curve_through(fld, rng, 3, p)
         # h vanishes at p with dh/dy(p) = 1 and dh/dz(p) = 0
         h = (y - x.scale(p.coords[1])) * x * x
@@ -377,7 +377,7 @@ def test_parameter_of_point_reads_coordinates_without_inverting(d, monkeypatch):
         L = HomPoly.line(fld, *coefs)
         v1, v2 = line_parametrization(L)
         for _ in range(3):
-            s, t = rand_nonzero(fld, rng), rand_field_element(fld, rng)
+            s, t = rand_nonzero(fld, rng), random_element(fld, rng)
             p = ProjPoint(fld, [s * a + t * b for a, b in zip(v1, v2)])
             with monkeypatch.context() as m:
                 m.setattr(TowerField, "invert", None)
@@ -434,14 +434,14 @@ def test_root_multiplicity_of_a_planted_root(d, monkeypatch):
     def dense():
         c = zero
         while len(c.terms) < 2:
-            c = rand_field_element(fld, rng)
+            c = random_element(fld, rng)
         return c
 
     for s0, t0 in ((one, zero), (zero, one), (dense(), dense())):
         lin = BinaryForm(fld, [-s0, t0])
         g = BinaryForm(fld, [zero])
         while form_at(g, s0, t0).is_zero():
-            g = BinaryForm(fld, [rand_field_element(fld, rng)
+            g = BinaryForm(fld, [random_element(fld, rng)
                                  for _ in range(3)])
         bf = g
         for m in range(5):
@@ -609,7 +609,7 @@ def form_from_roots(fld, roots, lead):
 
 def rand_form(fld, rng, deg):
     """A form of actual degree deg with small random coefficients."""
-    coeffs = [rand_field_element(fld, rng, max_terms=2, num_bound=5)
+    coeffs = [random_element(fld, rng, max_terms=2, num_bound=5)
               for _ in range(deg)]
     return BinaryForm(fld, coeffs + [rand_nonzero(fld, rng, max_terms=2,
                                                   num_bound=5)])
@@ -620,7 +620,7 @@ def test_resultant_is_product_over_roots(d):
     rng = random.Random(100 + d)
     fld = tower_field(d)
     for da, db in ((1, 3), (2, 1), (3, 2), (3, 3)):
-        roots = [rand_field_element(fld, rng, max_terms=2, num_bound=5)
+        roots = [random_element(fld, rng, max_terms=2, num_bound=5)
                  for _ in range(da)]
         lead = rand_nonzero(fld, rng, max_terms=2, num_bound=5)
         a = form_from_roots(fld, roots, lead)
@@ -685,7 +685,7 @@ def test_gcd_keeps_the_common_root(d):
     rng = random.Random(300 + d)
     fld = tower_field(d)
     for _ in range(3):
-        alpha, beta, gamma = (rand_field_element(fld, rng, max_terms=2)
+        alpha, beta, gamma = (random_element(fld, rng, max_terms=2)
                               + fld.from_rational(k) for k in range(3))
         a = form_from_roots(fld, (alpha, alpha, beta), rand_nonzero(fld, rng))
         b = form_from_roots(fld, (alpha, gamma), rand_nonzero(fld, rng))
@@ -716,9 +716,9 @@ def test_compose_matrix_commutes_with_evaluate(d):
     fld = tower_field(d)
     for deg in (1, 2, 3):
         f = rand_homogeneous(fld, rng, deg)
-        m = [[rand_field_element(fld, rng, max_terms=2) for _ in range(3)]
+        m = [[random_element(fld, rng, max_terms=2) for _ in range(3)]
              for _ in range(3)]
-        p = [rand_field_element(fld, rng) for _ in range(3)]
+        p = [random_element(fld, rng) for _ in range(3)]
         mp = [sum((m[i][j] * p[j] for j in range(3)), fld.zero)
               for i in range(3)]
         assert compose_matrix(f, m).evaluate(p) == f.evaluate(mp)
@@ -730,9 +730,9 @@ def test_pullback_commutes_with_evaluate(d):
     fld = tower_field(d)
     for deg in (1, 2, 4):
         f = rand_homogeneous(fld, rng, deg)
-        v1, v2 = ([rand_field_element(fld, rng) for _ in range(3)]
+        v1, v2 = ([random_element(fld, rng) for _ in range(3)]
                   for _ in range(2))
-        s, t = rand_field_element(fld, rng), rand_field_element(fld, rng)
+        s, t = random_element(fld, rng), random_element(fld, rng)
         bf = pullback_to_line(f, v1, v2)
         assert bf.deg == deg
         assert form_at(bf, s, t) == f.evaluate(
@@ -758,7 +758,7 @@ def _substitute_all_powers(f, values, one, zero, mul):
 
 
 def _series(fld, rng, n):
-    return BinaryForm(fld, [rand_field_element(fld, rng, max_terms=2)
+    return BinaryForm(fld, [random_element(fld, rng, max_terms=2)
                             for _ in range(n)])
 
 
@@ -800,7 +800,7 @@ def test_substitute_matches_all_powers(d):
     def smul(a, b):
         return a.mul(b, n)
     for f in curves:
-        pts = [rand_field_element(fld, rng) for _ in range(3)]
+        pts = [random_element(fld, rng) for _ in range(3)]
         assert _substitute(f, pts, fld.one, fld.zero, operator.mul) == \
             _substitute_all_powers(f, pts, fld.one, fld.zero, operator.mul)
         ser = [_series(fld, rng, n) for _ in range(3)]
@@ -808,7 +808,7 @@ def test_substitute_matches_all_powers(d):
         szero = BinaryForm(fld, [fld.zero] * n)
         assert _substitute(f, ser, sone, szero, smul) == \
             _substitute_all_powers(f, ser, sone, szero, smul)
-        forms = [HomPoly.line(fld, *(rand_field_element(fld, rng, max_terms=1)
+        forms = [HomPoly.line(fld, *(random_element(fld, rng, max_terms=1)
                                      for _ in range(3))) for _ in range(3)]
         fzero = HomPoly.zero(fld, f.deg)
         assert _substitute(f, forms, x1, fzero, operator.mul) == \
@@ -979,7 +979,7 @@ def test_multinomial_slices_match_composition(d):
     for deg in (1, 2, 3, d):
         for _ in range(3):
             f = rand_homogeneous(fld, rng, deg, n_terms=rng.randint(1, 6))
-            p = [rand_field_element(fld, rng, max_terms=2) for _ in range(3)]
+            p = [random_element(fld, rng, max_terms=2) for _ in range(3)]
             v, c = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(2))
             rows = [(v[i], p[i], c[i]) for i in range(3)]
             n = rng.randint(1, deg + 2)

@@ -48,10 +48,6 @@ KEPT_UNREFERENCED = {
     "pullback_to_line",
     # the second multiplicity oracle; the benchmark calls it
     "resultant_order",
-    # a test monkeypatches it in
-    "identity",
-    # it generates test data
-    "TowerField.random_element",
 }
 
 

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import compose_matrix, rand_field_element, rand_nonzero
+from conftest import compose_matrix, identity, rand_nonzero, random_element
 from fermatosc.arrangements import build
 from fermatosc.errors import CertificationFailure, FermatoscError
 from fermatosc.fermat import (FermatCurve, _hyperosc_conic_cluster_z,
@@ -19,7 +19,7 @@ from fermatosc.hompoly import BinaryForm, HomPoly, ProjPoint, cross, disc2, \
 from fermatosc import fermat, symmetry
 from fermatosc.symmetry import (Automorphism, conic_common_points,
                                 fixed_line, generator_panel, group_elements,
-                                identity, orbit, orbit_automorphism_for_line,
+                                orbit, orbit_automorphism_for_line,
                                 phi, points_on_line, psi, rho,
                                 tangent_concurrency,
                                 verify_invariant_intersection, y_scaling,
@@ -63,7 +63,7 @@ def test_monomial_action_matches_matrix(d):
     # random cubic and a random point can
     fld = tower_field(d)
     rng = random.Random(40 + d)
-    f = HomPoly(fld, 3, {(a, b, 3 - a - b): rand_field_element(fld, rng)
+    f = HomPoly(fld, 3, {(a, b, 3 - a - b): random_element(fld, rng)
                          for a in range(4) for b in range(4 - a)})
     p = ProjPoint(fld, [rand_nonzero(fld, rng) for _ in range(3)])
     for g in group_elements(d):

@@ -13,13 +13,80 @@ from math import gcd
 import mpmath
 import pytest
 
+from conftest import random_element
 from fermatosc.errors import CertificationFailure, FermatoscError
 from fermatosc import tower
-from fermatosc.tower import (D_MAX, D_MIN, FieldElement, Q, _int_terms,
-                             _zpoly_exact_div, cyclotomic_int_coeffs,
-                             field_element_from_json, memoized, tower_field)
+from fermatosc.tower import (D_MAX, D_MIN, FieldElement, Q, TowerField,
+                             _int_terms, _zpoly_exact_div,
+                             cyclotomic_int_coeffs, field_element_from_json,
+                             memoized, tower_field)
 
 DEGREES = (3, 4, 5, 6, 7, 8)
+
+
+def _full_modulus(self):
+    """t^d - 2 at every d: at 4 | d it factors, since sqrt(2) is in Q(u)."""
+    return self.d, ((0, 2),)
+
+
+def _reducible_ring():
+    """Q(u)[t] / (t^4 - 2) over the 8th cyclotomic field, which has zero
+    divisors: K_4 built with the full modulus and no certificate."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(TowerField, "_t_modulus", _full_modulus)
+        m.setattr(TowerField, "_certify", lambda self: None)
+        return TowerField(4)
+
+
+def _euclid(fld, a):
+    """Extended Euclid in Q(u)[t] against the t-modulus t^deg_t - c, the
+    reference for `invert`: (g, s) with s a = g, g = gcd(a, modulus) as an
+    element.  g is one, and s the inverse, when a is a unit; otherwise g is
+    a factor of the modulus.  The t-polynomials are lists of t-free
+    elements."""
+    zero, one = fld.zero, fld.one
+
+    def t_poly(p):
+        """sum p[j] t^j, for t-free elements p[j]."""
+        out = zero
+        for j, c in enumerate(p):
+            out = out + FieldElement(
+                fld, tuple((i, j, n) for i, _, n in c.terms), c.den)
+        return out
+
+    def deg(p):
+        return max((k for k, c in enumerate(p) if c), default=-1)
+
+    r0 = [-fld.monomial(0, fld.deg_t)] + [zero] * (fld.deg_t - 1) + [one]
+    r1 = [fld._make([(i, 0, n) for i, jj, n in a.terms if jj == j], a.den)
+          for j in range(fld.deg_t)]
+    s0, s1 = [zero], [one]
+    while True:
+        d1 = deg(r1)
+        if d1 <= 0:
+            break
+        d0 = deg(r0)
+        if d0 < d1:
+            r0, r1, s0, s1 = r1, r0, s1, s0
+            continue
+        lead_inv = fld.invert(r1[d1])
+        r0, s0 = list(r0), list(s0)
+        while d0 >= d1:
+            c = r0[d0] * lead_inv
+            sh = d0 - d1
+            for i in range(d1 + 1):
+                r0[sh + i] = r0[sh + i] - c * r1[i]
+            s0 += [zero] * (sh + len(s1) - len(s0))
+            for i, b in enumerate(s1):
+                s0[sh + i] = s0[sh + i] - c * b
+            d0 = deg(r0)
+        r0, r1, s0, s1 = r1, r0, s1, s0
+
+    if deg(r1) < 0:
+        # the gcd r0 is a nonconstant common factor: the modulus is reducible
+        return t_poly(r0), t_poly(s0[: fld.deg_t])
+    lead_inv = fld.invert(r1[0])
+    return one, t_poly([c * lead_inv for c in s1[: fld.deg_t]])
 
 
 @pytest.mark.parametrize("d", DEGREES)
@@ -106,7 +173,7 @@ def test_ring_axioms_bulk(d):
     f = tower_field(d)
     rng = random.Random(1000 + d)
     for _ in range(1000):
-        a, b, c = (f.random_element(rng, max_terms=3) for _ in range(3))
+        a, b, c = (random_element(f, rng, max_terms=3) for _ in range(3))
         assert ((a + b) + c - (a + (b + c))).is_zero()
         assert (a * (b + c) - (a * b + a * c)).is_zero()
         assert (a * b - b * a).is_zero()
@@ -118,7 +185,7 @@ def test_inversion_bulk(d):
     rng = random.Random(2000 + d)
     done = 0
     while done < 200:
-        a = f.random_element(rng, max_terms=3)
+        a = random_element(f, rng, max_terms=3)
         if a.is_zero():
             continue
         assert (a * a.inverse() - f.one).is_zero()
@@ -131,8 +198,8 @@ def test_embedding_homomorphism_bulk():
         f = tower_field(d)
         rng = random.Random(3000 + d)
         for _ in range(40):
-            a = f.random_element(rng, max_terms=3)
-            b = f.random_element(rng, max_terms=3)
+            a = random_element(f, rng, max_terms=3)
+            b = random_element(f, rng, max_terms=3)
             lhs = f.embed(a * b, 96)
             with mpmath.workprec(96):
                 rhs = f.embed(a, 96) * f.embed(b, 96)
@@ -147,7 +214,7 @@ def test_zero_embeds_into_zero_ball(d):
     rng = random.Random(4000 + d)
     samples = [f.zero, f.u**(2 * d) - f.one, f.t**d - 2]
     for _ in range(5):
-        a = f.random_element(rng)
+        a = random_element(f, rng, max_terms=4)
         samples.append(a - a)
     for a in samples:
         assert a.is_zero()
@@ -165,7 +232,7 @@ def test_serialization_roundtrip(d):
     f = tower_field(d)
     rng = random.Random(5000 + d)
     for _ in range(25):
-        a = f.random_element(rng, max_terms=5)
+        a = random_element(f, rng, max_terms=5)
         blob = a.to_json_dict()
         assert blob["d"] == d
         for i, j, s in blob["terms"]:
@@ -218,22 +285,28 @@ def test_pow_product_count(monkeypatch):
     assert not calls
 
 
-def test_zero_divisor_reports_factor():
-    from fermatosc.tower import TowerField
+def test_zero_divisor_raises_with_the_element():
     # keeping t^4 - 2 over the 8th cyclotomic field leaves a reducible
-    # modulus; inverting t^2 - sqrt(2) must surface a factor
-    broken = TowerField(4, guard=False, _force_full_modulus=True)
+    # modulus; t^2 - sqrt(2) has norm zero, and inverting it must raise
+    broken = _reducible_ring()
     zd = broken.t**2 - (broken.u - broken.u**3)
     assert not zd.is_zero()
     with pytest.raises(CertificationFailure,
-                       match="nontrivial factor") as exc:
+                       match="zero norm of a nonzero element") as exc:
         broken.invert(zd)
-    factor = exc.value.witness
-    assert factor is not None
+    assert exc.value.witness is zd
+
+
+def test_euclid_reference_reports_factor():
+    broken = _reducible_ring()
+    sqrt2 = broken.u - broken.u**3
+    zd = broken.t**2 - sqrt2
+    factor, s = _euclid(broken, zd)
     assert not factor.is_zero()
+    assert s * zd == factor
     # a true factor of t^4 - 2 = (t^2 - sqrt(2)) (t^2 + sqrt(2))
     assert max(j for _, j, _ in factor.terms) == 2
-    assert (factor * (broken.t**2 + (broken.u - broken.u**3))).is_zero()
+    assert (factor * (broken.t**2 + sqrt2)).is_zero()
 
 
 def test_larger_degree_construction():
@@ -257,7 +330,8 @@ def test_sparse_addition_matches_dense_reference(d):
 
     elems = [fld.zero, fld.one]
     for _ in range(12):
-        elems.append(fld.random_element(rng, max_terms=rng.choice((1, 3, 40))))
+        elems.append(random_element(fld, rng,
+                                    max_terms=rng.choice((1, 3, 40))))
     for _ in range(60):
         a, b = rng.choice(elems), rng.choice(elems)
         assert (a + b).coeffs == dense(a, b, 1)
@@ -292,8 +366,8 @@ def _kernel_elements(fld, rng):
     out = []
     for terms in (1, 2, 3, 7, dim // 2, 3 * dim):
         for bound in (9, 10**30):
-            a = fld.random_element(rng, max_terms=terms, num_bound=bound,
-                                   den_choices=BIG_PRIMES)
+            a = random_element(fld, rng, max_terms=terms, num_bound=bound,
+                               den_choices=BIG_PRIMES)
             if not a.is_zero():
                 out.append(a)
     return out
@@ -351,10 +425,9 @@ def _pairs(row):
 
 @pytest.mark.parametrize("d", range(D_MIN, D_MAX + 1))
 def test_integer_rows_match_long_division(d):
-    from fermatosc.tower import TowerField
     fields = [tower_field(d)]
     if d == 4:
-        fields.append(TowerField(4, guard=False, _force_full_modulus=True))
+        fields.append(_reducible_ring())
     for fld in fields:
         upow, tpow = _reduction_tables(d, fld.deg_t)
         assert list(fld._zrows) == [_pairs(r) for r in upow]
@@ -375,22 +448,21 @@ def test_integer_product_matches_rational(d):
             checked += 1
     assert checked >= 20
     # a dense product, and one that cancels down to one
-    a = fld.random_element(rng, max_terms=3 * fld.phi * fld.deg_t,
-                           num_bound=10**30, den_choices=BIG_PRIMES)
+    a = random_element(fld, rng, max_terms=3 * fld.phi * fld.deg_t,
+                       num_bound=10**30, den_choices=BIG_PRIMES)
     assert (a * a).coeffs == _rational_product(fld, a, a)
     assert a * a.inverse() == fld.one
 
 
 def test_integer_product_cancels_to_zero():
-    from fermatosc.tower import TowerField
     # in Q(u)[t] / (t^4 - 2) over the 8th cyclotomic field,
     # (t^2 - sqrt(2)) (t^2 + sqrt(2)) = t^4 - 2 = 0
-    broken = TowerField(4, guard=False, _force_full_modulus=True)
+    broken = _reducible_ring()
     sqrt2 = broken.u - broken.u**3
     rng = random.Random(650)
     for _ in range(5):
-        r1, r2 = (broken.random_element(rng, max_terms=40, num_bound=10**30,
-                                        den_choices=BIG_PRIMES)
+        r1, r2 = (random_element(broken, rng, max_terms=40, num_bound=10**30,
+                                 den_choices=BIG_PRIMES)
                   for _ in range(2))
         a = (broken.t**2 - sqrt2) * r1
         b = (broken.t**2 + sqrt2) * r2
@@ -408,13 +480,16 @@ def test_norm_inverse_matches_euclid(d):
                                (3, 9, (1, 2, 3)), (7, 9, (1, 2, 3)),
                                (fld.phi * fld.deg_t // 2, 9, (1, 2, 3))):
         for _ in range(3):
-            elems.append(fld.random_element(rng, max_terms=terms,
-                                            num_bound=bound, den_choices=dens))
+            elems.append(random_element(fld, rng, max_terms=terms,
+                                        num_bound=bound, den_choices=dens))
     elems = [a for a in elems
              if len({j for _, j, _ in a.nonzero_terms()}) > 1]
     assert len(elems) >= 6
     for a in elems:
-        assert a.inverse() == fld._invert_general(a)
+        g, s = _euclid(fld, a)
+        assert g == fld.one
+        assert a.inverse() == s
+        assert a * a.inverse() == fld.one
 
 
 def _dense_element(fld, rng):
@@ -430,7 +505,7 @@ def test_norm_inverse_large_degrees(d):
     fld = tower_field(d)
     rng = random.Random(800 + d)
     for terms in (2, 3, 12):
-        a = fld.random_element(rng, max_terms=terms)
+        a = random_element(fld, rng, max_terms=terms)
         if not a.is_zero():
             assert a * a.inverse() == fld.one
     if d == 11:
@@ -461,7 +536,8 @@ def test_single_t_power_inverse(d):
             inv = a.inverse()
             assert a * inv == fld.one
             if d <= 10:
-                assert inv == fld._invert_general(a)
+                g, s = _euclid(fld, a)
+                assert g == fld.one and inv == s
 
 
 NORMAL_FORM_DEGREES = (3, 4, 5, 8, 12)
@@ -498,8 +574,8 @@ def test_normal_form_invariants(d):
              fld.monomial(1, 2 * fld.deg_t + 1, Q(-3, 9)),
              fld.monomial(2, 0, 0)]
     for terms in (1, 3, 12):
-        elems.append(fld.random_element(rng, max_terms=terms, num_bound=10**6,
-                                        den_choices=(1, 2, 6, 10**9 + 7)))
+        elems.append(random_element(fld, rng, max_terms=terms, num_bound=10**6,
+                                    den_choices=(1, 2, 6, 10**9 + 7)))
     for a in elems:
         _assert_normal(a)
         _assert_normal(-a)
@@ -520,8 +596,8 @@ def test_equal_values_have_equal_normal_forms(d):
     fld = tower_field(d)
     rng = random.Random(1200 + d)
     for _ in range(15):
-        a, b = (fld.random_element(rng, max_terms=rng.choice((1, 3, 8)),
-                                   den_choices=(1, 2, 3, 4, 6))
+        a, b = (random_element(fld, rng, max_terms=rng.choice((1, 3, 8)),
+                               den_choices=(1, 2, 3, 4, 6))
                 for _ in range(2))
         _assert_same(a + b - b, a)
         _assert_same((a * 2) / 2, a)
@@ -549,8 +625,8 @@ def test_monomial_product_matches_general_product(d, monkeypatch):
         mono = fld._make([(rng.randrange(fld.phi), rng.randrange(fld.deg_t),
                            rng.choice((-6, -1, 1, 2, 3)))],
                          rng.choice((1, 2, 4, 9)))
-        b = fld.random_element(rng, max_terms=rng.choice((1, 2, 5, 12)),
-                               den_choices=(1, 2, 3, 6))
+        b = random_element(fld, rng, max_terms=rng.choice((1, 2, 5, 12)),
+                           den_choices=(1, 2, 3, 6))
         if b.is_zero():
             continue
         i1, j1, _ = mono.terms[0]
@@ -574,12 +650,11 @@ def _primes_dividing(n):
             if n % q == 0 and all(q % s for s in range(2, q))]
 
 
-def test_reducible_modulus_fails_certification():
-    from fermatosc.tower import TowerField
+def test_reducible_modulus_fails_certification(monkeypatch):
     # t^4 - 2 over the 8th cyclotomic field has the factor t^2 - sqrt(2)
+    monkeypatch.setattr(TowerField, "_t_modulus", _full_modulus)
     with pytest.raises(CertificationFailure):
-        TowerField(4, _force_full_modulus=True)
-    assert TowerField(4, guard=False).certificate is None
+        TowerField(4)
 
 
 @pytest.mark.parametrize("d", range(D_MIN, D_MAX + 1))
@@ -615,8 +690,6 @@ def test_smallest_certifying_primes():
 
 
 def test_construction_draws_no_random_number(monkeypatch):
-    from fermatosc import tower
-    from fermatosc.tower import TowerField
 
     def no_random(*args, **kwargs):
         raise AssertionError("field construction drew a random number")
@@ -666,8 +739,8 @@ def _memo_operands(fld, rng):
     elems = [fld.one, fld.u, fld.t, fld.t_inv, top_u, top_t,
              fld.monomial(fld.phi - 2, fld.deg_t - 1, Q(7, 3))]
     for terms in (1, 1, 2, 4, 9):
-        elems.append(fld.random_element(rng, max_terms=terms,
-                                        den_choices=(1, 2, 3, 6)))
+        elems.append(random_element(fld, rng, max_terms=terms,
+                                    den_choices=(1, 2, 3, 6)))
     return [a for a in elems if not a.is_zero()]
 
 
@@ -757,8 +830,8 @@ def test_memo_survives_id_reuse(d):
     result would then answer for a different value."""
     fld = tower_field(d)
     rng = random.Random(1800 + d)
-    pool = [a for a in (fld.random_element(rng, max_terms=3,
-                                           den_choices=(1, 2, 5))
+    pool = [a for a in (random_element(fld, rng, max_terms=3,
+                                       den_choices=(1, 2, 5))
                         for _ in range(16)) if not a.is_zero()]
     n = len(pool)
     plain = {(i, k): (pool[i] * pool[k], pool[i] + pool[k],
