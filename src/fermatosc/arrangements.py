@@ -15,6 +15,14 @@ the other two components are its rotations (a, b, c) -> (c, a, b) of the
 coefficients, of the binary form in `grid_component_poly` and of each
 linear factor in `grid_line`.
 
+An arrangement is built either alone, from a degree, or from a curve, whose
+line table (`table_lines`) holds one object for each of the 9d grid lines of
+B+M+N and the three triangle lines, certified pairwise distinct once.  The
+table also keeps the point where each pair of its lines meets and the
+certified contacts of the curve with each line, so the ten arrangements of
+`all` at one degree build each line once, meet each pair once and certify
+each line's contacts once.
+
 The census lists all singular points of the union (optionally together with
 the curve itself), the freeness test solves the quadratic necessary
 condition r^2 - (dh-1) r + (dh-1)^2 = tau for an integer exponent
@@ -40,6 +48,9 @@ from .tower import TowerField, tower_field
 GROUP_TOKENS = {"B": ("Bz", "Bx", "By"), "M": ("Mx", "My", "Mz"),
                 "N": ("Nx", "Ny", "Nz"), "A": ("Az", "Ax", "Ay")}
 GRID_TOKENS = tuple(tok for toks in GROUP_TOKENS.values() for tok in toks)
+# the tokens of a curve's line table (`table_lines`), in table order: the 9d
+# grid lines of B+M+N as `cli` numbers them, then the triangle
+TABLE_TOKENS = GRID_TOKENS[:9] + ("triangle",)
 # the (x^d, y^d, z^d) coefficients of each group's first component
 GROUP_FORMS = {"B": (1, -1, 0), "M": (0, 2, 1), "N": (0, 1, 2),
                "A": (1, 1, 0)}
@@ -50,9 +61,17 @@ class LineArrangement:
     label: str
     field: TowerField
     lines: list                       # degree-1 HomPoly, pairwise non-proportional
+    # the curve whose line table holds the lines, and the index of each line
+    # there (`table_lines`); None for lines built alone
+    curve: Optional[FermatCurve] = None
+    index: tuple = ()
 
     def __post_init__(self):
-        if len({L.canonical_line() for L in self.lines}) != len(self.lines):
+        # the table's lines are certified pairwise distinct once per curve,
+        # so lines with distinct indices are distinct
+        keys = (set(self.index) if self.curve is not None
+                else {L.canonical_line() for L in self.lines})
+        if len(keys) != len(self.lines):
             raise ValueError(f"duplicate lines in arrangement {self.label}")
 
     def product_poly(self) -> HomPoly:
@@ -152,17 +171,54 @@ def parse_label(label: str):
     return tokens
 
 
-def build(label: str, d: int) -> LineArrangement:
-    """Assemble an arrangement from a label such as B, M+triangle, BzMxNy."""
-    field = tower_field(d)
-    lines = []
-    for tok in parse_label(label):
-        if tok == "triangle":
-            for exps in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-                lines.append(HomPoly.monomial(field, exps, 1))
-        else:
-            lines.extend(grid_line(tok, field, d, i) for i in range(d))
-    return LineArrangement(label, field, lines)
+def _token_lines(token: str, field: TowerField, d: int) -> list:
+    """The d lines of a grid token, or the three lines of the triangle."""
+    if token == "triangle":
+        return [HomPoly.monomial(field, exps, 1) for exps in LINEAR_EXPS]
+    return [grid_line(token, field, d, i) for i in range(d)]
+
+
+def table_lines(curve: FermatCurve) -> tuple:
+    """The curve's line table (`FermatCurve.lines`): the 9d grid lines of
+    B+M+N in `TABLE_TOKENS` order, then the triangle x, y, z; built on
+    first use and certified pairwise distinct once per curve."""
+    if curve.lines is None:
+        field, d = curve.field, curve.d
+        lines = [L for tok in TABLE_TOKENS
+                 for L in _token_lines(tok, field, d)]
+        # a triangle line has one nonzero coefficient and a grid line two,
+        # so lines that coincide are grid lines
+        if len({L.canonical_line() for L in lines}) != len(lines):
+            raise CertificationFailure("two grid lines of B+M+N coincide")
+        curve.lines = tuple(lines)
+    return curve.lines
+
+
+def build(label: str, d_or_curve) -> LineArrangement:
+    """Assemble an arrangement from a label such as B, M+triangle, BzMxNy.
+
+    Given a degree, the lines are built anew.  Given a curve, they are the
+    curve's own (`table_lines`), so that every arrangement of the degree
+    shares one object per line, its chart, the meets of each pair and its
+    contacts with the curve; a label with a token outside the table (A)
+    raises ValueError.
+    """
+    tokens = parse_label(label)
+    if not isinstance(d_or_curve, FermatCurve):
+        field = tower_field(d_or_curve)
+        lines = [L for tok in tokens
+                 for L in _token_lines(tok, field, d_or_curve)]
+        return LineArrangement(label, field, lines)
+    curve = d_or_curve
+    table, d = table_lines(curve), curve.d
+    index = []
+    for tok in tokens:
+        if tok not in TABLE_TOKENS:
+            raise ValueError(f"{tok} is not a line of the curve's table")
+        start = TABLE_TOKENS.index(tok) * d
+        index.extend(range(start, start + (3 if tok == "triangle" else d)))
+    return LineArrangement(label, curve.field, [table[i] for i in index],
+                           curve, tuple(index))
 
 
 # -- census ----------------------------------------------------------------
@@ -192,7 +248,15 @@ def _curve_points_on_line(curve: FermatCurve, L: HomPoly):
 
 
 def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
-    """All singular points of the union, grouped with exact multiplicities.
+    """All singular points of the union, grouped with exact multiplicities,
+    in the order their first pair of lines is met (`cli` sorts the entries
+    it reports).
+
+    Each pair of lines is met once.  Lines from a curve's table
+    (`build(label, curve)`) are met once per curve, the point kept by the
+    pair of their table indices (`FermatCurve.meets`), and the contacts of
+    that curve with each of them are certified once per curve
+    (`FermatCurve.line_contacts`).
 
     With a curve, every curve fact comes from the certified contacts of the
     curve with each line, which hold every point where the curve meets the
@@ -201,18 +265,33 @@ def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
     contact 1 there (the curve is smooth, so contact 2 or more means the
     line is the tangent).
     """
-    field = arr.field
-    coeffs = [L.line_coeffs() for L in arr.lines]
+    field, lines, table = arr.field, arr.lines, arr.curve
+    n = len(lines)
+    coeffs = [L.line_coeffs() for L in lines]
+    # memos that outlive the call only for the lines of a curve's table
+    meets = {} if table is None else table.meets
+    index = range(n) if table is None else arr.index
     through = {}
-    for i in range(len(arr.lines)):
-        for k in range(i + 1, len(arr.lines)):
-            p = ProjPoint(field, cross(coeffs[i], coeffs[k]))
+    for i in range(n):
+        a = index[i]
+        for k in range(i + 1, n):
+            b = index[k]
+            key = (a, b) if a < b else (b, a)
+            p = meets.get(key)
+            if p is None:
+                p = meets[key] = ProjPoint(field,
+                                           cross(coeffs[i], coeffs[k]))
             through.setdefault(p, set()).update((i, k))
 
     curve_contact = {}
     if extra_curve is not None:
-        for i, L in enumerate(arr.lines):
-            for p, m in _curve_points_on_line(extra_curve, L).items():
+        known = extra_curve.line_contacts if extra_curve is table else {}
+        for i in range(n):
+            mults = known.get(index[i])
+            if mults is None:
+                mults = known[index[i]] = _curve_points_on_line(extra_curve,
+                                                                lines[i])
+            for p, m in mults.items():
                 curve_contact.setdefault(p, {})[i] = m
                 through.setdefault(p, set()).add(i)
 
@@ -234,18 +313,10 @@ def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
                 ordinary = all(contacts[i] == 1 for i in line_idx)
         if mult >= 2:
             entries.append(CensusEntry(p, mult, ordinary, n_lines, on_curve))
-    # report order: the dense view of each coordinate as a string, built
-    # once per distinct coordinate
-    coord_keys = {}
-    for e in entries:
-        for c in e.point.coords:
-            if c not in coord_keys:
-                coord_keys[c] = str(c.coeffs)
-    entries.sort(key=lambda e: tuple(coord_keys[c] for c in e.point.coords))
 
     n_pairs = sum(e.n_lines * (e.n_lines - 1) // 2 for e in entries
                   if e.n_lines >= 2)
-    if n_pairs != len(arr.lines) * (len(arr.lines) - 1) // 2:
+    if n_pairs != n * (n - 1) // 2:
         raise CertificationFailure("pair conservation failed",
                                    witness=n_pairs)
     return entries

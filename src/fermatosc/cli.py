@@ -37,11 +37,12 @@ import random
 import sys
 
 from . import __version__
-from .arrangements import (build, census, collinear_sextactic, freeness_test,
-                           grid_line, grid_product_poly, koszul_triple,
-                           multiplicity_multiset, parse_label,
-                           syzygy_candidates, tjurina_total, verify_syzygy)
-from .errors import CertificationFailure, FermatoscError, NonOrdinary
+from .arrangements import (TABLE_TOKENS, build, census, collinear_sextactic,
+                           freeness_test, grid_line, grid_product_poly,
+                           koszul_triple, multiplicity_multiset, parse_label,
+                           syzygy_candidates, table_lines, tjurina_total,
+                           verify_syzygy)
+from .errors import FermatoscError, NonOrdinary
 from .fermat import (FermatCurve, hyperosculating_conic, inflection_points,
                      osculating_conic_cayley, osculating_conic_closed,
                      sextactic_count_formula, sextactic_points, tangent_line,
@@ -172,21 +173,23 @@ def _inflection_payload(p, idx):
 
 
 def _grid_lines(curve):
-    """The 9d grid lines of B+M+N with their labels, certified distinct."""
-    lines = [_grid_line(curve, i) for i in range(9 * curve.d)]
-    if len({L.canonical_line() for _, L in lines}) != len(lines):
-        raise CertificationFailure("two grid lines of B+M+N coincide")
-    return lines
+    """The 9d grid lines of B+M+N with their labels, certified distinct:
+    the curve's own lines (`table_lines`)."""
+    table_lines(curve)
+    return [_grid_line(curve, i) for i in range(9 * curve.d)]
 
 
 def _grid_line(curve, index):
-    """Grid line `index` of B+M+N, in group order, with its label."""
+    """Grid line `index` of B+M+N, in group order, with its label: line
+    `index` of the curve's table once that is built, and otherwise the one
+    line alone, so a one-line query builds no other line."""
     d = curve.d
     if not 0 <= index < 9 * d:
         raise ValueError(f"line index out of range 0..{9 * d - 1}")
-    token = parse_label("BMN")[index // d]
-    return (f"{token[0]}[{index % (3 * d)}]",
-            grid_line(token, curve.field, d, index % d))
+    token = TABLE_TOKENS[index // d]
+    line = (curve.lines[index] if curve.lines is not None
+            else grid_line(token, curve.field, d, index % d))
+    return f"{token[0]}[{index % (3 * d)}]", line
 
 
 def cmd_points(args):
@@ -295,10 +298,22 @@ def _census_payload(entries):
     }
 
 
+def _report_order(entries):
+    """Census entries in report order: by the dense view of each coordinate
+    as a string, built once per distinct coordinate."""
+    coord_keys = {}
+    for e in entries:
+        for c in e.point.coords:
+            if c not in coord_keys:
+                coord_keys[c] = str(c.coeffs)
+    return sorted(entries,
+                  key=lambda e: tuple(coord_keys[c] for c in e.point.coords))
+
+
 def cmd_census(args):
     curve = FermatCurve(args.degree) if args.with_fermat else None
     arr = build(args.arrangement, args.degree)
-    entries = census(arr, curve)
+    entries = _report_order(census(arr, curve))
     payload = {"arrangement": args.arrangement,
                "n_lines": len(arr.lines),
                "with_fermat": bool(args.with_fermat)}
@@ -308,16 +323,16 @@ def cmd_census(args):
     return payload, []
 
 
-def _freeness(label, d, curve):
+def _freeness(arr, curve):
     """Freeness verdict of an arrangement, joined with the curve if given,
     and the failures of its check against the paper's claim on the same
     lines (with the curve or without, as here), in any label order.  An
     arrangement the paper states nothing about is not checked."""
-    arr = build(label, d)
+    d = arr.field.d
     tau = tjurina_total(census(arr, curve))
     degree_hat = len(arr.lines) + (d if curve is not None else 0)
     verdict = freeness_test(degree_hat, tau)
-    tokens = sorted(parse_label(label))
+    tokens = sorted(parse_label(arr.label))
     for key, (free, exps) in paper_claims(d)["freeness"].items():
         if (key.endswith("+F") == (curve is not None)
                 and sorted(parse_label(key.removesuffix("+F"))) == tokens):
@@ -331,7 +346,8 @@ def _freeness(label, d, curve):
 def cmd_freeness(args):
     curve = FermatCurve(args.degree) if args.with_fermat else None
     try:
-        verdict, failures = _freeness(args.arrangement, args.degree, curve)
+        verdict, failures = _freeness(build(args.arrangement, args.degree),
+                                      curve)
     except NonOrdinary as exc:
         # a usage error, not a failed certificate: the criterion needs
         # ordinary points, and `census` reports the arrangement as it is
@@ -529,10 +545,12 @@ def _all_degree(d, rng):
             or sextactic_count_formula(curve) != len(pts)):
         sec_fail.append({"check": "sextactic-suite", "degree": d})
 
+    # every arrangement reads the curve's line table: each line is built,
+    # each pair met and each curve contact certified once per degree
     frees = {}
     for key in claims["freeness"]:
         with_f = key.endswith("+F")
-        verdict, fails = _freeness(key.removesuffix("+F"), d,
+        verdict, fails = _freeness(build(key.removesuffix("+F"), curve),
                                    curve if with_f else None)
         frees[key] = {"tau": verdict.tau, "free": verdict.free,
                       "exponents": (list(verdict.exponents)

@@ -16,7 +16,8 @@ inflection points (0 : 1 : u^k) and their two rotations by
 (a, b, c) -> (c, a, b) are written down the same way, once per curve.  The
 curve is the one incidence table of its degree: it keeps both point sets,
 finds the special points on a line by a coordinate-ratio lookup, and holds
-the orbits of its points under automorphisms.
+the orbits of its points under automorphisms, the grid and triangle lines
+with the points where they meet, and the curve's contacts with each line.
 
 Osculating conics come from two independent pipelines: the evaluated
 covariant combination 9H^3(p) D2F_p - (6H^2(p) DH_p + W(p) DF_p) DF_p with
@@ -38,7 +39,7 @@ from functools import cached_property
 
 from .errors import CertificationFailure, FermatoscError
 from .hompoly import HomPoly, ProjPoint, det3, hessian
-from .tower import TowerField, tower_field
+from .tower import tower_field
 
 CLUSTERS = ("z", "y", "x")
 
@@ -69,6 +70,15 @@ class FermatCurve:
     (`curve_orbit`), the scaling of each coordinate (`coordinate_scaling`),
     the sextactic points and fixed line of each grid line (`_line_family`),
     and the contact at every special point (`contacts`).
+
+    `lines`, `meets` and `line_contacts` are the line table that
+    `arrangements` fills, and every census of the degree reads: the 9d
+    grid lines of B+M+N and the three triangle lines, one object each,
+    certified pairwise distinct once (`arrangements.table_lines`); the
+    point where two of them meet, keyed by the pair of their table
+    indices; and the certified contacts of the curve with each line, keyed
+    by its index.  The grid stages of `cli` read the same line objects, so
+    their charts and families are shared too.
     """
 
     def __init__(self, d: int):
@@ -86,6 +96,9 @@ class FermatCurve:
         self.scalings = {}
         self.line_families = {}
         self.contacts = None
+        self.lines = None
+        self.meets = {}
+        self.line_contacts = {}
 
     @cached_property
     def sextactic(self) -> tuple:
@@ -204,25 +217,27 @@ class FermatCurve:
         d, one = self.d, self.field.one
         j, k = j % d, k % (2 * d)
         n = CLUSTERS.index(cluster)
-        zj, w = self._unit(2 * j, 0), self._unit(-k, 1)      # zeta^j, u^(-k) t
-        # (zj : 1 : w), (1 : w : zj) and (w : zj : 1), scaled
+        unit = self._unit
+        # (zeta^j : 1 : w), (1 : w : zeta^j) and (w : zeta^j : 1) with
+        # w = u^(-k) t, scaled: each coordinate is one unit, no product
         if n == 0:
-            zinv = self._unit(-2 * j, 0)
-            coords = (one, zinv, zinv * w)
+            coords = (one, unit(-2 * j, 0), unit(-2 * j - k, 1))
         elif n == 1:
-            coords = (one, w, zj)
+            coords = (one, unit(-k, 1), unit(2 * j, 0))
         else:
-            winv = self._unit(k, -1)
-            coords = (one, zj * winv, winv)
+            coords = (one, unit(2 * j + k, -1), unit(k, -1))
         return SextacticPoint(cluster, j, k, ProjPoint(self.field, coords))
 
     def _unit(self, a: int, b: int):
-        """u^a t^b for b in (-1, 0, 1), built once per curve: the points of
-        one cluster share d values of each."""
+        """u^a t^b for b in (-2, -1, 0, 1), built once per curve and kept
+        by a mod 2d (u has order 2d): the points and hyperosculating conics
+        of one cluster share d values of each.  A negative b is a product
+        by t^-1, so building a unit inverts nothing."""
+        a %= 2 * self.d
         out = self._units.get((a, b))
         if out is None:
             field = self.field
-            out = (field.u_pow(a) * field.t_inv if b < 0
+            out = (self._unit(a, b + 1) * field.t_inv if b < 0
                    else field.monomial(a, b))
             self._units[a, b] = out
         return out
@@ -413,20 +428,21 @@ def osculating_conic_closed(curve: FermatCurve, p: ProjPoint) -> HomPoly:
     return _closed_conic_raw(curve, p)
 
 
-def _hyperosc_conic_cluster_z(field: TowerField, d: int, j: int, k: int) -> HomPoly:
-    """O_{j,k} for the cluster-z point (zeta^j : 1 : u^(-k) t)."""
-    tinv = field.t_inv
+def _hyperosc_conic_cluster_z(curve: FermatCurve, j: int, k: int) -> HomPoly:
+    """O_{j,k} for the cluster-z point (zeta^j : 1 : u^(-k) t): each
+    coefficient is a unit u^a t^b of the curve's table (`_unit`) times an
+    integer."""
+    d, unit = curve.d, curve._unit
+    mixed = 8 * d * (d - 2)                     # of xz and of yz
     terms = {
-        (2, 0, 0): field.zeta_pow(-2 * j) * (d * (d + 1)),
-        (0, 2, 0): field.from_rational(d * (d + 1)),
-        (0, 0, 2): field.u_pow(2 * k) * tinv * tinv *
-        (-4 * (d + 1) * (2 * d - 3)),
-        (1, 1, 0): field.zeta_pow(-j) * (-2 * (d - 2) * (5 * d - 3)),
-        (1, 0, 1): field.zeta_pow(-j) * field.u_pow(k) * tinv *
-        (8 * d * (d - 2)),
-        (0, 1, 1): field.u_pow(k) * tinv * (8 * d * (d - 2)),
+        (2, 0, 0): unit(-4 * j, 0) * (d * (d + 1)),
+        (0, 2, 0): curve.field.from_rational(d * (d + 1)),
+        (0, 0, 2): unit(2 * k, -2) * (-4 * (d + 1) * (2 * d - 3)),
+        (1, 1, 0): unit(-2 * j, 0) * (-2 * (d - 2) * (5 * d - 3)),
+        (1, 0, 1): unit(k - 2 * j, -1) * mixed,
+        (0, 1, 1): unit(k, -1) * mixed,
     }
-    return HomPoly(field, 2, terms)
+    return HomPoly(curve.field, 2, terms)
 
 
 def hyperosculating_conic(curve: FermatCurve, s: SextacticPoint) -> HomPoly:
@@ -436,5 +452,5 @@ def hyperosculating_conic(curve: FermatCurve, s: SextacticPoint) -> HomPoly:
     point p and g(a, b, c) = (b, c, a); its conic is O_p composed with g^-n,
     x_i -> x_(i - n mod 3).
     """
-    base = _hyperosc_conic_cluster_z(curve.field, curve.d, s.j, s.k)
+    base = _hyperosc_conic_cluster_z(curve, s.j, s.k)
     return base.permuted(rotate((0, 1, 2), -CLUSTERS.index(s.cluster)))

@@ -14,8 +14,9 @@ from fermatosc.arrangements import (GRID_TOKENS, build, census,
                                     fermat_grid_product_poly, freeness_test,
                                     grid_component_poly, grid_product_poly,
                                     koszul_triple, multiplicity_multiset,
-                                    syzygy_candidates, tjurina_total,
-                                    verify_syzygy)
+                                    syzygy_candidates, table_lines,
+                                    tjurina_total, verify_syzygy)
+from fermatosc.cli import _report_order, paper_claims
 from fermatosc.errors import CertificationFailure, NonOrdinary
 from fermatosc.fermat import FermatCurve, sextactic_points, tangent_line
 from fermatosc.hompoly import HomPoly, cross, det3, int_mult
@@ -66,8 +67,45 @@ def test_build_rejects_bad_labels():
         build("Q", 4)
     with pytest.raises(ValueError):
         build("", 4)
-    with pytest.raises(ValueError):
-        build("B+B", 4)          # duplicate lines
+    with pytest.raises(ValueError, match="duplicate lines"):
+        build("B+B", 4)
+
+
+def _report_rows(entries):
+    return [(e.point, e.multiplicity, e.ordinary, e.n_lines, e.on_curve)
+            for e in _report_order(entries)]
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8))
+def test_table_census_matches_lines_built_alone(d):
+    """Each census of `all`, read through one curve's line table, lists the
+    points of a census of lines built alone, in report order."""
+    C = FermatCurve(d)
+    for key in paper_claims(d)["freeness"]:
+        label = key.removesuffix("+F")
+        curve = C if key.endswith("+F") else None
+        shared = census(build(label, C), curve)
+        assert _report_rows(shared) == \
+            _report_rows(census(build(label, d), curve)), key
+
+
+def test_table_arrangements_share_the_table_lines():
+    """An arrangement built from a curve holds the table's line objects,
+    in label order, and no label repeating a token passes."""
+    d = 4
+    C = FermatCurve(d)
+    table = table_lines(C)
+    assert table_lines(C) is table and len(table) == 9 * d + 3
+    arr = build("M+triangle", C)
+    assert arr.index == tuple(range(3 * d, 6 * d)) + tuple(
+        range(9 * d, 9 * d + 3))
+    assert all(L is table[i] for L, i in zip(arr.lines, arr.index))
+    assert build("BzMxNy", C).lines[0] is build("B", C).lines[0]
+    for label in ("B+Bz", "BzMxNy+Mx"):
+        with pytest.raises(ValueError, match="duplicate lines"):
+            build(label, C)
+    with pytest.raises(ValueError, match="not a line of the curve's table"):
+        build("A+B", C)
 
 
 @pytest.mark.parametrize("d", (3, 4, 5, 6))

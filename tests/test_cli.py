@@ -14,7 +14,7 @@ import pytest
 
 import fermatosc
 from conftest import identity, random_element
-from fermatosc import cli, hompoly, symmetry, tower
+from fermatosc import arrangements, cli, hompoly, symmetry, tower
 from fermatosc.cli import indented_json, main
 from fermatosc.hompoly import HomPoly, resultant_order
 from fermatosc.symmetry import ConcurrencyReport
@@ -330,7 +330,7 @@ QUERY_PLANTED_FAULTS = [
      "cli.koszul_triple", _unsigned_koszul,
      [{"check": "koszul-syzygy", "degree": 3}]),
     ("fatal", ["verify", "--theorem", "main", "--degree", "3"],
-     "cli.grid_line", _one_grid_line,
+     "arrangements.grid_line", _one_grid_line,
      [{"check": "fatal", "detail": "two grid lines of B+M+N coincide"}]),
 ]
 
@@ -644,6 +644,67 @@ def test_all_small_range(tmp_path):
     assert sec["sextactic"]["count"] == 27
     assert sec["freeness"]["B"]["free"]
     assert sec["invariant_intersection"]["all_invariant"]
+
+
+def test_all_freeness_matches_the_freeness_command(capsys):
+    """`all` reads its ten arrangements through the curve's line table; its
+    freeness section is what the `freeness` command reports for each
+    arrangement built alone."""
+    code, suite = run_json(["all", "--min-degree", "3", "--max-degree", "4"],
+                           capsys)
+    assert code == 0
+    for d in (3, 4):
+        frees = suite["payload"]["degrees"][str(d)]["freeness"]
+        assert list(frees) == list(cli.paper_claims(d)["freeness"])
+        for key, got in frees.items():
+            argv = ["freeness", "--arrangement", key.removesuffix("+F"),
+                    "--degree", str(d)] + (["--with-fermat"]
+                                           if key.endswith("+F") else [])
+            code, rep = run_json(argv, capsys)
+            verdict = rep["payload"]["verdict"]
+            assert code == 0
+            assert got == {k: verdict[k] for k in got}, (d, key)
+
+
+def test_all_meets_each_pair_and_certifies_each_line_once(monkeypatch,
+                                                         capsys):
+    """At d = 6 the ten censuses of `all` cross 1,701 pairs of lines, of
+    which 696 are distinct, and restrict the curve to 54 lines, of which 42
+    are distinct: each distinct pair is met once and each distinct line's
+    contacts certified once.  The concurrency stage reads the same line
+    objects."""
+    curves, crossed, restricted, inside, sizes = [], [], [], [], []
+    make_curve, real_census = cli.FermatCurve, cli.census
+    real_cross = arrangements.cross
+    real_contacts = arrangements._curve_points_on_line
+
+    def census(arr, curve=None):
+        sizes.append((len(arr.lines), curve is not None))
+        inside.append(arr)
+        try:
+            return real_census(arr, curve)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(cli, "FermatCurve",
+                        lambda d: curves.append(make_curve(d)) or curves[-1])
+    monkeypatch.setattr(cli, "census", census)
+    monkeypatch.setattr(arrangements, "cross", lambda a, b: (
+        crossed.append(1) if inside else None) or real_cross(a, b))
+    monkeypatch.setattr(arrangements, "_curve_points_on_line",
+                        lambda curve, L: restricted.append(L)
+                        or real_contacts(curve, L))
+    code, _ = run_json(["all", "--min-degree", "6", "--max-degree", "6"],
+                       capsys)
+    assert code == 0
+    [C] = curves
+    assert sum(n * (n - 1) // 2 for n, _ in sizes) == 1701
+    assert sum(n for n, with_curve in sizes if with_curve) == 54
+    assert len(crossed) == len(C.meets) == 696
+    assert len(restricted) == len({id(L) for L in restricted}) == 42
+    assert len(C.line_contacts) == 42
+    table = arrangements.table_lines(C)
+    assert all(L is table[i] for i, (_, L) in enumerate(cli._grid_lines(C)))
+    assert {id(L) for L in C.line_families} <= {id(L) for L in table}
 
 
 def test_all_renders_no_line_report(tmp_path, monkeypatch):

@@ -7,12 +7,12 @@ import random
 import pytest
 
 from fermatosc.errors import FermatoscError
-from fermatosc.fermat import (FermatCurve, hyperosculating_conic,
+from fermatosc.fermat import (CLUSTERS, FermatCurve, hyperosculating_conic,
                               inflection_points, osculating_conic_cayley,
-                              osculating_conic_closed, sextactic_count_formula,
-                              sextactic_points, tangent_line, two_hessian,
-                              two_hessian_factored, _cayley_conic_raw,
-                              _closed_conic_raw)
+                              osculating_conic_closed, rotate,
+                              sextactic_count_formula, sextactic_points,
+                              tangent_line, two_hessian, two_hessian_factored,
+                              _cayley_conic_raw, _closed_conic_raw)
 from fermatosc.hompoly import (HomPoly, ProjPoint, hessian, int_mult,
                                osculating_conic_series)
 from fermatosc.tower import tower_field
@@ -121,7 +121,7 @@ def test_sextactic_counts(d):
         assert not tangent_line(C, s.point).is_zero()
 
 
-@pytest.mark.parametrize("d", (3, 4, 5, 6, 12))
+@pytest.mark.parametrize("d", (3, 4, 5, 6, 9, 12))
 def test_sextactic_point_matches_the_point_set(d):
     """One point from the cluster formula is the point set's entry with the
     same indices: the raw monomial coordinates rotated per cluster,
@@ -223,6 +223,38 @@ def test_explicit_conic_coefficients():
         assert O.coeff((0, 1, 1)) == fld.u_pow(k) * fld.t_inv * (8 * d * (d - 2))
         assert O.coeff((1, 0, 1)) == fld.zeta_pow(-j) * fld.u_pow(k) \
             * fld.t_inv * (8 * d * (d - 2))
+
+
+def _conic_by_products(fld, d, j, k):
+    """O_{j,k} at the cluster-z point, each coefficient built from the
+    field's powers of zeta, u and t^-1 by products."""
+    tinv = fld.t_inv
+    return HomPoly(fld, 2, {
+        (2, 0, 0): fld.zeta_pow(-2 * j) * (d * (d + 1)),
+        (0, 2, 0): fld.from_rational(d * (d + 1)),
+        (0, 0, 2): fld.u_pow(2 * k) * tinv * tinv
+        * (-4 * (d + 1) * (2 * d - 3)),
+        (1, 1, 0): fld.zeta_pow(-j) * (-2 * (d - 2) * (5 * d - 3)),
+        (1, 0, 1): fld.zeta_pow(-j) * fld.u_pow(k) * tinv * (8 * d * (d - 2)),
+        (0, 1, 1): fld.u_pow(k) * tinv * (8 * d * (d - 2)),
+    })
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8))
+def test_hyperosculating_conics_read_from_the_unit_table(d):
+    """All 3d^2 hyperosculating conics, whose coefficients are read from
+    the curve's units, equal the formula built by products, term by term;
+    the conic of clusters y and x is the cluster-z conic with its
+    variables rotated."""
+    C = FermatCurve(d)
+    for n, cluster in enumerate(CLUSTERS):
+        want = {(j, k): _conic_by_products(C.field, d, j, k).permuted(
+                    rotate((0, 1, 2), -n))
+                for j in range(d) for k in range(1, 2 * d, 2)}
+        for s in sextactic_points(C):
+            if s.cluster == cluster:
+                assert hyperosculating_conic(C, s).terms == \
+                    want[s.j, s.k].terms, s.label()
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))

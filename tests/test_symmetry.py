@@ -16,7 +16,7 @@ from fermatosc.fermat import (FermatCurve, _hyperosc_conic_cluster_z,
                               sextactic_points, tangent_line)
 from fermatosc.hompoly import BinaryForm, HomPoly, ProjPoint, cross, disc2, \
     restrict_to_line
-from fermatosc import fermat, symmetry
+from fermatosc import cli, fermat, symmetry
 from fermatosc.symmetry import (Automorphism, conic_common_points,
                                 fixed_line, generator_panel, group_elements,
                                 orbit, orbit_automorphism_for_line,
@@ -82,7 +82,7 @@ def test_cluster_conics_match_permutation_matrices(d):
     mats = {"y": ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
             "x": ((0, 1, 0), (0, 0, 1), (1, 0, 0))}
     for s in sextactic_points(C):
-        base = _hyperosc_conic_cluster_z(C.field, d, s.j, s.k)
+        base = _hyperosc_conic_cluster_z(C, s.j, s.k)
         if s.cluster != "z":
             base = compose_matrix(base, mats[s.cluster])
         assert hyperosculating_conic(C, s) == base, s.label()
@@ -454,6 +454,9 @@ def test_both_certificates_share_one_line_family(monkeypatch):
 
 
 def test_curve_tables_die_with_the_curve():
+    """The curve's tables make no reference cycle with it, the line table
+    of the freeness stage included: the curve is freed when its last
+    reference goes, with the cyclic collector off."""
     C = FermatCurve(3)
     L = build("Bz", 3).lines[0]
     tangent_concurrency(C, L)
@@ -461,10 +464,17 @@ def test_curve_tables_die_with_the_curve():
     for n in (1, 2):
         assert verify_invariant_intersection(C, rho(C.field),
                                              sextactic_points(C)[0].point, n)
+    for key in cli.paper_claims(3)["freeness"]:
+        cli._freeness(build(key.removesuffix("+F"), C),
+                      C if key.endswith("+F") else None)
+    assert C.lines and C.meets and C.line_contacts
     ref = weakref.ref(C)
-    del C
-    gc.collect()
-    assert ref() is None
+    gc.disable()
+    try:
+        del C
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_proportional_tangents_raise(monkeypatch):
