@@ -15,13 +15,14 @@ the other two components are its rotations (a, b, c) -> (c, a, b) of the
 coefficients, of the binary form in `grid_component_poly` and of each
 linear factor in `grid_line`.
 
-An arrangement is built either alone, from a degree, or from a curve, whose
-line table (`table_lines`) holds one object for each of the 9d grid lines of
-B+M+N and the three triangle lines, certified pairwise distinct once.  The
-table also keeps the point where each pair of its lines meets and the
-certified contacts of the curve with each line, so the ten arrangements of
-`all` at one degree build each line once, meet each pair once and certify
-each line's contacts once.
+An arrangement is built from a curve, and its lines are the curve's own:
+its line table (`token_lines`) holds one object for each of the 9d grid
+lines of B+M+N, the 3d inflection tangents of A and the three triangle
+lines, built one token at a time on first use, each line certified
+distinct from every line built before it.  The table also keeps the point
+where each pair of its lines meets and the certified contacts of the curve
+with each line, so the ten arrangements of `all` at one degree build each
+line once, meet each pair once and certify each line's contacts once.
 
 The census lists all singular points of the union (optionally together with
 the curve itself), the freeness test solves the quadratic necessary
@@ -48,9 +49,9 @@ from .tower import TowerField, tower_field
 GROUP_TOKENS = {"B": ("Bz", "Bx", "By"), "M": ("Mx", "My", "Mz"),
                 "N": ("Nx", "Ny", "Nz"), "A": ("Az", "Ax", "Ay")}
 GRID_TOKENS = tuple(tok for toks in GROUP_TOKENS.values() for tok in toks)
-# the tokens of a curve's line table (`table_lines`), in table order: the 9d
-# grid lines of B+M+N as `cli` numbers them, then the triangle
-TABLE_TOKENS = GRID_TOKENS[:9] + ("triangle",)
+# the tokens of a curve's line table (`token_lines`), in table order: the 9d
+# grid lines of B+M+N as `cli` numbers them, then A, then the triangle
+TABLE_TOKENS = GRID_TOKENS + ("triangle",)
 # the (x^d, y^d, z^d) coefficients of each group's first component
 GROUP_FORMS = {"B": (1, -1, 0), "M": (0, 2, 1), "N": (0, 1, 2),
                "A": (1, 1, 0)}
@@ -59,23 +60,18 @@ GROUP_FORMS = {"B": (1, -1, 0), "M": (0, 2, 1), "N": (0, 1, 2),
 @dataclass
 class LineArrangement:
     label: str
-    field: TowerField
-    lines: list                       # degree-1 HomPoly, pairwise non-proportional
-    # the curve whose line table holds the lines, and the index of each line
-    # there (`table_lines`); None for lines built alone
-    curve: Optional[FermatCurve] = None
-    index: tuple = ()
+    curve: FermatCurve                # whose line table holds the lines
+    lines: list                       # degree-1 HomPoly, the table's objects
+    index: tuple                      # the table index of each line
 
     def __post_init__(self):
-        # the table's lines are certified pairwise distinct once per curve,
-        # so lines with distinct indices are distinct
-        keys = (set(self.index) if self.curve is not None
-                else {L.canonical_line() for L in self.lines})
-        if len(keys) != len(self.lines):
+        # the table's lines are certified pairwise distinct, so lines with
+        # distinct indices are distinct
+        if len(set(self.index)) != len(self.index):
             raise ValueError(f"duplicate lines in arrangement {self.label}")
 
     def product_poly(self) -> HomPoly:
-        out = HomPoly.monomial(self.field, (0, 0, 0), 1)
+        out = HomPoly.monomial(self.curve.field, (0, 0, 0), 1)
         for L in self.lines:
             out = out * L
         return out
@@ -171,54 +167,45 @@ def parse_label(label: str):
     return tokens
 
 
-def _token_lines(token: str, field: TowerField, d: int) -> list:
-    """The d lines of a grid token, or the three lines of the triangle."""
-    if token == "triangle":
-        return [HomPoly.monomial(field, exps, 1) for exps in LINEAR_EXPS]
-    return [grid_line(token, field, d, i) for i in range(d)]
-
-
-def table_lines(curve: FermatCurve) -> tuple:
-    """The curve's line table (`FermatCurve.lines`): the 9d grid lines of
-    B+M+N in `TABLE_TOKENS` order, then the triangle x, y, z; built on
-    first use and certified pairwise distinct once per curve."""
-    if curve.lines is None:
+def token_lines(curve: FermatCurve, token: str) -> tuple:
+    """The lines of one token in the curve's line table (`FermatCurve.lines`):
+    the d lines of a grid token or the triangle x, y, z, built on the
+    token's first use, each certified distinct from every line of the table
+    built before it by its canonical key (`FermatCurve.line_keys`)."""
+    lines = curve.lines.get(token)
+    if lines is None:
         field, d = curve.field, curve.d
-        lines = [L for tok in TABLE_TOKENS
-                 for L in _token_lines(tok, field, d)]
-        # a triangle line has one nonzero coefficient and a grid line two,
-        # so lines that coincide are grid lines
-        if len({L.canonical_line() for L in lines}) != len(lines):
-            raise CertificationFailure("two grid lines of B+M+N coincide")
-        curve.lines = tuple(lines)
-    return curve.lines
+        if token == "triangle":
+            lines = tuple(HomPoly.monomial(field, exps, 1)
+                          for exps in LINEAR_EXPS)
+        else:
+            lines = tuple(grid_line(token, field, d, i) for i in range(d))
+        keys = {L.canonical_line() for L in lines}
+        # a triangle line has one nonzero coefficient and every other line
+        # two, so lines that coincide are grid lines of one variable pair
+        if len(keys) != len(lines) or not keys.isdisjoint(curve.line_keys):
+            raise CertificationFailure(
+                "two lines of the curve's line table coincide")
+        curve.line_keys |= keys
+        curve.lines[token] = lines
+    return lines
 
 
-def build(label: str, d_or_curve) -> LineArrangement:
+def build(label: str, curve: FermatCurve) -> LineArrangement:
     """Assemble an arrangement from a label such as B, M+triangle, BzMxNy.
 
-    Given a degree, the lines are built anew.  Given a curve, they are the
-    curve's own (`table_lines`), so that every arrangement of the degree
-    shares one object per line, its chart, the meets of each pair and its
-    contacts with the curve; a label with a token outside the table (A)
-    raises ValueError.
+    The lines are the curve's own (`token_lines`), so that every
+    arrangement of the degree shares one object per line, its chart, the
+    meets of each pair and its contacts with the curve.
     """
-    tokens = parse_label(label)
-    if not isinstance(d_or_curve, FermatCurve):
-        field = tower_field(d_or_curve)
-        lines = [L for tok in tokens
-                 for L in _token_lines(tok, field, d_or_curve)]
-        return LineArrangement(label, field, lines)
-    curve = d_or_curve
-    table, d = table_lines(curve), curve.d
-    index = []
-    for tok in tokens:
-        if tok not in TABLE_TOKENS:
-            raise ValueError(f"{tok} is not a line of the curve's table")
+    d = curve.d
+    lines, index = [], []
+    for tok in parse_label(label):
+        own = token_lines(curve, tok)
         start = TABLE_TOKENS.index(tok) * d
-        index.extend(range(start, start + (3 if tok == "triangle" else d)))
-    return LineArrangement(label, curve.field, [table[i] for i in index],
-                           curve, tuple(index))
+        lines.extend(own)
+        index.extend(range(start, start + len(own)))
+    return LineArrangement(label, curve, lines, tuple(index))
 
 
 # -- census ----------------------------------------------------------------
@@ -247,30 +234,27 @@ def _curve_points_on_line(curve: FermatCurve, L: HomPoly):
     return mults
 
 
-def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
-    """All singular points of the union, grouped with exact multiplicities,
-    in the order their first pair of lines is met (`cli` sorts the entries
-    it reports).
+def census(arr: LineArrangement, with_curve: bool = False):
+    """All singular points of the union, joined with the arrangement's
+    curve if `with_curve`, grouped with exact multiplicities, in the order
+    their first pair of lines is met (`cli` sorts the entries it reports).
 
-    Each pair of lines is met once.  Lines from a curve's table
-    (`build(label, curve)`) are met once per curve, the point kept by the
-    pair of their table indices (`FermatCurve.meets`), and the contacts of
-    that curve with each of them are certified once per curve
+    Each pair of lines is met once per curve, the point kept by the pair of
+    their table indices (`FermatCurve.meets`), and the contacts of the
+    curve with each line are certified once per curve
     (`FermatCurve.line_contacts`).
 
-    With a curve, every curve fact comes from the certified contacts of the
-    curve with each line, which hold every point where the curve meets the
-    arrangement: a point is on the curve exactly when it has a contact, and
-    an on-curve point is ordinary exactly when every line through it has
-    contact 1 there (the curve is smooth, so contact 2 or more means the
-    line is the tangent).
+    With the curve, every curve fact comes from the certified contacts of
+    the curve with each line, which hold every point where the curve meets
+    the arrangement: a point is on the curve exactly when it has a contact,
+    and an on-curve point is ordinary exactly when every line through it
+    has contact 1 there (the curve is smooth, so contact 2 or more means
+    the line is the tangent).
     """
-    field, lines, table = arr.field, arr.lines, arr.curve
+    curve, lines, index = arr.curve, arr.lines, arr.index
+    field, meets = curve.field, curve.meets
     n = len(lines)
     coeffs = [L.line_coeffs() for L in lines]
-    # memos that outlive the call only for the lines of a curve's table
-    meets = {} if table is None else table.meets
-    index = range(n) if table is None else arr.index
     through = {}
     for i in range(n):
         a = index[i]
@@ -284,13 +268,12 @@ def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
             through.setdefault(p, set()).update((i, k))
 
     curve_contact = {}
-    if extra_curve is not None:
-        known = extra_curve.line_contacts if extra_curve is table else {}
-        for i in range(n):
-            mults = known.get(index[i])
+    if with_curve:
+        known = curve.line_contacts
+        for i, a in enumerate(index):
+            mults = known.get(a)
             if mults is None:
-                mults = known[index[i]] = _curve_points_on_line(extra_curve,
-                                                                lines[i])
+                mults = known[a] = _curve_points_on_line(curve, lines[i])
             for p, m in mults.items():
                 curve_contact.setdefault(p, {})[i] = m
                 through.setdefault(p, set()).add(i)
@@ -301,7 +284,7 @@ def census(arr: LineArrangement, extra_curve: Optional[FermatCurve] = None):
         on_curve = None
         mult = n_lines
         ordinary = True
-        if extra_curve is not None:
+        if with_curve:
             on_curve = p in curve_contact
             if on_curve:
                 mult += 1

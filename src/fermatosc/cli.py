@@ -38,9 +38,9 @@ import sys
 
 from . import __version__
 from .arrangements import (TABLE_TOKENS, build, census, collinear_sextactic,
-                           freeness_test, grid_line, grid_product_poly,
-                           koszul_triple, multiplicity_multiset, parse_label,
-                           syzygy_candidates, table_lines, tjurina_total,
+                           freeness_test, grid_product_poly, koszul_triple,
+                           multiplicity_multiset, parse_label,
+                           syzygy_candidates, tjurina_total, token_lines,
                            verify_syzygy)
 from .errors import FermatoscError, NonOrdinary
 from .fermat import (FermatCurve, hyperosculating_conic, inflection_points,
@@ -174,21 +174,19 @@ def _inflection_payload(p, idx):
 
 def _grid_lines(curve):
     """The 9d grid lines of B+M+N with their labels, certified distinct:
-    the curve's own lines (`table_lines`)."""
-    table_lines(curve)
+    the curve's own lines (`token_lines`)."""
     return [_grid_line(curve, i) for i in range(9 * curve.d)]
 
 
 def _grid_line(curve, index):
     """Grid line `index` of B+M+N, in group order, with its label: line
-    `index` of the curve's table once that is built, and otherwise the one
-    line alone, so a one-line query builds no other line."""
+    `index % d` of its token's lines in the curve's table, so a one-line
+    query builds only its token's d lines."""
     d = curve.d
     if not 0 <= index < 9 * d:
         raise ValueError(f"line index out of range 0..{9 * d - 1}")
     token = TABLE_TOKENS[index // d]
-    line = (curve.lines[index] if curve.lines is not None
-            else grid_line(token, curve.field, d, index % d))
+    line = token_lines(curve, token)[index % d]
     return f"{token[0]}[{index % (3 * d)}]", line
 
 
@@ -311,9 +309,8 @@ def _report_order(entries):
 
 
 def cmd_census(args):
-    curve = FermatCurve(args.degree) if args.with_fermat else None
-    arr = build(args.arrangement, args.degree)
-    entries = _report_order(census(arr, curve))
+    arr = build(args.arrangement, FermatCurve(args.degree))
+    entries = _report_order(census(arr, args.with_fermat))
     payload = {"arrangement": args.arrangement,
                "n_lines": len(arr.lines),
                "with_fermat": bool(args.with_fermat)}
@@ -323,18 +320,18 @@ def cmd_census(args):
     return payload, []
 
 
-def _freeness(arr, curve):
-    """Freeness verdict of an arrangement, joined with the curve if given,
-    and the failures of its check against the paper's claim on the same
-    lines (with the curve or without, as here), in any label order.  An
-    arrangement the paper states nothing about is not checked."""
-    d = arr.field.d
-    tau = tjurina_total(census(arr, curve))
-    degree_hat = len(arr.lines) + (d if curve is not None else 0)
+def _freeness(arr, with_curve):
+    """Freeness verdict of an arrangement, joined with its curve if
+    `with_curve`, and the failures of its check against the paper's claim
+    on the same lines (with the curve or without, as here), in any label
+    order.  An arrangement the paper states nothing about is not checked."""
+    d = arr.curve.d
+    tau = tjurina_total(census(arr, with_curve))
+    degree_hat = len(arr.lines) + (d if with_curve else 0)
     verdict = freeness_test(degree_hat, tau)
     tokens = sorted(parse_label(arr.label))
     for key, (free, exps) in paper_claims(d)["freeness"].items():
-        if (key.endswith("+F") == (curve is not None)
+        if (key.endswith("+F") == with_curve
                 and sorted(parse_label(key.removesuffix("+F"))) == tokens):
             ok = verdict.free == free and (
                 not free or list(verdict.exponents) == exps)
@@ -344,10 +341,10 @@ def _freeness(arr, curve):
 
 
 def cmd_freeness(args):
-    curve = FermatCurve(args.degree) if args.with_fermat else None
     try:
-        verdict, failures = _freeness(build(args.arrangement, args.degree),
-                                      curve)
+        verdict, failures = _freeness(
+            build(args.arrangement, FermatCurve(args.degree)),
+            args.with_fermat)
     except NonOrdinary as exc:
         # a usage error, not a failed certificate: the criterion needs
         # ordinary points, and `census` reports the arrangement as it is
@@ -549,9 +546,8 @@ def _all_degree(d, rng):
     # each pair met and each curve contact certified once per degree
     frees = {}
     for key in claims["freeness"]:
-        with_f = key.endswith("+F")
         verdict, fails = _freeness(build(key.removesuffix("+F"), curve),
-                                   curve if with_f else None)
+                                   key.endswith("+F"))
         frees[key] = {"tau": verdict.tau, "free": verdict.free,
                       "exponents": (list(verdict.exponents)
                                     if verdict.exponents else None),

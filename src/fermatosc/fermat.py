@@ -16,8 +16,9 @@ inflection points (0 : 1 : u^k) and their two rotations by
 (a, b, c) -> (c, a, b) are written down the same way, once per curve.  The
 curve is the one incidence table of its degree: it keeps both point sets,
 finds the special points on a line by a coordinate-ratio lookup, and holds
-the orbits of its points under automorphisms, the grid and triangle lines
-with the points where they meet, and the curve's contacts with each line.
+the orbits of its points under automorphisms, the line table of every
+arrangement with the points where its lines meet, and the curve's contacts
+with each line.
 
 Osculating conics come from two independent pipelines: the evaluated
 covariant combination 9H^3(p) D2F_p - (6H^2(p) DH_p + W(p) DF_p) DF_p with
@@ -71,14 +72,15 @@ class FermatCurve:
     the sextactic points and fixed line of each grid line (`_line_family`),
     and the contact at every special point (`contacts`).
 
-    `lines`, `meets` and `line_contacts` are the line table that
-    `arrangements` fills, and every census of the degree reads: the 9d
-    grid lines of B+M+N and the three triangle lines, one object each,
-    certified pairwise distinct once (`arrangements.table_lines`); the
-    point where two of them meet, keyed by the pair of their table
-    indices; and the certified contacts of the curve with each line, keyed
-    by its index.  The grid stages of `cli` read the same line objects, so
-    their charts and families are shared too.
+    `lines`, `line_keys`, `meets` and `line_contacts` are the line table
+    that `arrangements` fills, and every arrangement of the degree reads:
+    the lines of each token of B, M, N, A and the triangle, one object
+    each, built on the token's first use (`arrangements.token_lines`); the
+    canonical keys of every line built, which certify each new line
+    distinct from them; the point where two lines meet, keyed by the pair
+    of their table indices; and the certified contacts of the curve with
+    each line, keyed by its index.  The grid stages of `cli` read the same
+    line objects, so their charts and families are shared too.
     """
 
     def __init__(self, d: int):
@@ -96,7 +98,8 @@ class FermatCurve:
         self.scalings = {}
         self.line_families = {}
         self.contacts = None
-        self.lines = None
+        self.lines = {}
+        self.line_keys = set()
         self.meets = {}
         self.line_contacts = {}
 

@@ -133,7 +133,7 @@ def test_criterion_06_censuses():
                     ("M", _multiset((2, 3 * d * d), (d, 3))),
                     ("N", _multiset((2, 3 * d * d), (d, 3))),
                     ("BzMxNy", _multiset((3, d * d), (d, 3)))):
-                entries = census(build(label, d))
+                entries = census(build(label, C))
                 assert multiplicity_multiset(entries) == expected, \
                     f"d={d} {label}"
                 if label != "BzMxNy":
@@ -155,25 +155,26 @@ def test_criterion_07_freeness_verdicts():
         for d in range(3, 9):
             C = FermatCurve(d)
             free_cases = (
-                ("B", None, 3 * d, (d + 1, 2 * d - 2), 7 * d * d - 6 * d + 3),
-                ("triangle+B", None, 3 * d + 3, (d + 1, 2 * d + 1),
+                ("B", False, 3 * d, (d + 1, 2 * d - 2), 7 * d * d - 6 * d + 3),
+                ("triangle+B", False, 3 * d + 3, (d + 1, 2 * d + 1),
                  7 * d * d + 9 * d + 3),
-                ("BzMxNy", None, 3 * d, (d + 1, 2 * d - 2),
+                ("BzMxNy", False, 3 * d, (d + 1, 2 * d - 2),
                  7 * d * d - 6 * d + 3),
-                ("triangle+BzMxNy", None, 3 * d + 3, (d + 1, 2 * d + 1),
+                ("triangle+BzMxNy", False, 3 * d + 3, (d + 1, 2 * d + 1),
                  7 * d * d + 9 * d + 3),
-                ("BzMxNy", C, 4 * d, (2 * d - 2, 2 * d + 1),
+                ("BzMxNy", True, 4 * d, (2 * d - 2, 2 * d + 1),
                  12 * d * d - 6 * d + 3),
             )
-            for label, curve, dh, exps, tau_expected in free_cases:
-                tau = tjurina_total(census(build(label, d), curve))
+            for label, with_curve, dh, exps, tau_expected in free_cases:
+                tau = tjurina_total(census(build(label, C), with_curve))
                 assert tau == tau_expected, f"d={d} {label}: tau {tau}"
                 v = freeness_test(dh, tau)
                 assert v.free and v.exponents == exps, f"d={d} {label}: {v}"
-            nonfree_cases = (("B", C, 4 * d), ("M", None, 3 * d),
-                             ("M+triangle", None, 3 * d + 3), ("M", C, 4 * d))
-            for label, curve, dh in nonfree_cases:
-                tau = tjurina_total(census(build(label, d), curve))
+            nonfree_cases = (("B", True, 4 * d), ("M", False, 3 * d),
+                             ("M+triangle", False, 3 * d + 3),
+                             ("M", True, 4 * d))
+            for label, with_curve, dh in nonfree_cases:
+                tau = tjurina_total(census(build(label, C), with_curve))
                 v = freeness_test(dh, tau)
                 assert not v.free, f"d={d} {label}"
                 assert v.discriminant_sign == "negative", f"d={d} {label}"
@@ -208,12 +209,11 @@ def test_criterion_09_collinearity():
         assert (len(lines), intra, mixed) == (81, 27, 54)
         assert all(len(L.points) == 3 for L in lines)
         for d in (4, 5, 6):
-            lines = collinear_sextactic(FermatCurve(d))
+            C = FermatCurve(d)
+            lines = collinear_sextactic(C)
             assert len(lines) == 9 * d, f"d={d}"
             assert all(len(L.points) == d for L in lines), f"d={d}"
-            grid_keys = set()
-            for token in ("B", "M", "N"):
-                grid_keys |= {L.line_key() for L in build(token, d).lines}
+            grid_keys = {L.line_key() for L in build("B+M+N", C).lines}
             assert {L.line.line_key() for L in lines} == grid_keys, f"d={d}"
 
 
@@ -230,7 +230,7 @@ def test_criterion_10_main_theorem_mechanized():
             assert rep.count == 1
             assert rep.common_points[0] == ProjPoint(
                 fld, [fld.zero, -fld.one, fld.one]), f"d={d} B-line anchor"
-            for idx, L in enumerate(build("Mx", d).lines):
+            for idx, L in enumerate(build("Mx", C).lines):
                 k = 2 * idx + 1
                 rep = tangent_concurrency(C, L)
                 expected = ProjPoint(
@@ -256,7 +256,7 @@ def test_criterion_10_main_theorem_mechanized():
             # every grid line: one tangent point; conic intersections
             for token in ("Bz", "Bx", "By", "Mx", "My", "Mz",
                           "Nx", "Ny", "Nz"):
-                for L in build(token, d).lines:
+                for L in build(token, C).lines:
                     trep = tangent_concurrency(C, L)
                     assert trep.count == 1, f"d={d} {token}"
                     assert trep.certificates["point_on_fixed_line"]
@@ -264,7 +264,7 @@ def test_criterion_10_main_theorem_mechanized():
                     expected = 1 if (d == 3 and token[0] == "B") else 2
                     assert crep.count == expected, f"d={d} {token}"
             if d == 3:
-                for j, L in enumerate(build("Bz", 3).lines):
+                for j, L in enumerate(build("Bz", C).lines):
                     crep = conic_common_points(C, L)
                     assert crep.common_points[0] == ProjPoint(
                         fld, [fld.one, fld.zeta_pow(-j), fld.zero]), f"j={j}"

@@ -14,12 +14,12 @@ from fermatosc.arrangements import (GRID_TOKENS, build, census,
                                     fermat_grid_product_poly, freeness_test,
                                     grid_component_poly, grid_product_poly,
                                     koszul_triple, multiplicity_multiset,
-                                    syzygy_candidates, table_lines,
-                                    tjurina_total, verify_syzygy)
+                                    syzygy_candidates, tjurina_total,
+                                    token_lines, verify_syzygy)
 from fermatosc.cli import _report_order, paper_claims
 from fermatosc.errors import CertificationFailure, NonOrdinary
 from fermatosc.fermat import FermatCurve, sextactic_points, tangent_line
-from fermatosc.hompoly import HomPoly, cross, det3, int_mult
+from fermatosc.hompoly import HomPoly, ProjPoint, cross, det3, int_mult
 from fermatosc.symmetry import Automorphism
 from fermatosc.tower import tower_field
 
@@ -33,20 +33,21 @@ def expect_multiset(*pairs):
 
 @pytest.mark.parametrize("d", (3, 4, 5))
 def test_build_products(d):
-    fld = tower_field(d)
+    C = FermatCurve(d)
+    fld = C.field
     x, y, z = HomPoly.variables(fld)
-    assert build("B", d).product_poly() == \
+    assert build("B", C).product_poly() == \
         (x**d - y**d) * (y**d - z**d) * (z**d - x**d)
-    assert build("M", d).product_poly() == \
+    assert build("M", C).product_poly() == \
         (z**d + 2 * y**d) * (x**d + 2 * z**d) * (y**d + 2 * x**d)
-    assert build("N", d).product_poly() == \
+    assert build("N", C).product_poly() == \
         (y**d + 2 * z**d) * (z**d + 2 * x**d) * (x**d + 2 * y**d)
-    assert build("A", d).product_poly() == \
+    assert build("A", C).product_poly() == \
         (x**d + y**d) * (y**d + z**d) * (z**d + x**d)
     for label in ("A", "B", "M", "N"):
-        assert len(build(label, d).lines) == 3 * d
-    assert len(build("triangle", d).lines) == 3
-    assert len(build("BzMxNy", d).lines) == 3 * d
+        assert len(build(label, C).lines) == 3 * d
+    assert len(build("triangle", C).lines) == 3
+    assert len(build("BzMxNy", C).lines) == 3 * d
     F = x**d + y**d + z**d
     assert grid_component_poly("Mx", fld, d) == F - (x**d - y**d)
     assert grid_component_poly("Ny", fld, d) == F + (x**d - y**d)
@@ -56,19 +57,20 @@ def test_build_products(d):
 def test_grid_component_products(d):
     # each component on its own: a swap of two components of one group
     # (say Mx and My) leaves the group product unchanged
-    fld = tower_field(d)
+    C = FermatCurve(d)
     for token in GRID_TOKENS:
-        assert build(token, d).product_poly() == \
-            grid_component_poly(token, fld, d), token
+        assert build(token, C).product_poly() == \
+            grid_component_poly(token, C.field, d), token
 
 
 def test_build_rejects_bad_labels():
+    C = FermatCurve(4)
     with pytest.raises(ValueError):
-        build("Q", 4)
+        build("Q", C)
     with pytest.raises(ValueError):
-        build("", 4)
+        build("", C)
     with pytest.raises(ValueError, match="duplicate lines"):
-        build("B+B", 4)
+        build("B+B", C)
 
 
 def _report_rows(entries):
@@ -76,53 +78,88 @@ def _report_rows(entries):
             for e in _report_order(entries)]
 
 
+# the ten censuses of `all`, and the labels that put A in the table too
+SHARED_CENSUS_LABELS = ("A", "A+B", "triangle+A", "A+B+M+N+triangle")
+
+
 @pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8))
 def test_table_census_matches_lines_built_alone(d):
-    """Each census of `all`, read through one curve's line table, lists the
-    points of a census of lines built alone, in report order."""
+    """Each census of `all`, and each census with A, read through one
+    shared curve's line table, lists the points of the same census on a
+    fresh curve that builds the label's lines alone, in report order."""
     C = FermatCurve(d)
-    for key in paper_claims(d)["freeness"]:
-        label = key.removesuffix("+F")
-        curve = C if key.endswith("+F") else None
-        shared = census(build(label, C), curve)
-        assert _report_rows(shared) == \
-            _report_rows(census(build(label, d), curve)), key
+    keys = list(paper_claims(d)["freeness"])
+    keys += [label + suffix for label in SHARED_CENSUS_LABELS
+             for suffix in ("", "+F")]
+    for key in keys:
+        label, with_curve = key.removesuffix("+F"), key.endswith("+F")
+        shared = census(build(label, C), with_curve)
+        alone = census(build(label, FermatCurve(d)), with_curve)
+        assert _report_rows(shared) == _report_rows(alone), key
 
 
 def test_table_arrangements_share_the_table_lines():
-    """An arrangement built from a curve holds the table's line objects,
-    in label order, and no label repeating a token passes."""
+    """An arrangement holds the table's line objects, in label order; the
+    table builds a token on its first use only, and no label repeating a
+    token passes."""
     d = 4
     C = FermatCurve(d)
-    table = table_lines(C)
-    assert table_lines(C) is table and len(table) == 9 * d + 3
+    bz = build("BzMxNy", C)
+    assert set(C.lines) == {"Bz", "Mx", "Ny"}
+    assert C.lines["Bz"] is token_lines(C, "Bz")
+    assert len(C.line_keys) == 3 * d
     arr = build("M+triangle", C)
     assert arr.index == tuple(range(3 * d, 6 * d)) + tuple(
-        range(9 * d, 9 * d + 3))
-    assert all(L is table[i] for L, i in zip(arr.lines, arr.index))
-    assert build("BzMxNy", C).lines[0] is build("B", C).lines[0]
+        range(12 * d, 12 * d + 3))
+    assert all(L is C.lines[tok][i % d] for L, i, tok in zip(
+        arr.lines, arr.index, ["Mx"] * d + ["My"] * d + ["Mz"] * d))
+    assert arr.lines[-3:] == list(C.lines["triangle"])
+    assert bz.lines[0] is build("B", C).lines[0]
+    ab = build("A+B", C)
+    assert ab.index == tuple(range(9 * d, 12 * d)) + tuple(range(3 * d))
+    assert "Nx" not in C.lines and len(C.line_keys) == 10 * d + 3
+    build("A+B+M+N+triangle", C)
+    assert len(C.lines) == 13 and len(C.line_keys) == 12 * d + 3
     for label in ("B+Bz", "BzMxNy+Mx"):
         with pytest.raises(ValueError, match="duplicate lines"):
             build(label, C)
-    with pytest.raises(ValueError, match="not a line of the curve's table"):
-        build("A+B", C)
+
+
+def test_table_certifies_each_token_distinct_from_the_lines_before_it(
+        monkeypatch):
+    """A token whose lines coincide with a line built before it, or with
+    one another, fails the table's certificate."""
+    C = FermatCurve(3)
+    build("Bz", C)
+    real = arrangements.grid_line
+    monkeypatch.setattr(arrangements, "grid_line",
+                        lambda token, field, d, i: real("Bz", field, d, i)
+                        if token == "Bx" else real(token, field, d, i))
+    with pytest.raises(CertificationFailure,
+                       match="two lines of the curve's line table coincide"):
+        build("Bx", C)
+    monkeypatch.setattr(arrangements, "grid_line",
+                        lambda token, field, d, i: real(token, field, d, 0))
+    with pytest.raises(CertificationFailure,
+                       match="two lines of the curve's line table coincide"):
+        build("Mx", FermatCurve(3))
 
 
 @pytest.mark.parametrize("d", (3, 4, 5, 6))
 def test_census_grid_arrangements(d):
     C = FermatCurve(d)
-    cB = census(build("B", d))
+    cB = census(build("B", C))
     assert multiplicity_multiset(cB) == expect_multiset((3, d * d), (d, 3))
     for e in cB:
         assert e.ordinary
         assert not C.poly.evaluate(e.point).is_zero()
     for label in ("M", "N"):
-        cM = census(build(label, d))
+        cM = census(build(label, C))
         assert multiplicity_multiset(cM) == expect_multiset((2, 3 * d * d),
                                                             (d, 3))
         for e in cM:
             assert not C.poly.evaluate(e.point).is_zero()
-    cG = census(build("BzMxNy", d))
+    cG = census(build("BzMxNy", C))
     assert multiplicity_multiset(cG) == expect_multiset((3, d * d), (d, 3))
     assert multiplicity_multiset(cG) == multiplicity_multiset(cB)
 
@@ -130,7 +167,7 @@ def test_census_grid_arrangements(d):
 def test_census_triples_are_sextactic():
     d = 4
     C = FermatCurve(d)
-    cG = census(build("BzMxNy", d))
+    cG = census(build("BzMxNy", C))
     triples = {e.point for e in cG if e.multiplicity == 3}
     cluster_z = {s.point for s in sextactic_points(C) if s.cluster == "z"}
     assert triples == cluster_z
@@ -139,10 +176,10 @@ def test_census_triples_are_sextactic():
 @pytest.mark.parametrize("d", (3, 4, 5))
 def test_census_with_curve(d):
     C = FermatCurve(d)
-    cGF = census(build("BzMxNy", d), C)
+    cGF = census(build("BzMxNy", C), True)
     assert multiplicity_multiset(cGF) == expect_multiset((4, d * d), (d, 3))
     assert tjurina_total(cGF) == 12 * d * d - 6 * d + 3
-    cBF = census(build("B", d), C)
+    cBF = census(build("B", C), True)
     assert multiplicity_multiset(cBF) == expect_multiset(
         (3, d * d), (d, 3), (2, 3 * d * d))
     on_curve = [e for e in cBF if e.on_curve]
@@ -151,8 +188,8 @@ def test_census_with_curve(d):
 
 
 def test_census_pair_conservation():
-    d = 5
-    arr = build("triangle+BzMxNy", d)
+    C = FermatCurve(5)
+    arr = build("triangle+BzMxNy", C)
     entries = census(arr)
     pairs = sum(e.n_lines * (e.n_lines - 1) // 2 for e in entries)
     n = len(arr.lines)
@@ -161,17 +198,18 @@ def test_census_pair_conservation():
 
 def test_tjurina_values():
     d = 5
-    assert tjurina_total(census(build("BzMxNy", d))) == 7 * d * d - 6 * d + 3
-    assert tjurina_total(census(build("triangle", d))) == 3
     C = FermatCurve(d)
-    assert tjurina_total(census(build("BzMxNy", d), C)) == 12 * d * d - 6 * d + 3
+    assert tjurina_total(census(build("BzMxNy", C))) == 7 * d * d - 6 * d + 3
+    assert tjurina_total(census(build("triangle", C))) == 3
+    assert tjurina_total(census(build("BzMxNy", C), True)) == \
+        12 * d * d - 6 * d + 3
 
 
 def test_tjurina_rejects_non_ordinary():
     # inflection tangents meet the curve with full contact: not ordinary
     d = 3
     C = FermatCurve(d)
-    entries = census(build("A", d), C)
+    entries = census(build("A", C), True)
     assert any(not e.ordinary for e in entries)
     with pytest.raises(NonOrdinary):
         tjurina_total(entries)
@@ -187,8 +225,8 @@ def test_census_curve_facts_match_evaluation_and_tangents(d):
     contacts; evaluation of F and the tangent line agree with it."""
     C = FermatCurve(d)
     for label in CURVE_CENSUS_LABELS:
-        arr = build(label, d)
-        for e in census(arr, C):
+        arr = build(label, C)
+        for e in census(arr, True):
             p = e.point
             assert e.on_curve == C.contains(p), (label, p)
             assert e.multiplicity == e.n_lines + e.on_curve
@@ -206,7 +244,7 @@ def test_census_curve_facts_match_evaluation_and_tangents(d):
 def test_census_builds_no_tangent_and_evaluates_no_curve(monkeypatch):
     d = 4
     C = FermatCurve(d)
-    arrs = [build(label, d) for label in ("A+B", "triangle+BzMxNy")]
+    arrs = [build(label, C) for label in ("A+B", "triangle+BzMxNy")]
     degrees = set()
     evaluate = HomPoly.evaluate
 
@@ -220,7 +258,7 @@ def test_census_builds_no_tangent_and_evaluates_no_curve(monkeypatch):
     monkeypatch.setattr(HomPoly, "evaluate", recording)
     monkeypatch.setattr(FermatCurve, "osculating", no_osculating)
     for arr in arrs:
-        assert any(e.on_curve for e in census(arr, C))
+        assert any(e.on_curve for e in census(arr, True))
     assert d not in degrees
 
 
@@ -228,60 +266,91 @@ def test_census_rejects_a_contacts_map_without_one_line(monkeypatch):
     # x = 0 meets the curve at inflection points, which lie on A_x lines
     d = 3
     C = FermatCurve(d)
-    arr = build("triangle+A", d)
+    arr = build("triangle+A", C)
     full = arrangements._curve_points_on_line
     monkeypatch.setattr(
         arrangements, "_curve_points_on_line",
         lambda curve, L: {} if L is arr.lines[0] else full(curve, L))
     with pytest.raises(CertificationFailure):
-        census(arr, C)
+        census(arr, True)
 
 
 def test_census_rejects_an_incomplete_curve_line_intersection(monkeypatch):
     """Special points that do not exhaust a line's intersection with the
     curve are a failed completeness certificate, not a non-ordinary point."""
     d = 3
-    C = FermatCurve(d)
-    arr = build("triangle", d)
-    assert census(arr, C)
+    assert census(build("triangle", FermatCurve(d)), True)
     full = FermatCurve.specials_on_line
     monkeypatch.setattr(FermatCurve, "specials_on_line",
                         lambda self, line: full(self, line)[:-1])
     with pytest.raises(CertificationFailure, match="not exhausted"):
-        census(arr, C)
+        census(build("triangle", FermatCurve(d)), True)
+
+
+def test_census_rejects_a_candidate_off_the_curve(monkeypatch):
+    """A candidate of a line's intersection with the curve where the
+    restriction does not vanish fails the certificate: (0 : 1 : 1) lies on
+    x = 0 and off the curve x^3 + y^3 + z^3."""
+    C = FermatCurve(3)
+    fld = C.field
+    off = ProjPoint(fld, (fld.zero, fld.one, fld.one))
+    full = FermatCurve.specials_on_line
+    monkeypatch.setattr(FermatCurve, "specials_on_line",
+                        lambda self, line: full(self, line) + [off])
+    with pytest.raises(CertificationFailure,
+                       match="special point not on restriction"):
+        census(build("triangle", C), True)
+
+
+def test_census_rejects_a_wrong_meet(monkeypatch):
+    """A wrong point for the first pair of lines of Bz, which all pass
+    through (0 : 0 : 1), leaves that point with all d lines and adds a
+    double point: one pair too many."""
+    C = FermatCurve(3)
+    fld = C.field
+    real, calls = arrangements.cross, []
+
+    def wrong_first(a, b):
+        calls.append((a, b))
+        if len(calls) == 1:
+            return (fld.one, fld.from_rational(2), fld.one)
+        return real(a, b)
+    monkeypatch.setattr(arrangements, "cross", wrong_first)
+    with pytest.raises(CertificationFailure, match="pair conservation"):
+        census(build("Bz", C))
 
 
 @pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8))
 def test_freeness_paper_suite(d):
     C = FermatCurve(d)
-    v = freeness_test(3 * d, tjurina_total(census(build("B", d))))
+    v = freeness_test(3 * d, tjurina_total(census(build("B", C))))
     assert v.free and v.exponents == (d + 1, 2 * d - 2)
     if d == 3:
         assert v.discriminant_sign == "zero"
     v = freeness_test(3 * d + 3,
-                      tjurina_total(census(build("triangle+B", d))))
+                      tjurina_total(census(build("triangle+B", C))))
     assert v.free and v.exponents == (d + 1, 2 * d + 1)
-    v = freeness_test(3 * d, tjurina_total(census(build("BzMxNy", d))))
+    v = freeness_test(3 * d, tjurina_total(census(build("BzMxNy", C))))
     assert v.free and v.exponents == (d + 1, 2 * d - 2)
     assert v.tau == 7 * d * d - 6 * d + 3
     v = freeness_test(3 * d + 3,
-                      tjurina_total(census(build("triangle+BzMxNy", d))))
+                      tjurina_total(census(build("triangle+BzMxNy", C))))
     assert v.free and v.exponents == (d + 1, 2 * d + 1)
     assert v.tau == 7 * d * d + 9 * d + 3
-    v = freeness_test(4 * d, tjurina_total(census(build("BzMxNy", d), C)))
+    v = freeness_test(4 * d, tjurina_total(census(build("BzMxNy", C), True)))
     assert v.free and v.exponents == (2 * d - 2, 2 * d + 1)
     assert v.tau == 12 * d * d - 6 * d + 3
 
-    v = freeness_test(4 * d, tjurina_total(census(build("B", d), C)))
+    v = freeness_test(4 * d, tjurina_total(census(build("B", C), True)))
     assert not v.free and v.discriminant_sign == "negative"
     assert v.quadratic == (1, -(4 * d - 1), 6 * d * d - 2 * d - 2)
-    v = freeness_test(3 * d, tjurina_total(census(build("M", d))))
+    v = freeness_test(3 * d, tjurina_total(census(build("M", C))))
     assert not v.free and v.discriminant_sign == "negative"
     assert v.quadratic == (1, -(3 * d - 1), 3 * d * d - 2)
-    v = freeness_test(3 * d + 3, tjurina_total(census(build("M+triangle", d))))
+    v = freeness_test(3 * d + 3, tjurina_total(census(build("M+triangle", C))))
     assert not v.free and v.discriminant_sign == "negative"
     assert v.quadratic == (1, -(3 * d + 2), 3 * d * d + 3 * d + 1)
-    v = freeness_test(4 * d, tjurina_total(census(build("M", d), C)))
+    v = freeness_test(4 * d, tjurina_total(census(build("M", C), True)))
     assert not v.free and v.discriminant_sign == "negative"
     assert v.quadratic == (1, -(4 * d - 1), 7 * d * d - 2 * d - 2)
 
@@ -342,7 +411,7 @@ def test_collinear_matches_grids(d):
     assert all(not L.mixed for L in lines)
     grid_keys = set()
     for token in ("B", "M", "N"):
-        grid_keys |= {L.line_key() for L in build(token, d).lines}
+        grid_keys |= {L.line_key() for L in build(token, C).lines}
     assert {L.line.line_key() for L in lines} == grid_keys
     assert_members_match_scan(C, lines)
 

@@ -319,7 +319,7 @@ def _one_grid_line(grid_line):
 
 # (record, argv, dotted name under fermatosc, its planted fault, the
 # failures expected): the records of `collinear`, `freeness` and the
-# `fatal` record of any command
+# `fatal` record of any command, and the concurrency check of one line
 QUERY_PLANTED_FAULTS = [
     ("collinear", ["collinear", "--degree", "4"], "cli.collinear_sextactic",
      _drop_first, [{"check": "collinear", "degree": 4}]),
@@ -331,7 +331,17 @@ QUERY_PLANTED_FAULTS = [
      [{"check": "koszul-syzygy", "degree": 3}]),
     ("fatal", ["verify", "--theorem", "main", "--degree", "3"],
      "arrangements.grid_line", _one_grid_line,
-     [{"check": "fatal", "detail": "two grid lines of B+M+N coincide"}]),
+     [{"check": "fatal",
+       "detail": "two lines of the curve's line table coincide"}]),
+    # line 0 at d = 4 is x - y, whose sextactic points are the first four
+    # of `sextactic`; the tangents at the first two meet at (1 : -1 : 0),
+    # which the third tangent, raised by x, misses
+    ("tangent-concurrency",
+     ["verify", "--theorem", "main", "--degree", "4", "--line-index", "0"],
+     "fermat.FermatCurve.osculating",
+     _wrong_tangent(lambda curve: curve.sextactic[2].point),
+     [{"check": "tangent-concurrency", "line": "B[0]",
+       "detail": "tangents are not concurrent"}]),
 ]
 
 
@@ -343,7 +353,8 @@ def test_collinear_freeness_and_fatal_records_fire(record, argv, name, plant,
     """Each record of `collinear` and `freeness`, and the `fatal` record,
     fires on a planted fault: a line dropped from the collinear lines, a
     flipped freeness verdict, a Koszul triple with a wrong sign, two grid
-    lines made equal (a failed certificate, exit 1, not a usage error)."""
+    lines made equal (a failed certificate, exit 1, not a usage error),
+    and a tangent of one line's family that misses the others' point."""
     original = operator.attrgetter(name)(fermatosc)
     monkeypatch.setattr(f"fermatosc.{name}", plant(original))
     code, rep = run_json(argv, capsys)
@@ -514,8 +525,9 @@ def test_verify_main_single_line(capsys):
 
 
 def test_verify_line_index_matches_the_full_report(capsys):
-    """`--line-index i` builds line i alone; its entry is the full report's
-    entry i, label included, for every grid line at d = 4."""
+    """`--line-index i` builds only the lines of line i's token; its entry
+    is the full report's entry i, label included, for every grid line at
+    d = 4."""
     code, full = run_json(["verify", "--theorem", "main", "--degree", "4"],
                           capsys)
     assert code == 0 and full["payload"]["line_count"] == 36
@@ -530,6 +542,26 @@ def test_verify_line_index_matches_the_full_report(capsys):
                   "--line-index", str(i)])
         assert exc.value.code == 2
         assert "line index out of range 0..35" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, tokens", [
+    (["verify", "--theorem", "main", "--degree", "4", "--line-index", "13"],
+     {"Mx"}),
+    (["freeness", "--arrangement", "BzMxNy", "--degree", "4",
+      "--with-fermat"], {"Bz", "Mx", "Ny"}),
+    (["census", "--arrangement", "triangle+A", "--degree", "4"],
+     {"Az", "Ax", "Ay", "triangle"}),
+], ids=("verify", "freeness", "census"))
+def test_queries_build_only_their_tokens(argv, tokens, monkeypatch, capsys):
+    """A query builds the lines of its own tokens in the curve's table and
+    no other line."""
+    curves, make_curve = [], cli.FermatCurve
+    monkeypatch.setattr(cli, "FermatCurve",
+                        lambda d: curves.append(make_curve(d)) or curves[-1])
+    code, _ = run_json(argv, capsys)
+    [C] = curves
+    assert code == 0 and set(C.lines) == tokens
+    assert len(C.line_keys) == sum(len(C.lines[tok]) for tok in tokens)
 
 
 def test_main_calls_share_no_state(capsys):
@@ -649,7 +681,7 @@ def test_all_small_range(tmp_path):
 def test_all_freeness_matches_the_freeness_command(capsys):
     """`all` reads its ten arrangements through the curve's line table; its
     freeness section is what the `freeness` command reports for each
-    arrangement built alone."""
+    arrangement on a curve of its own."""
     code, suite = run_json(["all", "--min-degree", "3", "--max-degree", "4"],
                            capsys)
     assert code == 0
@@ -672,17 +704,17 @@ def test_all_meets_each_pair_and_certifies_each_line_once(monkeypatch,
     which 696 are distinct, and restrict the curve to 54 lines, of which 42
     are distinct: each distinct pair is met once and each distinct line's
     contacts certified once.  The concurrency stage reads the same line
-    objects."""
+    objects, and no stage builds the A lines."""
     curves, crossed, restricted, inside, sizes = [], [], [], [], []
     make_curve, real_census = cli.FermatCurve, cli.census
     real_cross = arrangements.cross
     real_contacts = arrangements._curve_points_on_line
 
-    def census(arr, curve=None):
-        sizes.append((len(arr.lines), curve is not None))
+    def census(arr, with_curve=False):
+        sizes.append((len(arr.lines), with_curve))
         inside.append(arr)
         try:
-            return real_census(arr, curve)
+            return real_census(arr, with_curve)
         finally:
             inside.pop()
     monkeypatch.setattr(cli, "FermatCurve",
@@ -702,7 +734,8 @@ def test_all_meets_each_pair_and_certifies_each_line_once(monkeypatch,
     assert len(crossed) == len(C.meets) == 696
     assert len(restricted) == len({id(L) for L in restricted}) == 42
     assert len(C.line_contacts) == 42
-    table = arrangements.table_lines(C)
+    assert set(C.lines) == set(arrangements.TABLE_TOKENS[:9] + ("triangle",))
+    table = [L for tok in arrangements.TABLE_TOKENS[:9] for L in C.lines[tok]]
     assert all(L is table[i] for i, (_, L) in enumerate(cli._grid_lines(C)))
     assert {id(L) for L in C.line_families} <= {id(L) for L in table}
 

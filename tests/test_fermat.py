@@ -150,7 +150,7 @@ def test_sextactic_on_one_line_per_grid():
     C = FermatCurve(d)
     s = sextactic_points(C)[5]
     for token in ("B", "M", "N"):
-        arr = build(token, d)
+        arr = build(token, C)
         hits = [L for L in arr.lines if L.evaluate(s.point).is_zero()]
         assert len(hits) == 1, token
 

@@ -232,7 +232,7 @@ def test_tangent_concurrency_m_lines(d):
     # (0 : u^k 2^((d-1)/d) : 1); the tangent formula forces the plus sign
     C = FermatCurve(d)
     fld = C.field
-    for idx, L in enumerate(build("Mx", d).lines):
+    for idx, L in enumerate(build("Mx", C).lines):
         k = 2 * idx + 1
         rep = tangent_concurrency(C, L)
         expected = ProjPoint(fld, [fld.zero, fld.u_pow(k) * fld.t**(d - 1),
@@ -247,7 +247,7 @@ def test_tangent_concurrency_bz_lines():
     d = 4
     C = FermatCurve(d)
     fld = C.field
-    for j, L in enumerate(build("Bz", d).lines):
+    for j, L in enumerate(build("Bz", C).lines):
         rep = tangent_concurrency(C, L)
         expected = ProjPoint(fld, [fld.zeta_pow(j), -fld.one, fld.zero])
         assert rep.common_points[0] == expected
@@ -277,7 +277,7 @@ def test_no_scaling_sweeps_a_line_with_three_coefficients():
 
 def test_no_scaling_sweeps_a_grid_line_missing_a_point():
     C = FermatCurve(4)
-    L = build("Bz", 4).lines[1]
+    L = build("Bz", C).lines[1]
     pts = points_on_line(C, L)
     assert orbit_automorphism_for_line(C, L, pts) == z_scaling(C.field)
     with pytest.raises(CertificationFailure, match="one orbit"):
@@ -299,7 +299,7 @@ def test_b_line_common_point_on_curve_iff_odd():
 def test_conic_common_points_two(d):
     C = FermatCurve(d)
     for token in ("Bz", "Mx", "Ny"):
-        L = build(token, d).lines[1]
+        L = build(token, C).lines[1]
         rep = conic_common_points(C, L)
         assert rep.count == 2, token
         assert rep.certificates["restrictions_pairwise_proportional"]
@@ -311,12 +311,12 @@ def test_conic_common_points_two(d):
 def test_conic_common_points_d3_b_line():
     C = FermatCurve(3)
     fld = C.field
-    for j, L in enumerate(build("Bz", 3).lines):
+    for j, L in enumerate(build("Bz", C).lines):
         rep = conic_common_points(C, L)
         assert rep.count == 1
         expected = ProjPoint(fld, [fld.one, fld.zeta_pow(-j), fld.zero])
         assert rep.common_points[0] == expected
-    for L in build("Mx", 3).lines[:2]:
+    for L in build("Mx", C).lines[:2]:
         rep = conic_common_points(C, L)
         assert rep.count == 2
 
@@ -327,12 +327,12 @@ def test_conic_restriction_discriminants():
     for d in (3, 4, 5, 6):
         C = FermatCurve(d)
         fld = C.field
-        repB = conic_common_points(C, build("Bz", d).lines[0])   # j = 0
+        repB = conic_common_points(C, build("Bz", C).lines[0])   # j = 0
         discB = disc2(restrict_to_line(
             _conic_at(C, "z", 0, 1), repB.fixed_line))
         assert discB == fld.from_rational(48 * (2 * d - 1) * (d - 3)
                                           * (d - 1)**2)
-        repM = conic_common_points(C, build("Mx", d).lines[0])   # k = 1
+        repM = conic_common_points(C, build("Mx", C).lines[0])   # k = 1
         discM = disc2(restrict_to_line(
             _conic_at(C, "z", 0, 1), repM.fixed_line))
         expected = fld.from_rational(48 * d * (2 * d - 1) * (d - 1)**2) \
@@ -372,7 +372,7 @@ def test_concurrency_point_on_fixed_line_all_grids():
     d = 4
     C = FermatCurve(d)
     for token in ("Bz", "Bx", "By", "Mx", "My", "Mz", "Nx", "Ny", "Nz"):
-        for L in build(token, d).lines[:2]:
+        for L in build(token, C).lines[:2]:
             rep = tangent_concurrency(C, L)
             assert rep.count == 1
             assert rep.certificates["point_on_fixed_line"], token
@@ -387,7 +387,7 @@ def test_points_on_line_matches_scan(d):
     fld = C.field
     pts = sextactic_points(C)
     specials = [s.point for s in pts] + inflection_points(C)
-    lines = build("A+B+M+N+triangle", d).lines
+    lines = build("A+B+M+N+triangle", C).lines
     rng = random.Random(500 + d)
     for _ in range(6):
         s1, s2 = rng.sample(pts, 2)
@@ -404,12 +404,27 @@ def test_points_on_line_matches_scan(d):
 
 def test_ratio_table_per_coordinate_pair():
     C = FermatCurve(6)
-    C.specials_on_line(build("Bz", 6).lines[0])
+    C.specials_on_line(build("Bz", C).lines[0])
     (a, b), = C._ratio_tables
     # the one table built covers every special with x_a and x_b nonzero
     assert sorted(i for idx in C._ratios(a, b).values() for i in idx) == [
         i for i, p in enumerate(C.specials)
         if not (p.coords[a].is_zero() or p.coords[b].is_zero())]
+
+
+def test_ratio_lookup_rejects_a_point_off_its_line(monkeypatch):
+    """A ratio table listing a sextactic point off the line fails the
+    exact evaluation of each point the lookup returns."""
+    C = FermatCurve(4)
+    L = build("Bz", C).lines[0]
+    wrong = next(i for i, s in enumerate(C.sextactic)
+                 if not L.evaluate(s.point).is_zero())
+    real = FermatCurve._ratios
+    monkeypatch.setattr(FermatCurve, "_ratios", lambda self, a, b: {
+        r: idx + [wrong] for r, idx in real(self, a, b).items()})
+    with pytest.raises(CertificationFailure,
+                       match="ratio table point off its line"):
+        C.specials_on_line(L)
 
 
 def test_ratio_lookup_checks_every_special_for_a_vertex():
@@ -418,7 +433,7 @@ def test_ratio_lookup_checks_every_special_for_a_vertex():
     vertex = ProjPoint(fld, [fld.zero, fld.zero, fld.one])
     C.specials = C.specials[:-1] + (vertex,)
     with pytest.raises(CertificationFailure, match="vertex"):
-        C.specials_on_line(build("Bz", 4).lines[0])
+        C.specials_on_line(build("Bz", C).lines[0])
 
 
 def test_failed_vertex_check_keeps_no_ratio_table():
@@ -426,7 +441,7 @@ def test_failed_vertex_check_keeps_no_ratio_table():
     fld = C.field
     C.specials = C.specials[:-1] + (
         ProjPoint(fld, [fld.zero, fld.zero, fld.one]),)
-    line = build("Bz", 4).lines[0]
+    line = build("Bz", C).lines[0]
     for _ in range(2):
         with pytest.raises(CertificationFailure, match="vertex"):
             C.specials_on_line(line)
@@ -444,7 +459,7 @@ def test_both_certificates_share_one_line_family(monkeypatch):
         calls.append(line)
         return points_on_line(curve, line)
     monkeypatch.setattr(symmetry, "points_on_line", counted)
-    lines = [L for token in ("B", "M", "N") for L in build(token, 4).lines]
+    lines = [L for token in ("B", "M", "N") for L in build(token, C).lines]
     reports = [(tangent_concurrency(C, L), conic_common_points(C, L))
                for L in lines]
     assert calls == lines
@@ -458,15 +473,14 @@ def test_curve_tables_die_with_the_curve():
     of the freeness stage included: the curve is freed when its last
     reference goes, with the cyclic collector off."""
     C = FermatCurve(3)
-    L = build("Bz", 3).lines[0]
+    L = build("Bz", C).lines[0]
     tangent_concurrency(C, L)
     conic_common_points(C, L)
     for n in (1, 2):
         assert verify_invariant_intersection(C, rho(C.field),
                                              sextactic_points(C)[0].point, n)
     for key in cli.paper_claims(3)["freeness"]:
-        cli._freeness(build(key.removesuffix("+F"), C),
-                      C if key.endswith("+F") else None)
+        cli._freeness(build(key.removesuffix("+F"), C), key.endswith("+F"))
     assert C.lines and C.meets and C.line_contacts
     ref = weakref.ref(C)
     gc.disable()
@@ -480,7 +494,7 @@ def test_curve_tables_die_with_the_curve():
 def test_proportional_tangents_raise(monkeypatch):
     # the last tangent replaced by a multiple of the first
     C = FermatCurve(3)
-    line = build("B", 3).lines[0]
+    line = build("B", C).lines[0]
     pts = points_on_line(C, line)
     first = C.osculating(pts[0].point, 1)
     real = FermatCurve.osculating
@@ -497,7 +511,7 @@ def test_panel_shares_the_curve_scalings():
     C = FermatCurve(4)
     panel = dict(generator_panel(C))
     assert generator_panel(C)[0][1] is panel["rho"]
-    lines = [L for token in ("B", "M", "N") for L in build(token, 4).lines]
+    lines = [L for token in ("B", "M", "N") for L in build(token, C).lines]
     fixed = {id(conic_common_points(C, L).fixed_line) for L in lines}
     assert fixed == {id(fixed_line(panel[name]))
                      for name in ("rho", "phi.rho.phi", "psi.rho.psi")}
