@@ -44,7 +44,7 @@ from .fermat import FermatCurve, rotate, sextactic_points
 from .hompoly import (LINEAR_EXPS, HomPoly, ProjPoint, cross,
                       parameter_of_point, restrict_to_line)
 from .symmetry import phi, psi, rho
-from .tower import TowerField, tower_field
+from .tower import TowerField, in_block, tower_field
 
 GROUP_TOKENS = {"B": ("Bz", "Bx", "By"), "M": ("Mx", "My", "Mz"),
                 "N": ("Nx", "Ny", "Nz"), "A": ("Az", "Ax", "Ay")}
@@ -218,13 +218,19 @@ def _curve_points_on_line(curve: FermatCurve, L: HomPoly):
     `FermatCurve.specials_on_line` finds on the line; the restriction of the
     curve to the line must factor completely into the corresponding
     parameter roots (with multiplicity), which certifies that no
-    intersection point was missed.
+    intersection point was missed.  A candidate off the line fails the
+    certificate, with the point as witness.
     """
     pts = curve.specials_on_line(L)
     rest = restrict_to_line(curve.poly, L)
     mults = {}
     for p in pts:
-        m = rest.root_multiplicity(*parameter_of_point(p, L))
+        try:
+            param = parameter_of_point(p, L)
+        except ValueError:
+            raise CertificationFailure("special point off its line",
+                                       witness=p.to_json()) from None
+        m = rest.root_multiplicity(*param)
         if m == 0:
             raise CertificationFailure("special point not on restriction")
         mults[p] = m
@@ -442,72 +448,197 @@ class CollinearLine:
         return len(set(self.clusters)) > 1
 
 
+@in_block
 def collinear_sextactic(curve: FermatCurve):
-    """Every line through at least three sextactic points, found exactly.
+    """Every line through at least three sextactic points, certified exactly.
 
     The generators rho, phi and psi of the monomial group permute the
-    sextactic points: a breadth-first search from point 0 finds each image
-    by exact lookup and must reach every point, and the points must be
-    pairwise distinct.  The other points are grouped by their canonical
-    line through point 0; the lines holding two or more of them are closed
-    under the generators, where g carries a line L to L o g^-1 and its
-    members to their images under g.
+    sextactic points, which must be pairwise distinct, and must act
+    transitively on them.  The lines through point 0 that hold two or more
+    other points are closed under the generators, where g carries a line L
+    to L o g^-1 and its members to their images under g.
 
     The orbit is complete.  Let a line l hold three or more points, q one
     of them.  Transitivity gives a g with q = g.p0, so g^-1 l passes through
     p0 and holds three or more points: it is a line through p0, and l lies
-    in its orbit.  Every member is evaluated exactly on its line.
+    in its orbit.
+
+    Keys in F_p find the candidates (`_lines_by_keys`), through the ring map
+    K_d -> F_p of `TowerField.reduction`; exact checks certify them.  A map
+    proves only inequality, so points with different keys are different
+    and lines with different keys are different.  Each generator's image of
+    a point is found by its key and confirmed by `Automorphism.maps`; only
+    the lines through point 0 whose key groups hold two or more other points
+    are canonicalized, and each line that the closure reaches is pulled back
+    once, by the key of two of its carried members.  Every member is then
+    evaluated exactly on its line.  Key trouble falls back to the exact path
+    (`_lines_exact`), which groups every point by its canonical line through
+    point 0 and finds each image by exact lookup; it costs time and never
+    changes an answer:
+
+    * two sextactic points with one key;
+    * a zero image, of a point, of a line through two points, or of a
+      point's image under a generator, or an image that is None (p divides
+      a denominator);
+    * a key match that an exact check refuses: an image that `maps` rejects
+      or that no point has, or a member off its line, which is how two lines
+      with one key show.
     """
     field = curve.field
     pts = sextactic_points(curve)
-    n = len(pts)
-    index = {s.point: i for i, s in enumerate(pts)}
-    if len(index) != n:
+    if len({s.point for s in pts}) != len(pts):
         raise CertificationFailure("two sextactic points coincide")
-    # each generator's inverse, and its permutation of the points by index
-    gens = [(g, g.inverse(), [None] * n)
-            for g in (rho(field), phi(field), psi(field))]
-    reached = [0]
-    seen = {0}
+    gens = [(g, g.inverse()) for g in (rho(field), phi(field), psi(field))]
+    found = _lines_by_keys(field, pts, gens)
+    if found is None:
+        found = _lines_exact(field, pts, gens)
+        off = _first_off_line(found, pts)
+        if off is not None:
+            raise CertificationFailure("collinear member off its line",
+                                       witness=off)
+    return [CollinearLine(L, members, tuple(s.cluster for s in members))
+            for L, members in found]
+
+
+def _transitive(images, n: int):
+    """Raise unless the point permutations `images` of the generators reach
+    all n points from point 0."""
+    reached, seen = [0], {0}
     for i in reached:
-        for g, _, image in gens:
-            j = index.get(g.apply_point(pts[i].point))
-            if j is None:
-                raise CertificationFailure(
-                    "a generator maps a sextactic point off the set",
-                    witness=pts[i].label())
-            image[i] = j
-            if j not in seen:
-                seen.add(j)
-                reached.append(j)
+        for image in images:
+            if image[i] not in seen:
+                seen.add(image[i])
+                reached.append(image[i])
     if len(reached) != n:
         raise CertificationFailure(
             "the generators do not act transitively on the sextactic points",
             witness=len(reached))
+
+
+def _report(lines, pts):
+    """The (line, member indices) values of `lines` as (line, members) in
+    report order (`HomPoly.line_key`), the members in `pts` order."""
+    pairs = sorted(lines.values(), key=lambda pair: HomPoly.line_key(pair[0]))
+    return [(L, [pts[i] for i in sorted(idx)]) for L, idx in pairs]
+
+
+def _first_off_line(found, pts):
+    """The label of the first member, in report order, that its line does
+    not pass through, exactly; None when every member lies on its line."""
+    for L, members in found:
+        for s in members:
+            if not L.evaluate(s.point).is_zero():
+                return s.label()
+    return None
+
+
+def _lines_exact(field, pts, gens):
+    """The lines of `collinear_sextactic` found exactly: each generator
+    image by exact lookup, the other points grouped by their canonical line
+    through point 0, and each line reached by the closure canonicalized."""
+    n = len(pts)
+    index = {s.point: i for i, s in enumerate(pts)}
+    images = []
+    for g, _ in gens:
+        image = []
+        for s in pts:
+            j = index.get(g.apply_point(s.point))
+            if j is None:
+                raise CertificationFailure(
+                    "a generator maps a sextactic point off the set",
+                    witness=s.label())
+            image.append(j)
+        images.append(image)
+    _transitive(images, n)
 
     p0 = pts[0].point.coords
     through = {}
     for i in range(1, n):
         L = HomPoly.line(field, *cross(p0, pts[i].point.coords))
         through.setdefault(L.canonical_line(), {0}).add(i)
-    # canonical line -> indices of the points on it
-    lines = {L: idx for L, idx in through.items() if len(idx) >= 3}
+    # canonical line -> (the line, indices of the points on it)
+    lines = {L: (L, idx) for L, idx in through.items() if len(idx) >= 3}
     queue = list(lines)
     for L in queue:
-        idx = lines[L]
-        for _, g_inv, image in gens:
+        idx = lines[L][1]
+        for (_, g_inv), image in zip(gens, images):
             M = g_inv.pullback(L).canonical_line()
             if M not in lines:
+                lines[M] = (M, set())
                 queue.append(M)
-            lines.setdefault(M, set()).update({image[i] for i in idx})
+            lines[M][1].update([image[i] for i in idx])
+    return _report(lines, pts)
 
-    out = []
-    for L in sorted(lines, key=HomPoly.line_key):
-        members = [pts[i] for i in sorted(lines[L])]
-        for s in members:
-            if not L.evaluate(s.point).is_zero():
-                raise CertificationFailure(
-                    "collinear member off its line", witness=s.label())
-        out.append(CollinearLine(L, members,
-                                 tuple(s.cluster for s in members)))
-    return out
+
+def _projective_key(v, p: int):
+    """A vector of F_p^3, entries reduced mod p, scaled to a first nonzero
+    entry of one, or None for zero or for an entry that is None."""
+    if None in v:
+        return None
+    a, b, c = v
+    pivot = a or b or c
+    if pivot == 1:
+        return a, b, c
+    if not pivot:
+        return None
+    inv = pow(pivot, -1, p)
+    return a * inv % p, b * inv % p, c * inv % p
+
+
+def _line_key(a, b, p: int):
+    """The key of the line through two points of F_p^3: their cross product
+    mod p, scaled by `_projective_key`."""
+    return _projective_key(((a[1] * b[2] - a[2] * b[1]) % p,
+                            (a[2] * b[0] - a[0] * b[2]) % p,
+                            (a[0] * b[1] - a[1] * b[0]) % p), p)
+
+
+def _lines_by_keys(field, pts, gens):
+    """The lines of `collinear_sextactic` found by keys in F_p and certified
+    exactly, or None on key trouble (see `collinear_sextactic`)."""
+    p, _, _, image_of = field.reduction()
+    n = len(pts)
+    keys = [_projective_key([image_of(c) for c in s.point.coords], p)
+            for s in pts]
+    index = {k: i for i, k in enumerate(keys)}
+    if None in index or len(index) != n:
+        return None
+    images = []
+    for g, _ in gens:
+        scale = [image_of(c) for c in g.scale]
+        if None in scale:
+            return None
+        image = []
+        for s, k in zip(pts, keys):
+            j = index.get(_projective_key(
+                [a * k[i] % p for a, i in zip(scale, g.perm)], p))
+            if j is None or not g.maps(s.point, pts[j].point):
+                return None
+            image.append(j)
+        images.append(image)
+    _transitive(images, n)
+
+    through = {}
+    for i in range(1, n):
+        through.setdefault(_line_key(keys[0], keys[i], p), [0]).append(i)
+    if None in through:
+        return None
+    # key -> (the line, indices of the points on it)
+    p0 = pts[0].point.coords
+    lines = {k: (HomPoly.line(field, *cross(p0, pts[idx[1]].point.coords))
+                 .canonical_line(), set(idx))
+             for k, idx in through.items() if len(idx) >= 3}
+    queue = list(lines)
+    for k in queue:
+        L, idx = lines[k]
+        for (_, g_inv), image in zip(gens, images):
+            moved = sorted(image[i] for i in idx)
+            key = _line_key(keys[moved[0]], keys[moved[1]], p)
+            if key is None:
+                return None
+            if key not in lines:
+                lines[key] = (g_inv.pullback(L).canonical_line(), set())
+                queue.append(key)
+            lines[key][1].update(moved)
+    found = _report(lines, pts)
+    return None if _first_off_line(found, pts) is not None else found

@@ -539,20 +539,24 @@ def _exclude_off_line(conics, var: int, field) -> dict:
                                chosen[1].line_coeffs()))
     if q.coords[var].is_zero():
         return {"candidate_on_fixed_line": True}
-    values = [c.evaluate(q) for c in conics]
-    nonzero = [i for i, v in enumerate(values) if not v.is_zero()]
-    if not nonzero:
-        raise CertificationFailure(
-            "family shares an extra point off the fixed line",
-            witness=q.to_json())
-    return {"candidate_on_fixed_line": False,
-            "candidate": q.to_json(),
-            "witness_conic_index": nonzero[0],
-            "witness_value": values[nonzero[0]].to_json_dict()}
+    # the first conic that misses the candidate is the witness
+    for i, c in enumerate(conics):
+        value = c.evaluate(q)
+        if not value.is_zero():
+            return {"candidate_on_fixed_line": False,
+                    "candidate": q.to_json(),
+                    "witness_conic_index": i,
+                    "witness_value": value.to_json_dict()}
+    raise CertificationFailure(
+        "family shares an extra point off the fixed line",
+        witness=q.to_json())
 
 
 def _pencil_cofactor(c1: HomPoly, c2: HomPoly, var: int, field):
-    """The linear cofactor ell with x_var * ell in the pencil of c1, c2."""
+    """The linear cofactor ell with x_var * ell in the pencil of c1, c2,
+    the member lam c1 + mu c2 that cancels the first coefficient off
+    x_var; its coefficients are formed one exponent at a time, in
+    ascending exponent order, with no scaled copy of either conic."""
     span_exps = [e for e in c1.terms if e[var] == 0]
     span_exps += [e for e in c2.terms if e[var] == 0 and e not in span_exps]
     lam = mu = None
@@ -563,11 +567,11 @@ def _pencil_cofactor(c1: HomPoly, c2: HomPoly, var: int, field):
             break
     if lam is None:
         lam, mu = field.one, field.zero
-    combo = c1.scale(lam) + c2.scale(mu)
-    if combo.is_zero():
-        return None
     quotient = {}
-    for e, c in combo.terms.items():
+    for e in sorted(c1.terms.keys() | c2.terms.keys()):
+        c = c1.coeff(e) * lam + c2.coeff(e) * mu
+        if c.is_zero():
+            continue
         if e[var] == 0:
             # pencil member is not divisible by the coordinate: restrictions
             # of the two conics were not proportional after scaling
@@ -576,4 +580,6 @@ def _pencil_cofactor(c1: HomPoly, c2: HomPoly, var: int, field):
         ne = list(e)
         ne[var] -= 1
         quotient[tuple(ne)] = c
-    return HomPoly(field, combo.deg - 1, quotient)
+    if not quotient:
+        return None
+    return HomPoly(field, c1.deg - 1, quotient)

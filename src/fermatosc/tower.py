@@ -53,7 +53,21 @@ reads it.  It imports `mpmath` on first use, so a command that prints no
 Each field construction is certified (`TowerField._certify`): the
 t-modulus is irreducible by Capelli's criterion at one prime p = 1
 (mod 2d), reached through the ring map u -> w of `split_primes`, and the
-witness (p, w, c mod p) is kept as `TowerField.certificate`.
+witness (p, w, c mod p) is kept as `TowerField.certificate`.  Primality
+is decided by a deterministic Miller-Rabin test (`_is_prime`), a proof for
+every number below `_MR_LIMIT`, about 3.3 * 10^24.
+
+`TowerField.reduction()` gives a ring map K_d -> F_p at a split prime p
+near 2^61, built on its first call and kept on the field, so building a
+field does not pay for it.  p = 1 (mod 2d) is prime, u -> w with w a root
+of Phi_2d mod p (checked in `split_primes`, as for the certificate), and
+t -> r with r a root of t^m - c(w) mod p (checked), found by splitting off
+the m-primary part of p - 1 (`_mth_root`); a failed check raises
+`CertificationFailure`.  An element whose denominator p divides maps to
+None.  A ring map proves only inequality: a != b when their images
+differ, never a = b when they agree.  `arrangements.collinear_sextactic`
+uses the images as keys to group the lines through sextactic points, and
+certifies every equality it reports in K_d.
 
 `memoized()` opens a block, in the manner of `decimal.localcontext()`, in
 which the kernel reuses what it has already built.  The paper's objects are
@@ -79,7 +93,9 @@ The checks that raise (mixed fields, inverting zero) come first, so a
 rejected call stores nothing.  Each block starts empty and restores the
 enclosing one when it closes, and nothing in its tables outlives it.  The
 CLI opens one around each command and one per degree in `all`; the two
-multiplicity oracles, wrapped by `in_block`, join the caller's open block
+multiplicity oracles and the collinearity search (whose exact checks of
+generator images multiply the same few coordinates again and again),
+wrapped by `in_block`, join the caller's open block
 or else open one for the call, whose repeated products (the same
 root-of-unity coefficients, and in `int_mult` each doubling's lower orders)
 it answers.  So the memory held is one command's (one degree's, one oracle
@@ -95,7 +111,8 @@ from contextvars import ContextVar
 from fractions import Fraction as Q
 from functools import lru_cache, wraps
 from itertools import islice
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
+from typing import Callable, NamedTuple
 
 from .errors import CertificationFailure, FermatoscError
 
@@ -105,6 +122,10 @@ _ONE = ((0, 0, 1),)                           # the terms of 1, over den 1
 
 D_MIN = 3
 D_MAX = 64
+# the split primes of `TowerField.reduction` are searched from here up,
+# at most this many of them
+REDUCTION_START = 1 << 61
+REDUCTION_PRIMES = 4096
 
 # the memo of the innermost open `memoized()` block, or None: the tables
 # (interned elements by (field, terms, den); products, sums, differences by
@@ -168,8 +189,36 @@ def _zpoly_exact_div(num, den):
     return out
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for every
+# n below this bound (Sorenson-Webster 2015), so the test is a proof there
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
+    """Whether n is prime, by the deterministic Miller-Rabin test; n at or
+    above `_MR_LIMIT`, where no proof is known, raises `ValueError`."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
+    s, e = 0, n - 1
+    while not e & 1:
+        s, e = s + 1, e >> 1
+    for a in _MR_BASES:
+        x = pow(a, e, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _prime_factors(n: int):
@@ -183,6 +232,71 @@ def _prime_factors(n: int):
     if m > 1:
         out.add(m)
     return out
+
+
+def _primary_part(n: int, m: int) -> int:
+    """The largest divisor of n whose prime factors all divide m."""
+    out = 1
+    for q in _prime_factors(m):
+        while n % q == 0:
+            n //= q
+            out *= q
+    return out
+
+
+def _mth_root(c: int, m: int, p: int) -> int:
+    """An r with r^m = c mod p, for a nonzero m-th power c and m | p - 1.
+
+    Write p - 1 = A B with A the m-primary part (`_primary_part`), so B is
+    prime to m, and c = c_A c_B with c_A = c^(B b), c_B = c^(A a) for
+    A a = 1 (mod B) and B b = 1 (mod A).  c_B has order dividing B, so its
+    root is c_B^(m^-1 mod B); c_A lies in the cyclic group of order A,
+    which a search over the powers of one generator h of it solves.
+    """
+    A = _primary_part(p - 1, m)
+    B = (p - 1) // A
+    r = pow(c, A * pow(A, -1, B) * pow(m, -1, B), p) if B > 1 else 1
+    c_a = pow(c, B * pow(B, -1, A), p)
+    h = next(h for h in (pow(g, B, p) for g in range(2, p))
+             if all(pow(h, A // q, p) != 1 for q in _prime_factors(A)))
+    step, x, root = pow(h, m, p), 1, 1
+    for _ in range(A):
+        if x == c_a:
+            return r * root % p
+        x, root = x * step % p, root * h % p
+    raise CertificationFailure(f"{c} is not an {m}-th power mod {p}")
+
+
+def _image_map(field, p: int, w: int, r: int):
+    """The map sum n u^i t^j / den -> sum n w^i r^j / den mod p, with None
+    for an element whose denominator p divides."""
+    table = [[pow(w, i, p) * pow(r, j, p) % p for j in range(field.deg_t)]
+             for i in range(field.phi)]
+    inverses = {}
+
+    def image(a):
+        den = a.den
+        inv = inverses.get(den)
+        if inv is None:
+            if den % p == 0:
+                return None
+            inv = inverses[den] = pow(den, -1, p)
+        return sum(n * table[i][j] for i, j, n in a.terms) * inv % p
+    return image
+
+
+class Reduction(NamedTuple):
+    """A ring map K_d -> F_p, u -> w, t -> r, on the elements whose
+    denominator p does not divide: p = 1 (mod 2d) is prime, w a root of
+    Phi_2d mod p and r a root of t^m - c(w) mod p, each checked.  `image`
+    sends an element to its image, or to None when p divides its
+    denominator.  It proves only inequalities: a != b when the images
+    differ."""
+
+    p: int
+    w: int
+    r: int
+    image: Callable
 
 
 def _power_rows(phi_coeffs, n: int):
@@ -230,6 +344,7 @@ class TowerField:
         # the automorphisms u -> u^m of Q(u) other than the identity
         self._units = [m for m in range(2, self.n_u) if gcd(m, self.n_u) == 1]
         self.certificate = self._certify()
+        self._reduction = None                 # built by `reduction()`
 
         self.zero = FieldElement(self, (), 1)
         self.one = self.from_rational(Q1)
@@ -250,23 +365,21 @@ class TowerField:
             return d, ((0, 2),)
         return d // 2, ((d // 4, 1), (3 * d // 4, -1))
 
-    def split_primes(self):
-        """The primes p = 1 (mod 2d), ascending, each with w, the first
-        c^((p-1)/2d) (c = 2, 3, ...) of exact order 2d.
+    def split_primes(self, start: int = 1):
+        """The primes p = 1 (mod 2d) above `start`, ascending, each with w
+        from `_root_of_unity`.
 
         w is a root of Phi_2d mod p, which is checked, so u -> w is a ring
         map Z[u] -> F_p.
         """
         n = self.n_u
-        cofactors = [n // q for q in _prime_factors(n)]
         phi_coeffs = cyclotomic_int_coeffs(n)
-        p = 1
+        p = start - (start - 1) % n
         while True:
             p += n
             if not _is_prime(p):
                 continue
-            w = next(w for w in (pow(c, (p - 1) // n, p) for c in range(2, p))
-                     if all(pow(w, e, p) != 1 for e in cofactors))
+            w = self._root_of_unity(p)
             acc = 0
             for c in reversed(phi_coeffs):
                 acc = (acc * w + c) % p
@@ -274,6 +387,14 @@ class TowerField:
                 raise CertificationFailure(
                     f"w = {w} is not a root of Phi_{n} mod {p}")
             yield p, w
+
+    def _root_of_unity(self, p: int) -> int:
+        """The first c^((p-1)/2d), c = 2, 3, ..., of exact order 2d mod a
+        prime p = 1 (mod 2d)."""
+        n = self.n_u
+        cofactors = [n // q for q in _prime_factors(n)]
+        return next(w for w in (pow(c, (p - 1) // n, p) for c in range(2, p))
+                    if all(pow(w, e, p) != 1 for e in cofactors))
 
     def _t_power_mod(self, p: int, w: int) -> int:
         """The image of t^deg_t, an element of Z[u], in F_p under u -> w."""
@@ -303,6 +424,35 @@ class TowerField:
                 return p, w, c
         raise CertificationFailure(
             f"no split prime certifies the t-modulus of K_{self.d}")
+
+    def reduction(self) -> "Reduction":
+        """The ring map of K_d onto F_p at a split prime near 2^61
+        (`Reduction`), found on the first call and kept on the field."""
+        if self._reduction is None:
+            self._reduction = self._reduce()
+        return self._reduction
+
+    def _reduce(self) -> "Reduction":
+        """The first split prime p above `REDUCTION_START` at which c, the
+        image of t^m (m = deg_t) under u -> w, is a nonzero m-th power and
+        the m-primary part of p - 1 is at most 8d, with a root r of
+        t^m - c from `_mth_root`.  r^m = c is checked; a failure raises
+        `CertificationFailure`, and so does a search that finds no prime
+        among the first `REDUCTION_PRIMES`."""
+        m = self.deg_t
+        for p, w in islice(self.split_primes(REDUCTION_START),
+                           REDUCTION_PRIMES):
+            c = self._t_power_mod(p, w)
+            if not c or pow(c, (p - 1) // m, p) != 1:
+                continue
+            if _primary_part(p - 1, m) > 4 * self.n_u:
+                continue
+            r = _mth_root(c, m, p)
+            if pow(r, m, p) != c:
+                raise CertificationFailure(
+                    f"r = {r} is not a root of t^{m} - {c} mod {p}")
+            return Reduction(p, w, r, _image_map(self, p, w, r))
+        raise CertificationFailure(f"no split prime reduces K_{self.d}")
 
     # -- element constructors ----------------------------------------------
 

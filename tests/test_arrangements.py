@@ -2,6 +2,7 @@
 freeness verdicts, syzygy checks and the collinearity search."""
 
 import random
+from fractions import Fraction as Q
 from collections import Counter
 from itertools import combinations
 
@@ -21,7 +22,7 @@ from fermatosc.errors import CertificationFailure, NonOrdinary
 from fermatosc.fermat import FermatCurve, sextactic_points, tangent_line
 from fermatosc.hompoly import HomPoly, ProjPoint, cross, det3, int_mult
 from fermatosc.symmetry import Automorphism
-from fermatosc.tower import tower_field
+from fermatosc.tower import TowerField, tower_field
 
 
 def expect_multiset(*pairs):
@@ -483,3 +484,119 @@ def test_collinear_carried_member_off_its_line_raises(monkeypatch):
     monkeypatch.setattr(Automorphism, "pullback", lambda g, f: f)
     with pytest.raises(CertificationFailure, match="off its line"):
         collinear_sextactic(FermatCurve(3))
+
+
+# -- collinearity keys in F_p and their fallbacks ----------------------------
+
+
+def _spy_exact(monkeypatch):
+    """Count the calls of the exact path of `collinear_sextactic`."""
+    calls, exact = [], arrangements._lines_exact
+    monkeypatch.setattr(arrangements, "_lines_exact",
+                        lambda *args: calls.append(args) or exact(*args))
+    return calls
+
+
+def _collinear(C):
+    return [(L.line, L.points, L.clusters) for L in collinear_sextactic(C)]
+
+
+def _plant_image(monkeypatch, d, plant):
+    """`TowerField.reduction` with its image map replaced by plant(image)."""
+    red = tower_field(d).reduction()
+    monkeypatch.setattr(TowerField, "reduction",
+                        lambda self: red._replace(image=plant(red.image)))
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8))
+def test_collinear_keys_match_the_exact_path(d, monkeypatch):
+    """Keys find the lines with no fallback, and the exact path finds the
+    same lines in the same order."""
+    C = FermatCurve(d)
+    calls = _spy_exact(monkeypatch)
+    found = _collinear(C)
+    assert not calls
+    gens = [(g, g.inverse()) for g in (arrangements.rho(C.field),
+                                       arrangements.phi(C.field),
+                                       arrangements.psi(C.field))]
+    exact = arrangements._lines_exact(C.field, sextactic_points(C), gens)
+    assert [(L, members) for L, members, _ in found] == exact
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8))
+def test_collinear_planted_collision_gives_the_exact_result(d, monkeypatch):
+    """A key map that sends every line to one key merges all lines through
+    point 0; the member check refuses the merge, and the exact path gives
+    the same lines."""
+    C = FermatCurve(d)
+    want = _collinear(C)
+    calls = _spy_exact(monkeypatch)
+    monkeypatch.setattr(arrangements, "_line_key", lambda a, b, p: (1, 0, 0))
+    assert _collinear(FermatCurve(d)) == want
+    assert len(calls) == 1
+    if d == 3:
+        assert len(want) == 81
+        assert sum(1 for _, _, clusters in want
+                   if len(set(clusters)) > 1) == 54
+
+
+# image plants: a prime that divides the denominators 2 of the points' t^-1
+# coordinates, an image of zero, and one key for every point
+IMAGE_PLANTS = {
+    "denominator": lambda image: lambda a: None if a.den % 2 == 0 else image(a),
+    "zero": lambda image: lambda a: 0,
+    "one-key": lambda image: lambda a: 1,
+}
+
+
+@pytest.mark.parametrize("plant", sorted(IMAGE_PLANTS))
+def test_collinear_image_trouble_takes_the_exact_path(plant, monkeypatch):
+    want = _collinear(FermatCurve(3))
+    calls = _spy_exact(monkeypatch)
+    _plant_image(monkeypatch, 3, IMAGE_PLANTS[plant])
+    assert _collinear(FermatCurve(3)) == want
+    assert len(calls) == 1
+
+
+def _none_after(calls_allowed):
+    """A `_line_key` that gives the real key for its first calls and then
+    None, the key of a line whose image is zero."""
+    real, calls = arrangements._line_key, []
+
+    def key(a, b, p):
+        calls.append(1)
+        return real(a, b, p) if len(calls) <= calls_allowed else None
+    return key
+
+
+@pytest.mark.parametrize("allowed", (0, 26), ids=("through-p0", "closure"))
+def test_collinear_zero_line_image_takes_the_exact_path(allowed, monkeypatch):
+    """A zero image of a line through point 0, or of a line the closure
+    reaches (after the 26 lines through point 0 at d = 3), falls back."""
+    want = _collinear(FermatCurve(3))
+    calls = _spy_exact(monkeypatch)
+    monkeypatch.setattr(arrangements, "_line_key", _none_after(allowed))
+    assert _collinear(FermatCurve(3)) == want
+    assert len(calls) == 1
+
+
+def test_collinear_refused_image_takes_the_exact_path(monkeypatch):
+    """An image found by key that `Automorphism.maps` refuses falls back."""
+    want = _collinear(FermatCurve(3))
+    calls = _spy_exact(monkeypatch)
+    monkeypatch.setattr(Automorphism, "maps", lambda g, p, q: False)
+    assert _collinear(FermatCurve(3)) == want
+    assert len(calls) == 1
+
+
+def test_collinear_generator_without_an_image_falls_back(monkeypatch):
+    """A generator scale whose denominator the prime divides has no image:
+    the key path gives up before it looks a point up."""
+    C = FermatCurve(3)
+    fld = C.field
+    _plant_image(monkeypatch, 3, lambda image: lambda a: (
+        None if a.den % 3 == 0 else image(a)))
+    g = Automorphism(fld, (0, 1, 2), (fld.zeta * fld.from_rational(Q(1, 3)),
+                                      1, 1))
+    assert arrangements._lines_by_keys(fld, sextactic_points(C),
+                                       [(g, g.inverse())]) is None

@@ -317,6 +317,17 @@ def _one_grid_line(grid_line):
     return lambda token, field, d, i: grid_line(token, field, d, 0)
 
 
+def _plus_other_lines_point(specials_on_line):
+    """`FermatCurve.specials_on_line` with a special point of another line
+    added: the first special point off the line."""
+    def wrong(curve, line):
+        found = specials_on_line(curve, line)
+        other = next(p for p in curve.specials
+                     if not line.evaluate(p).is_zero())
+        return found + [other]
+    return wrong
+
+
 # (record, argv, dotted name under fermatosc, its planted fault, the
 # failures expected): the records of `collinear`, `freeness` and the
 # `fatal` record of any command, and the concurrency check of one line
@@ -333,6 +344,10 @@ QUERY_PLANTED_FAULTS = [
      "arrangements.grid_line", _one_grid_line,
      [{"check": "fatal",
        "detail": "two lines of the curve's line table coincide"}]),
+    ("fatal", ["census", "--arrangement", "B", "--degree", "3",
+               "--with-fermat"],
+     "fermat.FermatCurve.specials_on_line", _plus_other_lines_point,
+     [{"check": "fatal", "detail": "special point off its line"}]),
     # line 0 at d = 4 is x - y, whose sextactic points are the first four
     # of `sextactic`; the tangents at the first two meet at (1 : -1 : 0),
     # which the third tangent, raised by x, misses
@@ -345,16 +360,27 @@ QUERY_PLANTED_FAULTS = [
 ]
 
 
+def _row_ids(table):
+    """Each row's record, with its command appended where an earlier row
+    of the table fires the same record."""
+    seen, out = set(), []
+    for record, argv, *_ in table:
+        out.append(f"{record}-{argv[0]}" if record in seen else record)
+        seen.add(record)
+    return out
+
+
 @pytest.mark.parametrize("record, argv, name, plant, want",
                          QUERY_PLANTED_FAULTS,
-                         ids=[row[0] for row in QUERY_PLANTED_FAULTS])
+                         ids=_row_ids(QUERY_PLANTED_FAULTS))
 def test_collinear_freeness_and_fatal_records_fire(record, argv, name, plant,
                                                    want, monkeypatch, capsys):
     """Each record of `collinear` and `freeness`, and the `fatal` record,
     fires on a planted fault: a line dropped from the collinear lines, a
     flipped freeness verdict, a Koszul triple with a wrong sign, two grid
-    lines made equal (a failed certificate, exit 1, not a usage error),
-    and a tangent of one line's family that misses the others' point."""
+    lines made equal and a census candidate off its line (each a failed
+    certificate, exit 1, not a usage error), and a tangent of one line's
+    family that misses the others' point."""
     original = operator.attrgetter(name)(fermatosc)
     monkeypatch.setattr(f"fermatosc.{name}", plant(original))
     code, rep = run_json(argv, capsys)

@@ -689,6 +689,125 @@ def test_smallest_certifying_primes():
         41, 211, 397, 47, 97]
 
 
+# (p, w, c) of `TowerField.certificate` at every degree, as the trial
+# division primality test found them: the Miller-Rabin test finds the same
+CERTIFICATES = {
+    3: (7, 3, 2), 4: (17, 9, 11), 5: (11, 2, 2), 6: (13, 2, 2), 7: (29, 4, 2),
+    8: (17, 3, 11), 9: (19, 2, 2), 10: (61, 8, 2), 11: (23, 5, 2),
+    12: (97, 43, 14), 13: (53, 4, 2), 14: (29, 2, 2), 15: (61, 4, 2),
+    16: (97, 28, 14), 17: (103, 27, 2), 18: (37, 2, 2), 19: (191, 38, 2),
+    20: (41, 6, 24), 21: (211, 32, 2), 22: (397, 115, 2), 23: (47, 5, 2),
+    24: (97, 25, 14), 25: (101, 4, 2), 26: (53, 2, 2), 27: (163, 8, 2),
+    28: (449, 275, 30), 29: (59, 2, 2), 30: (61, 2, 2), 31: (311, 264, 2),
+    32: (193, 125, 52), 33: (67, 2, 2), 34: (613, 512, 2), 35: (71, 7, 2),
+    36: (1009, 200, 570), 37: (149, 4, 2), 38: (229, 8, 2), 39: (79, 3, 2),
+    40: (401, 243, 348), 41: (83, 2, 2), 42: (421, 32, 2), 43: (173, 4, 2),
+    44: (1409, 362, 209), 45: (181, 4, 2), 46: (277, 8, 2), 47: (283, 8, 2),
+    48: (97, 5, 14), 49: (197, 4, 2), 50: (101, 2, 2), 51: (103, 5, 2),
+    52: (313, 30, 120), 53: (107, 2, 2), 54: (541, 32, 2), 55: (661, 64, 2),
+    56: (449, 81, 30), 57: (571, 32, 2), 58: (349, 8, 2), 59: (709, 64, 2),
+    60: (1321, 389, 136), 61: (367, 27, 2), 62: (373, 8, 2), 63: (379, 8, 2),
+    64: (641, 243, 574),
+}
+
+
+def test_certificates_unchanged_by_the_primality_test():
+    assert {d: tower_field(d).certificate
+            for d in range(D_MIN, D_MAX + 1)} == CERTIFICATES
+
+
+def test_miller_rabin_matches_trial_division():
+    def trial(n):
+        return n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(5000) if tower._is_prime(n)] == [
+        n for n in range(5000) if trial(n)]
+    # strong pseudoprimes to the first bases, and Carmichael numbers
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              561, 41041, 825265):
+        assert not tower._is_prime(n)
+    for n in ((1 << 61) - 1, (1 << 64) - 59, 2305843009213694173):
+        assert tower._is_prime(n)
+    with pytest.raises(ValueError, match="beyond"):
+        tower._is_prime((1 << 89) - 1)
+
+
+REDUCTION_DEGREES = tuple(range(3, 13)) + (16, 32, 48)
+
+
+@pytest.mark.parametrize("d", REDUCTION_DEGREES)
+def test_reduction_is_a_ring_map(d):
+    """u -> w, t -> r sends sums to sums and products to products, and its
+    prime, w and r have the properties the reduction checks."""
+    fld = tower_field(d)
+    p, w, r, image = fld.reduction()
+    n, m = 2 * d, fld.deg_t
+    assert tower._is_prime(p) and p % n == 1 and abs(p - (1 << 61)) < 1 << 40
+    acc = 0
+    for a in reversed(cyclotomic_int_coeffs(n)):
+        acc = (acc * w + a) % p
+    assert acc == 0
+    assert (image(fld.u), image(fld.t)) == (w, r)
+    assert pow(r, m, p) == image(fld.t ** m) != 0
+    rng = random.Random(1000 + d)
+    for _ in range(6):
+        a = random_element(fld, rng, max_terms=8)
+        b = random_element(fld, rng, max_terms=8)
+        assert image(a * b) == image(a) * image(b) % p
+        assert image(a + b) == (image(a) + image(b)) % p
+        if b:
+            assert image(a / b) == image(a) * pow(image(b), -1, p) % p
+
+
+def test_reduction_is_built_on_first_use_and_kept():
+    fld = TowerField(5)
+    assert fld._reduction is None
+    assert fld.reduction() is fld.reduction()
+
+
+def test_a_denominator_divisible_by_p_maps_to_none():
+    fld = tower_field(3)
+    p, _, _, image = fld.reduction()
+    assert image(fld.from_rational(Q(1, p))) is None
+    assert image(fld.from_rational(Q(5, 3 * p)) * fld.u) is None
+    assert image(fld.from_rational(Q(p, 2))) == 0
+
+
+def test_wrong_root_of_unity_raises(monkeypatch):
+    """A w off Phi_2d mod p fails both the field certificate and the
+    reduction."""
+    fld = TowerField(5)
+    right = TowerField._root_of_unity
+    monkeypatch.setattr(TowerField, "_root_of_unity",
+                        lambda self, p: right(self, p) + 1)
+    with pytest.raises(CertificationFailure, match="not a root of Phi_10"):
+        fld.reduction()
+    with pytest.raises(CertificationFailure, match="not a root of Phi_10"):
+        TowerField(5)
+
+
+def test_wrong_root_of_the_t_modulus_raises(monkeypatch):
+    root = tower._mth_root
+    monkeypatch.setattr(tower, "_mth_root", lambda c, m, p: root(c, m, p) + 1)
+    with pytest.raises(CertificationFailure, match="not a root of t"):
+        TowerField(7).reduction()
+
+
+def test_mth_root_of_a_non_power_raises():
+    # 3 generates F_7^*, so it is no cube
+    assert tower._mth_root(6, 3, 7) ** 3 % 7 == 6
+    with pytest.raises(CertificationFailure, match="not an 3-th power"):
+        tower._mth_root(3, 3, 7)
+
+
+def test_reduction_search_without_a_prime_raises(monkeypatch):
+    monkeypatch.setattr(tower, "REDUCTION_PRIMES", 3)
+    monkeypatch.setattr(TowerField, "_t_power_mod", lambda self, p, w: 0)
+    fld = tower_field(3)
+    with pytest.raises(CertificationFailure, match="no split prime"):
+        TowerField._reduce(fld)
+
+
 def test_construction_draws_no_random_number(monkeypatch):
 
     def no_random(*args, **kwargs):
