@@ -28,14 +28,15 @@ The census lists all singular points of the union (optionally together with
 the curve itself), the freeness test solves the quadratic necessary
 condition r^2 - (dh-1) r + (dh-1)^2 = tau for an integer exponent
 r <= (dh-1)/2, and the collinearity search finds every line through three
-or more sextactic points exactly: the monomial automorphism group acts
-transitively on the points, so the orbit of the lines through one point
-holds every such line.
+or more sextactic points exactly, on keys in F_p or, when those give up,
+in K_d: the monomial automorphism group acts transitively on the points,
+so the orbit of the lines through one point holds every such line.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -463,166 +464,106 @@ def collinear_sextactic(curve: FermatCurve):
     p0 and holds three or more points: it is a line through p0, and l lies
     in its orbit.
 
-    Keys in F_p find the candidates (`_lines_by_keys`), through the ring map
-    K_d -> F_p of `TowerField.reduction`; exact checks certify them.  A map
-    proves only inequality, so points with different keys are different
-    and lines with different keys are different.  Each generator's image of
-    a point is found by its key and confirmed by `Automorphism.maps`; only
-    the lines through point 0 whose key groups hold two or more other points
-    are canonicalized, and each line that the closure reaches is pulled back
-    once, by the key of two of its carried members.  Every member is then
-    evaluated exactly on its line.  Key trouble falls back to the exact path
-    (`_lines_exact`), which groups every point by its canonical line through
-    point 0 and finds each image by exact lookup; it costs time and never
-    changes an answer:
-
-    * two sextactic points with one key;
-    * a zero image, of a point, of a line through two points, or of a
-      point's image under a generator, or an image that is None (p divides
-      a denominator);
-    * a key match that an exact check refuses: an image that `maps` rejects
-      or that no point has, or a member off its line, which is how two lines
-      with one key show.
+    One search, `_lines`, finds the lines on keys: a point's key is its
+    coordinates up to scale, a line's the key of the cross product of two
+    of its points.  It runs on keys in F_p first (`_fp_keys`), through the
+    ring map of `TowerField.reduction`, which proves only inequality, so
+    each key match is checked exactly: every generator image by
+    `Automorphism.maps`, every member on its line.  A zero key, a key with
+    no image (p divides a denominator), two points with one key, or a match
+    refused makes the F_p search give up; it then runs on the exact keys of
+    K_d (`_exact_keys`), which never collide, and where a refused match
+    raises `CertificationFailure`.  Giving up costs time and never changes
+    an answer.
     """
     field = curve.field
     pts = sextactic_points(curve)
-    if len({s.point for s in pts}) != len(pts):
-        raise CertificationFailure("two sextactic points coincide")
     gens = [(g, g.inverse()) for g in (rho(field), phi(field), psi(field))]
-    found = _lines_by_keys(field, pts, gens)
+    found = _lines(field, pts, gens, _fp_keys(field))
     if found is None:
-        found = _lines_exact(field, pts, gens)
-        off = _first_off_line(found, pts)
-        if off is not None:
-            raise CertificationFailure("collinear member off its line",
-                                       witness=off)
+        found = _lines(field, pts, gens, _exact_keys(field))
     return [CollinearLine(L, members, tuple(s.cluster for s in members))
             for L, members in found]
 
 
-def _transitive(images, n: int):
-    """Raise unless the point permutations `images` of the generators reach
-    all n points from point 0."""
+# a key ring of `_lines`: the key of a coordinate, of a triple up to scale
+# (None on trouble) and of the line through two keyed points, and the
+# policy for a key match that an exact check refuses
+_Keys = namedtuple("_Keys", "coord point line refuse")
+
+
+def _fp_keys(field: TowerField) -> _Keys:
+    """Keys in F_p: coordinates mapped by `TowerField.reduction`, a triple
+    scaled mod p to a first nonzero entry of one, None for zero or for an
+    entry with no image.  A refused match gives up: `_lines` returns None."""
+    p, _, _, image_of = field.reduction()
+
+    def point(v):
+        if None in v:
+            return None
+        a, b, c = v[0] % p, v[1] % p, v[2] % p
+        pivot = a or b or c
+        if pivot == 1:
+            return a, b, c
+        if not pivot:
+            return None
+        inv = pow(pivot, -1, p)
+        return a * inv % p, b * inv % p, c * inv % p
+
+    return _Keys(image_of, point, lambda a, b: point(cross(a, b)),
+                 lambda message, witness=None: None)
+
+
+def _exact_keys(field: TowerField) -> _Keys:
+    """Keys in K_d: each coordinate itself, a triple scaled as `ProjPoint`
+    scales it.  Exact keys never collide, so a refused match raises
+    `CertificationFailure`."""
+    def point(v):
+        return ProjPoint(field, v).coords
+
+    def refuse(message, witness=None):
+        raise CertificationFailure(message, witness=witness)
+
+    return _Keys(lambda c: c, point, lambda a, b: point(cross(a, b)), refuse)
+
+
+def _lines(field, pts, gens, keys: _Keys):
+    """The lines of `collinear_sextactic` found on `keys` and certified
+    exactly, as (line, members) in report order (`HomPoly.line_key`), the
+    members in `pts` order; a key match refused goes to `keys.refuse`."""
+    n = len(pts)
+    pkeys = [keys.point([keys.coord(c) for c in s.point.coords]) for s in pts]
+    index = {k: i for i, k in enumerate(pkeys)}
+    if None in index or len(index) != n:
+        return keys.refuse("two sextactic points coincide")
+    images = []
+    for g, _ in gens:
+        scale = [keys.coord(c) for c in g.scale]
+        if None in scale:
+            return keys.refuse("a generator's scale has no key")
+        image = []
+        for s, k in zip(pts, pkeys):
+            j = index.get(keys.point([a * k[i]
+                                      for a, i in zip(scale, g.perm)]))
+            if j is None or not g.maps(s.point, pts[j].point):
+                return keys.refuse(
+                    "a generator maps a sextactic point off the set",
+                    witness=s.label())
+            image.append(j)
+        images.append(image)
     reached, seen = [0], {0}
     for i in reached:
-        for image in images:
-            if image[i] not in seen:
-                seen.add(image[i])
-                reached.append(image[i])
+        new = {image[i] for image in images} - seen
+        seen |= new
+        reached += new
     if len(reached) != n:
         raise CertificationFailure(
             "the generators do not act transitively on the sextactic points",
             witness=len(reached))
 
-
-def _report(lines, pts):
-    """The (line, member indices) values of `lines` as (line, members) in
-    report order (`HomPoly.line_key`), the members in `pts` order."""
-    pairs = sorted(lines.values(), key=lambda pair: HomPoly.line_key(pair[0]))
-    return [(L, [pts[i] for i in sorted(idx)]) for L, idx in pairs]
-
-
-def _first_off_line(found, pts):
-    """The label of the first member, in report order, that its line does
-    not pass through, exactly; None when every member lies on its line."""
-    for L, members in found:
-        for s in members:
-            if not L.evaluate(s.point).is_zero():
-                return s.label()
-    return None
-
-
-def _lines_exact(field, pts, gens):
-    """The lines of `collinear_sextactic` found exactly: each generator
-    image by exact lookup, the other points grouped by their canonical line
-    through point 0, and each line reached by the closure canonicalized."""
-    n = len(pts)
-    index = {s.point: i for i, s in enumerate(pts)}
-    images = []
-    for g, _ in gens:
-        image = []
-        for s in pts:
-            j = index.get(g.apply_point(s.point))
-            if j is None:
-                raise CertificationFailure(
-                    "a generator maps a sextactic point off the set",
-                    witness=s.label())
-            image.append(j)
-        images.append(image)
-    _transitive(images, n)
-
-    p0 = pts[0].point.coords
     through = {}
     for i in range(1, n):
-        L = HomPoly.line(field, *cross(p0, pts[i].point.coords))
-        through.setdefault(L.canonical_line(), {0}).add(i)
-    # canonical line -> (the line, indices of the points on it)
-    lines = {L: (L, idx) for L, idx in through.items() if len(idx) >= 3}
-    queue = list(lines)
-    for L in queue:
-        idx = lines[L][1]
-        for (_, g_inv), image in zip(gens, images):
-            M = g_inv.pullback(L).canonical_line()
-            if M not in lines:
-                lines[M] = (M, set())
-                queue.append(M)
-            lines[M][1].update([image[i] for i in idx])
-    return _report(lines, pts)
-
-
-def _projective_key(v, p: int):
-    """A vector of F_p^3, entries reduced mod p, scaled to a first nonzero
-    entry of one, or None for zero or for an entry that is None."""
-    if None in v:
-        return None
-    a, b, c = v
-    pivot = a or b or c
-    if pivot == 1:
-        return a, b, c
-    if not pivot:
-        return None
-    inv = pow(pivot, -1, p)
-    return a * inv % p, b * inv % p, c * inv % p
-
-
-def _line_key(a, b, p: int):
-    """The key of the line through two points of F_p^3: their cross product
-    mod p, scaled by `_projective_key`."""
-    return _projective_key(((a[1] * b[2] - a[2] * b[1]) % p,
-                            (a[2] * b[0] - a[0] * b[2]) % p,
-                            (a[0] * b[1] - a[1] * b[0]) % p), p)
-
-
-def _lines_by_keys(field, pts, gens):
-    """The lines of `collinear_sextactic` found by keys in F_p and certified
-    exactly, or None on key trouble (see `collinear_sextactic`)."""
-    p, _, _, image_of = field.reduction()
-    n = len(pts)
-    keys = [_projective_key([image_of(c) for c in s.point.coords], p)
-            for s in pts]
-    index = {k: i for i, k in enumerate(keys)}
-    if None in index or len(index) != n:
-        return None
-    images = []
-    for g, _ in gens:
-        scale = [image_of(c) for c in g.scale]
-        if None in scale:
-            return None
-        image = []
-        for s, k in zip(pts, keys):
-            j = index.get(_projective_key(
-                [a * k[i] % p for a, i in zip(scale, g.perm)], p))
-            if j is None or not g.maps(s.point, pts[j].point):
-                return None
-            image.append(j)
-        images.append(image)
-    _transitive(images, n)
-
-    through = {}
-    for i in range(1, n):
-        through.setdefault(_line_key(keys[0], keys[i], p), [0]).append(i)
-    if None in through:
-        return None
+        through.setdefault(keys.line(pkeys[0], pkeys[i]), [0]).append(i)
     # key -> (the line, indices of the points on it)
     p0 = pts[0].point.coords
     lines = {k: (HomPoly.line(field, *cross(p0, pts[idx[1]].point.coords))
@@ -633,12 +574,21 @@ def _lines_by_keys(field, pts, gens):
         L, idx = lines[k]
         for (_, g_inv), image in zip(gens, images):
             moved = sorted(image[i] for i in idx)
-            key = _line_key(keys[moved[0]], keys[moved[1]], p)
-            if key is None:
-                return None
+            key = keys.line(pkeys[moved[0]], pkeys[moved[1]])
             if key not in lines:
                 lines[key] = (g_inv.pullback(L).canonical_line(), set())
                 queue.append(key)
             lines[key][1].update(moved)
-    found = _report(lines, pts)
-    return None if _first_off_line(found, pts) is not None else found
+    # a None key (a zero image) may hide a line or key one line twice
+    if None in through or None in lines:
+        return keys.refuse("a line through two sextactic points has no key")
+    found = []
+    for L, idx in sorted(lines.values(),
+                         key=lambda pair: HomPoly.line_key(pair[0])):
+        members = [pts[i] for i in sorted(idx)]
+        for s in members:
+            if not L.evaluate(s.point).is_zero():
+                return keys.refuse("collinear member off its line",
+                                   witness=s.label())
+        found.append((L, members))
+    return found

@@ -486,14 +486,15 @@ def test_collinear_carried_member_off_its_line_raises(monkeypatch):
         collinear_sextactic(FermatCurve(3))
 
 
-# -- collinearity keys in F_p and their fallbacks ----------------------------
+# -- collinearity on F_p keys and on K_d keys ---------------------------------
 
 
 def _spy_exact(monkeypatch):
-    """Count the calls of the exact path of `collinear_sextactic`."""
-    calls, exact = [], arrangements._lines_exact
-    monkeypatch.setattr(arrangements, "_lines_exact",
-                        lambda *args: calls.append(args) or exact(*args))
+    """Count the K_d passes of `collinear_sextactic`: the builds of its
+    exact key ring."""
+    calls, exact = [], arrangements._exact_keys
+    monkeypatch.setattr(arrangements, "_exact_keys",
+                        lambda field: calls.append(field) or exact(field))
     return calls
 
 
@@ -508,30 +509,48 @@ def _plant_image(monkeypatch, d, plant):
                         lambda self: red._replace(image=plant(red.image)))
 
 
+def _plant_fp_keys(monkeypatch, name, plant):
+    """The F_p key ring with its key function `name` ("point" or "line")
+    replaced by plant(key function)."""
+    real = arrangements._fp_keys
+
+    def fp_keys(field):
+        keys = real(field)
+        return keys._replace(**{name: plant(getattr(keys, name))})
+    monkeypatch.setattr(arrangements, "_fp_keys", fp_keys)
+
+
 @pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8))
 def test_collinear_keys_match_the_exact_path(d, monkeypatch):
-    """Keys find the lines with no fallback, and the exact path finds the
-    same lines in the same order."""
+    """F_p keys find the lines with no K_d pass, and the search on K_d
+    keys finds the same lines in the same order, confirming each of the
+    3 * 3d^2 generator images with `Automorphism.maps`."""
     C = FermatCurve(d)
     calls = _spy_exact(monkeypatch)
     found = _collinear(C)
     assert not calls
+    maps, real = [], Automorphism.maps
+    monkeypatch.setattr(Automorphism, "maps",
+                        lambda g, p, q: maps.append(p) or real(g, p, q))
+    pts = sextactic_points(C)
     gens = [(g, g.inverse()) for g in (arrangements.rho(C.field),
                                        arrangements.phi(C.field),
                                        arrangements.psi(C.field))]
-    exact = arrangements._lines_exact(C.field, sextactic_points(C), gens)
+    exact = arrangements._lines(C.field, pts, gens,
+                                arrangements._exact_keys(C.field))
     assert [(L, members) for L, members, _ in found] == exact
+    assert len(maps) == 3 * len(pts) == 9 * d * d
 
 
 @pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8))
 def test_collinear_planted_collision_gives_the_exact_result(d, monkeypatch):
-    """A key map that sends every line to one key merges all lines through
-    point 0; the member check refuses the merge, and the exact path gives
-    the same lines."""
+    """F_p line keys that send every line to one key merge all lines
+    through point 0; the member check refuses the merge, and one pass on
+    K_d keys gives the same lines."""
     C = FermatCurve(d)
     want = _collinear(C)
     calls = _spy_exact(monkeypatch)
-    monkeypatch.setattr(arrangements, "_line_key", lambda a, b, p: (1, 0, 0))
+    _plant_fp_keys(monkeypatch, "line", lambda line: lambda a, b: (1, 0, 0))
     assert _collinear(FermatCurve(d)) == want
     assert len(calls) == 1
     if d == 3:
@@ -558,45 +577,65 @@ def test_collinear_image_trouble_takes_the_exact_path(plant, monkeypatch):
     assert len(calls) == 1
 
 
-def _none_after(calls_allowed):
-    """A `_line_key` that gives the real key for its first calls and then
-    None, the key of a line whose image is zero."""
-    real, calls = arrangements._line_key, []
+def _none_at(calls_none):
+    """A plant of an F_p key function that gives None, the key of a zero
+    image or of one with no image, at the calls numbered in `calls_none`
+    (from one), and the real key at every other call."""
+    calls = []
 
-    def key(a, b, p):
-        calls.append(1)
-        return real(a, b, p) if len(calls) <= calls_allowed else None
-    return key
+    def plant(real):
+        def key(*args):
+            calls.append(1)
+            return None if len(calls) in calls_none else real(*args)
+        return key
+    return plant
 
 
-@pytest.mark.parametrize("allowed", (0, 26), ids=("through-p0", "closure"))
-def test_collinear_zero_line_image_takes_the_exact_path(allowed, monkeypatch):
-    """A zero image of a line through point 0, or of a line the closure
-    reaches (after the 26 lines through point 0 at d = 3), falls back."""
+def test_collinear_one_point_without_a_key_takes_the_exact_path(monkeypatch):
+    """Point 0 alone keyed None, as a coordinate with no image would key
+    it, makes the F_p search give up before any image is formed from the
+    key."""
     want = _collinear(FermatCurve(3))
     calls = _spy_exact(monkeypatch)
-    monkeypatch.setattr(arrangements, "_line_key", _none_after(allowed))
+    _plant_fp_keys(monkeypatch, "point", _none_at({1}))
+    assert _collinear(FermatCurve(3)) == want
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call", (1, 27), ids=("through-p0", "closure"))
+def test_collinear_zero_line_image_takes_the_exact_path(call, monkeypatch):
+    """A zero image of one line makes the F_p search give up: at d = 3, the
+    line through points 0 and 1 (call 1; kept, it would hide the orbit of
+    the line {0, 1, 2} and give 72 lines), or the first line the closure
+    reaches (call 27, after the 26 lines through point 0; kept, its None key
+    would give that line a second entry and 82 lines)."""
+    want = _collinear(FermatCurve(3))
+    calls = _spy_exact(monkeypatch)
+    _plant_fp_keys(monkeypatch, "line", _none_at({call}))
     assert _collinear(FermatCurve(3)) == want
     assert len(calls) == 1
 
 
 def test_collinear_refused_image_takes_the_exact_path(monkeypatch):
-    """An image found by key that `Automorphism.maps` refuses falls back."""
+    """An image found by F_p key that `Automorphism.maps` refuses makes the
+    F_p search give up; on K_d keys `maps` confirms every image again."""
     want = _collinear(FermatCurve(3))
     calls = _spy_exact(monkeypatch)
-    monkeypatch.setattr(Automorphism, "maps", lambda g, p, q: False)
+    real = Automorphism.maps
+    monkeypatch.setattr(Automorphism, "maps",
+                        lambda g, p, q: bool(calls) and real(g, p, q))
     assert _collinear(FermatCurve(3)) == want
     assert len(calls) == 1
 
 
 def test_collinear_generator_without_an_image_falls_back(monkeypatch):
     """A generator scale whose denominator the prime divides has no image:
-    the key path gives up before it looks a point up."""
+    the F_p search gives up before it looks a point up."""
     C = FermatCurve(3)
     fld = C.field
     _plant_image(monkeypatch, 3, lambda image: lambda a: (
         None if a.den % 3 == 0 else image(a)))
     g = Automorphism(fld, (0, 1, 2), (fld.zeta * fld.from_rational(Q(1, 3)),
                                       1, 1))
-    assert arrangements._lines_by_keys(fld, sextactic_points(C),
-                                       [(g, g.inverse())]) is None
+    assert arrangements._lines(fld, sextactic_points(C), [(g, g.inverse())],
+                               arrangements._fp_keys(fld)) is None

@@ -504,6 +504,70 @@ def test_proportional_tangents_raise(monkeypatch):
         tangent_concurrency(C, line)
 
 
+def _plant_conic_family(monkeypatch, C, conics=None, fixed=None):
+    """Line 0 of Bz with the fixed line of its family planted as `fixed`
+    and the hyperosculating conics at its d points as `conics`."""
+    L = build("Bz", C).lines[0]
+    pts, real = symmetry._line_family(C, L)
+    C.line_families[L] = (pts, real if fixed is None else fixed)
+    if conics is not None:
+        by_point = {s.point: c for s, c in zip(pts, conics)}
+        monkeypatch.setattr(C, "hyperosculating", lambda s: by_point[s.point])
+    return L
+
+
+def test_conic_family_with_a_non_coordinate_fixed_line_raises(monkeypatch):
+    C = FermatCurve(3)
+    x, y, _ = HomPoly.variables(C.field)
+    L = _plant_conic_family(monkeypatch, C, fixed=x + y)
+    with pytest.raises(CertificationFailure, match="not a coordinate line"):
+        conic_common_points(C, L)
+
+
+def test_conics_that_contain_the_fixed_line_raise(monkeypatch):
+    C = FermatCurve(3)
+    x, y, z = HomPoly.variables(C.field)
+    conics = [x * (y + i * z) for i in range(3)]
+    L = _plant_conic_family(monkeypatch, C, conics, fixed=x)
+    with pytest.raises(CertificationFailure, match="contains the fixed line"):
+        conic_common_points(C, L)
+
+
+def test_one_conic_repeated_has_no_pencil_cofactors(monkeypatch):
+    # every pencil member of a conic with itself is zero
+    C = FermatCurve(3)
+    pts = points_on_line(C, build("Bz", C).lines[0])
+    L = _plant_conic_family(monkeypatch, C,
+                            [C.hyperosculating(pts[0])] * 3)
+    with pytest.raises(CertificationFailure,
+                       match="two independent pencil cofactors"):
+        conic_common_points(C, L)
+
+
+def test_conics_sharing_a_point_off_the_fixed_line_raise(monkeypatch):
+    """The conics x * l_i + K with l_i = i (x - y) + i^2 (y - z) and
+    K = y^2 - z^2 all pass through q = (1 : 1 : 1), off x = 0, and agree
+    on x = 0; their pencil cofactors l_1, l_2 meet at q."""
+    C = FermatCurve(3)
+    fld = C.field
+    x, y, z = HomPoly.variables(fld)
+    conics = [x * ((x - y) * i + (y - z) * (i * i)) + y * y - z * z
+              for i in range(3)]
+    L = _plant_conic_family(monkeypatch, C, conics, fixed=x)
+    with pytest.raises(CertificationFailure,
+                       match="extra point off the fixed line") as failure:
+        conic_common_points(C, L)
+    assert failure.value.witness == ProjPoint(fld, [1, 1, 1]).to_json()
+
+
+def test_pencil_member_off_the_coordinate_raises():
+    # y^2 and z^2 have no pencil member divisible by x but zero
+    fld = tower_field(3)
+    _, y, z = HomPoly.variables(fld)
+    with pytest.raises(CertificationFailure, match="not divisible"):
+        symmetry._pencil_cofactor(y * y, z * z, 0, fld)
+
+
 def test_panel_shares_the_curve_scalings():
     """The panel's three scalings are the curve's, the ones whose orbits
     are the grid lines' point sets, so the invariant stage reads the grid
