@@ -18,7 +18,8 @@ at a smooth point are computed two independent ways:
   center and direction as Python ints, and the resultant is a norm over a
   power-series ring, a determinant that divides by nothing, whose
   coefficients are computed online, each once, from s^0 up to the first
-  nonzero one.
+  nonzero one.  The fiber-line check reads the s^0 coefficient of the
+  same norm on the curves' restrictions to that line.
 
 `restrict_to_line` pulls a curve back to a line along a deterministic
 parametrization and returns a binary form (`pullback_to_line` is the
@@ -41,7 +42,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import CertificationFailure, FermatoscError
-from .tower import FieldElement, TowerField, in_block, power
+from .tower import FieldElement, TowerField, power
 
 VARS = ("x", "y", "z")
 LINEAR_EXPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -462,46 +463,6 @@ class BinaryForm:
                     out[i + j] = out[i + j] + a * b
         return BinaryForm(self.field, out)
 
-    def prem(self, other) -> tuple:
-        """The pseudo-remainder (r, e): r = lc^e * (self mod other), trimmed
-        to its degree, where lc is the leading coefficient of `other` and e
-        counts the elimination steps, at most deg self - deg other + 1.
-        No element is inverted."""
-        out = list(self.coeffs)
-        db = other.degree()
-        lc = other.coeffs[db]
-        low = [(i, b) for i, b in enumerate(other.coeffs[:db])
-               if not b.is_zero()]
-        da = self.degree()
-        e = 0
-        while da >= db:
-            c = out[da]
-            for i in range(da):
-                if not out[i].is_zero():
-                    out[i] = out[i] * lc
-            for i, b in low:
-                out[da - db + i] = out[da - db + i] - b * c
-            out[da] = self.field.zero
-            e += 1
-            da -= 1
-            while da >= 0 and out[da].is_zero():
-                da -= 1
-        return BinaryForm(self.field, out[:max(da + 1, 1)]), e
-
-    def gcd(self, other) -> "BinaryForm":
-        """A greatest common divisor in w, not normalized (pseudo-remainder
-        Euclid, no inversion)."""
-        a, b = self, other
-        if a.degree() < 0:
-            return b
-        if b.degree() < 0:
-            return a
-        while True:
-            r = a.prem(b)[0]
-            if r.degree() < 0:
-                return b
-            a, b = b, r
-
     def proportional(self, other) -> bool:
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
@@ -749,15 +710,14 @@ def branch_series(f: HomPoly, p: ProjPoint, order: int) -> BranchSeries:
     return bs
 
 
-@in_block
 def int_mult(f: HomPoly, g: HomPoly, p: ProjPoint) -> int:
     """Intersection multiplicity (f . g)_p via the branch series of f.
 
     Returns 0 when g(p) != 0.  The branch starts at order 2 and is extended
     in place, doubling, until the valuation of g along it falls below the
     order, which makes it final; at the cap 4 deg f deg g + 8 it raises
-    `FermatoscError`.  A memo block (`in_block`) keeps each doubling from
-    redoing the lower orders' products."""
+    `FermatoscError`.  It runs in the caller's memo block, if one is open
+    (`tower.memoized`), and opens none of its own."""
     if not g.evaluate(p).is_zero():
         return 0
     cap = 4 * f.deg * g.deg + 8
@@ -869,11 +829,30 @@ def _online_norm(a: list, b: list, top: int):
         yield minors[tuple(range(db))][k]
 
 
+def _fiber_is_generic(ra, rb) -> bool:
+    """Whether two forms in z, ascending coefficient lists with a nonzero
+    top coefficient, share no zero but z = 0.
+
+    Each form is divided by its power of z.  A constant quotient has no
+    zero; otherwise the two quotients share none exactly when their
+    resultant, read as the s^0 coefficient of `_online_norm` on them, is
+    nonzero.  `resultant_order` passes the restrictions of its two curves
+    to the fiber line, whose top coefficients are the curves' values at the
+    center; "center on a curve" refuses a zero one first, so a zero
+    restriction never reaches this check."""
+    quotients = []
+    for r in (ra, rb):
+        low = next(i for i, x in enumerate(r) if not x.is_zero())
+        if low == len(r) - 1:
+            return True
+        quotients.append([[x] for x in r[low:]])
+    return not next(_online_norm(*quotients, 1)).is_zero()
+
+
 # random coordinate changes `resultant_order` tries before it gives up
 RESULTANT_ATTEMPTS = 24
 
 
-@in_block
 def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint, seed: int = 0):
     """Vanishing order at p's image of Res_z(f, g) after a recorded random
     rational projection; agrees with int_mult when genericity holds.
@@ -881,7 +860,8 @@ def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint, seed: int = 0):
     The center c and direction v are columns 2 and 0 of a seeded random
     integer matrix, kept as ints.  In the coordinates x = s v + y p + z c,
     p is (0 : 1 : 0) and the fiber line through c and p is s = 0.  With c
-    off both curves and p the only common zero on that line, the order of
+    off both curves and p the only common zero on that line
+    (`_fiber_is_generic`), the order of
     Res_z(f, g) at s = 0, y = 1 is (f . g)_p (Fulton, Algebraic Curves,
     3.3).  The curves' z-slices come straight from their terms
     (`_multinomial_slices`), and `_online_norm` computes the resultant's
@@ -890,9 +870,8 @@ def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint, seed: int = 0):
     s^(deg f deg g + 1) is zero (`FermatoscError`).
 
     Returns (order, record): the seed, the attempt count and the accepted
-    center and direction, as integer triples.  A memo block (`in_block`)
-    answers the products that repeat within the call."""
-    field = f.field
+    center and direction, as integer triples.  It runs in the caller's memo
+    block, if one is open (`tower.memoized`), and opens none of its own."""
     hi, lo = (g, f) if f.deg < g.deg else (f, g)
     top = f.deg * g.deg + 1
     rng = random.Random(seed)
@@ -909,9 +888,7 @@ def resultant_order(f: HomPoly, g: HomPoly, p: ProjPoint, seed: int = 0):
         a, b = (_multinomial_slices(h, v, p.coords, c) for h in (hi, lo))
         # the s^0 coefficients restrict the curves to the fiber line, p at
         # z = 0; the center, at z = oo, is on neither
-        ra, rb = (BinaryForm(field, [sl[0] for sl in h]) for h in (a, b))
-        gcd = ra.gcd(rb)
-        if gcd.valuation() != gcd.degree():
+        if not _fiber_is_generic([sl[0] for sl in a], [sl[0] for sl in b]):
             last_fail = "extra common zero on the fiber line"
             continue
         order = next((k for k, x in enumerate(_online_norm(a, b, top))

@@ -31,10 +31,10 @@ lines, shifts the other factor's terms by (i, j) and scales their
 numerators when no exponent leaves the normal-form range: the shift keeps
 the terms sorted and nonzero, so only the content is divided out.  A
 product that wraps goes through the term loop.  A factor equal to one
-(terms ((0, 0, 1),) over 1, tested by value) returns the other factor, or
-inside a block the block's interned copy of it.  A Python int k scales the
-numerators by k / g and the denominator by 1 / g, g = gcd(k, den), which
-keeps the normal form: no Fraction and no element for k is built.
+(terms ((0, 0, 1),) over 1, tested by value) returns the other factor as
+it is.  A Python int k scales the numerators by k / g and the denominator
+by 1 / g, g = gcd(k, den), which keeps the normal form: no Fraction and no
+element for k is built, and k = 1 returns the element itself.
 
 Inversion goes through norms.  An element b(u) t^j times t^(deg_t - j)
 lies in Q(u).  Any other element is inverted through its norm to Q(u): K
@@ -70,38 +70,33 @@ uses the images as keys to group the lines through sextactic points, and
 certifies every equality it reports in K_d.
 
 `memoized()` opens a block, in the manner of `decimal.localcontext()`, in
-which the kernel reuses what it has already built.  The paper's objects are
-orbits of the monomial automorphism group, so one command multiplies the
-same few root-of-unity coefficients again and again, and building a new
-element is the kernel's main cost.  Inside a block every element the kernel
+which the kernel follows one memo rule.  The paper's objects are orbits of
+the monomial automorphism group, so one command multiplies the same few
+root-of-unity coefficients again and again, and building a new element is
+the kernel's main cost.  Inside a block the kernel interns each element it
 builds (`TowerField._make`, the one-term shift of a product, an int scale,
-a negation) is interned: a table keyed by (field, terms, den) hands back
-the first element built with that value, so two equal elements built in one
-block are one object.  A product by one enters its other factor in that
-table when no equal element is there, so an element built outside the block
-and multiplied by one inside it is the object that equal values built later
-in the block resolve to.  Each element in the table carries the block's
-token, so a factor already there is returned with no lookup.  Products,
-sums, differences and inverses are then looked up by the `id()` of their
-operands, the pair ordered by id for `*` and `+` so that a * b and b * a
-share one entry; no element's hash or value comparison is computed.  Each
-entry holds its operands as well as its result, so no operand is freed, and
-its id cannot pass to another object, while the block is open.  Operands
-built outside the block (the field's constants, say) are keyed by id in the
-same way.  Equality and hashing stay by value; `==` tests identity first.
-The checks that raise (mixed fields, inverting zero) come first, so a
-rejected call stores nothing.  Each block starts empty and restores the
-enclosing one when it closes, and nothing in its tables outlives it.  The
-CLI opens one around each command and one per degree in `all`; the two
-multiplicity oracles and the collinearity search (whose exact checks of
-generator images multiply the same few coordinates again and again),
-wrapped by `in_block`, join the caller's open block
-or else open one for the call, whose repeated products (the same
-root-of-unity coefficients, and in `int_mult` each doubling's lower orders)
-it answers.  So the memory held is one command's (one degree's, one oracle
-call's) working set and is freed with it.  Other library calls outside a
-block intern nothing, look nothing up and hold nothing: a memo without an
-end would keep every element a long-lived caller ever made.
+a negation): a table keyed by (field, terms, den) hands back the first
+element built with that value, so two equal elements built in one block
+are one object.  It answers a repeated `*`, `+`, `-` or `invert` by the
+`id()` of its operands, the pair ordered by id for `*` and `+` so that
+a * b and b * a share one entry; no element's hash or value comparison is
+computed.  Each entry holds its operands as well as its result, so no
+operand is freed, and its id cannot pass to another object, while the
+block is open.  Operands built outside the block (the field's constants,
+say) are keyed by id in the same way.  A product by one is neither built
+nor stored: it returns the other factor as it is, in a block or not.
+Equality and hashing stay by value; `==` tests identity first.  The checks
+that raise (mixed fields, inverting zero) come first, so a rejected call
+stores nothing.  Each block starts empty and restores the enclosing one
+when it closes, and nothing in its tables outlives it.  The CLI opens one
+around each command and one per degree in `all`, and the multiplicity
+oracles run in it.  The collinearity search, wrapped by `in_block`, joins
+the caller's open block or else opens one for the call, since its exact
+checks of generator images multiply the same few coordinates again and
+again.  So the memory held is one command's (one degree's, one search's)
+working set and is freed with it.  Other library calls outside a block
+intern nothing, look nothing up and hold nothing: a memo without an end
+would keep every element a long-lived caller ever made.
 """
 
 from __future__ import annotations
@@ -127,19 +122,18 @@ D_MAX = 64
 REDUCTION_START = 1 << 61
 REDUCTION_PRIMES = 4096
 
-# the memo of the innermost open `memoized()` block, or None: the tables
-# (interned elements by (field, terms, den); products, sums, differences by
-# operand ids; inverses by id), each entry holding its operands, and the
-# block's token, which every element in the intern table carries
+# the memo of the innermost open `memoized()` block, or None: five tables,
+# interned elements by (field, terms, den); products, sums, differences by
+# operand ids; inverses by id; each entry holding its operands
 _MEMO = ContextVar("fermatosc_tower_memo", default=None)
 
 
 @contextmanager
 def memoized():
-    """A block in which the kernel interns the elements it builds and `*`,
-    `+`, `-` and `invert` reuse results already computed in it.  The CLI
-    and `in_block` open blocks; see the module docstring."""
-    token = _MEMO.set(({}, {}, {}, {}, {}, object()))
+    """A block in which the kernel interns each element it builds and
+    answers a repeated `*`, `+`, `-` or `invert` by operand identity.  The
+    CLI and `in_block` open blocks; see the module docstring."""
+    token = _MEMO.set(({}, {}, {}, {}, {}))
     try:
         yield
     finally:
@@ -148,7 +142,8 @@ def memoized():
 
 def in_block(fn):
     """`fn` in the caller's open block, or else in a `memoized()` of its own
-    (looked up at call time) that closes when `fn` returns or raises."""
+    (looked up at call time) that closes when `fn` returns or raises.  Only
+    the collinearity search is wrapped, where a block was measured to pay."""
     @wraps(fn)
     def call(*args, **kwargs):
         if _MEMO.get() is not None:
@@ -481,21 +476,14 @@ class TowerField:
         return self._make([(0, 0, q.numerator)], q.denominator)
 
     def monomial(self, ue: int, te: int, coeff=Q1) -> "FieldElement":
-        """coeff * u^ue * t^te, exponents arbitrary integers, reduced."""
+        """coeff * u^ue * t^te, for any integer ue (u has order 2d) and
+        0 <= te < deg_t; another t exponent raises `ValueError`."""
+        if not 0 <= te < self.deg_t:
+            raise ValueError(f"t exponent {te} outside [0, {self.deg_t})")
         coeff = Q(coeff)
-        # normalize the t exponent into [0, deg_t) by multiplying with the
-        # reduction constant t^deg_t (or its inverse) as needed
-        shift, te = divmod(te, self.deg_t)
-        out = self._make([(i, te, c * coeff.numerator)
-                          for i, c in self._zrows[ue % self.n_u]],
-                         coeff.denominator)
-        if shift:
-            red = self._make([(i, 0, c) for i, c in self._zrows_t[0]], 1)
-            if shift < 0:
-                red = self.invert(red)
-            for _ in range(abs(shift)):
-                out = out * red
-        return out
+        return self._make([(i, te, c * coeff.numerator)
+                           for i, c in self._zrows[ue % self.n_u]],
+                          coeff.denominator)
 
     def u_pow(self, e: int) -> "FieldElement":
         return self.monomial(e, 0)
@@ -675,18 +663,16 @@ class FieldElement:
     `terms` holds the nonzero integer triples (i, j, n) sorted by (i, j),
     and `den > 0` with gcd(den, n, ...) = 1; zero is ((), 1).  Built by
     `TowerField._make`, which brings raw integer terms to this form, and
-    interned inside a `memoized()` block (`_intern`); `_block` is the token
-    of the last block whose intern table took it.
+    interned inside a `memoized()` block (`_intern`).
     """
 
-    __slots__ = ("field", "terms", "den", "_hash", "_block", "__weakref__")
+    __slots__ = ("field", "terms", "den", "_hash", "__weakref__")
 
     def __init__(self, field: TowerField, terms: tuple, den: int):
         self.field = field
         self.terms = terms
         self.den = den
         self._hash = None
-        self._block = None
 
     # -- views ---------------------------------------------------------------
 
@@ -815,9 +801,9 @@ class FieldElement:
         if not self.terms or not other.terms:
             return self.field.zero
         if self.den == 1 and self.terms == _ONE:
-            return _adopt(other)
+            return other
         if other.den == 1 and other.terms == _ONE:
-            return _adopt(self)
+            return self
         memo = _MEMO.get()
         if memo is None:
             return self._mul(other)
@@ -862,7 +848,7 @@ class FieldElement:
         if not k or not self.terms:
             return self.field.zero
         if k == 1:
-            return _adopt(self)
+            return self
         den = self.den
         g = gcd(k, den)
         if g != 1:
@@ -925,20 +911,6 @@ def _intern(memo, field: TowerField, terms: tuple, den: int) -> FieldElement:
     out = memo[0].get(key)
     if out is None:
         out = memo[0][key] = FieldElement(field, terms, den)
-        out._block = memo[5]
-    return out
-
-
-def _adopt(x: FieldElement) -> FieldElement:
-    """x, or inside a block the element equal to x that the block interned
-    first, which is x itself when there was none.  An element that carries
-    the block's token is in its intern table already, so only one built
-    elsewhere is looked up."""
-    memo = _MEMO.get()
-    if memo is None or x._block is memo[5]:
-        return x
-    out = memo[0].setdefault((x.field, x.terms, x.den), x)
-    out._block = memo[5]
     return out
 
 

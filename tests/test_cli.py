@@ -802,8 +802,8 @@ def test_all_checks_every_inflection_point(tmp_path):
 ], ids=("all", "verify", "census"))
 def test_memo_leaves_reports_unchanged(argv, tmp_path, monkeypatch):
     """The same bytes with the tower memo and without it.  Patching
-    `tower.memoized` turns off every block, the oracles' own included: each
-    branch lift records the block it runs in."""
+    `tower.memoized` turns off every block, the collinearity search's own
+    included: each branch lift records the block it runs in."""
     lift, blocks = hompoly.branch_series, []
 
     def traced_lift(*args):

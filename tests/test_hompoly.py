@@ -11,14 +11,14 @@ from conftest import (compose_matrix, rand_curve_through, rand_homogeneous,
                       rand_line_through, rand_nonzero, rand_point,
                       random_element, z_slices)
 from fermatosc import hompoly, tower
-from fermatosc.errors import FermatoscError
+from fermatosc.errors import CertificationFailure, FermatoscError
 from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint,
-                               _multinomial_slices, _online_norm,
-                               _rank_le_one, _substitute, branch_series,
-                               disc2, hessian, int_mult, line_parametrization,
-                               osculating_conic_series, parameter_of_point,
-                               pullback_to_line, restrict_to_line,
-                               resultant_order)
+                               _fiber_is_generic, _multinomial_slices,
+                               _online_norm, _rank_le_one, _substitute,
+                               branch_series, disc2, hessian, int_mult,
+                               line_parametrization, osculating_conic_series,
+                               parameter_of_point, pullback_to_line,
+                               restrict_to_line, resultant_order)
 from fermatosc.tower import Q, TowerField, tower_field
 
 
@@ -126,6 +126,18 @@ def test_branch_series_errors():
     node = ProjPoint(fld, [fld.zero, fld.zero, fld.one])
     with pytest.raises(FermatoscError, match="gradient vanishes"):
         branch_series(x * y, node, 4)
+
+
+def test_branch_lift_with_a_wrong_newton_inverse_raises():
+    """A Newton step scaled by twice the inverse of the solved partial
+    leaves a nonzero residual, which the lift's certificate refuses."""
+    fld, F = fermat(4)
+    s = ProjPoint(fld, [fld.one, fld.one, fld.monomial(-1, 1)])
+    bs = branch_series(F, s, 2)
+    f, df, dinv = bs._newton
+    bs._newton = (f, df, dinv * 2)
+    with pytest.raises(CertificationFailure, match="branch lifting failed"):
+        bs.extend(8)
 
 
 def test_branch_series_hyperosculating_valuation():
@@ -335,8 +347,38 @@ def test_resultant_order_refusals():
     with pytest.raises(FermatoscError, match="vanishes identically"):
         resultant_order(L * A, L * B, p)
     f = rand_curve_through(fld, rng, 3, p)
-    with pytest.raises(FermatoscError, match="no generic coordinate"):
+    with pytest.raises(FermatoscError, match=r"no generic coordinate change "
+                       r"found \(extra common zero on the fiber line\)"):
         resultant_order(f, f, p)
+
+
+def test_resultant_order_refuses_a_second_common_zero_on_the_fiber_line(
+        monkeypatch):
+    """A first center whose fiber line through p holds a second common zero
+    q of the two curves is refused, and the next attempt, the unpatched
+    first one, gives the unpatched order.  On the Fermat cubic, p = (1 : -1
+    : 0) and q = (0 : 1 : -1) lie on x + y + z = 0, which holds the integer
+    center (1, 1, -2), and g = (x + y)(y + z) passes through both."""
+    fld, F = fermat(3)
+    x, y, z = HomPoly.variables(fld)
+    g = (x + y) * (y + z)
+    p = ProjPoint(fld, [1, -1, 0])
+    want, record = resultant_order(F, g, p, seed=4)
+    assert want == int_mult(F, g, p) == 3 and record["attempts"] == 1
+    # direction (1, 0, 0) off the fiber line, center (1, 1, -2) on it
+    planted = [1, 0, 1, 0, 0, 1, 0, 0, -2]
+    Random = random.Random
+
+    class PlantedFirst(Random):
+        def randint(self, a, b):
+            return planted.pop(0) if planted else super().randint(a, b)
+
+    monkeypatch.setattr(hompoly.random, "Random", PlantedFirst)
+    order, again = resultant_order(F, g, p, seed=4)
+    assert not planted
+    assert order == want and again["attempts"] == 2
+    assert (again["center"], again["direction"]) == (record["center"],
+                                                      record["direction"])
 
 
 def test_restrict_to_line_examples():
@@ -668,30 +710,44 @@ def sylvester_det(a, b):
     return det
 
 
-@pytest.mark.parametrize("d", (3, 4, 5))
-def test_gcd_of_coprime_forms_is_constant(d):
+def _times_z(form, k):
+    """The coefficients of z^k times a form in z."""
+    return [form.field.zero] * k + list(form.coeffs)
+
+
+def _distinct_roots(fld, rng, n):
+    roots = [fld.from_rational(k) + rand_nonzero(fld, rng, max_terms=2)
+             for k in range(n)]
+    assert all(roots) and len(set(roots)) == n
+    return roots
+
+
+@pytest.mark.parametrize("d", (3, 5, 8))
+def test_fiber_check_refuses_a_shared_nonzero_root(d):
     rng = random.Random(200 + d)
     fld = tower_field(d)
-    for _ in range(3):
-        roots = [fld.from_rational(k) + rand_nonzero(fld, rng, max_terms=2)
-                 for k in range(4)]
-        a = form_from_roots(fld, roots[:2], fld.one)
-        b = form_from_roots(fld, roots[2:], rand_nonzero(fld, rng))
-        assert a.gcd(b).degree() == 0 and b.gcd(a).degree() == 0
-
-
-@pytest.mark.parametrize("d", (3, 4, 5))
-def test_gcd_keeps_the_common_root(d):
-    rng = random.Random(300 + d)
-    fld = tower_field(d)
-    for _ in range(3):
-        alpha, beta, gamma = (random_element(fld, rng, max_terms=2)
-                              + fld.from_rational(k) for k in range(3))
+    for i, j in ((0, 0), (1, 0), (2, 3)):
+        alpha, beta, gamma = _distinct_roots(fld, rng, 3)
         a = form_from_roots(fld, (alpha, alpha, beta), rand_nonzero(fld, rng))
         b = form_from_roots(fld, (alpha, gamma), rand_nonzero(fld, rng))
-        assert a.gcd(b).proportional(form_from_roots(fld, (alpha,), fld.one))
-        zero = BinaryForm(fld, [fld.zero])
-        assert a.gcd(zero) == a and zero.gcd(b) == b
+        ra, rb = _times_z(a, i), _times_z(b, j)
+        assert not _fiber_is_generic(ra, rb)
+        assert not _fiber_is_generic(rb, ra)
+
+
+@pytest.mark.parametrize("d", (3, 5, 8))
+def test_fiber_check_accepts_a_shared_zero_at_the_origin_alone(d):
+    rng = random.Random(300 + d)
+    fld = tower_field(d)
+    for i, j in ((0, 0), (1, 1), (3, 1)):
+        roots = _distinct_roots(fld, rng, 4)
+        a = form_from_roots(fld, roots[:2], fld.one)
+        b = form_from_roots(fld, roots[2:], rand_nonzero(fld, rng))
+        ra, rb = _times_z(a, i), _times_z(b, j)
+        assert _fiber_is_generic(ra, rb) and _fiber_is_generic(rb, ra)
+        # a constant quotient has no zero to share
+        lone = _times_z(form_from_roots(fld, (), rand_nonzero(fld, rng)), j)
+        assert _fiber_is_generic(ra, lone) and _fiber_is_generic(lone, ra)
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
@@ -991,7 +1047,7 @@ def test_multinomial_slices_match_composition(d):
                 assert tuple((sl + [fld.zero] * n)[:n]) == want[k], (deg, k)
 
 
-# -- the oracles' memo blocks ----------------------------------------------------
+# -- the oracles in the caller's memo block ---------------------------------------
 
 
 def _record_blocks(monkeypatch):
@@ -1004,27 +1060,6 @@ def _record_blocks(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(hompoly, name, traced)
     return seen
-
-
-def test_oracles_open_and_close_their_own_block(monkeypatch):
-    seen = _record_blocks(monkeypatch)
-    fld, F = fermat(3)
-    p = ProjPoint(fld, [fld.zero, fld.one, fld.u_pow(1)])
-    T = HomPoly.line(fld, fld.zero, fld.one, -fld.u_pow(-1))
-    assert int_mult(F, T, p) == 3
-    assert resultant_order(F, T, p, seed=11)[0] == 3
-    assert seen and all(m is not None for m in seen)
-    assert tower._MEMO.get() is None
-    # one block per call, closed on return
-    assert seen[0] is not seen[-1]
-    off = ProjPoint(fld, [fld.one, fld.one, fld.one])
-    x, y, _ = HomPoly.variables(fld)
-    for call, match in ((lambda: int_mult(F, x - y, off), r"f\(p\) != 0"),
-                        (lambda: int_mult(F, F, p), "exceeds cap"),
-                        (lambda: resultant_order(F, F, p), "no generic")):
-        with pytest.raises(FermatoscError, match=match):
-            call()
-        assert tower._MEMO.get() is None
 
 
 def test_oracles_join_an_open_block(monkeypatch):
@@ -1061,10 +1096,11 @@ def _oracle_cases(d, rng):
 @pytest.mark.parametrize("d", (3, 4, 5))
 def test_oracles_match_with_blocks_off(d, monkeypatch):
     """`int_mult` and the whole (order, record) of `resultant_order` are the
-    same with the oracles' blocks and with every block turned off."""
+    same in a memo block and with every block turned off."""
     cases = list(_oracle_cases(d, random.Random(2000 + d)))
-    on = [(int_mult(f, g, p), resultant_order(f, g, p, seed=s))
-          for f, g, p, s in cases]
+    with tower.memoized():
+        on = [(int_mult(f, g, p), resultant_order(f, g, p, seed=s))
+              for f, g, p, s in cases]
     monkeypatch.setattr(tower, "memoized", contextlib.nullcontext)
     seen = _record_blocks(monkeypatch)
     off = [(int_mult(f, g, p), resultant_order(f, g, p, seed=s))

@@ -57,7 +57,7 @@ def _euclid(fld, a):
     def deg(p):
         return max((k for k, c in enumerate(p) if c), default=-1)
 
-    r0 = [-fld.monomial(0, fld.deg_t)] + [zero] * (fld.deg_t - 1) + [one]
+    r0 = [-fld.t ** fld.deg_t] + [zero] * (fld.deg_t - 1) + [one]
     r1 = [fld._make([(i, 0, n) for i, jj, n in a.terms if jj == j], a.den)
           for j in range(fld.deg_t)]
     s0, s1 = [zero], [one]
@@ -139,6 +139,30 @@ def test_invert_zero_rejected():
     f = tower_field(3)
     with pytest.raises(FermatoscError, match="cannot invert zero"):
         f.zero.inverse()
+
+
+@pytest.mark.parametrize("gen, message", (
+    ("u", "norm to Q has a u-part"),
+    ("t", r"norm to Q\(u\) has a t-part")), ids=("Q", "Q(u)"))
+def test_norm_of_wrong_conjugates_raises(gen, message, monkeypatch):
+    """With each conjugate replaced by the element itself, the norm of
+    1 + u to Q keeps a u-part and the norm of 1 + t to Q(u) a t-part, and
+    the inversion fails certification."""
+    fld = tower_field(5)
+    a = fld.one + getattr(fld, gen)
+    monkeypatch.setattr(TowerField, "_conjugate",
+                        lambda self, A, m, s: list(A))
+    with pytest.raises(CertificationFailure, match=message):
+        a.inverse()
+
+
+def test_monomial_rejects_t_exponents_outside_normal_form():
+    fld = tower_field(4)
+    for te in (-1, fld.deg_t, 2 * fld.deg_t + 1):
+        with pytest.raises(ValueError, match="t exponent"):
+            fld.monomial(1, te)
+    assert fld.monomial(-1, fld.deg_t - 1) == fld.u_pow(-1) * fld.t ** (
+        fld.deg_t - 1)
 
 
 @pytest.mark.parametrize("d", DEGREES)
@@ -570,8 +594,8 @@ def test_normal_form_invariants(d):
     rng = random.Random(1100 + d)
     elems = [fld.zero, fld.one, fld.u, fld.t, fld.t_inv,
              fld.from_rational(Q(-6, 4)), fld.from_rational(0),
-             fld.monomial(-1, 1), fld.monomial(3, -2, Q(10, 4)),
-             fld.monomial(1, 2 * fld.deg_t + 1, Q(-3, 9)),
+             fld.monomial(-1, 1), fld.monomial(3, 0, Q(10, 4)) * fld.t ** -2,
+             fld.monomial(1, 0, Q(-3, 9)) * fld.t ** (2 * fld.deg_t + 1),
              fld.monomial(2, 0, 0)]
     for terms in (1, 3, 12):
         elems.append(random_element(fld, rng, max_terms=terms, num_bound=10**6,
@@ -912,11 +936,10 @@ def test_nested_memo_starts_empty():
         outer = tower._MEMO.get()
         ab, s, diff, inv = a * b, a + b, a - b, a.inverse()
         saved = [dict(t) for t in outer[:5]]
-        assert len(outer) == 6 and all(saved)
+        assert len(outer) == 5 and all(saved)
         with memoized():
             inner = tower._MEMO.get()
-            assert inner is not outer and inner[:5] == ({}, {}, {}, {}, {})
-            assert inner[5] is not outer[5]
+            assert inner is not outer and inner == ({}, {}, {}, {}, {})
             _assert_same(a * b, ab)
             fld.zeta * a
         assert tower._MEMO.get() is outer
@@ -990,10 +1013,9 @@ def test_memo_interns_equal_elements():
 @pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
 def test_product_by_one_is_the_other_factor(d):
     """A factor equal to one, the field's `one` or a one built inside a
-    block, gives the plain kernel's product by returning the other factor;
-    inside a block it is the block's interned copy, which an equal value
-    built later in the block resolves to, and the product, sum, difference
-    and inverse tables stay as they were."""
+    block, gives the plain kernel's product by returning the other factor
+    as it is, in a block or not; the intern, product, sum, difference and
+    inverse tables stay as they were."""
     fld = tower_field(d)
     elems = _memo_operands(fld, random.Random(1900 + d))
     plain = [(x._mul(fld.one), fld.one._mul(x)) for x in elems]
@@ -1006,48 +1028,23 @@ def test_product_by_one_is_the_other_factor(d):
         one = fld.from_rational(1)
         assert one is not fld.one
         memo = tower._MEMO.get()
-        tables = [dict(t) for t in memo[1:5]]
+        tables = [dict(t) for t in memo]
         for o in (fld.one, one):
             for x, (right, left) in zip(elems, plain):
                 _assert_same(x * o, right)
                 _assert_same(o * x, left)
-                assert x * o is o * x
+                assert o * x is x and x * o is (o if x == fld.one else x)
             _assert_same(o * o, fld.one)
             _assert_same(o * fld.one, fld.one)
-        assert [dict(t) for t in memo[1:5]] == tables
-        for x in elems:
-            adopted = x * one
-            assert adopted is (one if x == one else x)
-            assert fld._make(list(x.terms), x.den) is adopted
-            assert fld.one * x is adopted and x * 1 is adopted
-
-
-def test_product_by_one_adopts_into_the_innermost_block():
-    """A factor that another block interned or adopted, open or closed, is
-    looked up in the innermost open block's table."""
-    fld = tower_field(5)
-    x = fld.u + fld.t
-
-    def twin():
-        return fld._make(list(x.terms), x.den)
-
-    with memoized():
-        assert x * fld.one is x and twin() is x
-        with memoized():
-            inner = twin()
-            assert inner is not x and x * fld.one is inner
-            assert fld.one * inner is inner
-        assert fld.one * x is x and twin() is x
-    with memoized():
-        later = twin()
-        assert later is not x and x * fld.one is later
+        assert [dict(t) for t in memo] == tables
 
 
 @pytest.mark.parametrize("d", NORMAL_FORM_DEGREES)
 def test_int_scalar_matches_rational_product(d, monkeypatch):
     """x * k and k * x for a Python int k have the normal form of
-    x * from_rational(k), outside a block and inside one (where they are
-    the interned element), and build no rational element for k."""
+    x * from_rational(k), outside a block and inside one, and build no
+    rational element for k.  Inside a block they are the interned element,
+    and for k = 1 they are x itself."""
     fld = tower_field(d)
     elems = _memo_operands(fld, random.Random(2100 + d)) + [fld.zero]
     cases = [(x, k) for x in elems
@@ -1067,7 +1064,8 @@ def test_int_scalar_matches_rational_product(d, monkeypatch):
                     n for _, _, n in right.terms]) == 1
                 if block:
                     assert right is left
-                    assert fld._make(list(w.terms), w.den) is right
+                    assert right is (x if k == 1 else
+                                     fld._make(list(w.terms), w.den))
 
 
 def test_product_by_another_fields_one_raises():
