@@ -17,24 +17,20 @@ Every element is stored in one normal form, integer numerators over one
 denominator: `terms`, the nonzero triples (i, j, n) sorted by (i, j), and
 `den > 0` with gcd(den, n, ...) = 1, representing sum n u^i t^j / den,
 0 <= i < phi(2d), 0 <= j < deg_t.  Zero is ((), 1).  Equal values have
-equal normal forms, so equality and hashing compare (terms, den).  The
-per-coefficient rationals (`nonzero_terms`) and the dense phi(2d) x deg_t
-table (`coeffs`) are views built on demand.  Q(u) has no representation
-of its own: its elements are the t-free elements of K_d.
+equal normal forms, so equality and hashing compare (terms, den).
+`TowerField._make` is the one constructor that brings raw integer terms to
+this form: every product, sum, scale, negation and inverse hands it its
+terms.  The per-coefficient rationals (`nonzero_terms`) and the dense
+phi(2d) x deg_t table (`coeffs`) are views built on demand.  Q(u) has no
+representation of its own: its elements are the t-free elements of K_d.
 
 Multiplication multiplies the integer numerators by a term loop: each term
 pair is added along one precomputed integer row, u^e for the product's
 u-degree e, times t^deg_t when the t-degrees wrap.  The rows are built
-from the monic integer Phi_2d alone, so they are integral.  A factor with
-one term n u^i t^j, the common case for the paper's monomial points and
-lines, shifts the other factor's terms by (i, j) and scales their
-numerators when no exponent leaves the normal-form range: the shift keeps
-the terms sorted and nonzero, so only the content is divided out.  A
-product that wraps goes through the term loop.  A factor equal to one
-(terms ((0, 0, 1),) over 1, tested by value) returns the other factor as
-it is.  A Python int k scales the numerators by k / g and the denominator
-by 1 / g, g = gcd(k, den), which keeps the normal form: no Fraction and no
-element for k is built, and k = 1 returns the element itself.
+from the monic integer Phi_2d alone, so they are integral.  A factor equal
+to one (terms ((0, 0, 1),) over 1, tested by value) returns the other
+factor as it is.  A Python int k multiplies the numerators by k, with no
+Fraction and no element for k built, and k = 1 returns the element itself.
 
 Inversion goes through norms.  An element b(u) t^j times t^(deg_t - j)
 lies in Q(u).  Any other element is inverted through its norm to Q(u): K
@@ -73,16 +69,15 @@ certifies every equality it reports in K_d.
 which the kernel follows one memo rule.  The paper's objects are orbits of
 the monomial automorphism group, so one command multiplies the same few
 root-of-unity coefficients again and again, and building a new element is
-the kernel's main cost.  Inside a block the kernel interns each element it
-builds (`TowerField._make`, the one-term shift of a product, an int scale,
-a negation): a table keyed by (field, terms, den) hands back the first
-element built with that value, so two equal elements built in one block
-are one object.  It answers a repeated `*`, `+`, `-` or `invert` by the
-`id()` of its operands, the pair ordered by id for `*` and `+` so that
-a * b and b * a share one entry; no element's hash or value comparison is
-computed.  Each entry holds its operands as well as its result, so no
-operand is freed, and its id cannot pass to another object, while the
-block is open.  Operands built outside the block (the field's constants,
+the kernel's main cost.  Inside a block `TowerField._make`, the one
+constructor, interns each element it builds: a table keyed by (field,
+terms, den) hands back the first element built with that value, so two
+equal elements built in one block are one object.  The kernel answers a
+repeated `*`, `+`, `-` or `invert` by the `id()` of its operands, the pair
+ordered by id for `*` and `+` so that a * b and b * a share one entry; no
+element's hash or value comparison is computed.  Each entry holds its
+operands as well as its result, so no operand is freed, and its id cannot
+pass to another object, while the block is open.  Operands built outside the block (the field's constants,
 say) are keyed by id in the same way.  A product by one is neither built
 nor stored: it returns the other factor as it is, in a block or not.
 Equality and hashing stay by value; `==` tests identity first.  The checks
@@ -454,7 +449,9 @@ class TowerField:
     def _make(self, terms, den) -> "FieldElement":
         """The element sum n u^i t^j / den of integer terms (i, j, n) with
         distinct (i, j), in normal form: zero terms dropped, the content
-        gcd(den, n, ...) divided out, den > 0, terms sorted by (i, j)."""
+        gcd(den, n, ...) divided out, den > 0, terms sorted by (i, j).
+        Inside a `memoized()` block the first element built with this
+        value is returned."""
         terms = [t for t in terms if t[2]]
         if not terms:
             return self.zero
@@ -465,25 +462,27 @@ class TowerField:
             if g != 1:
                 terms = [(i, j, n // g) for i, j, n in terms]
                 den //= g
-        terms.sort()
+        terms = tuple(sorted(terms))
         memo = _MEMO.get()
         if memo is None:
-            return FieldElement(self, tuple(terms), den)
-        return _intern(memo, self, tuple(terms), den)
+            return FieldElement(self, terms, den)
+        key = (self, terms, den)
+        out = memo[0].get(key)
+        if out is None:
+            out = memo[0][key] = FieldElement(self, terms, den)
+        return out
 
     def from_rational(self, q) -> "FieldElement":
         q = Q(q)
         return self._make([(0, 0, q.numerator)], q.denominator)
 
-    def monomial(self, ue: int, te: int, coeff=Q1) -> "FieldElement":
-        """coeff * u^ue * t^te, for any integer ue (u has order 2d) and
+    def monomial(self, ue: int, te: int) -> "FieldElement":
+        """u^ue * t^te, for any integer ue (u has order 2d) and
         0 <= te < deg_t; another t exponent raises `ValueError`."""
         if not 0 <= te < self.deg_t:
             raise ValueError(f"t exponent {te} outside [0, {self.deg_t})")
-        coeff = Q(coeff)
-        return self._make([(i, te, c * coeff.numerator)
-                           for i, c in self._zrows[ue % self.n_u]],
-                          coeff.denominator)
+        row = self._zrows[ue % self.n_u]
+        return self._make([(i, te, c) for i, c in row], 1)
 
     def u_pow(self, e: int) -> "FieldElement":
         return self.monomial(e, 0)
@@ -662,8 +661,8 @@ class FieldElement:
 
     `terms` holds the nonzero integer triples (i, j, n) sorted by (i, j),
     and `den > 0` with gcd(den, n, ...) = 1; zero is ((), 1).  Built by
-    `TowerField._make`, which brings raw integer terms to this form, and
-    interned inside a `memoized()` block (`_intern`).
+    `TowerField._make` alone, which brings raw integer terms to this form
+    and interns them inside a `memoized()` block.
     """
 
     __slots__ = ("field", "terms", "den", "_hash", "__weakref__")
@@ -755,11 +754,8 @@ class FieldElement:
     def __neg__(self):
         if self.is_zero():
             return self
-        terms = tuple((i, j, -n) for i, j, n in self.terms)
-        memo = _MEMO.get()
-        if memo is None:
-            return FieldElement(self.field, terms, self.den)
-        return _intern(memo, self.field, terms, self.den)
+        return self.field._make([(i, j, -n) for i, j, n in self.terms],
+                                self.den)
 
     def __sub__(self, other):
         if other.__class__ is not FieldElement:
@@ -818,47 +814,20 @@ class FieldElement:
 
     def _mul(self, other):
         fld = self.field
-        den = self.den * other.den
-        A, B = ((other.terms, self.terms) if len(self.terms) == 1
-                else (self.terms, other.terms))
-        if len(B) == 1:
-            # a one-term factor shifts the other's terms, in (i, j) order and
-            # nonzero, unless a product term wraps and must be reduced
-            i1, j1, n1 = B[0]
-            if A[-1][0] + i1 < fld.phi and (
-                    not j1 or all(j + j1 < fld.deg_t for _, j, _ in A)):
-                terms = [(i + i1, j + j1, n * n1) for i, j, n in A]
-                if den != 1:
-                    g = gcd(den, *[n for _, _, n in terms])
-                    if g != 1:
-                        terms = [(i, j, n // g) for i, j, n in terms]
-                        den //= g
-                memo = _MEMO.get()
-                if memo is None:
-                    return FieldElement(fld, tuple(terms), den)
-                return _intern(memo, fld, tuple(terms), den)
-        return fld._make(fld._imul(self.terms, other.terms), den)
+        return fld._make(fld._imul(self.terms, other.terms),
+                         self.den * other.den)
 
     __rmul__ = __mul__
 
     def _scale(self, k: int) -> "FieldElement":
-        """self * k for a Python int k: the numerators times k / g over
-        den / g, g = gcd(k, den), which is again in normal form, with no
-        Fraction and no element for k built."""
+        """self * k for a Python int k: the numerators times k over den,
+        with no Fraction and no element for k built."""
         if not k or not self.terms:
             return self.field.zero
         if k == 1:
             return self
-        den = self.den
-        g = gcd(k, den)
-        if g != 1:
-            k //= g
-            den //= g
-        terms = tuple((i, j, n * k) for i, j, n in self.terms)
-        memo = _MEMO.get()
-        if memo is None:
-            return FieldElement(self.field, terms, den)
-        return _intern(memo, self.field, terms, den)
+        return self.field._make([(i, j, n * k) for i, j, n in self.terms],
+                                self.den)
 
     def __truediv__(self, other):
         other = _coerce(self.field, other)
@@ -901,17 +870,6 @@ class FieldElement:
         if len(nz) > 8:
             bits.append("...")
         return "K[" + " + ".join(bits) + "]"
-
-
-def _intern(memo, field: TowerField, terms: tuple, den: int) -> FieldElement:
-    """The element (terms, den) of `field` that the block of `memo` built
-    first.  Callers read `_MEMO` themselves, so that outside a block the
-    kernel builds its `FieldElement` without this call."""
-    key = (field, terms, den)
-    out = memo[0].get(key)
-    if out is None:
-        out = memo[0][key] = FieldElement(field, terms, den)
-    return out
 
 
 def power(base, e: int):

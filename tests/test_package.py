@@ -35,6 +35,35 @@ def test_two_failure_types():
     assert raised <= kept | {"ValueError", "TypeError"}
 
 
+def _calls_by_scope(node, scope=()):
+    """(scope, call) for each call under `node`, the scope being the dotted
+    names of the classes and functions around it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Call):
+            yield ".".join(scope), child
+        yield from _calls_by_scope(child, inner)
+
+
+def test_field_elements_built_only_by_make():
+    # TowerField._make is the one constructor of K_d elements: it brings raw
+    # integer terms to normal form and interns them in a memo block.  The
+    # field's zero, which _make returns for no terms, is built beside it.
+    built = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, call in _calls_by_scope(ast.parse(path.read_text())):
+            if (isinstance(call.func, ast.Name)
+                    and call.func.id == "FieldElement"):
+                built.setdefault(f"{path.name}:{scope}", []).append(
+                    ast.unparse(call))
+    assert set(built) == {"tower.py:TowerField._make",
+                          "tower.py:TowerField.__init__"}
+    assert built["tower.py:TowerField.__init__"] == [
+        "FieldElement(self, (), 1)"]
+
+
 # public names that no code in src refers to, each kept for its reason
 KEPT_UNREFERENCED = {
     # the arrangement polynomials, for certified freeness (ROADMAP item 2)

@@ -145,11 +145,21 @@ def test_orbits():
     assert orbit(fixed, rho(fld)) == [fixed]
 
 
-def test_orbit_of_infinite_order_raises():
+def test_orbit_of_infinite_order_raises(monkeypatch):
     # (x : y : z) -> (2x : y : z) has infinite order
     fld = tower_field(3)
     g = Automorphism(fld, (0, 1, 2), (2, 1, 1))
     p = ProjPoint(fld, [fld.one, fld.one, fld.one])
+    # the guard raises at call 6d^2 + 2 of apply_point; without it the loop
+    # would never end, so a call past that fails the test at once
+    apply_point, calls = Automorphism.apply_point, []
+
+    def counted(self, q):
+        calls.append(1)
+        if len(calls) > 6 * fld.d ** 2 + 2:
+            pytest.fail(f"orbit made {len(calls)} apply_point calls")
+        return apply_point(self, q)
+    monkeypatch.setattr(Automorphism, "apply_point", counted)
     with pytest.raises(CertificationFailure, match="did not close") as exc:
         orbit(p, g)
     assert exc.value.witness == {"point": p.to_json(), "perm": [0, 1, 2]}
