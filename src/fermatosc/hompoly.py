@@ -21,6 +21,10 @@ at a smooth point are computed two independent ways:
   nonzero one.  The fiber-line check reads the s^0 coefficient of the
   same norm on the curves' restrictions to that line.
 
+A coefficient of a series product or evaluation, of a Newton correction, of
+a multinomial slice or of the norm's Horner columns and minors is one
+`TowerField.dot`.
+
 `restrict_to_line` pulls a curve back to a line along a deterministic
 parametrization and returns a binary form (`pullback_to_line` is the
 general pullback along any two points), and `parameter_of_point` reads
@@ -306,9 +310,17 @@ class ProjPoint:
 
 
 def _substitute(f: HomPoly, values, one, zero, mul):
-    """f(values) in the ring of the three values, with unit `one` and product
-    `mul`; the sum starts at `zero` and each term is scaled by its
-    coefficient with `*`.
+    """f(values) in the ring of the values, with unit `one` and product `mul`:
+    the sum from `zero` of the monomials (`_monomials`) times coefficients."""
+    acc = zero
+    for term, coef in _monomials(f, values, one, mul):
+        acc = acc + term * coef
+    return acc
+
+
+def _monomials(f: HomPoly, values, one, mul) -> list:
+    """(m, c) for each term c x^a y^b z^e of f, m = values[0]^a values[1]^b
+    values[2]^e under `mul`, or `one` for the constant term.
 
     Only the powers of each value that f's exponents use
     (`HomPoly.exponents_used`) are built, once, walking the exponents in
@@ -326,14 +338,14 @@ def _substitute(f: HomPoly, values, one, zero, mul):
                 pv[e] = (mul(prev, v) if prev is not None
                          else _power(pv, e, mul))
         pows.append(pv)
-    acc = zero
+    out = []
     for exps, coef in f.terms.items():
         term = None
         for pv, e in zip(pows, exps):
             if e:
                 term = pv[e] if term is None else mul(term, pv[e])
-        acc = acc + (one if term is None else term) * coef
-    return acc
+        out.append((one if term is None else term, coef))
+    return out
 
 
 def _power(pv: dict, e: int, mul):
@@ -443,9 +455,6 @@ class BinaryForm:
                 out[i] = out[i] + c
         return BinaryForm(self.field, out)
 
-    def __neg__(self):
-        return BinaryForm(self.field, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return BinaryForm(self.field, [c if c.is_zero() else c * other
@@ -453,15 +462,17 @@ class BinaryForm:
         return self.mul(other, self.deg + other.deg + 1)
 
     def mul(self, other, n) -> "BinaryForm":
-        """The product modulo w^n, as a form of length n."""
-        out = [self.field.zero] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs[:n - i]):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return BinaryForm(self.field, out)
+        """The product modulo w^n, of length n: one `dot` per coefficient."""
+        sums = [[] for _ in range(n)]
+        b = [(j, y) for j, y in enumerate(other.coeffs[:n]) if not y.is_zero()]
+        for i, x in enumerate(self.coeffs[:n]):
+            if not x.is_zero():
+                for j, y in b:
+                    if i + j >= n:
+                        break
+                    sums[i + j].append((1, x, y))
+        zero, dot = self.field.zero, self.field.dot
+        return BinaryForm(self.field, [dot(s) if s else zero for s in sums])
 
     def proportional(self, other) -> bool:
         if self.is_zero() or other.is_zero():
@@ -493,12 +504,9 @@ class BinaryForm:
 
 def pullback_to_line(c: HomPoly, v1, v2) -> BinaryForm:
     """Pull c back along (s, t) -> s*v1 + t*v2 for triples v1, v2 over K_d."""
-    field = c.field
     # coefficient of t, then of s
-    lin = [BinaryForm(field, [yv, xv]) for xv, yv in zip(v1, v2)]
-    return _substitute(c, lin, BinaryForm(field, [field.one]),
-                       BinaryForm(field, [field.zero] * (c.deg + 1)),
-                       operator.mul)
+    lin = [BinaryForm(c.field, [yv, xv]) for xv, yv in zip(v1, v2)]
+    return _ser_eval_poly(c, lin, c.deg + 1)
 
 
 class LineChart:
@@ -601,12 +609,13 @@ def parameter_of_point(p: ProjPoint, L: HomPoly) -> tuple:
 
 
 def _ser_eval_poly(f: HomPoly, series, n) -> BinaryForm:
-    """Evaluate f on a triple of series forms, mod w^n."""
+    """f on a triple of series forms mod w^n, one `dot` per coefficient."""
     field = f.field
-    return _substitute(f, [BinaryForm(field, s.coeffs[:n]) for s in series],
+    terms = _monomials(f, [BinaryForm(field, s.coeffs[:n]) for s in series],
                        BinaryForm(field, [field.one] + [field.zero] * (n - 1)),
-                       BinaryForm(field, [field.zero] * n),
                        lambda a, b: a.mul(b, n))
+    return BinaryForm(field, [
+        field.dot([(1, c, m.coeffs[k]) for m, c in terms]) for k in range(n)])
 
 
 class BranchSeries:
@@ -648,7 +657,7 @@ class BranchSeries:
         mod w^k per step.
         """
         f, df, dinv = self._newton
-        zero = f.field.zero
+        zero, dot = f.field.zero, f.field.dot
         k, sv = self.order, self.solved_var
         while k < n:
             m = min(2 * k, n)
@@ -659,11 +668,8 @@ class BranchSeries:
             # the correction c solves dv * c = -r mod w^(m - k)
             c = []
             for j, rj in enumerate(r):
-                acc = rj
-                for i in range(1, j + 1):
-                    if not dv[i].is_zero() and not c[j - i].is_zero():
-                        acc = acc + dv[i] * c[j - i]
-                c.append(zero if acc.is_zero() else -acc * dinv)
+                acc = dot([(1, dv[i], c[j - i]) for i in range(1, j + 1)], rj)
+                c.append(dot([(-1, acc, dinv)]))
             ser[sv] = BinaryForm(f.field, ser[sv].coeffs[:k] + tuple(c))
             self.series = tuple(ser)
             self.order = k = m
@@ -743,35 +749,31 @@ def _multinomial_slices(f: HomPoly, v, p, c) -> list:
 
     Each power (v_i s + p_i + c_i z)^e that f's exponents use is expanded
     once by the multinomial formula, the term s^a p_i^b z^k scaled by the
-    int e! / (a! b! k!) v_i^a c_i^k; each term of f multiplies the
-    expansions of its coordinates' powers."""
-    zero = f.field.zero
-    out = [[zero] * (f.deg - k + 1) for k in range(f.deg + 1)]
+    int e! / (a! b! k!) v_i^a c_i^k, a `TowerField.dot` multiplier; each
+    term of f multiplies the expansions of its coordinates' powers, one dot
+    per partial product and one per slice coefficient."""
+    field = f.field
+    sums = [[[] for _ in range(f.deg - k + 1)] for k in range(f.deg + 1)]
     expansions = []
     for vi, pi, ci, used in zip(v, p, c, f.exponents_used()):
         pows = _powers(pi, used[-1]) if used else ()
-        table = {}
-        expansions.append(table)
-        for e in used:
-            terms = table[e] = {}
-            for a in range(e + 1):
-                for k in range(e - a + 1):
-                    n = comb(e, a) * comb(e - a, k) * vi ** a * ci ** k
-                    if n and not pows[e - a - k].is_zero():
-                        terms[a, k] = pows[e - a - k] * n
+        expansions.append({e: [
+            (a, k, comb(e, a) * comb(e - a, k) * vi ** a * ci ** k,
+             pows[e - a - k])
+            for a in range(e + 1) for k in range(e - a + 1)] for e in used})
     for exps, coef in f.terms.items():
-        acc = {(0, 0): coef}
-        for table, e in zip(expansions, exps):
-            if e:
-                prod = {}
-                for (a1, k1), x in acc.items():
-                    for (a2, k2), y in table[e].items():
-                        key, xy = (a1 + a2, k1 + k2), x * y
-                        prod[key] = prod[key] + xy if key in prod else xy
-                acc = prod
-        for (a, k), x in acc.items():
-            out[k][a] = out[k][a] + x
-    return out
+        factors = [table[e] for table, e in zip(expansions, exps) if e]
+        acc, prod = {(0, 0): coef}, {(0, 0): [(1, coef, field.one)]}
+        for depth, table in enumerate(factors, 1):
+            prod = {}
+            for (a1, k1), x in acc.items():
+                for a2, k2, n, y in table:
+                    prod.setdefault((a1 + a2, k1 + k2), []).append((n, x, y))
+            if depth < len(factors):
+                acc = {key: field.dot(t) for key, t in prod.items()}
+        for (a, k), t in prod.items():
+            sums[k][a] += t
+    return [[field.dot(t) for t in row] for row in sums]
 
 
 def _online_norm(a: list, b: list, top: int):
@@ -791,10 +793,9 @@ def _online_norm(a: list, b: list, top: int):
     (online series arithmetic), and a caller that stops at the first nonzero
     coefficient computes none above it.  No step divides: an inverse of
     beta would spread large coefficients into every product."""
-    zero = b[0][0].field.zero
+    zero, dot = b[0][0].field.zero, b[0][0].field.dot
     da, db = len(a) - 1, len(b) - 1
     beta = b[-1][0]
-    neg = [[-x for x in sl] for sl in b[:-1]]
     scales = _powers(beta, da)
     # X_0 .. X_(deg a + deg b), each a list over z^i of coefficient lists
     chain = [[[zero] * top] * db] + [[[] for _ in range(db)]
@@ -809,23 +810,21 @@ def _online_norm(a: list, b: list, top: int):
         for t in range(1, da + db + 1):
             prev, x = chain[t - 1], chain[t]
             for i in range(db):
-                acc = prev[i - 1][k] * beta if i else zero
-                for l, y in enumerate(neg[i][:k + 1]):
-                    if not y.is_zero():
-                        acc = acc + y * prev[-1][k - l]
-                if not i and k < t <= da + 1:       # a's z^(deg a + 1 - t)
-                    acc = acc + a[da + 1 - t][k] * scales[t - 1]
-                x[i].append(acc)
+                terms = [(-1, y, prev[-1][k - l])
+                         for l, y in enumerate(b[i][:k + 1])]
+                if i:
+                    terms.append((1, prev[i - 1][k], beta))
+                elif k < t <= da + 1:               # a's z^(deg a + 1 - t)
+                    terms.append((1, a[da + 1 - t][k], scales[t - 1]))
+                x[i].append(dot(terms))
         for S in bigger:
             row = db - len(S)
-            acc = zero
+            terms = []
             for idx, j in enumerate(S):
                 col, sub = cols[j][row], minors[S[:idx] + S[idx + 1:]]
-                for l in range(k + 1):
-                    if not col[l].is_zero() and not sub[k - l].is_zero():
-                        term = col[l] * sub[k - l]
-                        acc = acc - term if idx % 2 else acc + term
-            minors[S].append(acc)
+                terms += [((-1) ** idx, col[l], sub[k - l])
+                          for l in range(k + 1)]
+            minors[S].append(dot(terms))
         yield minors[tuple(range(db))][k]
 
 

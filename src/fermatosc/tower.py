@@ -24,13 +24,15 @@ terms.  The per-coefficient rationals (`nonzero_terms`) and the dense
 phi(2d) x deg_t table (`coeffs`) are views built on demand.  Q(u) has no
 representation of its own: its elements are the t-free elements of K_d.
 
-Multiplication multiplies the integer numerators by a term loop: each term
-pair is added along one precomputed integer row, u^e for the product's
-u-degree e, times t^deg_t when the t-degrees wrap.  The rows are built
-from the monic integer Phi_2d alone, so they are integral.  A factor equal
-to one (terms ((0, 0, 1),) over 1, tested by value) returns the other
-factor as it is.  A Python int k multiplies the numerators by k, with no
-Fraction and no element for k built, and k = 1 returns the element itself.
+Multiplication multiplies the integer numerators by one term loop (`_imul`):
+each term pair is added along one precomputed integer row, u^e for the
+product's u-degree e, times t^deg_t when the t-degrees wrap; the rows are
+built from the monic integer Phi_2d alone, so they are integral.
+`TowerField.dot` (start + sum k x y, ints k) runs all its products through
+the loop over one denominator and normalises once (delayed reduction, as in
+FFLAS-FFPACK).  A factor equal to one (terms ((0, 0, 1),) over 1, tested by
+value) returns the other factor as it is.  An int k scales the numerators,
+with no Fraction and no element for k built; k = 1 returns the element.
 
 Inversion goes through norms.  An element b(u) t^j times t^(deg_t - j)
 lies in Q(u).  Any other element is inverted through its norm to Q(u): K
@@ -67,31 +69,26 @@ certifies every equality it reports in K_d.
 
 `memoized()` opens a block, in the manner of `decimal.localcontext()`, in
 which the kernel follows one memo rule.  The paper's objects are orbits of
-the monomial automorphism group, so one command multiplies the same few
-root-of-unity coefficients again and again, and building a new element is
-the kernel's main cost.  Inside a block `TowerField._make`, the one
-constructor, interns each element it builds: a table keyed by (field,
-terms, den) hands back the first element built with that value, so two
-equal elements built in one block are one object.  The kernel answers a
-repeated `*`, `+`, `-` or `invert` by the `id()` of its operands, the pair
-ordered by id for `*` and `+` so that a * b and b * a share one entry; no
-element's hash or value comparison is computed.  Each entry holds its
-operands as well as its result, so no operand is freed, and its id cannot
-pass to another object, while the block is open.  Operands built outside the block (the field's constants,
-say) are keyed by id in the same way.  A product by one is neither built
-nor stored: it returns the other factor as it is, in a block or not.
-Equality and hashing stay by value; `==` tests identity first.  The checks
-that raise (mixed fields, inverting zero) come first, so a rejected call
-stores nothing.  Each block starts empty and restores the enclosing one
-when it closes, and nothing in its tables outlives it.  The CLI opens one
-around each command and one per degree in `all`, and the multiplicity
-oracles run in it.  The collinearity search, wrapped by `in_block`, joins
-the caller's open block or else opens one for the call, since its exact
-checks of generator images multiply the same few coordinates again and
-again.  So the memory held is one command's (one degree's, one search's)
-working set and is freed with it.  Other library calls outside a block
-intern nothing, look nothing up and hold nothing: a memo without an end
-would keep every element a long-lived caller ever made.
+the monomial automorphism group, so a command multiplies the same few
+root-of-unity coefficients again and again, and building an element is the
+kernel's main cost.  Inside a block `_make` interns each element it builds,
+keyed by (field, terms, den), so equal elements built in one block are one
+object, and a repeated `*`, `+`, `-`, `invert` or `dot` is answered by the
+`id()` of its operands (the pair ordered by id for `*` and `+`; for `dot`
+the start and the triples in order), with no element hashed or compared.
+Each entry holds its operands, so no operand is freed and its id reused
+while the block is open.  A `dot` entry answers only the whole sum again,
+where `*` and `+` entries answer each product and partial sum that recurs,
+so the sites whose operands recur (restriction to a line, products of
+forms, evaluation) stay on the operators, and the oracles' series and
+resultant loops use `dot`.  Equality and hashing stay by value; `==` tests
+identity first.  The checks that raise (mixed fields, inverting zero) come
+first, so a rejected call stores nothing.  A block starts empty, restores
+the enclosing one when it closes, and nothing in its tables outlives it.
+The CLI opens one around each command and one per degree in `all`, where
+the oracles run, and `in_block` one around the collinearity search.
+Outside a block the kernel interns, looks up and holds nothing: a memo
+without an end would keep every element a long-lived caller ever made.
 """
 
 from __future__ import annotations
@@ -117,18 +114,18 @@ D_MAX = 64
 REDUCTION_START = 1 << 61
 REDUCTION_PRIMES = 4096
 
-# the memo of the innermost open `memoized()` block, or None: five tables,
-# interned elements by (field, terms, den); products, sums, differences by
-# operand ids; inverses by id; each entry holding its operands
+# the memo of the innermost open `memoized()` block, or None: interned
+# elements by (field, terms, den); products, sums, differences, inverses
+# and `dot` sums by operand ids, each entry holding its operands
 _MEMO = ContextVar("fermatosc_tower_memo", default=None)
 
 
 @contextmanager
 def memoized():
     """A block in which the kernel interns each element it builds and
-    answers a repeated `*`, `+`, `-` or `invert` by operand identity.  The
-    CLI and `in_block` open blocks; see the module docstring."""
-    token = _MEMO.set(({}, {}, {}, {}, {}))
+    answers a repeated `*`, `+`, `-`, `invert` or `dot` by operand
+    identity; see the module docstring."""
+    token = _MEMO.set(({}, {}, {}, {}, {}, {}))
     try:
         yield
     finally:
@@ -322,14 +319,13 @@ class TowerField:
         # integer rows, as sparse pairs (i, c): u^e for e < 2d, reduced by
         # the monic Phi_2d, and u^e * t^deg_t for the products' u-degrees e
         self._zrows = _power_rows(cyclotomic_int_coeffs(self.n_u), self.n_u)
-        self._zrows_t = []
+        self._zrows_t = zrows_t = []
         for e in range(2 * self.phi - 1):
             acc = {}
             for k, s in tval:
                 for i, c in self._zrows[(e + k) % self.n_u]:
                     acc[i] = acc.get(i, 0) + s * c
-            self._zrows_t.append(tuple(sorted((i, c) for i, c in acc.items()
-                                              if c)))
+            zrows_t.append(tuple(sorted((i, c) for i, c in acc.items() if c)))
 
         # the automorphisms u -> u^m of Q(u) other than the identity
         self._units = [m for m in range(2, self.n_u) if gcd(m, self.n_u) == 1]
@@ -388,7 +384,7 @@ class TowerField:
 
     def _t_power_mod(self, p: int, w: int) -> int:
         """The image of t^deg_t, an element of Z[u], in F_p under u -> w."""
-        return sum(c * pow(w, i, p) for i, c in self._zrows_t[0]) % p
+        return sum(s * pow(w, k, p) for k, s in self._t_modulus()[1]) % p
 
     def _certify(self):
         """The witness (p, w, c) that the t-modulus t^m - c (m = deg_t) is
@@ -492,32 +488,58 @@ class TowerField:
 
     # -- arithmetic kernel ---------------------------------------------------
 
-    def _imul(self, A, B):
-        """Reduced product of two integer term lists (i, j, n), as the list
-        of its nonzero terms: each term pair is added along one integer row
-        of the reduction table."""
+    def _imul(self, *triples):
+        """The reduced sum of f A B over the triples (f, A, B) of ints f and
+        integer term lists (i, j, n), as its nonzero terms: each term pair is
+        added along one integer row of the reduction table."""
         deg_t, phi = self.deg_t, self.phi
         zrows, zrows_t = self._zrows, self._zrows_t
         acc = {}                               # i * deg_t + j -> coefficient
         get = acc.get
-        for i1, j1, n1 in A:
-            for i2, j2, n2 in B:
-                v = n1 * n2
-                j = j1 + j2
-                e = i1 + i2
-                if j >= deg_t:
-                    j -= deg_t
-                    row = zrows_t[e]
-                elif e < phi:
-                    k = e * deg_t + j
-                    acc[k] = get(k, 0) + v
-                    continue
-                else:
-                    row = zrows[e]
-                for r, c in row:
-                    k = r * deg_t + j
-                    acc[k] = get(k, 0) + c * v
+        for f, A, B in triples:
+            for i1, j1, n1 in A:
+                n1 *= f
+                for i2, j2, n2 in B:
+                    v = n1 * n2
+                    j = j1 + j2
+                    e = i1 + i2
+                    if j >= deg_t:
+                        j -= deg_t
+                        row = zrows_t[e]
+                    elif e < phi:
+                        k = e * deg_t + j
+                        acc[k] = get(k, 0) + v
+                        continue
+                    else:
+                        row = zrows[e]
+                    for r, c in row:
+                        k = r * deg_t + j
+                        acc[k] = get(k, 0) + c * v
         return [(*divmod(k, deg_t), v) for k, v in acc.items() if v]
+
+    def dot(self, triples, start=None) -> "FieldElement":
+        """start + sum k x y over the triples (k, x, y) of elements x, y and
+        ints k: one `_imul` over a common denominator, one `_make`; in a
+        `memoized()` block a repeated call (by operand ids) is looked up."""
+        if start is not None:
+            triples = [*triples, (1, start, self.one)]
+        live, key = [], []
+        for t in triples:
+            k, x, y = t
+            if x.field is not self or y.field is not self:
+                raise FermatoscError(f"mixed fields in a sum over K_{self.d}")
+            if k and x.terms and y.terms:
+                live.append(t)
+                key += k, id(x), id(y)
+        memo = _MEMO.get()
+        if memo is not None and (hit := memo[5].get(key := tuple(key))):
+            return hit[1]
+        den = lcm(*[x.den * y.den for _, x, y in live])
+        out = self._make(self._imul(*[(k * (den // (x.den * y.den)), x.terms,
+                                       y.terms) for k, x, y in live]), den)
+        if memo is not None:
+            memo[5][key] = (live, out)
+        return out
 
     # -- inversion ----------------------------------------------------------
 
@@ -536,8 +558,8 @@ class TowerField:
         P = None
         for m in self._units:
             conj = self._conjugate(A, m, 0)
-            P = conj if P is None else self._imul(P, conj)
-        N = self._imul(A, P)
+            P = conj if P is None else self._imul((1, P, conj))
+        N = self._imul((1, A, P))
         if len(N) != 1 or N[0][0]:
             raise CertificationFailure("norm to Q has a u-part")
         return P, N[0][2]
@@ -574,7 +596,7 @@ class TowerField:
         if any(jj != j for _, jj, _ in A):
             return self._invert_norm(a)
         s = -j % self.deg_t
-        P, norm = self._unorm(self._imul(A, [(0, s, 1)]) if s else A)
+        P, norm = self._unorm(self._imul((1, A, [(0, s, 1)])) if s else A)
         return self._make([(i, s, n * a.den) for i, _, n in P], norm)
 
     def _invert_norm(self, a: "FieldElement") -> "FieldElement":
@@ -592,16 +614,15 @@ class TowerField:
         step = self.n_u // self.deg_t          # zeta = u^step
         P = self._conjugate(A, 1, step)
         for k in range(2, self.deg_t):
-            P = self._imul(P, self._conjugate(A, 1, k * step))
-        N = self._imul(A, P)
+            P = self._imul((1, P, self._conjugate(A, 1, k * step)))
+        N = self._imul((1, A, P))
         if not N:
             raise CertificationFailure("zero norm of a nonzero element",
                                        witness=a)
         if any(j for _, j, _ in N):
             raise CertificationFailure("norm to Q(u) has a t-part")
         V, norm = self._unorm(N)
-        return self._make(self._imul(P, [(i, j, n * a.den) for i, j, n in V]),
-                          norm)
+        return self._make(self._imul((a.den, P, V)), norm)
 
     def _conjugate(self, A, m, s):
         """The integer terms A under u^i t^j -> u^(m i + s j) t^j, reduced
@@ -814,7 +835,7 @@ class FieldElement:
 
     def _mul(self, other):
         fld = self.field
-        return fld._make(fld._imul(self.terms, other.terms),
+        return fld._make(fld._imul((1, self.terms, other.terms)),
                          self.den * other.den)
 
     __rmul__ = __mul__

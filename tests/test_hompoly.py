@@ -763,6 +763,39 @@ def test_truncated_product_is_a_prefix(d):
     assert full.valuation() == a.valuation() + 1 and full.degree() == 6
 
 
+@pytest.mark.parametrize("d", (3, 5))
+def test_truncated_product_matches_schoolbook(d):
+    """`BinaryForm.mul(other, n)`, one `dot` per coefficient, is the
+    schoolbook product by `*` and `+` truncated to n, on dense forms with
+    and without zero coefficients."""
+    rng = random.Random(520 + d)
+    fld = tower_field(d)
+
+    def dense(length, zeros):
+        return BinaryForm(fld, [
+            fld.zero if i in zeros else
+            random_element(fld, rng, max_terms=fld.phi * fld.deg_t,
+                           num_bound=10**6, den_choices=(1, 2, 3, 7))
+            for i in range(length)])
+
+    def schoolbook(a, b, n):
+        out = [fld.zero] * n
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                if i + j < n:
+                    out[i + j] = out[i + j] + x * y
+        return out
+
+    forms = [dense(5, ()), dense(4, (0, 2)), dense(6, (1, 2, 5)),
+             dense(1, ()), dense(3, (0, 1, 2))]
+    for a in forms:
+        for b in forms:
+            for n in range(1, 9):
+                got, want = a.mul(b, n).coeffs, schoolbook(a, b, n)
+                assert [(c.terms, c.den) for c in got] == [
+                    (w.terms, w.den) for w in want]
+
+
 # -- the shared substitution loop ------------------------------------------------
 
 

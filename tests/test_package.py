@@ -64,6 +64,27 @@ def test_field_elements_built_only_by_make():
         "FieldElement(self, (), 1)"]
 
 
+def _reads_by_scope(node, attr, scope=()):
+    """The scope (dotted names of the classes and functions around it) of
+    each read of the attribute `attr` under `node`."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = scope + (child.name,)
+        elif (isinstance(child, ast.Attribute) and child.attr == attr
+              and isinstance(child.ctx, ast.Load)):
+            yield ".".join(scope)
+        yield from _reads_by_scope(child, attr, inner)
+
+
+def test_one_reduction_loop():
+    # the t-wrap rows are read by the one term loop, TowerField._imul, which
+    # products, inverses and `dot` sums all run through: a second copy of
+    # the loop would read them too
+    tower = ast.parse((PACKAGE / "tower.py").read_text())
+    assert set(_reads_by_scope(tower, "_zrows_t")) == {"TowerField._imul"}
+
+
 # public names that no code in src refers to, each kept for its reason
 KEPT_UNREFERENCED = {
     # the arrangement polynomials, for certified freeness (ROADMAP item 2)

@@ -660,6 +660,86 @@ def test_monomial_product_matches_general_product(d):
     assert seen == {"in range", "u-wrap", "t-wrap"}
 
 
+DOT_MULTIPLIERS = (0, 1, -1, 2, -3, 7 * 2**70, -(10**30 + 1))
+
+
+def _fold(fld, triples, start=None):
+    """start + sum k x y by `*` and `+` alone."""
+    acc = fld.zero if start is None else start
+    for k, x, y in triples:
+        acc = acc + (x * y) * k
+    return acc
+
+
+@pytest.mark.parametrize("d", (3, 5, 8))
+def test_dot_matches_fold(d):
+    """`dot` has the normal form of the fold of `*` and `+`, on dense
+    elements with mixed denominators, zero operands, multipliers 0, +-1 and
+    large ints, with and without a start, and on an empty triple list."""
+    fld = tower_field(d)
+    rng = random.Random(1400 + d)
+    elems = [_dense_element(fld, rng) for _ in range(6)]
+    elems += [-elems[0], elems[1] * Q(5, 9), fld.one, fld.t_inv, fld.zero]
+    starts = (None, fld.zero, fld.one, elems[2], elems[3] * Q(-1, 7))
+    for start in starts:
+        _assert_same(fld.dot([], start), _fold(fld, [], start))
+        _assert_same(fld.dot([(0, elems[0], elems[1])], start),
+                     _fold(fld, [], start))
+    for _ in range(40):
+        triples = [(rng.choice(DOT_MULTIPLIERS), rng.choice(elems),
+                    rng.choice(elems)) for _ in range(rng.randint(1, 6))]
+        start = rng.choice(starts)
+        got = fld.dot(triples, start)
+        _assert_normal(got)
+        _assert_same(got, _fold(fld, triples, start))
+    # a sum that cancels to zero, and one that cancels down to its start
+    a, b = elems[0], elems[1]
+    _assert_same(fld.dot([(3, a, b), (-1, b, a * 3)]), fld.zero)
+    _assert_same(fld.dot([(1, a, b), (1, -a, b)], elems[2]), elems[2])
+
+
+def test_dot_of_two_fields_raises():
+    f3, f4 = tower_field(3), tower_field(4)
+    for block in (False, True):
+        with memoized() if block else contextlib.nullcontext():
+            for triples, start in (([(1, f3.u, f4.u)], None),
+                                   ([(1, f4.u, f3.u)], None),
+                                   ([(1, f3.u, f3.t), (0, f4.one, f3.u)],
+                                    None),
+                                   ([(1, f3.u, f3.t)], f4.one),
+                                   ([], f4.zero)):
+                with pytest.raises(FermatoscError, match="mixed fields"):
+                    f3.dot(triples, start)
+            if block:
+                assert tower._MEMO.get() == ({}, {}, {}, {}, {}, {})
+
+
+def test_dot_memo_builds_nothing_on_a_repeated_call(monkeypatch):
+    """In a block a repeated call with the same operands returns the stored
+    element and builds none; outside a block each call builds its own."""
+    fld = tower_field(5)
+    rng = random.Random(1450)
+    a, b, c = (_dense_element(fld, rng) for _ in range(3))
+    triples = [(2, a, b), (-1, b, c), (5, c, c)]
+    made = []
+    make = TowerField._make
+
+    def counted(self, terms, den):
+        made.append(den)
+        return make(self, terms, den)
+    monkeypatch.setattr(TowerField, "_make", counted)
+    first, second = fld.dot(triples, a), fld.dot(triples, a)
+    assert first is not second and len(made) == 2
+    _assert_same(first, second)
+    with memoized():
+        del made[:]
+        inside = fld.dot(triples, a)
+        assert len(made) == 1
+        assert fld.dot(list(triples), a) is inside and len(made) == 1
+        _assert_same(inside, first)
+        assert fld.dot(triples) is not inside and len(made) == 2
+
+
 # -- field certificate ---------------------------------------------------------
 
 
@@ -929,17 +1009,19 @@ def test_nested_memo_starts_empty():
     with memoized():
         outer = tower._MEMO.get()
         ab, s, diff, inv = a * b, a + b, a - b, a.inverse()
-        saved = [dict(t) for t in outer[:5]]
-        assert len(outer) == 5 and all(saved)
+        sdot = fld.dot([(2, a, b)], a)
+        saved = [dict(t) for t in outer]
+        assert len(outer) == 6 and all(saved)
         with memoized():
             inner = tower._MEMO.get()
-            assert inner is not outer and inner == ({}, {}, {}, {}, {})
+            assert inner is not outer and inner == ({}, {}, {}, {}, {}, {})
             _assert_same(a * b, ab)
+            _assert_same(fld.dot([(2, a, b)], a), sdot)
             fld.zeta * a
         assert tower._MEMO.get() is outer
-        assert [dict(t) for t in outer[:5]] == saved
+        assert [dict(t) for t in outer] == saved
         assert a * b is ab and a + b is s and a - b is diff
-        assert a.inverse() is inv
+        assert a.inverse() is inv and fld.dot([(2, a, b)], a) is sdot
 
 
 def test_memoized_errors_store_nothing():
@@ -956,7 +1038,9 @@ def test_memoized_errors_store_nothing():
             f3.invert(f4.u)
         with pytest.raises(FermatoscError, match="cannot invert zero"):
             f3.zero.inverse()
-        assert memo[:5] == ({}, {}, {}, {}, {})
+        with pytest.raises(FermatoscError, match="mixed fields"):
+            f3.dot([(1, f3.u, f3.t), (1, f3.u, f4.u)])
+        assert memo == ({}, {}, {}, {}, {}, {})
 
 
 @pytest.mark.parametrize("d", (5, 8))
