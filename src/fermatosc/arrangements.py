@@ -42,8 +42,8 @@ from typing import Optional
 
 from .errors import CertificationFailure, NonOrdinary
 from .fermat import FermatCurve, rotate, sextactic_points
-from .hompoly import (LINEAR_EXPS, HomPoly, ProjPoint, cross,
-                      parameter_of_point, restrict_to_line)
+from .hompoly import (LINEAR_EXPS, BinaryForm, HomPoly, ProjPoint, _powers,
+                      cross, parameter_of_point, restrict_to_line)
 from .symmetry import phi, psi, rho
 from .tower import TowerField, in_block, tower_field
 
@@ -213,32 +213,40 @@ def build(label: str, curve: FermatCurve) -> LineArrangement:
 
 
 def _curve_points_on_line(curve: FermatCurve, L: HomPoly):
-    """Exact intersection of the curve with a line, certified complete.
+    """The points where the curve meets a line, each with its contact,
+    certified complete by Bezout's theorem.
 
-    Candidates are the special points (sextactic and inflection) that
-    `FermatCurve.specials_on_line` finds on the line; the restriction of the
-    curve to the line must factor completely into the corresponding
-    parameter roots (with multiplicity), which certifies that no
-    intersection point was missed.  A candidate off the line fails the
-    certificate, with the point as witness.
+    The curve is smooth, hence irreducible, so it contains no line: its
+    restriction to L is a nonzero form of degree d, and the contacts on L
+    sum to d.  The candidates are the special points on L
+    (`FermatCurve.specials_on_line`), each checked on L and on the curve
+    (`FermatCurve.specials_on_curve`).  Exactly d pairwise distinct
+    candidates are then all of the intersection, each of contact 1, and no
+    restriction is built.  One candidate (a flex tangent of A), with
+    parameter (s0 : t0) on L, has contact d exactly when the restriction
+    is proportional to (t0 s - s0 t)^d.  Any other candidate set fails the
+    certificate.
     """
+    d = curve.d
     pts = curve.specials_on_line(L)
-    rest = restrict_to_line(curve.poly, L)
-    mults = {}
     for p in pts:
-        try:
-            param = parameter_of_point(p, L)
-        except ValueError:
+        if not L.evaluate(p).is_zero():
             raise CertificationFailure("special point off its line",
-                                       witness=p.to_json()) from None
-        m = rest.root_multiplicity(*param)
-        if m == 0:
-            raise CertificationFailure("special point not on restriction")
-        mults[p] = m
-    if sum(mults.values()) != curve.d:
-        raise CertificationFailure(
-            "curve-line intersections not exhausted by special points")
-    return mults
+                                       witness=p.to_json())
+        if p not in curve.specials_on_curve:
+            raise CertificationFailure("special point off the curve",
+                                       witness=p.to_json())
+    if len(pts) == d == len(set(pts)):
+        return dict.fromkeys(pts, 1)
+    if len(pts) == 1:
+        s0, t0 = parameter_of_point(pts[0], L)
+        sp, tp = _powers(-s0, d), _powers(t0, d)
+        power = BinaryForm(curve.field, [tp[i] * sp[d - i] * math.comb(d, i)
+                                         for i in range(d + 1)])
+        if restrict_to_line(curve.poly, L).proportional(power):
+            return {pts[0]: d}
+    raise CertificationFailure(
+        "curve-line intersections not exhausted by special points")
 
 
 def census(arr: LineArrangement, with_curve: bool = False):
@@ -251,12 +259,14 @@ def census(arr: LineArrangement, with_curve: bool = False):
     curve with each line are certified once per curve
     (`FermatCurve.line_contacts`).
 
-    With the curve, every curve fact comes from the certified contacts of
-    the curve with each line, which hold every point where the curve meets
-    the arrangement: a point is on the curve exactly when it has a contact,
-    and an on-curve point is ordinary exactly when every line through it
-    has contact 1 there (the curve is smooth, so contact 2 or more means
-    the line is the tangent).
+    With the curve, every curve fact comes from the contacts of the curve
+    with each line, certified by Bezout's count (`_curve_points_on_line`:
+    d distinct special points on the line and on the curve, each of
+    contact 1, or one flex of contact d), which hold every point where the
+    curve meets the arrangement: a point is on the curve exactly when it
+    has a contact, and an on-curve point is ordinary exactly when every
+    line through it has contact 1 there (the curve is smooth, so contact 2
+    or more means the line is the tangent).
     """
     curve, lines, index = arr.curve, arr.lines, arr.index
     field, meets = curve.field, curve.meets

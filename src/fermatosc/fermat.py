@@ -63,7 +63,8 @@ class FermatCurve:
     `sextactic_point`), and `inflection` the order `inflection_points`
     returns.  They and `specials` (the sextactic points followed by the
     inflection points) are each built on first use, so a query of one kind
-    builds no point of the other.  The ratio table of a coordinate pair
+    builds no point of the other, and `specials_on_curve` holds those of
+    them certified on the curve.  The ratio table of a coordinate pair
     a < b, built on the first lookup of a line in that pair, maps
     x_b / x_a to the specials with that coordinate ratio.  `orbits`,
     `scalings`, `line_families` and `contacts` are the memos that
@@ -78,9 +79,14 @@ class FermatCurve:
     each, built on the token's first use (`arrangements.token_lines`); the
     canonical keys of every line built, which certify each new line
     distinct from them; the point where two lines meet, keyed by the pair
-    of their table indices; and the certified contacts of the curve with
-    each line, keyed by its index.  The grid stages of `cli` read the same
-    line objects, so their charts and families are shared too.
+    of their table indices; and the contacts of the curve with each line,
+    keyed by its index, certified by Bezout's theorem: the curve meets a
+    line in d points counted with contact, so d distinct special points on
+    the line and on the curve are all of them, each of contact 1, and a
+    line with one (a flex tangent) has contact d there when the curve's
+    restriction is a d-th power (`arrangements._curve_points_on_line`).
+    The grid stages of `cli` read the same line objects, so their charts
+    and families are shared too.
     """
 
     def __init__(self, d: int):
@@ -121,6 +127,17 @@ class FermatCurve:
     @cached_property
     def specials(self) -> tuple:
         return tuple(s.point for s in self.sextactic) + self.inflection
+
+    @cached_property
+    def specials_on_curve(self) -> frozenset:
+        """The special points on the curve, each checked once by the sum of
+        the d-th powers of its coordinates (`powers`)."""
+        out = set()
+        for p in self.specials:
+            (_, fx), (_, fy), (_, fz) = map(self.powers, p.coords)
+            if (fx + fy + fz).is_zero():
+                out.add(p)
+        return frozenset(out)
 
     @cached_property
     def _checked_specials(self) -> tuple:

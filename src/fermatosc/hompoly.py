@@ -32,10 +32,10 @@ a point's parameter on that line off its coordinates.  Both, and
 `line_parametrization`, read the line's chart (`LineChart`), kept on the
 line object as `exponents_used` is: its pivot, its two ratios and the
 expansion of each power of the pivot coordinate, built once however many
-curves are restricted to the line.  The contact order
-there, `BinaryForm.root_multiplicity`, is the number of successive
-derivatives of the form that vanish at that parameter; `disc2` is the
-discriminant of a binary quadratic.
+curves are restricted to the line.  No root order is read off a
+restriction: a restriction of degree d has d roots by Bezout, which is how
+`arrangements._curve_points_on_line` certifies a curve's contacts with a
+line.  `disc2` is the discriminant of a binary quadratic.
 """
 
 from __future__ import annotations
@@ -445,22 +445,6 @@ class BinaryForm:
         return (isinstance(other, BinaryForm) and self.field is other.field
                 and self.coeffs == other.coeffs)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            if not c.is_zero():
-                out[i] = out[i] + c
-        return BinaryForm(self.field, out)
-
-    def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return BinaryForm(self.field, [c if c.is_zero() else c * other
-                                           for c in self.coeffs])
-        return self.mul(other, self.deg + other.deg + 1)
-
     def mul(self, other, n) -> "BinaryForm":
         """The product modulo w^n, of length n: one `dot` per coefficient."""
         sums = [[] for _ in range(n)]
@@ -480,26 +464,6 @@ class BinaryForm:
         if self.deg != other.deg:
             return False
         return _rank_le_one(self.coeffs, other.coeffs)
-
-    def root_multiplicity(self, s0, t0) -> int:
-        """Vanishing order at (s0 : t0), at most deg: the number of successive
-        s-derivatives vanishing there, as F = t^n P(s/t) gives d^k F/ds^k =
-        t^(n-k) P^(k)(s/t).  Derivative k over k! is the sum of comb(i, k) c_i
-        s0^(i-k) t0^(n-i), inverting nothing; (1 : 0) is read as (0 : 1) on
-        the reversed form."""
-        n, coeffs = self.deg, self.coeffs
-        if t0.is_zero():
-            coeffs, s0, t0 = coeffs[::-1], self.field.zero, self.field.one
-        sp, tp = _powers(s0, n), _powers(t0, n)
-        for k in range(n + 1):
-            value = self.field.zero
-            for i in range(k, n + 1):
-                if not coeffs[i].is_zero() and not sp[i - k].is_zero():
-                    c = coeffs[i] * comb(i, k) if 0 < k < i else coeffs[i]
-                    value = value + c * (sp[i - k] * tp[n - i])
-            if not value.is_zero():
-                return k
-        return n
 
 
 def pullback_to_line(c: HomPoly, v1, v2) -> BinaryForm:

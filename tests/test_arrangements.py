@@ -290,7 +290,7 @@ def test_census_rejects_an_incomplete_curve_line_intersection(monkeypatch):
 
 def test_census_rejects_a_candidate_off_the_curve(monkeypatch):
     """A candidate of a line's intersection with the curve where the
-    restriction does not vanish fails the certificate: (0 : 1 : 1) lies on
+    curve does not vanish fails the certificate: (0 : 1 : 1) lies on
     x = 0 and off the curve x^3 + y^3 + z^3."""
     C = FermatCurve(3)
     fld = C.field
@@ -299,8 +299,53 @@ def test_census_rejects_a_candidate_off_the_curve(monkeypatch):
     monkeypatch.setattr(FermatCurve, "specials_on_line",
                         lambda self, line: full(self, line) + [off])
     with pytest.raises(CertificationFailure,
-                       match="special point not on restriction"):
+                       match="special point off the curve"):
         census(build("triangle", C), True)
+
+
+def test_census_rejects_d_candidates_with_one_off_the_curve(monkeypatch):
+    """d distinct candidates on a line are all of its intersection with the
+    curve only when each is on the curve: x = 0 with its last inflection
+    point replaced by (0 : 1 : 1) keeps the count d and fails."""
+    C = FermatCurve(3)
+    fld = C.field
+    off = ProjPoint(fld, (fld.zero, fld.one, fld.one))
+    full = FermatCurve.specials_on_line
+    monkeypatch.setattr(FermatCurve, "specials_on_line",
+                        lambda self, line: full(self, line)[:-1] + [off])
+    with pytest.raises(CertificationFailure,
+                       match="special point off the curve"):
+        census(build("triangle", C), True)
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_census_rejects_a_duplicated_candidate(d, monkeypatch):
+    """d candidates of which two coincide are not d intersection points:
+    each B line with its last sextactic point replaced by its first."""
+    full = FermatCurve.specials_on_line
+
+    def repeat_first(self, line):
+        found = full(self, line)
+        return found[:-1] + found[:1]
+    monkeypatch.setattr(FermatCurve, "specials_on_line", repeat_first)
+    with pytest.raises(CertificationFailure, match="not exhausted"):
+        census(build("B", FermatCurve(d)), True)
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_census_rejects_one_candidate_that_is_not_a_flex(d, monkeypatch):
+    """A line with one candidate needs the curve's restriction to be a d-th
+    power: a B line cut to its first sextactic point, whose restriction
+    has d simple roots, fails, where an A line passes."""
+    C = FermatCurve(d)
+    assert all(m == d for i in range(d) for m in
+               arrangements._curve_points_on_line(
+                   C, token_lines(C, "Az")[i]).values())
+    full = FermatCurve.specials_on_line
+    monkeypatch.setattr(FermatCurve, "specials_on_line",
+                        lambda self, line: full(self, line)[:1])
+    with pytest.raises(CertificationFailure, match="not exhausted"):
+        census(build("B", C), True)
 
 
 def test_census_rejects_a_wrong_meet(monkeypatch):

@@ -727,14 +727,16 @@ def test_all_freeness_matches_the_freeness_command(capsys):
 def test_all_meets_each_pair_and_certifies_each_line_once(monkeypatch,
                                                          capsys):
     """At d = 6 the ten censuses of `all` cross 1,701 pairs of lines, of
-    which 696 are distinct, and restrict the curve to 54 lines, of which 42
-    are distinct: each distinct pair is met once and each distinct line's
-    contacts certified once.  The concurrency stage reads the same line
+    which 696 are distinct, and read the curve's contacts with 54 lines, of
+    which 42 are distinct: each distinct pair is met once and each distinct
+    line's contacts certified once, by Bezout's count with no restriction
+    of the curve to the line.  The concurrency stage reads the same line
     objects, and no stage builds the A lines."""
     curves, crossed, restricted, inside, sizes = [], [], [], [], []
     make_curve, real_census = cli.FermatCurve, cli.census
     real_cross = arrangements.cross
     real_contacts = arrangements._curve_points_on_line
+    real_restrict, restrictions = arrangements.restrict_to_line, []
 
     def census(arr, with_curve=False):
         sizes.append((len(arr.lines), with_curve))
@@ -751,6 +753,9 @@ def test_all_meets_each_pair_and_certifies_each_line_once(monkeypatch,
     monkeypatch.setattr(arrangements, "_curve_points_on_line",
                         lambda curve, L: restricted.append(L)
                         or real_contacts(curve, L))
+    monkeypatch.setattr(arrangements, "restrict_to_line",
+                        lambda c, L: restrictions.append(L)
+                        or real_restrict(c, L))
     code, _ = run_json(["all", "--min-degree", "6", "--max-degree", "6"],
                        capsys)
     assert code == 0
@@ -760,6 +765,7 @@ def test_all_meets_each_pair_and_certifies_each_line_once(monkeypatch,
     assert len(crossed) == len(C.meets) == 696
     assert len(restricted) == len({id(L) for L in restricted}) == 42
     assert len(C.line_contacts) == 42
+    assert restrictions == []
     assert set(C.lines) == set(arrangements.TABLE_TOKENS[:9] + ("triangle",))
     table = [L for tok in arrangements.TABLE_TOKENS[:9] for L in C.lines[tok]]
     assert all(L is table[i] for i, (_, L) in enumerate(cli._grid_lines(C)))

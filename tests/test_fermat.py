@@ -277,14 +277,19 @@ def test_conic_rejected_at_inflection_and_off_curve():
 
 
 def test_inflection_tangent_meets_nowhere_else():
-    from fermatosc.hompoly import restrict_to_line, parameter_of_point
+    """The curve's restriction to a flex tangent is (t0 s - s0 t)^d up to
+    scale, (s0 : t0) the flex's parameter: contact d there, none elsewhere."""
+    from math import comb
+    from fermatosc.hompoly import (BinaryForm, parameter_of_point,
+                                   restrict_to_line)
     for d in (3, 4, 5):
         C = FermatCurve(d)
-        p = inflection_points(C)[0]
-        T = tangent_line(C, p)
-        bf = restrict_to_line(C.poly, T)
-        s0, t0 = parameter_of_point(p, T)
-        assert bf.root_multiplicity(s0, t0) == d
+        for p in inflection_points(C)[::d]:
+            T = tangent_line(C, p)
+            s0, t0 = parameter_of_point(p, T)
+            power = BinaryForm(C.field, [comb(d, i) * t0**i * (-s0)**(d - i)
+                                         for i in range(d + 1)])
+            assert restrict_to_line(C.poly, T).proportional(power)
 
 
 def test_sextactic_set_closed_under_generators():

@@ -13,8 +13,9 @@ from conftest import (compose_matrix, rand_curve_through, rand_homogeneous,
 from fermatosc import hompoly, tower
 from fermatosc.errors import CertificationFailure, FermatoscError
 from fermatosc.hompoly import (BinaryForm, HomPoly, ProjPoint,
-                               _fiber_is_generic, _multinomial_slices,
-                               _online_norm, _rank_le_one, _substitute,
+                               _fiber_is_generic, _monomials,
+                               _multinomial_slices, _online_norm,
+                               _rank_le_one, _substitute,
                                branch_series, disc2, hessian, int_mult,
                                line_parametrization, osculating_conic_series,
                                parameter_of_point, pullback_to_line,
@@ -154,14 +155,14 @@ def test_branch_series_hyperosculating_valuation():
 def series_eval(f, series, n):
     """f on a triple of series forms mod w^n, one monomial at a time."""
     fld = f.field
-    acc = BinaryForm(fld, [fld.zero] * n)
+    acc = [fld.zero] * n
     for exps, coef in f.terms.items():
         term = BinaryForm(fld, [fld.one] + [fld.zero] * (n - 1))
         for ser, e in zip(series, exps):
             for _ in range(e):
                 term = term.mul(ser, n)
-        acc = acc + term * coef
-    return acc
+        acc = [a + c * coef for a, c in zip(acc, term.coeffs)]
+    return BinaryForm(fld, acc)
 
 
 def reference_lift(f, p, order):
@@ -405,7 +406,6 @@ def test_restriction_root_reproduces_common_point():
     s = ProjPoint(fld, [fld.one, fld.one, fld.monomial(-1, 1)])
     s0, t0 = parameter_of_point(s, L)
     assert form_at(bf, s0, t0).is_zero()
-    assert bf.root_multiplicity(s0, t0) == 1
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
@@ -431,68 +431,6 @@ def test_parameter_of_point_reads_coordinates_without_inverting(d, monkeypatch):
             parameter_of_point(off, L)
     with pytest.raises(ValueError):
         parameter_of_point(off, HomPoly.zero(fld, 1))
-
-
-def test_root_multiplicity_of_a_simple_root_inverts_nothing(monkeypatch):
-    fld = tower_field(5)
-    one, zero = fld.one, fld.zero
-    w0 = fld.u * fld.t
-    lin = BinaryForm(fld, [-w0, one])                    # s - u t * t
-    bf = lin * BinaryForm(fld, [one, one, one]) * BinaryForm(fld, [zero, one])
-    scaled = (2 * w0, 2 * one)
-    monkeypatch.setattr(TowerField, "invert", None)
-    assert bf.root_multiplicity(w0, one) == 1
-    assert bf.root_multiplicity(*scaled) == 1
-    assert bf.root_multiplicity(zero, one) == 1          # (0 : 1)
-    assert bf.root_multiplicity(one, one) == 0
-
-
-def test_root_multiplicity_at_infinity_and_multiple_root(monkeypatch):
-    fld = tower_field(5)
-    one, zero, u = fld.one, fld.zero, fld.u
-    s = BinaryForm(fld, [zero, one])
-    t = BinaryForm(fld, [one, zero])
-    lin = BinaryForm(fld, [-u, one])                     # s - u*t
-    bf = s * lin * lin * lin * t * t
-    monkeypatch.setattr(TowerField, "invert", None)
-    assert bf.root_multiplicity(one, zero) == 2          # (1 : 0)
-    assert bf.root_multiplicity(u, zero) == 2
-    assert bf.root_multiplicity(u, one) == 3             # (u : 1)
-    assert bf.root_multiplicity(2 * u, 2 * one) == 3
-    assert bf.root_multiplicity(zero, one) == 1          # (0 : 1)
-    assert bf.root_multiplicity(one, one) == 0
-    assert (s * s).root_multiplicity(one, zero) == 0
-
-
-@pytest.mark.parametrize("d", (3, 4, 8))
-def test_root_multiplicity_of_a_planted_root(d, monkeypatch):
-    """(t0 s - s0 t)^m g has order m at (s0 : t0) when g does not vanish
-    there: at (1 : 0), at (0 : 1) and at a point whose two coordinates are
-    not monomials, for m = 0..4.  The zero form has order its degree."""
-    rng = random.Random(3190 + d)
-    fld = tower_field(d)
-    one, zero = fld.one, fld.zero
-
-    def dense():
-        c = zero
-        while len(c.terms) < 2:
-            c = random_element(fld, rng)
-        return c
-
-    for s0, t0 in ((one, zero), (zero, one), (dense(), dense())):
-        lin = BinaryForm(fld, [-s0, t0])
-        g = BinaryForm(fld, [zero])
-        while form_at(g, s0, t0).is_zero():
-            g = BinaryForm(fld, [random_element(fld, rng)
-                                 for _ in range(3)])
-        bf = g
-        for m in range(5):
-            with monkeypatch.context() as patch:
-                patch.setattr(TowerField, "invert", None)
-                assert bf.root_multiplicity(s0, t0) == m
-                assert BinaryForm(fld, [zero] * (m + 1)).root_multiplicity(
-                    s0, t0) == m
-            bf = bf * lin
 
 
 def test_canonical_line_rejects_non_lines():
@@ -645,7 +583,7 @@ def form_from_roots(fld, roots, lead):
     """lead * prod (w - r) as a form in w."""
     out = BinaryForm(fld, [lead])
     for r in roots:
-        out = out * BinaryForm(fld, [-r, fld.one])
+        out = out.mul(BinaryForm(fld, [-r, fld.one]), len(out.coeffs) + 1)
     return out
 
 
@@ -756,7 +694,7 @@ def test_truncated_product_is_a_prefix(d):
     fld = tower_field(d)
     a = rand_form(fld, rng, 3)
     b = BinaryForm(fld, [fld.zero] + list(rand_form(fld, rng, 2).coeffs))
-    full = a * b
+    full = a.mul(b, a.deg + b.deg + 1)
     assert full.coeffs == b.mul(a, len(full.coeffs)).coeffs
     for n in range(1, len(full.coeffs) + 1):
         assert a.mul(b, n).coeffs == full.coeffs[:n]
@@ -828,22 +766,23 @@ def test_pullback_commutes_with_evaluate(d):
             [s * a + t * b for a, b in zip(v1, v2)])
 
 
-def _substitute_all_powers(f, values, one, zero, mul):
+def _monomials_all_powers(f, values, one, mul):
     """The plain substitution loop: every power 1..deg of every value, and
-    each term a product from one."""
+    each term a product from one; (term, coefficient) for each term of f,
+    as `_monomials` lists them."""
     pows = []
     for v in values:
         pv = [one, v]
         for _ in range(f.deg - 1):
             pv.append(mul(pv[-1], v))
         pows.append(pv)
-    acc = zero
+    out = []
     for exps, coef in f.terms.items():
         term = one
         for pv, e in zip(pows, exps):
             term = mul(term, pv[e])
-        acc = acc + term * coef
-    return acc
+        out.append((term, coef))
+    return out
 
 
 def _series(fld, rng, n):
@@ -854,7 +793,7 @@ def _series(fld, rng, n):
 def test_substitute_builds_only_the_powers_used():
     """x^12 + y^12 + z^12 over series builds v^2 v, (v^3)^2 and (v^6)^2 of
     each value v: four products per value where the plain loop makes
-    eleven, and the same sum."""
+    eleven, and the same monomials."""
     rng = random.Random(1470)
     fld, F = fermat(12)
     n = 4
@@ -865,18 +804,18 @@ def test_substitute_builds_only_the_powers_used():
         calls.append(1)
         return a.mul(b, n)
     one = BinaryForm(fld, [fld.one] + [fld.zero] * (n - 1))
-    zero = BinaryForm(fld, [fld.zero] * n)
-    got = _substitute(F, values, one, zero, mul)
+    got = _monomials(F, values, one, mul)
     assert len(calls) == 3 * 4
-    assert got == _substitute_all_powers(F, values, one, zero,
-                                         lambda a, b: a.mul(b, n))
+    assert got == _monomials_all_powers(F, values, one,
+                                        lambda a, b: a.mul(b, n))
     assert F.exponents_used() == ((12,), (12,), (12,))
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
 def test_substitute_matches_all_powers(d):
-    """Dense and sparse seeded polynomials, over field elements, series and
-    linear forms, give what the all-powers loop gives."""
+    """Dense and sparse seeded polynomials give what the all-powers loop
+    gives: the sum over field elements and over linear forms, and the
+    monomials over series."""
     rng = random.Random(1480 + d)
     fld = tower_field(d)
     x1 = HomPoly.monomial(fld, (0, 0, 0), 1)
@@ -888,20 +827,21 @@ def test_substitute_matches_all_powers(d):
 
     def smul(a, b):
         return a.mul(b, n)
+    def fold(monomials, zero):
+        return sum((term * coef for term, coef in monomials), zero)
     for f in curves:
         pts = [random_element(fld, rng) for _ in range(3)]
-        assert _substitute(f, pts, fld.one, fld.zero, operator.mul) == \
-            _substitute_all_powers(f, pts, fld.one, fld.zero, operator.mul)
+        assert _substitute(f, pts, fld.one, fld.zero, operator.mul) == fold(
+            _monomials_all_powers(f, pts, fld.one, operator.mul), fld.zero)
         ser = [_series(fld, rng, n) for _ in range(3)]
         sone = BinaryForm(fld, [fld.one] + [fld.zero] * (n - 1))
-        szero = BinaryForm(fld, [fld.zero] * n)
-        assert _substitute(f, ser, sone, szero, smul) == \
-            _substitute_all_powers(f, ser, sone, szero, smul)
+        assert _monomials(f, ser, sone, smul) == \
+            _monomials_all_powers(f, ser, sone, smul)
         forms = [HomPoly.line(fld, *(random_element(fld, rng, max_terms=1)
                                      for _ in range(3))) for _ in range(3)]
         fzero = HomPoly.zero(fld, f.deg)
-        assert _substitute(f, forms, x1, fzero, operator.mul) == \
-            _substitute_all_powers(f, forms, x1, fzero, operator.mul)
+        assert _substitute(f, forms, x1, fzero, operator.mul) == fold(
+            _monomials_all_powers(f, forms, x1, operator.mul), fzero)
 
 
 def _lines_of_each_pivot(fld, rng):
