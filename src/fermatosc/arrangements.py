@@ -219,7 +219,8 @@ def _curve_points_on_line(curve: FermatCurve, L: HomPoly):
     The curve is smooth, hence irreducible, so it contains no line: its
     restriction to L is a nonzero form of degree d, and the contacts on L
     sum to d.  The candidates are the special points on L
-    (`FermatCurve.specials_on_line`), each checked on L and on the curve
+    (`FermatCurve.specials_on_line`, which certifies each on L by one exact
+    evaluation), each checked on the curve
     (`FermatCurve.specials_on_curve`).  Exactly d pairwise distinct
     candidates are then all of the intersection, each of contact 1, and no
     restriction is built.  One candidate (a flex tangent of A), with
@@ -230,9 +231,6 @@ def _curve_points_on_line(curve: FermatCurve, L: HomPoly):
     d = curve.d
     pts = curve.specials_on_line(L)
     for p in pts:
-        if not L.evaluate(p).is_zero():
-            raise CertificationFailure("special point off its line",
-                                       witness=p.to_json())
         if p not in curve.specials_on_curve:
             raise CertificationFailure("special point off the curve",
                                        witness=p.to_json())
@@ -465,9 +463,12 @@ def collinear_sextactic(curve: FermatCurve):
 
     The generators rho, phi and psi of the monomial group permute the
     sextactic points, which must be pairwise distinct, and must act
-    transitively on them.  The lines through point 0 that hold two or more
-    other points are closed under the generators, where g carries a line L
-    to L o g^-1 and its members to their images under g.
+    transitively on them.  Their certified images are kept on the curve
+    (`FermatCurve.generator_images`), where the carried concurrency stage
+    of `cli` reads them as the proof that every element of the group maps
+    the sextactic points onto themselves.  The lines through point 0 that
+    hold two or more other points are closed under the generators, where g
+    carries a line L to L o g^-1 and its members to their images under g.
 
     The orbit is complete.  Let a line l hold three or more points, q one
     of them.  Transitivity gives a g with q = g.p0, so g^-1 l passes through
@@ -492,8 +493,9 @@ def collinear_sextactic(curve: FermatCurve):
     found = _lines(field, pts, gens, _fp_keys(field))
     if found is None:
         found = _lines(field, pts, gens, _exact_keys(field))
+    curve.generator_images, lines = found
     return [CollinearLine(L, members, tuple(s.cluster for s in members))
-            for L, members in found]
+            for L, members in lines]
 
 
 # a key ring of `_lines`: the key of a coordinate, of a triple up to scale
@@ -538,9 +540,11 @@ def _exact_keys(field: TowerField) -> _Keys:
 
 
 def _lines(field, pts, gens, keys: _Keys):
-    """The lines of `collinear_sextactic` found on `keys` and certified
-    exactly, as (line, members) in report order (`HomPoly.line_key`), the
-    members in `pts` order; a key match refused goes to `keys.refuse`."""
+    """The generator images and the lines of `collinear_sextactic`,
+    found on `keys` and certified exactly: for each generator, the index
+    of the image of each point, and the lines as (line, members) in report
+    order (`HomPoly.line_key`), the members in `pts` order; a key match
+    refused goes to `keys.refuse`."""
     n = len(pts)
     pkeys = [keys.point([keys.coord(c) for c in s.point.coords]) for s in pts]
     index = {k: i for i, k in enumerate(pkeys)}
@@ -560,7 +564,7 @@ def _lines(field, pts, gens, keys: _Keys):
                     "a generator maps a sextactic point off the set",
                     witness=s.label())
             image.append(j)
-        images.append(image)
+        images.append(tuple(image))
     reached, seen = [0], {0}
     for i in reached:
         new = {image[i] for image in images} - seen
@@ -601,4 +605,4 @@ def _lines(field, pts, gens, keys: _Keys):
                 return keys.refuse("collinear member off its line",
                                    witness=s.label())
         found.append((L, members))
-    return found
+    return tuple(images), found

@@ -72,6 +72,11 @@ class FermatCurve:
     (`curve_orbit`), the scaling of each coordinate (`coordinate_scaling`),
     the sextactic points and fixed line of each grid line (`_line_family`),
     and the contact at every special point (`contacts`).
+    `generator_images` is what `arrangements.collinear_sextactic` certified
+    of rho, phi and psi: for each, the index in `sextactic` of the image of
+    each sextactic point, so each maps the sextactic points into
+    themselves; it is None until the search has run.  `zeta_powers` is the
+    set of the d powers of zeta, the scalars of the monomial group.
 
     `lines`, `line_keys`, `meets` and `line_contacts` are the line table
     that `arrangements` fills, and every arrangement of the degree reads:
@@ -104,6 +109,7 @@ class FermatCurve:
         self.scalings = {}
         self.line_families = {}
         self.contacts = None
+        self.generator_images = None
         self.lines = {}
         self.line_keys = set()
         self.meets = {}
@@ -123,6 +129,10 @@ class FermatCurve:
             ProjPoint(field, rotate((field.zero, field.one, field.u_pow(k)),
                                     -n))
             for n in range(3) for k in range(1, 2 * self.d, 2))
+
+    @cached_property
+    def zeta_powers(self) -> frozenset:
+        return frozenset(self.field.zeta_pow(e) for e in range(self.d))
 
     @cached_property
     def specials(self) -> tuple:

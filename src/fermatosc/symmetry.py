@@ -35,6 +35,20 @@ point 0's, or, when a check fails, from `int_mult` at the point.
 Where the contact is carried, the hyperosculating conic is the osculating
 conic, and the invariant-intersection check reads it once the contacts are
 on the curve.
+
+The concurrency certificates of a grid line carry by symmetry too.  The
+group splits the 9d grid lines into two orbits, B and M with N, and `cli`
+checks the first line L0 of each directly.  Two premises are read off the
+curve (`carry_premises`): the contacts found F invariant and prove the
+hyperosculating conic osculating at every sextactic point, and the
+collinearity search certified that rho, phi and psi map the sextactic
+points into themselves.  Every other line L then gets an element h read
+off the coefficients of L and L0 (`line_carriers`), accepted after exact
+checks (`carries`): L o h is proportional to L0; h maps the first point p0
+of L0's family to a sextactic point q on L; and the tangent and conic at q,
+composed with h, are proportional to those at p0.  A line that no
+candidate passes, and every line of an orbit whose first line failed or of
+a curve without the premises, is checked directly.
 """
 
 from __future__ import annotations
@@ -263,12 +277,14 @@ def _orbit_element(field: TowerField, n: int, exps) -> Automorphism:
 
 class Contacts(NamedTuple):
     """The contacts at the special points (`contacts`): `conic` and
-    `tangent` in `sextactic` and `inflection` order, and `osculating`, the
+    `tangent` in `sextactic` and `inflection` order, `osculating`, the
     hyperosculating conic of each sextactic point where it is proved the
-    osculating conic."""
+    osculating conic, and `invariant`, whether zeta^d = 1 and F is
+    x^d + y^d + z^d, so that every element of the monomial group keeps F."""
     conic: tuple
     tangent: tuple
     osculating: dict
+    invariant: bool
 
 
 def _carried(curve: FermatCurve, invariant: bool, points, osc,
@@ -333,7 +349,8 @@ def contacts(curve: FermatCurve) -> Contacts:
             osculating = {s.point: curve.hyperosculating(s)
                           for s, (_, carried) in zip(pts, conics) if carried}
         curve.contacts = Contacts(tuple(c for c, _ in conics),
-                                  tuple(c for c, _ in tangents), osculating)
+                                  tuple(c for c, _ in tangents), osculating,
+                                  invariant)
     return curve.contacts
 
 
@@ -438,6 +455,83 @@ def _line_family(curve: FermatCurve, grid_line: HomPoly):
         g = orbit_automorphism_for_line(curve, grid_line, pts)
         family = curve.line_families[grid_line] = (pts, fixed_line(g))
     return family
+
+
+# -- grid lines by orbit ------------------------------------------------------
+
+
+def carry_premises(curve: FermatCurve) -> bool:
+    """Whether the curve holds both premises of carrying a grid line's
+    concurrency certificates (`carries`), read off the curve and never
+    built: its contacts (`contacts`) found F invariant and prove the
+    hyperosculating conic the osculating conic at all 3d^2 sextactic
+    points, and the collinearity search certified that rho, phi and psi,
+    which generate the monomial group, map the sextactic points into
+    themselves (`FermatCurve.generator_images`)."""
+    found = curve.contacts
+    return (found is not None and found.invariant
+            and len(found.osculating) == len(curve.sextactic)
+            and curve.generator_images is not None)
+
+
+def line_carriers(curve: FermatCurve, L0: HomPoly, L: HomPoly) -> list:
+    """The elements h of the monomial group with L o h proportional to L0,
+    read off the two lines' coefficients, for lines with two nonzero
+    coefficients each: at most one per bijection of the supports.
+
+    h(p)_i = s_i p[perm[i]], so L o h has the coefficient a_i s_i at
+    x_perm[i].  perm sends L's support {i, j} (i < j) onto L0's support
+    and L's missing coordinate to L0's; L o h is then proportional to L0
+    when s_i / s_j = b_perm[i] a_j / (b_perm[j] a_i), a and b the
+    coefficients of L and L0.  That ratio must be a power of zeta
+    (`FermatCurve.zeta_powers`); it is s_i, and the other two scalars are
+    one, so s_2 = 1.  The caller checks each candidate (`carries`)."""
+    a, b = L.line_coeffs(), L0.line_coeffs()
+    support = [i for i, c in enumerate(a) if not c.is_zero()]
+    support0 = [i for i, c in enumerate(b) if not c.is_zero()]
+    if len(support) != 2 or len(support0) != 2:
+        return []
+    (i, j), one = support, curve.field.one
+    out = []
+    for pi, pj in (support0, support0[::-1]):
+        ratio = b[pi] * a[j] * (b[pj] * a[i]).inverse()
+        if ratio in curve.zeta_powers:
+            perm, scale = [3 - pi - pj] * 3, [one] * 3
+            perm[i], perm[j], scale[i] = pi, pj, ratio
+            out.append(Automorphism(curve.field, perm, scale))
+    return out
+
+
+def carries(curve: FermatCurve, h: Automorphism, L0: HomPoly,
+            L: HomPoly) -> bool:
+    """Whether an element h of the monomial group, as `line_carriers`
+    gives, carries the concurrency certificates of the grid line L0 to L,
+    on a curve that holds the premises (`carry_premises`), checked
+    exactly: L o h is proportional to L0; h maps p0, the first point of
+    L0's family (`_line_family`), to a point q on L that is a sextactic
+    point with a proved osculating conic; and the tangent and that conic at
+    q, composed with h, are proportional to the tangent and conic at p0.
+
+    h is then an automorphism of F (F is invariant under the group) that
+    maps the sextactic points S onto themselves (the group is generated by
+    rho, phi and psi), and h(L0) = L, so S meets L in h(S meets L0).
+    Tangents move with h because F o h = F, and conics because each is the
+    unique osculating conic at its point.  So the d tangents along L meet
+    in one point, the image of L0's, on L's fixed line, the image of L0's
+    (h conjugates the scaling of L0's missing coordinate into the scaling
+    of L's), and the d conics along L share as many points as those along
+    L0.  The checks at q test the tangent and the conic at one point of L;
+    at its other points they follow from this argument."""
+    if not h.pullback(L).proportional(L0):
+        return False
+    osculating = curve.contacts.osculating
+    p0 = _line_family(curve, L0)[0][0].point
+    q = h.apply_point(p0)
+    conic = osculating.get(q)
+    return (conic is not None and L.evaluate(q).is_zero()
+            and h.pullback(curve.osculating(q, 1)).proportional(
+                curve.osculating(p0, 1))
+            and h.pullback(conic).proportional(osculating[p0]))
 
 
 def tangent_concurrency(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyReport:

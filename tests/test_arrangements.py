@@ -581,9 +581,10 @@ def test_collinear_keys_match_the_exact_path(d, monkeypatch):
     gens = [(g, g.inverse()) for g in (arrangements.rho(C.field),
                                        arrangements.phi(C.field),
                                        arrangements.psi(C.field))]
-    exact = arrangements._lines(C.field, pts, gens,
-                                arrangements._exact_keys(C.field))
+    images, exact = arrangements._lines(C.field, pts, gens,
+                                        arrangements._exact_keys(C.field))
     assert [(L, members) for L, members, _ in found] == exact
+    assert images == C.generator_images
     assert len(maps) == 3 * len(pts) == 9 * d * d
 
 

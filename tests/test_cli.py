@@ -16,6 +16,7 @@ import fermatosc
 from conftest import identity, random_element
 from fermatosc import arrangements, cli, hompoly, symmetry, tower
 from fermatosc.cli import indented_json, main
+from fermatosc.fermat import FermatCurve
 from fermatosc.hompoly import HomPoly, resultant_order
 from fermatosc.symmetry import ConcurrencyReport
 
@@ -295,6 +296,134 @@ def test_a_wrong_group_element_changes_no_contact(monkeypatch, tmp_path):
     assert len(points) == len(set(points)) == (27 + 9) + (48 + 12)
 
 
+def _identity_carrier(line_carriers):
+    """`line_carriers` giving the identity for every pair of lines."""
+    return lambda curve, L0, L: [identity(curve.field)]
+
+
+def _uncertified_collinearity(collinear_sextactic):
+    """`collinear_sextactic` that keeps no generator images on the curve."""
+    def search(curve):
+        lines = collinear_sextactic(curve)
+        curve.generator_images = None
+        return lines
+    return search
+
+
+def _contacts_not_invariant(contacts):
+    """`contacts` that leaves on the curve contacts marked not invariant."""
+    def found(curve):
+        out = contacts(curve)
+        curve.contacts = out._replace(invariant=False)
+        return out
+    return found
+
+
+class _Everything:
+    """A container that holds every item."""
+
+    def __contains__(self, item):
+        return True
+
+
+def _every_ratio_a_zeta_power(zeta_powers):
+    """`FermatCurve.zeta_powers` holding every field element, so that
+    `line_carriers` also gives the elements whose scalars are no powers of
+    zeta: they map B[0]'s and M[0]'s first points off the sextactic
+    points."""
+    return property(lambda curve: _Everything())
+
+
+# (id, dotted name under fermatosc, its plant, whether `all` still carries
+# every grid line but B[0] and M[0])
+CARRIER_PLANTS = [
+    ("identity-carrier", "cli.line_carriers", _identity_carrier, False),
+    ("no-collinearity-certificate", "cli.collinear_sextactic",
+     _uncertified_collinearity, False),
+    ("contacts-not-invariant", "cli.contacts", _contacts_not_invariant,
+     False),
+    ("every-ratio-a-zeta-power", "fermat.FermatCurve.zeta_powers",
+     _every_ratio_a_zeta_power, True),
+]
+
+
+@pytest.mark.parametrize("name, plant, carried",
+                         [row[1:] for row in CARRIER_PLANTS],
+                         ids=[row[0] for row in CARRIER_PLANTS])
+def test_a_wrong_carrier_changes_no_line_outcome(name, plant, carried,
+                                                 monkeypatch, tmp_path):
+    """`all` checks B[0] and M[0] directly and carries every other grid
+    line.  With the identity for every carrier, or with a curve that lacks
+    either premise of the carry, no line is carried: the direct line check
+    runs at all 9d lines, and `all` writes the same bytes.  Candidates with
+    scalars that are no powers of zeta are refused, and the lines are
+    carried by the others."""
+    argv = ["all", "--min-degree", "3", "--max-degree", "4", "--out"]
+    check, labels = cli._verify_line, []
+    monkeypatch.setattr(cli, "_verify_line", lambda curve, label, line:
+                        labels.append(label) or check(curve, label, line))
+    plain, patched = tmp_path / "plain.json", tmp_path / "patched.json"
+    assert main(argv + [str(plain)]) == 0
+    firsts = ["B[0]", "M[0]"] * 2
+    assert labels == firsts
+    labels.clear()
+    monkeypatch.setattr(f"fermatosc.{name}",
+                        plant(operator.attrgetter(name)(fermatosc)))
+    assert main(argv + [str(patched)]) == 0
+    assert plain.read_bytes() == patched.read_bytes()
+    assert labels == (firsts if carried else [
+        label for d in (3, 4) for label, _ in cli._grid_lines(FermatCurve(d))])
+
+
+def test_a_carried_line_is_checked_against_its_own_group(monkeypatch,
+                                                         capsys):
+    """With the paper's count for N lines planted as 1, every N line fails
+    its count, each carried from M[0], whose count of 2 passes."""
+    claims = cli.paper_claims
+
+    def planted(d):
+        out = claims(d)
+        out["conic_common_points"]["N"] = 1
+        return out
+    monkeypatch.setattr(cli, "paper_claims", planted)
+    code, rep = run_json(ALL_D3, capsys)
+    assert code == 1
+    assert rep["failures"] == [
+        {"check": "conic-common-count", "line": f"N[{i}]", "got": 2,
+         "expected": 1} for i in range(9)]
+    assert rep["payload"]["degrees"]["3"]["concurrency"] == {
+        "lines_verified": 27, "failures": 9}
+
+
+def _wrong_tangents_where_b1_is_carried(osculating):
+    """`FermatCurve.osculating` with the x coefficient of the tangent raised
+    by one at each point of B[1] that a carrier from B[0] maps B[0]'s first
+    point to."""
+    def wrong(curve, p, n):
+        out = osculating(curve, p, n)
+        (_, L0), (_, L) = cli._grid_lines(curve)[:2]
+        p0 = curve.sextactic_on_line(L0)[0].point
+        if n == 1 and p in {h.apply_point(p0)
+                            for h in symmetry.line_carriers(curve, L0, L)}:
+            out = out + HomPoly.monomial(out.field, (1, 0, 0), 1)
+        return out
+    return wrong
+
+
+def test_a_wrong_tangent_at_the_carried_point_is_checked_directly(
+        monkeypatch, capsys):
+    """A grid line whose carried point has a tangent that is not the image
+    of the tangent at B[0]'s first point is not carried: it is checked
+    directly, and its tangents fail to meet in one point."""
+    monkeypatch.setattr(fermatosc.fermat.FermatCurve, "osculating",
+                        _wrong_tangents_where_b1_is_carried(
+                            fermatosc.fermat.FermatCurve.osculating))
+    code, rep = run_json(ALL_D3, capsys)
+    assert code == 1
+    assert {"check": "tangent-concurrency", "line": "B[1]",
+            "detail": "tangents are not concurrent"} in rep["failures"]
+
+
 def _flipped_verdict(verdict_of):
     """`freeness_test` with its verdict flipped."""
     def flipped(degree_hat, tau):
@@ -317,14 +446,14 @@ def _one_grid_line(grid_line):
     return lambda token, field, d, i: grid_line(token, field, d, 0)
 
 
-def _plus_other_lines_point(specials_on_line):
-    """`FermatCurve.specials_on_line` with a special point of another line
-    added: the first special point off the line."""
-    def wrong(curve, line):
-        found = specials_on_line(curve, line)
-        other = next(p for p in curve.specials
-                     if not line.evaluate(p).is_zero())
-        return found + [other]
+def _plus_off_line_index(ratios):
+    """`FermatCurve._ratios` with each ratio's points followed by the first
+    point of another ratio, which lies off every line of the first."""
+    def wrong(curve, a, b):
+        table = ratios(curve, a, b)
+        firsts = [idx[0] for idx in table.values()]
+        return {r: idx + [next(i for i in firsts if i not in idx)]
+                for r, idx in table.items()}
     return wrong
 
 
@@ -346,8 +475,8 @@ QUERY_PLANTED_FAULTS = [
        "detail": "two lines of the curve's line table coincide"}]),
     ("fatal", ["census", "--arrangement", "B", "--degree", "3",
                "--with-fermat"],
-     "fermat.FermatCurve.specials_on_line", _plus_other_lines_point,
-     [{"check": "fatal", "detail": "special point off its line"}]),
+     "fermat.FermatCurve._ratios", _plus_off_line_index,
+     [{"check": "fatal", "detail": "ratio table point off its line"}]),
     # line 0 at d = 4 is x - y, whose sextactic points are the first four
     # of `sextactic`; the tangents at the first two meet at (1 : -1 : 0),
     # which the third tangent, raised by x, misses
@@ -378,7 +507,7 @@ def test_collinear_freeness_and_fatal_records_fire(record, argv, name, plant,
     """Each record of `collinear` and `freeness`, and the `fatal` record,
     fires on a planted fault: a line dropped from the collinear lines, a
     flipped freeness verdict, a Koszul triple with a wrong sign, two grid
-    lines made equal and a census candidate off its line (each a failed
+    lines made equal and a ratio-table point off its line (each a failed
     certificate, exit 1, not a usage error), and a tangent of one line's
     family that misses the others' point."""
     original = operator.attrgetter(name)(fermatosc)

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from conftest import compose_matrix, identity, rand_nonzero, random_element
-from fermatosc.arrangements import build
+from fermatosc.arrangements import build, collinear_sextactic
 from fermatosc.errors import CertificationFailure, FermatoscError
 from fermatosc.fermat import (FermatCurve, _hyperosc_conic_cluster_z,
                               hyperosculating_conic, inflection_points,
@@ -674,3 +674,25 @@ def test_invariant_check_alone_builds_no_contacts(monkeypatch):
         assert verify_invariant_intersection(C, g, C.sextactic[0].point, 2)
     assert C.contacts is None
     assert (2, C.sextactic[0].point) in C._osculating
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 6, 7, 8, 12))
+def test_carriers_pull_every_grid_line_back_to_its_orbit_line(d):
+    """Every carrier of a grid line pulls it back exactly to its orbit's
+    first line, with scalars that are powers of zeta: B lines from B[0],
+    M and N lines from M[0], and no line from the other orbit's first line.
+    One of them passes the carry check."""
+    C = FermatCurve(d)
+    symmetry.contacts(C)
+    collinear_sextactic(C)
+    assert symmetry.carry_premises(C)
+    lines = cli._grid_lines(C)
+    firsts = {True: lines[0][1], False: lines[3 * d][1]}
+    for label, L in lines:
+        own, other = firsts[label[0] == "B"], firsts[label[0] != "B"]
+        carriers = symmetry.line_carriers(C, own, L)
+        assert carriers and symmetry.line_carriers(C, other, L) == []
+        for h in carriers:
+            assert h.pullback(L).proportional(own)
+            assert set(h.scale) <= C.zeta_powers
+        assert any(symmetry.carries(C, h, own, L) for h in carriers)
