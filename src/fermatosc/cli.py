@@ -6,7 +6,8 @@ Every subcommand assembles a Report object:
      "precision_bits": ..., "status": "ok"|"failed",
      "failures": [...], "payload": {...}}
 
-An option is defined only on the commands that read it: `--seed` on `all`.
+An option is defined only on the commands that read it: `--seed` on `all`,
+which echoes it in the header and draws nothing.
 A header key that does not apply to the command is null, as "degree" is
 for `all`; e.g. `census` reports "seed": null, "precision_bits": null.
 
@@ -33,7 +34,6 @@ import functools
 import json
 import math
 import os
-import random
 import sys
 
 from . import __version__
@@ -62,6 +62,12 @@ ALL_MAX_DEGREE = 12
 # bits of the display embedding behind the approx columns: the columns are
 # doubles, so more bits change only the rounding noise of exact zeros
 APPROX_BITS = 128
+
+# the sextactic points (cluster, j, k) where `all` compares the closed form,
+# the hyperosculating and the Cayley conic: point 0 of each cluster, and
+# (1, 3), where zeta and u^k both enter the closed form
+PIPELINE_POINTS = (("z", 0, 1), ("z", 1, 3), ("y", 0, 1), ("y", 1, 3),
+                   ("x", 0, 1), ("x", 1, 3))
 
 
 def paper_claims(d: int) -> dict:
@@ -151,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--min-degree", type=int, default=3)
     sp.add_argument("--max-degree", type=int, default=6)
     sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the sampled check that the conic "
-                         "pipelines agree")
+                    help="echoed in the report header; draws nothing (the "
+                         "conic pipelines are compared at fixed points)")
     return p
 
 
@@ -437,9 +443,11 @@ def _count_failures(curve, label, count):
 def cmd_verify(args):
     curve = FermatCurve(args.degree)
     if args.theorem == "main":
-        done, failures = _verify_main(curve, args.line_index)
+        lines = (_grid_lines(curve) if args.line_index is None
+                 else [_grid_line(curve, args.line_index)])
+        done, failures = _verify_grid(curve, lines)
         results = []
-        for label, line, reports, _ in done:
+        for label, line, reports, _, _ in done:
             entry = {"line_label": label, "line": line.to_json_dict()}
             for key, rep in zip(("tangent", "conic"), reports):
                 entry[key] = ({"error": rep} if isinstance(rep, str)
@@ -450,47 +458,37 @@ def cmd_verify(args):
     return _verify_invariant(curve, degrees)
 
 
-def _verify_main(curve, line_index=None):
-    """(label, line, reports, failures) for every grid line, or for line
-    `line_index` alone, and all their failures."""
-    if line_index is None:
-        lines = _grid_lines(curve)
-    else:
-        lines = [_grid_line(curve, line_index)]
-    done = [(label, L, *_verify_line(curve, label, L)) for label, L in lines]
-    return done, [f for *_, fails in done for f in fails]
-
-
-def _verify_carried(curve):
-    """(label, line, conic count, failures) for every grid line, the
-    count None where the conic check raised, and all their failures: what
-    `_verify_main` finds, with two direct line checks where the curve holds
-    the premises of the carry (`carry_premises`).
+def _verify_grid(curve, lines):
+    """(label, line, reports, conic count, failures) for each labelled grid
+    line in `lines`, and all their failures: the reports of a direct check
+    (`_verify_line`), None for a carried line, and the count None where the
+    conic check raised.
 
     The monomial group splits the grid lines into two orbits, B and M with
-    N, and their first lines, B[0] and M[0], are checked directly
-    (`_verify_line`).  Every other line L of an orbit whose first line L0
-    passed is carried from L0 by an element h read off the two lines
-    (`line_carriers`) and checked exactly (`carries`): its tangents are
-    concurrent as L0's are, and its conics share L0's number of common
-    points, which is checked against the paper's value for L's own group.
-    A line that no element carries, every line of an orbit whose first
-    line failed and every line of a curve without the premises are checked
-    directly, so the failures are those of direct checks."""
+    N; the first line of each in `lines` is checked directly.  Where the
+    curve holds the premises of the carry (`carry_premises`), as in `all`,
+    every other line L of an orbit whose first line L0 passed is carried
+    from L0 by an element h read off the two lines (`line_carriers`) and
+    checked exactly (`carries`): its tangents are concurrent as L0's are,
+    and its conics share L0's number of common points, which is checked
+    against the paper's value for L's own group.  A line that no element
+    carries, every line of an orbit whose first line failed and every line
+    of a curve without the premises (as in `verify`) are checked directly,
+    so the failures are those of direct checks."""
     carry = carry_premises(curve)
     firsts, done, failures = {}, [], []
-    for label, L in _grid_lines(curve):
+    for label, L in lines:
         orbit = label[0] == "B"                 # B, or M with N
         L0, count = firsts.get(orbit) or (None, None)
         if L0 is not None and any(carries(curve, h, L0, L)
                                   for h in line_carriers(curve, L0, L)):
-            fails = _count_failures(curve, label, count)
+            reports, fails = None, _count_failures(curve, label, count)
         else:
-            (_, conic), fails = _verify_line(curve, label, L)
-            count = None if isinstance(conic, str) else conic.count
+            reports, fails = _verify_line(curve, label, L)
+            count = None if isinstance(reports[1], str) else reports[1].count
             if orbit not in firsts:
                 firsts[orbit] = (L, count) if carry and not fails else None
-        done.append((label, L, count, fails))
+        done.append((label, L, reports, count, fails))
         failures += fails
     return done, failures
 
@@ -527,18 +525,17 @@ def cmd_all(args):
     if not (3 <= args.min_degree <= args.max_degree <= ALL_MAX_DEGREE):
         raise ValueError(
             f"need 3 <= min-degree <= max-degree <= {ALL_MAX_DEGREE}")
-    rng = random.Random(args.seed)
     payload, failures = {"degrees": {}}, []
     for d in range(args.min_degree, args.max_degree + 1):
         # one memo per degree: the memory held is one degree's working set
         with tower.memoized():
-            section, sec_fail = _all_degree(d, rng)
+            section, sec_fail = _all_degree(d)
         payload["degrees"][str(d)] = section
         failures.extend(sec_fail)
     return payload, failures
 
 
-def _all_degree(d, rng):
+def _all_degree(d):
     """The suite at degree d: its report section and its failures."""
     claims = paper_claims(d)
     section = {}
@@ -563,10 +560,9 @@ def _all_degree(d, rng):
         sec_fail.append({"check": "inflection-suite", "degree": d})
 
     pts = sextactic_points(curve)
-    idx = rng.sample(range(len(pts)), min(6, len(pts)))
     prop_ok = True
-    for i in idx:
-        s = pts[i]
+    for label in PIPELINE_POINTS:
+        s = curve.sextactic_point(*label)
         O = curve.hyperosculating(s)
         closed = curve.osculating(s.point, 2)
         cay = osculating_conic_cayley(curve, s.point)
@@ -574,7 +570,7 @@ def _all_degree(d, rng):
             and cay.proportional(closed)
     section["sextactic"] = {"count": len(pts),
                             "count_formula": sextactic_count_formula(curve),
-                            "sampled": len(idx),
+                            "sampled": len(PIPELINE_POINTS),
                             "conic_contacts": sorted(set(certified.conic)),
                             "conic_pipelines_proportional": prop_ok}
     if (len(pts) != claims["sextactic_count"]
@@ -603,7 +599,7 @@ def _all_degree(d, rng):
     sec_fail += fails
 
     # B[0] and M[0] checked directly, every other grid line carried
-    done, vfails = _verify_carried(curve)
+    done, vfails = _verify_grid(curve, _grid_lines(curve))
     section["concurrency"] = {
         "lines_verified": len(done),
         "failures": len(vfails)}

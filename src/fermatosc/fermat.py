@@ -29,8 +29,8 @@ and x are the cluster-z conic with its variables permuted.  The contact of
 O_{j,k} with the curve, 6, and of the tangent at each inflection point, d,
 are certified at every point by symmetry (`symmetry.contacts`), which
 also proves O_{j,k} the osculating conic wherever it carries the contact;
-the closed form then serves the `conic` query and the sampled
-agreement check of the pipelines.
+the closed form then serves the `conic` query and the check that the
+pipelines agree at six fixed points (`cli.PIPELINE_POINTS`).
 """
 
 from __future__ import annotations

@@ -521,14 +521,15 @@ def carries(curve: FermatCurve, h: Automorphism, L0: HomPoly,
     (h conjugates the scaling of L0's missing coordinate into the scaling
     of L's), and the d conics along L share as many points as those along
     L0.  The checks at q test the tangent and the conic at one point of L;
-    at its other points they follow from this argument."""
+    at its other points they follow from this argument.  q is on L, as
+    L(h(p0)) is a multiple of L0(p0), which `_line_family` certified zero."""
     if not h.pullback(L).proportional(L0):
         return False
     osculating = curve.contacts.osculating
     p0 = _line_family(curve, L0)[0][0].point
     q = h.apply_point(p0)
     conic = osculating.get(q)
-    return (conic is not None and L.evaluate(q).is_zero()
+    return (conic is not None
             and h.pullback(curve.osculating(q, 1)).proportional(
                 curve.osculating(p0, 1))
             and h.pullback(conic).proportional(osculating[p0]))

@@ -247,7 +247,8 @@ ALL_D4 = ["all", "--min-degree", "4", "--max-degree", "4"]
 
 # (id, argv, dotted name under fermatosc, its planted fault, the failures
 # expected): a wrong osculating curve at the last point of its set, outside
-# the seeded sample of `all`, which `symmetry.contacts` checks directly
+# the fixed points where `all` compares the conic pipelines
+# (`cli.PIPELINE_POINTS`), which `symmetry.contacts` checks directly
 CONTACT_PLANTED_FAULTS = [
     ("last-sextactic-conic", ALL_D4, "fermat.FermatCurve.hyperosculating",
      _wrong_last_conic,
@@ -268,13 +269,63 @@ CONTACT_PLANTED_FAULTS = [
 def test_contacts_are_checked_at_every_point(argv, name, plant, want,
                                              monkeypatch, capsys):
     """`all` fails on a wrong hyperosculating conic at the last sextactic
-    point and on a wrong tangent at the last inflection point, at d = 4
-    with seed 0, whose pipeline sample leaves the last sextactic point out:
-    the contact at every special point is certified."""
+    point and on a wrong tangent at the last inflection point, at d = 4,
+    where the pipeline comparison leaves the last sextactic point out: the
+    contact at every special point is certified."""
     original = operator.attrgetter(name)(fermatosc)
     monkeypatch.setattr(f"fermatosc.{name}", plant(original))
     code, rep = run_json(argv, capsys)
     assert (code, rep["status"], rep["failures"]) == (1, "failed", want)
+
+
+def _wrong_cayley_at(label):
+    """A plant of `cli.osculating_conic_cayley`: the xy coefficient of the
+    conic at the sextactic point `label` raised by one."""
+    def plant(cayley):
+        def wrong(curve, p):
+            out = cayley(curve, p)
+            if p == curve.sextactic_point(*label).point:
+                out = out + HomPoly.monomial(out.field, (1, 1, 0), 1)
+            return out
+        return wrong
+    return plant
+
+
+def test_a_wrong_cayley_conic_at_a_fixed_point_fails_at_every_seed(
+        monkeypatch, capsys):
+    """A wrong Cayley conic at the sextactic point (y, 1, 3) fails the
+    sextactic suite at d = 4 whatever the seed: `--seed` draws nothing."""
+    monkeypatch.setattr(cli, "osculating_conic_cayley",
+                        _wrong_cayley_at(("y", 1, 3))(
+                            cli.osculating_conic_cayley))
+    for seed in range(10):
+        code, rep = run_json(ALL_D4 + ["--seed", str(seed)], capsys)
+        assert (code, rep["seed"], rep["failures"]) == (
+            1, seed, [{"check": "sextactic-suite", "degree": 4}])
+
+
+def test_the_conic_pipelines_are_compared_at_six_fixed_points(monkeypatch,
+                                                              capsys):
+    """`all` compares the conic pipelines at point 0 and at the point
+    (1, 3) of each cluster, the same six points for every seed."""
+    cayley, called = cli.osculating_conic_cayley, []
+
+    def record(curve, p):
+        called.append(next((s.cluster, s.j, s.k) for s in curve.sextactic
+                           if s.point == p))
+        return cayley(curve, p)
+    monkeypatch.setattr(cli, "osculating_conic_cayley", record)
+    want = [("z", 0, 1), ("z", 1, 3), ("y", 0, 1), ("y", 1, 3), ("x", 0, 1),
+            ("x", 1, 3)]
+    for d in (3, 5):
+        for seed in (0, 7):
+            called.clear()
+            code, rep = run_json(["all", "--min-degree", str(d),
+                                  "--max-degree", str(d), "--seed", str(seed)],
+                                 capsys)
+            assert (code, called) == (0, want)
+            assert rep["payload"]["degrees"][str(d)]["sextactic"][
+                "sampled"] == 6
 
 
 def test_a_wrong_group_element_changes_no_contact(monkeypatch, tmp_path):
@@ -917,8 +968,8 @@ def test_all_renders_no_line_report(tmp_path, monkeypatch):
 
 def test_all_checks_every_inflection_point(tmp_path):
     """The tangent contact is certified at all 3d inflection points and the
-    conic contact at all 3d^2 sextactic points, above d = 6 too; `--seed`
-    draws only the sample of the conic pipeline check."""
+    conic contact at all 3d^2 sextactic points, above d = 6 too; the conic
+    pipelines are compared at the six fixed points."""
     out = tmp_path / "all.json"
     assert main(["all", "--min-degree", "7", "--max-degree", "7",
                  "--out", str(out)]) == 0
@@ -1033,10 +1084,11 @@ def test_verify_rejects_options_its_theorem_ignores(monkeypatch, capsys):
 
 
 def test_each_option_only_on_the_commands_that_read_it(monkeypatch, capsys):
-    """`--seed` is defined on `all` only, and no command defines
-    `--precision`: any other command exits 2 on `--seed` before a curve is
-    built, as every command does on the deleted `--precision` and
-    `--format`, and `resultant_order` takes no attempt budget."""
+    """`--seed` is defined on `all` only, which echoes it in the header and
+    draws nothing, and no command defines `--precision`: any other command
+    exits 2 on `--seed` before a curve is built, as every command does on
+    the deleted `--precision` and `--format`, and `resultant_order` takes
+    no attempt budget."""
     commands = next(a.choices for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
     assert len(commands) == 9
