@@ -566,8 +566,12 @@ def conic_common_points(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyRe
     """Certify the exact number of common points of the d hyperosculating
     conics along a grid line: two when the restricted discriminant is
     nonzero, one (with the fixed line tangent to every conic) when it is
-    zero.  Off-line candidates are excluded through degenerate pencil
-    members divided by the fixed-line coordinate.
+    zero.  No common point lies off the fixed line x_var = 0: each conic's
+    cofactor against conic 0, the member of their pencil that vanishes on
+    the line divided by x_var, passes through every such point, and two of
+    them that are not proportional leave one candidate, on the line or
+    missed by some conic (`_exclude_off_line`).  The cofactor of any other
+    pair of conics is a combination of two of these, so it adds nothing.
     """
     field = curve.field
     pts, L = _line_family(curve, grid_line)
@@ -611,27 +615,28 @@ def conic_common_points(curve: FermatCurve, grid_line: HomPoly) -> ConcurrencyRe
 
 def _exclude_off_line(conics, var: int, field) -> dict:
     """Certify that no point off the coordinate line x_var = 0 lies on all
-    conics, via the pencil members divisible by that coordinate."""
-    n = len(conics)
-    pairs = [(0, i) for i in range(1, n)] + [(1, i) for i in range(2, n)]
-    chosen = None
-    cofactors = []
-    for (i, j) in pairs:
-        ell = _pencil_cofactor(conics[i], conics[j], var, field)
-        if ell is None or ell.is_zero():
-            continue
-        for prev in cofactors:
-            if not prev.proportional(ell):
-                chosen = (prev, ell)
-                break
-        if chosen:
-            break
-        cofactors.append(ell)
-    if chosen is None:
+    conics, from their cofactors against conic 0 (`_cofactor`).
+
+    The caller has checked that conic 0 does not contain the line and that
+    every conic c restricts to it as mu_c times conic 0, so each pencil
+    member c(e0) c_0 - c_0(e0) c, e0 conic 0's first term free of x_var,
+    is x_var times a linear cofactor m_c.  Two cofactors that are not
+    proportional meet in one point q, and every common point off the line
+    is q.  The cofactor of conics 1 and i is a combination of m_1 and m_i,
+    (b / c_0(e0)) (mu_1 m_i - mu_i m_1) with b conic 0's coefficient at
+    conic 1's first term free of x_var, so the pairs (1, i) add no
+    direction: when the m_c are pairwise proportional, so is every
+    cofactor of two conics."""
+    c0 = conics[0]
+    e0 = next(e for e in c0.terms if e[var] == 0)
+    cofactors = (m for c in conics[1:]
+                 if not (m := _cofactor(c0, c, e0, var)).is_zero())
+    first = next(cofactors, None)
+    second = next((m for m in cofactors if not first.proportional(m)), None)
+    if second is None:
         raise CertificationFailure(
             "could not find two independent pencil cofactors")
-    q = ProjPoint(field, cross(chosen[0].line_coeffs(),
-                               chosen[1].line_coeffs()))
+    q = ProjPoint(field, cross(first.line_coeffs(), second.line_coeffs()))
     if q.coords[var].is_zero():
         return {"candidate_on_fixed_line": True}
     # the first conic that misses the candidate is the witness
@@ -647,34 +652,12 @@ def _exclude_off_line(conics, var: int, field) -> dict:
         witness=q.to_json())
 
 
-def _pencil_cofactor(c1: HomPoly, c2: HomPoly, var: int, field):
-    """The linear cofactor ell with x_var * ell in the pencil of c1, c2,
-    the member lam c1 + mu c2 that cancels the first coefficient off
-    x_var; its coefficients are formed one exponent at a time, in
-    ascending exponent order, with no scaled copy of either conic."""
-    span_exps = [e for e in c1.terms if e[var] == 0]
-    span_exps += [e for e in c2.terms if e[var] == 0 and e not in span_exps]
-    lam = mu = None
-    for e in span_exps:
-        a, b = c1.coeff(e), c2.coeff(e)
-        if not a.is_zero() or not b.is_zero():
-            lam, mu = b, -a
-            break
-    if lam is None:
-        lam, mu = field.one, field.zero
-    quotient = {}
-    for e in sorted(c1.terms.keys() | c2.terms.keys()):
-        c = c1.coeff(e) * lam + c2.coeff(e) * mu
-        if c.is_zero():
-            continue
-        if e[var] == 0:
-            # pencil member is not divisible by the coordinate: restrictions
-            # of the two conics were not proportional after scaling
-            raise CertificationFailure(
-                "pencil member not divisible by the fixed-line coordinate")
-        ne = list(e)
-        ne[var] -= 1
-        quotient[tuple(ne)] = c
-    if not quotient:
-        return None
-    return HomPoly(field, c1.deg - 1, quotient)
+def _cofactor(c0: HomPoly, c: HomPoly, e0, var: int) -> HomPoly:
+    """The linear form (c(e0) c0 - c0(e0) c) / x_var, read from the terms
+    divisible by x_var alone, in ascending exponent order; the terms free
+    of x_var cancel when c and c0 agree on x_var = 0 up to a factor and
+    e0 is a term of c0 free of x_var."""
+    a, b = c0.coeff(e0), c.coeff(e0)
+    return HomPoly(c0.field, c0.deg - 1, {
+        e[:var] + (e[var] - 1,) + e[var + 1:]: c0.coeff(e) * b - c.coeff(e) * a
+        for e in sorted(c0.terms.keys() | c.terms.keys()) if e[var]})

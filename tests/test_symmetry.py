@@ -14,8 +14,8 @@ from fermatosc.errors import CertificationFailure, FermatoscError
 from fermatosc.fermat import (FermatCurve, _hyperosc_conic_cluster_z,
                               hyperosculating_conic, inflection_points,
                               sextactic_points, tangent_line)
-from fermatosc.hompoly import BinaryForm, HomPoly, ProjPoint, cross, disc2, \
-    restrict_to_line
+from fermatosc.hompoly import BinaryForm, HomPoly, ProjPoint, cross, det3, \
+    disc2, restrict_to_line
 from fermatosc import cli, fermat, symmetry
 from fermatosc.symmetry import (Automorphism, conic_common_points,
                                 fixed_line, generator_panel, group_elements,
@@ -369,7 +369,8 @@ def test_pencil_cofactor_is_the_papers_line(d):
         conics = {k: C.hyperosculating(C.sextactic_point("z", j, k))
                   for k in ks}
         for k1, k2 in combinations(ks, 2):
-            ell = symmetry._pencil_cofactor(conics[k1], conics[k2], 2, fld)
+            e0 = next(e for e in conics[k1].terms if e[2] == 0)
+            ell = symmetry._cofactor(conics[k1], conics[k2], e0, 2)
             zcoef = -(fld.t_inv * ((d + 1) * (2 * d - 3))
                       * (fld.u_pow(k1) + fld.u_pow(k2)))
             paper = HomPoly.line(fld, fld.zeta_pow(-j) * (2 * d * (d - 2)),
@@ -570,12 +571,60 @@ def test_conics_sharing_a_point_off_the_fixed_line_raise(monkeypatch):
     assert failure.value.witness == ProjPoint(fld, [1, 1, 1]).to_json()
 
 
-def test_pencil_member_off_the_coordinate_raises():
-    # y^2 and z^2 have no pencil member divisible by x but zero
-    fld = tower_field(3)
-    _, y, z = HomPoly.variables(fld)
-    with pytest.raises(CertificationFailure, match="not divisible"):
-        symmetry._pencil_cofactor(y * y, z * z, 0, fld)
+def test_conics_with_proportional_cofactors_raise(monkeypatch):
+    """The conics x (x + i y) + y^2 - z^2 agree on x = 0, and their
+    cofactors against conic 0 are multiples of y, none zero: they share
+    (1 : 0 : 1) and (1 : 0 : -1) off x = 0, and no second cofactor
+    crosses the first."""
+    C = FermatCurve(3)
+    x, y, z = HomPoly.variables(C.field)
+    conics = [x * (x + y * i) + y * y - z * z for i in range(3)]
+    L = _plant_conic_family(monkeypatch, C, conics, fixed=x)
+    with pytest.raises(CertificationFailure,
+                       match="two independent pencil cofactors"):
+        conic_common_points(C, L)
+
+
+def test_conics_missing_the_cofactors_candidate_give_a_witness(monkeypatch):
+    """The conics x (x + i (x - y) + i^2 (y - z)) + y^2 - z^2 agree on
+    x = 0, and their cofactors against conic 0 meet at (1 : 1 : 1), off
+    x = 0, where conic 0 is 1."""
+    C = FermatCurve(3)
+    fld = C.field
+    x, y, z = HomPoly.variables(fld)
+    conics = [x * (x + (x - y) * i + (y - z) * (i * i)) + y * y - z * z
+              for i in range(3)]
+    L = _plant_conic_family(monkeypatch, C, conics, fixed=x)
+    rep = conic_common_points(C, L)
+    assert rep.count == 2
+    assert rep.certificates["off_line_exclusion"] == {
+        "candidate_on_fixed_line": False,
+        "candidate": ProjPoint(fld, [1, 1, 1]).to_json(),
+        "witness_conic_index": 0,
+        "witness_value": fld.one.to_json_dict()}
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 6))
+def test_every_pair_cofactor_meets_the_candidate(d):
+    """On every grid family, the cofactor of every pair of conics i < j
+    (`_cofactor` against conic i's first term free of x_var) passes
+    through the candidate that the cofactors against conic 0 give: its
+    coefficients and the two spanning cofactors' have a zero det3."""
+    C = FermatCurve(d)
+    for _, grid_line in cli._grid_lines(C):
+        pts, L = symmetry._line_family(C, grid_line)
+        conics = [C.hyperosculating(s) for s in pts]
+        var = symmetry._coordinate_index(L)
+        firsts = [next(e for e in c.terms if e[var] == 0) for c in conics]
+        against0 = [symmetry._cofactor(conics[0], c, firsts[0], var)
+                    for c in conics[1:]]
+        spanning = [m for m in against0 if not m.is_zero()]
+        m1 = spanning[0]
+        m2 = next(m for m in spanning if not m1.proportional(m))
+        for i, j in combinations(range(d), 2):
+            mij = symmetry._cofactor(conics[i], conics[j], firsts[i], var)
+            assert det3([m1.line_coeffs(), m2.line_coeffs(),
+                         mij.line_coeffs()]).is_zero(), (grid_line, i, j)
 
 
 def test_panel_shares_the_curve_scalings():
